@@ -23,7 +23,7 @@ from .feshbach import (FeshbachResult, NotInvertibleError, ProjectionPair,
 from .rgflow import (DomainError, FlowStalledError, FlowTrajectory,
                      PolydiscParams, StepInfo, flow, normal_order_product,
                      parameter_flow, polydisc_membership, rg_step,
-                     scale_coupling, wick_contract)
+                     scale_coupling)
 from .models import (CoupledModel, DeformedOperator, ModelSpec, build_model,
                      complex_dilate, dilated_grid, fiber_hamiltonian,
                      field_operator, form_factor, ground_sector_hamiltonian,

@@ -19,7 +19,7 @@ from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
 from .normalform import (CouplingFunction, FOUR_PI, NormalFormHamiltonian,
                          default_r_grid, interaction_norm, split,
-                         t_slope_deviation)
+                         subtract_constant, t_slope_deviation)
 from .rgflow import rg_step
 
 
@@ -76,9 +76,7 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
         # mimic the spectral-parameter adjustment: pull the scalar part back
         # toward zero so iterated steps stay inside the domain of the map
         w00 = H.terms[(0, 0)]
-        E = w00.values[0]
-        H.terms[(0, 0)] = CouplingFunction(0, 0, w00.r_grid, w00.nodes,
-                                           w00.values - E, dr_values=w00.dr_values)
+        H.terms[(0, 0)] = subtract_constant(w00, w00.values[0])
         return H
 
     def track(H, steps):

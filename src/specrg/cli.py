@@ -2,7 +2,7 @@
 
 Usage:
     specrg <verify|flow|spectrum|resonance|mass|pf> --config cfg.json
-           --out outdir [--seed N] [--threads N]
+           --out outdir [--seed N]
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 domain or
 precondition violation.  Identical config and seed produce byte-identical
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,20 +53,6 @@ def _spec_from_config(cfg: dict) -> models.ModelSpec:
         mass=float(m.get("mass", 1.0)),
         gamma=None if gamma is None else np.asarray(gamma, dtype=complex),
     )
-
-
-def _limit_threads(n: int | None) -> None:
-    if n is None:
-        env = os.environ.get("SPECRG_THREADS")
-        n = int(env) if env else None
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +113,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     # basic bound on random kernels
     margin = np.inf
     for _ in range(n_trials):
-        w = _random_kernel(rng, basis.grid, 1, 1, mu)
+        w = _random_kernel(rng, grid.nodes, 1, 1, mu)
         lhs, rhs = normalform.basic_bound_margin(w, rho, mu, basis)
         margin = min(margin, rhs * (1.0 + 1e-9) - lhs)
     record("basic_bound", margin >= 0.0, margin)
@@ -151,16 +136,17 @@ def _tiny_basis(dim: int) -> fock.FockBasis:
     return fock.build_fock_basis(grid, dim - 1)
 
 
-def _random_kernel(rng, grid, m, n, mu):
-    r_grid = normalform.default_r_grid()
-    shape = (len(r_grid),) + (len(grid.nodes),) * (m + n)
+def _random_kernel(rng, nodes, m, n, mu, r_grid=None):
+    """Symmetric Gaussian kernel with the critical infrared power k^(mu - 1/2)
+    in every slot."""
+    r_grid = normalform.default_r_grid() if r_grid is None else r_grid
+    shape = (len(r_grid),) + (len(nodes),) * (m + n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = grid.nodes
     for axis in range(1, m + n + 1):
         kshape = [1] * len(shape)
-        kshape[axis] = len(k)
-        vals = vals * (k ** (mu - 0.5)).reshape(kshape)
-    return normalform.CouplingFunction(m, n, r_grid, grid.nodes, vals).symmetrize()
+        kshape[axis] = len(nodes)
+        vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
+    return normalform.CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
 
 
 def cmd_flow(cfg: dict, out: Path, seed: int) -> int:
@@ -261,13 +247,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
 
-    _limit_threads(args.threads)
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -18,6 +18,7 @@ H^-1 = Q F^-1 Q# + chibar R chibar.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,6 @@ def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
         raise ValueError("rho must be positive")
     hf = basis.hf_diagonal()
     if rho > np.max(hf):
-        import warnings
         warnings.warn(f"rho={rho} exceeds the spectral max of H_f; chi is the identity")
     if not smooth:
         chi = (hf <= rho).astype(float)

@@ -50,10 +50,6 @@ class ModeGrid:
     def n_modes(self) -> int:
         return len(self.nodes)
 
-    def omega(self, k=None):
-        """Dispersion law omega(k) = k."""
-        return self.nodes.copy() if k is None else k
-
     def to_json(self) -> str:
         return json.dumps({"nodes": self.nodes.tolist(), "weights": self.weights.tolist()})
 
@@ -113,12 +109,20 @@ def _enumerate_states(n_modes: int, n_max: int) -> np.ndarray:
 
 @dataclass
 class FockBasis:
-    """Enumerated occupation basis with total-quantum cutoff."""
+    """Enumerated occupation basis with total-quantum cutoff.
+
+    lower holds the ladder rule for every operator built on the basis:
+    lower[m, i] is the index of state i with one quantum fewer in mode m, or
+    -1 when mode m is empty.  The amplitude of that move is
+    sqrt(states[i, m]).  Creation is the inverse map, so creating out of the
+    top shell sum(n) = n_max has no target and gives zero.
+    """
 
     grid: ModeGrid
     n_max: int
     states: np.ndarray = field(repr=False)
     index: dict = field(repr=False)
+    lower: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -153,7 +157,12 @@ def build_fock_basis(grid: ModeGrid, n_max: int, dim_cap: int = DEFAULT_DIM_CAP)
     states = _enumerate_states(M, n_max)
     assert states.shape[0] == D
     index = {tuple(int(x) for x in s): i for i, s in enumerate(states)}
-    return FockBasis(grid=grid, n_max=n_max, states=states, index=index)
+    lower = np.full((M, D), -1, dtype=np.int64)
+    for i, mode in zip(*np.nonzero(states)):
+        occ = states[i].copy()
+        occ[mode] -= 1
+        lower[mode, i] = index[tuple(int(x) for x in occ)]
+    return FockBasis(grid=grid, n_max=n_max, states=states, index=index, lower=lower)
 
 
 @dataclass
@@ -200,15 +209,41 @@ def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> OperatorMatrix:
 
     D = basis.dim
     a = np.zeros((D, D), dtype=complex)
-    for i, occ in enumerate(basis.states):
-        n = occ[mode]
-        if n > 0:
-            lower = occ.copy()
-            lower[mode] -= 1
-            j = basis.index[tuple(int(x) for x in lower)]
-            a[j, i] = np.sqrt(n)
+    cols = np.flatnonzero(basis.lower[mode] >= 0)
+    a[basis.lower[mode, cols], cols] = np.sqrt(basis.states[cols, mode])
     mat = a.conj().T if kind == "create" else a
     return OperatorMatrix(mat=mat, basis=basis)
+
+
+def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
+    """Apply every ordered tuple of depth ladder operators of one kind to the
+    basis states start, all of them at once.
+
+    Returns flat arrays (src, modes, end, amp) with one entry per sequence of
+    moves that stays in the basis: its position in start, the modes in the
+    order applied (shape (N, depth)), the index of the end state and the
+    product of the sqrt(n) amplitudes.  Entries are ordered by position in
+    start, then lexicographically by modes.
+    """
+    if kind not in ("create", "annihilate"):
+        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
+    table = basis.lower
+    if kind == "create":
+        mode, state = np.nonzero(basis.lower >= 0)
+        table = np.full_like(basis.lower, -1)
+        table[mode, basis.lower[mode, state]] = state
+    cur = np.asarray(start, dtype=np.int64)
+    src = np.arange(len(cur))
+    modes = np.empty((len(cur), 0), dtype=np.int64)
+    amp = np.ones(len(cur))
+    for _ in range(depth):
+        nxt = table[:, cur].T
+        k, mode = np.nonzero(nxt >= 0)
+        end = nxt[k, mode]
+        occ = basis.states[end if kind == "create" else cur[k], mode]
+        src, modes, cur = src[k], np.column_stack([modes[k], mode]), end
+        amp = amp[k] * np.sqrt(occ)
+    return src, modes, cur, amp
 
 
 def field_hamiltonian(basis: FockBasis) -> OperatorMatrix:

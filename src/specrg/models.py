@@ -134,17 +134,6 @@ class CoupledModel:
     def dim(self) -> int:
         return self.H.shape[0]
 
-    def particle_vector(self, j: int, fock_vec=None) -> np.ndarray:
-        """Embed level j tensor a Fock vector (default the vacuum)."""
-        L = self.spec.n_levels
-        D = self.basis.dim
-        if fock_vec is None:
-            fock_vec = np.zeros(D)
-            fock_vec[0] = 1.0
-        out = np.zeros(L * D, dtype=complex)
-        out[j * D:(j + 1) * D] = fock_vec
-        return out
-
 
 def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
     """H = H_p (x) 1 + 1 (x) H_f + g Gamma (x) Phi(f), particle index outer."""
@@ -330,20 +319,6 @@ def pf_coupling(spec: ModelSpec, x: float, k):
     phivals = np.vectorize(phi)(s)
     dphivals = np.vectorize(lambda t: _phi_prime(phi, t))(s)
     return np.exp(-1j * k * x) * (1.0 - dphivals + 1j * k * phivals / np.sqrt(k))
-
-
-def pf_correction_kernel(spec: ModelSpec, x: float, k):
-    """Remaining gauge-energy kernel G(x): |d/dx f_x(k)| collected per mode.
-
-    This is the piece whose square, integrated over the field measure, feeds
-    the effective potential correction V_g - V of the transformed operator.
-    """
-    k = np.asarray(k, dtype=float)
-    phi = spec.phi_profile
-    s = np.sqrt(k) * x
-    phivals = np.vectorize(phi)(s)
-    dphivals = np.vectorize(lambda t: _phi_prime(phi, t))(s)
-    return np.exp(-1j * k * x) * (-1j * k * phivals / np.sqrt(k) + dphivals)
 
 
 def infrared_exponent(ks, vals, n_fit: int = 6) -> float:

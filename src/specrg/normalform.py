@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix
+from .fock import FockBasis, OperatorMatrix, ladder_walk
 
 FOUR_PI = 4.0 * np.pi
 
@@ -220,6 +220,12 @@ def hamiltonian_norm(H: NormalFormHamiltonian) -> float:
     return total
 
 
+def subtract_constant(w00: CouplingFunction, c) -> CouplingFunction:
+    """The scalar kernel w00 - c; a constant shift keeps the r-derivative."""
+    return CouplingFunction(0, 0, w00.r_grid, w00.nodes, w00.values - c,
+                            dr_values=w00.dr_values)
+
+
 def split(H: NormalFormHamiltonian):
     """Decompose H into (E, T, W): scalar part, field part, interaction."""
     w00 = H.terms.get((0, 0))
@@ -228,8 +234,7 @@ def split(H: NormalFormHamiltonian):
     if w00.r_grid[0] != 0.0:
         raise ValueError("r_grid must start at 0 to read off E = w_00(0)")
     E = complex(w00.values[0])
-    T = CouplingFunction(0, 0, w00.r_grid, w00.nodes, w00.values - E,
-                         dr_values=w00.dr_values)
+    T = subtract_constant(w00, E)
     W = {key: w for key, w in H.terms.items() if key != (0, 0)}
     return E, T, W
 
@@ -257,62 +262,27 @@ def slot_masses(basis: FockBasis) -> np.ndarray:
 def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     """Dense matrix of one monomial W_{m,n} on the truncated basis.
 
-    Works column by column: annihilate n photons (ordered tuples over the
-    occupied modes), read the kernel at the field energy of the intermediate
-    state, then create m photons.  Creation out of the truncated sector is
-    dropped, matching the hard-cutoff ladder convention.
+    Every column is walked through every ordered tuple J of n annihilations,
+    the kernel is read at the field energy of the intermediate state, and the
+    walk continues through every ordered tuple I of m creations.  The moves
+    and the hard-cutoff truncation come from fock.ladder_walk; contributions
+    to one matrix entry are summed in (J, I) lexicographic order.
     """
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
     D = basis.dim
-    hf = basis.hf_diagonal()
-    mass = slot_masses(basis)
-    kern_at_hf = w.at_r(hf)  # (D,) + slots
+    root_mass = np.sqrt(slot_masses(basis))
+    kern_at_hf = w.at_r(basis.hf_diagonal())  # (D,) + slots
+    cols, J, mid, amp_a = ladder_walk(basis, np.arange(D), w.n, "annihilate")
+    src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
+    cols, J, mid, amp_a = cols[src], J[src], mid[src], amp_a[src]
+    slots = np.column_stack([I, J])
+    factor = np.ones(len(top))
+    for s in range(w.order):
+        factor = factor * root_mass[slots[:, s]]
+    kern = kern_at_hf[(mid,) + tuple(slots.T)]
     out = np.zeros((D, D), dtype=complex)
-    if w.order == 0:
-        out[np.arange(D), np.arange(D)] = kern_at_hf
-        return out
-
-    M = basis.n_modes
-    root_mass = np.sqrt(mass)
-    m, n = w.m, w.n
-
-    def annihilations(occ, depth):
-        """Yield (J tuple, intermediate occupation, ladder amplitude)."""
-        if depth == 0:
-            yield (), occ, 1.0
-            return
-        for J, mid, amp in annihilations(occ, depth - 1):
-            for mode in range(M):
-                if mid[mode] > 0:
-                    nxt = mid.copy()
-                    nxt[mode] -= 1
-                    yield J + (mode,), nxt, amp * np.sqrt(mid[mode])
-
-    def creations(occ, depth):
-        if depth == 0:
-            yield (), occ, 1.0
-            return
-        for I, top, amp in creations(occ, depth - 1):
-            if top.sum() >= basis.n_max:
-                continue
-            for mode in range(M):
-                nxt = top.copy()
-                nxt[mode] += 1
-                yield I + (mode,), nxt, amp * np.sqrt(nxt[mode])
-
-    for col, occ in enumerate(basis.states):
-        for J, mid, amp_a in annihilations(occ, n):
-            t = basis.index[tuple(int(x) for x in mid)]
-            for I, top, amp_c in creations(mid, m):
-                row = basis.index[tuple(int(x) for x in top)]
-                kern = kern_at_hf[(t,) + I + J]
-                if kern == 0.0:
-                    continue
-                factor = 1.0
-                for s in I + J:
-                    factor *= root_mass[s]
-                out[row, col] += amp_a * amp_c * factor * kern
+    np.add.at(out, (top, cols), amp_a * amp_c * factor * kern)
     return out
 
 

@@ -27,8 +27,11 @@ from math import comb, factorial
 
 import numpy as np
 
-from .normalform import (CouplingFunction, NormalFormHamiltonian, coupling_norm_mu,
-                         coupling_norm_mu1, interaction_norm, split, t_slope_deviation,
+# fock and normalform functions are looked up through their modules at call
+# time, so that wrapping them there (as perfbench's tracer does) sees the calls
+from . import fock, normalform
+from .normalform import (CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
+                         interaction_norm, split, subtract_constant, t_slope_deviation,
                          _interp_complex)
 
 
@@ -135,8 +138,7 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
         prof = w.profile
         new_prof = (lambda r, *ks, _p=prof, _c=pref, _rho=rho:
                     _c * _p(_rho * r, *(_rho * kk for kk in ks)))
-        from .normalform import from_profile
-        return from_profile(w.m, w.n, w.r_grid, w.nodes, new_prof)
+        return normalform.from_profile(w.m, w.n, w.r_grid, w.nodes, new_prof)
 
     # r axis first: sample at rho * r_grid (always inside [0, rho] subset of I)
     flat = w.values.reshape(len(w.r_grid), -1)
@@ -348,18 +350,16 @@ def _h0_function(w00: CouplingFunction):
 
 def measured_q(H: NormalFormHamiltonian, rho: float, n_max: int = 2) -> float:
     """Operator norm of G W on an assembled auxiliary basis, the Neumann ratio."""
-    from .fock import ModeGrid, build_fock_basis
-    from .normalform import assemble_term, FOUR_PI
     if H.masses is None:
         raise ValueError("H carries no slot measure; set masses before rg_step")
-    grid = ModeGrid(H.nodes, H.masses * FOUR_PI)
-    basis = build_fock_basis(grid, n_max)
+    grid = fock.ModeGrid(H.nodes, H.masses * normalform.FOUR_PI)
+    basis = fock.build_fock_basis(grid, n_max)
     E, T, W = split(H)
     if not W:
         return 0.0
     Wmat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for w in W.values():
-        Wmat += assemble_term(w, basis)
+        Wmat += normalform.assemble_term(w, basis)
     h0 = _h0_function(H.terms[(0, 0)])
     hf = basis.hf_diagonal()
     gdiag = np.zeros(len(hf), dtype=complex)
@@ -447,40 +447,16 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
 
     new_terms = {}
     for (mo, no), arr in f_arrays.items():
-        kern = CouplingFunction(mo, no, r_grid, nodes, arr)
+        # without W the decimated kernel is w00 itself, which rescales exactly
+        # through its profile when it has one
+        kern = w00 if not W else CouplingFunction(mo, no, r_grid, nodes, arr)
         scaled = scale_coupling(kern, rho)
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
-    if (0, 0) in new_terms and w00.profile is not None and not W:
-        # scalar-only Hamiltonians rescale exactly through their profile
-        prof = w00.profile
-        new_terms[(0, 0)] = scale_coupling(w00, rho)
 
     Hp = NormalFormHamiltonian(new_terms, mu=H.mu, xi=H.xi, M_max=H.M_max,
                                masses=masses)
     return Hp, StepInfo(q=q, neumann_remainder=float(remainder),
                         dropped_norm=float(dropped), inv_bound=inv_bound)
-
-
-def wick_contract(terms: dict, G, masses: np.ndarray, s: int, mu: float = 0.5,
-                  xi: float = 0.5, max_order: int = 4):
-    """Normal-form kernels of W (G W)^s for W = sum of the given monomials.
-
-    Supported for kernels with m+n <= 2 and s <= 2; other orders raise so the
-    caller can fall back to a norm bound.
-    """
-    if s < 0 or s > 2:
-        raise NotImplementedError(f"contraction order s={s} not supported")
-    for (m, n) in terms:
-        if m + n > 2:
-            raise NotImplementedError("wick_contract supports kernels with m+n <= 2")
-    if s == 0:
-        return {k: w.copy() for k, w in terms.items()}, 0.0
-    sup_G = 1.0
-    out, d = normal_order_product(terms, terms, G, masses, max_order, mu, xi, sup_G)
-    if s == 1:
-        return out, d
-    out2, d2 = normal_order_product(out, terms, G, masses, max_order, mu, xi, sup_G)
-    return out2, d + d2
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +514,7 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
 
         def builder(lam):
             Hl = base.copy()
-            w00 = Hl.terms[(0, 0)]
-            Hl.terms[(0, 0)] = CouplingFunction(0, 0, w00.r_grid, w00.nodes,
-                                                w00.values - lam, dr_values=w00.dr_values)
+            Hl.terms[(0, 0)] = subtract_constant(Hl.terms[(0, 0)], lam)
             return Hl
 
     def vacuum_component(lam, n):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from specrg._calibration import C_RG
+from specrg.cli import _random_kernel
 from specrg.fock import (ModeGrid, OperatorMatrix, build_fock_basis,
                          build_mode_grid, field_hamiltonian, pull_through_check)
 from specrg.feshbach import (feshbach_map, isospectral_check,
@@ -29,8 +30,8 @@ from specrg.feshbach import (feshbach_map, isospectral_check,
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            field_operator, mass_renormalization,
                            pauli_fierz_transform, pf_coupling)
-from specrg.normalform import (CouplingFunction, basic_bound_margin,
-                               coupling_norm_mu, default_r_grid, from_profile)
+from specrg.normalform import (basic_bound_margin, coupling_norm_mu,
+                               default_r_grid, from_profile)
 from specrg.oracle import (combes_deviation, fit_pole, perturbation_oracle,
                            resonance_eigenvalue, resonance_multiplicity)
 from specrg.rgflow import scale_coupling
@@ -44,17 +45,6 @@ def _report(criterion, ok, detail):
 def _stand_in_basis(dim):
     grid = ModeGrid(np.array([1.0]), np.array([1.0]))
     return build_fock_basis(grid, dim - 1)
-
-
-def _random_kernel(rng, nodes, m, n, mu, r_grid=None):
-    r_grid = default_r_grid() if r_grid is None else r_grid
-    shape = (len(r_grid),) + (len(nodes),) * (m + n)
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for axis in range(1, m + n + 1):
-        kshape = [1] * len(shape)
-        kshape[axis] = len(nodes)
-        vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
-    return CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
 
 
 def test_criterion_01_feshbach_isospectrality():

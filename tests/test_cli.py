@@ -52,6 +52,11 @@ class TestUsageErrors:
         assert main(["renormalize", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    def test_unknown_option(self, tmp_path):
+        cfg = _cfg(tmp_path, BASE_CONFIG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", "2"]) == EXIT_USAGE
+
 
 class TestSpectrum:
     def test_uncoupled_tensor_sums(self, tmp_path):

@@ -126,6 +126,14 @@ class TestLadderOperators:
                 dev = np.max(np.abs((comm - expect)[:, safe]))
                 assert dev < 1e-12
 
+    def test_many_modes_single_quantum(self):
+        # 100 modes at n_max = 1: a mixed-radix key (n_max + 1)^n_modes would
+        # overflow any fixed-width integer
+        basis = build_fock_basis(build_mode_grid(100, 1.0, "uniform"), 1)
+        a = ladder_matrix(basis, 99, "annihilate").mat
+        assert a[0, basis.state_index([0] * 99 + [1])] == 1.0
+        assert np.count_nonzero(a) == 1
+
     def test_number_operator_diagonal(self):
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)

@@ -1,6 +1,7 @@
 """Coupling kernels, anisotropic norms, operator assembly, basic bound."""
 
 import json
+from itertools import product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian
+from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian, ladder_matrix
 from specrg.normalform import (CouplingFunction, NormalFormHamiltonian,
                                assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
@@ -187,6 +188,34 @@ class TestAssembly:
         H = NormalFormHamiltonian({(0, 0): w00, (1, 0): w10, (0, 1): w01, (1, 1): w11})
         mat = assemble_operator(H, basis).mat
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("m, n", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])
+    def test_matches_ladder_matrix_products(self, m, n):
+        # W = sum_{I,J} prod sqrt(mass) a*_I diag(w(H_f; I, J)) a_J from dense
+        # ladder matrices; with n_max = m + n the truncation shell is in range,
+        # so the hard cutoff is compared too
+        rng = np.random.default_rng(10 * m + n)
+        grid = build_mode_grid(3, 0.4, "geometric")
+        basis = build_fock_basis(grid, m + n)
+        r = default_r_grid()
+        shape = (len(r),) + (3,) * (m + n)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = CouplingFunction(m, n, r, grid.nodes, vals)
+        create = [ladder_matrix(basis, k, "create").mat for k in range(3)]
+        annihilate = [ladder_matrix(basis, k, "annihilate").mat for k in range(3)]
+        root_mass = np.sqrt(slot_masses(basis))
+        kern = w.at_r(basis.hf_diagonal())
+        expected = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for I in iproduct(range(3), repeat=m):
+            for J in iproduct(range(3), repeat=n):
+                op = np.diag(kern[(slice(None),) + I + J]) * np.prod(root_mass[list(I + J)])
+                for i in I:
+                    op = create[i] @ op
+                for j in J:
+                    op = op @ annihilate[j]
+                expected += op
+        dev = np.max(np.abs(assemble_term(w, basis) - expected))
+        assert dev <= 1e-14 * np.max(np.abs(expected))
 
     def test_kernel_grid_mismatch_raises(self):
         grid = build_mode_grid(2, 0.4, "uniform")

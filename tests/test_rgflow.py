@@ -9,7 +9,7 @@ from specrg.normalform import (FOUR_PI, CouplingFunction, NormalFormHamiltonian,
                                from_profile, interaction_norm, split)
 from specrg.rgflow import (DomainError, PolydiscParams, flow, normal_order_product,
                            parameter_flow, polydisc_membership, rg_step,
-                           scale_coupling, wick_contract)
+                           scale_coupling)
 
 RHO = 0.5
 
@@ -84,15 +84,6 @@ class TestWickOrdering:
         rng = np.random.default_rng(seed)
         return r_grid, nodes, masses, rng
 
-    def test_s_zero_is_identity(self):
-        r_grid, nodes, masses, rng = self._aligned_setup()
-        vals = rng.standard_normal((33, 2)) + 1j * rng.standard_normal((33, 2))
-        terms = {(1, 0): CouplingFunction(1, 0, r_grid, nodes, vals)}
-        out, dropped = wick_contract(terms, lambda r: 1.0 / (r + 2.0), masses, s=0)
-        assert dropped == 0.0
-        assert set(out) == {(1, 0)}
-        assert np.allclose(out[(1, 0)].values, vals)
-
     def test_single_contraction_closed_form(self):
         # (0,1) kernel times (1,0) kernel: the p=1 contraction produces the
         # scalar correction sum_q mass_q wA(r; k_q) G(r + k_q) wB(r; k_q)
@@ -148,13 +139,6 @@ class TestWickOrdering:
         dev = np.max(np.abs((direct - reordered)[np.ix_(safe, safe)]))
         scale = np.max(np.abs(direct)) or 1.0
         assert dev / scale < 1e-12
-
-    def test_unsupported_orders_raise(self):
-        r_grid, nodes, masses, _ = self._aligned_setup()
-        vals = np.zeros((33, 2, 2, 2), dtype=complex)
-        terms = {(2, 1): CouplingFunction(2, 1, r_grid, nodes, vals)}
-        with pytest.raises(NotImplementedError):
-            wick_contract(terms, lambda r: 1.0, masses, s=1)
 
 
 class TestRgStep:
