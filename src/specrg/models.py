@@ -225,7 +225,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     kept level couples to itself.  All kernels carry exact profiles, so the
     first rescaling of the flow is interpolation-free.  The field energies of
     the kept sector must fit in I = [0,1]; a grid with n_max k_max > 1 will
-    clamp and is warned about by the caller's assembly, not here.
+    clamp, and assemble_term warns about it when the caller assembles.
     """
     if r_grid is None:
         r_grid = default_r_grid()

@@ -19,6 +19,7 @@ consistent with pull-through bookkeeping.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import factorial
@@ -36,10 +37,37 @@ def default_r_grid(n_points: int = DEFAULT_R_POINTS) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_points)
 
 
-def _interp_complex(x, xp, fp):
-    """np.interp for complex ordinates, clamping x into [xp[0], xp[-1]]."""
-    x = np.clip(x, xp[0], xp[-1])
-    return np.interp(x, xp, fp.real) + 1j * np.interp(x, xp, fp.imag)
+def interp_axis(values, xp, x, axis: int = 0) -> np.ndarray:
+    """Complex table values sampled at x along one axis, for every column at once.
+
+    This is the one rule by which kernels are read off their grids: linear
+    between the nodes xp (strictly increasing) and clamped into [xp[0], xp[-1]].
+    x may have any shape; its axes take the place of the interpolated one.
+    Real and imaginary parts follow np.interp's formula slope * (x - xp[j]) +
+    fp[j] separately, so every column equals np.interp bit for bit.
+    """
+    xp = np.asarray(xp, dtype=float)
+    x = np.clip(np.asarray(x, dtype=float), xp[0], xp[-1])
+    values = np.asarray(values, dtype=complex)
+    if values.shape[axis] != len(xp):
+        raise ValueError(f"axis {axis} has {values.shape[axis]} entries, xp has {len(xp)}")
+    if values.ndim == 1:
+        # a single column (the scalar kernel) is cheaper through np.interp
+        return np.interp(x, xp, values.real) + 1j * np.interp(x, xp, values.imag)
+    axis = axis % values.ndim
+    table = np.ascontiguousarray(np.moveaxis(values, axis, 0) if axis else values)
+    parts = table.view(float).reshape(table.shape + (2,))  # (re, im) last
+    j = np.searchsorted(xp, x, side="right") - 1
+    j_next = np.minimum(j + 1, len(xp) - 1)
+    # at the top node the slope is 0, so the value is fp[-1] exactly
+    dx = np.where(j_next > j, xp[j_next] - xp[j], 1.0)
+    cols = (Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)
+    fp_j = parts[j]
+    out = (parts[j_next] - fp_j) / dx[cols]
+    out *= (x - xp[j])[cols]
+    out += fp_j
+    out = out.view(complex)[..., 0]
+    return np.moveaxis(out, range(x.ndim), range(axis, axis + x.ndim)) if axis else out
 
 
 @dataclass
@@ -66,6 +94,9 @@ class CouplingFunction:
         self.r_grid = np.asarray(self.r_grid, dtype=float)
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
+        for name in ("r_grid", "nodes"):
+            if not np.all(np.diff(getattr(self, name)) > 0):
+                raise ValueError(f"{name} must be strictly increasing")
         expected = (len(self.r_grid),) + (len(self.nodes),) * self.order
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
@@ -88,12 +119,7 @@ class CouplingFunction:
 
     def at_r(self, r):
         """Kernel sampled at field energies r (clamped to I), shape r + slots."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        flat = self.values.reshape(len(self.r_grid), -1)
-        out = np.empty((len(r), flat.shape[1]), dtype=complex)
-        for col in range(flat.shape[1]):
-            out[:, col] = _interp_complex(r, self.r_grid, flat[:, col])
-        return out.reshape((len(r),) + self.values.shape[1:])
+        return interp_axis(self.values, self.r_grid, np.atleast_1d(r))
 
     def symmetry_deviation(self) -> float:
         """Max change under swapping two creation or two annihilation slots."""
@@ -266,13 +292,19 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     the kernel is read at the field energy of the intermediate state, and the
     walk continues through every ordered tuple I of m creations.  The moves
     and the hard-cutoff truncation come from fock.ladder_walk; contributions
-    to one matrix entry are summed in (J, I) lexicographic order.
+    to one matrix entry are summed in (J, I) lexicographic order.  Field
+    energies above the end of the kernel's r grid read its last value, and a
+    warning says so.
     """
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
     D = basis.dim
     root_mass = np.sqrt(slot_masses(basis))
-    kern_at_hf = w.at_r(basis.hf_diagonal())  # (D,) + slots
+    hf = basis.hf_diagonal()
+    if hf.max() > w.r_grid[-1]:
+        warnings.warn(f"field energies up to {hf.max():.6g} exceed the kernel grid end "
+                      f"{w.r_grid[-1]:.6g}; the kernel is clamped there", stacklevel=2)
+    kern_at_hf = w.at_r(hf)  # (D,) + slots
     cols, J, mid, amp_a = ladder_walk(basis, np.arange(D), w.n, "annihilate")
     src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
     cols, J, mid, amp_a = cols[src], J[src], mid[src], amp_a[src]

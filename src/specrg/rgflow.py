@@ -31,8 +31,8 @@ import numpy as np
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
 from .normalform import (CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
-                         interaction_norm, split, subtract_constant, t_slope_deviation,
-                         _interp_complex)
+                         interaction_norm, interp_axis, split, subtract_constant,
+                         t_slope_deviation)
 
 
 class DomainError(ValueError):
@@ -103,19 +103,22 @@ def parameter_flow(p: PolydiscParams) -> PolydiscParams:
 # scaling
 # ---------------------------------------------------------------------------
 
-def _interp_k_column(vals: np.ndarray, nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Linear interpolation in one momentum slot with power-law tail below the
-    lowest node (infrared kernels behave like powers of |k|)."""
-    out = _interp_complex(targets, nodes, vals)
-    low = targets < nodes[0]
-    if np.any(low):
-        v0, v1 = vals[0], vals[1] if len(vals) > 1 else vals[0]
-        if abs(v0) > 0 and abs(v1) > 0 and len(nodes) > 1:
-            pexp = np.log(abs(v1) / abs(v0)) / np.log(nodes[1] / nodes[0])
-            out[low] = v0 * (targets[low] / nodes[0]) ** pexp
-        else:
-            out[low] = v0
-    return out
+def _power_tail(vals: np.ndarray, nodes: np.ndarray, targets: np.ndarray,
+                axis: int) -> np.ndarray:
+    """vals continued along one momentum axis to targets below the lowest node.
+
+    Infrared kernels behave like powers of |k|: each column continues as
+    v0 (k / k0)^p with p fitted to its first two nodes, or stays at v0 where
+    either of those values vanishes.
+    """
+    v0 = np.take(vals, [0], axis=axis)
+    v1 = np.take(vals, [1], axis=axis)
+    fit = (v0 != 0) & (v1 != 0)
+    pexp = (np.log(np.abs(np.where(fit, v1, 1.0)) / np.abs(np.where(fit, v0, 1.0)))
+            / np.log(nodes[1] / nodes[0]))
+    shape = [1] * vals.ndim
+    shape[axis] = len(targets)
+    return v0 * (targets / nodes[0]).reshape(shape) ** pexp
 
 
 def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
@@ -141,22 +144,16 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
         return normalform.from_profile(w.m, w.n, w.r_grid, w.nodes, new_prof)
 
     # r axis first: sample at rho * r_grid (always inside [0, rho] subset of I)
-    flat = w.values.reshape(len(w.r_grid), -1)
-    out = np.empty_like(flat)
-    rt = rho * w.r_grid
-    for col in range(flat.shape[1]):
-        out[:, col] = _interp_complex(rt, w.r_grid, flat[:, col])
-    vals = out.reshape(w.values.shape)
+    vals = w.at_r(rho * w.r_grid)
     # then each momentum slot
     targets = rho * w.nodes
+    low = targets < w.nodes[0]
     for axis in range(1, w.order + 1):
-        moved = np.moveaxis(vals, axis, -1)
-        shp = moved.shape
-        cols = moved.reshape(-1, shp[-1])
-        new_cols = np.empty_like(cols)
-        for i in range(cols.shape[0]):
-            new_cols[i] = _interp_k_column(cols[i], w.nodes, targets)
-        vals = np.moveaxis(new_cols.reshape(shp), -1, axis)
+        scaled = interp_axis(vals, w.nodes, targets, axis)
+        if np.any(low) and len(w.nodes) > 1:
+            scaled[(slice(None),) * axis + (low,)] = _power_tail(vals, w.nodes,
+                                                                 targets[low], axis)
+        vals = scaled
     return CouplingFunction(w.m, w.n, w.r_grid, w.nodes, pref * vals)
 
 
@@ -192,25 +189,6 @@ def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
 # ---------------------------------------------------------------------------
 # generalized Wick ordering of products
 # ---------------------------------------------------------------------------
-
-def _shift_stack(values: np.ndarray, r_grid: np.ndarray, shift: float) -> np.ndarray:
-    """Sample a kernel array at r + shift along the (uniform) r axis.
-
-    Linear interpolation; arguments above the top of the grid clamp to the
-    endpoint (kernels are only carried on I = [0,1], see the module notes).
-    """
-    if shift == 0.0:
-        return values
-    R = len(r_grid)
-    dr = r_grid[1] - r_grid[0]
-    pos = np.arange(R) + shift / dr
-    lo = np.clip(np.floor(pos).astype(int), 0, R - 1)
-    hi = np.clip(lo + 1, 0, R - 1)
-    frac = np.clip(pos - np.floor(pos), 0.0, 1.0)
-    frac[pos >= R - 1] = 0.0
-    shape = (R,) + (1,) * (values.ndim - 1)
-    return (1.0 - frac).reshape(shape) * values[lo] + frac.reshape(shape) * values[hi]
-
 
 def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndarray,
                   max_order: int, out_arrays: dict, budget: list, mu: float, xi: float,
@@ -265,29 +243,24 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
             mass_q = np.ones(1)
         Q = len(q_tuples)
 
-        # caches of r-shifted kernels, keyed by the rounded shift
-        a_cache, b_cache = {}, {}
+        # kernels read at r + shift (clamped to I like every off-grid read),
+        # cached per kernel and rounded shift
+        shifted = {}
 
-        def a_shifted(s):
-            k = round(s, 12)
-            if k not in a_cache:
-                a_cache[k] = _shift_stack(wA.values, r_grid, s)
-            return a_cache[k]
-
-        def b_shifted(s):
-            k = round(s, 12)
-            if k not in b_cache:
-                b_cache[k] = _shift_stack(wB.values, r_grid, s)
-            return b_cache[k]
+        def at_shift(w, s):
+            key = (id(w), round(s, 12))
+            if key not in shifted:
+                shifted[key] = w.at_r(r_grid + s)
+            return shifted[key]
 
         for i2 in iproduct(range(M), repeat=i2len):
             sI = float(np.sum(nodes[list(i2)])) if i2len else 0.0
             for j1 in iproduct(range(M), repeat=j1len):
                 sJ = float(np.sum(nodes[list(j1)])) if j1len else 0.0
 
-                Ablk = a_shifted(sI)[(slice(None),) + (slice(None),) * m1 + j1]
+                Ablk = at_shift(wA, sI)[(slice(None),) + (slice(None),) * m1 + j1]
                 Ablk = Ablk.reshape(R, M ** m1, Q) if p else Ablk.reshape(R, M ** m1, 1)
-                Bfull = b_shifted(sJ)
+                Bfull = at_shift(wB, sJ)
                 Bblk = Bfull[(slice(None),) + (slice(None),) * p + i2]
                 Bblk = Bblk.reshape(R, Q, M ** n2) if p else Bblk.reshape(R, 1, M ** n2)
 
@@ -339,34 +312,24 @@ def _h0_function(w00: CouplingFunction):
 
     def h0(r):
         r = np.asarray(r, dtype=float)
-        base = _interp_complex(np.clip(r, 0.0, 1.0), r_grid, vals)
-        over = r > 1.0
-        if np.any(over):
-            base = base + np.where(over, (r - 1.0) * slope_top, 0.0)
-        return base
+        return w00.at_r(r) + np.maximum(r - 1.0, 0.0) * slope_top
 
     return h0
 
 
-def measured_q(H: NormalFormHamiltonian, rho: float, n_max: int = 2) -> float:
-    """Operator norm of G W on an assembled auxiliary basis, the Neumann ratio."""
+def measured_q(H: NormalFormHamiltonian, G) -> float:
+    """Neumann ratio ||G(H_f) W||, with G the step's resolvent, on an n_max = 2 basis."""
     if H.masses is None:
         raise ValueError("H carries no slot measure; set masses before rg_step")
     grid = fock.ModeGrid(H.nodes, H.masses * normalform.FOUR_PI)
-    basis = fock.build_fock_basis(grid, n_max)
+    basis = fock.build_fock_basis(grid, 2)
     E, T, W = split(H)
     if not W:
         return 0.0
     Wmat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for w in W.values():
         Wmat += normalform.assemble_term(w, basis)
-    h0 = _h0_function(H.terms[(0, 0)])
-    hf = basis.hf_diagonal()
-    gdiag = np.zeros(len(hf), dtype=complex)
-    mask = hf > rho
-    if np.any(mask):
-        gdiag[mask] = 1.0 / h0(hf[mask])
-    return float(np.linalg.norm(gdiag[:, np.newaxis] * Wmat, 2))
+    return float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
 
 
 def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
@@ -398,11 +361,6 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
             f"||(E+T)^-1|| ~ {inv_bound:.3e} > 2/rho = {2.0 / rho:.3e}",
             margins={"inv_bound": inv_bound, "allowed": 2.0 / rho})
 
-    q = measured_q(H, rho)
-    if q >= 1.0:
-        raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} >= 1",
-                          margins={"q": q})
-
     def G(r):
         r = np.asarray(r, dtype=float)
         out = np.zeros(r.shape, dtype=complex)
@@ -410,6 +368,11 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         if np.any(mask):
             out[mask] = 1.0 / h0(r[mask])
         return out
+
+    q = measured_q(H, G)
+    if q >= 1.0:
+        raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} >= 1",
+                          margins={"q": q})
 
     sup_G = float(np.max(np.abs(G(r_grid[r_grid > rho])))) if np.any(r_grid > rho) else 0.0
 

@@ -14,8 +14,8 @@ from specrg.normalform import (CouplingFunction, NormalFormHamiltonian,
                                assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, default_r_grid, from_profile,
-                               hamiltonian_norm, interaction_norm, slot_masses,
-                               split, t_slope_deviation)
+                               hamiltonian_norm, interaction_norm, interp_axis,
+                               slot_masses, split, t_slope_deviation)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -30,6 +30,11 @@ class TestCouplingFunction:
         r = default_r_grid()
         with pytest.raises(ValueError, match="shape"):
             CouplingFunction(1, 0, r, np.array([0.5]), np.zeros((len(r), 2)))
+        # np.interp and searchsorted read garbage off a grid that is not sorted
+        with pytest.raises(ValueError, match="r_grid must be strictly increasing"):
+            CouplingFunction(0, 0, r[::-1], np.array([0.5]), np.zeros(len(r)))
+        with pytest.raises(ValueError, match="nodes must be strictly increasing"):
+            CouplingFunction(1, 0, r, np.array([0.5, 0.5]), np.zeros((len(r), 2)))
 
     def test_json_roundtrip(self):
         nodes = np.array([0.25, 0.5])
@@ -56,6 +61,23 @@ class TestCouplingFunction:
         w = _kernel(1, 0, nodes, lambda r, k: np.cos(r) * k)
         sampled = w.at_r(w.r_grid)
         assert np.allclose(sampled, w.values)
+        # the one off-grid rule, along every axis of a complex table, is
+        # np.interp of the real and imaginary parts column by column
+        rng = np.random.default_rng(3)
+        grids = [np.linspace(0.0, 1.0, 6), np.array([0.1, 0.25, 0.7]), np.geomspace(0.05, 0.9, 4)]
+        vals = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
+        for axis, xp in enumerate(grids):
+            for x in (np.concatenate([xp, [xp[0] - 0.5, xp[-1] + 0.5],
+                                      rng.uniform(xp[0] - 0.2, xp[-1] + 0.2, 9)]),
+                      rng.uniform(-0.2, 1.2, (2, 5))):
+                moved = np.moveaxis(vals, axis, -1)
+                expected = np.empty(moved.shape[:-1] + x.shape, dtype=complex)
+                for idx in np.ndindex(moved.shape[:-1]):
+                    col = moved[idx]
+                    expected[idx] = np.interp(x, xp, col.real) + 1j * np.interp(x, xp, col.imag)
+                expected = np.moveaxis(expected, list(range(2, 2 + x.ndim)),
+                                       list(range(axis, axis + x.ndim)))
+                assert np.array_equal(interp_axis(vals, xp, x, axis), expected)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
@@ -216,6 +238,14 @@ class TestAssembly:
                 expected += op
         dev = np.max(np.abs(assemble_term(w, basis) - expected))
         assert dev <= 1e-14 * np.max(np.abs(expected))
+
+    def test_field_energies_above_the_grid_warn(self):
+        # n_max * k_max > 1: the top shell reads the kernel clamped at r = 1
+        grid = build_mode_grid(2, 0.8, "uniform")
+        basis = build_fock_basis(grid, 2)
+        w = _kernel(1, 1, grid.nodes, lambda r, k1, k2: 1.0 + r)
+        with pytest.warns(UserWarning, match="clamped"):
+            assemble_term(w, basis)
 
     def test_kernel_grid_mismatch_raises(self):
         grid = build_mode_grid(2, 0.4, "uniform")

@@ -100,6 +100,26 @@ class TestWickOrdering:
             expected += masses[q] * vA[:, q] * G(r_grid + k) * vB[:, q]
         assert np.allclose(out[(0, 0)].values, expected, atol=1e-13)
 
+    def test_shifts_on_non_uniform_r_grid(self):
+        # kernels linear in r interpolate exactly on any grid, so the p=0
+        # (1,1) term of W[1+r](0,1) G W[1+r](1,0) is closed-form wherever the
+        # shifted field energies r + k stay inside I
+        r_grid = np.concatenate([np.linspace(0.0, 0.5, 9), np.linspace(0.5, 1.0, 25)[1:]])
+        nodes = np.array([0.11, 0.23, 0.37])
+        masses = np.array([0.01, 0.02, 0.03])
+        lin = np.repeat((1.0 + r_grid)[:, np.newaxis], 3, axis=1)
+        wA = CouplingFunction(0, 1, r_grid, nodes, lin)
+        wB = CouplingFunction(1, 0, r_grid, nodes, lin)
+        G = lambda r: 1.0 / (np.asarray(r) + 2.0)
+        out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
+                                      max_order=2, mu=0.5, xi=0.5, sup_G=0.5)
+        r = r_grid[:, np.newaxis, np.newaxis]
+        ki, kj = nodes[np.newaxis, :, np.newaxis], nodes[np.newaxis, np.newaxis, :]
+        expected = (1.0 + r + ki) * G(r + ki + kj) * (1.0 + r + kj)
+        inside = np.broadcast_to((r + ki <= 1.0) & (r + kj <= 1.0), expected.shape)
+        got = out[(1, 1)].values
+        assert np.max(np.abs(got - expected)[inside] / np.abs(expected[inside])) < 1e-14
+
     def test_product_matches_matrix_algebra(self):
         # assemble W_A G(H_f) W_B on a truncated basis and compare matrix
         # elements on the truncation-blind block
