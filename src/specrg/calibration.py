@@ -19,7 +19,7 @@ from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
 from .normalform import (CouplingFunction, FOUR_PI, NormalFormHamiltonian,
                          default_r_grid, interaction_norm, split,
-                         subtract_constant, t_slope_deviation)
+                         subtract_constant, symmetrized, t_slope_deviation)
 from .rgflow import rg_step
 
 
@@ -49,7 +49,7 @@ def _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target):
             kshape = [1] * (order + 1)
             kshape[axis] = len(nodes)
             vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
-        raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
+        raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
     H = NormalFormHamiltonian({**terms, **raw}, mu=mu, xi=0.5, M_max=2, masses=masses)
     gamma = interaction_norm(H)
     scale = gamma_target / gamma

@@ -146,7 +146,7 @@ def _random_kernel(rng, nodes, m, n, mu, r_grid=None):
         kshape = [1] * len(shape)
         kshape[axis] = len(nodes)
         vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
-    return normalform.CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
+    return normalform.CouplingFunction(m, n, r_grid, nodes, normalform.symmetrized(vals, m, n))
 
 
 def cmd_flow(cfg: dict, out: Path, seed: int) -> int:

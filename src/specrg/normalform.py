@@ -70,6 +70,14 @@ def interp_axis(values, xp, x, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, range(x.ndim), range(axis, axis + x.ndim)) if axis else out
 
 
+def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Kernel table averaged over swaps of its first two creation and annihilation slots."""
+    vals = 0.5 * (values + np.swapaxes(values, 1, 2)) if m >= 2 else values
+    if n >= 2:
+        vals = 0.5 * (vals + np.swapaxes(vals, 1 + m, 2 + m))
+    return vals
+
+
 @dataclass
 class CouplingFunction:
     """Discretized kernel w_{m,n}(r; k_1..k_{m+n}).
@@ -132,11 +140,8 @@ class CouplingFunction:
         return dev
 
     def symmetrize(self) -> "CouplingFunction":
-        vals = 0.5 * (self.values + np.swapaxes(self.values, 1, 2)) if self.m >= 2 else self.values
-        if self.n >= 2:
-            a = 1 + self.m
-            vals = 0.5 * (vals + np.swapaxes(vals, a, a + 1))
-        return CouplingFunction(self.m, self.n, self.r_grid, self.nodes, vals, profile=self.profile)
+        return CouplingFunction(self.m, self.n, self.r_grid, self.nodes,
+                                symmetrized(self.values, self.m, self.n), profile=self.profile)
 
     def to_json(self) -> str:
         return json.dumps({

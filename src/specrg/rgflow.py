@@ -32,7 +32,7 @@ import numpy as np
 from . import fock, normalform
 from .normalform import (CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
                          interaction_norm, interp_axis, split, subtract_constant,
-                         t_slope_deviation)
+                         symmetrized, t_slope_deviation)
 
 
 class DomainError(ValueError):
@@ -283,9 +283,8 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
         for wB in B_terms.values():
             _pair_product(wA, wB, G, masses, max_order, out_arrays, budget,
                           mu, xi, sup_G)
-    terms = {}
-    for (mo, no), arr in out_arrays.items():
-        terms[(mo, no)] = CouplingFunction(mo, no, ref.r_grid, ref.nodes, arr).symmetrize()
+    terms = {(mo, no): CouplingFunction(mo, no, ref.r_grid, ref.nodes, symmetrized(arr, mo, no))
+             for (mo, no), arr in out_arrays.items()}
     return terms, float(np.sum(budget))
 
 
@@ -451,26 +450,20 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
-def _run_steps(builder, lam: float, n: int, rho: float, s_max: int):
-    """Apply n RG steps to H(lam); returns (final H, records, budget)."""
-    H = builder(lam)
-    budget = 0.0
-    hist = []
-    for k in range(n):
-        H, info = rg_step(H, rho, s_max=s_max)
-        budget += info.budget
-        hist.append((H, info))
-    return H, hist, budget
-
-
 def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
          builder=None, e_tol: float = 1e-9, membership: PolydiscParams | None = None):
     """Iterate the map, re-centering the spectral parameter each step.
 
-    e_n is located by bisection of lam -> vacuum component of R^n(H(lam))
-    inside a bracket of width rho^n / 4 around e_{n-1}; monotonicity on the
-    bracket is verified first and a failure aborts with diagnostics.  The
-    recentering keeps |<H>_Omega - e_{n-1}| <= rho^(n+1) / 12 along the flow.
+    e_n is the root of f(lam) = vacuum component of R^n(H(lam)), which falls
+    with slope about -rho^-n and is close to affine on the bracket
+    e_{n-1} -/+ rho^n / 8.  A bracketed secant finds it to within
+    tol = rho^(n+1) / 24 (e_tol on the last step): each point is the chord's
+    root, taken from the end with the smaller |f|; a correction below tol/2 is
+    pushed tol/2 past it, so the next point closes the bracket (Brent's
+    tolerance step); after a step that fails to halve the bracket, and a
+    tolerance step if one is due, the midpoint is taken.  FlowStalledError
+    unless f(lo) > 0 > f(hi) and each new value lies strictly between the end
+    values.  e_n is the end with the smaller |f|; its replay gives the record.
     """
     if builder is None:
         base = H0.copy()
@@ -480,46 +473,48 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
             Hl.terms[(0, 0)] = subtract_constant(Hl.terms[(0, 0)], lam)
             return Hl
 
-    def vacuum_component(lam, n):
-        H, _, budget = _run_steps(builder, lam, n, rho, s_max)
-        return float(np.real(H.terms[(0, 0)].values[0])), budget
+    def evaluate(lam, n):
+        """n RG steps from H(lam): (lam, f(lam), final H, error budget)."""
+        H, budget = builder(lam), 0.0
+        for _ in range(n):
+            H, info = rg_step(H, rho, s_max=s_max)
+            budget += info.budget
+        return lam, float(np.real(H.terms[(0, 0)].values[0])), H, budget
 
     e_prev = float(np.real(builder(0.0).terms[(0, 0)].values[0]))
     traj = FlowTrajectory()
     for n in range(1, n_steps + 1):
-        half = rho ** n / 8.0
-        lo, hi = e_prev - half, e_prev + half
-        samples = np.linspace(lo, hi, 5)
-        vals = [vacuum_component(x, n)[0] for x in samples]
-        if not all(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
-            raise FlowStalledError(
-                f"vacuum component not monotone on the step-{n} bracket "
-                f"[{lo:.6g}, {hi:.6g}]: {vals}", bracket=(lo, hi))
-        if not (vals[0] > 0.0 > vals[-1]):
-            raise FlowStalledError(
-                f"no sign change on the step-{n} bracket [{lo:.6g}, {hi:.6g}]: "
-                f"ends {vals[0]:.3e}, {vals[-1]:.3e}", bracket=(lo, hi))
-        target = min(rho ** (n + 1) / 24.0, e_tol if n == n_steps else np.inf)
-        a, b = lo, hi
-        fa = vals[0]
-        while (b - a) > max(target, 1e-14):
-            mid = 0.5 * (a + b)
-            fm = vacuum_component(mid, n)[0]
-            if fa > 0 and fm <= 0:
-                b = mid
+        lo, hi = e_prev - rho ** n / 8.0, e_prev + rho ** n / 8.0
+        a, b = evaluate(lo, n), evaluate(hi, n)  # the bracket ends, f(a) > 0 >= f(b)
+        if not (a[1] > 0.0 > b[1]):
+            raise FlowStalledError(f"no sign change on the step-{n} bracket [{lo:.6g}, "
+                                   f"{hi:.6g}]: ends {a[1]:.3e}, {b[1]:.3e}", bracket=(lo, hi))
+        tol = max(min(rho ** (n + 1) / 24.0, e_tol if n == n_steps else np.inf), 1e-14)
+        stalled = pushed = False
+        while b[0] - a[0] > tol:
+            width = b[0] - a[0]
+            x0, f0, inward = (a[0], a[1], 1.0) if abs(a[1]) < abs(b[1]) else (b[0], -b[1], -1.0)
+            step = f0 * width / (a[1] - b[1])  # from x0 to the chord's root
+            if step < tol / 2 and not pushed:
+                x, pushed = x0 + inward * (step + tol / 2), True
+            elif stalled:
+                x, pushed = 0.5 * (a[0] + b[0]), False
             else:
-                a, fa = mid, fm
-        e_n = 0.5 * (a + b)
-
-        H, hist, budget = _run_steps(builder, e_n, n, rho, s_max)
+                x, pushed = x0 + inward * step, False
+            new = evaluate(x, n)
+            if not (a[1] > new[1] > b[1]):
+                raise FlowStalledError(
+                    f"vacuum component not decreasing on the step-{n} bracket [{lo:.6g}, "
+                    f"{hi:.6g}]: f({x:.9g}) = {new[1]:.3e} is not between {a[1]:.3e} and "
+                    f"{b[1]:.3e}", bracket=(lo, hi))
+            a, b = (new, b) if new[1] > 0.0 else (a, new)
+            stalled = b[0] - a[0] > width / 2
+        e_n, _, H, budget = a if abs(a[1]) < abs(b[1]) else b
+        a = b = new = None  # drop the step's other replays before the next step
         E, _, _ = split(H)
-        beta = t_slope_deviation(H)
-        gamma = interaction_norm(H)
-        member = True
-        if membership is not None:
-            member, _ = polydisc_membership(H, membership)
-        traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=beta,
-                                       gamma=gamma, budget=budget, member=member))
+        member = membership is None or polydisc_membership(H, membership)[0]
+        traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=t_slope_deviation(H),
+                                       gamma=interaction_norm(H), budget=budget, member=member))
         traj.budget = budget
         e_prev = e_n
     traj.e_final = complex(e_prev)

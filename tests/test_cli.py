@@ -1,10 +1,15 @@
 """Batch driver: subcommands, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specrg
 from specrg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 
 
@@ -19,6 +24,16 @@ BASE_CONFIG = {
     "model": {"particle_levels": [0.0, 1.0], "g": 5e-3, "kappa": 1.0},
     "n_max": 2,
 }
+
+
+MASS_CONFIG = {"grid": {"n_modes": 8, "k_max": 1.0, "scheme": "geometric"},
+               "model": {"particle_levels": [0.0], "kappa": 1.0},
+               "n_max": 2, "g_values": [0.0, 2e-3, 5e-3, 1e-2],
+               "p_grid": [-0.2, -0.1, 0.0, 0.1, 0.2]}
+
+RESONANCE_CONFIG = {"grid": {"n_modes": 48, "k_max": 2.0, "scheme": "uniform"},
+                    "model": {"particle_levels": [0.0, 1.0], "g": 2e-3, "kappa": 2.0},
+                    "n_max": 1}
 
 
 class TestVerify:
@@ -100,11 +115,7 @@ class TestFlowCommand:
 
 class TestMassCommand:
     def test_monotone_renormalized_mass(self, tmp_path):
-        payload = {"grid": {"n_modes": 8, "k_max": 1.0, "scheme": "geometric"},
-                   "model": {"particle_levels": [0.0], "kappa": 1.0},
-                   "n_max": 2, "g_values": [0.0, 2e-3, 5e-3, 1e-2],
-                   "p_grid": [-0.2, -0.1, 0.0, 0.1, 0.2]}
-        cfg = _cfg(tmp_path, payload)
+        cfg = _cfg(tmp_path, MASS_CONFIG)
         out = tmp_path / "out"
         assert main(["mass", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = (out / "mass.csv").read_text().strip().split("\n")
@@ -114,10 +125,7 @@ class TestMassCommand:
 
 class TestResonanceCommand:
     def test_stable_pole_column(self, tmp_path):
-        payload = {"grid": {"n_modes": 48, "k_max": 2.0, "scheme": "uniform"},
-                   "model": {"particle_levels": [0.0, 1.0], "g": 2e-3, "kappa": 2.0},
-                   "n_max": 1}
-        cfg = _cfg(tmp_path, payload)
+        cfg = _cfg(tmp_path, RESONANCE_CONFIG)
         out = tmp_path / "out"
         assert main(["resonance", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = (out / "resonance.csv").read_text().strip().split("\n")
@@ -129,9 +137,14 @@ class TestResonanceCommand:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command", ["spectrum", "pf", "verify"])
+    CONFIGS = {"flow": {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "n_modes": 4},
+                        "n_steps": 2},
+               "mass": MASS_CONFIG, "resonance": RESONANCE_CONFIG}
+
+    @pytest.mark.parametrize("command", ["spectrum", "pf", "verify", "flow", "mass",
+                                         "resonance"])
     def test_repeat_runs_are_byte_identical(self, tmp_path, command):
-        cfg = _cfg(tmp_path, BASE_CONFIG)
+        cfg = _cfg(tmp_path, self.CONFIGS.get(command, BASE_CONFIG))
         outputs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
@@ -140,3 +153,17 @@ class TestDeterminism:
             files = sorted(p.name for p in out.iterdir())
             outputs.append({f: (out / f).read_bytes() for f in files})
         assert outputs[0] == outputs[1]
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # a fresh interpreter, so that other tests' imports cannot hide one;
+        # scipy.optimize alone would multiply the start-up time and memory
+        src = str(Path(specrg.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, specrg.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,5 +1,7 @@
 """Scaling transformation, Wick ordering, one renormalization step, the flow."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
 from specrg.normalform import (FOUR_PI, CouplingFunction, NormalFormHamiltonian,
                                assemble_term, coupling_norm_mu, default_r_grid,
                                from_profile, interaction_norm, split)
-from specrg.rgflow import (DomainError, PolydiscParams, flow, normal_order_product,
-                           parameter_flow, polydisc_membership, rg_step,
-                           scale_coupling)
+from specrg import rgflow
+from specrg.models import ModelSpec, ground_sector_hamiltonian
+from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
+                           normal_order_product, parameter_flow, polydisc_membership,
+                           rg_step, scale_coupling)
 
 RHO = 0.5
 
@@ -257,11 +261,11 @@ class TestFlow:
         grid = build_mode_grid(4, 0.5, "geometric")
         H = _scalar_hamiltonian(0.0, grid.nodes, masses=grid.weights / FOUR_PI)
         traj = flow(H, RHO, 4)
-        # the bisection stops at its terminal tolerance, not at machine zero
+        # the root finder stops at its terminal tolerance, not at machine zero
         assert abs(traj.e_final) < 1e-9
         for rec in traj.records:
-            # each record carries the rescaled residual of the accepted
-            # bisection iterate, bounded by the step tolerance rho/24
+            # each record carries the rescaled residual at the accepted root,
+            # bounded by the step tolerance rho/24
             assert abs(rec.E) <= RHO / 24.0 + 1e-12
             assert rec.gamma == 0.0
             assert rec.budget == 0.0
@@ -280,3 +284,70 @@ class TestFlow:
         lines = traj.to_csv().strip().split("\n")
         assert lines[0] == "step,e_re,e_im,E_abs,beta,gamma,budget"
         assert len(lines) == 3
+
+    def _scalar_builder(self, energy):
+        """Builder of scalar Hamiltonians E(lam) + H_f, whose vacuum component
+        after n steps is E(lam) / rho^n."""
+        grid = build_mode_grid(4, 0.5, "geometric")
+        masses = grid.weights / FOUR_PI
+        return lambda lam: _scalar_hamiltonian(energy(lam), grid.nodes, masses=masses)
+
+    def test_no_sign_change_stalls(self):
+        builder = self._scalar_builder(lambda lam: 0.01)
+        with pytest.raises(FlowStalledError, match="no sign change") as info:
+            flow(builder(0.0), RHO, 1, builder=builder)
+        assert info.value.bracket == pytest.approx((0.01 - RHO / 8, 0.01 + RHO / 8))
+
+    def test_rising_interior_stalls(self):
+        # the ends bracket a root, but E rises on |lam| < 1/32, so two points
+        # there give a chord with a nonnegative slope
+        builder = self._scalar_builder(lambda lam: 3.0 * lam if abs(lam) < 1 / 32 else -lam)
+        with pytest.raises(FlowStalledError, match="not decreasing") as info:
+            flow(builder(0.0), RHO, 1, builder=builder)
+        assert info.value.bracket == pytest.approx((-RHO / 8, RHO / 8))
+
+    @staticmethod
+    def _model_builder(n_modes=4, g=3e-3):
+        grid = build_mode_grid(n_modes, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=g, kappa=1.0)
+        return lambda lam: ground_sector_hamiltonian(spec, grid, lam)
+
+    def test_few_map_evaluations_per_step(self, monkeypatch):
+        steps = []  # per builder call: the rg_step calls that follow it
+
+        def counted(H, rho, s_max=2):
+            steps[-1] += 1
+            return rg_step(H, rho, s_max=s_max)
+
+        model = self._model_builder()
+
+        def builder(lam):
+            steps.append(0)
+            return model(lam)
+
+        monkeypatch.setattr(rgflow, "rg_step", counted)
+        flow(model(0.0), RHO, 2, builder=builder)
+        # an evaluation at step n replays n steps; the first builder call only
+        # reads e_0.  Bisection to e_tol took 10 and 32 evaluations here.
+        evaluations = Counter(steps)
+        assert set(evaluations) == {0, 1, 2} and evaluations[0] == 1
+        assert evaluations[1] <= 5 and evaluations[2] <= 5
+
+    def test_root_matches_fine_bisection(self):
+        builder = self._model_builder()
+        e_tol = 1e-9
+        traj = flow(builder(0.0), RHO, 2, s_max=0, builder=builder, e_tol=e_tol)
+
+        def vacuum(lam):
+            H = builder(lam)
+            for _ in range(2):
+                H, _ = rg_step(H, RHO, s_max=0)
+            return H.terms[(0, 0)].values[0].real
+
+        e = traj.e_final.real
+        a, b = e - RHO ** 2 / 8, e + RHO ** 2 / 8
+        assert vacuum(a) > 0.0 > vacuum(b)
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if vacuum(mid) > 0.0 else (a, mid)
+        assert abs(e - 0.5 * (a + b)) <= e_tol
