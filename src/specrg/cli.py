@@ -159,8 +159,7 @@ def cmd_flow(cfg: dict, out: Path, seed: int) -> int:
     def builder(lam):
         return models.ground_sector_hamiltonian(spec, grid, lam)
 
-    H0 = builder(float(spec.particle_levels[0]))
-    traj = rgflow.flow(H0, rho, n_steps, s_max=s_max, builder=builder)
+    traj = rgflow.flow(None, rho, n_steps, s_max=s_max, builder=builder)
     _write(out / "flow.csv", traj.to_csv())
     summary = {"e_final_re": traj.e_final.real, "e_final_im": traj.e_final.imag,
                "budget": traj.budget}

@@ -1,6 +1,8 @@
 """Scaling transformation, Wick ordering, one renormalization step, the flow."""
 
 from collections import Counter
+from itertools import product
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
 from specrg.normalform import (FOUR_PI, CouplingFunction, NormalFormHamiltonian,
                                assemble_term, coupling_norm_mu, default_r_grid,
-                               from_profile, interaction_norm, split)
+                               from_profile, interaction_norm, split, symmetrized)
 from specrg import rgflow
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
@@ -124,10 +126,10 @@ class TestWickOrdering:
         got = out[(1, 1)].values
         assert np.max(np.abs(got - expected)[inside] / np.abs(expected[inside])) < 1e-14
 
-    def test_product_matches_matrix_algebra(self):
+    def _check_matrix_algebra(self, A_keys, B_keys, seed):
         # assemble W_A G(H_f) W_B on a truncated basis and compare matrix
         # elements on the truncation-blind block
-        r_grid, nodes, masses, rng = self._aligned_setup(2)
+        r_grid, nodes, masses, rng = self._aligned_setup(seed)
         grid = ModeGrid(nodes, masses * FOUR_PI)
         n_max = 4
         basis = build_fock_basis(grid, n_max)
@@ -141,8 +143,8 @@ class TestWickOrdering:
                 terms[(m, n)] = CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
             return terms
 
-        A = rand_terms([(1, 0), (0, 1), (1, 1)])
-        B = rand_terms([(1, 0), (0, 1)])
+        A = rand_terms(A_keys)
+        B = rand_terms(B_keys)
         out, dropped = normal_order_product(A, B, G, masses, max_order=4,
                                             mu=0.5, xi=0.5, sup_G=0.5)
         assert dropped == 0.0  # nothing exceeds max_order here
@@ -163,6 +165,91 @@ class TestWickOrdering:
         dev = np.max(np.abs((direct - reordered)[np.ix_(safe, safe)]))
         scale = np.max(np.abs(direct)) or 1.0
         assert dev / scale < 1e-12
+
+    def test_product_matches_matrix_algebra(self):
+        self._check_matrix_algebra([(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1)], seed=2)
+
+    def test_two_slot_products_match_matrix_algebra(self):
+        # p = 2 contractions (two-slot q tuples) and two-slot pull-through
+        # shifts: (0,2)(2,0) contracts twice, (2,0)(2,0) shifts A by two
+        # creators of B, (0,2)(0,2) shifts B by two annihilators of A
+        keys = [(0, 2), (2, 0), (1, 1)]
+        self._check_matrix_algebra(keys, keys, seed=3)
+
+    @staticmethod
+    def _random_W(seed):
+        """Random symmetric kernels of every shape up to order 2 on 3 modes."""
+        r_grid = default_r_grid()
+        nodes = np.array([0.1, 0.2, 0.35])
+        rng = np.random.default_rng(seed)
+        W = {}
+        for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
+            shape = (len(r_grid),) + (3,) * (m + n)
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            W[(m, n)] = CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
+        return W, np.array([0.01, 0.02, 0.03])
+
+    def test_one_G_table_per_pair_and_contraction_order(self):
+        # G is tabulated once per kept (kernel pair, p) on all slot tuples;
+        # one call per (i2, j1) tuple would make 9 for the p = 0 term of
+        # (1,1)(1,1) on 3 modes alone
+        W, masses = self._random_W(4)
+        calls = []
+
+        def G(r):
+            calls.append(np.shape(r))
+            return 1.0 / (np.asarray(r) + 2.0)
+
+        max_order = 3
+        _, dropped = normal_order_product(W, W, G, masses, max_order=max_order,
+                                          mu=0.5, xi=0.5, sup_G=0.5)
+        kept = sum(1 for (m1, n1) in W for (m2, n2) in W for p in range(min(n1, m2) + 1)
+                   if m1 + n1 + m2 + n2 - 2 * p <= max_order)
+        assert dropped > 0.0  # order-4 terms are dropped, and make no G call
+        assert 0 < len(calls) <= kept
+
+    @staticmethod
+    def _tuple_loop_product(A_terms, B_terms, G, masses, max_order):
+        """Kept kernels of (sum A) G (sum B), one slot tuple (i2, j1) at a time."""
+        out = {}
+        for wA in A_terms.values():
+            for wB in B_terms.values():
+                (m1, n1), (m2, n2), nodes, r = (wA.m, wA.n), (wB.m, wB.n), wA.nodes, wA.r_grid
+                M, R = len(nodes), len(r)
+                for p in range(min(n1, m2) + 1):
+                    mo, no = m1 + m2 - p, n1 + n2 - p
+                    if mo + no > max_order:
+                        continue
+                    Cf = comb(n1, p) * comb(m2, p) * factorial(p)
+                    qs = list(product(range(M), repeat=p))
+                    omega = np.array([sum(nodes[list(q)]) for q in qs], dtype=float)
+                    mass = np.array([np.prod(masses[list(q)]) for q in qs])
+                    arr = out.setdefault((mo, no), np.zeros((R,) + (M,) * (mo + no), complex))
+                    for i2 in product(range(M), repeat=m2 - p):
+                        sI = float(np.sum(nodes[list(i2)]))
+                        for j1 in product(range(M), repeat=n1 - p):
+                            sJ = float(np.sum(nodes[list(j1)]))
+                            A = wA.at_r(r + sI)[(slice(None),) * (1 + m1) + j1]
+                            B = wB.at_r(r + sJ)[(slice(None),) * (1 + p) + i2]
+                            Gq = G(r[:, np.newaxis] + (sI + sJ) + omega) * mass
+                            block = np.einsum("riq,rq,rqj->rij", A.reshape(R, M ** m1, len(qs)),
+                                              Gq, B.reshape(R, len(qs), M ** n2))
+                            arr[(slice(None),) * (1 + m1) + i2 + j1] += (
+                                Cf * block).reshape((R,) + (M,) * (m1 + n2))
+        return {key: symmetrized(arr, *key) for key, arr in out.items()}
+
+    def test_batched_product_equals_tuple_loop(self):
+        # the batched contraction keeps the loop's float operations, so the
+        # kernels agree bit for bit, also where shifted reads clamp at r = 1
+        W, masses = self._random_W(6)
+        G = lambda r: np.where(np.asarray(r) > 0.25, 1.0 / (np.asarray(r) + 2.0), 0.0)
+        n1, _ = normal_order_product(W, W, G, masses, max_order=4, mu=0.5, xi=0.5, sup_G=0.5)
+        n2, _ = normal_order_product(n1, W, G, masses, max_order=2, mu=0.5, xi=0.5, sup_G=0.5)
+        for got, (A, B, max_order) in ((n1, (W, W, 4)), (n2, (n1, W, 2))):
+            ref = self._tuple_loop_product(A, B, G, masses, max_order)
+            assert got.keys() == ref.keys()
+            for key, arr in ref.items():
+                assert np.array_equal(got[key].values, arr), key
 
 
 class TestRgStep:
@@ -291,6 +378,13 @@ class TestFlow:
         grid = build_mode_grid(4, 0.5, "geometric")
         masses = grid.weights / FOUR_PI
         return lambda lam: _scalar_hamiltonian(energy(lam), grid.nodes, masses=masses)
+
+    def test_builder_needs_no_H0(self):
+        builder = self._scalar_builder(lambda lam: 3.3e-4 - lam)
+        traj = flow(None, RHO, 2, builder=builder)
+        assert traj.to_csv() == flow(builder(0.0), RHO, 2, builder=builder).to_csv()
+        with pytest.raises(ValueError, match="H0 or a builder"):
+            flow(None, RHO, 2)
 
     def test_no_sign_change_stalls(self):
         builder = self._scalar_builder(lambda lam: 0.01)
