@@ -263,8 +263,8 @@ def pull_through_check(basis: FockBasis, f, mode: int) -> float:
         raise ValueError(f"mode {mode} out of range [0, {basis.n_modes - 1}]")
     hf = basis.hf_diagonal()
     om = basis.grid.nodes[mode]
-    fhf = np.asarray([f(x) for x in hf], dtype=complex)
-    fshift = np.asarray([f(x + om) for x in hf], dtype=complex)
+    fhf = np.broadcast_to(np.asarray(f(hf), dtype=complex), hf.shape)
+    fshift = np.broadcast_to(np.asarray(f(hf + om), dtype=complex), hf.shape)
 
     a = ladder_matrix(basis, mode, "annihilate").mat
     adag = a.conj().T

@@ -19,13 +19,13 @@ mass shift of a freely moving dressed particle) while staying dense-solvable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, ModeGrid, OperatorMatrix, build_fock_basis, field_hamiltonian, ladder_matrix
-from .normalform import (CouplingFunction, NormalFormHamiltonian, FOUR_PI,
-                         default_r_grid, from_profile, slot_masses)
+from .fock import FockBasis, ModeGrid, OperatorMatrix, field_hamiltonian
+from .normalform import (NormalFormHamiltonian, FOUR_PI, default_r_grid, from_profile,
+                         slot_masses)
 
 
 def _gaussian_cutoff(kappa):
@@ -105,17 +105,20 @@ def form_factor(spec: ModelSpec, k):
 
 
 def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
-    """Phi(f) = sum_a sqrt(mass_a) f(k_a) (a_a + a*_a) on the truncated basis."""
+    """Phi(f) = sum_a sqrt(mass_a) f(k_a) (a_a + a*_a) on the truncated basis.
+
+    Each move i -> i - e_a of basis.lower gives one entry of a*_a and one of a_a.
+    """
     mass = slot_masses(basis)
     if fvals is None:
         fvals = form_factor(spec, basis.grid.nodes)
-    fvals = np.asarray(fvals, dtype=complex)
-    D = basis.dim
-    phi = np.zeros((D, D), dtype=complex)
-    for a in range(basis.n_modes):
-        am = ladder_matrix(basis, a, "annihilate").mat
-        coef = np.sqrt(mass[a]) * fvals[a]
-        phi += coef * am.conj().T + np.conj(coef) * am
+    coef = np.sqrt(mass) * np.asarray(fvals, dtype=complex)
+    mode, upper = np.nonzero(basis.lower >= 0)
+    lower = basis.lower[mode, upper]
+    amp = np.sqrt(basis.states[upper, mode])
+    phi = np.zeros((basis.dim, basis.dim), dtype=complex)
+    phi[upper, lower] += coef[mode] * amp
+    phi[lower, upper] += np.conj(coef[mode]) * amp
     return phi
 
 
@@ -222,9 +225,10 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
                         (R_l(r+k_a) + R_l(r+k_b)) / 2        (w02 identical)
 
     plus first-order terms g Gamma_jj f(k) in the (1,0)/(0,1) slots when the
-    kept level couples to itself.  All kernels carry exact profiles, so the
-    first rescaling of the flow is interpolation-free.  The field energies of
-    the kept sector must fit in I = [0,1]; a grid with n_max k_max > 1 will
+    kept level couples to itself.  The kernels keep their profiles, which
+    scale_coupling reads only when called on them directly: rg_step rescales
+    the decimated kernels it builds from arrays.  The field energies of the
+    kept sector must fit in I = [0,1]; a grid with n_max k_max > 1 will
     clamp, and assemble_term warns about it when the caller assembles.
     """
     if r_grid is None:
@@ -238,34 +242,29 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     masses = grid.weights / FOUR_PI
     g = spec.g
     gj = np.abs(spec.gamma[j]) ** 2
-    others = [l for l in range(spec.n_levels) if l != j]
+    coupled = [l for l in range(spec.n_levels) if l != j and gj[l] != 0.0]
     fvec = form_factor(spec, nodes).real  # cutoff real, f real
 
     def fofk(k):
-        return float(spec.cutoff(k)) / np.sqrt(k)
+        return spec.cutoff(k) / np.sqrt(k)
 
     def w00(r):
         val = eps[j] - lam + r
-        for l in others:
-            if gj[l] == 0.0:
-                continue
-            val -= g * g * gj[l] * np.sum(masses * fvec ** 2 / (eps[l] - lam + r + nodes))
+        for l in coupled:
+            val -= g * g * gj[l] * np.sum(masses * fvec ** 2
+                                          / (eps[l] - lam + r[..., np.newaxis] + nodes), axis=-1)
         return val
 
     def w11(r, kb, ka):
         tot = 0.0
-        for l in others:
-            if gj[l] == 0.0:
-                continue
+        for l in coupled:
             tot += gj[l] * (1.0 / (eps[l] - lam + r)
                             + 1.0 / (eps[l] - lam + r + ka + kb))
         return -g * g * fofk(kb) * fofk(ka) * tot
 
     def wpair(r, ka, kb):
         tot = 0.0
-        for l in others:
-            if gj[l] == 0.0:
-                continue
+        for l in coupled:
             tot += gj[l] * 0.5 * (1.0 / (eps[l] - lam + r + ka)
                                   + 1.0 / (eps[l] - lam + r + kb))
         return -g * g * fofk(ka) * fofk(kb) * tot
@@ -276,17 +275,10 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
         (2, 0): from_profile(2, 0, r_grid, nodes, wpair),
         (0, 2): from_profile(0, 2, r_grid, nodes, wpair),
     }
-    if abs(spec.gamma[j, j]) > 0:
-        diag = spec.gamma[j, j]
-
-        def w10(r, k, _c=diag):
-            return g * _c * fofk(k)
-
-        def w01(r, k, _c=diag):
-            return g * np.conj(_c) * fofk(k)
-
-        terms[(1, 0)] = from_profile(1, 0, r_grid, nodes, w10)
-        terms[(0, 1)] = from_profile(0, 1, r_grid, nodes, w01)
+    diag = spec.gamma[j, j]
+    if abs(diag) > 0:
+        terms[(1, 0)] = from_profile(1, 0, r_grid, nodes, lambda r, k: g * diag * fofk(k))
+        terms[(0, 1)] = from_profile(0, 1, r_grid, nodes, lambda r, k: g * np.conj(diag) * fofk(k))
     return NormalFormHamiltonian(terms, mu=mu, xi=xi, M_max=2, masses=masses)
 
 
@@ -302,7 +294,7 @@ def pf_gauge_function(spec: ModelSpec, x: float, k):
     """f_x(k) = e^{-ikx} phi(sqrt(k) x) / sqrt(k), the transform generator."""
     k = np.asarray(k, dtype=float)
     phi = spec.phi_profile
-    return np.exp(-1j * k * x) * np.vectorize(phi)(np.sqrt(k) * x) / np.sqrt(k)
+    return np.exp(-1j * k * x) * phi(np.sqrt(k) * x) / np.sqrt(k)
 
 
 def pf_coupling(spec: ModelSpec, x: float, k):
@@ -316,8 +308,8 @@ def pf_coupling(spec: ModelSpec, x: float, k):
     k = np.asarray(k, dtype=float)
     phi = spec.phi_profile
     s = np.sqrt(k) * x
-    phivals = np.vectorize(phi)(s)
-    dphivals = np.vectorize(lambda t: _phi_prime(phi, t))(s)
+    phivals = phi(s)
+    dphivals = _phi_prime(phi, s)
     return np.exp(-1j * k * x) * (1.0 - dphivals + 1j * k * phivals / np.sqrt(k))
 
 

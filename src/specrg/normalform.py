@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
-from itertools import product as iproduct
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -78,44 +77,41 @@ def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
     return vals
 
 
-@dataclass
 class CouplingFunction:
     """Discretized kernel w_{m,n}(r; k_1..k_{m+n}).
 
     values has shape (len(r_grid),) + (len(nodes),) * (m + n), the first m
     momentum axes being creation slots and the last n annihilation slots.
     dr_values holds the r-derivative on the same grid; when omitted it is
-    produced by central differences.  An optional profile callable
-    profile(r, k_1, ..., k_{m+n}) allows exact off-grid evaluation (used by
-    the scaling transformation to avoid interpolation error).
+    produced by central differences the first time it is read.  The profile
+    callable profile(r, k_1, ..., k_{m+n}) that from_profile keeps lets
+    scale_coupling re-tabulate the kernel instead of interpolating it.
     """
 
-    m: int
-    n: int
-    r_grid: np.ndarray
-    nodes: np.ndarray
-    values: np.ndarray
-    dr_values: np.ndarray | None = None
-    profile: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.r_grid = np.asarray(self.r_grid, dtype=float)
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
+    def __init__(self, m: int, n: int, r_grid, nodes, values, dr_values=None, profile=None):
+        self.m, self.n, self.profile = m, n, profile
+        self.r_grid = np.asarray(r_grid, dtype=float)
+        self.nodes = np.asarray(nodes, dtype=float)
+        self.values = np.asarray(values, dtype=complex)
         for name in ("r_grid", "nodes"):
             if not np.all(np.diff(getattr(self, name)) > 0):
                 raise ValueError(f"{name} must be strictly increasing")
         expected = (len(self.r_grid),) + (len(self.nodes),) * self.order
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
-        if self.dr_values is None:
-            self.dr_values = np.gradient(self.values, self.r_grid, axis=0)
-        else:
-            self.dr_values = np.asarray(self.dr_values, dtype=complex)
-            if self.dr_values.shape != expected:
+        if dr_values is not None:
+            dr_values = np.asarray(dr_values, dtype=complex)
+            if dr_values.shape != expected:
                 raise ValueError("dr_values shape mismatch")
+        self._dr_values = dr_values
         if not np.all(np.isfinite(self.values)):
             raise ValueError("kernel values must be finite")
+
+    @property
+    def dr_values(self) -> np.ndarray:
+        if self._dr_values is None:
+            self._dr_values = np.gradient(self.values, self.r_grid, axis=0)
+        return self._dr_values
 
     @property
     def order(self) -> int:
@@ -162,17 +158,29 @@ class CouplingFunction:
 
 
 def from_profile(m, n, r_grid, nodes, func) -> CouplingFunction:
-    """Tabulate func(r, k_1, .., k_{m+n}) on the grid and keep it for rescaling."""
+    """Tabulate func(r, k_1, .., k_{m+n}) on the grid and keep it for rescaling.
+
+    func is called once, on the open mesh np.ix_(r_grid, nodes, .., nodes);
+    a result that does not broadcast to the table shape raises ValueError.
+    """
     r_grid = np.asarray(r_grid, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
-    order = m + n
-    shape = (len(r_grid),) + (len(nodes),) * order
-    vals = np.empty(shape, dtype=complex)
-    for idx in iproduct(range(len(nodes)), repeat=order):
-        ks = [nodes[i] for i in idx]
-        col = np.asarray([func(r, *ks) for r in r_grid], dtype=complex)
-        vals[(slice(None),) + idx] = col
+    shape = (len(r_grid),) + (len(nodes),) * (m + n)
+    vals = np.asarray(func(*np.ix_(r_grid, *[nodes] * (m + n))), dtype=complex)
+    vals = np.array(np.broadcast_to(vals, shape))
     return CouplingFunction(m, n, r_grid, nodes, vals, profile=func)
+
+
+def _norm_weight(w: CouplingFunction, mu: float):
+    """Slot weight min_j |k_j|^-mu prod_i |k_i|^1/2 of the anisotropic norm (1 for m + n = 0)."""
+    if w.order == 0:
+        return 1.0
+    slots = np.ix_(*[w.nodes] * w.order)
+    root_prod, kmin = 1.0, slots[0]
+    for k in slots:
+        root_prod = root_prod * np.sqrt(k)
+        kmin = np.minimum(kmin, k)
+    return kmin ** (-mu) * root_prod
 
 
 def coupling_norm_mu(w: CouplingFunction, mu: float) -> float:
@@ -180,25 +188,13 @@ def coupling_norm_mu(w: CouplingFunction, mu: float) -> float:
 
     For m + n = 0 the empty momentum product degenerates to sup_r |w|.
     """
-    if w.order == 0:
-        return float(np.max(np.abs(w.values)))
-    k = w.nodes
-    order = w.order
-    grids = np.meshgrid(*([k] * order), indexing="ij")
-    root_prod = np.ones_like(grids[0])
-    for g in grids:
-        root_prod = root_prod * np.sqrt(g)
-    kmin = grids[0]
-    for g in grids[1:]:
-        kmin = np.minimum(kmin, g)
-    weight = kmin ** (-mu) * root_prod
-    return float(np.max(weight[np.newaxis, ...] * np.abs(w.values)))
+    return float(np.max(_norm_weight(w, mu) * np.abs(w.values)))
 
 
 def coupling_norm_mu1(w: CouplingFunction, mu: float) -> float:
-    dw = CouplingFunction(w.m, w.n, w.r_grid, w.nodes, w.dr_values,
-                          dr_values=np.zeros_like(w.dr_values))
-    return coupling_norm_mu(w, mu) + coupling_norm_mu(dw, mu)
+    """||w||_mu + ||dw/dr||_mu."""
+    weight = _norm_weight(w, mu)
+    return float(np.max(weight * np.abs(w.values))) + float(np.max(weight * np.abs(w.dr_values)))
 
 
 @dataclass

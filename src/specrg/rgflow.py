@@ -130,9 +130,10 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
     reproduces the full rho^3) and the overall 1/rho expands the scalar part.
     This makes ||w'||_mu <= rho^(m+n-1+mu) ||w||_mu in the anisotropic norm.
 
-    When the kernel carries an exact profile it is re-tabulated analytically;
-    otherwise the grid values are interpolated (linear in r and in each
-    momentum slot, with a power-law extension below the lowest node).
+    A kernel from from_profile is re-tabulated from its profile in one call;
+    any other is interpolated (linear in r and in each momentum slot, with a
+    power-law extension below the lowest node).  rg_step builds its decimated
+    kernels from arrays, so a flow reads a profile only when W is empty.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")

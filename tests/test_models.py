@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian
+from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian, ladder_matrix
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            fiber_hamiltonian, form_factor, field_operator,
                            ground_sector_hamiltonian, infrared_exponent,
                            mass_renormalization, pauli_fierz_transform,
                            pf_coupling, pf_gauge_function)
-from specrg.normalform import assemble_operator
+from specrg.normalform import assemble_operator, slot_masses
 
 
 def _two_level(g, kappa=1.0):
@@ -73,6 +73,16 @@ class TestBuildModel:
         model = build_model(spec, basis)
         e0 = np.min(np.linalg.eigvalsh(model.H))
         assert e0 < 0.0
+
+    def test_field_operator_matches_ladder_matrices(self):
+        basis = build_fock_basis(build_mode_grid(4, 0.5, "geometric"), 3)
+        fvals = np.exp(1j * np.arange(4)) * np.array([1.0, -0.5, 2.0, 0.25])
+        coef = np.sqrt(slot_masses(basis)) * fvals
+        expected = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for a in range(basis.n_modes):
+            am = ladder_matrix(basis, a, "annihilate").mat
+            expected += coef[a] * am.conj().T + np.conj(coef[a]) * am
+        assert np.array_equal(field_operator(_two_level(1e-3), basis, fvals=fvals), expected)
 
 
 class TestComplexDilation:

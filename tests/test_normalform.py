@@ -16,6 +16,8 @@ from specrg.normalform import (CouplingFunction, NormalFormHamiltonian,
                                coupling_norm_mu1, default_r_grid, from_profile,
                                hamiltonian_norm, interaction_norm, interp_axis,
                                slot_masses, split, t_slope_deviation)
+from specrg.models import ModelSpec, ground_sector_hamiltonian
+from specrg.rgflow import scale_coupling
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,6 +93,66 @@ class TestCouplingFunction:
         assert sym.symmetry_deviation() < 1e-14
         again = sym.symmetrize()
         assert np.allclose(again.values, sym.values)
+
+
+def _per_point(m, n, r_grid, nodes, func):
+    """The table tabulated one point per call, each argument a length-1 array."""
+    vals = np.empty((len(r_grid),) + (len(nodes),) * (m + n), dtype=complex)
+    for idx in iproduct(range(len(nodes)), repeat=m + n):
+        for i, r in enumerate(r_grid):
+            args = [np.array([r])] + [np.array([nodes[j]]) for j in idx]
+            vals[(i,) + idx] = np.asarray(func(*args), dtype=complex).ravel()[0]
+    return vals
+
+
+def _mixed_profile(r, *ks):
+    out = np.exp(-r) + 0.25j * r
+    for i, k in enumerate(ks):
+        out = out * (1.0 + (i + 1) * k) / np.sqrt(k) - 0.1j * k * r
+    return out
+
+
+class TestFromProfile:
+    NODES = np.geomspace(0.05, 0.5, 4)
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4 - m)])
+    def test_one_mesh_call_matches_point_by_point(self, m, n):
+        r_grid = default_r_grid()
+        for func in (_mixed_profile, lambda r, *ks: 0.3 - 0.2j, lambda r, *ks: np.cos(r)):
+            w = from_profile(m, n, r_grid, self.NODES, func)
+            assert np.array_equal(w.values, _per_point(m, n, r_grid, self.NODES, func))
+            assert w.values.flags.writeable
+
+    @pytest.mark.parametrize("levels,gamma,lam", [
+        ([0.0, 1.0], None, 0.0),
+        ([0.0, 1.0], None, -2.5e-4),
+        ([0.0, 0.8, 1.5], [[0.3, 1.0, 0.5], [1.0, -0.2, 0.7], [0.5, 0.7, 0.1]], 1.3e-3),
+    ])
+    def test_model_kernels_match_point_by_point(self, levels, gamma, lam):
+        spec = ModelSpec(particle_levels=np.array(levels), g=4e-3, kappa=1.0,
+                         gamma=None if gamma is None else np.array(gamma, dtype=complex))
+        H = ground_sector_hamiltonian(spec, build_mode_grid(4, 0.5, "geometric"), lam)
+        assert ((1, 0) in H.terms) == (gamma is not None)
+        for w in H.terms.values():
+            assert np.array_equal(w.values, _per_point(w.m, w.n, w.r_grid, w.nodes, w.profile))
+
+    def test_profile_is_called_once_per_kernel(self):
+        calls = []
+
+        def counting(r, *ks):
+            calls.append(len(ks))
+            return _mixed_profile(r, *ks)
+
+        for m, n in [(0, 0), (1, 0), (1, 1), (2, 1)]:
+            w = from_profile(m, n, default_r_grid(), self.NODES, counting)
+            scale_coupling(w, 0.5)
+        assert calls == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_result_that_does_not_broadcast_raises(self):
+        with pytest.raises(ValueError):
+            from_profile(1, 0, default_r_grid(), self.NODES, lambda r, k: np.ones(5))
+        with pytest.raises(ValueError):
+            from_profile(0, 1, default_r_grid(), self.NODES, lambda r, k: np.ones((2,) + r.shape))
 
 
 class TestKernelNorms:
