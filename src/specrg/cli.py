@@ -5,8 +5,9 @@ Usage:
            --out outdir [--seed N]
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 domain or
-precondition violation.  Identical config and seed produce byte-identical
-output files; all CSV uses '.' decimals, '\\n' line endings, and a header row.
+precondition violation or a dense solver failure.  Identical config and seed
+produce byte-identical output files; all CSV uses '.' decimals, '\\n' line
+endings, and a header row.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     # CCR on the safe subspace
     dev = 0.0
     safe = basis.safe_mask()
-    for i in range(basis.n_modes):
-        for j in range(basis.n_modes):
-            ai = fock.ladder_matrix(basis, i, "annihilate").mat
-            cj = fock.ladder_matrix(basis, j, "create").mat
+    a = [fock.ladder_matrix(basis, i, "annihilate") for i in range(basis.n_modes)]
+    for i, ai in enumerate(a):
+        for j, aj in enumerate(a):
+            cj = aj.conj().T
             comm = ai @ cj - cj @ ai - (1.0 if i == j else 0.0) * np.eye(basis.dim)
             if np.any(safe):
                 dev = max(dev, float(np.max(np.abs(comm[:, safe]))))
@@ -100,7 +101,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     all_equal = True
     for _ in range(n_trials):
         A = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        H = fock.OperatorMatrix(A + A.conj().T, _tiny_basis(16))
+        H = A + A.conj().T
         chi = (rng.random(16) > 0.5).astype(float)
         if chi.sum() in (0, 16):
             chi[0] = 1.0 - chi[0]
@@ -128,12 +129,6 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     report["all_passed"] = bool(ok)
     _write(out / "verify_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if ok else EXIT_INVARIANT
-
-
-def _tiny_basis(dim: int) -> fock.FockBasis:
-    """A one-mode stand-in basis so OperatorMatrix can tag arbitrary matrices."""
-    grid = fock.ModeGrid(np.array([1.0]), np.array([1.0]))
-    return fock.build_fock_basis(grid, dim - 1)
 
 
 def _random_kernel(rng, nodes, m, n, mu, r_grid=None):
@@ -265,6 +260,9 @@ def main(argv=None) -> int:
     except (rgflow.DomainError, rgflow.FlowStalledError, oracle.ResolutionError,
             oracle.NotFoundError) as exc:
         print(f"specrg: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except oracle.SolverError as exc:
+        print(f"specrg: solver error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"specrg: precondition violated: {exc}", file=sys.stderr)

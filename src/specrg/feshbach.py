@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix
+from .fock import FockBasis
 
 RANK_THRESHOLD_FACTOR = 1e-8  # singular values below this times ||H|| count as null
 INDETERMINATE_BAND = 10.0     # rank decisions within this factor are reported, not guessed
@@ -99,10 +99,10 @@ def projection_from_diagonal(chi: np.ndarray, smooth: bool) -> ProjectionPair:
 
 @dataclass
 class FeshbachResult:
-    F: OperatorMatrix
-    Q: OperatorMatrix
-    Qsharp: OperatorMatrix
-    Hchibar_inv: OperatorMatrix
+    F: np.ndarray
+    Q: np.ndarray
+    Qsharp: np.ndarray
+    Hchibar_inv: np.ndarray
     pair: ProjectionPair
     tau: np.ndarray  # the diagonal of the undecimated part
 
@@ -133,21 +133,20 @@ def _chibar_block_inverse(tau, W, pair, sv_threshold):
     return out
 
 
-def feshbach_map(Hmat: OperatorMatrix, tau_part: OperatorMatrix | None,
-                 pair: ProjectionPair) -> FeshbachResult:
-    """Decimate H onto the chi sector.
+def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
+    """Decimate the square matrix H onto the chi sector.
 
     tau_part defaults to the diagonal part of H in the working basis.  It
     must be diagonal so that it commutes with the cutoff pair.
     """
-    H = Hmat.mat
+    H = np.asarray(H, dtype=complex)
     D = H.shape[0]
     if pair.dim != D:
         raise ValueError("projection pair dimension mismatch")
     if tau_part is None:
         tau = np.diag(H).copy()
     else:
-        tmat = tau_part.mat
+        tmat = np.asarray(tau_part, dtype=complex)
         if np.max(np.abs(tmat - np.diag(np.diag(tmat)))) > 1e-13 * max(1.0, np.max(np.abs(tmat))):
             raise ValueError("tau must be diagonal in the working basis")
         tau = np.diag(tmat).copy()
@@ -167,31 +166,21 @@ def feshbach_map(Hmat: OperatorMatrix, tau_part: OperatorMatrix | None,
     Q = np.diag(chi).astype(complex) - cb[:, np.newaxis] * (R @ cbWchi)
     Qs = np.diag(chi).astype(complex) - (chiWcb @ R) * cb[np.newaxis, :]
 
-    basis = Hmat.basis
-    herm = Hmat.hermitian and np.max(np.abs(F - F.conj().T)) < 1e-10 * max(1.0, hnorm)
-    return FeshbachResult(
-        F=OperatorMatrix(F, basis, hermitian=herm),
-        Q=OperatorMatrix(Q, basis),
-        Qsharp=OperatorMatrix(Qs, basis),
-        Hchibar_inv=OperatorMatrix(R, basis),
-        pair=pair,
-        tau=tau,
-    )
+    return FeshbachResult(F=F, Q=Q, Qsharp=Qs, Hchibar_inv=R, pair=pair, tau=tau)
 
 
-def identity_defect(Hmat: OperatorMatrix, res: FeshbachResult) -> tuple[float, float]:
+def identity_defect(H, res: FeshbachResult) -> tuple[float, float]:
     """Norms of H Q - chi F and Q# H - F chi, the exactness certificates."""
-    H, F = Hmat.mat, res.F.mat
-    Q, Qs = res.Q.mat, res.Qsharp.mat
+    H = np.asarray(H, dtype=complex)
     chi = res.pair.chi
-    d1 = np.linalg.norm(H @ Q - chi[:, np.newaxis] * F, 2)
-    d2 = np.linalg.norm(Qs @ H - F * chi[np.newaxis, :], 2)
+    d1 = np.linalg.norm(H @ res.Q - chi[:, np.newaxis] * res.F, 2)
+    d2 = np.linalg.norm(res.Qsharp @ H - res.F * chi[np.newaxis, :], 2)
     return float(d1), float(d2)
 
 
-def reconstruct_inverse(res: FeshbachResult, pair: ProjectionPair) -> OperatorMatrix:
+def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
     """H^-1 = Q F^-1 Q# + chibar R chibar, requiring F invertible."""
-    F = res.F.mat
+    F = res.F
     svals = np.linalg.svd(F, compute_uv=False)
     scale = max(1.0, float(svals[0])) if len(svals) else 1.0
     if len(svals) == 0 or svals[-1] < 1e-13 * scale:
@@ -200,9 +189,8 @@ def reconstruct_inverse(res: FeshbachResult, pair: ProjectionPair) -> OperatorMa
             f"{svals[-1] if len(svals) else 0.0:.3e})",
             singular_value=float(svals[-1]) if len(svals) else 0.0)
     Finv = np.linalg.inv(F)
-    cb = pair.chibar
-    inv = res.Q.mat @ Finv @ res.Qsharp.mat + cb[:, np.newaxis] * res.Hchibar_inv.mat * cb[np.newaxis, :]
-    return OperatorMatrix(inv, res.F.basis)
+    cb = res.pair.chibar
+    return res.Q @ Finv @ res.Qsharp + cb[:, np.newaxis] * res.Hchibar_inv * cb[np.newaxis, :]
 
 
 def _null_dimension(mat: np.ndarray, threshold: float):
@@ -214,7 +202,7 @@ def _null_dimension(mat: np.ndarray, threshold: float):
     return int(np.sum(null)), bool(np.any(borderline)), vectors
 
 
-def isospectral_check(Hmat: OperatorMatrix, pair: ProjectionPair, lam: complex) -> dict:
+def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     """Compare the null structure of H - lambda with that of F(H - lambda).
 
     The report records null dimensions on both sides (singular-value
@@ -222,9 +210,9 @@ def isospectral_check(Hmat: OperatorMatrix, pair: ProjectionPair, lam: complex) 
     invertibility flags.  Borderline singular values within a factor 10 of
     the threshold mark the verdict indeterminate instead of failing.
     """
-    H = Hmat.mat - lam * np.eye(Hmat.dim)
-    shifted = OperatorMatrix(H, Hmat.basis)
-    res = feshbach_map(shifted, None, pair)
+    H = np.asarray(H, dtype=complex)
+    H = H - lam * np.eye(len(H))
+    res = feshbach_map(H, None, pair)
     hnorm = max(np.linalg.norm(H, 2), 1.0)
     thr = RANK_THRESHOLD_FACTOR * hnorm
 
@@ -233,8 +221,8 @@ def isospectral_check(Hmat: OperatorMatrix, pair: ProjectionPair, lam: complex) 
     # decimation sector is just tau and carries no spectral information about
     # the chi sector, so the null count is taken on the supp(chi) block.
     sup = pair.chi_support()
-    dim_f, ind_f, null_f_block = _null_dimension(res.F.mat[np.ix_(sup, sup)], thr)
-    null_f = np.zeros((Hmat.dim, null_f_block.shape[1]), dtype=complex)
+    dim_f, ind_f, null_f_block = _null_dimension(res.F[np.ix_(sup, sup)], thr)
+    null_f = np.zeros((len(H), null_f_block.shape[1]), dtype=complex)
     null_f[sup, :] = null_f_block
 
     transport_h_to_f = 0.0
@@ -242,15 +230,15 @@ def isospectral_check(Hmat: OperatorMatrix, pair: ProjectionPair, lam: complex) 
         psi = null_h[:, i]
         phi = pair.chi * psi
         transport_h_to_f = max(transport_h_to_f,
-                               float(np.linalg.norm(res.F.mat @ phi)) / hnorm)
+                               float(np.linalg.norm(res.F @ phi)) / hnorm)
     transport_f_to_h = 0.0
     for i in range(null_f.shape[1]):
         phi = null_f[:, i]
-        psi = res.Q.mat @ phi
+        psi = res.Q @ phi
         transport_f_to_h = max(transport_f_to_h,
                                float(np.linalg.norm(H @ psi)) / hnorm)
 
-    d1, d2 = identity_defect(shifted, res)
+    d1, d2 = identity_defect(H, res)
     return {
         "lambda": [float(np.real(lam)), float(np.imag(lam))],
         "dim_null_H": dim_h,

@@ -169,33 +169,28 @@ def build_fock_basis(grid: ModeGrid, n_max: int, dim_cap: int = DEFAULT_DIM_CAP)
 class OperatorMatrix:
     """Dense complex matrix tagged with the FockBasis it acts on.
 
-    blocks > 1 marks an operator on C^blocks tensor Fock (particle levels
-    times field states); the matrix is then blocks*D square.
+    Dense operators are plain complex ndarrays everywhere in the package.
+    This tag stays only as the return type of normalform.assemble_operator,
+    because the benchmark workloads (perfbench/workloads.py) build one and
+    read .mat; every function that takes an operator converts it with
+    np.asarray.
     """
 
     mat: np.ndarray
     basis: FockBasis
-    hermitian: bool = False
-    blocks: int = 1
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
-        expected = self.blocks * self.basis.dim
-        if self.mat.shape != (expected, expected):
+        if self.mat.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(
-                f"matrix shape {self.mat.shape} does not match basis dimension {expected}"
+                f"matrix shape {self.mat.shape} does not match basis dimension {self.basis.dim}"
             )
-        if self.hermitian:
-            dev = np.max(np.abs(self.mat - self.mat.conj().T)) if self.dim else 0.0
-            if dev > 1e-10:
-                raise ValueError(f"hermitian flag set but max|A - A*| = {dev:.3e}")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
 
-def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> OperatorMatrix:
+def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
     """Creation or annihilation operator for one mode, hard truncation.
 
     The annihilation matrix has entries sqrt(n_mode) connecting |n> to
@@ -211,8 +206,7 @@ def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> OperatorMatrix:
     a = np.zeros((D, D), dtype=complex)
     cols = np.flatnonzero(basis.lower[mode] >= 0)
     a[basis.lower[mode, cols], cols] = np.sqrt(basis.states[cols, mode])
-    mat = a.conj().T if kind == "create" else a
-    return OperatorMatrix(mat=mat, basis=basis)
+    return a.conj().T if kind == "create" else a
 
 
 def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
@@ -246,9 +240,9 @@ def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
     return src, modes, cur, amp
 
 
-def field_hamiltonian(basis: FockBasis) -> OperatorMatrix:
+def field_hamiltonian(basis: FockBasis) -> np.ndarray:
     """Diagonal free-field Hamiltonian sum_i n_i omega(k_i)."""
-    return OperatorMatrix(np.diag(basis.hf_diagonal().astype(complex)), basis, hermitian=True)
+    return np.diag(basis.hf_diagonal().astype(complex))
 
 
 def pull_through_check(basis: FockBasis, f, mode: int) -> float:
@@ -266,7 +260,7 @@ def pull_through_check(basis: FockBasis, f, mode: int) -> float:
     fhf = np.broadcast_to(np.asarray(f(hf), dtype=complex), hf.shape)
     fshift = np.broadcast_to(np.asarray(f(hf + om), dtype=complex), hf.shape)
 
-    a = ladder_matrix(basis, mode, "annihilate").mat
+    a = ladder_matrix(basis, mode, "annihilate")
     adag = a.conj().T
 
     lhs_a = a * fhf[np.newaxis, :]          # a f(H_f)

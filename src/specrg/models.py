@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, ModeGrid, OperatorMatrix, field_hamiltonian
+from .fock import FockBasis, ModeGrid, field_hamiltonian
 from .normalform import (NormalFormHamiltonian, FOUR_PI, default_r_grid, from_profile,
                          slot_masses)
 
@@ -122,6 +122,15 @@ def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     return phi
 
 
+def _coupled_matrix(spec: ModelSpec, basis: FockBasis, field_scale, fvals=None) -> np.ndarray:
+    """H_p (x) 1 + s 1 (x) H_f + g Gamma (x) Phi(f) with s = field_scale,
+    particle index outer; fvals defaults to the form factor on the nodes."""
+    D = basis.dim
+    return (np.kron(np.diag(spec.particle_levels).astype(complex), np.eye(D))
+            + field_scale * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
+            + spec.g * np.kron(spec.gamma, field_operator(spec, basis, fvals=fvals)))
+
+
 @dataclass
 class CoupledModel:
     """Assembled matter-field model: H acts on C^L tensor Fock."""
@@ -129,9 +138,6 @@ class CoupledModel:
     spec: ModelSpec
     basis: FockBasis
     H: np.ndarray
-    Hp: np.ndarray
-    Hf: np.ndarray
-    Phi: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -140,14 +146,7 @@ class CoupledModel:
 
 def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
     """H = H_p (x) 1 + 1 (x) H_f + g Gamma (x) Phi(f), particle index outer."""
-    L = spec.n_levels
-    D = basis.dim
-    Hp = np.diag(spec.particle_levels).astype(complex)
-    Hf = field_hamiltonian(basis).mat
-    Phi = field_operator(spec, basis)
-    H = (np.kron(Hp, np.eye(D)) + np.kron(np.eye(L), Hf)
-         + spec.g * np.kron(spec.gamma, Phi))
-    return CoupledModel(spec=spec, basis=basis, H=H, Hp=Hp, Hf=Hf, Phi=Phi)
+    return CoupledModel(spec=spec, basis=basis, H=_coupled_matrix(spec, basis, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +155,13 @@ def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
 
 @dataclass
 class DeformedOperator:
-    """Dilated model H_theta; non-Hermitian for Im theta != 0."""
+    """Dilated model H_theta on C^L tensor Fock (L*D square); non-Hermitian
+    for Im theta != 0."""
 
     theta: complex
-    matrix: OperatorMatrix
+    H: np.ndarray
+    basis: FockBasis
     spec: ModelSpec
-
-    def __post_init__(self):
-        if abs(np.imag(self.theta)) >= np.pi / 4:
-            raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
 
 
 def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> DeformedOperator:
@@ -177,20 +174,10 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Deforme
     """
     if abs(np.imag(theta)) >= np.pi / 4:
         raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
-    L = spec.n_levels
-    D = basis.dim
-    Hf = field_hamiltonian(basis).mat
-    k = basis.grid.nodes
-    scaled_k = np.exp(-theta) * k
+    scaled_k = np.exp(-theta) * basis.grid.nodes
     fvals = np.exp(-1.5 * theta) * np.asarray(spec.cutoff(scaled_k), dtype=complex) / np.sqrt(scaled_k)
-    Phi_th = field_operator(spec, basis, fvals=fvals)
-    H = (np.kron(np.diag(spec.particle_levels).astype(complex), np.eye(D))
-         + np.exp(-theta) * np.kron(np.eye(L), Hf)
-         + spec.g * np.kron(spec.gamma, Phi_th))
-    herm = np.imag(theta) == 0 and np.max(np.abs(H - H.conj().T)) < 1e-10
-    return DeformedOperator(theta=theta,
-                            matrix=OperatorMatrix(H, basis, hermitian=bool(herm), blocks=L),
-                            spec=spec)
+    H = _coupled_matrix(spec, basis, np.exp(-theta), fvals=fvals)
+    return DeformedOperator(theta=theta, H=H, basis=basis, spec=spec)
 
 
 def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
@@ -363,7 +350,7 @@ def pauli_fierz_transform(spec: ModelSpec, x_grid, k_grid=None) -> dict:
 # fiber Hamiltonians and mass renormalization
 # ---------------------------------------------------------------------------
 
-def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> OperatorMatrix:
+def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> np.ndarray:
     """H(P) = (P - P_f - g Phi)^2 / 2m + H_f, momenta scalarized along P."""
     if abs(P) >= 1.0 / 3.0:
         warnings.warn(f"|P| = {abs(P)} outside the controlled range |P| < 1/3")
@@ -371,9 +358,7 @@ def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> OperatorMa
     Pf = np.diag((basis.states @ basis.grid.nodes).astype(complex))
     Phi = field_operator(spec, basis)
     A = P * np.eye(D) - Pf - spec.g * Phi
-    H = A @ A / (2.0 * spec.mass) + field_hamiltonian(basis).mat
-    herm = np.max(np.abs(H - H.conj().T)) < 1e-10
-    return OperatorMatrix(H, basis, hermitian=bool(herm))
+    return A @ A / (2.0 * spec.mass) + field_hamiltonian(basis)
 
 
 def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:
@@ -386,7 +371,7 @@ def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:
     energies = []
     for P in p_grid:
         H = fiber_hamiltonian(spec, basis, float(P))
-        energies.append(float(np.min(np.linalg.eigvalsh(H.mat))))
+        energies.append(float(np.min(np.linalg.eigvalsh(H))))
     energies = np.asarray(energies)
     design = np.stack([np.ones_like(p_grid), p_grid ** 2, p_grid ** 3], axis=1)
     coef, res, _, _ = np.linalg.lstsq(design, energies, rcond=None)
@@ -394,10 +379,10 @@ def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:
     residual = float(np.max(np.abs(fit - energies)))
     scale = max(1.0, float(np.max(np.abs(energies))))
     if residual > 1e-4 * scale:
-        raise RuntimeError(f"fiber energy fit is ill conditioned (residual {residual:.3e})")
+        raise ValueError(f"fiber energy fit is ill conditioned (residual {residual:.3e})")
     b = coef[1]
     if b <= 0:
-        raise RuntimeError("fit produced a nonpositive quadratic coefficient")
+        raise ValueError("fit produced a nonpositive quadratic coefficient")
     return {
         "p_grid": p_grid,
         "energies": energies,

@@ -325,8 +325,7 @@ def assemble_operator(H: NormalFormHamiltonian, basis: FockBasis) -> OperatorMat
     total = np.zeros((D, D), dtype=complex)
     for w in H.terms.values():
         total += assemble_term(w, basis)
-    herm = bool(np.max(np.abs(total - total.conj().T)) < 1e-10) if D else True
-    return OperatorMatrix(total, basis, hermitian=herm)
+    return OperatorMatrix(total, basis)
 
 
 def basic_bound_margin(w: CouplingFunction, rho: float, mu: float, basis: FockBasis):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, FockBasis, OperatorMatrix
+from .fock import DEFAULT_DIM_CAP
 from .models import (CoupledModel, DeformedOperator, ModelSpec, build_model,
                      complex_dilate, form_factor)
 from .normalform import FOUR_PI
@@ -32,13 +32,10 @@ class ResolutionError(ValueError):
     pass
 
 
-def exact_spectrum(Hmat, k: int | None = None):
-    """Sorted eigenvalues: k lowest for Hermitian input, full set otherwise."""
-    if isinstance(Hmat, OperatorMatrix):
-        mat, herm = Hmat.mat, Hmat.hermitian
-    else:
-        mat = np.asarray(Hmat, dtype=complex)
-        herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
+def exact_spectrum(H, k: int | None = None):
+    """Sorted eigenvalues: k lowest if max|H - H*| < 1e-10, full set otherwise."""
+    mat = np.asarray(H, dtype=complex)
+    herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
     if mat.shape[0] > DEFAULT_DIM_CAP:
         raise SolverError(f"dimension {mat.shape[0]} exceeds the dense cap {DEFAULT_DIM_CAP}")
     try:
@@ -53,9 +50,8 @@ def exact_spectrum(Hmat, k: int | None = None):
     return vals
 
 
-def ground_state(Hmat) -> tuple[float, np.ndarray]:
-    mat = Hmat.mat if isinstance(Hmat, OperatorMatrix) else np.asarray(Hmat)
-    vals, vecs = np.linalg.eigh(mat)
+def ground_state(H) -> tuple[float, np.ndarray]:
+    vals, vecs = np.linalg.eigh(np.asarray(H))
     return float(vals[0]), vecs[:, 0]
 
 
@@ -78,19 +74,19 @@ def resonance_eigenvalue(D: DeformedOperator, seed: complex,
     The eigenvalue is located at D's own angle; stability is the maximum
     pairwise displacement of the re-located eigenvalue across the given
     Im theta triple (the continuum branches rotate with theta, the discrete
-    resonance must not).  Contract: Im z <= 0 up to solver noise.
+    resonance must not).  At D's own angle the eigenvalue is z itself and is
+    not solved for again.  Contract: Im z <= 0 up to solver noise.
     """
     if np.imag(D.theta) <= 0:
         raise ValueError("resonance location needs Im theta > 0")
     spec = D.spec
     if radius is None:
         radius = 0.5 * spec.level_gap if np.isfinite(spec.level_gap) else 0.5
-    z = _nearest_eigenvalue(D.matrix.mat, seed, radius)
-    basis = D.matrix.basis
-    zs = []
-    for t in stability_thetas:
-        Dt = complex_dilate(spec, basis, np.real(D.theta) + 1j * t)
-        zs.append(_nearest_eigenvalue(Dt.matrix.mat, z, radius))
+    z = _nearest_eigenvalue(D.H, seed, radius)
+    zs = [z if t == np.imag(D.theta) else
+          _nearest_eigenvalue(complex_dilate(spec, D.basis, np.real(D.theta) + 1j * t).H,
+                              z, radius)
+          for t in stability_thetas]
     stability = max(abs(a - b) for a in zs for b in zs)
     if np.imag(z) > 1e-10 * max(1.0, abs(z)):
         raise SolverError(f"resonance with positive imaginary part {z}")
@@ -99,7 +95,7 @@ def resonance_eigenvalue(D: DeformedOperator, seed: complex,
 
 def resonance_multiplicity(D: DeformedOperator, center: complex, radius: float) -> int:
     """Algebraic multiplicity inside a disc: eigenvalue count with repetition."""
-    vals = np.linalg.eigvals(D.matrix.mat)
+    vals = np.linalg.eigvals(D.H)
     return int(np.sum(np.abs(vals - center) < radius))
 
 
@@ -123,7 +119,7 @@ def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray,
     F(z) = p/(pole - z) + a + b (z - pole) is fitted on samples taken along
     three rays at 120 degrees around the located eigenvalue.
     """
-    H = D.matrix.mat
+    H = D.H
     dim = H.shape[0]
     eigs = np.linalg.eigvals(H)
     values = []
@@ -152,7 +148,7 @@ def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray,
     the maximum relative misfit.  The residue certifies a genuine first-order
     pole when it is finite and nonzero.
     """
-    H = D.matrix.mat
+    H = D.H
     dim = H.shape[0]
     eigs = np.linalg.eigvals(H)
     pole = complex(eigs[np.argmin(np.abs(eigs - seed))])
@@ -189,7 +185,7 @@ def combes_deviation(model: CoupledModel, model_covariant: CoupledModel,
     vectors are fixed by the rotation.  Agreement of the two code paths is the
     discrete form of the analytic-continuation argument for matrix elements.
     """
-    Hd = D.matrix.mat
+    Hd = D.H
     Hc = model_covariant.H
     dim = Hd.shape[0]
     dev = 0.0

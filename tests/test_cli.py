@@ -123,6 +123,27 @@ class TestMassCommand:
         assert all(a <= b + 1e-12 for a, b in zip(m, m[1:]))
 
 
+class TestSolverFailures:
+    def test_spectrum_solver_error_exits_with_domain_code(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise specrg.oracle.SolverError("eigensolver did not converge")
+
+        monkeypatch.setattr(specrg.oracle, "exact_spectrum", fail)
+        cfg = _cfg(tmp_path, BASE_CONFIG)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "did not converge" in err
+
+    def test_mass_fit_failure_exits_with_domain_code(self, tmp_path, monkeypatch, capsys):
+        # E(P) = -P^2 gives a negative quadratic coefficient, so no mass
+        monkeypatch.setattr(specrg.models, "fiber_hamiltonian",
+                            lambda spec, basis, P: -P ** 2 * np.eye(basis.dim))
+        cfg = _cfg(tmp_path, MASS_CONFIG)
+        assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "quadratic coefficient" in err
+
+
 class TestResonanceCommand:
     def test_stable_pole_column(self, tmp_path):
         cfg = _cfg(tmp_path, RESONANCE_CONFIG)

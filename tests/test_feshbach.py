@@ -3,19 +3,14 @@
 import numpy as np
 import pytest
 
-from specrg.fock import ModeGrid, OperatorMatrix, build_fock_basis, build_mode_grid
+from specrg.fock import OperatorMatrix, build_fock_basis, build_mode_grid
 from specrg.feshbach import (NotInvertibleError, ProjectionPair, feshbach_map,
                              identity_defect, isospectral_check,
                              projection_from_diagonal, reconstruct_inverse,
                              spectral_projection)
-
-
-def _tagged(mat, hermitian=False):
-    """Wrap an arbitrary square matrix for the map (one-mode stand-in basis)."""
-    dim = mat.shape[0]
-    grid = ModeGrid(np.array([1.0]), np.array([1.0]))
-    basis = build_fock_basis(grid, dim - 1)
-    return OperatorMatrix(mat, basis, hermitian=hermitian)
+from specrg.models import ModelSpec, ground_sector_hamiltonian
+from specrg.normalform import assemble_operator, assemble_term
+from specrg.oracle import exact_spectrum
 
 
 class TestProjectionPairs:
@@ -52,32 +47,31 @@ class TestProjectionPairs:
 class TestFeshbachMap:
     def test_two_by_two_schur_complement(self):
         a, b, d = 1.3, 0.4 - 0.2j, 2.7
-        H = _tagged(np.array([[a, b], [np.conj(b), d]]))
+        H = np.array([[a, b], [np.conj(b), d]])
         pair = projection_from_diagonal(np.array([1.0, 0.0]), smooth=False)
         res = feshbach_map(H, None, pair)
-        assert res.F.mat[0, 0] == pytest.approx(a - abs(b) ** 2 / d)
+        assert res.F[0, 0] == pytest.approx(a - abs(b) ** 2 / d)
         # outside the decimation sector F carries only tau
-        assert res.F.mat[1, 1] == pytest.approx(d)
+        assert res.F[1, 1] == pytest.approx(d)
 
     def test_diagonal_hamiltonian_passes_through(self):
-        H = _tagged(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
+        H = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         pair = projection_from_diagonal(np.array([1.0, 1.0, 0.0, 0.0]), smooth=False)
         res = feshbach_map(H, None, pair)
-        assert np.allclose(res.F.mat, H.mat)
+        assert np.allclose(res.F, H)
 
     def test_identity_defects_vanish(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        H = _tagged(A)
         chi = np.linspace(0.0, 1.0, 12)
         pair = projection_from_diagonal(chi, smooth=True)
-        res = feshbach_map(H, None, pair)
-        d1, d2 = identity_defect(H, res)
+        res = feshbach_map(A, None, pair)
+        d1, d2 = identity_defect(A, res)
         scale = np.linalg.norm(A, 2)
         assert d1 < 1e-12 * scale and d2 < 1e-12 * scale
 
     def test_singular_chibar_block_raises(self):
-        H = _tagged(np.diag([1.0, 0.0]).astype(complex))
+        H = np.diag([1.0, 0.0]).astype(complex)
         pair = projection_from_diagonal(np.array([1.0, 0.0]), smooth=False)
         with pytest.raises(NotInvertibleError):
             feshbach_map(H, None, pair)
@@ -89,42 +83,39 @@ class TestFeshbachMap:
         hf = np.diag(basis.hf_diagonal())
         V = rng.standard_normal((D, D)) * 0.02
         mat = hf + (V + V.T) / 2.0
-        H = OperatorMatrix(mat, basis, hermitian=True)
         pair = spectral_projection(basis, rho=0.5)
         # the map is isospectral through characteristic zeros: H - lam is
         # singular iff F(H - lam) is singular on the decimation sector
         lam = float(np.min(np.linalg.eigvalsh(mat)))
-        rep = isospectral_check(H, pair, lam)
+        rep = isospectral_check(mat, pair, lam)
         assert rep["dim_null_H"] == rep["dim_null_F"] == 1
-        rep_off = isospectral_check(H, pair, lam - 0.05)
+        rep_off = isospectral_check(mat, pair, lam - 0.05)
         assert rep_off["dim_null_H"] == rep_off["dim_null_F"] == 0
 
 
 class TestReconstructInverse:
     def test_diagonal_inverse(self):
-        H = _tagged(np.diag([2.0, 4.0, 8.0]).astype(complex))
+        H = np.diag([2.0, 4.0, 8.0]).astype(complex)
         pair = projection_from_diagonal(np.array([1.0, 0.0, 0.0]), smooth=False)
         res = feshbach_map(H, None, pair)
-        inv = reconstruct_inverse(res, pair).mat
+        inv = reconstruct_inverse(res)
         assert np.allclose(inv, np.diag([0.5, 0.25, 0.125]))
 
     def test_two_by_two_matches_direct_inverse(self):
         mat = np.array([[1.5, 0.3], [0.3, 2.5]], dtype=complex)
-        H = _tagged(mat)
         pair = projection_from_diagonal(np.array([1.0, 0.0]), smooth=False)
-        res = feshbach_map(H, None, pair)
-        inv = reconstruct_inverse(res, pair).mat
+        res = feshbach_map(mat, None, pair)
+        inv = reconstruct_inverse(res)
         assert np.allclose(inv, np.linalg.inv(mat), atol=1e-13)
 
     def test_random_well_conditioned(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         mat = A + 8.0 * np.eye(64)  # push away from singularity
-        H = _tagged(mat)
         chi = (rng.random(64) > 0.5).astype(float)
         pair = projection_from_diagonal(chi, smooth=False)
-        res = feshbach_map(H, None, pair)
-        inv = reconstruct_inverse(res, pair).mat
+        res = feshbach_map(mat, None, pair)
+        inv = reconstruct_inverse(res)
         direct = np.linalg.inv(mat)
         err = np.linalg.norm(inv - direct, 2) / np.linalg.norm(direct, 2)
         assert err < 1e-10
@@ -132,14 +123,14 @@ class TestReconstructInverse:
 
 class TestIsospectralCheck:
     def test_diagonal_null_transport(self):
-        H = _tagged(np.diag([0.3, 1.0, 2.0]).astype(complex))
+        H = np.diag([0.3, 1.0, 2.0]).astype(complex)
         pair = projection_from_diagonal(np.array([1.0, 1.0, 0.0]), smooth=False)
         rep = isospectral_check(H, pair, 0.3)
         assert rep["dim_null_H"] == 1 and rep["dim_null_F"] == 1
         assert rep["null_dims_equal"]
 
     def test_resolvent_point(self):
-        H = _tagged(np.diag([0.3, 1.0, 2.0]).astype(complex))
+        H = np.diag([0.3, 1.0, 2.0]).astype(complex)
         pair = projection_from_diagonal(np.array([1.0, 1.0, 0.0]), smooth=False)
         rep = isospectral_check(H, pair, 0.5 + 0.1j)
         assert rep["dim_null_H"] == rep["dim_null_F"] == 0
@@ -151,7 +142,7 @@ class TestIsospectralCheck:
         A = rng.standard_normal((6, 6))
         Q, _ = np.linalg.qr(A)
         mat = Q @ np.diag(diag) @ Q.T
-        H = _tagged(mat.astype(complex), hermitian=True)
+        H = mat.astype(complex)
         chi = (np.diag(mat).real < 1.5).astype(float)
         if chi.sum() in (0, 6):
             chi[0] = 1.0 - chi[0]
@@ -169,12 +160,33 @@ class TestIsospectralCheck:
         hf = np.diag(basis.hf_diagonal())
         V = rng.standard_normal((D, D)) * 0.05
         mat = hf + (V + V.T) / 2.0
-        H = OperatorMatrix(mat, basis, hermitian=True)
         rho = 0.9
-        sharp = feshbach_map(H, None, spectral_projection(basis, rho)).F.mat
+        sharp = feshbach_map(mat, None, spectral_projection(basis, rho)).F
         diffs = []
         for taper in (rho / 2.0, rho / 8.0, rho / 32.0):
             pair = spectral_projection(basis, rho, smooth=True, taper=taper)
-            smooth = feshbach_map(H, None, pair).F.mat
+            smooth = feshbach_map(mat, None, pair).F
             diffs.append(np.linalg.norm(smooth - sharp, 2))
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+class TestAssembledOperatorInput:
+    def test_tagged_and_plain_matrix_give_equal_results(self):
+        # assemble_operator tags its matrix with the basis; the dense functions
+        # must treat the tag exactly like its .mat, as the benchmark calls them
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+        basis = build_fock_basis(build_mode_grid(4, 1.0 / 3.0, "geometric"), 3)
+        H = ground_sector_hamiltonian(spec, basis.grid, 0.0)
+        Hop = assemble_operator(H, basis)
+        tau = assemble_term(H.terms[(0, 0)], basis)
+        pair = spectral_projection(basis, 0.5)
+        tagged = feshbach_map(Hop, OperatorMatrix(tau, basis), pair)
+        plain = feshbach_map(Hop.mat, tau, pair)
+        for field in ("F", "Q", "Qsharp", "Hchibar_inv", "tau"):
+            assert np.array_equal(getattr(tagged, field), getattr(plain, field))
+        assert identity_defect(Hop, tagged) == identity_defect(Hop.mat, plain)
+        spectrum = exact_spectrum(Hop)
+        assert np.array_equal(spectrum, exact_spectrum(Hop.mat))
+        assert np.isrealobj(spectrum)  # the assembled kernels are Hermitian
+        lam = float(spectrum[0])
+        assert isospectral_check(Hop, pair, lam) == isospectral_check(Hop.mat, pair, lam)

@@ -89,7 +89,7 @@ class TestLadderOperators:
     def test_annihilate_vacuum_is_zero(self):
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
-        a = ladder_matrix(basis, 0, "annihilate").mat
+        a = ladder_matrix(basis, 0, "annihilate")
         vac = np.zeros(basis.dim)
         vac[0] = 1.0
         assert np.linalg.norm(a @ vac) == 0.0
@@ -97,7 +97,7 @@ class TestLadderOperators:
     def test_create_on_single_quantum(self):
         grid = build_mode_grid(1, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
-        c = ladder_matrix(basis, 0, "create").mat
+        c = ladder_matrix(basis, 0, "create")
         one = np.zeros(3)
         one[basis.state_index([1])] = 1.0
         out = c @ one
@@ -108,7 +108,7 @@ class TestLadderOperators:
     def test_create_out_of_truncated_sector_vanishes(self):
         grid = build_mode_grid(1, 1.0, "uniform")
         basis = build_fock_basis(grid, 1)
-        c = ladder_matrix(basis, 0, "create").mat
+        c = ladder_matrix(basis, 0, "create")
         top = np.zeros(2)
         top[basis.state_index([1])] = 1.0
         assert np.linalg.norm(c @ top) == 0.0
@@ -119,8 +119,8 @@ class TestLadderOperators:
         safe = basis.safe_mask()
         for i in range(3):
             for j in range(3):
-                a = ladder_matrix(basis, i, "annihilate").mat
-                c = ladder_matrix(basis, j, "create").mat
+                a = ladder_matrix(basis, i, "annihilate")
+                c = ladder_matrix(basis, j, "create")
                 comm = a @ c - c @ a
                 expect = (1.0 if i == j else 0.0) * np.eye(basis.dim)
                 dev = np.max(np.abs((comm - expect)[:, safe]))
@@ -130,7 +130,7 @@ class TestLadderOperators:
         # 100 modes at n_max = 1: a mixed-radix key (n_max + 1)^n_modes would
         # overflow any fixed-width integer
         basis = build_fock_basis(build_mode_grid(100, 1.0, "uniform"), 1)
-        a = ladder_matrix(basis, 99, "annihilate").mat
+        a = ladder_matrix(basis, 99, "annihilate")
         assert a[0, basis.state_index([0] * 99 + [1])] == 1.0
         assert np.count_nonzero(a) == 1
 
@@ -138,7 +138,7 @@ class TestLadderOperators:
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
         for mode in range(2):
-            a = ladder_matrix(basis, mode, "annihilate").mat
+            a = ladder_matrix(basis, mode, "annihilate")
             num = a.conj().T @ a
             assert np.diag(num).real == pytest.approx(basis.states[:, mode])
 
@@ -155,13 +155,13 @@ class TestFieldHamiltonian:
     def test_vacuum_eigenvalue_zero(self):
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
-        hf = field_hamiltonian(basis).mat
+        hf = field_hamiltonian(basis)
         assert hf[0, 0] == 0.0
 
     def test_single_and_double_occupancy_energies(self):
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
-        hf = np.diag(field_hamiltonian(basis).mat).real
+        hf = np.diag(field_hamiltonian(basis)).real
         k1, k2 = grid.nodes
         assert hf[basis.state_index([1, 0])] == pytest.approx(k1)
         assert hf[basis.state_index([0, 1])] == pytest.approx(k2)
@@ -175,19 +175,6 @@ class TestOperatorMatrix:
         basis = build_fock_basis(grid, 1)
         with pytest.raises(ValueError, match="does not match"):
             OperatorMatrix(np.zeros((2, 2)), basis)
-
-    def test_block_tagging(self):
-        grid = build_mode_grid(2, 1.0, "uniform")
-        basis = build_fock_basis(grid, 1)  # dim 3
-        OperatorMatrix(np.zeros((6, 6)), basis, blocks=2)
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.zeros((6, 6)), basis, blocks=3)
-
-    def test_hermitian_flag_checked(self):
-        grid = build_mode_grid(1, 1.0, "uniform")
-        basis = build_fock_basis(grid, 1)
-        with pytest.raises(ValueError, match="hermitian"):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), basis, hermitian=True)
 
 
 class TestPullThrough:

@@ -80,7 +80,7 @@ class TestBuildModel:
         coef = np.sqrt(slot_masses(basis)) * fvals
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for a in range(basis.n_modes):
-            am = ladder_matrix(basis, a, "annihilate").mat
+            am = ladder_matrix(basis, a, "annihilate")
             expected += coef[a] * am.conj().T + np.conj(coef[a]) * am
         assert np.array_equal(field_operator(_two_level(1e-3), basis, fvals=fvals), expected)
 
@@ -96,7 +96,7 @@ class TestComplexDilation:
         D = complex_dilate(spec, basis, 0.15 + 0j)
         covariant = build_model(spec, build_fock_basis(dilated_grid(grid, 0.15), 1))
         a = np.sort(np.linalg.eigvalsh(covariant.H))
-        b = np.sort(np.linalg.eigvals(D.matrix.mat).real)
+        b = np.sort(np.linalg.eigvals(D.H).real)
         assert np.allclose(a, b, atol=1e-10)
 
     def test_real_theta_equals_covariant_grid_model(self):
@@ -105,7 +105,7 @@ class TestComplexDilation:
         basis = build_fock_basis(grid, 1)
         D = complex_dilate(spec, basis, 0.15 + 0j)
         covariant = build_model(spec, build_fock_basis(dilated_grid(grid, 0.15), 1))
-        assert np.max(np.abs(D.matrix.mat - covariant.H)) < 1e-12
+        assert np.max(np.abs(D.H - covariant.H)) < 1e-12
 
     def test_uncoupled_continuum_rotates(self):
         spec = _two_level(0.0)
@@ -113,7 +113,7 @@ class TestComplexDilation:
         basis = build_fock_basis(grid, 1)
         theta = 0.2j
         D = complex_dilate(spec, basis, theta)
-        vals = np.linalg.eigvals(D.matrix.mat)
+        vals = np.linalg.eigvals(D.H)
         expected = np.concatenate([
             e + np.exp(-theta) * np.concatenate(([0.0], grid.nodes))
             for e in spec.particle_levels])
@@ -199,7 +199,7 @@ class TestFiberAndMass:
         spec = ModelSpec(particle_levels=np.array([0.0]), g=0.0, kappa=1.0)
         for P in (0.0, 0.1, 0.25):
             H = fiber_hamiltonian(spec, basis, P)
-            e0 = np.min(np.linalg.eigvalsh(H.mat))
+            e0 = np.min(np.linalg.eigvalsh(H))
             assert e0 == pytest.approx(P ** 2 / 2.0, abs=1e-13)
 
     def test_coupling_flattens_dispersion(self):
@@ -211,7 +211,7 @@ class TestFiberAndMass:
         coupled = ModelSpec(particle_levels=np.array([0.0]), g=1e-2, kappa=1.0)
         fit = mass_renormalization(coupled, basis, np.linspace(-0.2, 0.2, 7))
         assert fit["m_ren"] > 1.0
-        e_zero = np.min(np.linalg.eigvalsh(fiber_hamiltonian(coupled, basis, 0.0).mat))
+        e_zero = np.min(np.linalg.eigvalsh(fiber_hamiltonian(coupled, basis, 0.0)))
         assert e_zero > 0.0
 
     def test_mass_unrenormalized_at_zero_coupling(self):

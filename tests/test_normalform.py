@@ -243,7 +243,7 @@ class TestAssembly:
         basis = build_fock_basis(grid, 2)
         w00 = _kernel(0, 0, grid.nodes, lambda r: r)
         mat = assemble_term(w00, basis)
-        assert np.allclose(mat, field_hamiltonian(basis).mat)
+        assert np.allclose(mat, field_hamiltonian(basis))
 
     def test_single_mode_creation_entry(self):
         grid = build_mode_grid(1, 0.5, "uniform")
@@ -285,8 +285,8 @@ class TestAssembly:
         shape = (len(r),) + (3,) * (m + n)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w = CouplingFunction(m, n, r, grid.nodes, vals)
-        create = [ladder_matrix(basis, k, "create").mat for k in range(3)]
-        annihilate = [ladder_matrix(basis, k, "annihilate").mat for k in range(3)]
+        create = [ladder_matrix(basis, k, "create") for k in range(3)]
+        annihilate = [ladder_matrix(basis, k, "annihilate") for k in range(3)]
         root_mass = np.sqrt(slot_masses(basis))
         kern = w.at_r(basis.hf_diagonal())
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
