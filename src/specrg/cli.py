@@ -183,11 +183,13 @@ def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
     thetas = cfg.get("im_thetas", [0.15, 0.2, 0.25])
     level = int(cfg.get("level", 1))
     seed_energy = float(spec.particle_levels[level])
+    if not thetas:
+        raise ValueError("im_thetas must list at least one angle")
+    # one dilation and one located eigenvalue per angle give every row
+    D = models.complex_dilate(spec, basis, 1j * float(thetas[0]))
+    _, zs, stab = oracle._resonance_at_angles(D, seed_energy, None, thetas)
     lines = ["im_theta,z_re,z_im,stability"]
-    for t in thetas:
-        D = models.complex_dilate(spec, basis, 1j * float(t))
-        z, stab = oracle.resonance_eigenvalue(D, seed_energy,
-                                              stability_thetas=tuple(thetas))
+    for t, z in zip(thetas, zs):
         lines.append(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(stab)}")
     _write(out / "resonance.csv", "\n".join(lines) + "\n")
     return EXIT_OK

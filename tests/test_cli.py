@@ -156,6 +156,34 @@ class TestResonanceCommand:
         assert all(v < 0 for v in ims)
         assert all(s < 1e-5 for s in stabs)
 
+    def test_each_angle_is_dilated_and_solved_once(self, tmp_path, monkeypatch):
+        calls = {"dilate": 0, "locate": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        dilate = counted("dilate", specrg.models.complex_dilate)
+        monkeypatch.setattr(specrg.models, "complex_dilate", dilate)
+        monkeypatch.setattr(specrg.oracle, "complex_dilate", dilate)
+        monkeypatch.setattr(specrg.oracle, "_nearest_eigenvalue",
+                            counted("locate", specrg.oracle._nearest_eigenvalue))
+        cfg = _cfg(tmp_path, RESONANCE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["resonance", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert calls == {"dilate": 3, "locate": 3}
+        rows = (out / "resonance.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == [f"{t:.16e}" for t in (0.15, 0.2, 0.25)]
+        assert len({r.split(",")[3] for r in rows}) == 1
+
+    @pytest.mark.parametrize("thetas", [[], [0.2, 0.0]])
+    def test_missing_or_real_angle_exits_with_domain_code(self, tmp_path, thetas):
+        cfg = _cfg(tmp_path, {**RESONANCE_CONFIG, "im_thetas": thetas})
+        assert main(["resonance", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+
 
 class TestDeterminism:
     CONFIGS = {"flow": {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "n_modes": 4},
@@ -188,3 +216,21 @@ class TestImports:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_resonance_location_leaves_scipy_out(self):
+        # the shifted inverse iteration is plain numpy; importing any part of
+        # scipy would raise the dense workload's peak memory by about a fifth
+        src = str(Path(specrg.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, numpy as np, specrg.cli\n"
+                "from specrg import fock, models, oracle\n"
+                "spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=2.0)\n"
+                "basis = fock.build_fock_basis(fock.build_mode_grid(16, 2.0, 'uniform'), 1)\n"
+                "z, stab = oracle.resonance_eigenvalue(models.complex_dilate(spec, basis, 0.2j), 1.0)\n"
+                "assert z.imag < 0.0, z\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specrg import oracle
 from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid)
 from specrg.oracle import (NotFoundError, ResolutionError, SolverError,
@@ -81,11 +82,75 @@ class TestResonanceEigenvalue:
         with pytest.raises(NotFoundError):
             resonance_eigenvalue(D, 10.0, radius=0.05)
 
+    def test_seed_that_singles_out_no_eigenvalue_raises(self):
+        # from 10 the top continuum eigenvalues 1 + e^-theta k are all about
+        # equally far, so no one of them is the resonance the seed names
+        spec, grid, basis = _resonance_setup(0.0)
+        D = complex_dilate(spec, basis, 0.2j)
+        with pytest.raises(SolverError, match="did not converge"):
+            resonance_eigenvalue(D, 10.0, radius=100.0)
+
     def test_multiplicity_one_for_nondegenerate_level(self):
         spec, grid, basis = _resonance_setup(2e-3)
         D = complex_dilate(spec, basis, 0.2j)
         z, _ = resonance_eigenvalue(D, 1.0)
         assert resonance_multiplicity(D, z, 0.01) == 1
+
+
+def _nearest_root(mat, seed):
+    vals = np.linalg.eigvals(mat)
+    return vals[np.argmin(np.abs(vals - seed))]
+
+
+class TestNearestEigenvalue:
+    @pytest.mark.parametrize("n", [2, 7, 40, 120])
+    def test_matches_eigvals_on_random_nonnormal_matrices(self, n):
+        rng = np.random.default_rng(n)
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat[np.triu_indices(n, 1)] *= 5.0  # far from normal
+        vals = np.linalg.eigvals(mat)
+        hnorm = np.linalg.norm(mat, 2)
+        for j in rng.choice(n, size=min(n, 4), replace=False):
+            # a seed a tenth of the way to the next eigenvalue singles out vals[j]
+            gap = np.min(np.abs(np.delete(vals, j) - vals[j]))
+            seed = vals[j] + 0.1 * gap * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            z = oracle._nearest_eigenvalue(mat, seed, radius=gap)
+            assert abs(z - vals[j]) <= 1e-12 * hnorm
+
+    def test_matches_eigvals_on_dense_oracle_dilation(self):
+        spec = _two_level(1.5e-3)
+        basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 2)
+        H = complex_dilate(spec, basis, 0.2j).H
+        assert H.shape == (650, 650)
+        z = oracle._nearest_eigenvalue(H, 1.0, 0.5)
+        assert abs(z - _nearest_root(H, 1.0)) <= 1e-12 * np.linalg.norm(H, 2)
+
+    def test_outside_radius_raises_not_found(self):
+        mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        with pytest.raises(NotFoundError):
+            oracle._nearest_eigenvalue(mat, 5.0, radius=1.0)
+
+    def test_equidistant_tie_raises_solver_error(self):
+        mat = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(SolverError, match="did not converge"):
+            oracle._nearest_eigenvalue(mat, 0.0, radius=5.0)
+
+    def test_exactly_singular_shift_returns_seed(self):
+        mat = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 3.0]], dtype=complex)
+        assert oracle._nearest_eigenvalue(mat, 1.0, radius=0.1) == 1.0
+
+    def test_resonance_eigenvalue_runs_no_full_eigensolve(self, monkeypatch):
+        spec, grid, basis = _resonance_setup(2e-3)
+        D = complex_dilate(spec, basis, 0.2j)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda *a, **k: calls.append(1) or eigvals(*a, **k))
+        z, stab = resonance_eigenvalue(D, 1.0)
+        assert calls == []
+        monkeypatch.undo()
+        assert abs(z - _nearest_root(D.H, 1.0)) <= 1e-13
+        assert z.imag < 0.0 and stab < 1e-6 * spec.level_gap
 
 
 class TestPoleFitting:
