@@ -18,8 +18,7 @@ from .normalform import (CouplingFunction, NormalFormHamiltonian,
                          slot_masses, split, t_slope_deviation)
 from .feshbach import (FeshbachResult, NotInvertibleError, ProjectionPair,
                        feshbach_map, identity_defect, isospectral_check,
-                       projection_from_diagonal, reconstruct_inverse,
-                       spectral_projection)
+                       reconstruct_inverse, spectral_projection)
 from .rgflow import (DomainError, FlowStalledError, FlowTrajectory,
                      PolydiscParams, StepInfo, flow, normal_order_product,
                      parameter_flow, polydisc_membership, rg_step,

@@ -50,7 +50,7 @@ def _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target):
             kshape[axis] = len(nodes)
             vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
         raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
-    H = NormalFormHamiltonian({**terms, **raw}, mu=mu, xi=0.5, M_max=2, masses=masses)
+    H = NormalFormHamiltonian({**terms, **raw}, mu=mu, M_max=2, masses=masses)
     gamma = interaction_norm(H)
     scale = gamma_target / gamma
     for key in shapes:

@@ -4,10 +4,10 @@ Usage:
     specrg <verify|flow|spectrum|resonance|mass|pf> --config cfg.json
            --out outdir [--seed N]
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 domain or
-precondition violation or a dense solver failure.  Identical config and seed
-produce byte-identical output files; all CSV uses '.' decimals, '\\n' line
-endings, and a header row.
+Exit codes: 0 success, 1 invariant failure, 2 usage error (a config key that
+no command reads is one), 3 domain or precondition violation or a dense solver
+failure.  Identical config and seed produce byte-identical output files; all
+CSV uses '.' decimals, '\\n' line endings, and a header row.
 """
 
 from __future__ import annotations
@@ -25,6 +25,26 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+
+# Every key some command reads, at the top level ("") and inside "grid" and
+# "model".  One set serves all commands, so a config may be shared between them.
+CONFIG_KEYS = {"": {"grid", "model", "n_max", "rho", "mu", "n_trials", "n_steps", "s_max",
+                    "k", "im_thetas", "level", "g_values", "p_grid", "x_grid"},
+               "grid": {"n_modes", "k_max", "scheme"},
+               "model": {"particle_levels", "g", "kappa", "mass", "gamma"}}
+
+
+def _check_keys(cfg: dict) -> None:
+    """ValueError naming the first config key that no command reads."""
+    for section, known in CONFIG_KEYS.items():
+        table = cfg.get(section, {}) if section else cfg
+        if not isinstance(table, dict):
+            raise ValueError(f"config key {section!r} must hold a JSON object")
+        for key in table:
+            if key not in known:
+                name = f"{section}.{key}" if section else key
+                raise ValueError(f"unknown config key {name!r}")
 
 
 def _fmt(x: float) -> str:
@@ -105,7 +125,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
         chi = (rng.random(16) > 0.5).astype(float)
         if chi.sum() in (0, 16):
             chi[0] = 1.0 - chi[0]
-        pair = feshbach.projection_from_diagonal(chi, smooth=False)
+        pair = feshbach.ProjectionPair(chi, smooth=False)
         rep = feshbach.isospectral_check(H, pair, 0.1 + 0.05j)
         all_equal = all_equal and rep["null_dims_equal"]
         worst = max(worst, rep["identity_defect_HQ"], rep["identity_defect_QsH"])
@@ -131,10 +151,10 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _random_kernel(rng, nodes, m, n, mu, r_grid=None):
+def _random_kernel(rng, nodes, m, n, mu):
     """Symmetric Gaussian kernel with the critical infrared power k^(mu - 1/2)
     in every slot."""
-    r_grid = normalform.default_r_grid() if r_grid is None else r_grid
+    r_grid = normalform.default_r_grid()
     shape = (len(r_grid),) + (len(nodes),) * (m + n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for axis in range(1, m + n + 1):
@@ -180,7 +200,7 @@ def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
     grid = _grid_from_config(cfg)
     basis = fock.build_fock_basis(grid, int(cfg.get("n_max", 1)))
-    thetas = cfg.get("im_thetas", [0.15, 0.2, 0.25])
+    thetas = cfg.get("im_thetas", oracle.STABILITY_THETAS)
     level = int(cfg.get("level", 1))
     seed_energy = float(spec.particle_levels[level])
     if not thetas:
@@ -253,6 +273,7 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
+        _check_keys(cfg)
     except (OSError, ValueError) as exc:
         print(f"specrg: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

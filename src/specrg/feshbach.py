@@ -19,7 +19,7 @@ H^-1 = Q F^-1 Q# + chibar R chibar.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,35 +31,22 @@ INDETERMINATE_BAND = 10.0     # rank decisions within this factor are reported, 
 
 @dataclass
 class ProjectionPair:
-    """Diagonal cutoff pair with chi^2 + chibar^2 = 1."""
+    """Diagonal cutoff pair: chi in [0, 1] and chibar = sqrt(1 - chi^2),
+    so chi^2 + chibar^2 = 1 by construction."""
 
     chi: np.ndarray      # diagonal entries
-    chibar: np.ndarray
     smooth: bool
+    chibar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.chi = np.asarray(self.chi, dtype=float)
-        self.chibar = np.asarray(self.chibar, dtype=float)
-        if self.chi.shape != self.chibar.shape or self.chi.ndim != 1:
-            raise ValueError("chi and chibar must be 1-d arrays of equal length")
-        dev = np.max(np.abs(self.chi ** 2 + self.chibar ** 2 - 1.0))
-        if dev > 1e-12:
-            raise ValueError(f"chi^2 + chibar^2 = 1 violated by {dev:.3e}")
+        if self.chi.ndim != 1:
+            raise ValueError("chi must be a 1-d array")
         if np.any(self.chi < 0) or np.any(self.chi > 1):
             raise ValueError("chi must take values in [0, 1]")
-        if not self.smooth:
-            if np.max(np.abs(self.chi * (1.0 - self.chi))) > 1e-12:
-                raise ValueError("sharp pair requires chi to be an indicator")
-
-    @property
-    def dim(self) -> int:
-        return len(self.chi)
-
-    def chi_support(self) -> np.ndarray:
-        return self.chi > 0.0
-
-    def chibar_support(self) -> np.ndarray:
-        return self.chibar > 0.0
+        if not self.smooth and np.max(np.abs(self.chi * (1.0 - self.chi))) > 1e-12:
+            raise ValueError("sharp pair requires chi to be an indicator")
+        self.chibar = np.sqrt(np.clip(1.0 - self.chi ** 2, 0.0, None))
 
 
 def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
@@ -68,8 +55,7 @@ def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
 
     The smooth variant interpolates chi from 1 to 0 on [rho - taper, rho]
     (default taper rho/4, i.e. the window [3 rho / 4, rho]) with a cosine
-    profile; chibar = sqrt(1 - chi^2) makes the partition exact by
-    construction.
+    profile; ProjectionPair derives chibar from chi.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -87,14 +73,7 @@ def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
         ramp = (hf > lo) & (hf < rho)
         chi[ramp] = np.cos(0.5 * np.pi * (hf[ramp] - lo) / width)
         chi[hf >= rho] = 0.0
-    chibar = np.sqrt(np.clip(1.0 - chi ** 2, 0.0, None))
-    return ProjectionPair(chi=chi, chibar=chibar, smooth=smooth)
-
-
-def projection_from_diagonal(chi: np.ndarray, smooth: bool) -> ProjectionPair:
-    chi = np.asarray(chi, dtype=float)
-    chibar = np.sqrt(np.clip(1.0 - chi ** 2, 0.0, None))
-    return ProjectionPair(chi=chi, chibar=chibar, smooth=smooth)
+    return ProjectionPair(chi=chi, smooth=smooth)
 
 
 @dataclass
@@ -116,7 +95,7 @@ class NotInvertibleError(np.linalg.LinAlgError):
 def _chibar_block_inverse(tau, W, pair, sv_threshold):
     """Inverse of tau + chibar W chibar on the support of chibar, 0 elsewhere."""
     D = len(tau)
-    sup = pair.chibar_support()
+    sup = pair.chibar > 0.0
     if not np.any(sup):
         return np.zeros((D, D), dtype=complex)
     cb = pair.chibar[sup]
@@ -141,7 +120,7 @@ def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
     """
     H = np.asarray(H, dtype=complex)
     D = H.shape[0]
-    if pair.dim != D:
+    if len(pair.chi) != D:
         raise ValueError("projection pair dimension mismatch")
     if tau_part is None:
         tau = np.diag(H).copy()
@@ -193,9 +172,9 @@ def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
     return res.Q @ Finv @ res.Qsharp + cb[:, np.newaxis] * res.Hchibar_inv * cb[np.newaxis, :]
 
 
-def _null_dimension(mat: np.ndarray, threshold: float):
-    """(rank-deficiency count, indeterminate flag, null vectors)."""
-    u, s, vh = np.linalg.svd(mat)
+def _null_dimension(s: np.ndarray, vh: np.ndarray, threshold: float):
+    """(rank-deficiency count, indeterminate flag, null vectors) from the
+    singular values s and right singular vectors vh of a matrix."""
     null = s < threshold
     borderline = (~null) & (s < INDETERMINATE_BAND * threshold)
     vectors = vh.conj().T[:, null]
@@ -213,15 +192,17 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     H = np.asarray(H, dtype=complex)
     H = H - lam * np.eye(len(H))
     res = feshbach_map(H, None, pair)
-    hnorm = max(np.linalg.norm(H, 2), 1.0)
+    _, s, vh = np.linalg.svd(H)
+    hnorm = max(s[0], 1.0)  # the largest singular value is ||H||_2
     thr = RANK_THRESHOLD_FACTOR * hnorm
 
-    dim_h, ind_h, null_h = _null_dimension(H, thr)
+    dim_h, ind_h, null_h = _null_dimension(s, vh, thr)
     # F is block diagonal with respect to supp(chi); its action outside the
     # decimation sector is just tau and carries no spectral information about
     # the chi sector, so the null count is taken on the supp(chi) block.
-    sup = pair.chi_support()
-    dim_f, ind_f, null_f_block = _null_dimension(res.F[np.ix_(sup, sup)], thr)
+    sup = pair.chi > 0.0
+    _, s_f, vh_f = np.linalg.svd(res.F[np.ix_(sup, sup)])
+    dim_f, ind_f, null_f_block = _null_dimension(s_f, vh_f, thr)
     null_f = np.zeros((len(H), null_f_block.shape[1]), dtype=complex)
     null_f[sup, :] = null_f_block
 

@@ -144,14 +144,14 @@ class FockBasis:
         return self.states.sum(axis=1) <= self.n_max - 1
 
 
-def build_fock_basis(grid: ModeGrid, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockBasis:
+def build_fock_basis(grid: ModeGrid, n_max: int) -> FockBasis:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     M = grid.n_modes
     D = sum(comb(M + j - 1, j) for j in range(n_max + 1))
-    if D > dim_cap:
+    if D > DEFAULT_DIM_CAP:
         raise ValueError(
-            f"basis dimension D={D} exceeds the configured cap {dim_cap} "
+            f"basis dimension D={D} exceeds the dense cap {DEFAULT_DIM_CAP} "
             f"(n_modes={M}, n_max={n_max})"
         )
     states = _enumerate_states(M, n_max)

@@ -78,8 +78,7 @@ class ModelSpec:
             raise ValueError("form factor must satisfy chi(0) = 1")
         if self.phi_profile is None:
             self.phi_profile = lambda s: s
-        h = 1e-5
-        dphi0 = (self.phi_profile(h) - self.phi_profile(-h)) / (2.0 * h)
+        dphi0 = _phi_prime(self.phi_profile, 0.0)
         if abs(dphi0 - 1.0) > 1e-6:
             raise ValueError(f"phi_profile must have phi'(0) = 1, measured {dphi0:.6f}")
         if L > 1:
@@ -197,8 +196,7 @@ def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
 # ---------------------------------------------------------------------------
 
 def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
-                              level: int = 0, r_grid=None, mu: float = 0.5,
-                              xi: float = 0.5) -> NormalFormHamiltonian:
+                              level: int = 0, mu: float = 0.5) -> NormalFormHamiltonian:
     """Normal-form kernels of the model decimated onto one particle level.
 
     Eliminating the other levels at second order in g (a Schur complement on
@@ -218,8 +216,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     kept sector must fit in I = [0,1]; a grid with n_max k_max > 1 will
     clamp, and assemble_term warns about it when the caller assembles.
     """
-    if r_grid is None:
-        r_grid = default_r_grid()
+    r_grid = default_r_grid()
     j = level
     eps = spec.particle_levels
     others_eps = [eps[l] for l in range(spec.n_levels) if l != j]
@@ -266,15 +263,15 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     if abs(diag) > 0:
         terms[(1, 0)] = from_profile(1, 0, r_grid, nodes, lambda r, k: g * diag * fofk(k))
         terms[(0, 1)] = from_profile(0, 1, r_grid, nodes, lambda r, k: g * np.conj(diag) * fofk(k))
-    return NormalFormHamiltonian(terms, mu=mu, xi=xi, M_max=2, masses=masses)
+    return NormalFormHamiltonian(terms, mu=mu, M_max=2, masses=masses)
 
 
 # ---------------------------------------------------------------------------
 # generalized Pauli-Fierz transform (scalarized)
 # ---------------------------------------------------------------------------
 
-def _phi_prime(phi, s, h: float = 1e-5):
-    return (phi(s + h) - phi(s - h)) / (2.0 * h)
+def _phi_prime(phi, s):
+    return (phi(s + 1e-5) - phi(s - 1e-5)) / 2e-5
 
 
 def pf_gauge_function(spec: ModelSpec, x: float, k):
@@ -300,30 +297,30 @@ def pf_coupling(spec: ModelSpec, x: float, k):
     return np.exp(-1j * k * x) * (1.0 - dphivals + 1j * k * phivals / np.sqrt(k))
 
 
-def infrared_exponent(ks, vals, n_fit: int = 6) -> float:
-    """Fitted power of the small-k behaviour of |vals| (log-log slope)."""
+def infrared_exponent(ks, vals) -> float:
+    """Fitted power of the small-k behaviour of |vals|: the log-log slope
+    through its 6 smallest-k nonzero points."""
     ks = np.asarray(ks, dtype=float)
     mag = np.abs(np.asarray(vals))
     order = np.argsort(ks)
     ks, mag = ks[order], mag[order]
     keep = mag > 0
-    ks, mag = ks[keep][:n_fit], mag[keep][:n_fit]
+    ks, mag = ks[keep][:6], mag[keep][:6]
     if len(ks) < 2:
         return np.inf
     slope, _ = np.polyfit(np.log(ks), np.log(mag), 1)
     return float(slope)
 
 
-def pauli_fierz_transform(spec: ModelSpec, x_grid, k_grid=None) -> dict:
+def pauli_fierz_transform(spec: ModelSpec, x_grid) -> dict:
     """Transformed-coupling report over a position grid.
 
     Returns the smallest admissible constant in the infrared bound
     |phi_x(k)| <= C min(1, sqrt(k) <x>), the per-x infrared exponents of the
-    transformed coupling, and the untransformed control exponent.
+    transformed coupling, and the untransformed control exponent, all read on
+    48 geometric momenta from 1e-6 to min(1, kappa).
     """
-    if k_grid is None:
-        k_grid = np.geomspace(1e-6, min(1.0, spec.kappa), 48)
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = np.geomspace(1e-6, min(1.0, spec.kappa), 48)
     x_grid = np.asarray(x_grid, dtype=float)
     exps = []
     C = 0.0

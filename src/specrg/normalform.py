@@ -31,9 +31,12 @@ FOUR_PI = 4.0 * np.pi
 
 DEFAULT_R_POINTS = 33
 
+# Banach weight xi in (0, 1) of the norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}
+XI = 0.5
 
-def default_r_grid(n_points: int = DEFAULT_R_POINTS) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n_points)
+
+def default_r_grid() -> np.ndarray:
+    return np.linspace(0.0, 1.0, DEFAULT_R_POINTS)
 
 
 def interp_axis(values, xp, x, axis: int = 0) -> np.ndarray:
@@ -199,7 +202,7 @@ def coupling_norm_mu1(w: CouplingFunction, mu: float) -> float:
 
 @dataclass
 class NormalFormHamiltonian:
-    """Collection {w_{m,n}} for m+n <= M_max together with (mu, xi).
+    """Collection {w_{m,n}} for m+n <= M_max together with mu (xi is XI).
 
     masses optionally stores the radial quadrature measure per node (k^2 dk,
     the weights of a ModeGrid divided by 4 pi); the renormalization step needs
@@ -208,13 +211,10 @@ class NormalFormHamiltonian:
 
     terms: dict
     mu: float = 0.5
-    xi: float = 0.5
     M_max: int = 2
     masses: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.xi < 1.0):
-            raise ValueError("xi must lie in (0, 1)")
         for (m, n), w in self.terms.items():
             if (m, n) != (w.m, w.n):
                 raise ValueError(f"term key {(m, n)} disagrees with kernel ({w.m}, {w.n})")
@@ -235,7 +235,7 @@ class NormalFormHamiltonian:
 
     def copy(self) -> "NormalFormHamiltonian":
         return NormalFormHamiltonian({k: w.copy() for k, w in self.terms.items()},
-                                     self.mu, self.xi, self.M_max,
+                                     self.mu, self.M_max,
                                      None if self.masses is None else self.masses.copy())
 
 
@@ -243,7 +243,7 @@ def hamiltonian_norm(H: NormalFormHamiltonian) -> float:
     """Banach norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}."""
     total = 0.0
     for (m, n), w in H.terms.items():
-        total += H.xi ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
+        total += XI ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
     return total
 
 
@@ -277,7 +277,7 @@ def interaction_norm(H: NormalFormHamiltonian) -> float:
     total = 0.0
     for (m, n), w in H.terms.items():
         if m + n >= 1:
-            total += H.xi ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
+            total += XI ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
     return total
 
 

@@ -123,20 +123,23 @@ def _resonance_at_angles(D: DeformedOperator, seed: complex, radius: float | Non
     return z, zs, float(max(abs(a - b) for a in zs for b in zs))
 
 
-def resonance_eigenvalue(D: DeformedOperator, seed: complex,
-                         radius: float | None = None,
-                         stability_thetas=(0.15, 0.2, 0.25)):
+# Im theta of the dilations across which a resonance must stay put
+STABILITY_THETAS = (0.15, 0.2, 0.25)
+
+
+def resonance_eigenvalue(D: DeformedOperator, seed: complex, radius: float | None = None):
     """Nearest complex eigenvalue of the dilated model, with theta-stability.
 
     z is the eigenvalue of D nearest seed (within radius, default half the
     level gap), located by shifted inverse iteration, not a full eigensolve
     (`_nearest_eigenvalue` gives the stop and the NotFoundError/SolverError
     cases).  Stability is the maximum pairwise displacement of the eigenvalue
-    nearest z across the Im theta triple (the continuum branches rotate with
-    theta, the discrete resonance must not); at D's own angle that is z.
+    nearest z across the Im theta of STABILITY_THETAS (the continuum branches
+    rotate with theta, the discrete resonance must not); at D's own angle
+    that is z.
     SolverError also when a located value has Im > 0 beyond solver noise.
     """
-    z, _, stability = _resonance_at_angles(D, seed, radius, stability_thetas)
+    z, _, stability = _resonance_at_angles(D, seed, radius, STABILITY_THETAS)
     return z, stability
 
 
@@ -156,15 +159,11 @@ class PoleFit:
     residual: float
 
 
-def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray,
-                      z_grid, pole_seed: complex | None = None,
-                      cond_radius: float = 1e-9):
-    """F(z) = <psi, (H_theta - z)^-1 phi> over the grid, plus a pole fit.
+def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, z_grid):
+    """(values, flags): F(z) = <psi, (H_theta - z)^-1 phi> over the grid.
 
-    Grid points closer than cond_radius to an eigenvalue are skipped and
-    flagged.  When pole_seed is given, the pole form
-    F(z) = p/(pole - z) + a + b (z - pole) is fitted on samples taken along
-    three rays at 120 degrees around the located eigenvalue.
+    Grid points closer than 1e-9 to an eigenvalue are skipped: their
+    value is nan and their flag True.  fit_pole fits the pole form near one.
     """
     H = D.H
     dim = H.shape[0]
@@ -172,28 +171,24 @@ def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray,
     values = []
     flags = []
     for z in np.asarray(z_grid, dtype=complex):
-        if np.min(np.abs(eigs - z)) < cond_radius:
+        if np.min(np.abs(eigs - z)) < 1e-9:
             values.append(np.nan + 0j)
             flags.append(True)
             continue
         sol = np.linalg.solve(H - z * np.eye(dim), phi)
         values.append(complex(np.vdot(psi, sol)))
         flags.append(False)
-    values = np.asarray(values)
-    fit = None
-    if pole_seed is not None:
-        fit = fit_pole(D, psi, phi, pole_seed)
-    return values, np.asarray(flags), fit
+    return np.asarray(values), np.asarray(flags)
 
 
-def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray,
-             seed: complex, n_radii: int = 6, r_max: float | None = None) -> PoleFit:
+def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, seed: complex) -> PoleFit:
     """Fit F(z) = p/(pole - z) + a + b (z - pole) near the resonance at seed.
 
     Samples lie on three rays at 120 degree separation approaching the pole
-    geometrically; the linear system solves for (p, a, b) and the residual is
-    the maximum relative misfit.  The residue certifies a genuine first-order
-    pole when it is finite and nonzero.
+    geometrically, at 6 radii halving from 0.3 times the distance to the
+    nearest other eigenvalue; the linear system solves for (p, a, b) and the
+    residual is the maximum relative misfit.  The residue certifies a genuine
+    first-order pole when it is finite and nonzero.
     """
     H = D.H
     dim = H.shape[0]
@@ -201,9 +196,7 @@ def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray,
     pole = complex(eigs[np.argmin(np.abs(eigs - seed))])
     others = eigs[np.abs(eigs - pole) > 1e-12]
     gap = float(np.min(np.abs(others - pole))) if len(others) else 1.0
-    if r_max is None:
-        r_max = 0.3 * gap
-    radii = r_max * 0.5 ** np.arange(n_radii)
+    radii = 0.3 * gap * 0.5 ** np.arange(6)
     angles = np.exp(1j * (np.pi / 7 + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])))
     zs = (pole + np.outer(radii, angles)).ravel()
     fs = []
@@ -244,7 +237,7 @@ def combes_deviation(model: CoupledModel, model_covariant: CoupledModel,
     return float(dev)
 
 
-def perturbation_oracle(spec: ModelSpec, grid, order: int = 2) -> dict:
+def perturbation_oracle(spec: ModelSpec, grid) -> dict:
     """Second-order shifts and golden-rule widths over the discretized bath.
 
     Ground shift: g^2 sum_{l != 0} |Gamma_0l|^2 sum_a mass_a f(k_a)^2
@@ -255,8 +248,6 @@ def perturbation_oracle(spec: ModelSpec, grid, order: int = 2) -> dict:
     the cross-check.  A discretization-error estimate (relative quadrature
     defect of the shift sum under grid coarsening by 2) is attached.
     """
-    if order > 2 or order < 0:
-        raise ValueError("perturbation order must be 0, 1 or 2")
     if spec.n_levels > 1 and spec.g > spec.level_gap / 10.0:
         raise ValueError("coupling outside the perturbative window g <= gap/10")
     eps = spec.particle_levels
@@ -268,29 +259,27 @@ def perturbation_oracle(spec: ModelSpec, grid, order: int = 2) -> dict:
 
     spacing = float(np.max(np.diff(np.concatenate(([0.0], nodes)))))
     shift = 0.0
-    if order >= 2:
-        for l in range(1, spec.n_levels):
-            denom = eps[0] - eps[l] - nodes
-            if np.min(np.abs(denom)) < 1e-12:
-                raise ResolutionError("vanishing denominator in the shift sum")
-            shift += g2 * gamma2[0, l] * float(np.sum(masses * f2 / denom))
+    for l in range(1, spec.n_levels):
+        denom = eps[0] - eps[l] - nodes
+        if np.min(np.abs(denom)) < 1e-12:
+            raise ResolutionError("vanishing denominator in the shift sum")
+        shift += g2 * gamma2[0, l] * float(np.sum(masses * f2 / denom))
 
     widths = np.zeros(spec.n_levels)
-    if order >= 2:
-        for j in range(spec.n_levels):
-            for l in range(j):
-                delta = eps[j] - eps[l]
-                if delta <= nodes[-1] + spacing and delta < 10.0 * spacing:
-                    # the decay energy falls inside the discretized continuum
-                    # but the grid cannot resolve it
-                    raise ResolutionError(
-                        f"decay gap {delta:.3g} under 10x the grid spacing {spacing:.3g}")
-                chi = abs(complex(spec.cutoff(delta)))
-                widths[j] += np.pi * g2 * gamma2[j, l] * delta * chi ** 2
+    for j in range(spec.n_levels):
+        for l in range(j):
+            delta = eps[j] - eps[l]
+            if delta <= nodes[-1] + spacing and delta < 10.0 * spacing:
+                # the decay energy falls inside the discretized continuum
+                # but the grid cannot resolve it
+                raise ResolutionError(
+                    f"decay gap {delta:.3g} under 10x the grid spacing {spacing:.3g}")
+            chi = abs(complex(spec.cutoff(delta)))
+            widths[j] += np.pi * g2 * gamma2[j, l] * delta * chi ** 2
 
     # quadrature defect of the shift under 2x coarsening (pairing cells)
     defect = 0.0
-    if order >= 2 and len(nodes) >= 4 and spec.n_levels > 1:
+    if len(nodes) >= 4 and spec.n_levels > 1:
         coarse_n = nodes[::2]
         coarse_m = masses[::2] + np.append(masses[1::2], 0.0)[:len(coarse_n)]
         f2c = np.abs(form_factor(spec, coarse_n)) ** 2

@@ -30,7 +30,7 @@ import numpy as np
 # fock and normalform functions are looked up through their modules at call
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
-from .normalform import (CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
+from .normalform import (XI, CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
                          interaction_norm, interp_axis, split, subtract_constant,
                          symmetrized, t_slope_deviation)
 
@@ -57,7 +57,6 @@ class PolydiscParams:
     beta: float
     gamma: float
     mu: float = 0.5
-    xi: float = 0.5
     rho: float = 0.5
     c: float = 1.0
 
@@ -70,8 +69,6 @@ class PolydiscParams:
             warnings.warn("rho = 1/2 sits on the boundary of the theorem range")
         if min(self.alpha, self.beta, self.gamma) < 0 or self.mu < 0:
             raise ValueError("alpha, beta, gamma, mu must be nonnegative")
-        if not (0.0 < self.xi < 1.0):
-            raise ValueError("xi must lie in (0, 1)")
 
 
 def polydisc_membership(H: NormalFormHamiltonian, p: PolydiscParams):
@@ -96,7 +93,7 @@ def parameter_flow(p: PolydiscParams) -> PolydiscParams:
     return PolydiscParams(alpha=p.alpha / p.rho + quad,
                           beta=p.beta + quad,
                           gamma=p.c * p.rho ** p.mu * p.gamma,
-                          mu=p.mu, xi=p.xi, rho=p.rho, c=p.c)
+                          mu=p.mu, rho=p.rho, c=p.c)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,7 @@ def _slot_tuples(M: int, length: int) -> np.ndarray:
 
 
 def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndarray,
-                  max_order: int, out_arrays: dict, budget: list, mu: float, xi: float,
+                  max_order: int, out_arrays: dict, budget: list, mu: float,
                   sup_G: float, norms: tuple):
     """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays.
 
@@ -235,7 +232,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
         if order > max_order:
             # dropped: log a norm-product bound instead of the kernel
             budget.append(Cf * float(np.sum(masses / nodes)) ** p * sup_G * norms[0] * norms[1]
-                          * nodes[0] ** (-mu) * xi ** (-order))
+                          * nodes[0] ** (-mu) * XI ** (-order))
             continue
 
         # sums and products over each tuple, left to right like np.sum and np.prod
@@ -254,7 +251,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
-                         max_order: int, mu: float, xi: float, sup_G: float):
+                         max_order: int, mu: float, sup_G: float):
     """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm)."""
     out_arrays: dict = {}
     budget: list = []
@@ -264,7 +261,7 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     for wA, nA in zip(A_terms.values(), norms_A):
         for wB, nB in zip(B_terms.values(), norms_B):
             _pair_product(wA, wB, G, masses, max_order, out_arrays, budget,
-                          mu, xi, sup_G, (nA, nB))
+                          mu, sup_G, (nA, nB))
     terms = {(mo, no): CouplingFunction(mo, no, ref.r_grid, ref.nodes, symmetrized(arr, mo, no))
              for (mo, no), arr in out_arrays.items()}
     return terms, float(np.sum(budget))
@@ -370,30 +367,25 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         neumann_terms.append((1.0, W))
         if s_max >= 1:
             n1_full, d1 = normal_order_product(W, W, G, masses, max_order=4,
-                                               mu=H.mu, xi=H.xi, sup_G=sup_G)
+                                               mu=H.mu, sup_G=sup_G)
             dropped += d1
             neumann_terms.append((-1.0, n1_full))
             if s_max >= 2:
                 n2, d2 = normal_order_product(n1_full, W, G, masses, max_order=H.M_max,
-                                              mu=H.mu, xi=H.xi, sup_G=sup_G)
+                                              mu=H.mu, sup_G=sup_G)
                 dropped += d2
                 neumann_terms.append((1.0, n2))
-        # orders above M_max in the s <= 1 terms are dropped now
-        for sign, terms in neumann_terms[:2]:
-            for (mo, no) in [k for k in terms if k[0] + k[1] > H.M_max]:
-                dropped += H.xi ** (-(mo + no)) * coupling_norm_mu1(terms[(mo, no)], H.mu)
     remainder = gamma * q ** (s_max + 1) / (1.0 - q) if q < 1.0 else np.inf
 
-    # assemble the decimated kernels (F), order by order
-    f_arrays: dict = {}
-    f_arrays[(0, 0)] = w00.values.copy()
+    # assemble the decimated kernels (F), order by order; orders above M_max
+    # (only the s <= 1 terms have any) are dropped and their norms logged
+    f_arrays: dict = {(0, 0): w00.values.copy()}
     for sign, terms in neumann_terms:
         for (mo, no), w in terms.items():
             if mo + no > H.M_max:
-                continue
-            if (mo, no) not in f_arrays:
-                f_arrays[(mo, no)] = np.zeros_like(w.values)
-            f_arrays[(mo, no)] = f_arrays[(mo, no)] + sign * w.values
+                dropped += XI ** (-(mo + no)) * coupling_norm_mu1(w, H.mu)
+            else:
+                f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + sign * w.values
 
     new_terms = {}
     for (mo, no), arr in f_arrays.items():
@@ -403,8 +395,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         scaled = scale_coupling(kern, rho)
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
 
-    Hp = NormalFormHamiltonian(new_terms, mu=H.mu, xi=H.xi, M_max=H.M_max,
-                               masses=masses)
+    Hp = NormalFormHamiltonian(new_terms, mu=H.mu, M_max=H.M_max, masses=masses)
     return Hp, StepInfo(q=q, neumann_remainder=float(remainder),
                         dropped_norm=float(dropped), inv_bound=inv_bound)
 
@@ -421,7 +412,6 @@ class FlowRecord:
     beta: float
     gamma: float
     budget: float
-    member: bool
 
 
 @dataclass
@@ -438,8 +428,12 @@ class FlowTrajectory:
         return "\n".join(lines) + "\n"
 
 
+# the tolerance to which the last step's root e_final is located
+E_TOL = 1e-9
+
+
 def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int = 2,
-         builder=None, e_tol: float = 1e-9, membership: PolydiscParams | None = None):
+         builder=None):
     """Iterate the map, re-centering the spectral parameter each step.
 
     builder(lam) gives H(lam); without one it is H0 minus lam, and with one
@@ -448,7 +442,7 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
     e_n is the root of f(lam) = vacuum component of R^n(H(lam)), which falls
     with slope about -rho^-n and is close to affine on the bracket
     e_{n-1} -/+ rho^n / 8.  A bracketed secant finds it to within
-    tol = rho^(n+1) / 24 (e_tol on the last step): each point is the chord's
+    tol = rho^(n+1) / 24 (E_TOL on the last step): each point is the chord's
     root, taken from the end with the smaller |f|; a correction below tol/2 is
     pushed tol/2 past it, so the next point closes the bracket (Brent's
     tolerance step); after a step that fails to halve the bracket, and a
@@ -482,7 +476,7 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
         if not (a[1] > 0.0 > b[1]):
             raise FlowStalledError(f"no sign change on the step-{n} bracket [{lo:.6g}, "
                                    f"{hi:.6g}]: ends {a[1]:.3e}, {b[1]:.3e}", bracket=(lo, hi))
-        tol = max(min(rho ** (n + 1) / 24.0, e_tol if n == n_steps else np.inf), 1e-14)
+        tol = max(min(rho ** (n + 1) / 24.0, E_TOL if n == n_steps else np.inf), 1e-14)
         stalled = pushed = False
         while b[0] - a[0] > tol:
             width = b[0] - a[0]
@@ -505,9 +499,8 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
         e_n, _, H, budget = a if abs(a[1]) < abs(b[1]) else b
         a = b = new = None  # drop the step's other replays before the next step
         E, _, _ = split(H)
-        member = membership is None or polydisc_membership(H, membership)[0]
         traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=t_slope_deviation(H),
-                                       gamma=interaction_norm(H), budget=budget, member=member))
+                                       gamma=interaction_norm(H), budget=budget))
         traj.budget = budget
         e_prev = e_n
     traj.e_final = complex(e_prev)

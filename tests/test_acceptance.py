@@ -25,8 +25,8 @@ from specrg._calibration import C_RG
 from specrg.cli import _random_kernel
 from specrg.fock import (build_fock_basis, build_mode_grid, field_hamiltonian,
                          pull_through_check)
-from specrg.feshbach import (feshbach_map, isospectral_check,
-                             projection_from_diagonal, reconstruct_inverse)
+from specrg.feshbach import (ProjectionPair, feshbach_map, isospectral_check,
+                             reconstruct_inverse)
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            field_operator, mass_renormalization,
                            pauli_fierz_transform, pf_coupling)
@@ -54,12 +54,12 @@ def test_criterion_01_feshbach_isospectrality():
         mat = (A + A.conj().T) / 2.0 if hermitian else A
         if trial % 3 == 0:
             chi = rng.random(64)  # smooth pair
-            pair = projection_from_diagonal(chi, smooth=True)
+            pair = ProjectionPair(chi, smooth=True)
         else:
             chi = (rng.random(64) > 0.5).astype(float)
             if chi.sum() in (0, 64):
                 chi[0] = 1.0 - chi[0]
-            pair = projection_from_diagonal(chi, smooth=False)
+            pair = ProjectionPair(chi, smooth=False)
         if trial % 4 == 0:
             lam = complex(rng.choice(np.linalg.eigvals(mat)))  # engineered null
             n_null_trials += 1

@@ -67,6 +67,18 @@ class TestUsageErrors:
         assert main(["renormalize", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, payload, key", [
+        ("flow", {**BASE_CONFIG, "n_step": 2}, "'n_step'"),
+        ("spectrum", {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "k_mx": 1.0}},
+         "'grid.k_mx'")], ids=["n_step", "grid.k_mx"])
+    def test_unknown_config_key(self, tmp_path, capsys, command, payload, key):
+        cfg = _cfg(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not out.exists()
+
     def test_unknown_option(self, tmp_path):
         cfg = _cfg(tmp_path, BASE_CONFIG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -207,15 +219,16 @@ class TestDeterminism:
 class TestImports:
     def test_cli_import_leaves_scipy_optimize_out(self):
         # a fresh interpreter, so that other tests' imports cannot hide one;
-        # scipy.optimize alone would multiply the start-up time and memory
+        # numpy is the package's only dependency, so no part of scipy loads
         src = str(Path(specrg.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, specrg.cli; print('scipy.optimize' in sys.modules)"
+        code = ("import sys, specrg, specrg.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_resonance_location_leaves_scipy_out(self):
         # the shifted inverse iteration is plain numpy; importing any part of

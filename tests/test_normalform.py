@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian, ladder_matrix
-from specrg.normalform import (CouplingFunction, NormalFormHamiltonian,
+from specrg.normalform import (XI, CouplingFunction, NormalFormHamiltonian,
                                assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, default_r_grid, from_profile,
@@ -232,7 +232,7 @@ class TestSplit:
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=1.0)
         H = ground_sector_hamiltonian(spec, grid, lam=0.0)
         _, _, W = split(H)
-        direct = sum(H.xi ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
+        direct = sum(XI ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
                      for (m, n), w in W.items())
         assert interaction_norm(H) == pytest.approx(direct, rel=1e-12)
 

@@ -181,7 +181,7 @@ class TestPoleFitting:
         phi = np.zeros(2 * basis.dim, dtype=complex)
         phi[basis.dim] = 1.0
         z_grid = [1.0, 0.5 + 0.5j]
-        values, flags, fit = resolvent_element(D, phi, phi, z_grid)
+        values, flags = resolvent_element(D, phi, phi, z_grid)
         assert flags[0] and not flags[1]
         assert np.isnan(values[0].real)
         assert values[1] == pytest.approx(1.0 / (1.0 - (0.5 + 0.5j)))

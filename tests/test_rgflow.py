@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
-from specrg.normalform import (FOUR_PI, CouplingFunction, NormalFormHamiltonian,
-                               assemble_term, coupling_norm_mu, default_r_grid,
-                               from_profile, interaction_norm, split, symmetrized)
+from specrg.normalform import (FOUR_PI, XI, CouplingFunction, NormalFormHamiltonian,
+                               assemble_term, coupling_norm_mu, coupling_norm_mu1,
+                               default_r_grid, from_profile, interaction_norm, split,
+                               symmetrized)
 from specrg import rgflow
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
@@ -100,7 +101,7 @@ class TestWickOrdering:
         wB = CouplingFunction(1, 0, r_grid, nodes, vB)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
-                                      max_order=2, mu=0.5, xi=0.5, sup_G=0.5)
+                                      max_order=2, mu=0.5, sup_G=0.5)
         expected = np.zeros(33, dtype=complex)
         for q, k in enumerate(nodes):
             expected += masses[q] * vA[:, q] * G(r_grid + k) * vB[:, q]
@@ -118,7 +119,7 @@ class TestWickOrdering:
         wB = CouplingFunction(1, 0, r_grid, nodes, lin)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
-                                      max_order=2, mu=0.5, xi=0.5, sup_G=0.5)
+                                      max_order=2, mu=0.5, sup_G=0.5)
         r = r_grid[:, np.newaxis, np.newaxis]
         ki, kj = nodes[np.newaxis, :, np.newaxis], nodes[np.newaxis, np.newaxis, :]
         expected = (1.0 + r + ki) * G(r + ki + kj) * (1.0 + r + kj)
@@ -146,7 +147,7 @@ class TestWickOrdering:
         A = rand_terms(A_keys)
         B = rand_terms(B_keys)
         out, dropped = normal_order_product(A, B, G, masses, max_order=4,
-                                            mu=0.5, xi=0.5, sup_G=0.5)
+                                            mu=0.5, sup_G=0.5)
         assert dropped == 0.0  # nothing exceeds max_order here
 
         def assemble(terms):
@@ -202,7 +203,7 @@ class TestWickOrdering:
 
         max_order = 3
         _, dropped = normal_order_product(W, W, G, masses, max_order=max_order,
-                                          mu=0.5, xi=0.5, sup_G=0.5)
+                                          mu=0.5, sup_G=0.5)
         kept = sum(1 for (m1, n1) in W for (m2, n2) in W for p in range(min(n1, m2) + 1)
                    if m1 + n1 + m2 + n2 - 2 * p <= max_order)
         assert dropped > 0.0  # order-4 terms are dropped, and make no G call
@@ -243,8 +244,8 @@ class TestWickOrdering:
         # kernels agree bit for bit, also where shifted reads clamp at r = 1
         W, masses = self._random_W(6)
         G = lambda r: np.where(np.asarray(r) > 0.25, 1.0 / (np.asarray(r) + 2.0), 0.0)
-        n1, _ = normal_order_product(W, W, G, masses, max_order=4, mu=0.5, xi=0.5, sup_G=0.5)
-        n2, _ = normal_order_product(n1, W, G, masses, max_order=2, mu=0.5, xi=0.5, sup_G=0.5)
+        n1, _ = normal_order_product(W, W, G, masses, max_order=4, mu=0.5, sup_G=0.5)
+        n2, _ = normal_order_product(n1, W, G, masses, max_order=2, mu=0.5, sup_G=0.5)
         for got, (A, B, max_order) in ((n1, (W, W, 4)), (n2, (n1, W, 2))):
             ref = self._tuple_loop_product(A, B, G, masses, max_order)
             assert got.keys() == ref.keys()
@@ -286,6 +287,35 @@ class TestRgStep:
         H = _scalar_hamiltonian(-0.6, grid.nodes, masses=self._masses(grid))
         with pytest.raises(DomainError):
             rg_step(H, RHO)
+
+    def test_first_order_step_truncates_and_charges_dropped_orders(self):
+        # at s_max = 1 the step keeps W - W G W up to M_max; the product's
+        # kernels above M_max are charged at their Banach weight
+        grid = build_mode_grid(4, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, 0.0)
+        Hp, info = rg_step(H, RHO, s_max=1)
+        assert all(m + n <= H.M_max for (m, n) in Hp.terms)
+
+        h0 = rgflow._h0_function(H.terms[(0, 0)])
+
+        def G(r):
+            r = np.asarray(r, dtype=float)
+            out = np.zeros(r.shape, dtype=complex)
+            out[r > RHO] = 1.0 / h0(r[r > RHO])
+            return out
+
+        _, _, W = split(H)
+        sup_G = float(np.max(np.abs(G(H.r_grid[H.r_grid > RHO]))))
+        product_terms, expected = normal_order_product(W, W, G, H.masses, max_order=4,
+                                                       mu=H.mu, sup_G=sup_G)
+        above = [key for key in product_terms if sum(key) > H.M_max]
+        assert above and all(sum(key) in (3, 4) for key in above)
+        for (m, n) in above:
+            expected += XI ** (-(m + n)) * coupling_norm_mu1(product_terms[(m, n)], H.mu)
+        assert info.dropped_norm > 0.0
+        assert info.dropped_norm == pytest.approx(expected, rel=1e-13)
+        assert rg_step(H, RHO, s_max=0)[1].dropped_norm == 0.0
 
     def test_interaction_contracts_on_model(self, model_flows):
         from specrg._calibration import C_RG
@@ -429,8 +459,7 @@ class TestFlow:
 
     def test_root_matches_fine_bisection(self):
         builder = self._model_builder()
-        e_tol = 1e-9
-        traj = flow(builder(0.0), RHO, 2, s_max=0, builder=builder, e_tol=e_tol)
+        traj = flow(builder(0.0), RHO, 2, s_max=0, builder=builder)
 
         def vacuum(lam):
             H = builder(lam)
@@ -444,4 +473,4 @@ class TestFlow:
         while b - a > 1e-12:
             mid = 0.5 * (a + b)
             a, b = (mid, b) if vacuum(mid) > 0.0 else (a, mid)
-        assert abs(e - 0.5 * (a + b)) <= e_tol
+        assert abs(e - 0.5 * (a + b)) <= rgflow.E_TOL
