@@ -17,21 +17,15 @@ import numpy as np
 
 from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
-from .normalform import (CouplingFunction, FOUR_PI, NormalFormHamiltonian,
-                         default_r_grid, interaction_norm, split,
-                         subtract_constant, symmetrized, t_slope_deviation)
-from .rgflow import rg_step
-
-
-def _measure(H):
-    E, _, _ = split(H)
-    return abs(E), t_slope_deviation(H), interaction_norm(H)
+from .normalform import (CouplingFunction, NormalFormHamiltonian, default_r_grid,
+                         interaction_norm, slot_masses, subtract_constant, symmetrized)
+from .rgflow import polydisc_coordinates, rg_step
 
 
 def _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target):
     r_grid = default_r_grid()
     nodes = grid.nodes
-    masses = grid.weights / FOUR_PI
+    masses = slot_masses(grid)
     E = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * rho / 24.0
     slope_dev = rng.uniform(-1, 1) / 24.0
     w00 = E + r_grid * (1.0 + slope_dev)
@@ -39,16 +33,12 @@ def _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target):
     shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
     raw = {}
     for (m, n) in shapes:
-        order = m + n
-        shape = (len(r_grid),) + (len(nodes),) * order
         a0 = rng.standard_normal() + 1j * rng.standard_normal()
         a1 = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        vals = np.ones(shape, dtype=complex)
-        vals *= (a0 + a1 * r_grid).reshape((-1,) + (1,) * order)
-        for axis in range(1, order + 1):
-            kshape = [1] * (order + 1)
-            kshape[axis] = len(nodes)
-            vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
+        r, *ks = np.ix_(r_grid, *[nodes] * (m + n))
+        vals = np.ones((len(r_grid),) + (len(nodes),) * (m + n), dtype=complex) * (a0 + a1 * r)
+        for k in ks:
+            vals = vals * k ** (mu - 0.5)
         raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
     H = NormalFormHamiltonian({**terms, **raw}, mu=mu, M_max=2, masses=masses)
     gamma = interaction_norm(H)
@@ -81,16 +71,16 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
 
     def track(H, steps):
         nonlocal c_rg
-        a, b, gam = _measure(H)
+        E, b, gam = polydisc_coordinates(H)
         for _ in range(steps):
             H, _ = rg_step(H, rho)
-            a2, b2, g2 = _measure(H)
+            E2, b2, g2 = polydisc_coordinates(H)
             if gam > 0:
                 c_rg = max(c_rg, g2 / (rho ** mu * gam))
                 quad = gam ** 2 / (2.0 * rho)
-                c_rg = max(c_rg, (a2 - a / rho) / quad, (b2 - b) / quad)
+                c_rg = max(c_rg, (abs(E2) - abs(E) / rho) / quad, (b2 - b) / quad)
             H = recenter(H)
-            a, b, gam = _measure(H)
+            E, b, gam = polydisc_coordinates(H)
 
     for _ in range(n_random):
         H = _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target=rho / 16.0)
@@ -101,9 +91,9 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
         for g in (1e-3, 5e-3):
             spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=g, kappa=kappa)
             H = ground_sector_hamiltonian(spec, grid, lam=0.0, mu=mu)
-            a, b, gam = _measure(H)
+            E, b, gam = polydisc_coordinates(H)
             c_init = max(c_init,
-                         a / (g * g * rho ** (mu - 2.0)),
+                         abs(E) / (g * g * rho ** (mu - 2.0)),
                          b / (g * g * rho ** (mu - 1.0)),
                          gam / (g * rho ** mu))
             track(H, n_steps)

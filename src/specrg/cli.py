@@ -5,9 +5,10 @@ Usage:
            --out outdir [--seed N]
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error (a config key that
-no command reads is one), 3 domain or precondition violation or a dense solver
-failure.  Identical config and seed produce byte-identical output files; all
-CSV uses '.' decimals, '\\n' line endings, and a header row.
+no command reads, or a value of the wrong JSON type, is one), 3 domain or
+precondition violation (a resonance level out of range is one) or a dense
+solver failure.  Identical config and seed produce byte-identical output
+files; all CSV uses '.' decimals, '\\n' line endings, and a header row.
 """
 
 from __future__ import annotations
@@ -27,24 +28,53 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-# Every key some command reads, at the top level ("") and inside "grid" and
-# "model".  One set serves all commands, so a config may be shared between them.
-CONFIG_KEYS = {"": {"grid", "model", "n_max", "rho", "mu", "n_trials", "n_steps", "s_max",
-                    "k", "im_thetas", "level", "g_values", "p_grid", "x_grid"},
-               "grid": {"n_modes", "k_max", "scheme"},
-               "model": {"particle_levels", "g", "kappa", "mass", "gamma"}}
+# The kind of every key some command reads, at the top level ("") and inside
+# "grid" and "model"; a list holds numbers or lists of them.  One table serves
+# all commands, so a config may be shared between them.  Null is the default
+# for the NULLABLE keys and a wrong type for every other one.
+CONFIG_KEYS = {"": {"grid": dict, "model": dict, "n_max": int, "rho": float, "mu": float,
+                    "n_trials": int, "n_steps": int, "s_max": int, "k": int, "im_thetas": list,
+                    "level": int, "g_values": list, "p_grid": list, "x_grid": list},
+               "grid": {"n_modes": int, "k_max": float, "scheme": str},
+               "model": {"particle_levels": list, "g": float, "kappa": float, "mass": float,
+                         "gamma": list}}
+NULLABLE = {"k", "model.gamma"}
+KIND_NAMES = {dict: "a JSON object", int: "an integer", float: "a number", str: "a string",
+              list: "a list of numbers"}
+
+
+def _has_kind(value, kind: type) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(_has_kind(v, float) or _has_kind(v, list)
+                                               for v in value)
+    if kind in (int, float):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (kind is float or float(value).is_integer()))
+    return isinstance(value, kind)
 
 
 def _check_keys(cfg: dict) -> None:
-    """ValueError naming the first config key that no command reads."""
-    for section, known in CONFIG_KEYS.items():
-        table = cfg.get(section, {}) if section else cfg
-        if not isinstance(table, dict):
-            raise ValueError(f"config key {section!r} must hold a JSON object")
-        for key in table:
-            if key not in known:
-                name = f"{section}.{key}" if section else key
+    """ValueError naming the first config key that no command reads or whose
+    value has the wrong JSON type."""
+    for section, kinds in CONFIG_KEYS.items():
+        for key, value in (cfg.get(section, {}) if section else cfg).items():
+            name = f"{section}.{key}" if section else key
+            if key not in kinds:
                 raise ValueError(f"unknown config key {name!r}")
+            if not (_has_kind(value, kinds[key]) or (value is None and name in NULLABLE)):
+                raise ValueError(f"config key {name!r} must be {KIND_NAMES[kinds[key]]}, "
+                                 f"not {json.dumps(value)}")
+
+
+def _value(cfg: dict, name: str, default):
+    """The config value at name ("key" or "section.key"), checked by _check_keys,
+    as its kind in CONFIG_KEYS; default when it is absent or null."""
+    *section, key = name.split(".")
+    value = (cfg.get(section[0], {}) if section else cfg).get(key)
+    if value is None:
+        return default
+    kind = CONFIG_KEYS[section[0] if section else ""][key]
+    return kind(value) if kind in (int, float) else value
 
 
 def _fmt(x: float) -> str:
@@ -58,21 +88,18 @@ def _write(path: Path, text: str) -> None:
 
 
 def _grid_from_config(cfg: dict) -> fock.ModeGrid:
-    g = cfg.get("grid", {})
-    return fock.build_mode_grid(int(g.get("n_modes", 8)),
-                                float(g.get("k_max", 0.5)),
-                                g.get("scheme", "geometric"))
+    return fock.build_mode_grid(_value(cfg, "grid.n_modes", 8),
+                                _value(cfg, "grid.k_max", 0.5),
+                                _value(cfg, "grid.scheme", "geometric"))
 
 
 def _spec_from_config(cfg: dict) -> models.ModelSpec:
-    m = cfg.get("model", {})
-    gamma = m.get("gamma")
     return models.ModelSpec(
-        particle_levels=np.asarray(m.get("particle_levels", [0.0, 1.0]), dtype=float),
-        g=float(m.get("g", 1e-3)),
-        kappa=float(m.get("kappa", 1.0)),
-        mass=float(m.get("mass", 1.0)),
-        gamma=None if gamma is None else np.asarray(gamma, dtype=complex),
+        particle_levels=_value(cfg, "model.particle_levels", [0.0, 1.0]),
+        g=_value(cfg, "model.g", 1e-3),
+        kappa=_value(cfg, "model.kappa", 1.0),
+        mass=_value(cfg, "model.mass", 1.0),
+        gamma=_value(cfg, "model.gamma", None),
     )
 
 
@@ -82,12 +109,12 @@ def _spec_from_config(cfg: dict) -> models.ModelSpec:
 
 def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
-    n_max = int(cfg.get("n_max", 2))
+    n_max = _value(cfg, "n_max", 2)
     grid = _grid_from_config(cfg)
     basis = fock.build_fock_basis(grid, n_max)
-    rho = float(cfg.get("rho", 0.5))
-    mu = float(cfg.get("mu", 0.5))
-    n_trials = int(cfg.get("n_trials", 10))
+    rho = _value(cfg, "rho", 0.5)
+    mu = _value(cfg, "mu", 0.5)
+    n_trials = _value(cfg, "n_trials", 10)
     report = {"checks": []}
     ok = True
 
@@ -125,7 +152,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
         chi = (rng.random(16) > 0.5).astype(float)
         if chi.sum() in (0, 16):
             chi[0] = 1.0 - chi[0]
-        pair = feshbach.ProjectionPair(chi, smooth=False)
+        pair = feshbach.ProjectionPair(chi)
         rep = feshbach.isospectral_check(H, pair, 0.1 + 0.05j)
         all_equal = all_equal and rep["null_dims_equal"]
         worst = max(worst, rep["identity_defect_HQ"], rep["identity_defect_QsH"])
@@ -157,19 +184,17 @@ def _random_kernel(rng, nodes, m, n, mu):
     r_grid = normalform.default_r_grid()
     shape = (len(r_grid),) + (len(nodes),) * (m + n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for axis in range(1, m + n + 1):
-        kshape = [1] * len(shape)
-        kshape[axis] = len(nodes)
-        vals = vals * (nodes ** (mu - 0.5)).reshape(kshape)
+    for k in np.ix_(*[nodes] * (m + n)):
+        vals = vals * k ** (mu - 0.5)
     return normalform.CouplingFunction(m, n, r_grid, nodes, normalform.symmetrized(vals, m, n))
 
 
 def cmd_flow(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
     grid = _grid_from_config(cfg)
-    rho = float(cfg.get("rho", 0.5))
-    n_steps = int(cfg.get("n_steps", 6))
-    s_max = int(cfg.get("s_max", 2))
+    rho = _value(cfg, "rho", 0.5)
+    n_steps = _value(cfg, "n_steps", 6)
+    s_max = _value(cfg, "s_max", 2)
 
     def builder(lam):
         return models.ground_sector_hamiltonian(spec, grid, lam)
@@ -185,10 +210,9 @@ def cmd_flow(cfg: dict, out: Path, seed: int) -> int:
 def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
     grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, int(cfg.get("n_max", 2)))
+    basis = fock.build_fock_basis(grid, _value(cfg, "n_max", 2))
     model = models.build_model(spec, basis)
-    k = cfg.get("k")
-    vals = oracle.exact_spectrum(model.H, None if k is None else int(k))
+    vals = oracle.exact_spectrum(model.H, _value(cfg, "k", None))
     lines = ["index,eig_re,eig_im"]
     for i, v in enumerate(np.atleast_1d(vals)):
         lines.append(f"{i},{_fmt(np.real(v))},{_fmt(np.imag(v))}")
@@ -199,9 +223,11 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
 def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
     grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, int(cfg.get("n_max", 1)))
-    thetas = cfg.get("im_thetas", oracle.STABILITY_THETAS)
-    level = int(cfg.get("level", 1))
+    basis = fock.build_fock_basis(grid, _value(cfg, "n_max", 1))
+    thetas = _value(cfg, "im_thetas", oracle.STABILITY_THETAS)
+    level = _value(cfg, "level", 1)
+    if not 0 <= level < spec.n_levels:
+        raise ValueError(f"level {level} is not one of the {spec.n_levels} particle levels")
     seed_energy = float(spec.particle_levels[level])
     if not thetas:
         raise ValueError("im_thetas must list at least one angle")
@@ -217,16 +243,14 @@ def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_mass(cfg: dict, out: Path, seed: int) -> int:
     grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, int(cfg.get("n_max", 2)))
-    g_values = cfg.get("g_values", [0.0, 1e-3, 2e-3, 5e-3])
-    p_grid = np.asarray(cfg.get("p_grid", [0.0, 0.08, 0.16, 0.24, 0.32]), dtype=float)
-    base = cfg.get("model", {})
+    basis = fock.build_fock_basis(grid, _value(cfg, "n_max", 2))
+    g_values = _value(cfg, "g_values", [0.0, 1e-3, 2e-3, 5e-3])
+    p_grid = np.asarray(_value(cfg, "p_grid", [0.0, 0.08, 0.16, 0.24, 0.32]), dtype=float)
+    levels = _value(cfg, "model.particle_levels", [0.0])
+    kappa, mass = _value(cfg, "model.kappa", 1.0), _value(cfg, "model.mass", 1.0)
     lines = ["g,m_ren,residual"]
     for g in g_values:
-        spec = models.ModelSpec(
-            particle_levels=np.asarray(base.get("particle_levels", [0.0]), dtype=float),
-            g=float(g), kappa=float(base.get("kappa", 1.0)),
-            mass=float(base.get("mass", 1.0)))
+        spec = models.ModelSpec(particle_levels=levels, g=float(g), kappa=kappa, mass=mass)
         fit = models.mass_renormalization(spec, basis, p_grid)
         lines.append(f"{_fmt(g)},{_fmt(fit['m_ren'])},{_fmt(fit['residual'])}")
     _write(out / "mass.csv", "\n".join(lines) + "\n")
@@ -235,7 +259,7 @@ def cmd_mass(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_pf(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
-    x_grid = np.asarray(cfg.get("x_grid", [0.0, 0.5, 1.0, 2.0]), dtype=float)
+    x_grid = np.asarray(_value(cfg, "x_grid", [0.0, 0.5, 1.0, 2.0]), dtype=float)
     rep = models.pauli_fierz_transform(spec, x_grid)
     lines = ["x,exponent,max_coupling"]
     for x, e, row in zip(rep["x_grid"], rep["exponents"], rep["coupling_magnitudes"]):

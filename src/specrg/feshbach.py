@@ -32,10 +32,9 @@ INDETERMINATE_BAND = 10.0     # rank decisions within this factor are reported, 
 @dataclass
 class ProjectionPair:
     """Diagonal cutoff pair: chi in [0, 1] and chibar = sqrt(1 - chi^2),
-    so chi^2 + chibar^2 = 1 by construction."""
+    so chi^2 + chibar^2 = 1 by construction; an indicator chi is a sharp pair."""
 
     chi: np.ndarray      # diagonal entries
-    smooth: bool
     chibar: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class ProjectionPair:
             raise ValueError("chi must be a 1-d array")
         if np.any(self.chi < 0) or np.any(self.chi > 1):
             raise ValueError("chi must take values in [0, 1]")
-        if not self.smooth and np.max(np.abs(self.chi * (1.0 - self.chi))) > 1e-12:
-            raise ValueError("sharp pair requires chi to be an indicator")
         self.chibar = np.sqrt(np.clip(1.0 - self.chi ** 2, 0.0, None))
 
 
@@ -73,7 +70,7 @@ def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
         ramp = (hf > lo) & (hf < rho)
         chi[ramp] = np.cos(0.5 * np.pi * (hf[ramp] - lo) / width)
         chi[hf >= rho] = 0.0
-    return ProjectionPair(chi=chi, smooth=smooth)
+    return ProjectionPair(chi)
 
 
 @dataclass
@@ -92,23 +89,29 @@ class NotInvertibleError(np.linalg.LinAlgError):
         self.singular_value = singular_value
 
 
-def _chibar_block_inverse(tau, W, pair, sv_threshold):
-    """Inverse of tau + chibar W chibar on the support of chibar, 0 elsewhere."""
-    D = len(tau)
-    sup = pair.chibar > 0.0
-    if not np.any(sup):
-        return np.zeros((D, D), dtype=complex)
-    cb = pair.chibar[sup]
-    block = np.diag(tau[sup]) + cb[:, np.newaxis] * W[np.ix_(sup, sup)] * cb[np.newaxis, :]
-    svals = np.linalg.svd(block, compute_uv=False)
-    smin = svals[-1] if len(svals) else np.inf
-    if smin < sv_threshold:
+def _checked_inverse(M: np.ndarray, name: str, scale: float | None = None) -> np.ndarray:
+    """M^-1, or NotInvertibleError when the smallest singular value of M falls
+    below 1e-13 max(1, scale); scale defaults to ||M||_2."""
+    svals = np.linalg.svd(M, compute_uv=False)
+    smin = float(svals[-1]) if len(svals) else 0.0
+    if scale is None:
+        scale = float(svals[0]) if len(svals) else 1.0
+    if smin < 1e-13 * max(1.0, scale):
         raise NotInvertibleError(
-            f"chibar block is numerically singular (smallest singular value {smin:.3e})",
-            singular_value=float(smin))
-    inv_block = np.linalg.inv(block)
-    out = np.zeros((D, D), dtype=complex)
-    out[np.ix_(sup, sup)] = inv_block
+            f"{name} is numerically singular (smallest singular value {smin:.3e})",
+            singular_value=smin)
+    return np.linalg.inv(M)
+
+
+def _chibar_block_inverse(tau, W, pair, hnorm):
+    """Inverse of tau + chibar W chibar on the support of chibar, 0 elsewhere;
+    singular below 1e-13 max(1, hnorm)."""
+    out = np.zeros_like(W)
+    sup = pair.chibar > 0.0
+    if np.any(sup):
+        cb = pair.chibar[sup]
+        block = np.diag(tau[sup]) + cb[:, np.newaxis] * W[np.ix_(sup, sup)] * cb[np.newaxis, :]
+        out[np.ix_(sup, sup)] = _checked_inverse(block, "chibar block", hnorm)
     return out
 
 
@@ -130,10 +133,7 @@ def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
             raise ValueError("tau must be diagonal in the working basis")
         tau = np.diag(tmat).copy()
     W = H - np.diag(tau)
-    hnorm = np.linalg.norm(H, 2)
-    sv_threshold = 1e-13 * max(1.0, hnorm)
-
-    R = _chibar_block_inverse(tau, W, pair, sv_threshold)
+    R = _chibar_block_inverse(tau, W, pair, np.linalg.norm(H, 2))
     chi, cb = pair.chi, pair.chibar
 
     Wchi = W * chi[np.newaxis, :]
@@ -159,15 +159,7 @@ def identity_defect(H, res: FeshbachResult) -> tuple[float, float]:
 
 def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
     """H^-1 = Q F^-1 Q# + chibar R chibar, requiring F invertible."""
-    F = res.F
-    svals = np.linalg.svd(F, compute_uv=False)
-    scale = max(1.0, float(svals[0])) if len(svals) else 1.0
-    if len(svals) == 0 or svals[-1] < 1e-13 * scale:
-        raise NotInvertibleError(
-            f"F is numerically singular (smallest singular value "
-            f"{svals[-1] if len(svals) else 0.0:.3e})",
-            singular_value=float(svals[-1]) if len(svals) else 0.0)
-    Finv = np.linalg.inv(F)
+    Finv = _checked_inverse(res.F, "F")
     cb = res.pair.chibar
     return res.Q @ Finv @ res.Qsharp + cb[:, np.newaxis] * res.Hchibar_inv * cb[np.newaxis, :]
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, ModeGrid, field_hamiltonian
-from .normalform import (NormalFormHamiltonian, FOUR_PI, default_r_grid, from_profile,
-                         slot_masses)
+from .normalform import NormalFormHamiltonian, default_r_grid, from_profile, slot_masses
 
 
 def _gaussian_cutoff(kappa):
@@ -108,7 +107,7 @@ def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
 
     Each move i -> i - e_a of basis.lower gives one entry of a*_a and one of a_a.
     """
-    mass = slot_masses(basis)
+    mass = slot_masses(basis.grid)
     if fvals is None:
         fvals = form_factor(spec, basis.grid.nodes)
     coef = np.sqrt(mass) * np.asarray(fvals, dtype=complex)
@@ -223,7 +222,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     if others_eps and lam >= min(others_eps):
         raise ValueError("spectral parameter lam must sit below every decimated level")
     nodes = grid.nodes
-    masses = grid.weights / FOUR_PI
+    masses = slot_masses(grid)
     g = spec.g
     gj = np.abs(spec.gamma[j]) ** 2
     coupled = [l for l in range(spec.n_levels) if l != j and gj[l] != 0.0]

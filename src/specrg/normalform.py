@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix, ladder_walk
+from .fock import FockBasis, ModeGrid, OperatorMatrix, ladder_walk
 
 FOUR_PI = 4.0 * np.pi
 
@@ -137,10 +137,6 @@ class CouplingFunction:
             a = 1 + self.m
             dev = max(dev, float(np.max(np.abs(self.values - np.swapaxes(self.values, a, a + 1)))))
         return dev
-
-    def symmetrize(self) -> "CouplingFunction":
-        return CouplingFunction(self.m, self.n, self.r_grid, self.nodes,
-                                symmetrized(self.values, self.m, self.n), profile=self.profile)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -281,9 +277,9 @@ def interaction_norm(H: NormalFormHamiltonian) -> float:
     return total
 
 
-def slot_masses(basis: FockBasis) -> np.ndarray:
+def slot_masses(grid: ModeGrid) -> np.ndarray:
     """Radial measure k^2 dk per node: quadrature weight divided by 4 pi."""
-    return basis.grid.weights / FOUR_PI
+    return grid.weights / FOUR_PI
 
 
 def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
@@ -300,7 +296,7 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
     D = basis.dim
-    root_mass = np.sqrt(slot_masses(basis))
+    root_mass = np.sqrt(slot_masses(basis.grid))
     hf = basis.hf_diagonal()
     if hf.max() > w.r_grid[-1]:
         warnings.warn(f"field energies up to {hf.max():.6g} exceed the kernel grid end "

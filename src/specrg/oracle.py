@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DEFAULT_DIM_CAP
-from .models import (CoupledModel, DeformedOperator, ModelSpec, build_model,
-                     complex_dilate, form_factor)
-from .normalform import FOUR_PI
+from .models import CoupledModel, DeformedOperator, ModelSpec, complex_dilate, form_factor
+from .normalform import slot_masses
 
 
 class SolverError(RuntimeError):
@@ -48,11 +47,6 @@ def exact_spectrum(H, k: int | None = None):
     if k is not None:
         vals = vals[:k]
     return vals
-
-
-def ground_state(H) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(np.asarray(H))
-    return float(vals[0]), vecs[:, 0]
 
 
 # An isolated eigenvalue near the seed converges in a handful of steps; a seed
@@ -159,26 +153,25 @@ class PoleFit:
     residual: float
 
 
+def _resolvent(H: np.ndarray, psi: np.ndarray, phi: np.ndarray, zs) -> np.ndarray:
+    """<psi, (H - z)^-1 phi> at each z of zs, one linear solve per point."""
+    eye = np.eye(H.shape[0])
+    return np.array([np.vdot(psi, np.linalg.solve(H - z * eye, phi)) for z in zs],
+                    dtype=complex)
+
+
 def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, z_grid):
     """(values, flags): F(z) = <psi, (H_theta - z)^-1 phi> over the grid.
 
     Grid points closer than 1e-9 to an eigenvalue are skipped: their
     value is nan and their flag True.  fit_pole fits the pole form near one.
     """
-    H = D.H
-    dim = H.shape[0]
-    eigs = np.linalg.eigvals(H)
-    values = []
-    flags = []
-    for z in np.asarray(z_grid, dtype=complex):
-        if np.min(np.abs(eigs - z)) < 1e-9:
-            values.append(np.nan + 0j)
-            flags.append(True)
-            continue
-        sol = np.linalg.solve(H - z * np.eye(dim), phi)
-        values.append(complex(np.vdot(psi, sol)))
-        flags.append(False)
-    return np.asarray(values), np.asarray(flags)
+    zs = np.asarray(z_grid, dtype=complex)
+    eigs = np.linalg.eigvals(D.H)
+    flags = np.array([np.min(np.abs(eigs - z)) < 1e-9 for z in zs], dtype=bool)
+    values = np.full(len(zs), np.nan + 0j)
+    values[~flags] = _resolvent(D.H, psi, phi, zs[~flags])
+    return values, flags
 
 
 def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, seed: complex) -> PoleFit:
@@ -190,20 +183,14 @@ def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, seed: comple
     residual is the maximum relative misfit.  The residue certifies a genuine
     first-order pole when it is finite and nonzero.
     """
-    H = D.H
-    dim = H.shape[0]
-    eigs = np.linalg.eigvals(H)
+    eigs = np.linalg.eigvals(D.H)
     pole = complex(eigs[np.argmin(np.abs(eigs - seed))])
     others = eigs[np.abs(eigs - pole) > 1e-12]
     gap = float(np.min(np.abs(others - pole))) if len(others) else 1.0
     radii = 0.3 * gap * 0.5 ** np.arange(6)
     angles = np.exp(1j * (np.pi / 7 + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])))
     zs = (pole + np.outer(radii, angles)).ravel()
-    fs = []
-    for z in zs:
-        sol = np.linalg.solve(H - z * np.eye(dim), phi)
-        fs.append(complex(np.vdot(psi, sol)))
-    fs = np.asarray(fs)
+    fs = _resolvent(D.H, psi, phi, zs)
     design = np.stack([1.0 / (pole - zs), np.ones_like(zs), zs - pole], axis=1)
     coef, *_ = np.linalg.lstsq(design, fs, rcond=None)
     fitvals = design @ coef
@@ -213,9 +200,8 @@ def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, seed: comple
                    samples_z=zs, samples_f=fs, residual=residual)
 
 
-def combes_deviation(model: CoupledModel, model_covariant: CoupledModel,
-                     psi: np.ndarray, phi: np.ndarray, z_grid, theta: float,
-                     D: DeformedOperator) -> float:
+def combes_deviation(D: DeformedOperator, covariant: CoupledModel, psi: np.ndarray,
+                     phi: np.ndarray, z_grid) -> float:
     """Max deviation between the dilated resolvent element and its undeformed
     realization on the covariantly rescaled grid (real theta).
 
@@ -225,16 +211,8 @@ def combes_deviation(model: CoupledModel, model_covariant: CoupledModel,
     vectors are fixed by the rotation.  Agreement of the two code paths is the
     discrete form of the analytic-continuation argument for matrix elements.
     """
-    Hd = D.H
-    Hc = model_covariant.H
-    dim = Hd.shape[0]
-    dev = 0.0
-    for z in np.asarray(z_grid, dtype=complex):
-        a = np.vdot(psi, np.linalg.solve(Hd - z * np.eye(dim), phi))
-        b = np.vdot(psi, np.linalg.solve(Hc - z * np.eye(dim), phi))
-        denom = max(abs(b), 1.0)
-        dev = max(dev, abs(a - b) / denom)
-    return float(dev)
+    a, b = (_resolvent(H, psi, phi, z_grid) for H in (D.H, covariant.H))
+    return float(max((abs(x - y) / max(abs(y), 1.0) for x, y in zip(a, b)), default=0.0))
 
 
 def perturbation_oracle(spec: ModelSpec, grid) -> dict:
@@ -252,18 +230,22 @@ def perturbation_oracle(spec: ModelSpec, grid) -> dict:
         raise ValueError("coupling outside the perturbative window g <= gap/10")
     eps = spec.particle_levels
     nodes = np.asarray(grid.nodes, dtype=float)
-    masses = np.asarray(grid.weights, dtype=float) / FOUR_PI
-    f2 = np.abs(form_factor(spec, nodes)) ** 2
+    masses = slot_masses(grid)
     g2 = spec.g ** 2
     gamma2 = np.abs(spec.gamma) ** 2
 
+    def shift_sum(k, mass):
+        total = 0.0
+        f2 = np.abs(form_factor(spec, k)) ** 2
+        for l in range(1, spec.n_levels):
+            denom = eps[0] - eps[l] - k
+            if np.min(np.abs(denom)) < 1e-12:
+                raise ResolutionError("vanishing denominator in the shift sum")
+            total += g2 * gamma2[0, l] * float(np.sum(mass * f2 / denom))
+        return total
+
     spacing = float(np.max(np.diff(np.concatenate(([0.0], nodes)))))
-    shift = 0.0
-    for l in range(1, spec.n_levels):
-        denom = eps[0] - eps[l] - nodes
-        if np.min(np.abs(denom)) < 1e-12:
-            raise ResolutionError("vanishing denominator in the shift sum")
-        shift += g2 * gamma2[0, l] * float(np.sum(masses * f2 / denom))
+    shift = shift_sum(nodes, masses)
 
     widths = np.zeros(spec.n_levels)
     for j in range(spec.n_levels):
@@ -280,14 +262,8 @@ def perturbation_oracle(spec: ModelSpec, grid) -> dict:
     # quadrature defect of the shift under 2x coarsening (pairing cells)
     defect = 0.0
     if len(nodes) >= 4 and spec.n_levels > 1:
-        coarse_n = nodes[::2]
-        coarse_m = masses[::2] + np.append(masses[1::2], 0.0)[:len(coarse_n)]
-        f2c = np.abs(form_factor(spec, coarse_n)) ** 2
-        shift_c = 0.0
-        for l in range(1, spec.n_levels):
-            shift_c += g2 * gamma2[0, l] * float(
-                np.sum(coarse_m * f2c / (eps[0] - eps[l] - coarse_n)))
-        defect = abs(shift_c - shift) / max(abs(shift), 1e-300)
+        coarse_m = masses[::2] + np.append(masses[1::2], 0.0)[:len(nodes[::2])]
+        defect = abs(shift_sum(nodes[::2], coarse_m) - shift) / max(abs(shift), 1e-300)
 
     return {"ground_shift": float(shift), "widths": widths,
             "discretization_defect": float(defect)}

@@ -71,11 +71,15 @@ class PolydiscParams:
             raise ValueError("alpha, beta, gamma, mu must be nonnegative")
 
 
+def polydisc_coordinates(H: NormalFormHamiltonian) -> tuple[complex, float, float]:
+    """(E, beta, gamma) of H: E = w00(0), beta = sup|T'-1|, gamma = ||W||_{mu,xi}."""
+    E, _, _ = split(H)
+    return E, t_slope_deviation(H), interaction_norm(H)
+
+
 def polydisc_membership(H: NormalFormHamiltonian, p: PolydiscParams):
     """Evaluate |E| <= alpha, sup|T'-1| <= beta, ||W|| <= gamma."""
-    E, _, _ = split(H)
-    beta_meas = t_slope_deviation(H)
-    gamma_meas = interaction_norm(H)
+    E, beta_meas, gamma_meas = polydisc_coordinates(H)
     margins = (p.alpha - abs(E), p.beta - beta_meas, p.gamma - gamma_meas)
     return all(m >= 0 for m in margins), margins
 
@@ -164,20 +168,9 @@ def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
     """
     if w.order == 0:
         return w
-    shape = w.values.shape
-    r = w.r_grid.reshape((-1,) + (1,) * w.order)
-    omega_cre = 0.0
-    omega_ann = 0.0
-    for axis in range(1, w.order + 1):
-        kshape = [1] * (w.order + 1)
-        kshape[axis] = len(w.nodes)
-        kvec = w.nodes.reshape(kshape)
-        if axis <= w.m:
-            omega_cre = omega_cre + kvec
-        else:
-            omega_ann = omega_ann + kvec
-    mask = np.ones(shape)
-    mask = mask * (r + omega_cre <= 1.0 + 1e-12) * (r + omega_ann <= 1.0 + 1e-12)
+    r, *ks = np.ix_(w.r_grid, *[w.nodes] * w.order)
+    omega_cre, omega_ann = sum(ks[:w.m], 0.0), sum(ks[w.m:], 0.0)
+    mask = (r + omega_cre <= 1.0 + 1e-12) & (r + omega_ann <= 1.0 + 1e-12)
     # the indicator is flat away from its edge, so the almost-everywhere
     # r-derivative of the masked kernel is the masked derivative
     return CouplingFunction(w.m, w.n, w.r_grid, w.nodes, w.values * mask,
@@ -498,9 +491,9 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
             stalled = b[0] - a[0] > width / 2
         e_n, _, H, budget = a if abs(a[1]) < abs(b[1]) else b
         a = b = new = None  # drop the step's other replays before the next step
-        E, _, _ = split(H)
-        traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=t_slope_deviation(H),
-                                       gamma=interaction_norm(H), budget=budget))
+        E, beta, gamma = polydisc_coordinates(H)
+        traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=beta, gamma=gamma,
+                                       budget=budget))
         traj.budget = budget
         e_prev = e_n
     traj.e_final = complex(e_prev)

@@ -2,7 +2,8 @@
 
 The renormalization flows are by far the most expensive objects the suite
 needs (minutes each), and several tests inspect the same trajectories, so
-they are computed once per session here.
+they are computed once per session here.  The dilated model of criterion 7
+is shared by the acceptance and oracle tests.
 """
 
 import time
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from specrg.fock import build_fock_basis, build_mode_grid
-from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
+from specrg.models import ModelSpec, build_model, complex_dilate, ground_sector_hamiltonian
 from specrg.rgflow import flow
 
 FLOW_G_VALUES = (1e-3, 5e-3)
@@ -45,3 +46,13 @@ def model_flows():
     the per-step (e_n, E, beta, gamma, budget) measurements.
     """
     return {g: _flow_instance(g) for g in FLOW_G_VALUES}
+
+
+@pytest.fixture(scope="module")
+def resonance_instance():
+    """(spec, grid, basis, D): the criterion-7 model dilated at theta = 0.2i."""
+    spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=2.0)
+    grid = build_mode_grid(64, 2.0, "uniform")
+    basis = build_fock_basis(grid, 1)
+    D = complex_dilate(spec, basis, 0.2j)
+    return spec, grid, basis, D

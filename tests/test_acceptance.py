@@ -19,7 +19,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from specrg._calibration import C_RG
 from specrg.cli import _random_kernel
@@ -54,12 +53,12 @@ def test_criterion_01_feshbach_isospectrality():
         mat = (A + A.conj().T) / 2.0 if hermitian else A
         if trial % 3 == 0:
             chi = rng.random(64)  # smooth pair
-            pair = ProjectionPair(chi, smooth=True)
+            pair = ProjectionPair(chi)
         else:
             chi = (rng.random(64) > 0.5).astype(float)
             if chi.sum() in (0, 64):
                 chi[0] = 1.0 - chi[0]
-            pair = ProjectionPair(chi, smooth=False)
+            pair = ProjectionPair(chi)
         if trial % 4 == 0:
             lam = complex(rng.choice(np.linalg.eigvals(mat)))  # engineered null
             n_null_trials += 1
@@ -210,15 +209,6 @@ def test_criterion_06_ground_state(model_flows):
                    f"slope {slope:.3f}, flow {seconds:.0f}s")
 
 
-@pytest.fixture(scope="module")
-def resonance_instance():
-    spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=2.0)
-    grid = build_mode_grid(64, 2.0, "uniform")
-    basis = build_fock_basis(grid, 1)
-    D = complex_dilate(spec, basis, 0.2j)
-    return spec, grid, basis, D
-
-
 def test_criterion_07_resonances(resonance_instance):
     spec, grid, basis, D = resonance_instance
     z, stability = resonance_eigenvalue(D, 1.0)
@@ -253,14 +243,13 @@ def test_criterion_08_meromorphic_continuation(resonance_instance):
     spec, grid, basis, _ = resonance_instance
     theta = 0.1
     D_real = complex_dilate(spec, basis, theta + 0j)
-    model = build_model(spec, basis)
     covariant = build_model(spec, build_fock_basis(dilated_grid(grid, theta), 1))
     psi = np.zeros(2 * basis.dim, dtype=complex)
     psi[0] = 1.0
     phi = np.zeros(2 * basis.dim, dtype=complex)
     phi[basis.dim] = 1.0
     z_grid = np.array([0.5 + 0.3j, -0.2 + 0.1j, 1.3 + 0.4j, 0.9 + 0.6j])
-    dev = combes_deviation(model, covariant, psi, phi, z_grid, theta, D_real)
+    dev = combes_deviation(D_real, covariant, psi, phi, z_grid)
 
     D = complex_dilate(spec, basis, 0.2j)
     z, _ = resonance_eigenvalue(D, 1.0)

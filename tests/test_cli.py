@@ -79,6 +79,24 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, payload, key", [
+        ("spectrum", {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "g": None}}, "'model.g'"),
+        ("flow", {**BASE_CONFIG, "n_steps": [1]}, "'n_steps'"),
+        ("resonance", {**RESONANCE_CONFIG, "im_thetas": 0.2}, "'im_thetas'"),
+        ("spectrum", {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "n_modes": "x"}},
+         "'grid.n_modes'"),
+        ("spectrum", {**BASE_CONFIG, "model": {**BASE_CONFIG["model"], "particle_levels": "ab"}},
+         "'model.particle_levels'")],
+        ids=["model.g-null", "n_steps-list", "im_thetas-number", "grid.n_modes-string",
+             "particle_levels-string"])
+    def test_wrong_value_type(self, tmp_path, capsys, command, payload, key):
+        cfg = _cfg(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("specrg: config error:") and key in err
+        assert not out.exists()
+
     def test_unknown_option(self, tmp_path):
         cfg = _cfg(tmp_path, BASE_CONFIG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -189,6 +207,13 @@ class TestResonanceCommand:
         rows = (out / "resonance.csv").read_text().strip().split("\n")[1:]
         assert [r.split(",")[0] for r in rows] == [f"{t:.16e}" for t in (0.15, 0.2, 0.25)]
         assert len({r.split(",")[3] for r in rows}) == 1
+
+    def test_level_out_of_range_exits_with_domain_code(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, {**RESONANCE_CONFIG, "level": 5})
+        assert main(["resonance", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "level 5" in err
 
     @pytest.mark.parametrize("thetas", [[], [0.2, 0.0]])
     def test_missing_or_real_angle_exits_with_domain_code(self, tmp_path, thetas):

@@ -13,10 +13,6 @@ from specrg.oracle import exact_spectrum
 
 
 class TestProjectionPairs:
-    def test_sharp_requires_indicator(self):
-        with pytest.raises(ValueError, match="indicator"):
-            ProjectionPair(chi=np.array([0.5]), smooth=False)
-
     def test_rho_above_spectrum_gives_identity_cutoff(self):
         basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 2)
         with pytest.warns(UserWarning):
@@ -42,7 +38,7 @@ class TestFeshbachMap:
     def test_two_by_two_schur_complement(self):
         a, b, d = 1.3, 0.4 - 0.2j, 2.7
         H = np.array([[a, b], [np.conj(b), d]])
-        pair = ProjectionPair(np.array([1.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 0.0]))
         res = feshbach_map(H, None, pair)
         assert res.F[0, 0] == pytest.approx(a - abs(b) ** 2 / d)
         # outside the decimation sector F carries only tau
@@ -50,7 +46,7 @@ class TestFeshbachMap:
 
     def test_diagonal_hamiltonian_passes_through(self):
         H = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        pair = ProjectionPair(np.array([1.0, 1.0, 0.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 1.0, 0.0, 0.0]))
         res = feshbach_map(H, None, pair)
         assert np.allclose(res.F, H)
 
@@ -58,7 +54,7 @@ class TestFeshbachMap:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         chi = np.linspace(0.0, 1.0, 12)
-        pair = ProjectionPair(chi, smooth=True)
+        pair = ProjectionPair(chi)
         res = feshbach_map(A, None, pair)
         d1, d2 = identity_defect(A, res)
         scale = np.linalg.norm(A, 2)
@@ -66,7 +62,7 @@ class TestFeshbachMap:
 
     def test_singular_chibar_block_raises(self):
         H = np.diag([1.0, 0.0]).astype(complex)
-        pair = ProjectionPair(np.array([1.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 0.0]))
         with pytest.raises(NotInvertibleError):
             feshbach_map(H, None, pair)
 
@@ -90,14 +86,14 @@ class TestFeshbachMap:
 class TestReconstructInverse:
     def test_diagonal_inverse(self):
         H = np.diag([2.0, 4.0, 8.0]).astype(complex)
-        pair = ProjectionPair(np.array([1.0, 0.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 0.0, 0.0]))
         res = feshbach_map(H, None, pair)
         inv = reconstruct_inverse(res)
         assert np.allclose(inv, np.diag([0.5, 0.25, 0.125]))
 
     def test_two_by_two_matches_direct_inverse(self):
         mat = np.array([[1.5, 0.3], [0.3, 2.5]], dtype=complex)
-        pair = ProjectionPair(np.array([1.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 0.0]))
         res = feshbach_map(mat, None, pair)
         inv = reconstruct_inverse(res)
         assert np.allclose(inv, np.linalg.inv(mat), atol=1e-13)
@@ -107,7 +103,7 @@ class TestReconstructInverse:
         A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         mat = A + 8.0 * np.eye(64)  # push away from singularity
         chi = (rng.random(64) > 0.5).astype(float)
-        pair = ProjectionPair(chi, smooth=False)
+        pair = ProjectionPair(chi)
         res = feshbach_map(mat, None, pair)
         inv = reconstruct_inverse(res)
         direct = np.linalg.inv(mat)
@@ -118,14 +114,14 @@ class TestReconstructInverse:
 class TestIsospectralCheck:
     def test_diagonal_null_transport(self):
         H = np.diag([0.3, 1.0, 2.0]).astype(complex)
-        pair = ProjectionPair(np.array([1.0, 1.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 1.0, 0.0]))
         rep = isospectral_check(H, pair, 0.3)
         assert rep["dim_null_H"] == 1 and rep["dim_null_F"] == 1
         assert rep["null_dims_equal"]
 
     def test_resolvent_point(self):
         H = np.diag([0.3, 1.0, 2.0]).astype(complex)
-        pair = ProjectionPair(np.array([1.0, 1.0, 0.0]), smooth=False)
+        pair = ProjectionPair(np.array([1.0, 1.0, 0.0]))
         rep = isospectral_check(H, pair, 0.5 + 0.1j)
         assert rep["dim_null_H"] == rep["dim_null_F"] == 0
         assert rep["H_invertible"] and rep["F_invertible"]
@@ -140,7 +136,7 @@ class TestIsospectralCheck:
         chi = (np.diag(mat).real < 1.5).astype(float)
         if chi.sum() in (0, 6):
             chi[0] = 1.0 - chi[0]
-        pair = ProjectionPair(chi, smooth=False)
+        pair = ProjectionPair(chi)
         rep = isospectral_check(H, pair, 0.4)
         assert rep["dim_null_H"] == 2
         assert rep["dim_null_F"] == 2

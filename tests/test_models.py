@@ -77,7 +77,7 @@ class TestBuildModel:
     def test_field_operator_matches_ladder_matrices(self):
         basis = build_fock_basis(build_mode_grid(4, 0.5, "geometric"), 3)
         fvals = np.exp(1j * np.arange(4)) * np.array([1.0, -0.5, 2.0, 0.25])
-        coef = np.sqrt(slot_masses(basis)) * fvals
+        coef = np.sqrt(slot_masses(basis.grid)) * fvals
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for a in range(basis.n_modes):
             am = ladder_matrix(basis, a, "annihilate")

@@ -15,7 +15,8 @@ from specrg.normalform import (XI, CouplingFunction, NormalFormHamiltonian,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, default_r_grid, from_profile,
                                hamiltonian_norm, interaction_norm, interp_axis,
-                               slot_masses, split, t_slope_deviation)
+                               slot_masses, split, symmetrized,
+                               t_slope_deviation)
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
 
@@ -89,10 +90,9 @@ class TestCouplingFunction:
         nodes = np.array([0.2, 0.4, 0.8])
         vals = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
         w = CouplingFunction(2, 0, r, nodes, vals)
-        sym = w.symmetrize()
+        sym = CouplingFunction(2, 0, r, nodes, symmetrized(w.values, 2, 0))
         assert sym.symmetry_deviation() < 1e-14
-        again = sym.symmetrize()
-        assert np.allclose(again.values, sym.values)
+        assert np.allclose(symmetrized(sym.values, 2, 0), sym.values)
 
 
 def _per_point(m, n, r_grid, nodes, func):
@@ -251,7 +251,7 @@ class TestAssembly:
         c = 0.7
         w10 = _kernel(1, 0, grid.nodes, lambda r, k: c)
         mat = assemble_term(w10, basis)
-        root_mass = np.sqrt(slot_masses(basis)[0])
+        root_mass = np.sqrt(slot_masses(basis.grid)[0])
         expected = np.zeros((2, 2), dtype=complex)
         expected[basis.state_index([1]), basis.state_index([0])] = root_mass * c
         assert np.allclose(mat, expected)
@@ -287,7 +287,7 @@ class TestAssembly:
         w = CouplingFunction(m, n, r, grid.nodes, vals)
         create = [ladder_matrix(basis, k, "create") for k in range(3)]
         annihilate = [ladder_matrix(basis, k, "annihilate") for k in range(3)]
-        root_mass = np.sqrt(slot_masses(basis))
+        root_mass = np.sqrt(slot_masses(basis.grid))
         kern = w.at_r(basis.hf_diagonal())
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for I in iproduct(range(3), repeat=m):

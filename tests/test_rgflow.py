@@ -79,6 +79,28 @@ class TestScaling:
             scale_coupling(w, 1.5)
 
 
+class TestFieldSupportMask:
+    @pytest.mark.parametrize("m, n", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])
+    def test_keeps_entries_whose_field_energies_fit(self, m, n):
+        # r + k crosses 1 on this grid, and 0.25 + 0.75 and 0.5 + 0.5 hit it exactly
+        r_grid = np.linspace(0.0, 1.0, 5)
+        nodes = np.array([0.1, 0.5, 0.75])
+        shape = (len(r_grid),) + (len(nodes),) * (m + n)
+        rng = np.random.default_rng(10 * m + n)
+        vals, dr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for _ in range(2))
+        out = rgflow._apply_field_support_mask(
+            CouplingFunction(m, n, r_grid, nodes, vals, dr_values=dr))
+        kept = 0
+        for idx in np.ndindex(*shape):
+            r, ks = r_grid[idx[0]], [nodes[i] for i in idx[1:]]
+            keep = r + sum(ks[:m]) <= 1.0 + 1e-12 and r + sum(ks[m:]) <= 1.0 + 1e-12
+            assert out.values[idx] == (vals[idx] if keep else 0.0)
+            assert out.dr_values[idx] == (dr[idx] if keep else 0.0)
+            kept += keep
+        assert 0 < kept < vals.size
+
+
 class TestWickOrdering:
     """Cross-checks of the re-normal-ordering against dense matrix algebra."""
 
@@ -141,7 +163,7 @@ class TestWickOrdering:
             for (m, n) in keys:
                 shape = (33,) + (2,) * (m + n)
                 vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                terms[(m, n)] = CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
+                terms[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
             return terms
 
         A = rand_terms(A_keys)
@@ -187,7 +209,7 @@ class TestWickOrdering:
         for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
             shape = (len(r_grid),) + (3,) * (m + n)
             vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            W[(m, n)] = CouplingFunction(m, n, r_grid, nodes, vals).symmetrize()
+            W[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
         return W, np.array([0.01, 0.02, 0.03])
 
     def test_one_G_table_per_pair_and_contraction_order(self):
