@@ -263,9 +263,8 @@ def split(H: NormalFormHamiltonian):
 
 
 def t_slope_deviation(H: NormalFormHamiltonian) -> float:
-    """sup_r |T'(r) - 1|, the marginal-direction displacement."""
-    _, T, _ = split(H)
-    return float(np.max(np.abs(T.dr_values - 1.0)))
+    """sup_r |T'(r) - 1|, the marginal-direction displacement (T' = w00')."""
+    return float(np.max(np.abs(H.terms[(0, 0)].dr_values - 1.0)))
 
 
 def interaction_norm(H: NormalFormHamiltonian) -> float:

@@ -223,8 +223,7 @@ def perturbation_oracle(spec: ModelSpec, grid) -> dict:
     pushed down).  Width of level j: the continuum golden-rule value
     pi g^2 sum_{l < j} |Gamma_jl|^2 Delta chi(Delta)^2 with Delta the decay
     gap; this closed form is independent of the grid, which is the point of
-    the cross-check.  A discretization-error estimate (relative quadrature
-    defect of the shift sum under grid coarsening by 2) is attached.
+    the cross-check.
     """
     if spec.n_levels > 1 and spec.g > spec.level_gap / 10.0:
         raise ValueError("coupling outside the perturbative window g <= gap/10")
@@ -234,18 +233,12 @@ def perturbation_oracle(spec: ModelSpec, grid) -> dict:
     g2 = spec.g ** 2
     gamma2 = np.abs(spec.gamma) ** 2
 
-    def shift_sum(k, mass):
-        total = 0.0
-        f2 = np.abs(form_factor(spec, k)) ** 2
-        for l in range(1, spec.n_levels):
-            denom = eps[0] - eps[l] - k
-            if np.min(np.abs(denom)) < 1e-12:
-                raise ResolutionError("vanishing denominator in the shift sum")
-            total += g2 * gamma2[0, l] * float(np.sum(mass * f2 / denom))
-        return total
+    f2 = np.abs(form_factor(spec, nodes)) ** 2
+    shift = 0.0
+    for l in range(1, spec.n_levels):
+        shift += g2 * gamma2[0, l] * float(np.sum(masses * f2 / (eps[0] - eps[l] - nodes)))
 
     spacing = float(np.max(np.diff(np.concatenate(([0.0], nodes)))))
-    shift = shift_sum(nodes, masses)
 
     widths = np.zeros(spec.n_levels)
     for j in range(spec.n_levels):
@@ -259,11 +252,4 @@ def perturbation_oracle(spec: ModelSpec, grid) -> dict:
             chi = abs(complex(spec.cutoff(delta)))
             widths[j] += np.pi * g2 * gamma2[j, l] * delta * chi ** 2
 
-    # quadrature defect of the shift under 2x coarsening (pairing cells)
-    defect = 0.0
-    if len(nodes) >= 4 and spec.n_levels > 1:
-        coarse_m = masses[::2] + np.append(masses[1::2], 0.0)[:len(nodes[::2])]
-        defect = abs(shift_sum(nodes[::2], coarse_m) - shift) / max(abs(shift), 1e-300)
-
-    return {"ground_shift": float(shift), "widths": widths,
-            "discretization_defect": float(defect)}
+    return {"ground_shift": float(shift), "widths": widths}

@@ -44,9 +44,9 @@ class DomainError(ValueError):
 
 
 class FlowStalledError(RuntimeError):
-    def __init__(self, message, bracket=None):
+    def __init__(self, message, nodes=None):
         super().__init__(message)
-        self.bracket = bracket
+        self.nodes = nodes
 
 
 @dataclass
@@ -424,24 +424,39 @@ class FlowTrajectory:
 # the tolerance to which the last step's root e_final is located
 E_TOL = 1e-9
 
+# degree of the polynomial in lam that carries each step's family
+DEGREE = 3
+
+
+def _lagrange(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Weights L[i, j] = l_j(t_i) of the Lagrange basis on the points x."""
+    return np.linalg.solve(np.vander(x).T, np.vander(t, len(x)).T).T
+
+
+def _combine(family: list, weights: np.ndarray) -> NormalFormHamiltonian:
+    """sum_j weights[j] family[j]; kernel values and r-derivatives are both linear."""
+    terms = {}
+    for key, w in family[0].terms.items():
+        ws = [H.terms[key] for H in family]
+        terms[key] = CouplingFunction(w.m, w.n, w.r_grid, w.nodes,
+                                      np.tensordot(weights, [u.values for u in ws], 1),
+                                      np.tensordot(weights, [u.dr_values for u in ws], 1))
+    return NormalFormHamiltonian(terms, family[0].mu, family[0].M_max, family[0].masses)
+
 
 def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int = 2,
          builder=None):
-    """Iterate the map, re-centering the spectral parameter each step.
+    """Iterate the map on the analytic family H(lam), re-centering it each step.
 
     builder(lam) gives H(lam); without one it is H0 minus lam, and with one
-    H0 is not read (pass None).
-
-    e_n is the root of f(lam) = vacuum component of R^n(H(lam)), which falls
-    with slope about -rho^-n and is close to affine on the bracket
-    e_{n-1} -/+ rho^n / 8.  A bracketed secant finds it to within
-    tol = rho^(n+1) / 24 (E_TOL on the last step): each point is the chord's
-    root, taken from the end with the smaller |f|; a correction below tol/2 is
-    pushed tol/2 past it, so the next point closes the bracket (Brent's
-    tolerance step); after a step that fails to halve the bracket, and a
-    tolerance step if one is due, the midpoint is taken.  FlowStalledError
-    unless f(lo) > 0 > f(hi) and each new value lies strictly between the end
-    values.  e_n is the end with the smaller |f|; its replay gives the record.
+    H0 is not read (pass None).  Step n carries R^n(H(lam)) at the DEGREE + 1
+    Chebyshev points of e_{n-1} -/+ rho^n / 8: rg_step applied to builder
+    (step 1) or to the previous step's Hamiltonians interpolated there.  e_n
+    is the root of the vacuum interpolant, and the record holds the family
+    interpolated at it.  FlowStalledError, with the points, when the interval
+    holds no root or several, when a next step's points would leave it (root
+    outside the middle 1 - rho), or when the degree-DEGREE coefficient over
+    the slope at the root exceeds rho^(n+1) / 24 (E_TOL on the last step).
     """
     if builder is None:
         if H0 is None:
@@ -453,48 +468,47 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
             Hl.terms[(0, 0)] = subtract_constant(Hl.terms[(0, 0)], lam)
             return Hl
 
-    def evaluate(lam, n):
-        """n RG steps from H(lam): (lam, f(lam), final H, error budget)."""
-        H, budget = builder(lam), 0.0
-        for _ in range(n):
-            H, info = rg_step(H, rho, s_max=s_max)
-            budget += info.budget
-        return lam, float(np.real(H.terms[(0, 0)].values[0])), H, budget
-
+    # Chebyshev points on [-1, 1], increasing; lam = e_{n-1} + rho^n / 8 * x
+    x = -np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))
+    vander = np.vander(x)
     e_prev = float(np.real(builder(0.0).terms[(0, 0)].values[0]))
     traj = FlowTrajectory()
+    family = root = None
     for n in range(1, n_steps + 1):
-        lo, hi = e_prev - rho ** n / 8.0, e_prev + rho ** n / 8.0
-        a, b = evaluate(lo, n), evaluate(hi, n)  # the bracket ends, f(a) > 0 >= f(b)
-        if not (a[1] > 0.0 > b[1]):
-            raise FlowStalledError(f"no sign change on the step-{n} bracket [{lo:.6g}, "
-                                   f"{hi:.6g}]: ends {a[1]:.3e}, {b[1]:.3e}", bracket=(lo, hi))
+        half = rho ** n / 8.0
+        lams = e_prev + half * x
+        if family is None:
+            inputs = (builder(lam) for lam in lams)
+        else:
+            # the points sit at root + rho x in the previous step's coordinate
+            inputs = (_combine(family, w) for w in _lagrange(x, root + rho * x))
+        steps = [rg_step(H, rho, s_max=s_max) for H in inputs]
+        family = [H for H, _ in steps]
+        vacuum = [float(np.real(H.terms[(0, 0)].values[0])) for H in family]
+        coef = np.linalg.solve(vander, vacuum)
+        roots = np.roots(coef)
+        inside = roots.real[(roots.imag == 0) & (np.abs(roots.real) <= 1.0)]
+        where = f"the step-{n} interval [{e_prev - half:.6g}, {e_prev + half:.6g}]"
+        if len(inside) != 1:
+            raise FlowStalledError(
+                f"the vacuum interpolant has {len(inside)} roots on {where}; node values "
+                + ", ".join(f"{v:.3e}" for v in vacuum), nodes=lams)
+        root = float(inside[0])
+        e_n = e_prev + half * root
+        if n < n_steps and abs(root) > 1.0 - rho:
+            raise FlowStalledError(f"root {e_n:.9g} outside the middle 1 - rho of {where}",
+                                   nodes=lams)
+        slope = np.polyval(np.polyder(coef), root) / half
         tol = max(min(rho ** (n + 1) / 24.0, E_TOL if n == n_steps else np.inf), 1e-14)
-        stalled = pushed = False
-        while b[0] - a[0] > tol:
-            width = b[0] - a[0]
-            x0, f0, inward = (a[0], a[1], 1.0) if abs(a[1]) < abs(b[1]) else (b[0], -b[1], -1.0)
-            step = f0 * width / (a[1] - b[1])  # from x0 to the chord's root
-            if step < tol / 2 and not pushed:
-                x, pushed = x0 + inward * (step + tol / 2), True
-            elif stalled:
-                x, pushed = 0.5 * (a[0] + b[0]), False
-            else:
-                x, pushed = x0 + inward * step, False
-            new = evaluate(x, n)
-            if not (a[1] > new[1] > b[1]):
-                raise FlowStalledError(
-                    f"vacuum component not decreasing on the step-{n} bracket [{lo:.6g}, "
-                    f"{hi:.6g}]: f({x:.9g}) = {new[1]:.3e} is not between {a[1]:.3e} and "
-                    f"{b[1]:.3e}", bracket=(lo, hi))
-            a, b = (new, b) if new[1] > 0.0 else (a, new)
-            stalled = b[0] - a[0] > width / 2
-        e_n, _, H, budget = a if abs(a[1]) < abs(b[1]) else b
-        a = b = new = None  # drop the step's other replays before the next step
-        E, beta, gamma = polydisc_coordinates(H)
+        if not abs(coef[0]) <= tol * abs(slope):
+            raise FlowStalledError(
+                f"family not resolved on {where}: degree-{DEGREE} coefficient over slope "
+                f"{abs(coef[0] / slope):.3e} > {tol:.3e}", nodes=lams)
+        at_root = _lagrange(x, np.array([root]))[0]
+        E, beta, gamma = polydisc_coordinates(_combine(family, at_root))
+        traj.budget += float(at_root @ [info.budget for _, info in steps])
         traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=beta, gamma=gamma,
-                                       budget=budget))
-        traj.budget = budget
+                                       budget=traj.budget))
         e_prev = e_n
     traj.e_final = complex(e_prev)
     return traj

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The renormalization flows are by far the most expensive objects the suite
-needs (minutes each), and several tests inspect the same trajectories, so
+needs (seconds each), and several tests inspect the same trajectories, so
 they are computed once per session here.  The dilated model of criterion 7
 is shared by the acceptance and oracle tests.
 """

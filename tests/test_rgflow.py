@@ -13,10 +13,10 @@ from specrg.normalform import (FOUR_PI, XI, CouplingFunction, NormalFormHamilton
                                default_r_grid, from_profile, interaction_norm, split,
                                symmetrized)
 from specrg import rgflow
-from specrg.models import ModelSpec, ground_sector_hamiltonian
+from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
 from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
-                           normal_order_product, parameter_flow, polydisc_membership,
-                           rg_step, scale_coupling)
+                           normal_order_product, parameter_flow, polydisc_coordinates,
+                           polydisc_membership, rg_step, scale_coupling)
 
 RHO = 0.5
 
@@ -400,12 +400,13 @@ class TestFlow:
         grid = build_mode_grid(4, 0.5, "geometric")
         H = _scalar_hamiltonian(0.0, grid.nodes, masses=grid.weights / FOUR_PI)
         traj = flow(H, RHO, 4)
-        # the root finder stops at its terminal tolerance, not at machine zero
-        assert abs(traj.e_final) < 1e-9
+        # the family H_f - lam is affine, so its interpolant's root is exact
+        # up to rounding
+        assert abs(traj.e_final) < 1e-15
         for rec in traj.records:
-            # each record carries the rescaled residual at the accepted root,
-            # bounded by the step tolerance rho/24
-            assert abs(rec.E) <= RHO / 24.0 + 1e-12
+            # each record carries the family interpolated at that root, whose
+            # vacuum component vanishes there
+            assert abs(rec.E) < 1e-15
             assert rec.gamma == 0.0
             assert rec.budget == 0.0
 
@@ -438,19 +439,43 @@ class TestFlow:
         with pytest.raises(ValueError, match="H0 or a builder"):
             flow(None, RHO, 2)
 
+    @staticmethod
+    def _points(center, n):
+        """The Chebyshev points of the step-n interval center -/+ rho^n / 8."""
+        x = np.cos(np.pi * (np.arange(rgflow.DEGREE, -1, -1) + 0.5) / (rgflow.DEGREE + 1))
+        return center + RHO ** n / 8 * x
+
     def test_no_sign_change_stalls(self):
         builder = self._scalar_builder(lambda lam: 0.01)
-        with pytest.raises(FlowStalledError, match="no sign change") as info:
+        with pytest.raises(FlowStalledError, match="has 0 roots on the step-1 interval") as info:
             flow(builder(0.0), RHO, 1, builder=builder)
-        assert info.value.bracket == pytest.approx((0.01 - RHO / 8, 0.01 + RHO / 8))
+        assert info.value.nodes == pytest.approx(self._points(0.01, 1))
 
     def test_rising_interior_stalls(self):
-        # the ends bracket a root, but E rises on |lam| < 1/32, so two points
-        # there give a chord with a nonnegative slope
+        # E rises on |lam| < 1/32, which holds the two inner points, so the
+        # cubic through the four points crosses zero three times
         builder = self._scalar_builder(lambda lam: 3.0 * lam if abs(lam) < 1 / 32 else -lam)
-        with pytest.raises(FlowStalledError, match="not decreasing") as info:
+        with pytest.raises(FlowStalledError, match="has 3 roots on the step-1 interval") as info:
             flow(builder(0.0), RHO, 1, builder=builder)
-        assert info.value.bracket == pytest.approx((-RHO / 8, RHO / 8))
+        assert info.value.nodes == pytest.approx(self._points(0.0, 1))
+
+    def test_unresolved_family_stalls(self):
+        # at the four points T_5 aliases onto T_3, so (16 lam)^5 leaves a cubic
+        # coefficient of 1e-3 / 4 that the last step's tolerance E_TOL refuses
+        builder = self._scalar_builder(lambda lam: -lam + 1e-3 * (16 * lam) ** 5)
+        with pytest.raises(FlowStalledError, match="family not resolved") as info:
+            flow(builder(0.0), RHO, 1, builder=builder)
+        assert info.value.nodes == pytest.approx(self._points(0.0, 1))
+
+    def test_root_off_middle_stalls(self):
+        # the root 0.1 sits at 0.8 of the half-width from e_0 = 0.05, outside
+        # the middle 1 - rho where step 2's points would have to lie
+        builder = self._scalar_builder(lambda lam: 0.05 - lam / 2)
+        with pytest.raises(FlowStalledError, match="outside the middle") as info:
+            flow(builder(0.0), RHO, 2, builder=builder)
+        assert info.value.nodes == pytest.approx(self._points(0.05, 1))
+        # with no step after it the same root is accepted
+        assert flow(builder(0.0), RHO, 1, builder=builder).e_final.real == pytest.approx(0.1)
 
     @staticmethod
     def _model_builder(n_modes=4, g=3e-3):
@@ -459,35 +484,47 @@ class TestFlow:
         return lambda lam: ground_sector_hamiltonian(spec, grid, lam)
 
     def test_few_map_evaluations_per_step(self, monkeypatch):
-        steps = []  # per builder call: the rg_step calls that follow it
+        calls = Counter()
 
         def counted(H, rho, s_max=2):
-            steps[-1] += 1
+            calls["rg_step"] += 1
             return rg_step(H, rho, s_max=s_max)
 
         model = self._model_builder()
 
         def builder(lam):
-            steps.append(0)
+            calls["builder"] += 1
             return model(lam)
 
         monkeypatch.setattr(rgflow, "rg_step", counted)
-        flow(model(0.0), RHO, 2, builder=builder)
-        # an evaluation at step n replays n steps; the first builder call only
-        # reads e_0.  Bisection to e_tol took 10 and 32 evaluations here.
-        evaluations = Counter(steps)
-        assert set(evaluations) == {0, 1, 2} and evaluations[0] == 1
-        assert evaluations[1] <= 5 and evaluations[2] <= 5
+        flow(None, RHO, 3, s_max=0, builder=builder)
+        # builder reads e_0 and gives step 1 its points; every step applies
+        # rg_step once per point
+        assert calls == {"rg_step": 3 * (rgflow.DEGREE + 1), "builder": rgflow.DEGREE + 2}
+
+    def test_ten_step_flow_matches_dense_ground_energy(self):
+        grid = build_mode_grid(4, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+        traj = flow(None, RHO, 10, builder=lambda lam: ground_sector_hamiltonian(spec, grid, lam))
+        model = build_model(spec, build_fock_basis(grid, 2))
+        e0 = float(np.min(np.linalg.eigvalsh(model.H)))
+        assert len(traj.records) == 10
+        assert abs(traj.e_final.real - e0) <= rgflow.E_TOL
 
     def test_root_matches_fine_bisection(self):
         builder = self._model_builder()
         traj = flow(builder(0.0), RHO, 2, s_max=0, builder=builder)
 
-        def vacuum(lam):
-            H = builder(lam)
+        def replay(lam):
+            """R^2(H(lam)) and the budget of its two steps."""
+            H, budget = builder(lam), 0.0
             for _ in range(2):
-                H, _ = rg_step(H, RHO, s_max=0)
-            return H.terms[(0, 0)].values[0].real
+                H, info = rg_step(H, RHO, s_max=0)
+                budget += info.budget
+            return H, budget
+
+        def vacuum(lam):
+            return replay(lam)[0].terms[(0, 0)].values[0].real
 
         e = traj.e_final.real
         a, b = e - RHO ** 2 / 8, e + RHO ** 2 / 8
@@ -496,3 +533,10 @@ class TestFlow:
             mid = 0.5 * (a + b)
             a, b = (mid, b) if vacuum(mid) > 0.0 else (a, mid)
         assert abs(e - 0.5 * (a + b)) <= rgflow.E_TOL
+        # the last record holds the family interpolated at e, which differs
+        # from the replay there by the interpolation error (4e-6 relative for
+        # beta and gamma, 8e-5 for the budget)
+        H, budget = replay(e)
+        _, beta, gamma = polydisc_coordinates(H)
+        rec = traj.records[-1]
+        assert (rec.beta, rec.gamma, rec.budget) == pytest.approx((beta, gamma, budget), rel=1e-3)
