@@ -23,11 +23,11 @@ from .rgflow import (DomainError, FlowStalledError, FlowTrajectory,
                      PolydiscParams, StepInfo, flow, normal_order_product,
                      parameter_flow, polydisc_coordinates, polydisc_membership,
                      rg_step, scale_coupling)
-from .models import (CoupledModel, DeformedOperator, ModelSpec, build_model,
-                     complex_dilate, dilated_grid, fiber_hamiltonian,
-                     field_operator, form_factor, ground_sector_hamiltonian,
-                     infrared_exponent, mass_renormalization,
-                     pauli_fierz_transform, pf_coupling, pf_gauge_function)
+from .models import (CoupledModel, ModelSpec, build_model, complex_dilate,
+                     dilated_grid, fiber_hamiltonian, field_operator, form_factor,
+                     ground_sector_hamiltonian, infrared_exponent,
+                     mass_renormalization, pauli_fierz_transform, pf_coupling,
+                     pf_gauge_function)
 from .oracle import (NotFoundError, PoleFit, ResolutionError, SolverError,
                      combes_deviation, exact_spectrum, fit_pole,
                      perturbation_oracle, resolvent_element,

@@ -17,12 +17,12 @@ import numpy as np
 
 from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
-from .normalform import (CouplingFunction, NormalFormHamiltonian, default_r_grid,
+from .normalform import (MU, CouplingFunction, NormalFormHamiltonian, default_r_grid,
                          interaction_norm, slot_masses, subtract_constant, symmetrized)
 from .rgflow import polydisc_coordinates, rg_step
 
 
-def _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target):
+def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
     r_grid = default_r_grid()
     nodes = grid.nodes
     masses = slot_masses(grid)
@@ -38,9 +38,9 @@ def _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target):
         r, *ks = np.ix_(r_grid, *[nodes] * (m + n))
         vals = np.ones((len(r_grid),) + (len(nodes),) * (m + n), dtype=complex) * (a0 + a1 * r)
         for k in ks:
-            vals = vals * k ** (mu - 0.5)
+            vals = vals * k ** (MU - 0.5)
         raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
-    H = NormalFormHamiltonian({**terms, **raw}, mu=mu, M_max=2, masses=masses)
+    H = NormalFormHamiltonian({**terms, **raw}, masses)
     gamma = interaction_norm(H)
     scale = gamma_target / gamma
     for key in shapes:
@@ -56,8 +56,11 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
     Returns {"c_rg": ..., "c_init": ...}: c_rg is the largest constant any of
     the three recursion inequalities requires along randomized and physical
     flows; c_init the largest the initial-membership inequalities require for
-    the pre-decimated models.
+    the pre-decimated models.  mu must be MU, the one infrared exponent of
+    the norms; any other value raises ValueError.
     """
+    if mu != MU:
+        raise ValueError(f"mu = {mu} differs from the norms' infrared exponent MU = {MU}")
     rng = np.random.default_rng(seed)
     grid = build_mode_grid(8, 0.5, "geometric")
     c_rg = 0.0
@@ -83,14 +86,14 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
             E, b, gam = polydisc_coordinates(H)
 
     for _ in range(n_random):
-        H = _random_polydisc_hamiltonian(rng, grid, mu, rho, gamma_target=rho / 16.0)
+        H = _random_polydisc_hamiltonian(rng, grid, rho, gamma_target=rho / 16.0)
         track(H, n_steps)
 
     c_init = 0.0
     for kappa in (0.4, 1.0):
         for g in (1e-3, 5e-3):
             spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=g, kappa=kappa)
-            H = ground_sector_hamiltonian(spec, grid, lam=0.0, mu=mu)
+            H = ground_sector_hamiltonian(spec, grid, lam=0.0)
             E, b, gam = polydisc_coordinates(H)
             c_init = max(c_init,
                          abs(E) / (g * g * rho ** (mu - 2.0)),

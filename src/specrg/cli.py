@@ -32,9 +32,9 @@ EXIT_DOMAIN = 3
 # "grid" and "model"; a list holds numbers or lists of them.  One table serves
 # all commands, so a config may be shared between them.  Null is the default
 # for the NULLABLE keys and a wrong type for every other one.
-CONFIG_KEYS = {"": {"grid": dict, "model": dict, "n_max": int, "rho": float, "mu": float,
-                    "n_trials": int, "n_steps": int, "s_max": int, "k": int, "im_thetas": list,
-                    "level": int, "g_values": list, "p_grid": list, "x_grid": list},
+CONFIG_KEYS = {"": {"grid": dict, "model": dict, "n_max": int, "rho": float, "n_trials": int,
+                    "n_steps": int, "s_max": int, "k": int, "im_thetas": list, "level": int,
+                    "g_values": list, "p_grid": list, "x_grid": list},
                "grid": {"n_modes": int, "k_max": float, "scheme": str},
                "model": {"particle_levels": list, "g": float, "kappa": float, "mass": float,
                          "gamma": list}}
@@ -113,7 +113,6 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     grid = _grid_from_config(cfg)
     basis = fock.build_fock_basis(grid, n_max)
     rho = _value(cfg, "rho", 0.5)
-    mu = _value(cfg, "mu", 0.5)
     n_trials = _value(cfg, "n_trials", 10)
     report = {"checks": []}
     ok = True
@@ -161,8 +160,8 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     # basic bound on random kernels
     margin = np.inf
     for _ in range(n_trials):
-        w = _random_kernel(rng, grid.nodes, 1, 1, mu)
-        lhs, rhs = normalform.basic_bound_margin(w, rho, mu, basis)
+        w = _random_kernel(rng, grid.nodes, 1, 1, normalform.MU)
+        lhs, rhs = normalform.basic_bound_margin(w, rho, normalform.MU, basis)
         margin = min(margin, rhs * (1.0 + 1e-9) - lhs)
     record("basic_bound", margin >= 0.0, margin)
 

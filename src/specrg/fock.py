@@ -14,7 +14,6 @@ sum(n) <= n_max - 1 where the truncation is invisible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
@@ -49,14 +48,6 @@ class ModeGrid:
     @property
     def n_modes(self) -> int:
         return len(self.nodes)
-
-    def to_json(self) -> str:
-        return json.dumps({"nodes": self.nodes.tolist(), "weights": self.weights.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModeGrid":
-        d = json.loads(text)
-        return cls(np.asarray(d["nodes"]), np.asarray(d["weights"]))
 
 
 def build_mode_grid(n_modes: int, k_max: float, scheme: str = "uniform") -> ModeGrid:

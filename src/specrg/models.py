@@ -131,15 +131,15 @@ def _coupled_matrix(spec: ModelSpec, basis: FockBasis, field_scale, fvals=None) 
 
 @dataclass
 class CoupledModel:
-    """Assembled matter-field model: H acts on C^L tensor Fock."""
+    """Assembled matter-field model: H acts on C^L tensor Fock (L*D square).
+
+    theta is the dilation angle; H is non-Hermitian for Im theta != 0.
+    """
 
     spec: ModelSpec
     basis: FockBasis
     H: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.H.shape[0]
+    theta: complex = 0.0
 
 
 def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
@@ -151,18 +151,7 @@ def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
 # complex dilation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DeformedOperator:
-    """Dilated model H_theta on C^L tensor Fock (L*D square); non-Hermitian
-    for Im theta != 0."""
-
-    theta: complex
-    H: np.ndarray
-    basis: FockBasis
-    spec: ModelSpec
-
-
-def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> DeformedOperator:
+def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> CoupledModel:
     """Analytic continuation of the model in the dilation parameter.
 
     The field part becomes e^{-theta} H_f; the coupling function continues to
@@ -175,7 +164,7 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Deforme
     scaled_k = np.exp(-theta) * basis.grid.nodes
     fvals = np.exp(-1.5 * theta) * np.asarray(spec.cutoff(scaled_k), dtype=complex) / np.sqrt(scaled_k)
     H = _coupled_matrix(spec, basis, np.exp(-theta), fvals=fvals)
-    return DeformedOperator(theta=theta, H=H, basis=basis, spec=spec)
+    return CoupledModel(spec=spec, basis=basis, H=H, theta=theta)
 
 
 def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
@@ -195,7 +184,7 @@ def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
 # ---------------------------------------------------------------------------
 
 def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
-                              level: int = 0, mu: float = 0.5) -> NormalFormHamiltonian:
+                              level: int = 0) -> NormalFormHamiltonian:
     """Normal-form kernels of the model decimated onto one particle level.
 
     Eliminating the other levels at second order in g (a Schur complement on
@@ -262,7 +251,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     if abs(diag) > 0:
         terms[(1, 0)] = from_profile(1, 0, r_grid, nodes, lambda r, k: g * diag * fofk(k))
         terms[(0, 1)] = from_profile(0, 1, r_grid, nodes, lambda r, k: g * np.conj(diag) * fofk(k))
-    return NormalFormHamiltonian(terms, mu=mu, M_max=2, masses=masses)
+    return NormalFormHamiltonian(terms, masses)
 
 
 # ---------------------------------------------------------------------------

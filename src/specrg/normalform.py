@@ -18,7 +18,6 @@ consistent with pull-through bookkeeping.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from math import factorial
@@ -33,6 +32,9 @@ DEFAULT_R_POINTS = 33
 
 # Banach weight xi in (0, 1) of the norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}
 XI = 0.5
+
+# infrared exponent mu of that norm, one value for the whole flow
+MU = 0.5
 
 
 def default_r_grid() -> np.ndarray:
@@ -120,10 +122,6 @@ class CouplingFunction:
     def order(self) -> int:
         return self.m + self.n
 
-    def copy(self) -> "CouplingFunction":
-        return CouplingFunction(self.m, self.n, self.r_grid.copy(), self.nodes.copy(),
-                                self.values.copy(), self.dr_values.copy(), self.profile)
-
     def at_r(self, r):
         """Kernel sampled at field energies r (clamped to I), shape r + slots."""
         return interp_axis(self.values, self.r_grid, np.atleast_1d(r))
@@ -137,23 +135,6 @@ class CouplingFunction:
             a = 1 + self.m
             dev = max(dev, float(np.max(np.abs(self.values - np.swapaxes(self.values, a, a + 1)))))
         return dev
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "m": self.m, "n": self.n,
-            "r_grid": self.r_grid.tolist(),
-            "nodes": self.nodes.tolist(),
-            "shape": list(self.values.shape),
-            "values_re": self.values.real.ravel().tolist(),
-            "values_im": self.values.imag.ravel().tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CouplingFunction":
-        d = json.loads(text)
-        shape = tuple(d["shape"])
-        vals = (np.asarray(d["values_re"]) + 1j * np.asarray(d["values_im"])).reshape(shape)
-        return cls(d["m"], d["n"], np.asarray(d["r_grid"]), np.asarray(d["nodes"]), vals)
 
 
 def from_profile(m, n, r_grid, nodes, func) -> CouplingFunction:
@@ -198,17 +179,15 @@ def coupling_norm_mu1(w: CouplingFunction, mu: float) -> float:
 
 @dataclass
 class NormalFormHamiltonian:
-    """Collection {w_{m,n}} for m+n <= M_max together with mu (xi is XI).
+    """Collection {w_{m,n}} for m+n <= M_max with its slot measure (mu is MU, xi is XI).
 
-    masses optionally stores the radial quadrature measure per node (k^2 dk,
-    the weights of a ModeGrid divided by 4 pi); the renormalization step needs
-    it for contraction sums, plain norm bookkeeping does not.
+    masses is the radial quadrature measure per node (k^2 dk, the weights of
+    a ModeGrid divided by 4 pi) that the contraction sums of a step read.
     """
 
     terms: dict
-    mu: float = 0.5
+    masses: np.ndarray
     M_max: int = 2
-    masses: np.ndarray | None = None
 
     def __post_init__(self):
         for (m, n), w in self.terms.items():
@@ -216,10 +195,9 @@ class NormalFormHamiltonian:
                 raise ValueError(f"term key {(m, n)} disagrees with kernel ({w.m}, {w.n})")
             if m + n > self.M_max:
                 raise ValueError(f"term ({m},{n}) exceeds M_max={self.M_max}")
-        if self.masses is not None:
-            self.masses = np.asarray(self.masses, dtype=float)
-            if self.masses.shape != self.nodes.shape:
-                raise ValueError("masses must align with the kernel nodes")
+        self.masses = np.asarray(self.masses, dtype=float)
+        if self.masses.shape != self.nodes.shape:
+            raise ValueError("masses must align with the kernel nodes")
 
     @property
     def r_grid(self) -> np.ndarray:
@@ -229,17 +207,12 @@ class NormalFormHamiltonian:
     def nodes(self) -> np.ndarray:
         return next(iter(self.terms.values())).nodes
 
-    def copy(self) -> "NormalFormHamiltonian":
-        return NormalFormHamiltonian({k: w.copy() for k, w in self.terms.items()},
-                                     self.mu, self.M_max,
-                                     None if self.masses is None else self.masses.copy())
-
 
 def hamiltonian_norm(H: NormalFormHamiltonian) -> float:
     """Banach norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}."""
     total = 0.0
     for (m, n), w in H.terms.items():
-        total += XI ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
+        total += XI ** (-(m + n)) * coupling_norm_mu1(w, MU)
     return total
 
 
@@ -250,16 +223,17 @@ def subtract_constant(w00: CouplingFunction, c) -> CouplingFunction:
 
 
 def split(H: NormalFormHamiltonian):
-    """Decompose H into (E, T, W): scalar part, field part, interaction."""
+    """Decompose H into (E, W): the scalar part w00(0) and the interaction terms.
+
+    The field part T = w00 - E is not formed; t_slope_deviation reads its
+    slope off w00.
+    """
     w00 = H.terms.get((0, 0))
     if w00 is None:
         raise ValueError("split requires the (0,0) term")
     if w00.r_grid[0] != 0.0:
         raise ValueError("r_grid must start at 0 to read off E = w_00(0)")
-    E = complex(w00.values[0])
-    T = subtract_constant(w00, E)
-    W = {key: w for key, w in H.terms.items() if key != (0, 0)}
-    return E, T, W
+    return complex(w00.values[0]), {key: w for key, w in H.terms.items() if key != (0, 0)}
 
 
 def t_slope_deviation(H: NormalFormHamiltonian) -> float:
@@ -272,7 +246,7 @@ def interaction_norm(H: NormalFormHamiltonian) -> float:
     total = 0.0
     for (m, n), w in H.terms.items():
         if m + n >= 1:
-            total += XI ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
+            total += XI ** (-(m + n)) * coupling_norm_mu1(w, MU)
     return total
 
 

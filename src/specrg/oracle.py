@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DEFAULT_DIM_CAP
-from .models import CoupledModel, DeformedOperator, ModelSpec, complex_dilate, form_factor
+from .models import CoupledModel, ModelSpec, complex_dilate, form_factor
 from .normalform import slot_masses
 
 
@@ -93,7 +93,7 @@ def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float):
     return lam
 
 
-def _resonance_at_angles(D: DeformedOperator, seed: complex, radius: float | None,
+def _resonance_at_angles(D: CoupledModel, seed: complex, radius: float | None,
                          thetas) -> tuple[complex, list, float]:
     """z at D's angle, the resonance at each Im theta of thetas, and their spread.
 
@@ -121,7 +121,7 @@ def _resonance_at_angles(D: DeformedOperator, seed: complex, radius: float | Non
 STABILITY_THETAS = (0.15, 0.2, 0.25)
 
 
-def resonance_eigenvalue(D: DeformedOperator, seed: complex, radius: float | None = None):
+def resonance_eigenvalue(D: CoupledModel, seed: complex, radius: float | None = None):
     """Nearest complex eigenvalue of the dilated model, with theta-stability.
 
     z is the eigenvalue of D nearest seed (within radius, default half the
@@ -137,7 +137,7 @@ def resonance_eigenvalue(D: DeformedOperator, seed: complex, radius: float | Non
     return z, stability
 
 
-def resonance_multiplicity(D: DeformedOperator, center: complex, radius: float) -> int:
+def resonance_multiplicity(D: CoupledModel, center: complex, radius: float) -> int:
     """Algebraic multiplicity inside a disc: eigenvalue count with repetition."""
     vals = np.linalg.eigvals(D.H)
     return int(np.sum(np.abs(vals - center) < radius))
@@ -160,7 +160,7 @@ def _resolvent(H: np.ndarray, psi: np.ndarray, phi: np.ndarray, zs) -> np.ndarra
                     dtype=complex)
 
 
-def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, z_grid):
+def resolvent_element(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, z_grid):
     """(values, flags): F(z) = <psi, (H_theta - z)^-1 phi> over the grid.
 
     Grid points closer than 1e-9 to an eigenvalue are skipped: their
@@ -174,7 +174,7 @@ def resolvent_element(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, z_g
     return values, flags
 
 
-def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, seed: complex) -> PoleFit:
+def fit_pole(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, seed: complex) -> PoleFit:
     """Fit F(z) = p/(pole - z) + a + b (z - pole) near the resonance at seed.
 
     Samples lie on three rays at 120 degree separation approaching the pole
@@ -200,7 +200,7 @@ def fit_pole(D: DeformedOperator, psi: np.ndarray, phi: np.ndarray, seed: comple
                    samples_z=zs, samples_f=fs, residual=residual)
 
 
-def combes_deviation(D: DeformedOperator, covariant: CoupledModel, psi: np.ndarray,
+def combes_deviation(D: CoupledModel, covariant: CoupledModel, psi: np.ndarray,
                      phi: np.ndarray, z_grid) -> float:
     """Max deviation between the dilated resolvent element and its undeformed
     realization on the covariantly rescaled grid (real theta).

@@ -30,7 +30,7 @@ import numpy as np
 # fock and normalform functions are looked up through their modules at call
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
-from .normalform import (XI, CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
+from .normalform import (MU, XI, CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
                          interaction_norm, interp_axis, split, subtract_constant,
                          symmetrized, t_slope_deviation)
 
@@ -51,12 +51,11 @@ class FlowStalledError(RuntimeError):
 
 @dataclass
 class PolydiscParams:
-    """Polydisc radii (alpha, beta, gamma) plus the flow constants."""
+    """Polydisc radii (alpha, beta, gamma) plus the flow constants (mu is MU)."""
 
     alpha: float
     beta: float
     gamma: float
-    mu: float = 0.5
     rho: float = 0.5
     c: float = 1.0
 
@@ -67,13 +66,13 @@ class PolydiscParams:
             # the contraction theorem is stated on the open interval; the
             # boundary value is allowed for experiments but flagged
             warnings.warn("rho = 1/2 sits on the boundary of the theorem range")
-        if min(self.alpha, self.beta, self.gamma) < 0 or self.mu < 0:
-            raise ValueError("alpha, beta, gamma, mu must be nonnegative")
+        if min(self.alpha, self.beta, self.gamma) < 0:
+            raise ValueError("alpha, beta, gamma must be nonnegative")
 
 
 def polydisc_coordinates(H: NormalFormHamiltonian) -> tuple[complex, float, float]:
     """(E, beta, gamma) of H: E = w00(0), beta = sup|T'-1|, gamma = ||W||_{mu,xi}."""
-    E, _, _ = split(H)
+    E, _ = split(H)
     return E, t_slope_deviation(H), interaction_norm(H)
 
 
@@ -96,8 +95,8 @@ def parameter_flow(p: PolydiscParams) -> PolydiscParams:
     quad = p.c * p.gamma ** 2 / (2.0 * p.rho)
     return PolydiscParams(alpha=p.alpha / p.rho + quad,
                           beta=p.beta + quad,
-                          gamma=p.c * p.rho ** p.mu * p.gamma,
-                          mu=p.mu, rho=p.rho, c=p.c)
+                          gamma=p.c * p.rho ** MU * p.gamma,
+                          rho=p.rho, c=p.c)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +134,11 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
     any other is interpolated (linear in r and in each momentum slot, with a
     power-law extension below the lowest node).  rg_step builds its decimated
     kernels from arrays, so a flow reads a profile only when W is empty.
+    Interpolation keeps the bound above to rounding where every target
+    rho k is a node or lies below the lowest one, as on the dyadic nodes of
+    a geometric ModeGrid at rho = 1/2.  Between nodes the linear rule can
+    exceed it: on geomspace(0.02, 0.5, 6) or (.., 7) nodes at mu = 0.25 the
+    ratio is 0.5% or 1.0% over the bound.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
@@ -187,8 +191,8 @@ def _slot_tuples(M: int, length: int) -> np.ndarray:
 
 
 def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndarray,
-                  max_order: int, out_arrays: dict, budget: list, mu: float,
-                  sup_G: float, norms: tuple):
+                  max_order: int, out_arrays: dict, budget: list, sup_G: float,
+                  norms: tuple):
     """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays.
 
     For each number p of contractions (annihilators of A against creators of
@@ -225,7 +229,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
         if order > max_order:
             # dropped: log a norm-product bound instead of the kernel
             budget.append(Cf * float(np.sum(masses / nodes)) ** p * sup_G * norms[0] * norms[1]
-                          * nodes[0] ** (-mu) * XI ** (-order))
+                          * nodes[0] ** (-MU) * XI ** (-order))
             continue
 
         # sums and products over each tuple, left to right like np.sum and np.prod
@@ -244,17 +248,16 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
-                         max_order: int, mu: float, sup_G: float):
+                         max_order: int, sup_G: float):
     """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm)."""
     out_arrays: dict = {}
     budget: list = []
-    norms_A = [coupling_norm_mu1(w, mu) for w in A_terms.values()]
-    norms_B = [coupling_norm_mu1(w, mu) for w in B_terms.values()]
+    norms_A = [coupling_norm_mu1(w, MU) for w in A_terms.values()]
+    norms_B = [coupling_norm_mu1(w, MU) for w in B_terms.values()]
     ref = next(iter(A_terms.values()))
     for wA, nA in zip(A_terms.values(), norms_A):
         for wB, nB in zip(B_terms.values(), norms_B):
-            _pair_product(wA, wB, G, masses, max_order, out_arrays, budget,
-                          mu, sup_G, (nA, nB))
+            _pair_product(wA, wB, G, masses, max_order, out_arrays, budget, sup_G, (nA, nB))
     terms = {(mo, no): CouplingFunction(mo, no, ref.r_grid, ref.nodes, symmetrized(arr, mo, no))
              for (mo, no), arr in out_arrays.items()}
     return terms, float(np.sum(budget))
@@ -295,14 +298,12 @@ def _q_basis(nodes: bytes, masses: bytes) -> fock.FockBasis:
     return fock.build_fock_basis(grid, 2)
 
 
-def measured_q(H: NormalFormHamiltonian, G) -> float:
-    """Neumann ratio ||G(H_f) W||, with G the step's resolvent, on an n_max = 2 basis."""
-    if H.masses is None:
-        raise ValueError("H carries no slot measure; set masses before rg_step")
-    basis = _q_basis(H.nodes.tobytes(), H.masses.tobytes())
-    E, T, W = split(H)
+def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
+    """Neumann ratio ||G(H_f) W||, with W the interaction of H and G the step's
+    resolvent, on an n_max = 2 basis of H's grid."""
     if not W:
         return 0.0
+    basis = _q_basis(H.nodes.tobytes(), H.masses.tobytes())
     Wmat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for w in W.values():
         Wmat += normalform.assemble_term(w, basis)
@@ -320,13 +321,9 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         raise ValueError("rho must lie in (0, 1/2]")
     if s_max < 0 or s_max > 2:
         raise ValueError("Neumann order s_max must be 0, 1 or 2")
-    E, T, W = split(H)
+    _, W = split(H)
     w00 = H.terms[(0, 0)]
-    r_grid = w00.r_grid
-    nodes = H.nodes
-    masses = H.masses
-    if masses is None:
-        raise ValueError("H carries no slot measure; set masses on the Hamiltonian")
+    r_grid, nodes, masses = w00.r_grid, H.nodes, H.masses
 
     h0 = _h0_function(w00)
     region = r_grid[r_grid >= 0.75 * rho]
@@ -346,7 +343,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
             out[mask] = 1.0 / h0(r[mask])
         return out
 
-    q = measured_q(H, G)
+    q = measured_q(H, W, G)
     if q >= 1.0:
         raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} >= 1",
                           margins={"q": q})
@@ -359,13 +356,12 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     if W:
         neumann_terms.append((1.0, W))
         if s_max >= 1:
-            n1_full, d1 = normal_order_product(W, W, G, masses, max_order=4,
-                                               mu=H.mu, sup_G=sup_G)
+            n1_full, d1 = normal_order_product(W, W, G, masses, max_order=4, sup_G=sup_G)
             dropped += d1
             neumann_terms.append((-1.0, n1_full))
             if s_max >= 2:
                 n2, d2 = normal_order_product(n1_full, W, G, masses, max_order=H.M_max,
-                                              mu=H.mu, sup_G=sup_G)
+                                              sup_G=sup_G)
                 dropped += d2
                 neumann_terms.append((1.0, n2))
     remainder = gamma * q ** (s_max + 1) / (1.0 - q) if q < 1.0 else np.inf
@@ -376,7 +372,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     for sign, terms in neumann_terms:
         for (mo, no), w in terms.items():
             if mo + no > H.M_max:
-                dropped += XI ** (-(mo + no)) * coupling_norm_mu1(w, H.mu)
+                dropped += XI ** (-(mo + no)) * coupling_norm_mu1(w, MU)
             else:
                 f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + sign * w.values
 
@@ -388,7 +384,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         scaled = scale_coupling(kern, rho)
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
 
-    Hp = NormalFormHamiltonian(new_terms, mu=H.mu, M_max=H.M_max, masses=masses)
+    Hp = NormalFormHamiltonian(new_terms, masses, H.M_max)
     return Hp, StepInfo(q=q, neumann_remainder=float(remainder),
                         dropped_norm=float(dropped), inv_bound=inv_bound)
 
@@ -441,7 +437,7 @@ def _combine(family: list, weights: np.ndarray) -> NormalFormHamiltonian:
         terms[key] = CouplingFunction(w.m, w.n, w.r_grid, w.nodes,
                                       np.tensordot(weights, [u.values for u in ws], 1),
                                       np.tensordot(weights, [u.dr_values for u in ws], 1))
-    return NormalFormHamiltonian(terms, family[0].mu, family[0].M_max, family[0].masses)
+    return NormalFormHamiltonian(terms, family[0].masses, family[0].M_max)
 
 
 def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int = 2,
@@ -461,12 +457,10 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
     if builder is None:
         if H0 is None:
             raise ValueError("flow needs H0 or a builder")
-        base = H0.copy()
 
         def builder(lam):
-            Hl = base.copy()
-            Hl.terms[(0, 0)] = subtract_constant(Hl.terms[(0, 0)], lam)
-            return Hl
+            w00 = subtract_constant(H0.terms[(0, 0)], lam)
+            return NormalFormHamiltonian({**H0.terms, (0, 0): w00}, H0.masses, H0.M_max)
 
     # Chebyshev points on [-1, 1], increasing; lam = e_{n-1} + rho^n / 8 * x
     x = -np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))

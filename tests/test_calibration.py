@@ -31,3 +31,9 @@ def test_initial_membership_constant_regression(recomputed):
 def test_contraction_factor_below_one(recomputed):
     # c rho^mu < 1 is what makes the interaction direction stable
     assert recomputed["c_rg"] * 0.5 ** 0.5 < 1.0
+
+
+def test_other_infrared_exponent_refused():
+    # the norms have one infrared exponent, normalform.MU
+    with pytest.raises(ValueError, match="MU"):
+        calibrate_constants(mu=0.25)

@@ -70,7 +70,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, payload, key", [
         ("flow", {**BASE_CONFIG, "n_step": 2}, "'n_step'"),
         ("spectrum", {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "k_mx": 1.0}},
-         "'grid.k_mx'")], ids=["n_step", "grid.k_mx"])
+         "'grid.k_mx'"),
+        # the infrared exponent is normalform.MU, not a setting
+        ("verify", {**BASE_CONFIG, "mu": 0.5}, "'mu'")], ids=["n_step", "grid.k_mx", "mu"])
     def test_unknown_config_key(self, tmp_path, capsys, command, payload, key):
         cfg = _cfg(tmp_path, payload)
         out = tmp_path / "o"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrg.fock import (FockBasis, ModeGrid, OperatorMatrix, build_fock_basis,
+from specrg.fock import (FockBasis, OperatorMatrix, build_fock_basis,
                          build_mode_grid, field_hamiltonian, ladder_matrix,
                          pull_through_check)
 
@@ -34,12 +34,6 @@ class TestModeGrid:
         # cell volumes telescope regardless of the edge placement
         grid = build_mode_grid(6, 0.5, "geometric")
         assert grid.weights.sum() == pytest.approx(4.0 * np.pi / 3.0 * 0.5 ** 3)
-
-    def test_json_roundtrip(self):
-        grid = build_mode_grid(5, 2.0, "geometric")
-        back = ModeGrid.from_json(grid.to_json())
-        assert np.array_equal(back.nodes, grid.nodes)
-        assert np.array_equal(back.weights, grid.weights)
 
     @pytest.mark.parametrize("bad", [
         dict(n_modes=0, k_max=1.0), dict(n_modes=3, k_max=0.0),

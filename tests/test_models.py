@@ -148,7 +148,7 @@ class TestGroundSectorHamiltonian:
         for g in (1e-3, 5e-3):
             spec = _two_level(g)
             H = ground_sector_hamiltonian(spec, grid, lam=0.0)
-            E, _, _ = split(H)
+            E, _ = split(H)
             assert abs(E) <= C_INIT * g * g * rho ** (mu - 2.0)
             assert t_slope_deviation(H) <= C_INIT * g * g * rho ** (mu - 1.0)
             assert interaction_norm(H) <= C_INIT * g * rho ** mu

@@ -1,8 +1,6 @@
 """Coupling kernels, anisotropic norms, operator assembly, basic bound."""
 
-import json
 from itertools import product as iproduct
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian, ladder_matrix
-from specrg.normalform import (XI, CouplingFunction, NormalFormHamiltonian,
+from specrg.normalform import (MU, XI, CouplingFunction, NormalFormHamiltonian,
                                assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, default_r_grid, from_profile,
@@ -19,8 +17,6 @@ from specrg.normalform import (XI, CouplingFunction, NormalFormHamiltonian,
                                t_slope_deviation)
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _kernel(m, n, nodes, func, r_grid=None):
@@ -38,26 +34,6 @@ class TestCouplingFunction:
             CouplingFunction(0, 0, r[::-1], np.array([0.5]), np.zeros(len(r)))
         with pytest.raises(ValueError, match="nodes must be strictly increasing"):
             CouplingFunction(1, 0, r, np.array([0.5, 0.5]), np.zeros((len(r), 2)))
-
-    def test_json_roundtrip(self):
-        nodes = np.array([0.25, 0.5])
-        w = _kernel(1, 1, nodes, lambda r, k1, k2: (1 + 2j) * k1 * k2 + r)
-        back = CouplingFunction.from_json(w.to_json())
-        assert back.m == 1 and back.n == 1
-        assert np.allclose(back.values, w.values)
-        assert np.array_equal(back.nodes, w.nodes)
-
-    def test_golden_file(self):
-        text = (FIXTURES / "coupling_1_1.json").read_text()
-        w = CouplingFunction.from_json(text)
-        r = np.linspace(0, 1, 5)
-        nodes = np.array([0.25, 0.5])
-        expected = np.zeros((5, 2, 2), dtype=complex)
-        for i, k1 in enumerate(nodes):
-            for j, k2 in enumerate(nodes):
-                expected[:, i, j] = (1.0 + 0.5j) * np.sqrt(k1 * k2) * (1.0 + r)
-        assert np.allclose(w.values, expected)
-        assert json.loads(w.to_json()) == json.loads(text)
 
     def test_at_r_reproduces_grid_points(self):
         nodes = np.array([0.3, 0.6])
@@ -190,13 +166,13 @@ class TestHamiltonianNorm:
     def test_field_part_alone(self):
         nodes = np.array([0.25, 0.5])
         w00 = _kernel(0, 0, nodes, lambda r: r)
-        H = NormalFormHamiltonian({(0, 0): w00})
+        H = NormalFormHamiltonian({(0, 0): w00}, np.ones(2))
         assert hamiltonian_norm(H) == pytest.approx(2.0)
 
     def test_zero_hamiltonian(self):
         nodes = np.array([0.25])
         w00 = _kernel(0, 0, nodes, lambda r: 0.0)
-        H = NormalFormHamiltonian({(0, 0): w00})
+        H = NormalFormHamiltonian({(0, 0): w00}, np.ones(1))
         assert hamiltonian_norm(H) == 0.0
 
     def test_initial_model_norm_regression(self):
@@ -212,27 +188,26 @@ class TestHamiltonianNorm:
 class TestSplit:
     def test_field_hamiltonian_components(self):
         nodes = np.array([0.25, 0.5])
-        H = NormalFormHamiltonian({(0, 0): _kernel(0, 0, nodes, lambda r: r)})
-        E, T, W = split(H)
+        H = NormalFormHamiltonian({(0, 0): _kernel(0, 0, nodes, lambda r: r)}, np.ones(2))
+        E, W = split(H)
         assert E == 0.0
-        assert np.allclose(T.values, H.r_grid)
         assert W == {}
         assert t_slope_deviation(H) < 1e-12
 
     def test_shifted_field_hamiltonian(self):
         nodes = np.array([0.25])
-        H = NormalFormHamiltonian({(0, 0): _kernel(0, 0, nodes, lambda r: 3.0 + r)})
-        E, T, W = split(H)
+        H = NormalFormHamiltonian({(0, 0): _kernel(0, 0, nodes, lambda r: 3.0 + r)}, np.ones(1))
+        E, W = split(H)
         assert E == pytest.approx(3.0)
-        assert np.allclose(T.values, H.r_grid)
+        assert t_slope_deviation(H) < 1e-12
 
     def test_interaction_norm_matches_w_part(self):
         from specrg.models import ModelSpec, ground_sector_hamiltonian
         grid = build_mode_grid(6, 0.5, "geometric")
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=1.0)
         H = ground_sector_hamiltonian(spec, grid, lam=0.0)
-        _, _, W = split(H)
-        direct = sum(XI ** (-(m + n)) * coupling_norm_mu1(w, H.mu)
+        _, W = split(H)
+        direct = sum(XI ** (-(m + n)) * coupling_norm_mu1(w, MU)
                      for (m, n), w in W.items())
         assert interaction_norm(H) == pytest.approx(direct, rel=1e-12)
 
@@ -269,7 +244,8 @@ class TestAssembly:
         v11 = v11 + np.swapaxes(v11, 1, 2)  # real symmetric kernel
         w11 = CouplingFunction(1, 1, r, grid.nodes, v11.astype(complex))
         w00 = _kernel(0, 0, grid.nodes, lambda rr: rr)
-        H = NormalFormHamiltonian({(0, 0): w00, (1, 0): w10, (0, 1): w01, (1, 1): w11})
+        H = NormalFormHamiltonian({(0, 0): w00, (1, 0): w10, (0, 1): w01, (1, 1): w11},
+                                  slot_masses(grid))
         mat = assemble_operator(H, basis).mat
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
-from specrg.normalform import (FOUR_PI, XI, CouplingFunction, NormalFormHamiltonian,
+from specrg.normalform import (FOUR_PI, MU, XI, CouplingFunction, NormalFormHamiltonian,
                                assemble_term, coupling_norm_mu, coupling_norm_mu1,
-                               default_r_grid, from_profile, interaction_norm, split,
-                               symmetrized)
+                               default_r_grid, from_profile, interaction_norm, slot_masses,
+                               split, symmetrized)
 from specrg import rgflow
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
 from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
@@ -26,9 +26,23 @@ def _field_kernel(nodes, r_grid=None):
     return from_profile(0, 0, r_grid, nodes, lambda r: r)
 
 
-def _scalar_hamiltonian(E, nodes, masses=None):
-    w00 = from_profile(0, 0, default_r_grid(), nodes, lambda r: E + r)
-    return NormalFormHamiltonian({(0, 0): w00}, masses=masses)
+def _power_profile(rng, mu):
+    """Profile (a0 + a1 r) prod_i k_i^(mu - 1/2), a0 complex and a1 real drawn from rng."""
+    a0 = rng.standard_normal() + 1j * rng.standard_normal()
+    a1 = rng.standard_normal()
+
+    def prof(r, *ks):
+        out = a0 + a1 * r
+        for k in ks:
+            out = out * k ** (mu - 0.5)
+        return out
+
+    return prof
+
+
+def _scalar_hamiltonian(E, grid):
+    w00 = from_profile(0, 0, default_r_grid(), grid.nodes, lambda r: E + r)
+    return NormalFormHamiltonian({(0, 0): w00}, slot_masses(grid))
 
 
 class TestScaling:
@@ -58,20 +72,27 @@ class TestScaling:
         nodes = np.geomspace(0.02, 0.5, 6)
         for mu in (0.25, 0.5):
             for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-                a0 = rng.standard_normal() + 1j * rng.standard_normal()
-                a1 = rng.standard_normal()
-
-                def prof(r, *ks, _a0=a0, _a1=a1):
-                    out = (_a0 + _a1 * r)
-                    for k in ks:
-                        out = out * k ** (mu - 0.5)
-                    return out
-
-                w = from_profile(m, n, default_r_grid(), nodes, prof)
+                w = from_profile(m, n, default_r_grid(), nodes, _power_profile(rng, mu))
                 scaled = scale_coupling(w, RHO)
                 ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
                 bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
                 assert ratio <= bound * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("n_modes", [6, 8])
+    def test_contraction_bound_when_interpolated(self, n_modes):
+        # rg_step's kernels carry no profile, so scale_coupling interpolates
+        # them; on the dyadic nodes of a geometric mode grid the targets rho k
+        # land on nodes and the bound holds to rounding
+        rng = np.random.default_rng(2)
+        nodes = build_mode_grid(n_modes, 0.5, "geometric").nodes
+        for mu in (0.25, 0.5):
+            for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
+                tab = from_profile(m, n, default_r_grid(), nodes, _power_profile(rng, mu))
+                w = CouplingFunction(m, n, tab.r_grid, tab.nodes, tab.values)
+                scaled = scale_coupling(w, RHO)
+                ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
+                bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
+                assert ratio <= bound * (1.0 + 1e-12)
 
     def test_invalid_rho(self):
         w = _field_kernel(np.array([0.25]))
@@ -123,7 +144,7 @@ class TestWickOrdering:
         wB = CouplingFunction(1, 0, r_grid, nodes, vB)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
-                                      max_order=2, mu=0.5, sup_G=0.5)
+                                      max_order=2, sup_G=0.5)
         expected = np.zeros(33, dtype=complex)
         for q, k in enumerate(nodes):
             expected += masses[q] * vA[:, q] * G(r_grid + k) * vB[:, q]
@@ -141,7 +162,7 @@ class TestWickOrdering:
         wB = CouplingFunction(1, 0, r_grid, nodes, lin)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
-                                      max_order=2, mu=0.5, sup_G=0.5)
+                                      max_order=2, sup_G=0.5)
         r = r_grid[:, np.newaxis, np.newaxis]
         ki, kj = nodes[np.newaxis, :, np.newaxis], nodes[np.newaxis, np.newaxis, :]
         expected = (1.0 + r + ki) * G(r + ki + kj) * (1.0 + r + kj)
@@ -168,8 +189,7 @@ class TestWickOrdering:
 
         A = rand_terms(A_keys)
         B = rand_terms(B_keys)
-        out, dropped = normal_order_product(A, B, G, masses, max_order=4,
-                                            mu=0.5, sup_G=0.5)
+        out, dropped = normal_order_product(A, B, G, masses, max_order=4, sup_G=0.5)
         assert dropped == 0.0  # nothing exceeds max_order here
 
         def assemble(terms):
@@ -224,8 +244,7 @@ class TestWickOrdering:
             return 1.0 / (np.asarray(r) + 2.0)
 
         max_order = 3
-        _, dropped = normal_order_product(W, W, G, masses, max_order=max_order,
-                                          mu=0.5, sup_G=0.5)
+        _, dropped = normal_order_product(W, W, G, masses, max_order=max_order, sup_G=0.5)
         kept = sum(1 for (m1, n1) in W for (m2, n2) in W for p in range(min(n1, m2) + 1)
                    if m1 + n1 + m2 + n2 - 2 * p <= max_order)
         assert dropped > 0.0  # order-4 terms are dropped, and make no G call
@@ -266,8 +285,8 @@ class TestWickOrdering:
         # kernels agree bit for bit, also where shifted reads clamp at r = 1
         W, masses = self._random_W(6)
         G = lambda r: np.where(np.asarray(r) > 0.25, 1.0 / (np.asarray(r) + 2.0), 0.0)
-        n1, _ = normal_order_product(W, W, G, masses, max_order=4, mu=0.5, sup_G=0.5)
-        n2, _ = normal_order_product(n1, W, G, masses, max_order=2, mu=0.5, sup_G=0.5)
+        n1, _ = normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
+        n2, _ = normal_order_product(n1, W, G, masses, max_order=2, sup_G=0.5)
         for got, (A, B, max_order) in ((n1, (W, W, 4)), (n2, (n1, W, 2))):
             ref = self._tuple_loop_product(A, B, G, masses, max_order)
             assert got.keys() == ref.keys()
@@ -276,12 +295,9 @@ class TestWickOrdering:
 
 
 class TestRgStep:
-    def _masses(self, grid):
-        return grid.weights / FOUR_PI
-
     def test_field_hamiltonian_is_fixed_point(self):
         grid = build_mode_grid(6, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.0, grid.nodes, masses=self._masses(grid))
+        H = _scalar_hamiltonian(0.0, grid)
         Hp, info = rg_step(H, RHO)
         w = Hp.terms[(0, 0)]
         assert np.max(np.abs(w.values - H.r_grid)) < 1e-12
@@ -290,23 +306,53 @@ class TestRgStep:
     def test_scalar_shift_expands_exactly(self):
         grid = build_mode_grid(6, 0.5, "geometric")
         E = 0.01 + 0.002j
-        H = _scalar_hamiltonian(E, grid.nodes, masses=self._masses(grid))
+        H = _scalar_hamiltonian(E, grid)
         Hp, _ = rg_step(H, RHO)
-        Ep, T, W = split(Hp)
+        Ep, W = split(Hp)
         assert Ep == pytest.approx(E / RHO)
-        assert np.allclose(T.values, Hp.r_grid)
+        assert np.allclose(Hp.terms[(0, 0)].values - Ep, Hp.r_grid)
         assert W == {}
 
+    def test_measured_q_of_one_mode_shift(self):
+        # on one mode with n_max = 2, G W for a constant (1,0) kernel c is the
+        # weighted shift |0> -> |1> -> |2> with weights c sqrt(mass) G(k) and
+        # c sqrt(mass) sqrt(2) G(2k); its norm is the larger weight
+        grid = build_mode_grid(1, 0.5, "geometric")
+        (k,), (mass,) = grid.nodes, slot_masses(grid)
+        c = 0.3 - 0.4j
+        w10 = from_profile(1, 0, default_r_grid(), grid.nodes, lambda r, kk: c)
+        H = NormalFormHamiltonian({(0, 0): _field_kernel(grid.nodes), (1, 0): w10},
+                                  slot_masses(grid))
+        G = lambda r: 1.0 / (0.1 + np.asarray(r)) + 0.2j
+        expected = abs(c) * np.sqrt(mass) * max(abs(G(k)), np.sqrt(2) * abs(G(2 * k)))
+        assert rgflow.measured_q(H, {(1, 0): w10}, G) == pytest.approx(expected, rel=1e-12)
+        assert rgflow.measured_q(H, {}, G) == 0.0
+
+    def test_one_split_per_step(self, monkeypatch):
+        calls = Counter()
+
+        def counted(H):
+            calls["split"] += 1
+            return split(H)
+
+        monkeypatch.setattr(rgflow, "split", counted)
+        monkeypatch.setattr(rgflow.normalform, "split", counted)
+        H = TestFlow._model_builder()(0.0)
+        for _ in range(2):
+            H, _ = rg_step(H, RHO, s_max=1)
+        assert calls["split"] == 2
+
     def test_missing_masses_rejected(self):
-        grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.0, grid.nodes)
-        with pytest.raises(ValueError, match="measure"):
-            rg_step(H, RHO)
+        w00 = _field_kernel(build_mode_grid(4, 0.5, "geometric").nodes)
+        with pytest.raises(TypeError, match="masses"):
+            NormalFormHamiltonian({(0, 0): w00})
+        with pytest.raises(ValueError, match="masses"):
+            NormalFormHamiltonian({(0, 0): w00}, None)
 
     def test_singular_scalar_part_raises_domain_error(self):
         grid = build_mode_grid(4, 0.5, "geometric")
         # E + r vanishes inside the decimated region r >= 3 rho / 4
-        H = _scalar_hamiltonian(-0.6, grid.nodes, masses=self._masses(grid))
+        H = _scalar_hamiltonian(-0.6, grid)
         with pytest.raises(DomainError):
             rg_step(H, RHO)
 
@@ -327,14 +373,14 @@ class TestRgStep:
             out[r > RHO] = 1.0 / h0(r[r > RHO])
             return out
 
-        _, _, W = split(H)
+        _, W = split(H)
         sup_G = float(np.max(np.abs(G(H.r_grid[H.r_grid > RHO]))))
         product_terms, expected = normal_order_product(W, W, G, H.masses, max_order=4,
-                                                       mu=H.mu, sup_G=sup_G)
+                                                       sup_G=sup_G)
         above = [key for key in product_terms if sum(key) > H.M_max]
         assert above and all(sum(key) in (3, 4) for key in above)
         for (m, n) in above:
-            expected += XI ** (-(m + n)) * coupling_norm_mu1(product_terms[(m, n)], H.mu)
+            expected += XI ** (-(m + n)) * coupling_norm_mu1(product_terms[(m, n)], MU)
         assert info.dropped_norm > 0.0
         assert info.dropped_norm == pytest.approx(expected, rel=1e-13)
         assert rg_step(H, RHO, s_max=0)[1].dropped_norm == 0.0
@@ -355,39 +401,39 @@ class TestRgStep:
 class TestPolydisc:
     def test_field_hamiltonian_is_member(self):
         grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.0, grid.nodes)
+        H = _scalar_hamiltonian(0.0, grid)
         p = PolydiscParams(alpha=0.01, beta=0.01, gamma=0.01, rho=0.25)
         member, margins = polydisc_membership(H, p)
         assert member and all(m >= 0 for m in margins)
 
     def test_scalar_violation_flags_first_margin(self):
         grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.02, grid.nodes)
+        H = _scalar_hamiltonian(0.02, grid)
         p = PolydiscParams(alpha=0.01, beta=0.01, gamma=0.01, rho=0.25)
         member, margins = polydisc_membership(H, p)
         assert not member and margins[0] < 0
 
     def test_flow_formula_with_zero_gamma(self):
-        p = PolydiscParams(alpha=0.004, beta=0.002, gamma=0.0, rho=0.25, mu=0.5, c=2.0)
+        p = PolydiscParams(alpha=0.004, beta=0.002, gamma=0.0, rho=0.25, c=2.0)
         q = parameter_flow(p)
         assert q.alpha == pytest.approx(p.alpha / p.rho)
         assert q.beta == pytest.approx(p.beta)
         assert q.gamma == 0.0
 
     def test_flow_formula_from_pure_interaction(self):
-        g, c, rho, mu = 1e-3, 2.0, 0.25, 0.5
-        p = PolydiscParams(alpha=0.0, beta=0.0, gamma=g, rho=rho, mu=mu, c=c)
+        g, c, rho = 1e-3, 2.0, 0.25
+        p = PolydiscParams(alpha=0.0, beta=0.0, gamma=g, rho=rho, c=c)
         q = parameter_flow(p)
         assert q.alpha == pytest.approx(c * g ** 2 / (2 * rho))
         assert q.beta == pytest.approx(c * g ** 2 / (2 * rho))
-        assert q.gamma == pytest.approx(c * rho ** mu * g)
+        assert q.gamma == pytest.approx(c * rho ** MU * g)
 
     def test_five_fold_gamma_iteration(self):
-        g, c, rho, mu = 1e-3, 1.5, 0.25, 0.5
-        p = PolydiscParams(alpha=0.0, beta=0.0, gamma=g, rho=rho, mu=mu, c=c)
+        g, c, rho = 1e-3, 1.5, 0.25
+        p = PolydiscParams(alpha=0.0, beta=0.0, gamma=g, rho=rho, c=c)
         for _ in range(5):
             p = parameter_flow(p)
-        assert p.gamma / g == pytest.approx((c * rho ** mu) ** 5)
+        assert p.gamma / g == pytest.approx((c * rho ** MU) ** 5)
 
     def test_hypothesis_violation_warns(self):
         p = PolydiscParams(alpha=0.2, beta=0.0, gamma=0.0, rho=0.25)
@@ -398,7 +444,7 @@ class TestPolydisc:
 class TestFlow:
     def test_field_hamiltonian_gives_null_trajectory(self):
         grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.0, grid.nodes, masses=grid.weights / FOUR_PI)
+        H = _scalar_hamiltonian(0.0, grid)
         traj = flow(H, RHO, 4)
         # the family H_f - lam is affine, so its interpolant's root is exact
         # up to rounding
@@ -413,13 +459,13 @@ class TestFlow:
     def test_scalar_shift_flow_recovers_shift(self):
         grid = build_mode_grid(4, 0.5, "geometric")
         E = 3.3e-4
-        H = _scalar_hamiltonian(E, grid.nodes, masses=grid.weights / FOUR_PI)
+        H = _scalar_hamiltonian(E, grid)
         traj = flow(H, RHO, 6)
         assert traj.e_final.real == pytest.approx(E, abs=2e-9)
 
     def test_csv_columns(self):
         grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.0, grid.nodes, masses=grid.weights / FOUR_PI)
+        H = _scalar_hamiltonian(0.0, grid)
         traj = flow(H, RHO, 2)
         lines = traj.to_csv().strip().split("\n")
         assert lines[0] == "step,e_re,e_im,E_abs,beta,gamma,budget"
@@ -429,8 +475,15 @@ class TestFlow:
         """Builder of scalar Hamiltonians E(lam) + H_f, whose vacuum component
         after n steps is E(lam) / rho^n."""
         grid = build_mode_grid(4, 0.5, "geometric")
-        masses = grid.weights / FOUR_PI
-        return lambda lam: _scalar_hamiltonian(energy(lam), grid.nodes, masses=masses)
+        return lambda lam: _scalar_hamiltonian(energy(lam), grid)
+
+    def test_flow_leaves_H0_unchanged(self):
+        H0 = TestFlow._model_builder()(0.0)
+        before = {key: (w.values.copy(), w.dr_values.copy()) for key, w in H0.terms.items()}
+        flow(H0, RHO, 2)
+        for key, w in H0.terms.items():
+            assert np.array_equal(w.values, before[key][0])
+            assert np.array_equal(w.dr_values, before[key][1])
 
     def test_builder_needs_no_H0(self):
         builder = self._scalar_builder(lambda lam: 3.3e-4 - lam)
