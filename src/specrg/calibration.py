@@ -18,7 +18,7 @@ import numpy as np
 from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
 from .normalform import (MU, CouplingFunction, NormalFormHamiltonian, default_r_grid,
-                         interaction_norm, slot_masses, subtract_constant, symmetrized)
+                         interaction_norm, shifted, slot_masses, symmetrized)
 from .rgflow import polydisc_coordinates, rg_step
 
 
@@ -35,10 +35,8 @@ def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
     for (m, n) in shapes:
         a0 = rng.standard_normal() + 1j * rng.standard_normal()
         a1 = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        r, *ks = np.ix_(r_grid, *[nodes] * (m + n))
+        r = r_grid.reshape((-1,) + (1,) * (m + n))
         vals = np.ones((len(r_grid),) + (len(nodes),) * (m + n), dtype=complex) * (a0 + a1 * r)
-        for k in ks:
-            vals = vals * k ** (MU - 0.5)
         raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
     H = NormalFormHamiltonian({**terms, **raw}, masses)
     gamma = interaction_norm(H)
@@ -65,13 +63,6 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
     grid = build_mode_grid(8, 0.5, "geometric")
     c_rg = 0.0
 
-    def recenter(H):
-        # mimic the spectral-parameter adjustment: pull the scalar part back
-        # toward zero so iterated steps stay inside the domain of the map
-        w00 = H.terms[(0, 0)]
-        H.terms[(0, 0)] = subtract_constant(w00, w00.values[0])
-        return H
-
     def track(H, steps):
         nonlocal c_rg
         E, b, gam = polydisc_coordinates(H)
@@ -82,8 +73,10 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
                 c_rg = max(c_rg, g2 / (rho ** mu * gam))
                 quad = gam ** 2 / (2.0 * rho)
                 c_rg = max(c_rg, (abs(E2) - abs(E) / rho) / quad, (b2 - b) / quad)
-            H = recenter(H)
-            E, b, gam = polydisc_coordinates(H)
+            # mimic the spectral-parameter adjustment: pull E back to 0 so iterated steps
+            # stay inside the domain of the map; the shift keeps beta and gamma
+            H = shifted(H, E2)
+            E, b, gam = 0.0, b2, g2
 
     for _ in range(n_random):
         H = _random_polydisc_hamiltonian(rng, grid, rho, gamma_target=rho / 16.0)

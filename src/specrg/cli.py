@@ -160,7 +160,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     # basic bound on random kernels
     margin = np.inf
     for _ in range(n_trials):
-        w = _random_kernel(rng, grid.nodes, 1, 1, normalform.MU)
+        w = _random_kernel(rng, grid.nodes, 1, 1)
         lhs, rhs = normalform.basic_bound_margin(w, rho, normalform.MU, basis)
         margin = min(margin, rhs * (1.0 + 1e-9) - lhs)
     record("basic_bound", margin >= 0.0, margin)
@@ -177,14 +177,11 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _random_kernel(rng, nodes, m, n, mu):
-    """Symmetric Gaussian kernel with the critical infrared power k^(mu - 1/2)
-    in every slot."""
+def _random_kernel(rng, nodes, m, n):
+    """Symmetric Gaussian kernel (the critical infrared power k^(MU - 1/2) is 1)."""
     r_grid = normalform.default_r_grid()
     shape = (len(r_grid),) + (len(nodes),) * (m + n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for k in np.ix_(*[nodes] * (m + n)):
-        vals = vals * k ** (mu - 0.5)
     return normalform.CouplingFunction(m, n, r_grid, nodes, normalform.symmetrized(vals, m, n))
 
 
@@ -303,8 +300,7 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, Path(args.out), args.seed)
-    except (rgflow.DomainError, rgflow.FlowStalledError, oracle.ResolutionError,
-            oracle.NotFoundError) as exc:
+    except (rgflow.DomainError, rgflow.FlowStalledError, oracle.NotFoundError) as exc:
         print(f"specrg: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except oracle.SolverError as exc:

@@ -67,13 +67,10 @@ def build_mode_grid(n_modes: int, k_max: float, scheme: str = "uniform") -> Mode
         edges = np.linspace(0.0, k_max, n_modes + 1)
         nodes = 0.5 * (edges[:-1] + edges[1:])
     elif scheme == "geometric":
-        # edges k_max * 2^{-(n-1)}, ..., k_max/2, k_max plus the origin;
-        # nodes form a geometric sequence with ratio 2.
+        # edges k_max * 2^{-(n-1)}, ..., k_max/2, k_max plus the origin; the
+        # nodes, each upper edge over sqrt(2), form a geometric sequence with ratio 2.
         edges = np.concatenate(([0.0], k_max * 2.0 ** np.arange(-(n_modes - 1), 1)))
-        inner = k_max * 2.0 ** np.arange(-(n_modes - 1), 1)
-        nodes = inner / np.sqrt(2.0)
-        if n_modes == 1:
-            nodes = np.array([k_max / np.sqrt(2.0)])
+        nodes = edges[1:] / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -244,15 +241,12 @@ def pull_through_check(basis: FockBasis, f, mode: int) -> float:
     deviation is returned.  Columns are restricted to states with total
     occupation <= n_max - 1 so the truncation cannot contribute.
     """
-    if not (0 <= mode < basis.n_modes):
-        raise ValueError(f"mode {mode} out of range [0, {basis.n_modes - 1}]")
+    a = ladder_matrix(basis, mode, "annihilate")
+    adag = a.conj().T
     hf = basis.hf_diagonal()
     om = basis.grid.nodes[mode]
     fhf = np.broadcast_to(np.asarray(f(hf), dtype=complex), hf.shape)
     fshift = np.broadcast_to(np.asarray(f(hf + om), dtype=complex), hf.shape)
-
-    a = ladder_matrix(basis, mode, "annihilate")
-    adag = a.conj().T
 
     lhs_a = a * fhf[np.newaxis, :]          # a f(H_f)
     rhs_a = fshift[:, np.newaxis] * a       # f(H_f + omega) a

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, ModeGrid, field_hamiltonian
+from .fock import FockBasis, ModeGrid, field_hamiltonian, ladder_walk
 from .normalform import NormalFormHamiltonian, default_r_grid, from_profile, slot_masses
 
 
@@ -105,28 +105,18 @@ def form_factor(spec: ModelSpec, k):
 def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     """Phi(f) = sum_a sqrt(mass_a) f(k_a) (a_a + a*_a) on the truncated basis.
 
-    Each move i -> i - e_a of basis.lower gives one entry of a*_a and one of a_a.
+    Each move i -> i - e_a of fock.ladder_walk gives one entry of a_a and one of a*_a.
     """
     mass = slot_masses(basis.grid)
     if fvals is None:
         fvals = form_factor(spec, basis.grid.nodes)
     coef = np.sqrt(mass) * np.asarray(fvals, dtype=complex)
-    mode, upper = np.nonzero(basis.lower >= 0)
-    lower = basis.lower[mode, upper]
-    amp = np.sqrt(basis.states[upper, mode])
+    upper, modes, lower, amp = ladder_walk(basis, np.arange(basis.dim), 1, "annihilate")
+    mode = modes[:, 0]
     phi = np.zeros((basis.dim, basis.dim), dtype=complex)
     phi[upper, lower] += coef[mode] * amp
     phi[lower, upper] += np.conj(coef[mode]) * amp
     return phi
-
-
-def _coupled_matrix(spec: ModelSpec, basis: FockBasis, field_scale, fvals=None) -> np.ndarray:
-    """H_p (x) 1 + s 1 (x) H_f + g Gamma (x) Phi(f) with s = field_scale,
-    particle index outer; fvals defaults to the form factor on the nodes."""
-    D = basis.dim
-    return (np.kron(np.diag(spec.particle_levels).astype(complex), np.eye(D))
-            + field_scale * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
-            + spec.g * np.kron(spec.gamma, field_operator(spec, basis, fvals=fvals)))
 
 
 @dataclass
@@ -143,8 +133,8 @@ class CoupledModel:
 
 
 def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
-    """H = H_p (x) 1 + 1 (x) H_f + g Gamma (x) Phi(f), particle index outer."""
-    return CoupledModel(spec=spec, basis=basis, H=_coupled_matrix(spec, basis, 1.0))
+    """The model H = H_p (x) 1 + 1 (x) H_f + g Gamma (x) Phi(f): its dilation at theta = 0."""
+    return complex_dilate(spec, basis, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +144,18 @@ def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
 def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> CoupledModel:
     """Analytic continuation of the model in the dilation parameter.
 
-    The field part becomes e^{-theta} H_f; the coupling function continues to
-    f_theta(k) = e^{-3 theta/2} f(e^{-theta} k), the scaling action on a
-    creation operator over the d^3k measure.  The finite matter system is
-    dilation-invariant.
+    H_theta = H_p (x) 1 + e^{-theta} 1 (x) H_f + g Gamma (x) Phi(f_theta), particle
+    index outer: f continues to f_theta(k) = e^{-3 theta/2} f(e^{-theta} k), the
+    scaling action on a creation operator over the d^3k measure.  The finite
+    matter system is dilation-invariant.
     """
     if abs(np.imag(theta)) >= np.pi / 4:
         raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
     scaled_k = np.exp(-theta) * basis.grid.nodes
     fvals = np.exp(-1.5 * theta) * np.asarray(spec.cutoff(scaled_k), dtype=complex) / np.sqrt(scaled_k)
-    H = _coupled_matrix(spec, basis, np.exp(-theta), fvals=fvals)
+    H = (np.kron(np.diag(spec.particle_levels).astype(complex), np.eye(basis.dim))
+         + np.exp(-theta) * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
+         + spec.g * np.kron(spec.gamma, field_operator(spec, basis, fvals=fvals)))
     return CoupledModel(spec=spec, basis=basis, H=H, theta=theta)
 
 
@@ -336,14 +328,12 @@ def pauli_fierz_transform(spec: ModelSpec, x_grid) -> dict:
 # ---------------------------------------------------------------------------
 
 def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> np.ndarray:
-    """H(P) = (P - P_f - g Phi)^2 / 2m + H_f, momenta scalarized along P."""
+    """H(P) = (P - P_f - g Phi)^2 / 2m + H_f, momenta scalarized along P, so P_f = H_f."""
     if abs(P) >= 1.0 / 3.0:
         warnings.warn(f"|P| = {abs(P)} outside the controlled range |P| < 1/3")
-    D = basis.dim
-    Pf = np.diag((basis.states @ basis.grid.nodes).astype(complex))
-    Phi = field_operator(spec, basis)
-    A = P * np.eye(D) - Pf - spec.g * Phi
-    return A @ A / (2.0 * spec.mass) + field_hamiltonian(basis)
+    hf = field_hamiltonian(basis)
+    A = P * np.eye(basis.dim) - hf - spec.g * field_operator(spec, basis)
+    return A @ A / (2.0 * spec.mass) + hf
 
 
 def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:

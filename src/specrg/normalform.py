@@ -126,16 +126,6 @@ class CouplingFunction:
         """Kernel sampled at field energies r (clamped to I), shape r + slots."""
         return interp_axis(self.values, self.r_grid, np.atleast_1d(r))
 
-    def symmetry_deviation(self) -> float:
-        """Max change under swapping two creation or two annihilation slots."""
-        dev = 0.0
-        if self.m >= 2:
-            dev = max(dev, float(np.max(np.abs(self.values - np.swapaxes(self.values, 1, 2)))))
-        if self.n >= 2:
-            a = 1 + self.m
-            dev = max(dev, float(np.max(np.abs(self.values - np.swapaxes(self.values, a, a + 1)))))
-        return dev
-
 
 def from_profile(m, n, r_grid, nodes, func) -> CouplingFunction:
     """Tabulate func(r, k_1, .., k_{m+n}) on the grid and keep it for rescaling.
@@ -177,12 +167,19 @@ def coupling_norm_mu1(w: CouplingFunction, mu: float) -> float:
     return float(np.max(weight * np.abs(w.values))) + float(np.max(weight * np.abs(w.dr_values)))
 
 
+def term_norm(w: CouplingFunction) -> float:
+    """Banach weight xi^-(m+n) ||w_{m,n}||_{mu,1} of one kernel in H's norm."""
+    return XI ** (-w.order) * coupling_norm_mu1(w, MU)
+
+
 @dataclass
 class NormalFormHamiltonian:
     """Collection {w_{m,n}} for m+n <= M_max with its slot measure (mu is MU, xi is XI).
 
-    masses is the radial quadrature measure per node (k^2 dk, the weights of
-    a ModeGrid divided by 4 pi) that the contraction sums of a step read.
+    The constructor raises ValueError unless w00 exists on an r grid from 0
+    (E = w00(0)) and every kernel lies on w00's r grid and nodes.  masses is
+    the radial measure k^2 dk per node (ModeGrid weights over 4 pi) that the
+    contraction sums of a step read.
     """
 
     terms: dict
@@ -190,36 +187,45 @@ class NormalFormHamiltonian:
     M_max: int = 2
 
     def __post_init__(self):
+        w00 = self.terms.get((0, 0))
+        if w00 is None:
+            raise ValueError("a normal-form Hamiltonian needs its (0,0) term")
+        if w00.r_grid[0] != 0.0:
+            raise ValueError("r_grid must start at 0 to read off E = w_00(0)")
         for (m, n), w in self.terms.items():
             if (m, n) != (w.m, w.n):
                 raise ValueError(f"term key {(m, n)} disagrees with kernel ({w.m}, {w.n})")
             if m + n > self.M_max:
                 raise ValueError(f"term ({m},{n}) exceeds M_max={self.M_max}")
+            if not (np.array_equal(w.r_grid, w00.r_grid) and np.array_equal(w.nodes, w00.nodes)):
+                raise ValueError(f"term ({m},{n}) is not on the r grid and nodes of w00")
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != self.nodes.shape:
             raise ValueError("masses must align with the kernel nodes")
 
     @property
     def r_grid(self) -> np.ndarray:
-        return next(iter(self.terms.values())).r_grid
+        return self.terms[(0, 0)].r_grid
 
     @property
     def nodes(self) -> np.ndarray:
-        return next(iter(self.terms.values())).nodes
+        return self.terms[(0, 0)].nodes
 
 
 def hamiltonian_norm(H: NormalFormHamiltonian) -> float:
     """Banach norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}."""
     total = 0.0
-    for (m, n), w in H.terms.items():
-        total += XI ** (-(m + n)) * coupling_norm_mu1(w, MU)
+    for w in H.terms.values():
+        total += term_norm(w)
     return total
 
 
-def subtract_constant(w00: CouplingFunction, c) -> CouplingFunction:
-    """The scalar kernel w00 - c; a constant shift keeps the r-derivative."""
-    return CouplingFunction(0, 0, w00.r_grid, w00.nodes, w00.values - c,
-                            dr_values=w00.dr_values)
+def shifted(H: NormalFormHamiltonian, c) -> NormalFormHamiltonian:
+    """H - c: w00 moves by the constant c and keeps its r-derivative; the
+    other kernels are H's own, which nothing changes in place."""
+    w00 = H.terms[(0, 0)]
+    w00 = CouplingFunction(0, 0, w00.r_grid, w00.nodes, w00.values - c, dr_values=w00.dr_values)
+    return NormalFormHamiltonian({**H.terms, (0, 0): w00}, H.masses, H.M_max)
 
 
 def split(H: NormalFormHamiltonian):
@@ -228,12 +234,7 @@ def split(H: NormalFormHamiltonian):
     The field part T = w00 - E is not formed; t_slope_deviation reads its
     slope off w00.
     """
-    w00 = H.terms.get((0, 0))
-    if w00 is None:
-        raise ValueError("split requires the (0,0) term")
-    if w00.r_grid[0] != 0.0:
-        raise ValueError("r_grid must start at 0 to read off E = w_00(0)")
-    return complex(w00.values[0]), {key: w for key, w in H.terms.items() if key != (0, 0)}
+    return complex(H.terms[(0, 0)].values[0]), {k: w for k, w in H.terms.items() if k != (0, 0)}
 
 
 def t_slope_deviation(H: NormalFormHamiltonian) -> float:
@@ -244,9 +245,9 @@ def t_slope_deviation(H: NormalFormHamiltonian) -> float:
 def interaction_norm(H: NormalFormHamiltonian) -> float:
     """||W||_{mu,xi}: the Banach norm of the m+n >= 1 part."""
     total = 0.0
-    for (m, n), w in H.terms.items():
-        if m + n >= 1:
-            total += XI ** (-(m + n)) * coupling_norm_mu1(w, MU)
+    for w in H.terms.values():
+        if w.order >= 1:
+            total += term_norm(w)
     return total
 
 

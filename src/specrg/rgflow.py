@@ -31,8 +31,8 @@ import numpy as np
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
 from .normalform import (MU, XI, CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
-                         interaction_norm, interp_axis, split, subtract_constant,
-                         symmetrized, t_slope_deviation)
+                         interaction_norm, interp_axis, shifted, split, symmetrized,
+                         t_slope_deviation, term_norm)
 
 
 class DomainError(ValueError):
@@ -315,7 +315,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
 
     Raises DomainError when the scalar part fails the invertibility surrogate
     ||(E+T)^-1|| <= 2/rho on the decimated region or the measured Neumann
-    ratio reaches 1.
+    ratio is not below 1 (a NaN ratio included).
     """
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
@@ -344,8 +344,8 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         return out
 
     q = measured_q(H, W, G)
-    if q >= 1.0:
-        raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} >= 1",
+    if not q < 1.0:
+        raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} is not below 1",
                           margins={"q": q})
 
     sup_G = float(np.max(np.abs(G(r_grid[r_grid > rho])))) if np.any(r_grid > rho) else 0.0
@@ -364,7 +364,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
                                               sup_G=sup_G)
                 dropped += d2
                 neumann_terms.append((1.0, n2))
-    remainder = gamma * q ** (s_max + 1) / (1.0 - q) if q < 1.0 else np.inf
+    remainder = gamma * q ** (s_max + 1) / (1.0 - q)
 
     # assemble the decimated kernels (F), order by order; orders above M_max
     # (only the s <= 1 terms have any) are dropped and their norms logged
@@ -372,7 +372,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     for sign, terms in neumann_terms:
         for (mo, no), w in terms.items():
             if mo + no > H.M_max:
-                dropped += XI ** (-(mo + no)) * coupling_norm_mu1(w, MU)
+                dropped += term_norm(w)
             else:
                 f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + sign * w.values
 
@@ -459,8 +459,7 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
             raise ValueError("flow needs H0 or a builder")
 
         def builder(lam):
-            w00 = subtract_constant(H0.terms[(0, 0)], lam)
-            return NormalFormHamiltonian({**H0.terms, (0, 0): w00}, H0.masses, H0.M_max)
+            return shifted(H0, lam)
 
     # Chebyshev points on [-1, 1], increasing; lam = e_{n-1} + rho^n / 8 * x
     x = -np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))

@@ -112,7 +112,7 @@ def test_criterion_03_basic_bound():
     shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
     for i in range(100):
         m, n = shapes[i % len(shapes)]
-        w = _random_kernel(rng, grid.nodes, m, n, mu=0.5)
+        w = _random_kernel(rng, grid.nodes, m, n)
         for rho in (0.25, 0.5):
             lhs, rhs = basic_bound_margin(w, rho, 0.5, basis)
             assert lhs <= rhs * (1.0 + 1e-9), f"bound violated for (m,n)=({m},{n})"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import specrg
-from specrg.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from specrg.cli import EXIT_DOMAIN, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 
 
 def _cfg(tmp_path, payload, name="cfg.json"):
@@ -49,6 +49,16 @@ class TestVerify:
         cfg = _cfg(tmp_path, {**BASE_CONFIG, "n_max": 0})
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+    def test_failed_check_exits_with_invariant_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(specrg.fock, "pull_through_check", lambda basis, f, mode: 1.0)
+        cfg = _cfg(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INVARIANT
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["all_passed"] is False
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["pull_through"]
 
 
 class TestUsageErrors:
@@ -174,6 +184,23 @@ class TestSolverFailures:
         assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "quadratic coefficient" in err
+
+    @pytest.mark.parametrize("command, module, name, error", [
+        ("flow", specrg.rgflow, "flow", specrg.rgflow.FlowStalledError("no root on the interval")),
+        ("resonance", specrg.oracle, "_nearest_eigenvalue",
+         specrg.oracle.NotFoundError("no eigenvalue within the radius"))],
+        ids=["flow-stalled", "resonance-not-found"])
+    def test_domain_failure_exits_with_domain_code(self, tmp_path, monkeypatch, capsys,
+                                                   command, module, name, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(module, name, fail)
+        payload = RESONANCE_CONFIG if command == "resonance" else {**BASE_CONFIG, "n_steps": 1}
+        cfg = _cfg(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err == f"specrg: domain error: {error}\n"
 
 
 class TestResonanceCommand:

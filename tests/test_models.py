@@ -84,6 +84,26 @@ class TestBuildModel:
             expected += coef[a] * am.conj().T + np.conj(coef[a]) * am
         assert np.array_equal(field_operator(_two_level(1e-3), basis, fvals=fvals), expected)
 
+    @pytest.mark.parametrize("theta", [None, 0.2j], ids=["form-factor", "dilated"])
+    def test_field_operator_entries_at_model_couplings(self, theta):
+        # Phi(f) = sum_a coef_a a*_a + conj(coef_a) a_a with coef = sqrt(mass) f,
+        # at the form factor and at complex_dilate's f_theta
+        spec = _two_level(1e-3)
+        basis = build_fock_basis(build_mode_grid(6, 0.5, "geometric"), 2)
+        k = basis.grid.nodes
+        if theta is None:
+            fvals = form_factor(spec, k)
+        else:
+            fvals = (np.exp(-1.5 * theta) * np.asarray(spec.cutoff(np.exp(-theta) * k),
+                                                       dtype=complex) / np.sqrt(np.exp(-theta) * k))
+        coef = np.sqrt(slot_masses(basis.grid)) * fvals
+        expected = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for a in range(basis.n_modes):
+            expected += coef[a] * ladder_matrix(basis, a, "create")
+            expected += np.conj(coef[a]) * ladder_matrix(basis, a, "annihilate")
+        phi = field_operator(spec, basis, fvals=None if theta is None else fvals)
+        assert np.array_equal(phi, expected)
+
 
 class TestComplexDilation:
     def test_real_theta_is_isospectral_to_covariant_discretization(self):

@@ -13,7 +13,7 @@ from specrg.normalform import (MU, XI, CouplingFunction, NormalFormHamiltonian,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, default_r_grid, from_profile,
                                hamiltonian_norm, interaction_norm, interp_axis,
-                               slot_masses, split, symmetrized,
+                               shifted, slot_masses, split, symmetrized,
                                t_slope_deviation)
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
@@ -67,7 +67,7 @@ class TestCouplingFunction:
         vals = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
         w = CouplingFunction(2, 0, r, nodes, vals)
         sym = CouplingFunction(2, 0, r, nodes, symmetrized(w.values, 2, 0))
-        assert sym.symmetry_deviation() < 1e-14
+        assert np.array_equal(sym.values, np.swapaxes(sym.values, 1, 2))
         assert np.allclose(symmetrized(sym.values, 2, 0), sym.values)
 
 
@@ -185,6 +185,38 @@ class TestHamiltonianNorm:
         assert interaction_norm(H) == pytest.approx(0.0005972057898260654, rel=1e-9)
 
 
+class TestConstructorInvariants:
+    NODES = np.array([0.25, 0.5])
+
+    def _terms(self, **w11_grid):
+        w11 = _kernel(1, 1, w11_grid.get("nodes", self.NODES), lambda r, kb, ka: 0.1 + r,
+                      r_grid=w11_grid.get("r_grid"))
+        return {(0, 0): _kernel(0, 0, self.NODES, lambda r: r), (1, 1): w11}
+
+    def test_consistent_terms_accepted(self):
+        H = NormalFormHamiltonian(self._terms(), np.ones(2))
+        assert set(H.terms) == {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("grid", [{"nodes": np.array([0.25, 0.6])},
+                                      {"r_grid": np.linspace(0.0, 1.0, 9)}],
+                             ids=["other-nodes", "other-r-grid"])
+    def test_kernel_off_the_scalar_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="r grid and nodes"):
+            NormalFormHamiltonian(self._terms(**grid), np.ones(2))
+
+    def test_missing_scalar_term_rejected(self):
+        terms = self._terms()
+        del terms[(0, 0)]
+        with pytest.raises(ValueError, match=r"\(0,0\) term"):
+            NormalFormHamiltonian(terms, np.ones(2))
+
+    def test_r_grid_not_from_zero_rejected(self):
+        r_grid = np.linspace(0.1, 1.0, 10)
+        terms = {(0, 0): _kernel(0, 0, self.NODES, lambda r: r, r_grid=r_grid)}
+        with pytest.raises(ValueError, match="start at 0"):
+            NormalFormHamiltonian(terms, np.ones(2))
+
+
 class TestSplit:
     def test_field_hamiltonian_components(self):
         nodes = np.array([0.25, 0.5])
@@ -200,6 +232,21 @@ class TestSplit:
         E, W = split(H)
         assert E == pytest.approx(3.0)
         assert t_slope_deviation(H) < 1e-12
+
+    def test_shift_moves_only_E(self):
+        grid = build_mode_grid(6, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, lam=0.0)
+        before = {key: (w.values.copy(), w.dr_values.copy()) for key, w in H.terms.items()}
+        c = 0.003 - 0.001j
+        Hs = shifted(H, c)
+        assert split(Hs)[0] == split(H)[0] - c
+        assert t_slope_deviation(Hs) == t_slope_deviation(H)
+        assert interaction_norm(Hs) == interaction_norm(H)
+        assert list(Hs.terms) == list(H.terms)
+        for key, (values, dr_values) in before.items():
+            assert np.array_equal(H.terms[key].values, values)
+            assert np.array_equal(H.terms[key].dr_values, dr_values)
 
     def test_interaction_norm_matches_w_part(self):
         from specrg.models import ModelSpec, ground_sector_hamiltonian

@@ -349,6 +349,13 @@ class TestRgStep:
         with pytest.raises(ValueError, match="masses"):
             NormalFormHamiltonian({(0, 0): w00}, None)
 
+    def test_nan_neumann_ratio_raises_domain_error(self, monkeypatch):
+        # a NaN ratio passes no comparison, so it must not pass the q < 1 check
+        monkeypatch.setattr(rgflow, "measured_q", lambda H, W, G: float("nan"))
+        H = TestFlow._model_builder()(0.0)
+        with pytest.raises(DomainError, match="Neumann ratio"):
+            rg_step(H, RHO)
+
     def test_singular_scalar_part_raises_domain_error(self):
         grid = build_mode_grid(4, 0.5, "geometric")
         # E + r vanishes inside the decimated region r >= 3 rho / 4
