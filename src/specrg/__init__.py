@@ -11,11 +11,11 @@ computations), cli (batch driver).
 from .fock import (DEFAULT_DIM_CAP, FockBasis, ModeGrid, OperatorMatrix,
                    build_fock_basis, build_mode_grid, field_hamiltonian,
                    ladder_matrix, pull_through_check)
-from .normalform import (CouplingFunction, NormalFormHamiltonian,
+from .normalform import (R_GRID, CouplingFunction, NormalFormHamiltonian,
                          assemble_operator, assemble_term, basic_bound_margin,
-                         coupling_norm_mu, coupling_norm_mu1, default_r_grid,
-                         from_profile, hamiltonian_norm, interaction_norm,
-                         slot_masses, split, t_slope_deviation)
+                         coupling_norm_mu, coupling_norm_mu1, from_profile,
+                         hamiltonian_norm, interaction_norm, slot_masses, split,
+                         t_slope_deviation)
 from .feshbach import (FeshbachResult, NotInvertibleError, ProjectionPair,
                        feshbach_map, identity_defect, isospectral_check,
                        reconstruct_inverse, spectral_projection)

@@ -17,34 +17,28 @@ import numpy as np
 
 from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
-from .normalform import (MU, CouplingFunction, NormalFormHamiltonian, default_r_grid,
-                         interaction_norm, shifted, slot_masses, symmetrized)
+from .normalform import (MU, R_GRID, CouplingFunction, NormalFormHamiltonian, shifted,
+                         symmetrized, term_norm)
 from .rgflow import polydisc_coordinates, rg_step
 
 
 def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
-    r_grid = default_r_grid()
     nodes = grid.nodes
-    masses = slot_masses(grid)
     E = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * rho / 24.0
     slope_dev = rng.uniform(-1, 1) / 24.0
-    w00 = E + r_grid * (1.0 + slope_dev)
-    terms = {(0, 0): CouplingFunction(0, 0, r_grid, nodes, w00.astype(complex))}
-    shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+    w00 = E + R_GRID * (1.0 + slope_dev)
     raw = {}
-    for (m, n) in shapes:
+    for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         a0 = rng.standard_normal() + 1j * rng.standard_normal()
         a1 = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        r = r_grid.reshape((-1,) + (1,) * (m + n))
-        vals = np.ones((len(r_grid),) + (len(nodes),) * (m + n), dtype=complex) * (a0 + a1 * r)
-        raw[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
-    H = NormalFormHamiltonian({**terms, **raw}, masses)
-    gamma = interaction_norm(H)
-    scale = gamma_target / gamma
-    for key in shapes:
-        w = H.terms[key]
-        H.terms[key] = CouplingFunction(w.m, w.n, w.r_grid, w.nodes, scale * w.values)
-    return H
+        r = R_GRID.reshape((-1,) + (1,) * (m + n))
+        vals = np.ones((len(R_GRID),) + (len(nodes),) * (m + n), dtype=complex) * (a0 + a1 * r)
+        raw[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
+    # W's norm, summed in interaction_norm's order, is scaled to gamma_target
+    scale = gamma_target / sum(term_norm(w) for w in raw.values())
+    terms = {key: CouplingFunction(w.m, w.n, nodes, scale * w.values) for key, w in raw.items()}
+    return NormalFormHamiltonian({(0, 0): CouplingFunction(0, 0, nodes, w00.astype(complex)),
+                                  **terms}, grid)
 
 
 def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,

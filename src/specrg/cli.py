@@ -166,8 +166,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     record("basic_bound", margin >= 0.0, margin)
 
     # scaling fixed point
-    r_grid = normalform.default_r_grid()
-    hf_kernel = normalform.CouplingFunction(0, 0, r_grid, grid.nodes, r_grid.astype(complex))
+    hf_kernel = normalform.CouplingFunction(0, 0, grid.nodes, normalform.R_GRID.astype(complex))
     scaled = rgflow.scale_coupling(hf_kernel, rho)
     fp_dev = float(np.max(np.abs(scaled.values - hf_kernel.values)))
     record("scaling_fixed_point", fp_dev < 1e-12, 1e-12 - fp_dev)
@@ -179,10 +178,9 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
 
 def _random_kernel(rng, nodes, m, n):
     """Symmetric Gaussian kernel (the critical infrared power k^(MU - 1/2) is 1)."""
-    r_grid = normalform.default_r_grid()
-    shape = (len(r_grid),) + (len(nodes),) * (m + n)
+    shape = (len(normalform.R_GRID),) + (len(nodes),) * (m + n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return normalform.CouplingFunction(m, n, r_grid, nodes, normalform.symmetrized(vals, m, n))
+    return normalform.CouplingFunction(m, n, nodes, normalform.symmetrized(vals, m, n))
 
 
 def cmd_flow(cfg: dict, out: Path, seed: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockBasis, ModeGrid, field_hamiltonian, ladder_walk
-from .normalform import NormalFormHamiltonian, default_r_grid, from_profile, slot_masses
+from .normalform import NormalFormHamiltonian, from_profile, slot_masses
 
 
 def _gaussian_cutoff(kappa):
@@ -196,7 +196,6 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     kept sector must fit in I = [0,1]; a grid with n_max k_max > 1 will
     clamp, and assemble_term warns about it when the caller assembles.
     """
-    r_grid = default_r_grid()
     j = level
     eps = spec.particle_levels
     others_eps = [eps[l] for l in range(spec.n_levels) if l != j]
@@ -234,16 +233,16 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
         return -g * g * fofk(ka) * fofk(kb) * tot
 
     terms = {
-        (0, 0): from_profile(0, 0, r_grid, nodes, w00),
-        (1, 1): from_profile(1, 1, r_grid, nodes, w11),
-        (2, 0): from_profile(2, 0, r_grid, nodes, wpair),
-        (0, 2): from_profile(0, 2, r_grid, nodes, wpair),
+        (0, 0): from_profile(0, 0, nodes, w00),
+        (1, 1): from_profile(1, 1, nodes, w11),
+        (2, 0): from_profile(2, 0, nodes, wpair),
+        (0, 2): from_profile(0, 2, nodes, wpair),
     }
     diag = spec.gamma[j, j]
     if abs(diag) > 0:
-        terms[(1, 0)] = from_profile(1, 0, r_grid, nodes, lambda r, k: g * diag * fofk(k))
-        terms[(0, 1)] = from_profile(0, 1, r_grid, nodes, lambda r, k: g * np.conj(diag) * fofk(k))
-    return NormalFormHamiltonian(terms, masses)
+        terms[(1, 0)] = from_profile(1, 0, nodes, lambda r, k: g * diag * fofk(k))
+        terms[(0, 1)] = from_profile(0, 1, nodes, lambda r, k: g * np.conj(diag) * fofk(k))
+    return NormalFormHamiltonian(terms, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,16 @@ from .fock import FockBasis, ModeGrid, OperatorMatrix, ladder_walk
 
 FOUR_PI = 4.0 * np.pi
 
-DEFAULT_R_POINTS = 33
+# the field energies r in I = [0, 1] on which every kernel is tabulated; read-only,
+# because every kernel shares this one array
+R_GRID = np.linspace(0.0, 1.0, 33)
+R_GRID.flags.writeable = False
 
 # Banach weight xi in (0, 1) of the norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}
 XI = 0.5
 
 # infrared exponent mu of that norm, one value for the whole flow
 MU = 0.5
-
-
-def default_r_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, DEFAULT_R_POINTS)
 
 
 def interp_axis(values, xp, x, axis: int = 0) -> np.ndarray:
@@ -85,7 +84,7 @@ def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
 class CouplingFunction:
     """Discretized kernel w_{m,n}(r; k_1..k_{m+n}).
 
-    values has shape (len(r_grid),) + (len(nodes),) * (m + n), the first m
+    values has shape (len(R_GRID),) + (len(nodes),) * (m + n), the first m
     momentum axes being creation slots and the last n annihilation slots.
     dr_values holds the r-derivative on the same grid; when omitted it is
     produced by central differences the first time it is read.  The profile
@@ -93,15 +92,13 @@ class CouplingFunction:
     scale_coupling re-tabulate the kernel instead of interpolating it.
     """
 
-    def __init__(self, m: int, n: int, r_grid, nodes, values, dr_values=None, profile=None):
+    def __init__(self, m: int, n: int, nodes, values, dr_values=None, profile=None):
         self.m, self.n, self.profile = m, n, profile
-        self.r_grid = np.asarray(r_grid, dtype=float)
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = np.asarray(values, dtype=complex)
-        for name in ("r_grid", "nodes"):
-            if not np.all(np.diff(getattr(self, name)) > 0):
-                raise ValueError(f"{name} must be strictly increasing")
-        expected = (len(self.r_grid),) + (len(self.nodes),) * self.order
+        if not np.all(np.diff(self.nodes) > 0):
+            raise ValueError("nodes must be strictly increasing")
+        expected = (len(R_GRID),) + (len(self.nodes),) * self.order
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
         if dr_values is not None:
@@ -115,7 +112,7 @@ class CouplingFunction:
     @property
     def dr_values(self) -> np.ndarray:
         if self._dr_values is None:
-            self._dr_values = np.gradient(self.values, self.r_grid, axis=0)
+            self._dr_values = np.gradient(self.values, R_GRID, axis=0)
         return self._dr_values
 
     @property
@@ -124,21 +121,20 @@ class CouplingFunction:
 
     def at_r(self, r):
         """Kernel sampled at field energies r (clamped to I), shape r + slots."""
-        return interp_axis(self.values, self.r_grid, np.atleast_1d(r))
+        return interp_axis(self.values, R_GRID, np.atleast_1d(r))
 
 
-def from_profile(m, n, r_grid, nodes, func) -> CouplingFunction:
+def from_profile(m, n, nodes, func) -> CouplingFunction:
     """Tabulate func(r, k_1, .., k_{m+n}) on the grid and keep it for rescaling.
 
-    func is called once, on the open mesh np.ix_(r_grid, nodes, .., nodes);
+    func is called once, on the open mesh np.ix_(R_GRID, nodes, .., nodes);
     a result that does not broadcast to the table shape raises ValueError.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
-    shape = (len(r_grid),) + (len(nodes),) * (m + n)
-    vals = np.asarray(func(*np.ix_(r_grid, *[nodes] * (m + n))), dtype=complex)
+    shape = (len(R_GRID),) + (len(nodes),) * (m + n)
+    vals = np.asarray(func(*np.ix_(R_GRID, *[nodes] * (m + n))), dtype=complex)
     vals = np.array(np.broadcast_to(vals, shape))
-    return CouplingFunction(m, n, r_grid, nodes, vals, profile=func)
+    return CouplingFunction(m, n, nodes, vals, profile=func)
 
 
 def _norm_weight(w: CouplingFunction, mu: float):
@@ -174,42 +170,38 @@ def term_norm(w: CouplingFunction) -> float:
 
 @dataclass
 class NormalFormHamiltonian:
-    """Collection {w_{m,n}} for m+n <= M_max with its slot measure (mu is MU, xi is XI).
+    """Collection {w_{m,n}} for m+n <= M_max on one ModeGrid (mu is MU, xi is XI).
 
-    The constructor raises ValueError unless w00 exists on an r grid from 0
-    (E = w00(0)) and every kernel lies on w00's r grid and nodes.  masses is
-    the radial measure k^2 dk per node (ModeGrid weights over 4 pi) that the
-    contraction sums of a step read.
+    The constructor raises TypeError unless grid is a ModeGrid, and
+    ValueError unless w00 exists (E = w00(0)) and every kernel lies on the
+    grid's nodes.  masses, the radial measure k^2 dk per node that the
+    contraction sums of a step read, is read off the grid.
     """
 
     terms: dict
-    masses: np.ndarray
+    grid: ModeGrid
     M_max: int = 2
 
     def __post_init__(self):
-        w00 = self.terms.get((0, 0))
-        if w00 is None:
+        if not isinstance(self.grid, ModeGrid):
+            raise TypeError(f"grid must be a ModeGrid, not {type(self.grid).__name__}")
+        if (0, 0) not in self.terms:
             raise ValueError("a normal-form Hamiltonian needs its (0,0) term")
-        if w00.r_grid[0] != 0.0:
-            raise ValueError("r_grid must start at 0 to read off E = w_00(0)")
         for (m, n), w in self.terms.items():
             if (m, n) != (w.m, w.n):
                 raise ValueError(f"term key {(m, n)} disagrees with kernel ({w.m}, {w.n})")
             if m + n > self.M_max:
                 raise ValueError(f"term ({m},{n}) exceeds M_max={self.M_max}")
-            if not (np.array_equal(w.r_grid, w00.r_grid) and np.array_equal(w.nodes, w00.nodes)):
-                raise ValueError(f"term ({m},{n}) is not on the r grid and nodes of w00")
-        self.masses = np.asarray(self.masses, dtype=float)
-        if self.masses.shape != self.nodes.shape:
-            raise ValueError("masses must align with the kernel nodes")
-
-    @property
-    def r_grid(self) -> np.ndarray:
-        return self.terms[(0, 0)].r_grid
+            if not np.array_equal(w.nodes, self.nodes):
+                raise ValueError(f"term ({m},{n}) is not on the nodes of the grid")
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.terms[(0, 0)].nodes
+        return self.grid.nodes
+
+    @property
+    def masses(self) -> np.ndarray:
+        return slot_masses(self.grid)
 
 
 def hamiltonian_norm(H: NormalFormHamiltonian) -> float:
@@ -224,8 +216,8 @@ def shifted(H: NormalFormHamiltonian, c) -> NormalFormHamiltonian:
     """H - c: w00 moves by the constant c and keeps its r-derivative; the
     other kernels are H's own, which nothing changes in place."""
     w00 = H.terms[(0, 0)]
-    w00 = CouplingFunction(0, 0, w00.r_grid, w00.nodes, w00.values - c, dr_values=w00.dr_values)
-    return NormalFormHamiltonian({**H.terms, (0, 0): w00}, H.masses, H.M_max)
+    w00 = CouplingFunction(0, 0, w00.nodes, w00.values - c, dr_values=w00.dr_values)
+    return NormalFormHamiltonian({**H.terms, (0, 0): w00}, H.grid, H.M_max)
 
 
 def split(H: NormalFormHamiltonian):
@@ -264,17 +256,17 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     walk continues through every ordered tuple I of m creations.  The moves
     and the hard-cutoff truncation come from fock.ladder_walk; contributions
     to one matrix entry are summed in (J, I) lexicographic order.  Field
-    energies above the end of the kernel's r grid read its last value, and a
-    warning says so.
+    energies above the end of R_GRID read its last value, and a warning says
+    so.
     """
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
     D = basis.dim
     root_mass = np.sqrt(slot_masses(basis.grid))
     hf = basis.hf_diagonal()
-    if hf.max() > w.r_grid[-1]:
+    if hf.max() > R_GRID[-1]:
         warnings.warn(f"field energies up to {hf.max():.6g} exceed the kernel grid end "
-                      f"{w.r_grid[-1]:.6g}; the kernel is clamped there", stacklevel=2)
+                      f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
     kern_at_hf = w.at_r(hf)  # (D,) + slots
     cols, J, mid, amp_a = ladder_walk(basis, np.arange(D), w.n, "annihilate")
     src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -30,9 +29,9 @@ import numpy as np
 # fock and normalform functions are looked up through their modules at call
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
-from .normalform import (MU, XI, CouplingFunction, NormalFormHamiltonian, coupling_norm_mu1,
-                         interaction_norm, interp_axis, shifted, split, symmetrized,
-                         t_slope_deviation, term_norm)
+from .normalform import (MU, R_GRID, XI, CouplingFunction, NormalFormHamiltonian,
+                         coupling_norm_mu1, interaction_norm, interp_axis, shifted, split,
+                         symmetrized, t_slope_deviation, term_norm)
 
 
 class DomainError(ValueError):
@@ -66,8 +65,9 @@ class PolydiscParams:
             # the contraction theorem is stated on the open interval; the
             # boundary value is allowed for experiments but flagged
             warnings.warn("rho = 1/2 sits on the boundary of the theorem range")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("alpha, beta, gamma must be nonnegative")
+        # one radius at a time, and so that a NaN fails
+        if not all(radius >= 0 for radius in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("alpha, beta, gamma must be nonnegative numbers")
 
 
 def polydisc_coordinates(H: NormalFormHamiltonian) -> tuple[complex, float, float]:
@@ -147,10 +147,10 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
         prof = w.profile
         new_prof = (lambda r, *ks, _p=prof, _c=pref, _rho=rho:
                     _c * _p(_rho * r, *(_rho * kk for kk in ks)))
-        return normalform.from_profile(w.m, w.n, w.r_grid, w.nodes, new_prof)
+        return normalform.from_profile(w.m, w.n, w.nodes, new_prof)
 
-    # r axis first: sample at rho * r_grid (always inside [0, rho] subset of I)
-    vals = w.at_r(rho * w.r_grid)
+    # r axis first: sample at rho * R_GRID (always inside [0, rho] subset of I)
+    vals = w.at_r(rho * R_GRID)
     # then each momentum slot
     targets = rho * w.nodes
     low = targets < w.nodes[0]
@@ -160,7 +160,7 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
             scaled[(slice(None),) * axis + (low,)] = _power_tail(vals, w.nodes,
                                                                  targets[low], axis)
         vals = scaled
-    return CouplingFunction(w.m, w.n, w.r_grid, w.nodes, pref * vals)
+    return CouplingFunction(w.m, w.n, w.nodes, pref * vals)
 
 
 def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
@@ -172,13 +172,12 @@ def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
     """
     if w.order == 0:
         return w
-    r, *ks = np.ix_(w.r_grid, *[w.nodes] * w.order)
+    r, *ks = np.ix_(R_GRID, *[w.nodes] * w.order)
     omega_cre, omega_ann = sum(ks[:w.m], 0.0), sum(ks[w.m:], 0.0)
     mask = (r + omega_cre <= 1.0 + 1e-12) & (r + omega_ann <= 1.0 + 1e-12)
     # the indicator is flat away from its edge, so the almost-everywhere
     # r-derivative of the masked kernel is the masked derivative
-    return CouplingFunction(w.m, w.n, w.r_grid, w.nodes, w.values * mask,
-                            dr_values=w.dr_values * mask)
+    return CouplingFunction(w.m, w.n, w.nodes, w.values * mask, dr_values=w.dr_values * mask)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +218,8 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
     norms holds the (mu, 1) norms of wA and wB for the dropped-order bound.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
-    r_grid, nodes = wA.r_grid, wA.nodes
-    R, M = len(r_grid), len(nodes)
+    nodes = wA.nodes
+    R, M = len(R_GRID), len(nodes)
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
@@ -237,9 +236,9 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
         sI, sJ, omega_q = nodes[I2].sum(axis=0), nodes[J1].sum(axis=0), nodes[q].sum(axis=0)
         mass_q = masses[q].prod(axis=0)
         NI, NJ, Q = len(sI), len(sJ), len(omega_q)
-        A = wA.at_r(r_grid[:, np.newaxis] + sI).reshape(R, NI, M ** m1, NJ, Q)
-        B = wB.at_r(r_grid[:, np.newaxis] + sJ).reshape(R, NJ, Q, NI, M ** n2)
-        g_arg = (r_grid[:, np.newaxis, np.newaxis, np.newaxis]
+        A = wA.at_r(R_GRID[:, np.newaxis] + sI).reshape(R, NI, M ** m1, NJ, Q)
+        B = wB.at_r(R_GRID[:, np.newaxis] + sJ).reshape(R, NJ, Q, NI, M ** n2)
+        g_arg = (R_GRID[:, np.newaxis, np.newaxis, np.newaxis]
                  + (sI[:, np.newaxis] + sJ)[..., np.newaxis] + omega_q)
         Gq = G(g_arg) * mass_q
         block = np.einsum("raibq,rabq,rbqak->riabk", A, Gq, B)
@@ -258,7 +257,7 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     for wA, nA in zip(A_terms.values(), norms_A):
         for wB, nB in zip(B_terms.values(), norms_B):
             _pair_product(wA, wB, G, masses, max_order, out_arrays, budget, sup_G, (nA, nB))
-    terms = {(mo, no): CouplingFunction(mo, no, ref.r_grid, ref.nodes, symmetrized(arr, mo, no))
+    terms = {(mo, no): CouplingFunction(mo, no, ref.nodes, symmetrized(arr, mo, no))
              for (mo, no), arr in out_arrays.items()}
     return terms, float(np.sum(budget))
 
@@ -281,8 +280,7 @@ class StepInfo:
 
 def _h0_function(w00: CouplingFunction):
     """E + T as a callable with linear extension above r = 1."""
-    r_grid, vals = w00.r_grid, w00.values
-    slope_top = (vals[-1] - vals[-2]) / (r_grid[-1] - r_grid[-2])
+    slope_top = (w00.values[-1] - w00.values[-2]) / (R_GRID[-1] - R_GRID[-2])
 
     def h0(r):
         r = np.asarray(r, dtype=float)
@@ -291,19 +289,12 @@ def _h0_function(w00: CouplingFunction):
     return h0
 
 
-@lru_cache(maxsize=4)
-def _q_basis(nodes: bytes, masses: bytes) -> fock.FockBasis:
-    """The n_max = 2 basis of measured_q, built once per grid (nodes and masses as bytes)."""
-    grid = fock.ModeGrid(np.frombuffer(nodes), np.frombuffer(masses) * normalform.FOUR_PI)
-    return fock.build_fock_basis(grid, 2)
-
-
 def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
     """Neumann ratio ||G(H_f) W||, with W the interaction of H and G the step's
     resolvent, on an n_max = 2 basis of H's grid."""
     if not W:
         return 0.0
-    basis = _q_basis(H.nodes.tobytes(), H.masses.tobytes())
+    basis = fock.build_fock_basis(H.grid, 2)
     Wmat = np.zeros((basis.dim, basis.dim), dtype=complex)
     for w in W.values():
         Wmat += normalform.assemble_term(w, basis)
@@ -323,10 +314,10 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         raise ValueError("Neumann order s_max must be 0, 1 or 2")
     _, W = split(H)
     w00 = H.terms[(0, 0)]
-    r_grid, nodes, masses = w00.r_grid, H.nodes, H.masses
+    masses = H.masses
 
     h0 = _h0_function(w00)
-    region = r_grid[r_grid >= 0.75 * rho]
+    region = R_GRID[R_GRID >= 0.75 * rho]
     min_h0 = float(np.min(np.abs(h0(region)))) if len(region) else np.inf
     inv_bound = 1.0 / min_h0 if min_h0 > 0 else np.inf
     if inv_bound > 2.0 / rho * (1.0 + 1e-9):
@@ -348,7 +339,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} is not below 1",
                           margins={"q": q})
 
-    sup_G = float(np.max(np.abs(G(r_grid[r_grid > rho])))) if np.any(r_grid > rho) else 0.0
+    sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > rho])))) if np.any(R_GRID > rho) else 0.0
 
     gamma = interaction_norm(H)
     dropped = 0.0
@@ -380,11 +371,11 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     for (mo, no), arr in f_arrays.items():
         # without W the decimated kernel is w00 itself, which rescales exactly
         # through its profile when it has one
-        kern = w00 if not W else CouplingFunction(mo, no, r_grid, nodes, arr)
+        kern = w00 if not W else CouplingFunction(mo, no, H.nodes, arr)
         scaled = scale_coupling(kern, rho)
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
 
-    Hp = NormalFormHamiltonian(new_terms, masses, H.M_max)
+    Hp = NormalFormHamiltonian(new_terms, H.grid, H.M_max)
     return Hp, StepInfo(q=q, neumann_remainder=float(remainder),
                         dropped_norm=float(dropped), inv_bound=inv_bound)
 
@@ -434,10 +425,10 @@ def _combine(family: list, weights: np.ndarray) -> NormalFormHamiltonian:
     terms = {}
     for key, w in family[0].terms.items():
         ws = [H.terms[key] for H in family]
-        terms[key] = CouplingFunction(w.m, w.n, w.r_grid, w.nodes,
+        terms[key] = CouplingFunction(w.m, w.n, w.nodes,
                                       np.tensordot(weights, [u.values for u in ws], 1),
                                       np.tensordot(weights, [u.dr_values for u in ws], 1))
-    return NormalFormHamiltonian(terms, family[0].masses, family[0].M_max)
+    return NormalFormHamiltonian(terms, family[0].grid, family[0].M_max)
 
 
 def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int = 2,

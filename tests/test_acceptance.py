@@ -29,8 +29,7 @@ from specrg.feshbach import (ProjectionPair, feshbach_map, isospectral_check,
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            field_operator, mass_renormalization,
                            pauli_fierz_transform, pf_coupling)
-from specrg.normalform import (basic_bound_margin, coupling_norm_mu,
-                               default_r_grid, from_profile)
+from specrg.normalform import basic_bound_margin, coupling_norm_mu, from_profile
 from specrg.oracle import (combes_deviation, fit_pole, perturbation_oracle,
                            resonance_eigenvalue, resonance_multiplicity)
 from specrg.rgflow import scale_coupling
@@ -128,13 +127,11 @@ def test_criterion_04_scaling_laws():
     rng = np.random.default_rng(104)
     rho = 0.5
     nodes = np.geomspace(0.02, 0.5, 6)
-    r_grid = default_r_grid()
-
-    hf = from_profile(0, 0, r_grid, nodes, lambda r: r)
+    hf = from_profile(0, 0, nodes, lambda r: r)
     fp_dev = float(np.max(np.abs(scale_coupling(hf, rho).values - hf.values)))
 
     E = 0.07 - 0.02j
-    const = from_profile(0, 0, r_grid, nodes, lambda r: E)
+    const = from_profile(0, 0, nodes, lambda r: E)
     e_ratio = complex(scale_coupling(const, rho).values[0]) / E
 
     worst_excess = 0.0
@@ -151,7 +148,7 @@ def test_criterion_04_scaling_laws():
                     out = out * k ** (_mu - 0.5)
                 return out
 
-            w = from_profile(m, n, r_grid, nodes, prof)
+            w = from_profile(m, n, nodes, prof)
             ratio = (coupling_norm_mu(scale_coupling(w, rho), mu)
                      / coupling_norm_mu(w, mu))
             bound = rho ** (m + n - 1 + (mu if m + n == 1 else 0.0))

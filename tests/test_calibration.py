@@ -6,11 +6,14 @@ holding the result to ten percent catches silent drift in the step
 implementation without hard-coding physics that was never derived.
 """
 
+import numpy as np
 import pytest
 
 from specrg._calibration import (C_INIT, C_RG, CALIBRATION_N_RANDOM,
                                  CALIBRATION_N_STEPS, CALIBRATION_SEED)
-from specrg.calibration import calibrate_constants
+from specrg.calibration import _random_polydisc_hamiltonian, calibrate_constants
+from specrg.fock import build_mode_grid
+from specrg.normalform import interaction_norm
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,15 @@ def test_initial_membership_constant_regression(recomputed):
 def test_contraction_factor_below_one(recomputed):
     # c rho^mu < 1 is what makes the interaction direction stable
     assert recomputed["c_rg"] * 0.5 ** 0.5 < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_random_hamiltonian_has_its_target_norm(seed):
+    grid = build_mode_grid(8, 0.5, "geometric")
+    target = 0.5 / 16.0
+    H = _random_polydisc_hamiltonian(np.random.default_rng(seed), grid, 0.5, target)
+    assert H.grid is grid
+    assert abs(interaction_norm(H) - target) <= 1e-12 * target
 
 
 def test_other_infrared_exponent_refused():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian, ladder_matrix
-from specrg.normalform import (MU, XI, CouplingFunction, NormalFormHamiltonian,
-                               assemble_operator, assemble_term,
+from specrg.fock import (ModeGrid, build_fock_basis, build_mode_grid, field_hamiltonian,
+                        ladder_matrix)
+from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
+                               NormalFormHamiltonian, assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
-                               coupling_norm_mu1, default_r_grid, from_profile,
+                               coupling_norm_mu1, from_profile,
                                hamiltonian_norm, interaction_norm, interp_axis,
                                shifted, slot_masses, split, symmetrized,
                                t_slope_deviation)
@@ -19,26 +20,29 @@ from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
 
 
-def _kernel(m, n, nodes, func, r_grid=None):
-    r_grid = default_r_grid() if r_grid is None else r_grid
-    return from_profile(m, n, r_grid, nodes, func)
+def _unit_grid(nodes):
+    """Grid on nodes whose slot masses are 1."""
+    return ModeGrid(nodes, FOUR_PI * np.ones(len(nodes)))
 
 
 class TestCouplingFunction:
     def test_shape_validation(self):
-        r = default_r_grid()
+        r = R_GRID
         with pytest.raises(ValueError, match="shape"):
-            CouplingFunction(1, 0, r, np.array([0.5]), np.zeros((len(r), 2)))
-        # np.interp and searchsorted read garbage off a grid that is not sorted
-        with pytest.raises(ValueError, match="r_grid must be strictly increasing"):
-            CouplingFunction(0, 0, r[::-1], np.array([0.5]), np.zeros(len(r)))
+            CouplingFunction(1, 0, np.array([0.5]), np.zeros((len(r), 2)))
         with pytest.raises(ValueError, match="nodes must be strictly increasing"):
-            CouplingFunction(1, 0, r, np.array([0.5, 0.5]), np.zeros((len(r), 2)))
+            CouplingFunction(1, 0, np.array([0.5, 0.5]), np.zeros((len(r), 2)))
+
+    def test_r_grid_is_read_only(self):
+        # every kernel reads this one array, so a write would corrupt them all
+        with pytest.raises(ValueError):
+            R_GRID[1] = 0.5
+        assert R_GRID[0] == 0.0 and R_GRID[-1] == 1.0
 
     def test_at_r_reproduces_grid_points(self):
         nodes = np.array([0.3, 0.6])
-        w = _kernel(1, 0, nodes, lambda r, k: np.cos(r) * k)
-        sampled = w.at_r(w.r_grid)
+        w = from_profile(1, 0, nodes, lambda r, k: np.cos(r) * k)
+        sampled = w.at_r(R_GRID)
         assert np.allclose(sampled, w.values)
         # the one off-grid rule, along every axis of a complex table, is
         # np.interp of the real and imaginary parts column by column
@@ -62,11 +66,11 @@ class TestCouplingFunction:
     @given(st.integers(min_value=0, max_value=1000))
     def test_symmetrize_is_idempotent_and_symmetric(self, seed):
         rng = np.random.default_rng(seed)
-        r = np.linspace(0, 1, 5)
         nodes = np.array([0.2, 0.4, 0.8])
-        vals = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-        w = CouplingFunction(2, 0, r, nodes, vals)
-        sym = CouplingFunction(2, 0, r, nodes, symmetrized(w.values, 2, 0))
+        shape = (len(R_GRID), 3, 3)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = CouplingFunction(2, 0, nodes, vals)
+        sym = CouplingFunction(2, 0, nodes, symmetrized(w.values, 2, 0))
         assert np.array_equal(sym.values, np.swapaxes(sym.values, 1, 2))
         assert np.allclose(symmetrized(sym.values, 2, 0), sym.values)
 
@@ -93,10 +97,9 @@ class TestFromProfile:
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(4) for n in range(4 - m)])
     def test_one_mesh_call_matches_point_by_point(self, m, n):
-        r_grid = default_r_grid()
         for func in (_mixed_profile, lambda r, *ks: 0.3 - 0.2j, lambda r, *ks: np.cos(r)):
-            w = from_profile(m, n, r_grid, self.NODES, func)
-            assert np.array_equal(w.values, _per_point(m, n, r_grid, self.NODES, func))
+            w = from_profile(m, n, self.NODES, func)
+            assert np.array_equal(w.values, _per_point(m, n, R_GRID, self.NODES, func))
             assert w.values.flags.writeable
 
     @pytest.mark.parametrize("levels,gamma,lam", [
@@ -110,7 +113,7 @@ class TestFromProfile:
         H = ground_sector_hamiltonian(spec, build_mode_grid(4, 0.5, "geometric"), lam)
         assert ((1, 0) in H.terms) == (gamma is not None)
         for w in H.terms.values():
-            assert np.array_equal(w.values, _per_point(w.m, w.n, w.r_grid, w.nodes, w.profile))
+            assert np.array_equal(w.values, _per_point(w.m, w.n, R_GRID, w.nodes, w.profile))
 
     def test_profile_is_called_once_per_kernel(self):
         calls = []
@@ -120,27 +123,27 @@ class TestFromProfile:
             return _mixed_profile(r, *ks)
 
         for m, n in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-            w = from_profile(m, n, default_r_grid(), self.NODES, counting)
+            w = from_profile(m, n, self.NODES, counting)
             scale_coupling(w, 0.5)
         assert calls == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_result_that_does_not_broadcast_raises(self):
         with pytest.raises(ValueError):
-            from_profile(1, 0, default_r_grid(), self.NODES, lambda r, k: np.ones(5))
+            from_profile(1, 0, self.NODES, lambda r, k: np.ones(5))
         with pytest.raises(ValueError):
-            from_profile(0, 1, default_r_grid(), self.NODES, lambda r, k: np.ones((2,) + r.shape))
+            from_profile(0, 1, self.NODES, lambda r, k: np.ones((2,) + r.shape))
 
 
 class TestKernelNorms:
     def test_critical_power_kernel_has_unit_norm(self):
         mu = 0.5
         nodes = np.geomspace(0.01, 1.0, 7)
-        w = _kernel(1, 0, nodes, lambda r, k: k ** (mu - 0.5))
+        w = from_profile(1, 0, nodes, lambda r, k: k ** (mu - 0.5))
         assert coupling_norm_mu(w, mu) == pytest.approx(1.0)
 
     def test_zero_kernel(self):
         nodes = np.array([0.2, 0.7])
-        w = _kernel(1, 1, nodes, lambda r, k1, k2: 0.0)
+        w = from_profile(1, 1, nodes, lambda r, k1, k2: 0.0)
         assert coupling_norm_mu(w, 0.5) == 0.0
         assert coupling_norm_mu1(w, 0.5) == 0.0
 
@@ -148,7 +151,7 @@ class TestKernelNorms:
         g, kappa, mu = 0.01, 1.0, 0.5
         nodes = np.geomspace(0.05, 1.0, 6)
         chi = lambda k: np.exp(-(k / kappa) ** 2)
-        w = _kernel(1, 1, nodes, lambda r, k1, k2: g * chi(k1) * chi(k2) / np.sqrt(k1 * k2))
+        w = from_profile(1, 1, nodes, lambda r, k1, k2: g * chi(k1) * chi(k2) / np.sqrt(k1 * k2))
         # independent maximization over the discrete grid
         best = 0.0
         for i, k1 in enumerate(nodes):
@@ -158,21 +161,21 @@ class TestKernelNorms:
         assert coupling_norm_mu(w, mu) == pytest.approx(best, rel=1e-12)
 
     def test_scalar_kernel_norm_is_sup(self):
-        w = _kernel(0, 0, np.array([0.5]), lambda r: 3.0 - r)
+        w = from_profile(0, 0, np.array([0.5]), lambda r: 3.0 - r)
         assert coupling_norm_mu(w, 0.5) == pytest.approx(3.0)
 
 
 class TestHamiltonianNorm:
     def test_field_part_alone(self):
         nodes = np.array([0.25, 0.5])
-        w00 = _kernel(0, 0, nodes, lambda r: r)
-        H = NormalFormHamiltonian({(0, 0): w00}, np.ones(2))
+        w00 = from_profile(0, 0, nodes, lambda r: r)
+        H = NormalFormHamiltonian({(0, 0): w00}, _unit_grid(nodes))
         assert hamiltonian_norm(H) == pytest.approx(2.0)
 
     def test_zero_hamiltonian(self):
         nodes = np.array([0.25])
-        w00 = _kernel(0, 0, nodes, lambda r: 0.0)
-        H = NormalFormHamiltonian({(0, 0): w00}, np.ones(1))
+        w00 = from_profile(0, 0, nodes, lambda r: 0.0)
+        H = NormalFormHamiltonian({(0, 0): w00}, _unit_grid(nodes))
         assert hamiltonian_norm(H) == 0.0
 
     def test_initial_model_norm_regression(self):
@@ -189,38 +192,30 @@ class TestConstructorInvariants:
     NODES = np.array([0.25, 0.5])
 
     def _terms(self, **w11_grid):
-        w11 = _kernel(1, 1, w11_grid.get("nodes", self.NODES), lambda r, kb, ka: 0.1 + r,
-                      r_grid=w11_grid.get("r_grid"))
-        return {(0, 0): _kernel(0, 0, self.NODES, lambda r: r), (1, 1): w11}
+        w11 = from_profile(1, 1, w11_grid.get("nodes", self.NODES), lambda r, kb, ka: 0.1 + r)
+        return {(0, 0): from_profile(0, 0, self.NODES, lambda r: r), (1, 1): w11}
 
     def test_consistent_terms_accepted(self):
-        H = NormalFormHamiltonian(self._terms(), np.ones(2))
+        H = NormalFormHamiltonian(self._terms(), _unit_grid(self.NODES))
         assert set(H.terms) == {(0, 0), (1, 1)}
 
-    @pytest.mark.parametrize("grid", [{"nodes": np.array([0.25, 0.6])},
-                                      {"r_grid": np.linspace(0.0, 1.0, 9)}],
-                             ids=["other-nodes", "other-r-grid"])
+    @pytest.mark.parametrize("grid", [{"nodes": np.array([0.25, 0.6])}], ids=["other-nodes"])
     def test_kernel_off_the_scalar_grid_rejected(self, grid):
-        with pytest.raises(ValueError, match="r grid and nodes"):
-            NormalFormHamiltonian(self._terms(**grid), np.ones(2))
+        with pytest.raises(ValueError, match="nodes of the grid"):
+            NormalFormHamiltonian(self._terms(**grid), _unit_grid(self.NODES))
 
     def test_missing_scalar_term_rejected(self):
         terms = self._terms()
         del terms[(0, 0)]
         with pytest.raises(ValueError, match=r"\(0,0\) term"):
-            NormalFormHamiltonian(terms, np.ones(2))
-
-    def test_r_grid_not_from_zero_rejected(self):
-        r_grid = np.linspace(0.1, 1.0, 10)
-        terms = {(0, 0): _kernel(0, 0, self.NODES, lambda r: r, r_grid=r_grid)}
-        with pytest.raises(ValueError, match="start at 0"):
-            NormalFormHamiltonian(terms, np.ones(2))
+            NormalFormHamiltonian(terms, _unit_grid(self.NODES))
 
 
 class TestSplit:
     def test_field_hamiltonian_components(self):
         nodes = np.array([0.25, 0.5])
-        H = NormalFormHamiltonian({(0, 0): _kernel(0, 0, nodes, lambda r: r)}, np.ones(2))
+        H = NormalFormHamiltonian({(0, 0): from_profile(0, 0, nodes, lambda r: r)},
+                                  _unit_grid(nodes))
         E, W = split(H)
         assert E == 0.0
         assert W == {}
@@ -228,7 +223,8 @@ class TestSplit:
 
     def test_shifted_field_hamiltonian(self):
         nodes = np.array([0.25])
-        H = NormalFormHamiltonian({(0, 0): _kernel(0, 0, nodes, lambda r: 3.0 + r)}, np.ones(1))
+        H = NormalFormHamiltonian({(0, 0): from_profile(0, 0, nodes, lambda r: 3.0 + r)},
+                                  _unit_grid(nodes))
         E, W = split(H)
         assert E == pytest.approx(3.0)
         assert t_slope_deviation(H) < 1e-12
@@ -263,7 +259,7 @@ class TestAssembly:
     def test_scalar_r_kernel_equals_field_hamiltonian(self):
         grid = build_mode_grid(3, 0.3, "uniform")
         basis = build_fock_basis(grid, 2)
-        w00 = _kernel(0, 0, grid.nodes, lambda r: r)
+        w00 = from_profile(0, 0, grid.nodes, lambda r: r)
         mat = assemble_term(w00, basis)
         assert np.allclose(mat, field_hamiltonian(basis))
 
@@ -271,7 +267,7 @@ class TestAssembly:
         grid = build_mode_grid(1, 0.5, "uniform")
         basis = build_fock_basis(grid, 1)
         c = 0.7
-        w10 = _kernel(1, 0, grid.nodes, lambda r, k: c)
+        w10 = from_profile(1, 0, grid.nodes, lambda r, k: c)
         mat = assemble_term(w10, basis)
         root_mass = np.sqrt(slot_masses(basis.grid)[0])
         expected = np.zeros((2, 2), dtype=complex)
@@ -282,17 +278,15 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         grid = build_mode_grid(3, 0.4, "geometric")
         basis = build_fock_basis(grid, 2)
-        r = default_r_grid()
-        shape10 = (len(r), 3)
+        shape10 = (len(R_GRID), 3)
         v10 = rng.standard_normal(shape10) + 1j * rng.standard_normal(shape10)
-        w10 = CouplingFunction(1, 0, r, grid.nodes, v10)
-        w01 = CouplingFunction(0, 1, r, grid.nodes, v10.conj())
-        v11 = rng.standard_normal((len(r), 3, 3))
+        w10 = CouplingFunction(1, 0, grid.nodes, v10)
+        w01 = CouplingFunction(0, 1, grid.nodes, v10.conj())
+        v11 = rng.standard_normal((len(R_GRID), 3, 3))
         v11 = v11 + np.swapaxes(v11, 1, 2)  # real symmetric kernel
-        w11 = CouplingFunction(1, 1, r, grid.nodes, v11.astype(complex))
-        w00 = _kernel(0, 0, grid.nodes, lambda rr: rr)
-        H = NormalFormHamiltonian({(0, 0): w00, (1, 0): w10, (0, 1): w01, (1, 1): w11},
-                                  slot_masses(grid))
+        w11 = CouplingFunction(1, 1, grid.nodes, v11.astype(complex))
+        w00 = from_profile(0, 0, grid.nodes, lambda rr: rr)
+        H = NormalFormHamiltonian({(0, 0): w00, (1, 0): w10, (0, 1): w01, (1, 1): w11}, grid)
         mat = assemble_operator(H, basis).mat
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
@@ -304,10 +298,9 @@ class TestAssembly:
         rng = np.random.default_rng(10 * m + n)
         grid = build_mode_grid(3, 0.4, "geometric")
         basis = build_fock_basis(grid, m + n)
-        r = default_r_grid()
-        shape = (len(r),) + (3,) * (m + n)
+        shape = (len(R_GRID),) + (3,) * (m + n)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w = CouplingFunction(m, n, r, grid.nodes, vals)
+        w = CouplingFunction(m, n, grid.nodes, vals)
         create = [ladder_matrix(basis, k, "create") for k in range(3)]
         annihilate = [ladder_matrix(basis, k, "annihilate") for k in range(3)]
         root_mass = np.sqrt(slot_masses(basis.grid))
@@ -328,7 +321,7 @@ class TestAssembly:
         # n_max * k_max > 1: the top shell reads the kernel clamped at r = 1
         grid = build_mode_grid(2, 0.8, "uniform")
         basis = build_fock_basis(grid, 2)
-        w = _kernel(1, 1, grid.nodes, lambda r, k1, k2: 1.0 + r)
+        w = from_profile(1, 1, grid.nodes, lambda r, k1, k2: 1.0 + r)
         with pytest.warns(UserWarning, match="clamped"):
             assemble_term(w, basis)
 
@@ -336,7 +329,7 @@ class TestAssembly:
         grid = build_mode_grid(2, 0.4, "uniform")
         other = build_mode_grid(2, 0.8, "uniform")
         basis = build_fock_basis(grid, 1)
-        w = _kernel(1, 0, other.nodes, lambda r, k: 1.0)
+        w = from_profile(1, 0, other.nodes, lambda r, k: 1.0)
         with pytest.raises(ValueError, match="nodes"):
             assemble_term(w, basis)
 
@@ -345,7 +338,7 @@ class TestBasicBound:
     def test_zero_kernel(self):
         grid = build_mode_grid(3, 0.4, "uniform")
         basis = build_fock_basis(grid, 2)
-        w = _kernel(1, 0, grid.nodes, lambda r, k: 0.0)
+        w = from_profile(1, 0, grid.nodes, lambda r, k: 0.0)
         lhs, rhs = basic_bound_margin(w, 0.5, 0.5, basis)
         assert lhs == 0.0 and rhs == 0.0
 
@@ -353,13 +346,13 @@ class TestBasicBound:
         grid = build_mode_grid(4, 0.5, "geometric")
         basis = build_fock_basis(grid, 2)
         chi = lambda k: np.exp(-k ** 2)
-        w = _kernel(1, 1, grid.nodes, lambda r, k1, k2: chi(k1) * chi(k2) / np.sqrt(k1 * k2))
+        w = from_profile(1, 1, grid.nodes, lambda r, k1, k2: chi(k1) * chi(k2) / np.sqrt(k1 * k2))
         lhs, rhs = basic_bound_margin(w, 0.5, 0.5, basis)
         assert lhs <= rhs * (1.0 + 1e-9)
 
     def test_scalar_kernel_rejected(self):
         grid = build_mode_grid(2, 0.4, "uniform")
         basis = build_fock_basis(grid, 1)
-        w = _kernel(0, 0, grid.nodes, lambda r: r)
+        w = from_profile(0, 0, grid.nodes, lambda r: r)
         with pytest.raises(ValueError):
             basic_bound_margin(w, 0.5, 0.5, basis)

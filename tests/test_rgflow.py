@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
-from specrg.normalform import (FOUR_PI, MU, XI, CouplingFunction, NormalFormHamiltonian,
-                               assemble_term, coupling_norm_mu, coupling_norm_mu1,
-                               default_r_grid, from_profile, interaction_norm, slot_masses,
+from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
+                               NormalFormHamiltonian, assemble_term, coupling_norm_mu,
+                               coupling_norm_mu1, from_profile, interaction_norm, slot_masses,
                                split, symmetrized)
 from specrg import rgflow
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
@@ -21,9 +21,8 @@ from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
 RHO = 0.5
 
 
-def _field_kernel(nodes, r_grid=None):
-    r_grid = default_r_grid() if r_grid is None else r_grid
-    return from_profile(0, 0, r_grid, nodes, lambda r: r)
+def _field_kernel(nodes):
+    return from_profile(0, 0, nodes, lambda r: r)
 
 
 def _power_profile(rng, mu):
@@ -41,8 +40,8 @@ def _power_profile(rng, mu):
 
 
 def _scalar_hamiltonian(E, grid):
-    w00 = from_profile(0, 0, default_r_grid(), grid.nodes, lambda r: E + r)
-    return NormalFormHamiltonian({(0, 0): w00}, slot_masses(grid))
+    w00 = from_profile(0, 0, grid.nodes, lambda r: E + r)
+    return NormalFormHamiltonian({(0, 0): w00}, grid)
 
 
 class TestScaling:
@@ -55,14 +54,14 @@ class TestScaling:
     def test_constant_expands_by_inverse_rho(self):
         nodes = np.array([0.25])
         E = 0.1 - 0.03j
-        w = from_profile(0, 0, default_r_grid(), nodes, lambda r: E)
+        w = from_profile(0, 0, nodes, lambda r: E)
         scaled = scale_coupling(w, RHO)
         assert np.allclose(scaled.values, E / RHO)
 
     def test_critical_kernel_contracts_by_rho_mu(self):
         mu = 0.5
         nodes = np.geomspace(0.02, 0.5, 7)
-        w = from_profile(1, 0, default_r_grid(), nodes, lambda r, k: k ** (mu - 0.5))
+        w = from_profile(1, 0, nodes, lambda r, k: k ** (mu - 0.5))
         scaled = scale_coupling(w, RHO)
         ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
         assert ratio <= RHO ** mu * (1.0 + 1e-9)
@@ -72,7 +71,7 @@ class TestScaling:
         nodes = np.geomspace(0.02, 0.5, 6)
         for mu in (0.25, 0.5):
             for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0)]:
-                w = from_profile(m, n, default_r_grid(), nodes, _power_profile(rng, mu))
+                w = from_profile(m, n, nodes, _power_profile(rng, mu))
                 scaled = scale_coupling(w, RHO)
                 ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
                 bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
@@ -87,8 +86,8 @@ class TestScaling:
         nodes = build_mode_grid(n_modes, 0.5, "geometric").nodes
         for mu in (0.25, 0.5):
             for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
-                tab = from_profile(m, n, default_r_grid(), nodes, _power_profile(rng, mu))
-                w = CouplingFunction(m, n, tab.r_grid, tab.nodes, tab.values)
+                tab = from_profile(m, n, nodes, _power_profile(rng, mu))
+                w = CouplingFunction(m, n, tab.nodes, tab.values)
                 scaled = scale_coupling(w, RHO)
                 ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
                 bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
@@ -103,18 +102,17 @@ class TestScaling:
 class TestFieldSupportMask:
     @pytest.mark.parametrize("m, n", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])
     def test_keeps_entries_whose_field_energies_fit(self, m, n):
-        # r + k crosses 1 on this grid, and 0.25 + 0.75 and 0.5 + 0.5 hit it exactly
-        r_grid = np.linspace(0.0, 1.0, 5)
+        # r + k crosses 1 on R_GRID, and 0.25 + 0.75 and 0.5 + 0.5 hit it exactly
         nodes = np.array([0.1, 0.5, 0.75])
-        shape = (len(r_grid),) + (len(nodes),) * (m + n)
+        shape = (len(R_GRID),) + (len(nodes),) * (m + n)
         rng = np.random.default_rng(10 * m + n)
         vals, dr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                     for _ in range(2))
         out = rgflow._apply_field_support_mask(
-            CouplingFunction(m, n, r_grid, nodes, vals, dr_values=dr))
+            CouplingFunction(m, n, nodes, vals, dr_values=dr))
         kept = 0
         for idx in np.ndindex(*shape):
-            r, ks = r_grid[idx[0]], [nodes[i] for i in idx[1:]]
+            r, ks = R_GRID[idx[0]], [nodes[i] for i in idx[1:]]
             keep = r + sum(ks[:m]) <= 1.0 + 1e-12 and r + sum(ks[m:]) <= 1.0 + 1e-12
             assert out.values[idx] == (vals[idx] if keep else 0.0)
             assert out.dr_values[idx] == (dr[idx] if keep else 0.0)
@@ -126,44 +124,43 @@ class TestWickOrdering:
     """Cross-checks of the re-normal-ordering against dense matrix algebra."""
 
     def _aligned_setup(self, seed=0):
-        # nodes at multiples of the r-grid spacing, so every pull-through
+        # nodes at multiples of the R_GRID spacing, so every pull-through
         # shift lands exactly on grid points and interpolation is exact
-        r_grid = np.linspace(0.0, 1.0, 33)
         nodes = np.array([2.0 / 32.0, 3.0 / 32.0])
         masses = np.array([0.011, 0.017])
         rng = np.random.default_rng(seed)
-        return r_grid, nodes, masses, rng
+        return nodes, masses, rng
 
     def test_single_contraction_closed_form(self):
         # (0,1) kernel times (1,0) kernel: the p=1 contraction produces the
         # scalar correction sum_q mass_q wA(r; k_q) G(r + k_q) wB(r; k_q)
-        r_grid, nodes, masses, rng = self._aligned_setup(1)
+        nodes, masses, rng = self._aligned_setup(1)
         vA = rng.standard_normal((33, 2)) + 1j * rng.standard_normal((33, 2))
         vB = rng.standard_normal((33, 2)) + 1j * rng.standard_normal((33, 2))
-        wA = CouplingFunction(0, 1, r_grid, nodes, vA)
-        wB = CouplingFunction(1, 0, r_grid, nodes, vB)
+        wA = CouplingFunction(0, 1, nodes, vA)
+        wB = CouplingFunction(1, 0, nodes, vB)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
                                       max_order=2, sup_G=0.5)
         expected = np.zeros(33, dtype=complex)
         for q, k in enumerate(nodes):
-            expected += masses[q] * vA[:, q] * G(r_grid + k) * vB[:, q]
+            expected += masses[q] * vA[:, q] * G(R_GRID + k) * vB[:, q]
         assert np.allclose(out[(0, 0)].values, expected, atol=1e-13)
 
     def test_shifts_on_non_uniform_r_grid(self):
-        # kernels linear in r interpolate exactly on any grid, so the p=0
-        # (1,1) term of W[1+r](0,1) G W[1+r](1,0) is closed-form wherever the
-        # shifted field energies r + k stay inside I
-        r_grid = np.concatenate([np.linspace(0.0, 0.5, 9), np.linspace(0.5, 1.0, 25)[1:]])
+        # kernels linear in r interpolate exactly between grid points, so the
+        # p=0 (1,1) term of W[1+r](0,1) G W[1+r](1,0) is closed-form wherever
+        # the shifted field energies r + k stay inside I; these nodes put
+        # r + k between the points of R_GRID
         nodes = np.array([0.11, 0.23, 0.37])
         masses = np.array([0.01, 0.02, 0.03])
-        lin = np.repeat((1.0 + r_grid)[:, np.newaxis], 3, axis=1)
-        wA = CouplingFunction(0, 1, r_grid, nodes, lin)
-        wB = CouplingFunction(1, 0, r_grid, nodes, lin)
+        lin = np.repeat((1.0 + R_GRID)[:, np.newaxis], 3, axis=1)
+        wA = CouplingFunction(0, 1, nodes, lin)
+        wB = CouplingFunction(1, 0, nodes, lin)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         out, _ = normal_order_product({(0, 1): wA}, {(1, 0): wB}, G, masses,
                                       max_order=2, sup_G=0.5)
-        r = r_grid[:, np.newaxis, np.newaxis]
+        r = R_GRID[:, np.newaxis, np.newaxis]
         ki, kj = nodes[np.newaxis, :, np.newaxis], nodes[np.newaxis, np.newaxis, :]
         expected = (1.0 + r + ki) * G(r + ki + kj) * (1.0 + r + kj)
         inside = np.broadcast_to((r + ki <= 1.0) & (r + kj <= 1.0), expected.shape)
@@ -173,7 +170,7 @@ class TestWickOrdering:
     def _check_matrix_algebra(self, A_keys, B_keys, seed):
         # assemble W_A G(H_f) W_B on a truncated basis and compare matrix
         # elements on the truncation-blind block
-        r_grid, nodes, masses, rng = self._aligned_setup(seed)
+        nodes, masses, rng = self._aligned_setup(seed)
         grid = ModeGrid(nodes, masses * FOUR_PI)
         n_max = 4
         basis = build_fock_basis(grid, n_max)
@@ -184,7 +181,7 @@ class TestWickOrdering:
             for (m, n) in keys:
                 shape = (33,) + (2,) * (m + n)
                 vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                terms[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
+                terms[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
             return terms
 
         A = rand_terms(A_keys)
@@ -222,14 +219,13 @@ class TestWickOrdering:
     @staticmethod
     def _random_W(seed):
         """Random symmetric kernels of every shape up to order 2 on 3 modes."""
-        r_grid = default_r_grid()
         nodes = np.array([0.1, 0.2, 0.35])
         rng = np.random.default_rng(seed)
         W = {}
         for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
-            shape = (len(r_grid),) + (3,) * (m + n)
+            shape = (len(R_GRID),) + (3,) * (m + n)
             vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            W[(m, n)] = CouplingFunction(m, n, r_grid, nodes, symmetrized(vals, m, n))
+            W[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
         return W, np.array([0.01, 0.02, 0.03])
 
     def test_one_G_table_per_pair_and_contraction_order(self):
@@ -256,7 +252,7 @@ class TestWickOrdering:
         out = {}
         for wA in A_terms.values():
             for wB in B_terms.values():
-                (m1, n1), (m2, n2), nodes, r = (wA.m, wA.n), (wB.m, wB.n), wA.nodes, wA.r_grid
+                (m1, n1), (m2, n2), nodes, r = (wA.m, wA.n), (wB.m, wB.n), wA.nodes, R_GRID
                 M, R = len(nodes), len(r)
                 for p in range(min(n1, m2) + 1):
                     mo, no = m1 + m2 - p, n1 + n2 - p
@@ -300,7 +296,7 @@ class TestRgStep:
         H = _scalar_hamiltonian(0.0, grid)
         Hp, info = rg_step(H, RHO)
         w = Hp.terms[(0, 0)]
-        assert np.max(np.abs(w.values - H.r_grid)) < 1e-12
+        assert np.max(np.abs(w.values - R_GRID)) < 1e-12
         assert info.budget == 0.0
 
     def test_scalar_shift_expands_exactly(self):
@@ -310,7 +306,7 @@ class TestRgStep:
         Hp, _ = rg_step(H, RHO)
         Ep, W = split(Hp)
         assert Ep == pytest.approx(E / RHO)
-        assert np.allclose(Hp.terms[(0, 0)].values - Ep, Hp.r_grid)
+        assert np.allclose(Hp.terms[(0, 0)].values - Ep, R_GRID)
         assert W == {}
 
     def test_measured_q_of_one_mode_shift(self):
@@ -320,9 +316,8 @@ class TestRgStep:
         grid = build_mode_grid(1, 0.5, "geometric")
         (k,), (mass,) = grid.nodes, slot_masses(grid)
         c = 0.3 - 0.4j
-        w10 = from_profile(1, 0, default_r_grid(), grid.nodes, lambda r, kk: c)
-        H = NormalFormHamiltonian({(0, 0): _field_kernel(grid.nodes), (1, 0): w10},
-                                  slot_masses(grid))
+        w10 = from_profile(1, 0, grid.nodes, lambda r, kk: c)
+        H = NormalFormHamiltonian({(0, 0): _field_kernel(grid.nodes), (1, 0): w10}, grid)
         G = lambda r: 1.0 / (0.1 + np.asarray(r)) + 0.2j
         expected = abs(c) * np.sqrt(mass) * max(abs(G(k)), np.sqrt(2) * abs(G(2 * k)))
         assert rgflow.measured_q(H, {(1, 0): w10}, G) == pytest.approx(expected, rel=1e-12)
@@ -343,11 +338,14 @@ class TestRgStep:
         assert calls["split"] == 2
 
     def test_missing_masses_rejected(self):
-        w00 = _field_kernel(build_mode_grid(4, 0.5, "geometric").nodes)
-        with pytest.raises(TypeError, match="masses"):
+        # the slot masses are read off the grid, so H needs a ModeGrid
+        grid = build_mode_grid(4, 0.5, "geometric")
+        w00 = _field_kernel(grid.nodes)
+        with pytest.raises(TypeError, match="grid"):
             NormalFormHamiltonian({(0, 0): w00})
-        with pytest.raises(ValueError, match="masses"):
-            NormalFormHamiltonian({(0, 0): w00}, None)
+        for not_a_grid in (None, slot_masses(grid)):
+            with pytest.raises(TypeError, match="grid"):
+                NormalFormHamiltonian({(0, 0): w00}, not_a_grid)
 
     def test_nan_neumann_ratio_raises_domain_error(self, monkeypatch):
         # a NaN ratio passes no comparison, so it must not pass the q < 1 check
@@ -381,7 +379,7 @@ class TestRgStep:
             return out
 
         _, W = split(H)
-        sup_G = float(np.max(np.abs(G(H.r_grid[H.r_grid > RHO]))))
+        sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > RHO]))))
         product_terms, expected = normal_order_product(W, W, G, H.masses, max_order=4,
                                                        sup_G=sup_G)
         above = [key for key in product_terms if sum(key) > H.M_max]
@@ -441,6 +439,15 @@ class TestPolydisc:
         for _ in range(5):
             p = parameter_flow(p)
         assert p.gamma / g == pytest.approx((c * rho ** MU) ** 5)
+
+    @pytest.mark.parametrize("radius", ["alpha", "beta", "gamma"])
+    def test_nan_radius_rejected(self, radius):
+        # min() lets a NaN through, so each radius is checked on its own
+        radii = {"alpha": 0.01, "beta": 0.01, "gamma": 0.01, radius: float("nan")}
+        with pytest.raises(ValueError, match="nonnegative"):
+            PolydiscParams(**radii, rho=0.25)
+        with pytest.raises(ValueError, match="nonnegative"):
+            PolydiscParams(**{**radii, radius: -1e-3}, rho=0.25)
 
     def test_hypothesis_violation_warns(self):
         p = PolydiscParams(alpha=0.2, beta=0.0, gamma=0.0, rho=0.25)

@@ -11,7 +11,8 @@ diffing the two outputs:
 --src names the directory that holds the ``specrg`` package to import
 (default: ``src`` next to this script).  BLAS runs on one thread, so that
 sums come out in one order.  The whole run takes about ten seconds on a
-2-vCPU machine.
+2-vCPU machine.  Each section also prints one line for the warnings it
+raised.
 """
 
 from __future__ import annotations
@@ -116,6 +117,18 @@ def rg_steps() -> None:
                                                       0.5 / 16.0)
         H, info = rgflow.rg_step(H0, 0.5, s_max=s_max)
         _hamiltonian(f"random step s_max={s_max}", H, info)
+    # on uniform nodes rho k falls between nodes, so scale_coupling interpolates;
+    # called on the model's own kernels it re-tabulates their profiles
+    uniform = fock.build_mode_grid(6, 0.5, "uniform")
+    H0 = models.ground_sector_hamiltonian(spec, uniform, 0.0)
+    for key, w in H0.terms.items():
+        scaled = rgflow.scale_coupling(w, 0.5)
+        _emit(f"uniform scale_coupling {key}", scaled.values, scaled.dr_values)
+    for s_max in (0, 1, 2):
+        H = H0
+        for step in (1, 2):
+            H, info = rgflow.rg_step(H, 0.5, s_max=s_max)
+            _hamiltonian(f"uniform model step {step} s_max={s_max}", H, info)
 
 
 def calibration_sweeps() -> None:
@@ -168,12 +181,13 @@ def main() -> None:
                         help="directory holding the specrg package")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    # rho = 1/2 sits on the boundary of the theorem range and warns; the
-    # outputs, not the warnings, are fingerprinted
-    warnings.simplefilter("ignore")
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     dense_models, acceptance_flows):
-        section()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            section()
+        _emit(f"{section.__name__} warnings ({len(caught)})",
+              [(w.category.__name__, str(w.message)) for w in caught])
 
 
 if __name__ == "__main__":
