@@ -190,11 +190,9 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
                         (R_l(r+k_a) + R_l(r+k_b)) / 2        (w02 identical)
 
     plus first-order terms g Gamma_jj f(k) in the (1,0)/(0,1) slots when the
-    kept level couples to itself.  The kernels keep their profiles, which
-    scale_coupling reads only when called on them directly: rg_step rescales
-    the decimated kernels it builds from arrays.  The field energies of the
-    kept sector must fit in I = [0,1]; a grid with n_max k_max > 1 will
-    clamp, and assemble_term warns about it when the caller assembles.
+    kept level couples to itself.  The field energies of the kept sector
+    must fit in I = [0,1]; a grid with n_max k_max > 1 will clamp, and
+    assemble_term warns about it when the caller assembles.
     """
     j = level
     eps = spec.particle_levels

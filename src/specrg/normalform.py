@@ -40,25 +40,24 @@ XI = 0.5
 MU = 0.5
 
 
-def interp_axis(values, xp, x, axis: int = 0) -> np.ndarray:
-    """Complex table values sampled at x along one axis, for every column at once.
+def interp_axis(values, xp, x) -> np.ndarray:
+    """Complex table values sampled at x along its first axis, for every column at once.
 
-    This is the one rule by which kernels are read off their grids: linear
-    between the nodes xp (strictly increasing) and clamped into [xp[0], xp[-1]].
-    x may have any shape; its axes take the place of the interpolated one.
-    Real and imaginary parts follow np.interp's formula slope * (x - xp[j]) +
-    fp[j] separately, so every column equals np.interp bit for bit.
+    This is the rule by which kernels are read in r: linear between the nodes
+    xp (strictly increasing) and clamped into [xp[0], xp[-1]].  x may have any
+    shape; its axes take the place of the first one.  Real and imaginary parts
+    follow np.interp's formula slope * (x - xp[j]) + fp[j] separately, so every
+    column equals np.interp bit for bit.
     """
     xp = np.asarray(xp, dtype=float)
     x = np.clip(np.asarray(x, dtype=float), xp[0], xp[-1])
     values = np.asarray(values, dtype=complex)
-    if values.shape[axis] != len(xp):
-        raise ValueError(f"axis {axis} has {values.shape[axis]} entries, xp has {len(xp)}")
+    if len(values) != len(xp):
+        raise ValueError(f"the first axis has {len(values)} entries, xp has {len(xp)}")
     if values.ndim == 1:
         # a single column (the scalar kernel) is cheaper through np.interp
         return np.interp(x, xp, values.real) + 1j * np.interp(x, xp, values.imag)
-    axis = axis % values.ndim
-    table = np.ascontiguousarray(np.moveaxis(values, axis, 0) if axis else values)
+    table = np.ascontiguousarray(values)
     parts = table.view(float).reshape(table.shape + (2,))  # (re, im) last
     j = np.searchsorted(xp, x, side="right") - 1
     j_next = np.minimum(j + 1, len(xp) - 1)
@@ -69,8 +68,7 @@ def interp_axis(values, xp, x, axis: int = 0) -> np.ndarray:
     out = (parts[j_next] - fp_j) / dx[cols]
     out *= (x - xp[j])[cols]
     out += fp_j
-    out = out.view(complex)[..., 0]
-    return np.moveaxis(out, range(x.ndim), range(axis, axis + x.ndim)) if axis else out
+    return out.view(complex)[..., 0]
 
 
 def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -87,13 +85,11 @@ class CouplingFunction:
     values has shape (len(R_GRID),) + (len(nodes),) * (m + n), the first m
     momentum axes being creation slots and the last n annihilation slots.
     dr_values holds the r-derivative on the same grid; when omitted it is
-    produced by central differences the first time it is read.  The profile
-    callable profile(r, k_1, ..., k_{m+n}) that from_profile keeps lets
-    scale_coupling re-tabulate the kernel instead of interpolating it.
+    produced by central differences the first time it is read.
     """
 
-    def __init__(self, m: int, n: int, nodes, values, dr_values=None, profile=None):
-        self.m, self.n, self.profile = m, n, profile
+    def __init__(self, m: int, n: int, nodes, values, dr_values=None):
+        self.m, self.n = m, n
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = np.asarray(values, dtype=complex)
         if not np.all(np.diff(self.nodes) > 0):
@@ -125,7 +121,7 @@ class CouplingFunction:
 
 
 def from_profile(m, n, nodes, func) -> CouplingFunction:
-    """Tabulate func(r, k_1, .., k_{m+n}) on the grid and keep it for rescaling.
+    """Tabulate func(r, k_1, .., k_{m+n}) on R_GRID and the nodes.
 
     func is called once, on the open mesh np.ix_(R_GRID, nodes, .., nodes);
     a result that does not broadcast to the table shape raises ValueError.
@@ -134,11 +130,11 @@ def from_profile(m, n, nodes, func) -> CouplingFunction:
     shape = (len(R_GRID),) + (len(nodes),) * (m + n)
     vals = np.asarray(func(*np.ix_(R_GRID, *[nodes] * (m + n))), dtype=complex)
     vals = np.array(np.broadcast_to(vals, shape))
-    return CouplingFunction(m, n, nodes, vals, profile=func)
+    return CouplingFunction(m, n, nodes, vals)
 
 
 def _norm_weight(w: CouplingFunction, mu: float):
-    """Slot weight min_j |k_j|^-mu prod_i |k_i|^1/2 of the anisotropic norm (1 for m + n = 0)."""
+    """Slot weight (min_j k_j)^-mu prod_i k_i^1/2 of the anisotropic norm (1 for m + n = 0)."""
     if w.order == 0:
         return 1.0
     slots = np.ix_(*[w.nodes] * w.order)

@@ -30,7 +30,7 @@ import numpy as np
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
 from .normalform import (MU, R_GRID, XI, CouplingFunction, NormalFormHamiltonian,
-                         coupling_norm_mu1, interaction_norm, interp_axis, shifted, split,
+                         coupling_norm_mu1, interaction_norm, shifted, split,
                          symmetrized, t_slope_deviation, term_norm)
 
 
@@ -103,22 +103,27 @@ def parameter_flow(p: PolydiscParams) -> PolydiscParams:
 # scaling
 # ---------------------------------------------------------------------------
 
-def _power_tail(vals: np.ndarray, nodes: np.ndarray, targets: np.ndarray,
-                axis: int) -> np.ndarray:
-    """vals continued along one momentum axis to targets below the lowest node.
+def _power_law_axis(vals: np.ndarray, nodes: np.ndarray, targets: np.ndarray,
+                    axis: int) -> np.ndarray:
+    """vals read at targets along one momentum axis, as a power law per node cell.
 
-    Infrared kernels behave like powers of |k|: each column continues as
-    v0 (k / k0)^p with p fitted to its first two nodes, or stays at v0 where
-    either of those values vanishes.
+    Infrared kernels behave like powers of |k|: on the cell [k_j, k_j+1] each
+    column reads v_j (k / k_j)^p with p = log(|v_j+1| / |v_j|) / log(k_j+1 / k_j),
+    or stays at v_j where either value vanishes.  The first cell continues
+    below k_0, the column is constant above the last node (and everywhere when
+    there is one node), and a target that is a node reads its own value.
+    Between nonzero values |v| is geometric in k, so a slot weight that is
+    log-convex in k, as the anisotropic norm's is, peaks at the cell's ends.
     """
-    v0 = np.take(vals, [0], axis=axis)
-    v1 = np.take(vals, [1], axis=axis)
-    fit = (v0 != 0) & (v1 != 0)
-    pexp = (np.log(np.abs(np.where(fit, v1, 1.0)) / np.abs(np.where(fit, v0, 1.0)))
-            / np.log(nodes[1] / nodes[0]))
+    j = np.clip(np.searchsorted(nodes, targets, side="right") - 1, 0, len(nodes) - 1)
+    j_next = np.minimum(j + 1, len(nodes) - 1)
+    lo, hi = np.take(vals, j, axis=axis), np.take(vals, j_next, axis=axis)
     shape = [1] * vals.ndim
     shape[axis] = len(targets)
-    return v0 * (targets / nodes[0]).reshape(shape) ** pexp
+    log_step = np.where(j_next > j, np.log(nodes[j_next] / nodes[j]), 1.0).reshape(shape)
+    fit = (lo != 0) & (hi != 0)
+    pexp = np.log(np.abs(np.where(fit, hi, 1.0)) / np.abs(np.where(fit, lo, 1.0))) / log_step
+    return lo * (targets / nodes[j]).reshape(shape) ** pexp
 
 
 def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
@@ -130,37 +135,17 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
     reproduces the full rho^3) and the overall 1/rho expands the scalar part.
     This makes ||w'||_mu <= rho^(m+n-1+mu) ||w||_mu in the anisotropic norm.
 
-    A kernel from from_profile is re-tabulated from its profile in one call;
-    any other is interpolated (linear in r and in each momentum slot, with a
-    power-law extension below the lowest node).  rg_step builds its decimated
-    kernels from arrays, so a flow reads a profile only when W is empty.
-    Interpolation keeps the bound above to rounding where every target
-    rho k is a node or lies below the lowest one, as on the dyadic nodes of
-    a geometric ModeGrid at rho = 1/2.  Between nodes the linear rule can
-    exceed it: on geomspace(0.02, 0.5, 6) or (.., 7) nodes at mu = 0.25 the
-    ratio is 0.5% or 1.0% over the bound.
+    Every kernel is read by the same two rules: linear in r at rho * R_GRID
+    (inside [0, rho]), then a power law per node cell in each momentum slot
+    (_power_law_axis).  They keep the bound above to rounding on any nodes,
+    and they rescale a kernel linear in r and a power of each k_i to rounding.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
-    pref = rho ** (1.5 * w.order - 1.0)
-    if w.profile is not None:
-        prof = w.profile
-        new_prof = (lambda r, *ks, _p=prof, _c=pref, _rho=rho:
-                    _c * _p(_rho * r, *(_rho * kk for kk in ks)))
-        return normalform.from_profile(w.m, w.n, w.nodes, new_prof)
-
-    # r axis first: sample at rho * R_GRID (always inside [0, rho] subset of I)
     vals = w.at_r(rho * R_GRID)
-    # then each momentum slot
-    targets = rho * w.nodes
-    low = targets < w.nodes[0]
     for axis in range(1, w.order + 1):
-        scaled = interp_axis(vals, w.nodes, targets, axis)
-        if np.any(low) and len(w.nodes) > 1:
-            scaled[(slice(None),) * axis + (low,)] = _power_tail(vals, w.nodes,
-                                                                 targets[low], axis)
-        vals = scaled
-    return CouplingFunction(w.m, w.n, w.nodes, pref * vals)
+        vals = _power_law_axis(vals, w.nodes, rho * w.nodes, axis)
+    return CouplingFunction(w.m, w.n, w.nodes, rho ** (1.5 * w.order - 1.0) * vals)
 
 
 def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
@@ -359,7 +344,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
 
     # assemble the decimated kernels (F), order by order; orders above M_max
     # (only the s <= 1 terms have any) are dropped and their norms logged
-    f_arrays: dict = {(0, 0): w00.values.copy()}
+    f_arrays: dict = {(0, 0): w00.values}
     for sign, terms in neumann_terms:
         for (mo, no), w in terms.items():
             if mo + no > H.M_max:
@@ -369,10 +354,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
 
     new_terms = {}
     for (mo, no), arr in f_arrays.items():
-        # without W the decimated kernel is w00 itself, which rescales exactly
-        # through its profile when it has one
-        kern = w00 if not W else CouplingFunction(mo, no, H.nodes, arr)
-        scaled = scale_coupling(kern, rho)
+        scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
 
     Hp = NormalFormHamiltonian(new_terms, H.grid, H.M_max)

@@ -77,21 +77,51 @@ class TestScaling:
                 bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
                 assert ratio <= bound * (1.0 + 1e-9)
 
-    @pytest.mark.parametrize("n_modes", [6, 8])
-    def test_contraction_bound_when_interpolated(self, n_modes):
-        # rg_step's kernels carry no profile, so scale_coupling interpolates
-        # them; on the dyadic nodes of a geometric mode grid the targets rho k
-        # land on nodes and the bound holds to rounding
+    @pytest.mark.parametrize("nodes", [
+        pytest.param(build_mode_grid(6, 0.5, "geometric").nodes, id="6"),
+        pytest.param(build_mode_grid(8, 0.5, "geometric").nodes, id="8"),
+        pytest.param(np.geomspace(0.02, 0.5, 6), id="geomspace-6"),
+        pytest.param(np.geomspace(0.02, 0.5, 7), id="geomspace-7"),
+        pytest.param(build_mode_grid(8, 0.5, "uniform").nodes, id="uniform-8"),
+    ])
+    def test_contraction_bound_when_interpolated(self, nodes):
+        # scale_coupling reads a table linearly in r and as a power law per
+        # cell in each slot, so the bound holds to rounding whether rho k
+        # lands on a node (the dyadic nodes of a geometric grid at rho = 1/2)
+        # or between nodes, and a power-law profile rescales to its closed form
         rng = np.random.default_rng(2)
-        nodes = build_mode_grid(n_modes, 0.5, "geometric").nodes
         for mu in (0.25, 0.5):
             for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
-                tab = from_profile(m, n, nodes, _power_profile(rng, mu))
-                w = CouplingFunction(m, n, tab.nodes, tab.values)
+                prof = _power_profile(rng, mu)
+                tab = from_profile(m, n, nodes, prof)
+                w = CouplingFunction(m, n, tab.nodes, tab.values)  # as rg_step builds
                 scaled = scale_coupling(w, RHO)
                 ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
                 bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
                 assert ratio <= bound * (1.0 + 1e-12)
+                pref = RHO ** (1.5 * (m + n) - 1.0)
+                exact = from_profile(m, n, nodes, lambda r, *ks, _p=prof:
+                                     pref * _p(RHO * r, *(RHO * k for k in ks))).values
+                assert np.all(np.abs(scaled.values - exact) <= 1e-13 * np.abs(exact))
+
+    def test_one_node_kernel_is_constant_in_its_slots(self):
+        rng = np.random.default_rng(5)
+        shape = (len(R_GRID), 1, 1)
+        w = CouplingFunction(1, 1, np.array([0.3]),
+                             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        scaled = scale_coupling(w, RHO)
+        assert np.array_equal(scaled.values, RHO ** 2.0 * w.at_r(RHO * R_GRID))
+
+    def test_zero_node_value_keeps_the_cell_constant(self):
+        # every target rho k, 0.05 below k_0 included, lies in the first cell,
+        # whose right end is 0: p = 0 there, so the column reads v_0
+        nodes = np.array([0.1, 0.25, 0.3, 0.45])
+        column = np.array([0.7 - 0.2j, 0.0, 0.3, 0.1])
+        w = CouplingFunction(1, 0, nodes, (1.0 + R_GRID)[:, np.newaxis] * column)
+        scaled = scale_coupling(w, RHO)
+        assert np.all(np.isfinite(scaled.values))
+        v0 = RHO ** 0.5 * w.at_r(RHO * R_GRID)[:, :1]
+        assert np.array_equal(scaled.values, np.broadcast_to(v0, scaled.values.shape))
 
     def test_invalid_rho(self):
         w = _field_kernel(np.array([0.25]))

@@ -117,8 +117,8 @@ def rg_steps() -> None:
                                                       0.5 / 16.0)
         H, info = rgflow.rg_step(H0, 0.5, s_max=s_max)
         _hamiltonian(f"random step s_max={s_max}", H, info)
-    # on uniform nodes rho k falls between nodes, so scale_coupling interpolates;
-    # called on the model's own kernels it re-tabulates their profiles
+    # on uniform nodes rho k falls between nodes, so scale_coupling reads each
+    # slot inside a cell by its power law, on the model's kernels as on any
     uniform = fock.build_mode_grid(6, 0.5, "uniform")
     H0 = models.ground_sector_hamiltonian(spec, uniform, 0.0)
     for key, w in H0.terms.items():
