@@ -65,7 +65,8 @@ def interp_axis(values, xp, x) -> np.ndarray:
     dx = np.where(j_next > j, xp[j_next] - xp[j], 1.0)
     cols = (Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)
     fp_j = parts[j]
-    out = (parts[j_next] - fp_j) / dx[cols]
+    out = parts[j_next] - fp_j  # a new array even when x is a scalar
+    out /= dx[cols]
     out *= (x - xp[j])[cols]
     out += fp_j
     return out.view(complex)[..., 0]
@@ -73,9 +74,13 @@ def interp_axis(values, xp, x) -> np.ndarray:
 
 def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
     """Kernel table averaged over swaps of its first two creation and annihilation slots."""
-    vals = 0.5 * (values + np.swapaxes(values, 1, 2)) if m >= 2 else values
+    vals = values
+    if m >= 2:
+        vals = vals + np.swapaxes(vals, 1, 2)
+        vals *= 0.5
     if n >= 2:
-        vals = 0.5 * (vals + np.swapaxes(vals, 1 + m, 2 + m))
+        vals = vals + np.swapaxes(vals, 1 + m, 2 + m)
+        vals *= 0.5
     return vals
 
 
@@ -85,7 +90,9 @@ class CouplingFunction:
     values has shape (len(R_GRID),) + (len(nodes),) * (m + n), the first m
     momentum axes being creation slots and the last n annihilation slots.
     dr_values holds the r-derivative on the same grid; when omitted it is
-    produced by central differences the first time it is read.
+    produced by central differences the first time it is read.  norm_mu1,
+    the (MU, 1) norm, is likewise computed the first time it is read: both
+    caches rely on kernels never being changed in place.
     """
 
     def __init__(self, m: int, n: int, nodes, values, dr_values=None):
@@ -102,6 +109,7 @@ class CouplingFunction:
             if dr_values.shape != expected:
                 raise ValueError("dr_values shape mismatch")
         self._dr_values = dr_values
+        self._norm_mu1 = None
         if not np.all(np.isfinite(self.values)):
             raise ValueError("kernel values must be finite")
 
@@ -110,6 +118,13 @@ class CouplingFunction:
         if self._dr_values is None:
             self._dr_values = np.gradient(self.values, R_GRID, axis=0)
         return self._dr_values
+
+    @property
+    def norm_mu1(self) -> float:
+        """||w||_{MU,1} = coupling_norm_mu1(w, MU), computed once per kernel."""
+        if self._norm_mu1 is None:
+            self._norm_mu1 = coupling_norm_mu1(self, MU)
+        return self._norm_mu1
 
     @property
     def order(self) -> int:
@@ -160,8 +175,9 @@ def coupling_norm_mu1(w: CouplingFunction, mu: float) -> float:
 
 
 def term_norm(w: CouplingFunction) -> float:
-    """Banach weight xi^-(m+n) ||w_{m,n}||_{mu,1} of one kernel in H's norm."""
-    return XI ** (-w.order) * coupling_norm_mu1(w, MU)
+    """Banach weight xi^-(m+n) ||w_{m,n}||_{mu,1} of one kernel in H's norm,
+    read from the kernel's cached norm_mu1."""
+    return XI ** (-w.order) * w.norm_mu1
 
 
 @dataclass

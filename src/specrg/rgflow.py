@@ -30,8 +30,8 @@ import numpy as np
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
 from .normalform import (MU, R_GRID, XI, CouplingFunction, NormalFormHamiltonian,
-                         coupling_norm_mu1, interaction_norm, shifted, split,
-                         symmetrized, t_slope_deviation, term_norm)
+                         interaction_norm, shifted, split, symmetrized,
+                         t_slope_deviation, term_norm)
 
 
 class DomainError(ValueError):
@@ -111,19 +111,26 @@ def _power_law_axis(vals: np.ndarray, nodes: np.ndarray, targets: np.ndarray,
     column reads v_j (k / k_j)^p with p = log(|v_j+1| / |v_j|) / log(k_j+1 / k_j),
     or stays at v_j where either value vanishes.  The first cell continues
     below k_0, the column is constant above the last node (and everywhere when
-    there is one node), and a target that is a node reads its own value.
-    Between nonzero values |v| is geometric in k, so a slot weight that is
-    log-convex in k, as the anisotropic norm's is, peaks at the cell's ends.
+    there is one node), and a target that is a node reads its own value, with
+    no power taken.  Between nonzero values |v| is geometric in k, so a slot
+    weight that is log-convex in k, as the anisotropic norm's is, peaks at the
+    cell's ends.
     """
     j = np.clip(np.searchsorted(nodes, targets, side="right") - 1, 0, len(nodes) - 1)
-    j_next = np.minimum(j + 1, len(nodes) - 1)
-    lo, hi = np.take(vals, j, axis=axis), np.take(vals, j_next, axis=axis)
-    shape = [1] * vals.ndim
-    shape[axis] = len(targets)
-    log_step = np.where(j_next > j, np.log(nodes[j_next] / nodes[j]), 1.0).reshape(shape)
-    fit = (lo != 0) & (hi != 0)
-    pexp = np.log(np.abs(np.where(fit, hi, 1.0)) / np.abs(np.where(fit, lo, 1.0))) / log_step
-    return lo * (targets / nodes[j]).reshape(shape) ** pexp
+    out = np.take(vals, j, axis=axis)
+    off = np.flatnonzero(nodes[j] != targets)
+    if len(off):
+        j = j[off]
+        j_next = np.minimum(j + 1, len(nodes) - 1)
+        cells = (slice(None),) * axis + (off,)
+        lo, hi = out[cells], np.take(vals, j_next, axis=axis)
+        shape = [1] * vals.ndim
+        shape[axis] = len(off)
+        log_step = np.where(j_next > j, np.log(nodes[j_next] / nodes[j]), 1.0).reshape(shape)
+        fit = (lo != 0) & (hi != 0)
+        pexp = np.log(np.abs(np.where(fit, hi, 1.0)) / np.abs(np.where(fit, lo, 1.0))) / log_step
+        out[cells] = lo * (targets[off] / nodes[j]).reshape(shape) ** pexp
+    return out
 
 
 def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
@@ -174,9 +181,35 @@ def _slot_tuples(M: int, length: int) -> np.ndarray:
     return np.indices((M,) * length).reshape(length, M ** length)
 
 
-def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndarray,
-                  max_order: int, out_arrays: dict, budget: list, sup_G: float,
-                  norms: tuple):
+class _SlotTables:
+    """Slot-tuple tables on one node set, each built once per product call.
+
+    sums(L): for every length-L tuple in _slot_tuples order, its node-energy
+    sum (left to right, like np.sum), the distinct sums and the inverse
+    index, and its mass product; pair_sums(LI, LJ): the distinct values of
+    sI + sJ over all (I, J) and the inverse index.
+    """
+
+    def __init__(self, nodes: np.ndarray, masses: np.ndarray):
+        self.nodes, self.masses, self._sums, self._pairs = nodes, masses, {}, {}
+
+    def sums(self, length: int):
+        if length not in self._sums:
+            tuples = _slot_tuples(len(self.nodes), length)
+            s = self.nodes[tuples].sum(axis=0)
+            self._sums[length] = (s, *np.unique(s, return_inverse=True),
+                                  self.masses[tuples].prod(axis=0))
+        return self._sums[length]
+
+    def pair_sums(self, len_I: int, len_J: int):
+        if (len_I, len_J) not in self._pairs:
+            T = self.sums(len_I)[0][:, np.newaxis] + self.sums(len_J)[0]
+            self._pairs[(len_I, len_J)] = np.unique(T.ravel(), return_inverse=True)
+        return self._pairs[(len_I, len_J)]
+
+
+def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTables,
+                  max_order: int, out_arrays: dict, budget: list, sup_G: float, rows: int):
     """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays.
 
     For each number p of contractions (annihilators of A against creators of
@@ -189,9 +222,13 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
 
     where O(.) sums the node energies of the listed slots, I1/J1' are the
     (uncontracted) slots of A, I2'/J2 those of B.  The argument shifts are
-    the pull-through bookkeeping.  Per p, A is read once at r + O(I2') for
-    every tuple I2' and B at r + O(J1') for every J1', G is tabulated once on
-    (r, I2', J1', q), and one einsum contracts q for all slot tuples at once.
+    the pull-through bookkeeping.  Per p, A is read once per distinct shift
+    O(I2') and B once per distinct O(J1') (ordered tuples of one multiset
+    share a sum), then gathered to every tuple; G is evaluated once per
+    distinct pair (O(I2') + O(J1'), O(q)) at (r + (O(I2') + O(J1'))) + O(q),
+    the association every tuple's argument has, and gathered to (r, I2', J1',
+    q); one einsum contracts q for all slot tuples at once.  Only the first
+    rows points of R_GRID are computed; the rows above stay zero.
 
     Reads at r + shift > 1 are clamped to r = 1, like every off-grid read.
     On the two-level model (4 and 8 modes) and the calibration sweep's random
@@ -200,11 +237,13 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
     In a first step, whose input kernels carry no mask, setting the clamped
     reads to 0 moves kept entries by at most 1.4e-12 relative (model, g <=
     5e-3) and 1.3e-8 (random kernels), and leaves the flow's e_final as is.
-    norms holds the (mu, 1) norms of wA and wB for the dropped-order bound.
+    A dropped order is charged a bound built from the kernels' cached norms,
+    which are computed only then.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
     nodes = wA.nodes
-    R, M = len(R_GRID), len(nodes)
+    M = len(nodes)
+    r = R_GRID[:rows]
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
@@ -212,36 +251,48 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, masses: np.ndar
         Cf = comb(n1, p) * comb(m2, p) * factorial(p)
         if order > max_order:
             # dropped: log a norm-product bound instead of the kernel
-            budget.append(Cf * float(np.sum(masses / nodes)) ** p * sup_G * norms[0] * norms[1]
-                          * nodes[0] ** (-MU) * XI ** (-order))
+            budget.append(Cf * float(np.sum(tables.masses / nodes)) ** p * sup_G
+                          * wA.norm_mu1 * wB.norm_mu1 * nodes[0] ** (-MU) * XI ** (-order))
             continue
 
-        # sums and products over each tuple, left to right like np.sum and np.prod
-        I2, J1, q = _slot_tuples(M, m2 - p), _slot_tuples(M, n1 - p), _slot_tuples(M, p)
-        sI, sJ, omega_q = nodes[I2].sum(axis=0), nodes[J1].sum(axis=0), nodes[q].sum(axis=0)
-        mass_q = masses[q].prod(axis=0)
+        sI, uI, invI, _ = tables.sums(m2 - p)
+        sJ, uJ, invJ, _ = tables.sums(n1 - p)
+        omega_q, u_omega, inv_omega, mass_q = tables.sums(p)
+        uT, invT = tables.pair_sums(m2 - p, n1 - p)
         NI, NJ, Q = len(sI), len(sJ), len(omega_q)
-        A = wA.at_r(R_GRID[:, np.newaxis] + sI).reshape(R, NI, M ** m1, NJ, Q)
-        B = wB.at_r(R_GRID[:, np.newaxis] + sJ).reshape(R, NJ, Q, NI, M ** n2)
-        g_arg = (R_GRID[:, np.newaxis, np.newaxis, np.newaxis]
-                 + (sI[:, np.newaxis] + sJ)[..., np.newaxis] + omega_q)
-        Gq = G(g_arg) * mass_q
-        block = np.einsum("raibq,rabq,rbqak->riabk", A, Gq, B)
-        out_arrays[(mo, no)] = (out_arrays.get((mo, no), 0)
-                                + (Cf * block).reshape((R,) + (M,) * order))
+        A = wA.at_r(r[:, np.newaxis] + uI).reshape(rows, len(uI), M ** m1, NJ, Q)
+        B = wB.at_r(r[:, np.newaxis] + uJ).reshape(rows, len(uJ), Q, NI, M ** n2)
+        Gu = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega)
+        Gq = Gu[:, invT[:, np.newaxis], inv_omega]
+        Gq *= mass_q
+        # 0- and 1-tuples have distinct sums, already in tuple order
+        A = A.take(invI, axis=1) if len(uI) < NI else A
+        B = B.take(invJ, axis=1) if len(uJ) < NJ else B
+        block = np.einsum("raibq,rabq,rbqak->riabk", A, Gq.reshape(rows, NI, NJ, Q), B)
+        block *= Cf
+        if (mo, no) not in out_arrays:
+            out_arrays[(mo, no)] = np.zeros((len(R_GRID),) + (M,) * order, dtype=complex)
+        out_arrays[(mo, no)][:rows] += block.reshape((rows,) + (M,) * order)
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
-                         max_order: int, sup_G: float):
-    """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm)."""
+                         max_order: int, sup_G: float, rows: int | None = None):
+    """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm).
+
+    Each kernel pair evaluates G once per distinct shift pair and reads each
+    kernel once per distinct pull-through shift (see _pair_product); the slot
+    tables those need are built once per call.  The kernels are computed on
+    the first rows points of R_GRID, all of them when rows is None, and are
+    zero above.
+    """
+    ref = next(iter(A_terms.values()))
+    tables = _SlotTables(ref.nodes, masses)
+    rows = len(R_GRID) if rows is None else rows
     out_arrays: dict = {}
     budget: list = []
-    norms_A = [coupling_norm_mu1(w, MU) for w in A_terms.values()]
-    norms_B = [coupling_norm_mu1(w, MU) for w in B_terms.values()]
-    ref = next(iter(A_terms.values()))
-    for wA, nA in zip(A_terms.values(), norms_A):
-        for wB, nB in zip(B_terms.values(), norms_B):
-            _pair_product(wA, wB, G, masses, max_order, out_arrays, budget, sup_G, (nA, nB))
+    for wA in A_terms.values():
+        for wB in B_terms.values():
+            _pair_product(wA, wB, G, tables, max_order, out_arrays, budget, sup_G, rows)
     terms = {(mo, no): CouplingFunction(mo, no, ref.nodes, symmetrized(arr, mo, no))
              for (mo, no), arr in out_arrays.items()}
     return terms, float(np.sum(budget))
@@ -289,9 +340,17 @@ def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
 def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     """One decimation-and-rescale step; returns (H', StepInfo).
 
+    The s = 2 Neumann product is tabulated only on the R_GRID points up to
+    the first one above rho: its kernels enter only F, which lives on
+    Ran chi_rho(H_f), and scale_coupling reads F at rho * R_GRID, whose
+    interpolation reaches at most that point.  The rows above are zero and
+    never read.
+
     Raises DomainError when the scalar part fails the invertibility surrogate
-    ||(E+T)^-1|| <= 2/rho on the decimated region or the measured Neumann
-    ratio is not below 1 (a NaN ratio included).
+    ||(E+T)^-1|| <= 2/rho on the decimated region, when the measured Neumann
+    ratio is not below 1 (a NaN ratio included), or when a decimated or
+    rescaled kernel is not finite; the last names the (m, n) term and
+    carries q, inv_bound and dropped_norm as margins.
     """
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
@@ -336,8 +395,9 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
             dropped += d1
             neumann_terms.append((-1.0, n1_full))
             if s_max >= 2:
+                rows = int(np.searchsorted(R_GRID, rho, side="right")) + 1
                 n2, d2 = normal_order_product(n1_full, W, G, masses, max_order=H.M_max,
-                                              sup_G=sup_G)
+                                              sup_G=sup_G, rows=rows)
                 dropped += d2
                 neumann_terms.append((1.0, n2))
     remainder = gamma * q ** (s_max + 1) / (1.0 - q)
@@ -354,7 +414,12 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
 
     new_terms = {}
     for (mo, no), arr in f_arrays.items():
-        scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)
+        try:  # rho and the shapes are valid, so a ValueError is a table that is not finite
+            scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)
+        except ValueError as exc:
+            stage = "rescaled" if np.all(np.isfinite(arr)) else "decimated"
+            raise DomainError(f"the {stage} ({mo},{no}) kernel is not finite", margins={
+                "q": q, "inv_bound": inv_bound, "dropped_norm": float(dropped)}) from exc
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
 
     Hp = NormalFormHamiltonian(new_terms, H.grid, H.M_max)

@@ -50,15 +50,17 @@ class TestCouplingFunction:
         rng = np.random.default_rng(3)
         xp = np.linspace(0.0, 1.0, 6)
         vals = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
+        table = vals.copy()
         for x in (np.concatenate([xp, [xp[0] - 0.5, xp[-1] + 0.5],
                                   rng.uniform(xp[0] - 0.2, xp[-1] + 0.2, 9)]),
-                  rng.uniform(-0.2, 1.2, (2, 5))):
+                  rng.uniform(-0.2, 1.2, (2, 5)), np.float64(0.37)):
             expected = np.empty(x.shape + vals.shape[1:], dtype=complex)
             for idx in np.ndindex(vals.shape[1:]):
                 col = vals[(slice(None),) + idx]
                 expected[(Ellipsis,) + idx] = (np.interp(x, xp, col.real)
                                                + 1j * np.interp(x, xp, col.imag))
             assert np.array_equal(interp_axis(vals, xp, x), expected)
+            assert np.array_equal(vals, table)  # a scalar x too leaves the table as it was
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))

@@ -11,8 +11,9 @@ from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
 from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
                                NormalFormHamiltonian, assemble_term, coupling_norm_mu,
                                coupling_norm_mu1, from_profile, interaction_norm, slot_masses,
-                               split, symmetrized)
+                               split, symmetrized, term_norm)
 from specrg import rgflow
+from specrg.calibration import _random_polydisc_hamiltonian
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
 from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
                            normal_order_product, parameter_flow, polydisc_coordinates,
@@ -37,6 +38,12 @@ def _power_profile(rng, mu):
         return out
 
     return prof
+
+
+def _random_hamiltonian(rho):
+    """A random polydisc Hamiltonian on 4 geometric modes, as the calibration draws it."""
+    grid = build_mode_grid(4, 0.5, "geometric")
+    return _random_polydisc_hamiltonian(np.random.default_rng(3), grid, rho, rho / 16.0)
 
 
 def _scalar_hamiltonian(E, grid):
@@ -122,6 +129,22 @@ class TestScaling:
         assert np.all(np.isfinite(scaled.values))
         v0 = RHO ** 0.5 * w.at_r(RHO * R_GRID)[:, :1]
         assert np.array_equal(scaled.values, np.broadcast_to(v0, scaled.values.shape))
+
+    def test_on_node_targets_read_node_values(self):
+        # on a geometric grid rho k_j = k_(j-1) for all but the lowest node at
+        # rho = 1/2, so those columns of an order-4 kernel take no power law
+        nodes = build_mode_grid(8, 0.5, "geometric").nodes
+        on_node = np.flatnonzero(np.isin(RHO * nodes, nodes))
+        assert len(on_node) == len(nodes) - 1
+        source = np.searchsorted(nodes, RHO * nodes[on_node])
+        rng = np.random.default_rng(8)
+        shape = (len(R_GRID),) + (len(nodes),) * 4
+        w = CouplingFunction(2, 2, nodes, rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+        scaled = scale_coupling(w, RHO)
+        cols = np.ix_(range(len(R_GRID)), *[on_node] * 4)
+        node_vals = w.at_r(RHO * R_GRID)[np.ix_(range(len(R_GRID)), *[source] * 4)]
+        assert np.array_equal(scaled.values[cols], RHO ** 5.0 * node_vals)
 
     def test_invalid_rho(self):
         w = _field_kernel(np.array([0.25]))
@@ -266,15 +289,66 @@ class TestWickOrdering:
         calls = []
 
         def G(r):
-            calls.append(np.shape(r))
+            calls.append(np.asarray(r))
             return 1.0 / (np.asarray(r) + 2.0)
 
         max_order = 3
         _, dropped = normal_order_product(W, W, G, masses, max_order=max_order, sup_G=0.5)
-        kept = sum(1 for (m1, n1) in W for (m2, n2) in W for p in range(min(n1, m2) + 1)
-                   if m1 + n1 + m2 + n2 - 2 * p <= max_order)
+        kept = [(m2 - p, n1 - p, p) for (m1, n1) in W for (m2, n2) in W
+                for p in range(min(n1, m2) + 1) if m1 + n1 + m2 + n2 - 2 * p <= max_order]
         assert dropped > 0.0  # order-4 terms are dropped, and make no G call
-        assert 0 < len(calls) <= kept
+        assert 0 < len(calls) <= len(kept)
+        # each table is (r, distinct O(I2') + O(J1'), distinct O(q)), so its
+        # values increase along both slot axes, and repeats are not evaluated
+        assert all(r.ndim == 3 and len(r) == len(R_GRID) for r in calls)
+        assert all(np.all(np.diff(r[0], axis=0) > 0) and np.all(np.diff(r[0], axis=1) > 0)
+                   for r in calls)
+        per_tuple = sum(len(R_GRID) * 3 ** sum(lengths) for lengths in kept)
+        assert sum(r.size for r in calls) < per_tuple
+
+    def test_one_read_per_distinct_shift(self, monkeypatch):
+        # ordered slot tuples of one multiset share their energy sum, so each
+        # kernel is read once per distinct pull-through shift: the 9 ordered
+        # pairs of 3 nodes give 6 shifts
+        W, masses = self._random_W(4)
+        shifts = []
+        at_r = CouplingFunction.at_r
+
+        def recorded(w, r):
+            r = np.asarray(r)
+            if r.ndim == 2:
+                shifts.append(r[0] - R_GRID[0])
+            return at_r(w, r)
+
+        monkeypatch.setattr(CouplingFunction, "at_r", recorded)
+        G = lambda r: 1.0 / (np.asarray(r) + 2.0)
+        normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
+        assert all(np.all(np.diff(s) > 0) for s in shifts)
+        assert max(len(s) for s in shifts) == 6
+
+    def test_one_norm_per_kernel(self, monkeypatch):
+        # a kernel's (MU, 1) norm is cached on it, and a product computes one
+        # only for a dropped contraction order
+        calls = Counter()
+        kernels = []  # held, so that no id is reused within the test
+
+        def counted(w, mu):
+            kernels.append(w)
+            calls[id(w)] += 1
+            return coupling_norm_mu1(w, mu)
+
+        monkeypatch.setattr(rgflow.normalform, "coupling_norm_mu1", counted)
+        W, masses = self._random_W(4)
+        G = lambda r: 1.0 / (np.asarray(r) + 2.0)
+        normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
+        assert not calls
+        for _ in range(2):
+            term_norm(W[(1, 1)])
+        assert list(calls.values()) == [1]
+        for H in (TestFlow._model_builder()(0.0), _random_hamiltonian(RHO)):
+            calls.clear()
+            rg_step(H, RHO)
+            assert calls and max(calls.values()) == 1
 
     @staticmethod
     def _tuple_loop_product(A_terms, B_terms, G, masses, max_order):
@@ -419,6 +493,43 @@ class TestRgStep:
         assert info.dropped_norm > 0.0
         assert info.dropped_norm == pytest.approx(expected, rel=1e-13)
         assert rg_step(H, RHO, s_max=0)[1].dropped_norm == 0.0
+
+    @pytest.mark.parametrize("rho", [0.5, 0.3, 0.25])
+    @pytest.mark.parametrize("which", ["model", "random"])
+    def test_cut_rows_match_full_rows(self, monkeypatch, which, rho):
+        # the s = 2 product is tabulated up to the first R_GRID point above
+        # rho (on a point of R_GRID at 0.5 and 0.25, between two at 0.3);
+        # the step is bit for bit the one that tabulates every row
+        H = TestFlow._model_builder()(0.0) if which == "model" else _random_hamiltonian(rho)
+        got, got_info = rg_step(H, rho)
+        cut = []
+
+        def full_rows(*args, rows=None, **kwargs):
+            cut.append(rows)
+            return normal_order_product(*args, **kwargs)
+
+        monkeypatch.setattr(rgflow, "normal_order_product", full_rows)
+        ref, ref_info = rg_step(H, rho)
+        assert cut[-1] == np.searchsorted(R_GRID, rho, side="right") + 1 < len(R_GRID)
+        assert got_info == ref_info
+        assert got.terms.keys() == ref.terms.keys()
+        for key, w in ref.terms.items():
+            assert got.terms[key].values.tobytes() == w.values.tobytes(), key
+            assert got.terms[key].dr_values.tobytes() == w.dr_values.tobytes(), key
+
+    def test_blow_up_raises_domain_error(self):
+        # with orders up to 4 kept, the 4-mode model's first step leaves
+        # |w22| ~ 7e69, and rescaling the second step's kernels overflows
+        grid = build_mode_grid(4, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, 0.0)
+        H, _ = rg_step(NormalFormHamiltonian(H.terms, grid, M_max=4), RHO)
+        assert np.max(np.abs(H.terms[(2, 2)].values)) > 1e60
+        with pytest.warns(RuntimeWarning), pytest.raises(DomainError) as err:
+            rg_step(H, RHO)
+        assert "(2,2) kernel is not finite" in str(err.value)
+        assert err.value.margins.keys() == {"q", "inv_bound", "dropped_norm"}
+        assert err.value.margins["q"] < 1.0
 
     def test_interaction_contracts_on_model(self, model_flows):
         from specrg._calibration import C_RG

@@ -117,6 +117,20 @@ def rg_steps() -> None:
                                                       0.5 / 16.0)
         H, info = rgflow.rg_step(H0, 0.5, s_max=s_max)
         _hamiltonian(f"random step s_max={s_max}", H, info)
+    # off the rho = 1/2 grid: the s = 2 product's rows stop at the first R_GRID
+    # point above rho = 0.3, which is not a node of R_GRID
+    H = models.ground_sector_hamiltonian(spec, grid, 0.0)
+    for step in (1, 2):
+        H, info = rgflow.rg_step(H, 0.3)
+        _hamiltonian(f"model step {step} rho=0.3", H, info)
+    H0 = calibration._random_polydisc_hamiltonian(np.random.default_rng(3), grid8, 0.3,
+                                                  0.3 / 16.0)
+    H, info = rgflow.rg_step(H0, 0.3)
+    _hamiltonian("random step rho=0.3", H, info)
+    # more modes, so more slot tuples share a shift
+    grid12 = fock.build_mode_grid(12, 0.5, "geometric")
+    H, info = rgflow.rg_step(models.ground_sector_hamiltonian(spec, grid12, 0.0), 0.5)
+    _hamiltonian("12-mode model step s_max=2", H, info)
     # on uniform nodes rho k falls between nodes, so scale_coupling reads each
     # slot inside a cell by its power law, on the model's kernels as on any
     uniform = fock.build_mode_grid(6, 0.5, "uniform")
