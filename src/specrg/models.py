@@ -96,16 +96,20 @@ class ModelSpec:
         return float(np.min(np.diff(self.particle_levels)))
 
 
-def form_factor(spec: ModelSpec, k):
-    """Coupling function f(k) = chi(k)/sqrt(k)."""
-    k = np.asarray(k, dtype=float)
-    return np.asarray(spec.cutoff(k), dtype=complex) / np.sqrt(k)
+def form_factor(spec: ModelSpec, k, theta=0.0):
+    """Coupling function f(k) = chi(k)/sqrt(k), continued in the dilation angle to
+    f_theta(k) = e^{-3 theta/2} chi(e^{-theta} k) / sqrt(e^{-theta} k)."""
+    scaled_k = np.exp(-theta) * np.asarray(k, dtype=float)
+    chi = np.asarray(spec.cutoff(scaled_k), dtype=complex)
+    return np.exp(-1.5 * theta) * chi / np.sqrt(scaled_k)
 
 
 def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     """Phi(f) = sum_a sqrt(mass_a) f(k_a) (a_a + a*_a) on the truncated basis.
 
-    Each move i -> i - e_a of fock.ladder_walk gives one entry of a_a and one of a*_a.
+    Each move i -> i - e_a of fock.ladder_walk gives one entry of a_a and one of a*_a,
+    both with coefficient sqrt(mass_a) f(k_a): Phi is Hermitian for real f and
+    analytic in f, so Phi(f_theta) continues it in the dilation angle.
     """
     mass = slot_masses(basis.grid)
     if fvals is None:
@@ -115,7 +119,7 @@ def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     mode = modes[:, 0]
     phi = np.zeros((basis.dim, basis.dim), dtype=complex)
     phi[upper, lower] += coef[mode] * amp
-    phi[lower, upper] += np.conj(coef[mode]) * amp
+    phi[lower, upper] += coef[mode] * amp
     return phi
 
 
@@ -145,14 +149,13 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Coupled
     """Analytic continuation of the model in the dilation parameter.
 
     H_theta = H_p (x) 1 + e^{-theta} 1 (x) H_f + g Gamma (x) Phi(f_theta), particle
-    index outer: f continues to f_theta(k) = e^{-3 theta/2} f(e^{-theta} k), the
-    scaling action on a creation operator over the d^3k measure.  The finite
-    matter system is dilation-invariant.
+    index outer: f continues to f_theta(k) = e^{-3 theta/2} f(e^{-theta} k)
+    (form_factor at theta), the scaling action on a creation operator over the
+    d^3k measure.  The finite matter system is dilation-invariant.
     """
     if abs(np.imag(theta)) >= np.pi / 4:
         raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
-    scaled_k = np.exp(-theta) * basis.grid.nodes
-    fvals = np.exp(-1.5 * theta) * np.asarray(spec.cutoff(scaled_k), dtype=complex) / np.sqrt(scaled_k)
+    fvals = form_factor(spec, basis.grid.nodes, theta)
     H = (np.kron(np.diag(spec.particle_levels).astype(complex), np.eye(basis.dim))
          + np.exp(-theta) * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
          + spec.g * np.kron(spec.gamma, field_operator(spec, basis, fvals=fvals)))
@@ -175,9 +178,9 @@ def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
 # entry point for the renormalization flow
 # ---------------------------------------------------------------------------
 
-def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
-                              level: int = 0) -> NormalFormHamiltonian:
-    """Normal-form kernels of the model decimated onto one particle level.
+def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
+                              lam: float) -> NormalFormHamiltonian:
+    """Normal-form kernels of the model decimated onto its lowest particle level j = 0.
 
     Eliminating the other levels at second order in g (a Schur complement on
     the particle index with the free resolvent R_l(x) = (eps_l - lam + x)^-1)
@@ -194,23 +197,21 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
     must fit in I = [0,1]; a grid with n_max k_max > 1 will clamp, and
     assemble_term warns about it when the caller assembles.
     """
-    j = level
     eps = spec.particle_levels
-    others_eps = [eps[l] for l in range(spec.n_levels) if l != j]
-    if others_eps and lam >= min(others_eps):
+    if spec.n_levels > 1 and lam >= eps[1]:
         raise ValueError("spectral parameter lam must sit below every decimated level")
     nodes = grid.nodes
     masses = slot_masses(grid)
     g = spec.g
-    gj = np.abs(spec.gamma[j]) ** 2
-    coupled = [l for l in range(spec.n_levels) if l != j and gj[l] != 0.0]
+    gj = np.abs(spec.gamma[0]) ** 2
+    coupled = [l for l in range(1, spec.n_levels) if gj[l] != 0.0]
     fvec = form_factor(spec, nodes).real  # cutoff real, f real
 
     def fofk(k):
         return spec.cutoff(k) / np.sqrt(k)
 
     def w00(r):
-        val = eps[j] - lam + r
+        val = eps[0] - lam + r
         for l in coupled:
             val -= g * g * gj[l] * np.sum(masses * fvec ** 2
                                           / (eps[l] - lam + r[..., np.newaxis] + nodes), axis=-1)
@@ -236,7 +237,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid, lam: float,
         (2, 0): from_profile(2, 0, nodes, wpair),
         (0, 2): from_profile(0, 2, nodes, wpair),
     }
-    diag = spec.gamma[j, j]
+    diag = spec.gamma[0, 0]
     if abs(diag) > 0:
         terms[(1, 0)] = from_profile(1, 0, nodes, lambda r, k: g * diag * fofk(k))
         terms[(0, 1)] = from_profile(0, 1, nodes, lambda r, k: g * np.conj(diag) * fofk(k))

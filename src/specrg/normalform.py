@@ -40,38 +40,6 @@ XI = 0.5
 MU = 0.5
 
 
-def interp_axis(values, xp, x) -> np.ndarray:
-    """Complex table values sampled at x along its first axis, for every column at once.
-
-    This is the rule by which kernels are read in r: linear between the nodes
-    xp (strictly increasing) and clamped into [xp[0], xp[-1]].  x may have any
-    shape; its axes take the place of the first one.  Real and imaginary parts
-    follow np.interp's formula slope * (x - xp[j]) + fp[j] separately, so every
-    column equals np.interp bit for bit.
-    """
-    xp = np.asarray(xp, dtype=float)
-    x = np.clip(np.asarray(x, dtype=float), xp[0], xp[-1])
-    values = np.asarray(values, dtype=complex)
-    if len(values) != len(xp):
-        raise ValueError(f"the first axis has {len(values)} entries, xp has {len(xp)}")
-    if values.ndim == 1:
-        # a single column (the scalar kernel) is cheaper through np.interp
-        return np.interp(x, xp, values.real) + 1j * np.interp(x, xp, values.imag)
-    table = np.ascontiguousarray(values)
-    parts = table.view(float).reshape(table.shape + (2,))  # (re, im) last
-    j = np.searchsorted(xp, x, side="right") - 1
-    j_next = np.minimum(j + 1, len(xp) - 1)
-    # at the top node the slope is 0, so the value is fp[-1] exactly
-    dx = np.where(j_next > j, xp[j_next] - xp[j], 1.0)
-    cols = (Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)
-    fp_j = parts[j]
-    out = parts[j_next] - fp_j  # a new array even when x is a scalar
-    out /= dx[cols]
-    out *= (x - xp[j])[cols]
-    out += fp_j
-    return out.view(complex)[..., 0]
-
-
 def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
     """Kernel table averaged over swaps of its first two creation and annihilation slots."""
     vals = values
@@ -98,7 +66,7 @@ class CouplingFunction:
     def __init__(self, m: int, n: int, nodes, values, dr_values=None):
         self.m, self.n = m, n
         self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=complex)
+        self.values = np.ascontiguousarray(values, dtype=complex)
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         expected = (len(R_GRID),) + (len(self.nodes),) * self.order
@@ -131,8 +99,28 @@ class CouplingFunction:
         return self.m + self.n
 
     def at_r(self, r):
-        """Kernel sampled at field energies r (clamped to I), shape r + slots."""
-        return interp_axis(self.values, R_GRID, np.atleast_1d(r))
+        """Kernel sampled at field energies r, shape r + slots.
+
+        This is the rule by which every kernel is read in r: linear between
+        the R_GRID points j/32 and clamped into I = [0, 1].  With
+        t = 32 clip(r, 0, 1) and j = floor(t), the value is
+        v_j + (t - j)(v_j+1 - v_j), the next point capped at 32 so that r = 1
+        reads v_32.  Real and imaginary parts each equal np.interp on R_GRID
+        bit for bit.  A non-finite r raises ValueError.
+        """
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        if not np.isfinite(r).all():
+            raise ValueError("field energies r must be finite")
+        top = len(R_GRID) - 1
+        t = np.minimum(np.maximum(r, 0.0), 1.0) * top
+        j = t.astype(np.intp)
+        parts = self.values.view(float).reshape(self.values.shape + (2,))  # (re, im) last
+        lo = parts.take(j, axis=0)
+        out = parts.take(np.minimum(j + 1, top), axis=0)
+        out -= lo
+        out *= (t - j)[(Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)]
+        out += lo
+        return out.view(complex)[..., 0]
 
 
 def from_profile(m, n, nodes, func) -> CouplingFunction:

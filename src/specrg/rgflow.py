@@ -361,8 +361,8 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     masses = H.masses
 
     h0 = _h0_function(w00)
-    region = R_GRID[R_GRID >= 0.75 * rho]
-    min_h0 = float(np.min(np.abs(h0(region)))) if len(region) else np.inf
+    # rho <= 1/2, so this region and the one above rho both hold r = 1
+    min_h0 = float(np.min(np.abs(h0(R_GRID[R_GRID >= 0.75 * rho]))))
     inv_bound = 1.0 / min_h0 if min_h0 > 0 else np.inf
     if inv_bound > 2.0 / rho * (1.0 + 1e-9):
         raise DomainError(
@@ -383,7 +383,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} is not below 1",
                           margins={"q": q})
 
-    sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > rho])))) if np.any(R_GRID > rho) else 0.0
+    sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > rho]))))
 
     gamma = interaction_norm(H)
     dropped = 0.0
@@ -415,7 +415,9 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     new_terms = {}
     for (mo, no), arr in f_arrays.items():
         try:  # rho and the shapes are valid, so a ValueError is a table that is not finite
-            scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)
+            # an overflow surfaces only as the DomainError below, not as a warning
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)
         except ValueError as exc:
             stage = "rescaled" if np.all(np.isfinite(arr)) else "decimated"
             raise DomainError(f"the {stage} ({mo},{no}) kernel is not finite", margins={

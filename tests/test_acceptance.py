@@ -27,7 +27,7 @@ from specrg.fock import (build_fock_basis, build_mode_grid, field_hamiltonian,
 from specrg.feshbach import (ProjectionPair, feshbach_map, isospectral_check,
                              reconstruct_inverse)
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
-                           field_operator, mass_renormalization,
+                           field_operator, form_factor, mass_renormalization,
                            pauli_fierz_transform, pf_coupling)
 from specrg.normalform import basic_bound_margin, coupling_norm_mu, from_profile
 from specrg.oracle import (combes_deviation, fit_pole, perturbation_oracle,
@@ -216,11 +216,7 @@ def test_criterion_07_resonances(resonance_instance):
     # engineered doubly-degenerate excited level (manual assembly, since the
     # model constructor enforces simple levels)
     theta = 0.2j
-    k = grid.nodes
-    fvals = (np.exp(-1.5 * theta) * np.asarray(spec.cutoff(np.exp(-theta) * k),
-                                               dtype=complex)
-             / np.sqrt(np.exp(-theta) * k))
-    phi_th = field_operator(spec, basis, fvals=fvals)
+    phi_th = field_operator(spec, basis, fvals=form_factor(spec, grid.nodes, theta))
     hf = field_hamiltonian(basis)
     eps = np.diag([0.0, 1.0, 1.0]).astype(complex)
     coupling = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=complex)

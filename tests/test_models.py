@@ -81,13 +81,13 @@ class TestBuildModel:
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for a in range(basis.n_modes):
             am = ladder_matrix(basis, a, "annihilate")
-            expected += coef[a] * am.conj().T + np.conj(coef[a]) * am
+            expected += coef[a] * (am.conj().T + am)
         assert np.array_equal(field_operator(_two_level(1e-3), basis, fvals=fvals), expected)
 
     @pytest.mark.parametrize("theta", [None, 0.2j], ids=["form-factor", "dilated"])
     def test_field_operator_entries_at_model_couplings(self, theta):
-        # Phi(f) = sum_a coef_a a*_a + conj(coef_a) a_a with coef = sqrt(mass) f,
-        # at the form factor and at complex_dilate's f_theta
+        # Phi(f) = sum_a coef_a (a*_a + a_a) with coef = sqrt(mass) f, at the
+        # form factor and at the f_theta that complex_dilate reads
         spec = _two_level(1e-3)
         basis = build_fock_basis(build_mode_grid(6, 0.5, "geometric"), 2)
         k = basis.grid.nodes
@@ -96,11 +96,12 @@ class TestBuildModel:
         else:
             fvals = (np.exp(-1.5 * theta) * np.asarray(spec.cutoff(np.exp(-theta) * k),
                                                        dtype=complex) / np.sqrt(np.exp(-theta) * k))
+            assert np.array_equal(form_factor(spec, k, theta), fvals)
         coef = np.sqrt(slot_masses(basis.grid)) * fvals
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for a in range(basis.n_modes):
             expected += coef[a] * ladder_matrix(basis, a, "create")
-            expected += np.conj(coef[a]) * ladder_matrix(basis, a, "annihilate")
+            expected += coef[a] * ladder_matrix(basis, a, "annihilate")
         phi = field_operator(spec, basis, fvals=None if theta is None else fvals)
         assert np.array_equal(phi, expected)
 
@@ -138,6 +139,22 @@ class TestComplexDilation:
             e + np.exp(-theta) * np.concatenate(([0.0], grid.nodes))
             for e in spec.particle_levels])
         assert np.allclose(np.sort_complex(vals), np.sort_complex(expected), atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.2j, 0.1 + 0.15j])
+    def test_dilated_matrix_is_analytic_in_theta(self, theta):
+        # Cauchy-Riemann: the central differences along theta +- h and
+        # theta +- ih give one derivative
+        spec = _two_level(5e-3)
+        basis = build_fock_basis(build_mode_grid(4, 0.5, "geometric"), 2)
+        h = 1e-6
+
+        def derivative(step):
+            return (complex_dilate(spec, basis, theta + step).H
+                    - complex_dilate(spec, basis, theta - step).H) / (2.0 * step)
+
+        along_re, along_im = derivative(h), derivative(1j * h)
+        assert np.max(np.abs(along_re)) > 0.1
+        assert np.max(np.abs(along_re - along_im)) < 1e-7
 
     def test_angle_range_enforced(self):
         spec = _two_level(0.0)

@@ -13,7 +13,7 @@ from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
                                NormalFormHamiltonian, assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, from_profile,
-                               hamiltonian_norm, interaction_norm, interp_axis,
+                               hamiltonian_norm, interaction_norm,
                                shifted, slot_masses, split, symmetrized,
                                t_slope_deviation)
 from specrg import models
@@ -43,24 +43,32 @@ class TestCouplingFunction:
     def test_at_r_reproduces_grid_points(self):
         nodes = np.array([0.3, 0.6])
         w = from_profile(1, 0, nodes, lambda r, k: np.cos(r) * k)
-        sampled = w.at_r(R_GRID)
-        assert np.allclose(sampled, w.values)
-        # the r rule, on a complex table, is np.interp of the real and
-        # imaginary parts column by column
+        assert np.array_equal(w.at_r(R_GRID), w.values)
+        # the r rule, on a complex table of any order, is np.interp on R_GRID
+        # of the real and imaginary parts column by column, clamped outside I
         rng = np.random.default_rng(3)
-        xp = np.linspace(0.0, 1.0, 6)
-        vals = rng.standard_normal((6, 3, 4)) + 1j * rng.standard_normal((6, 3, 4))
-        table = vals.copy()
-        for x in (np.concatenate([xp, [xp[0] - 0.5, xp[-1] + 0.5],
-                                  rng.uniform(xp[0] - 0.2, xp[-1] + 0.2, 9)]),
-                  rng.uniform(-0.2, 1.2, (2, 5)), np.float64(0.37)):
-            expected = np.empty(x.shape + vals.shape[1:], dtype=complex)
-            for idx in np.ndindex(vals.shape[1:]):
-                col = vals[(slice(None),) + idx]
-                expected[(Ellipsis,) + idx] = (np.interp(x, xp, col.real)
-                                               + 1j * np.interp(x, xp, col.imag))
-            assert np.array_equal(interp_axis(vals, xp, x), expected)
-            assert np.array_equal(vals, table)  # a scalar x too leaves the table as it was
+        for shape in ((len(R_GRID),), (len(R_GRID), 3, 3)):
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            half = (len(shape) - 1) // 2
+            w = CouplingFunction(half, half, np.array([0.2, 0.4, 0.8]), vals)
+            table = vals.copy()
+            for x in (np.concatenate([R_GRID, [-0.5, 1.5], rng.uniform(-0.2, 1.2, 9)]),
+                      rng.uniform(-0.2, 1.2, (2, 5)), np.float64(0.37)):
+                x1 = np.atleast_1d(x)  # a scalar reads as one point
+                expected = np.empty(x1.shape + shape[1:], dtype=complex)
+                for idx in np.ndindex(shape[1:]):
+                    col = vals[(slice(None),) + idx]
+                    expected[(Ellipsis,) + idx] = (np.interp(x1, R_GRID, col.real)
+                                                   + 1j * np.interp(x1, R_GRID, col.imag))
+                assert np.array_equal(w.at_r(x), expected)
+                assert np.array_equal(w.values, table)  # a scalar x too leaves the table as it was
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_at_r_refuses_non_finite_r(self, bad):
+        # a NaN field energy must not become a grid index
+        w = from_profile(0, 0, np.array([0.5]), lambda r: 1.0 + r)
+        with pytest.raises(ValueError, match="finite"):
+            w.at_r(np.array([0.25, bad]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))

@@ -176,6 +176,29 @@ def dense_models() -> None:
         _emit(f"m_ren {label}", fit["m_ren"], fit["energies"])
 
 
+def dense_reads() -> None:
+    from specrg import fock, models, normalform, oracle
+    # dense-oracle's Feshbach basis: n_max k_max = 1 keeps its field energies in [0, 1]
+    basis = fock.build_fock_basis(fock.build_mode_grid(12, 1.0 / 3.0, "geometric"), 3)
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    H = models.ground_sector_hamiltonian(spec, basis.grid, 0.0)
+    _emit(f"assemble_operator ground sector 12 modes n_max=3 ({basis.dim} states)",
+          np.asarray(normalform.assemble_operator(H, basis)))
+    res_spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=2.0)
+    for n_modes in (24, 48):
+        shifts = oracle.perturbation_oracle(res_spec, fock.build_mode_grid(n_modes, 2.0, "uniform"))
+        _emit(f"perturbation_oracle {n_modes} uniform modes", shifts["ground_shift"],
+              shifts["widths"])
+    # reads between the R_GRID points, and clamped below 0 and above 1
+    r = np.linspace(-0.2, 1.2, 57)
+    rng = np.random.default_rng(5)
+    shape = (len(normalform.R_GRID), basis.n_modes, basis.n_modes)
+    w = normalform.CouplingFunction(1, 1, basis.grid.nodes, rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape))
+    _emit("at_r random (1,1) kernel", w.at_r(r))
+    _emit("at_r model w00", H.terms[(0, 0)].at_r(r))
+
+
 def acceptance_flows() -> None:
     from specrg import fock, models, rgflow
     grid = fock.build_mode_grid(8, 0.5, "geometric")
@@ -196,7 +219,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
-                    dense_models, acceptance_flows):
+                    dense_models, dense_reads, acceptance_flows):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             section()
