@@ -103,34 +103,22 @@ def parameter_flow(p: PolydiscParams) -> PolydiscParams:
 # scaling
 # ---------------------------------------------------------------------------
 
-def _power_law_axis(vals: np.ndarray, nodes: np.ndarray, targets: np.ndarray,
-                    axis: int) -> np.ndarray:
-    """vals read at targets along one momentum axis, as a power law per node cell.
+def _slot_index(nodes: np.ndarray, rho: float) -> np.ndarray:
+    """s with nodes[s[j]] == rho * nodes[j] exactly, and s[j] = -1 where rho k_j < k_0.
 
-    Infrared kernels behave like powers of |k|: on the cell [k_j, k_j+1] each
-    column reads v_j (k / k_j)^p with p = log(|v_j+1| / |v_j|) / log(k_j+1 / k_j),
-    or stays at v_j where either value vanishes.  The first cell continues
-    below k_0, the column is constant above the last node (and everywhere when
-    there is one node), and a target that is a node reads its own value, with
-    no power taken.  Between nonzero values |v| is geometric in k, so a slot
-    weight that is log-convex in k, as the anisotropic norm's is, peaks at the
-    cell's ends.
+    Raises DomainError when some rho k_j lies strictly between two nodes: the
+    rescaling k -> rho k is an index shift only on nodes closed under it.
     """
-    j = np.clip(np.searchsorted(nodes, targets, side="right") - 1, 0, len(nodes) - 1)
-    out = np.take(vals, j, axis=axis)
-    off = np.flatnonzero(nodes[j] != targets)
+    targets = rho * nodes
+    s = np.searchsorted(nodes, targets)
+    on_node = nodes[s] == targets
+    off = np.flatnonzero(~on_node & (targets >= nodes[0]))
     if len(off):
-        j = j[off]
-        j_next = np.minimum(j + 1, len(nodes) - 1)
-        cells = (slice(None),) * axis + (off,)
-        lo, hi = out[cells], np.take(vals, j_next, axis=axis)
-        shape = [1] * vals.ndim
-        shape[axis] = len(off)
-        log_step = np.where(j_next > j, np.log(nodes[j_next] / nodes[j]), 1.0).reshape(shape)
-        fit = (lo != 0) & (hi != 0)
-        pexp = np.log(np.abs(np.where(fit, hi, 1.0)) / np.abs(np.where(fit, lo, 1.0))) / log_step
-        out[cells] = lo * (targets[off] / nodes[j]).reshape(shape) ** pexp
-    return out
+        j = off[0]
+        raise DomainError(f"rho k = {targets[j]:.6g} (k = {nodes[j]:.6g}, rho = {rho:.6g}) "
+                          f"lies between two nodes; the nodes are not closed under k -> rho k",
+                          margins={"k": float(nodes[j]), "rho_k": float(targets[j]), "rho": rho})
+    return np.where(on_node, s, -1)
 
 
 def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
@@ -142,16 +130,18 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
     reproduces the full rho^3) and the overall 1/rho expands the scalar part.
     This makes ||w'||_mu <= rho^(m+n-1+mu) ||w||_mu in the anisotropic norm.
 
-    Every kernel is read by the same two rules: linear in r at rho * R_GRID
-    (inside [0, rho]), then a power law per node cell in each momentum slot
-    (_power_law_axis).  They keep the bound above to rounding on any nodes,
-    and they rescale a kernel linear in r and a power of each k_i to rounding.
+    The kernel is read linearly in r at rho * R_GRID (inside [0, rho]), and
+    each momentum slot k_j at the node rho k_j (_slot_index), which reads 0
+    below the lowest node: the model has no photon there.  Nodes that are not
+    closed under k -> rho k raise DomainError, except for a kernel of order 0.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
     vals = w.at_r(rho * R_GRID)
-    for axis in range(1, w.order + 1):
-        vals = _power_law_axis(vals, w.nodes, rho * w.nodes, axis)
+    if w.order:
+        s = _slot_index(w.nodes, rho)
+        padded = np.pad(vals, [(0, 0)] + [(0, 1)] * w.order)  # index -1 reads the zero column
+        vals = padded[(slice(None),) + np.ix_(*[s] * w.order)]
     return CouplingFunction(w.m, w.n, w.nodes, rho ** (1.5 * w.order - 1.0) * vals)
 
 
@@ -228,7 +218,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTa
     distinct pair (O(I2') + O(J1'), O(q)) at (r + (O(I2') + O(J1'))) + O(q),
     the association every tuple's argument has, and gathered to (r, I2', J1',
     q); one einsum contracts q for all slot tuples at once.  Only the first
-    rows points of R_GRID are computed; the rows above stay zero.
+    rows points of R_GRID are computed, and out_arrays holds just those rows.
 
     Reads at r + shift > 1 are clamped to r = 1, like every off-grid read.
     On the two-level model (4 and 8 modes) and the calibration sweep's random
@@ -271,8 +261,8 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTa
         block = np.einsum("raibq,rabq,rbqak->riabk", A, Gq.reshape(rows, NI, NJ, Q), B)
         block *= Cf
         if (mo, no) not in out_arrays:
-            out_arrays[(mo, no)] = np.zeros((len(R_GRID),) + (M,) * order, dtype=complex)
-        out_arrays[(mo, no)][:rows] += block.reshape((rows,) + (M,) * order)
+            out_arrays[(mo, no)] = np.zeros((rows,) + (M,) * order, dtype=complex)
+        out_arrays[(mo, no)] += block.reshape((rows,) + (M,) * order)
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
@@ -281,9 +271,9 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
 
     Each kernel pair evaluates G once per distinct shift pair and reads each
     kernel once per distinct pull-through shift (see _pair_product); the slot
-    tables those need are built once per call.  The kernels are computed on
-    the first rows points of R_GRID, all of them when rows is None, and are
-    zero above.
+    tables those need are built once per call.  The kernels are computed and
+    symmetrized on the first rows points of R_GRID, all of them when rows is
+    None, and padded with zeros above.
     """
     ref = next(iter(A_terms.values()))
     tables = _SlotTables(ref.nodes, masses)
@@ -293,8 +283,13 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     for wA in A_terms.values():
         for wB in B_terms.values():
             _pair_product(wA, wB, G, tables, max_order, out_arrays, budget, sup_G, rows)
-    terms = {(mo, no): CouplingFunction(mo, no, ref.nodes, symmetrized(arr, mo, no))
-             for (mo, no), arr in out_arrays.items()}
+    terms = {}
+    for (mo, no), arr in out_arrays.items():
+        vals = symmetrized(arr, mo, no)
+        if rows < len(R_GRID):
+            above = np.zeros((len(R_GRID) - rows,) + vals.shape[1:], dtype=complex)
+            vals = np.concatenate((vals, above))
+        terms[(mo, no)] = CouplingFunction(mo, no, ref.nodes, vals)
     return terms, float(np.sum(budget))
 
 
@@ -346,7 +341,8 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     interpolation reaches at most that point.  The rows above are zero and
     never read.
 
-    Raises DomainError when the scalar part fails the invertibility surrogate
+    Raises DomainError when H's nodes are not closed under k -> rho k (see
+    _slot_index), when the scalar part fails the invertibility surrogate
     ||(E+T)^-1|| <= 2/rho on the decimated region, when the measured Neumann
     ratio is not below 1 (a NaN ratio included), or when a decimated or
     rescaled kernel is not finite; the last names the (m, n) term and
@@ -356,6 +352,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         raise ValueError("rho must lie in (0, 1/2]")
     if s_max < 0 or s_max > 2:
         raise ValueError("Neumann order s_max must be 0, 1 or 2")
+    _slot_index(H.nodes, rho)  # refuse nodes the rescaling cannot read, before any work
     _, W = split(H)
     w00 = H.terms[(0, 0)]
     masses = H.masses
@@ -414,7 +411,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
 
     new_terms = {}
     for (mo, no), arr in f_arrays.items():
-        try:  # rho and the shapes are valid, so a ValueError is a table that is not finite
+        try:  # rho, the shapes and the nodes are valid: a ValueError is a table not finite
             # an overflow surfaces only as the DomainError below, not as a warning
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)

@@ -32,7 +32,7 @@ from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
 from specrg.normalform import basic_bound_margin, coupling_norm_mu, from_profile
 from specrg.oracle import (combes_deviation, fit_pole, perturbation_oracle,
                            resonance_eigenvalue, resonance_multiplicity)
-from specrg.rgflow import scale_coupling
+from specrg.rgflow import DomainError, scale_coupling
 
 
 def _report(criterion, ok, detail):
@@ -126,13 +126,21 @@ def test_criterion_03_basic_bound():
 def test_criterion_04_scaling_laws():
     rng = np.random.default_rng(104)
     rho = 0.5
-    nodes = np.geomspace(0.02, 0.5, 6)
+    # the geometric nodes are closed under k -> rho k at rho = 1/2 and 1/4, so
+    # the rescaling is an index shift; geomspace nodes are not, and are refused
+    nodes = build_mode_grid(6, 0.5, "geometric").nodes
     hf = from_profile(0, 0, nodes, lambda r: r)
     fp_dev = float(np.max(np.abs(scale_coupling(hf, rho).values - hf.values)))
 
     E = 0.07 - 0.02j
     const = from_profile(0, 0, nodes, lambda r: E)
     e_ratio = complex(scale_coupling(const, rho).values[0]) / E
+
+    try:
+        scale_coupling(from_profile(1, 0, np.geomspace(0.02, 0.5, 6), lambda r, k: k), rho)
+        refused = False
+    except DomainError:
+        refused = True
 
     worst_excess = 0.0
     shapes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
@@ -149,15 +157,15 @@ def test_criterion_04_scaling_laws():
                 return out
 
             w = from_profile(m, n, nodes, prof)
-            ratio = (coupling_norm_mu(scale_coupling(w, rho), mu)
-                     / coupling_norm_mu(w, mu))
-            bound = rho ** (m + n - 1 + (mu if m + n == 1 else 0.0))
-            worst_excess = max(worst_excess, ratio / bound)
+            for step in (0.5, 0.25):
+                ratio = coupling_norm_mu(scale_coupling(w, step), mu) / coupling_norm_mu(w, mu)
+                bound = step ** (m + n - 1 + (mu if m + n == 1 else 0.0))
+                worst_excess = max(worst_excess, ratio / bound)
 
     ok = (fp_dev < 1e-12 and abs(e_ratio - 1.0 / rho) < 1e-12
-          and worst_excess <= 1.0 + 1e-9)
+          and worst_excess <= 1.0 + 1e-9 and refused)
     _report(4, ok, f"fixed-point dev {fp_dev:.1e}, E ratio {e_ratio:.6f}, "
-                   f"worst contraction/bound {worst_excess:.3f}")
+                   f"worst contraction/bound {worst_excess:.3f}, geomspace refused {refused}")
 
 
 def test_criterion_05_parameter_flow_recursion(model_flows):

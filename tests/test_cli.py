@@ -154,6 +154,16 @@ class TestFlowCommand:
             code = main(["flow", "--config", cfg, "--out", str(out)])
         assert code == EXIT_DOMAIN
 
+    def test_nodes_not_closed_under_rho_exit_with_domain_code(self, tmp_path, capsys):
+        # half of a uniform node falls between two nodes, which the rescaling
+        # cannot read; the flow refuses before it writes anything
+        payload = {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "scheme": "uniform"}}
+        out = tmp_path / "out"
+        assert main(["flow", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "rho k = 0.046875 (k = 0.09375, rho = 0.5) lies between two nodes" in err
+        assert not (out / "flow.csv").exists()
+
 
 class TestMassCommand:
     def test_monotone_renormalized_mass(self, tmp_path):

@@ -138,8 +138,9 @@ class TestFromProfile:
             calls.append(len(ks))
             return _mixed_profile(r, *ks)
 
+        nodes = build_mode_grid(4, 0.5, "geometric").nodes  # closed under k -> k / 2
         for m, n in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-            w = from_profile(m, n, self.NODES, counting)
+            w = from_profile(m, n, nodes, counting)
             scale_coupling(w, 0.5)
         # scale_coupling reads the table, never the profile
         assert calls == [0, 1, 2, 3]

@@ -40,10 +40,20 @@ def _power_profile(rng, mu):
     return prof
 
 
+def _closed_grid(rho):
+    """4 modes closed under k -> rho k: the geometric grid when rho is 1/2 or 1/4,
+    else nodes rho^i / sqrt(8), each exactly rho times the one above it."""
+    if rho in (0.5, 0.25):
+        return build_mode_grid(4, 0.5, "geometric")
+    nodes = np.cumprod([0.5 / np.sqrt(2.0)] + [rho] * 3)[::-1]
+    edges = np.concatenate(([0.0], nodes / np.sqrt(rho)))
+    return ModeGrid(nodes, FOUR_PI / 3.0 * np.diff(edges ** 3))
+
+
 def _random_hamiltonian(rho):
-    """A random polydisc Hamiltonian on 4 geometric modes, as the calibration draws it."""
-    grid = build_mode_grid(4, 0.5, "geometric")
-    return _random_polydisc_hamiltonian(np.random.default_rng(3), grid, rho, rho / 16.0)
+    """A random polydisc Hamiltonian on 4 modes closed under rho, as the calibration draws it."""
+    return _random_polydisc_hamiltonian(np.random.default_rng(3), _closed_grid(rho), rho,
+                                        rho / 16.0)
 
 
 def _scalar_hamiltonian(E, grid):
@@ -67,22 +77,30 @@ class TestScaling:
 
     def test_critical_kernel_contracts_by_rho_mu(self):
         mu = 0.5
-        nodes = np.geomspace(0.02, 0.5, 7)
+        nodes = build_mode_grid(7, 0.5, "geometric").nodes
         w = from_profile(1, 0, nodes, lambda r, k: k ** (mu - 0.5))
-        scaled = scale_coupling(w, RHO)
-        ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
-        assert ratio <= RHO ** mu * (1.0 + 1e-9)
+        for rho in (0.5, 0.25):
+            scaled = scale_coupling(w, rho)
+            ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
+            assert ratio <= rho ** mu * (1.0 + 1e-9)
+            with pytest.raises(DomainError, match="between two nodes"):
+                scale_coupling(from_profile(1, 0, np.geomspace(0.02, 0.5, 7), lambda r, k: k),
+                               rho)
 
     def test_contraction_bound_for_random_profiles(self):
         rng = np.random.default_rng(2)
-        nodes = np.geomspace(0.02, 0.5, 6)
+        nodes = build_mode_grid(6, 0.5, "geometric").nodes
         for mu in (0.25, 0.5):
             for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0)]:
                 w = from_profile(m, n, nodes, _power_profile(rng, mu))
-                scaled = scale_coupling(w, RHO)
-                ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
-                bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
-                assert ratio <= bound * (1.0 + 1e-9)
+                for rho in (0.5, 0.25):
+                    scaled = scale_coupling(w, rho)
+                    ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
+                    bound = rho ** (m + n - 1 + (mu if m + n == 1 else 0.0))
+                    assert ratio <= bound * (1.0 + 1e-9)
+        with pytest.raises(DomainError, match="between two nodes"):
+            scale_coupling(from_profile(1, 1, np.geomspace(0.02, 0.5, 6),
+                                        _power_profile(rng, 0.5)), RHO)
 
     @pytest.mark.parametrize("nodes", [
         pytest.param(build_mode_grid(6, 0.5, "geometric").nodes, id="6"),
@@ -92,47 +110,60 @@ class TestScaling:
         pytest.param(build_mode_grid(8, 0.5, "uniform").nodes, id="uniform-8"),
     ])
     def test_contraction_bound_when_interpolated(self, nodes):
-        # scale_coupling reads a table linearly in r and as a power law per
-        # cell in each slot, so the bound holds to rounding whether rho k
-        # lands on a node (the dyadic nodes of a geometric grid at rho = 1/2)
-        # or between nodes, and a power-law profile rescales to its closed form
+        # scale_coupling reads a table linearly in r and each slot k_j at the
+        # node rho k_j, 0 below the lowest node, so on the geometric grid with
+        # as many nodes (closed under k -> rho k at rho = 1/2 and 1/4) the bound
+        # holds to rounding and a power-law profile rescales to its closed form
+        # wherever every slot has a source node; nodes that are not closed
+        # under k -> rho k are refused
+        closed = build_mode_grid(len(nodes), 0.5, "geometric").nodes
         rng = np.random.default_rng(2)
-        for mu in (0.25, 0.5):
-            for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
-                prof = _power_profile(rng, mu)
-                tab = from_profile(m, n, nodes, prof)
-                w = CouplingFunction(m, n, tab.nodes, tab.values)  # as rg_step builds
-                scaled = scale_coupling(w, RHO)
-                ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
-                bound = RHO ** (m + n - 1 + (mu if m + n == 1 else 0.0))
-                assert ratio <= bound * (1.0 + 1e-12)
-                pref = RHO ** (1.5 * (m + n) - 1.0)
-                exact = from_profile(m, n, nodes, lambda r, *ks, _p=prof:
-                                     pref * _p(RHO * r, *(RHO * k for k in ks))).values
-                assert np.all(np.abs(scaled.values - exact) <= 1e-13 * np.abs(exact))
+        for rho in (0.5, 0.25):
+            if not np.array_equal(nodes, closed):
+                with pytest.raises(DomainError, match="between two nodes"):
+                    scale_coupling(from_profile(0, 1, nodes, _power_profile(rng, MU)), rho)
+            has_source = rho * closed >= closed[0]
+            for mu in (0.25, 0.5):
+                for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
+                    prof = _power_profile(rng, mu)
+                    tab = from_profile(m, n, closed, prof)
+                    w = CouplingFunction(m, n, tab.nodes, tab.values)  # as rg_step builds
+                    scaled = scale_coupling(w, rho)
+                    ratio = coupling_norm_mu(scaled, mu) / coupling_norm_mu(w, mu)
+                    bound = rho ** (m + n - 1 + (mu if m + n == 1 else 0.0))
+                    assert ratio <= bound * (1.0 + 1e-12)
+                    pref = rho ** (1.5 * (m + n) - 1.0)
+                    exact = from_profile(m, n, closed, lambda r, *ks, _p=prof:
+                                         pref * _p(rho * r, *(rho * k for k in ks))).values
+                    inside = np.ix_(range(len(R_GRID)), *[has_source] * (m + n))
+                    assert np.all(np.abs(scaled.values - exact)[inside]
+                                  <= 1e-13 * np.abs(exact[inside]))
+                    outside = np.ones(scaled.values.shape, dtype=bool)
+                    outside[inside] = False
+                    assert np.all(scaled.values[outside] == 0.0)
 
-    def test_one_node_kernel_is_constant_in_its_slots(self):
+    def test_one_node_kernel_rescales_to_zero(self):
+        # rho k_0 lies below the only node, so every slot reads 0
         rng = np.random.default_rng(5)
         shape = (len(R_GRID), 1, 1)
         w = CouplingFunction(1, 1, np.array([0.3]),
                              rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        scaled = scale_coupling(w, RHO)
-        assert np.array_equal(scaled.values, RHO ** 2.0 * w.at_r(RHO * R_GRID))
+        assert np.array_equal(scale_coupling(w, RHO).values, np.zeros(shape))
 
-    def test_zero_node_value_keeps_the_cell_constant(self):
-        # every target rho k, 0.05 below k_0 included, lies in the first cell,
-        # whose right end is 0: p = 0 there, so the column reads v_0
+    def test_nodes_not_closed_under_rho_are_refused(self):
+        # rho k = 0.05 lies below k_0 and reads 0, but rho k = 0.125 lies
+        # between 0.1 and 0.25; a kernel of order 0 has no slot to read
         nodes = np.array([0.1, 0.25, 0.3, 0.45])
         column = np.array([0.7 - 0.2j, 0.0, 0.3, 0.1])
         w = CouplingFunction(1, 0, nodes, (1.0 + R_GRID)[:, np.newaxis] * column)
-        scaled = scale_coupling(w, RHO)
-        assert np.all(np.isfinite(scaled.values))
-        v0 = RHO ** 0.5 * w.at_r(RHO * R_GRID)[:, :1]
-        assert np.array_equal(scaled.values, np.broadcast_to(v0, scaled.values.shape))
+        with pytest.raises(DomainError, match=r"rho k = 0\.125 \(k = 0\.25, rho = 0\.5\)"):
+            scale_coupling(w, RHO)
+        assert np.array_equal(scale_coupling(_field_kernel(nodes), RHO).values,
+                              _field_kernel(nodes).values)
 
     def test_on_node_targets_read_node_values(self):
         # on a geometric grid rho k_j = k_(j-1) for all but the lowest node at
-        # rho = 1/2, so those columns of an order-4 kernel take no power law
+        # rho = 1/2, so those columns of an order-4 kernel read the node below
         nodes = build_mode_grid(8, 0.5, "geometric").nodes
         on_node = np.flatnonzero(np.isin(RHO * nodes, nodes))
         assert len(on_node) == len(nodes) - 1
@@ -145,6 +176,19 @@ class TestScaling:
         cols = np.ix_(range(len(R_GRID)), *[on_node] * 4)
         node_vals = w.at_r(RHO * R_GRID)[np.ix_(range(len(R_GRID)), *[source] * 4)]
         assert np.array_equal(scaled.values[cols], RHO ** 5.0 * node_vals)
+
+    def test_every_shell_is_decimated_once_and_none_invented(self):
+        # each rescaling at rho = 1/2 moves every slot one node down and reads
+        # 0 below the lowest, so N of them empty every kernel of order >= 1
+        nodes = build_mode_grid(5, 0.5, "geometric").nodes
+        rng = np.random.default_rng(9)
+        for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 2)]:
+            shape = (len(R_GRID),) + (len(nodes),) * (m + n)
+            w = CouplingFunction(m, n, nodes, rng.standard_normal(shape) + 1.0)
+            for step in range(len(nodes)):
+                assert np.any(w.values != 0.0), step
+                w = scale_coupling(w, RHO)
+            assert np.array_equal(w.values, np.zeros(shape))
 
     def test_invalid_rho(self):
         w = _field_kernel(np.array([0.25]))
@@ -498,9 +542,12 @@ class TestRgStep:
     @pytest.mark.parametrize("which", ["model", "random"])
     def test_cut_rows_match_full_rows(self, monkeypatch, which, rho):
         # the s = 2 product is tabulated up to the first R_GRID point above
-        # rho (on a point of R_GRID at 0.5 and 0.25, between two at 0.3);
-        # the step is bit for bit the one that tabulates every row
-        H = TestFlow._model_builder()(0.0) if which == "model" else _random_hamiltonian(rho)
+        # rho (on a point of R_GRID at 0.5 and 0.25, between two at 0.3, on
+        # nodes closed under k -> 0.3 k); the step is bit for bit the one that
+        # tabulates every row
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+        H = (ground_sector_hamiltonian(spec, _closed_grid(rho), 0.0) if which == "model"
+             else _random_hamiltonian(rho))
         got, got_info = rg_step(H, rho)
         cut = []
 
@@ -518,18 +565,44 @@ class TestRgStep:
             assert got.terms[key].dr_values.tobytes() == w.dr_values.tobytes(), key
 
     def test_blow_up_raises_domain_error(self):
-        # with orders up to 4 kept, the 4-mode model's first step leaves
-        # |w22| ~ 7e69, and rescaling the second step's kernels overflows
+        # a scalar part of 1.5e308 passes the Neumann and inverse checks, and
+        # its 1/rho expansion overflows
         grid = build_mode_grid(4, 0.5, "geometric")
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
         H = ground_sector_hamiltonian(spec, grid, 0.0)
-        H, _ = rg_step(NormalFormHamiltonian(H.terms, grid, M_max=4), RHO)
-        assert np.max(np.abs(H.terms[(2, 2)].values)) > 1e60
+        huge = CouplingFunction(0, 0, grid.nodes, np.full(len(R_GRID), 1.5e308))
+        H = NormalFormHamiltonian({**H.terms, (0, 0): huge}, grid)
         with pytest.raises(DomainError) as err:  # and no RuntimeWarning on the way
             rg_step(H, RHO)
-        assert "(2,2) kernel is not finite" in str(err.value)
+        assert str(err.value) == "the rescaled (0,0) kernel is not finite"
         assert err.value.margins.keys() == {"q", "inv_bound", "dropped_norm"}
         assert err.value.margins["q"] < 1.0
+
+    def test_fourth_order_flow_matches_second_order(self):
+        # keeping orders up to 4 on the 4-mode model moves e_final by less
+        # than the M_max = 4 flow's own budget
+        grid = build_mode_grid(4, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        trajs = {}
+        for M_max in (2, 4):
+            def builder(lam, M_max=M_max):
+                return NormalFormHamiltonian(ground_sector_hamiltonian(spec, grid, lam).terms,
+                                             grid, M_max)
+
+            trajs[M_max] = flow(None, RHO, 2, builder=builder)
+        assert np.isfinite(trajs[4].budget)
+        assert abs(trajs[4].e_final - trajs[2].e_final) <= trajs[4].budget
+
+    def test_nodes_not_closed_are_refused_before_any_product(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("rg_step did work on nodes it must refuse")
+
+        monkeypatch.setattr(rgflow, "measured_q", no_work)
+        monkeypatch.setattr(rgflow, "normal_order_product", no_work)
+        grid = build_mode_grid(4, 0.5, "uniform")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        with pytest.raises(DomainError, match=r"rho k = 0\.09375 \(k = 0\.1875, rho = 0\.5\)"):
+            rg_step(ground_sector_hamiltonian(spec, grid, 0.0), RHO)
 
     def test_interaction_contracts_on_model(self, model_flows):
         from specrg._calibration import C_RG

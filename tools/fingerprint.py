@@ -53,6 +53,8 @@ CLI_CONFIGS = {
 FLOW_GROUND = {"grid": {"n_modes": 4, "k_max": 0.5, "scheme": "geometric"},
                "model": {"particle_levels": [0.0, 1.0], "g": 5e-3, "kappa": 1.0},
                "rho": 0.5, "n_steps": 2}
+# uniform nodes are not closed under k -> k / 2, so the flow refuses them
+FLOW_UNIFORM = {**FLOW_GROUND, "grid": {**FLOW_GROUND["grid"], "scheme": "uniform"}}
 # (n_modes, k_max, scheme, n_max) of the dense bases
 DENSE_BASES = ((8, 0.5, "geometric", 2), (24, 2.0, "uniform", 2), (12, 0.25, "geometric", 3))
 THETAS = (0.0, 0.2j, 0.1 + 0.15j)
@@ -85,10 +87,20 @@ def _hamiltonian(label: str, H, info=None) -> None:
     _emit(f"{label} norms", normalform.hamiltonian_norm(H), normalform.interaction_norm(H))
 
 
+def _raised(call) -> tuple:
+    """(exception class, message) of what call() raises, or ("returned",)."""
+    try:
+        call()
+    except ValueError as exc:  # DomainError among them
+        return type(exc).__name__, str(exc)
+    return ("returned",)
+
+
 def cli_outputs() -> None:
     from specrg import cli
     runs = [(cmd, cfg, cmd) for cmd, cfg in CLI_CONFIGS.items()]
     runs += [("flow", {**FLOW_GROUND, "s_max": s}, f"flow-ground s_max={s}") for s in (0, 1, 2)]
+    runs += [("flow", FLOW_UNIFORM, "flow uniform")]
     with tempfile.TemporaryDirectory() as tmp:
         for i, (cmd, cfg, label) in enumerate(runs):
             cfg_path = Path(tmp) / f"cfg{i}.json"
@@ -118,12 +130,17 @@ def rg_steps() -> None:
         H, info = rgflow.rg_step(H0, 0.5, s_max=s_max)
         _hamiltonian(f"random step s_max={s_max}", H, info)
     # off the rho = 1/2 grid: the s = 2 product's rows stop at the first R_GRID
-    # point above rho = 0.3, which is not a node of R_GRID
-    H = models.ground_sector_hamiltonian(spec, grid, 0.0)
+    # point above rho = 0.3, which is not a point of R_GRID, on nodes rho^i / sqrt(8)
+    # (each exactly rho times the one above it, so closed under k -> rho k)
+    nodes = np.cumprod([0.5 / np.sqrt(2.0)] + [0.3] * 7)[::-1]
+    edges = np.concatenate(([0.0], nodes / np.sqrt(0.3)))
+    closed8 = fock.ModeGrid(nodes, 4.0 * np.pi / 3.0 * np.diff(edges ** 3))
+    closed4 = fock.ModeGrid(nodes[4:], closed8.weights[4:])
+    H = models.ground_sector_hamiltonian(spec, closed4, 0.0)
     for step in (1, 2):
         H, info = rgflow.rg_step(H, 0.3)
         _hamiltonian(f"model step {step} rho=0.3", H, info)
-    H0 = calibration._random_polydisc_hamiltonian(np.random.default_rng(3), grid8, 0.3,
+    H0 = calibration._random_polydisc_hamiltonian(np.random.default_rng(3), closed8, 0.3,
                                                   0.3 / 16.0)
     H, info = rgflow.rg_step(H0, 0.3)
     _hamiltonian("random step rho=0.3", H, info)
@@ -131,18 +148,13 @@ def rg_steps() -> None:
     grid12 = fock.build_mode_grid(12, 0.5, "geometric")
     H, info = rgflow.rg_step(models.ground_sector_hamiltonian(spec, grid12, 0.0), 0.5)
     _hamiltonian("12-mode model step s_max=2", H, info)
-    # on uniform nodes rho k falls between nodes, so scale_coupling reads each
-    # slot inside a cell by its power law, on the model's kernels as on any
+    # on uniform nodes rho k falls between nodes, which the rescaling refuses
     uniform = fock.build_mode_grid(6, 0.5, "uniform")
     H0 = models.ground_sector_hamiltonian(spec, uniform, 0.0)
-    for key, w in H0.terms.items():
-        scaled = rgflow.scale_coupling(w, 0.5)
-        _emit(f"uniform scale_coupling {key}", scaled.values, scaled.dr_values)
-    for s_max in (0, 1, 2):
-        H = H0
-        for step in (1, 2):
-            H, info = rgflow.rg_step(H, 0.5, s_max=s_max)
-            _hamiltonian(f"uniform model step {step} s_max={s_max}", H, info)
+    raised = _raised(lambda: rgflow.scale_coupling(H0.terms[(1, 1)], 0.5))
+    _emit(f"uniform scale_coupling (1, 1): {raised[0]}", raised)
+    raised = _raised(lambda: rgflow.rg_step(H0, 0.5))
+    _emit(f"uniform model rg_step: {raised[0]}", raised)
 
 
 def calibration_sweeps() -> None:
