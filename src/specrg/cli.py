@@ -171,6 +171,15 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     fp_dev = float(np.max(np.abs(scaled.values - hf_kernel.values)))
     record("scaling_fixed_point", fp_dev < 1e-12, 1e-12 - fp_dev)
 
+    # the flow rescales k -> rho k as a node shift, so it refuses nodes not
+    # closed under it; the margin is minus the distance of rho k to the nearest node
+    margin = 0.0
+    try:
+        rgflow._slot_index(grid.nodes, rho)
+    except rgflow.DomainError as exc:
+        margin = -float(np.min(np.abs(grid.nodes - exc.margins["rho_k"])))
+    record("nodes_closed_under_rho", margin == 0.0, margin)
+
     report["all_passed"] = bool(ok)
     _write(out / "verify_report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if ok else EXIT_INVARIANT

@@ -14,6 +14,11 @@ chibar.  Sharp orthogonal projections satisfy chi^2 + chibar^2 = chi + chibar
 identities H Q = chi F and Q# H = F chi, which are asserted for every
 computed result, and the inverse representation
 H^-1 = Q F^-1 Q# + chibar R chibar.
+
+Every function reads its matrix through fock.dense, so an exactly real H is
+decimated in float64 and any other H in complex128.  R vanishes outside
+supp chibar x supp chibar, so each product with R runs on the rows and
+columns of supp chibar only.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis
+from .fock import FockBasis, dense
 
 RANK_THRESHOLD_FACTOR = 1e-8  # singular values below this times ||H|| count as null
 INDETERMINATE_BAND = 10.0     # rank decisions within this factor are reported, not guessed
@@ -75,6 +80,9 @@ def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
 
 @dataclass
 class FeshbachResult:
+    """F, Q, Q# and R (Hchibar_inv, zero outside supp chibar x supp chibar) of
+    one map: float64 when H and tau are exactly real, complex128 otherwise."""
+
     F: np.ndarray
     Q: np.ndarray
     Qsharp: np.ndarray
@@ -89,30 +97,22 @@ class NotInvertibleError(np.linalg.LinAlgError):
         self.singular_value = singular_value
 
 
-def _checked_inverse(M: np.ndarray, name: str, scale: float | None = None) -> np.ndarray:
+def _checked_inverse(M: np.ndarray, name: str, H: np.ndarray | None = None) -> np.ndarray:
     """M^-1, or NotInvertibleError when the smallest singular value of M falls
-    below 1e-13 max(1, scale); scale defaults to ||M||_2."""
+    below 1e-13 max(1, ||H||_2), H defaulting to M.
+
+    ||H||_2 <= ||H||_F, so the SVD behind ||H||_2 runs only for an M whose
+    smallest singular value falls below 1e-13 max(1, ||H||_F).
+    """
     svals = np.linalg.svd(M, compute_uv=False)
     smin = float(svals[-1]) if len(svals) else 0.0
-    if scale is None:
-        scale = float(svals[0]) if len(svals) else 1.0
-    if smin < 1e-13 * max(1.0, scale):
+    H = M if H is None else H
+    if (smin < 1e-13 * max(1.0, np.linalg.norm(H))
+            and smin < 1e-13 * max(1.0, np.linalg.norm(H, 2))):
         raise NotInvertibleError(
             f"{name} is numerically singular (smallest singular value {smin:.3e})",
             singular_value=smin)
     return np.linalg.inv(M)
-
-
-def _chibar_block_inverse(tau, W, pair, hnorm):
-    """Inverse of tau + chibar W chibar on the support of chibar, 0 elsewhere;
-    singular below 1e-13 max(1, hnorm)."""
-    out = np.zeros_like(W)
-    sup = pair.chibar > 0.0
-    if np.any(sup):
-        cb = pair.chibar[sup]
-        block = np.diag(tau[sup]) + cb[:, np.newaxis] * W[np.ix_(sup, sup)] * cb[np.newaxis, :]
-        out[np.ix_(sup, sup)] = _checked_inverse(block, "chibar block", hnorm)
-    return out
 
 
 def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
@@ -121,36 +121,42 @@ def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
     tau_part defaults to the diagonal part of H in the working basis.  It
     must be diagonal so that it commutes with the cutoff pair.
     """
-    H = np.asarray(H, dtype=complex)
+    H = dense(H)
     D = H.shape[0]
     if len(pair.chi) != D:
         raise ValueError("projection pair dimension mismatch")
     if tau_part is None:
         tau = np.diag(H).copy()
     else:
-        tmat = np.asarray(tau_part, dtype=complex)
+        tmat = dense(tau_part)
         if np.max(np.abs(tmat - np.diag(np.diag(tmat)))) > 1e-13 * max(1.0, np.max(np.abs(tmat))):
             raise ValueError("tau must be diagonal in the working basis")
         tau = np.diag(tmat).copy()
     W = H - np.diag(tau)
-    R = _chibar_block_inverse(tau, W, pair, np.linalg.norm(H, 2))
-    chi, cb = pair.chi, pair.chibar
+    chi = pair.chi
+    sup = np.flatnonzero(pair.chibar > 0.0)
+    cb = pair.chibar[sup]
 
-    Wchi = W * chi[np.newaxis, :]
-    chiW = chi[:, np.newaxis] * W
-    cbWchi = cb[:, np.newaxis] * Wchi
-    chiWcb = chiW * cb[np.newaxis, :]
+    block = np.diag(tau[sup]) + cb[:, np.newaxis] * W[np.ix_(sup, sup)] * cb[np.newaxis, :]
+    R_sup = _checked_inverse(block, "chibar block", H) if len(sup) else block
+    R = np.zeros_like(W)
+    R[np.ix_(sup, sup)] = R_sup
+    cbWchi = cb[:, np.newaxis] * (W[sup] * chi[np.newaxis, :])     # rows sup
+    chiWcb = chi[:, np.newaxis] * W[:, sup] * cb[np.newaxis, :]    # columns sup
+    RcbWchi = R_sup @ cbWchi
 
-    F = np.diag(tau) + chi[:, np.newaxis] * Wchi - chiWcb @ (R @ cbWchi)
-    Q = np.diag(chi).astype(complex) - cb[:, np.newaxis] * (R @ cbWchi)
-    Qs = np.diag(chi).astype(complex) - (chiWcb @ R) * cb[np.newaxis, :]
+    F = np.diag(tau) + chi[:, np.newaxis] * (W * chi[np.newaxis, :]) - chiWcb @ RcbWchi
+    Q = np.diag(chi).astype(W.dtype)
+    Qs = Q.copy()
+    Q[sup] -= cb[:, np.newaxis] * RcbWchi
+    Qs[:, sup] -= (chiWcb @ R_sup) * cb[np.newaxis, :]
 
     return FeshbachResult(F=F, Q=Q, Qsharp=Qs, Hchibar_inv=R, pair=pair, tau=tau)
 
 
 def identity_defect(H, res: FeshbachResult) -> tuple[float, float]:
     """Norms of H Q - chi F and Q# H - F chi, the exactness certificates."""
-    H = np.asarray(H, dtype=complex)
+    H = dense(H)
     chi = res.pair.chi
     d1 = np.linalg.norm(H @ res.Q - chi[:, np.newaxis] * res.F, 2)
     d2 = np.linalg.norm(res.Qsharp @ H - res.F * chi[np.newaxis, :], 2)
@@ -181,8 +187,8 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     invertibility flags.  Borderline singular values within a factor 10 of
     the threshold mark the verdict indeterminate instead of failing.
     """
-    H = np.asarray(H, dtype=complex)
-    H = H - lam * np.eye(len(H))
+    H = np.asarray(H)
+    H = dense(H - lam * np.eye(len(H)))
     res = feshbach_map(H, None, pair)
     _, s, vh = np.linalg.svd(H)
     hnorm = max(s[0], 1.0)  # the largest singular value is ||H||_2
@@ -195,7 +201,7 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     sup = pair.chi > 0.0
     _, s_f, vh_f = np.linalg.svd(res.F[np.ix_(sup, sup)])
     dim_f, ind_f, null_f_block = _null_dimension(s_f, vh_f, thr)
-    null_f = np.zeros((len(H), null_f_block.shape[1]), dtype=complex)
+    null_f = np.zeros((len(H), null_f_block.shape[1]), dtype=null_f_block.dtype)
     null_f[sup, :] = null_f_block
 
     transport_h_to_f = 0.0

@@ -157,11 +157,10 @@ def build_fock_basis(grid: ModeGrid, n_max: int) -> FockBasis:
 class OperatorMatrix:
     """Dense complex matrix tagged with the FockBasis it acts on.
 
-    Dense operators are plain complex ndarrays everywhere in the package.
-    This tag stays only as the return type of normalform.assemble_operator,
-    because the benchmark workloads (perfbench/workloads.py) build one and
-    read .mat; every function that takes an operator converts it with
-    np.asarray.
+    Dense operators are plain ndarrays everywhere in the package.  This tag
+    stays only as the return type of normalform.assemble_operator, because
+    the benchmark workloads (perfbench/workloads.py) build one and read .mat;
+    every function that takes an operator reads it with dense().
     """
 
     mat: np.ndarray
@@ -176,6 +175,16 @@ class OperatorMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.mat, dtype=dtype, copy=copy)
+
+
+def dense(H) -> np.ndarray:
+    """H as every dense solver reads it: float64 when its imaginary part is
+    exactly zero, complex128 otherwise, so LAPACK runs in real arithmetic
+    wherever it can."""
+    mat = np.asarray(H)
+    if np.iscomplexobj(mat) and np.any(mat.imag):
+        return mat.astype(complex, copy=False)
+    return np.ascontiguousarray(mat.real, dtype=float)
 
 
 def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
@@ -229,8 +238,8 @@ def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
 
 
 def field_hamiltonian(basis: FockBasis) -> np.ndarray:
-    """Diagonal free-field Hamiltonian sum_i n_i omega(k_i)."""
-    return np.diag(basis.hf_diagonal().astype(complex))
+    """Diagonal free-field Hamiltonian sum_i n_i omega(k_i), real."""
+    return np.diag(basis.hf_diagonal())
 
 
 def pull_through_check(basis: FockBasis, f, mode: int) -> float:

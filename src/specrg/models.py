@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, ModeGrid, field_hamiltonian, ladder_walk
+from .fock import FockBasis, ModeGrid, dense, field_hamiltonian, ladder_walk
 from .normalform import NormalFormHamiltonian, from_profile, slot_masses
 
 
@@ -330,7 +330,7 @@ def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> np.ndarray
     if abs(P) >= 1.0 / 3.0:
         warnings.warn(f"|P| = {abs(P)} outside the controlled range |P| < 1/3")
     hf = field_hamiltonian(basis)
-    A = P * np.eye(basis.dim) - hf - spec.g * field_operator(spec, basis)
+    A = dense(P * np.eye(basis.dim) - hf - spec.g * field_operator(spec, basis))
     return A @ A / (2.0 * spec.mass) + hf
 
 
@@ -344,7 +344,7 @@ def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:
     energies = []
     for P in p_grid:
         H = fiber_hamiltonian(spec, basis, float(P))
-        energies.append(float(np.min(np.linalg.eigvalsh(H))))
+        energies.append(float(np.linalg.eigvalsh(H)[0]))
     energies = np.asarray(energies)
     design = np.stack([np.ones_like(p_grid), p_grid ** 2, p_grid ** 3], axis=1)
     coef, res, _, _ = np.linalg.lstsq(design, energies, rcond=None)

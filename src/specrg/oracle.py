@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP
+from .fock import DEFAULT_DIM_CAP, dense
 from .models import CoupledModel, ModelSpec, complex_dilate, form_factor
 from .normalform import slot_masses
 
@@ -33,7 +33,7 @@ class ResolutionError(ValueError):
 
 def exact_spectrum(H, k: int | None = None):
     """Sorted eigenvalues: k lowest if max|H - H*| < 1e-10, full set otherwise."""
-    mat = np.asarray(H, dtype=complex)
+    mat = dense(H)
     herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
     if mat.shape[0] > DEFAULT_DIM_CAP:
         raise SolverError(f"dimension {mat.shape[0]} exceeds the dense cap {DEFAULT_DIM_CAP}")

@@ -60,6 +60,18 @@ class TestVerify:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["pull_through"]
 
+    def test_nodes_not_closed_under_rho_fail_verify(self, tmp_path):
+        # flow refuses this grid (exit 3): rho k = 0.046875 lies between two nodes
+        cfg = _cfg(tmp_path, {**BASE_CONFIG, "grid": {**BASE_CONFIG["grid"], "scheme": "uniform"},
+                              "n_max": 1})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INVARIANT
+        report = json.loads((out / "verify_report.json").read_text())
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["nodes_closed_under_rho"]
+        assert failed[0]["margin"] == -0.015625  # to the nearest node 0.03125
+        assert main(["flow", "--config", cfg, "--out", str(tmp_path / "flow")]) == EXIT_DOMAIN
+
 
 class TestUsageErrors:
     def test_corrupted_json(self, tmp_path):

@@ -83,6 +83,34 @@ class TestFeshbachMap:
         assert rep_off["dim_null_H"] == rep_off["dim_null_F"] == 0
 
 
+class TestChibarBlockThreshold:
+    """The chibar block is singular below 1e-13 max(1, ||H||_2); ||H||_F >= ||H||_2
+    screens it first, so ||H||_2 is computed only for a block that fails the screen."""
+
+    @pytest.mark.parametrize("smin, singular, spectral", [
+        (2e-9, False, False), (5e-10, False, True), (5e-11, True, True)],
+        ids=["clear", "between-thresholds", "below-spectral-threshold"])
+    def test_decision_and_spectral_norm(self, monkeypatch, smin, singular, spectral):
+        # ||H||_2 = 1e3 and ||H||_F = 1e4: the thresholds are 1e-10 and 1e-9
+        H = np.diag(np.append(np.full(100, 1e3), smin))
+        assert np.linalg.norm(H, 2) == 1e3 and np.isclose(np.linalg.norm(H), 1e4)
+        pair = ProjectionPair(np.append(np.ones(100), 0.0))
+        ords = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, ord=None: ords.append(ord) or norm(x, ord))
+        try:
+            res = feshbach_map(H, None, pair)
+        except NotInvertibleError as exc:
+            res = exc
+        monkeypatch.undo()
+        assert (2 in ords) == spectral
+        if singular:
+            assert isinstance(res, NotInvertibleError) and res.singular_value == smin
+        else:
+            assert res.Hchibar_inv[100, 100] == 1.0 / smin
+
+
 class TestReconstructInverse:
     def test_diagonal_inverse(self):
         H = np.diag([2.0, 4.0, 8.0]).astype(complex)

@@ -211,6 +211,30 @@ def dense_reads() -> None:
     _emit("at_r model w00", H.terms[(0, 0)].at_r(r))
 
 
+def dense_feshbach() -> None:
+    from specrg import feshbach, fock, models, normalform, oracle
+    # dense-oracle's Feshbach and mass calls on its 455-state basis
+    basis = fock.build_fock_basis(fock.build_mode_grid(12, 1.0 / 3.0, "geometric"), 3)
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+    H = models.ground_sector_hamiltonian(spec, basis.grid, 0.0)
+    Hop = normalform.assemble_operator(H, basis)
+    tau = normalform.assemble_term(H.terms[(0, 0)], basis)
+    spectrum = oracle.exact_spectrum(Hop)
+    _emit("exact_spectrum ground sector", spectrum)
+    for smooth in (False, True):
+        pair = feshbach.spectral_projection(basis, 0.5, smooth=smooth)
+        label = "smooth" if smooth else "sharp"
+        res = feshbach.feshbach_map(Hop, tau, pair)
+        for name in ("F", "Q", "Qsharp", "Hchibar_inv"):
+            _emit(f"feshbach_map {label} {name}", getattr(res, name))
+        _emit(f"identity_defect {label}", feshbach.identity_defect(Hop, res))
+        _emit(f"isospectral_check {label} at e0",
+              feshbach.isospectral_check(Hop, pair, float(spectrum[0])))
+    mass_spec = models.ModelSpec(particle_levels=np.array([0.0]), g=0.05, kappa=1.0)
+    fit = models.mass_renormalization(mass_spec, basis, np.linspace(-0.2, 0.2, 7))
+    _emit("mass_renormalization 455 states", fit["m_ren"], fit["energies"])
+
+
 def acceptance_flows() -> None:
     from specrg import fock, models, rgflow
     grid = fock.build_mode_grid(8, 0.5, "geometric")
@@ -231,7 +255,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
-                    dense_models, dense_reads, acceptance_flows):
+                    dense_models, dense_reads, dense_feshbach, acceptance_flows):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             section()
