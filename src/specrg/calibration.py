@@ -4,11 +4,11 @@ The contraction theorem asserts existence of a constant c such that one
 renormalization step maps the polydisc (alpha, beta, gamma) into
 (alpha/rho + c gamma^2/2rho, beta + c gamma^2/2rho, c rho^mu gamma), and that
 the initial transformed model lands in (c g^2 rho^(mu-2), c g^2 rho^(mu-1),
-c g rho^mu).  No value of c is given, so it is measured: run the step over a
-randomized kernel sweep plus physical model flows, record the largest ratio
-each inequality needs, and freeze the results (see _calibration.py).  A
-regression test recomputes the sweep with the same seed and asserts the
-frozen values within ten percent.
+c g rho^mu).  No value of c is given, so it is measured on random polydisc
+kernels and the two-level model, each re-centred to E = 0 after every step:
+c_rg is the largest rgflow.recursion_constant of a step.  The results are
+frozen in _calibration.py; a regression test recomputes the sweep with the
+same seed and asserts them within ten percent.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
 from .normalform import (MU, R_GRID, CouplingFunction, NormalFormHamiltonian, shifted,
                          symmetrized, term_norm)
-from .rgflow import polydisc_coordinates, rg_step
+from .rgflow import polydisc_coordinates, recursion_constant, rg_step
 
 
 def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
@@ -45,10 +45,10 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
                         rho: float = 0.5, mu: float = 0.5) -> dict:
     """Measured recursion and initial-membership constants.
 
-    Returns {"c_rg": ..., "c_init": ...}: c_rg is the largest constant any of
-    the three recursion inequalities requires along randomized and physical
-    flows; c_init the largest the initial-membership inequalities require for
-    the pre-decimated models.  mu must be MU, the one infrared exponent of
+    Returns {"c_rg": ..., "c_init": ...}: c_rg is the largest
+    recursion_constant of any step on the random and the model Hamiltonians;
+    c_init the largest the initial-membership inequalities require for the
+    pre-decimated models.  mu must be MU, the one infrared exponent of
     the norms; any other value raises ValueError.
     """
     if mu != MU:
@@ -64,9 +64,7 @@ def calibrate_constants(seed: int = 0, n_random: int = 8, n_steps: int = 4,
             H, _ = rg_step(H, rho)
             E2, b2, g2 = polydisc_coordinates(H)
             if gam > 0:
-                c_rg = max(c_rg, g2 / (rho ** mu * gam))
-                quad = gam ** 2 / (2.0 * rho)
-                c_rg = max(c_rg, (abs(E2) - abs(E) / rho) / quad, (b2 - b) / quad)
+                c_rg = max(c_rg, recursion_constant((E, b, gam), (E2, b2, g2), rho))
             # mimic the spectral-parameter adjustment: pull E back to 0 so iterated steps
             # stay inside the domain of the map; the shift keeps beta and gamma
             H = shifted(H, E2)

@@ -202,7 +202,7 @@ def cmd_flow(cfg: dict, out: Path, seed: int) -> int:
     def builder(lam):
         return models.ground_sector_hamiltonian(spec, grid, lam)
 
-    traj = rgflow.flow(None, rho, n_steps, s_max=s_max, builder=builder)
+    traj = rgflow.flow(builder(0.0), rho, n_steps, s_max=s_max, builder=builder)
     _write(out / "flow.csv", traj.to_csv())
     summary = {"e_final_re": traj.e_final.real, "e_final_im": traj.e_final.imag,
                "budget": traj.budget}

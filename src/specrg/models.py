@@ -194,7 +194,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
 
     plus first-order terms g Gamma_jj f(k) in the (1,0)/(0,1) slots when the
     kept level couples to itself.  The field energies of the kept sector
-    must fit in I = [0,1]; a grid with n_max k_max > 1 will clamp, and
+    must fit in I = [0,1]; a kernel read above 1 is clamped, and
     assemble_term warns about it when the caller assembles.
     """
     eps = spec.particle_levels

@@ -255,22 +255,22 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     the kernel is read at the field energy of the intermediate state, and the
     walk continues through every ordered tuple I of m creations.  The moves
     and the hard-cutoff truncation come from fock.ladder_walk; contributions
-    to one matrix entry are summed in (J, I) lexicographic order.  Field
-    energies above the end of R_GRID read its last value, and a warning says
-    so.
+    to one matrix entry are summed in (J, I) lexicographic order.  A read
+    above the end of R_GRID takes its last value, and a warning says so.
     """
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
     D = basis.dim
     root_mass = np.sqrt(slot_masses(basis.grid))
     hf = basis.hf_diagonal()
-    if hf.max() > R_GRID[-1]:
-        warnings.warn(f"field energies up to {hf.max():.6g} exceed the kernel grid end "
-                      f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
     kern_at_hf = w.at_r(hf)  # (D,) + slots
     cols, J, mid, amp_a = ladder_walk(basis, np.arange(D), w.n, "annihilate")
     src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
     cols, J, mid, amp_a = cols[src], J[src], mid[src], amp_a[src]
+    read_max = hf[mid].max(initial=0.0)
+    if read_max > R_GRID[-1]:
+        warnings.warn(f"field energies up to {read_max:.6g} exceed the kernel grid end "
+                      f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
     slots = np.column_stack([I, J])
     factor = np.ones(len(top))
     for s in range(w.order):

@@ -20,7 +20,6 @@ vacuum expectation stays pinned near the running zero e_n.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dfield
 from math import comb, factorial
 
@@ -48,55 +47,29 @@ class FlowStalledError(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass
-class PolydiscParams:
-    """Polydisc radii (alpha, beta, gamma) plus the flow constants (mu is MU)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    rho: float = 0.5
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.rho <= 0.5):
-            raise ValueError("rho must lie in (0, 1/2]")
-        if self.rho == 0.5:
-            # the contraction theorem is stated on the open interval; the
-            # boundary value is allowed for experiments but flagged
-            warnings.warn("rho = 1/2 sits on the boundary of the theorem range")
-        # one radius at a time, and so that a NaN fails
-        if not all(radius >= 0 for radius in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("alpha, beta, gamma must be nonnegative numbers")
-
-
 def polydisc_coordinates(H: NormalFormHamiltonian) -> tuple[complex, float, float]:
     """(E, beta, gamma) of H: E = w00(0), beta = sup|T'-1|, gamma = ||W||_{mu,xi}."""
     E, _ = split(H)
     return E, t_slope_deviation(H), interaction_norm(H)
 
 
-def polydisc_membership(H: NormalFormHamiltonian, p: PolydiscParams):
-    """Evaluate |E| <= alpha, sup|T'-1| <= beta, ||W|| <= gamma."""
-    E, beta_meas, gamma_meas = polydisc_coordinates(H)
-    margins = (p.alpha - abs(E), p.beta - beta_meas, p.gamma - gamma_meas)
-    return all(m >= 0 for m in margins), margins
+def recursion_constant(before: tuple, after: tuple, rho: float) -> float:
+    """Smallest c with which the step from before to after obeys the recursion.
 
-
-def parameter_flow(p: PolydiscParams) -> PolydiscParams:
-    """One application of the recursion for the polydisc radii.
-
-    alpha' = alpha/rho + c gamma^2 / (2 rho), beta' = beta + c gamma^2/(2 rho),
-    gamma' = c rho^mu gamma.  The hypothesis alpha, beta, gamma <= rho/8 is
-    checked; a violation warns but the values are still produced.
+    before and after are polydisc_coordinates (E, beta, gamma).  The theorem
+    maps the polydisc (alpha, beta, gamma) into (alpha/rho + c q, beta + c q,
+    c rho^MU gamma), q = gamma^2 / 2rho, so c is the largest of
+    gamma'/(rho^MU gamma), (|E'| - |E|/rho)/q and (beta' - beta)/q.
+    ValueError unless gamma > 0, and on a NaN, which max() would pass or drop.
     """
-    if max(p.alpha, p.beta, p.gamma) > p.rho / 8.0:
-        warnings.warn("parameter_flow hypothesis alpha, beta, gamma <= rho/8 violated")
-    quad = p.c * p.gamma ** 2 / (2.0 * p.rho)
-    return PolydiscParams(alpha=p.alpha / p.rho + quad,
-                          beta=p.beta + quad,
-                          gamma=p.c * p.rho ** MU * p.gamma,
-                          rho=p.rho, c=p.c)
+    (E, beta, gamma), (E2, beta2, gamma2) = before, after
+    if not gamma > 0:
+        raise ValueError(f"the recursion constant needs gamma > 0, not {gamma}")
+    quad = gamma ** 2 / (2.0 * rho)
+    ratios = (gamma2 / (rho ** MU * gamma), (abs(E2) - abs(E) / rho) / quad, (beta2 - beta) / quad)
+    if np.isnan(ratios).any():
+        raise ValueError(f"NaN in the polydisc coordinates {before} -> {after}")
+    return max(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +450,14 @@ def _combine(family: list, weights: np.ndarray) -> NormalFormHamiltonian:
     return NormalFormHamiltonian(terms, family[0].grid, family[0].M_max)
 
 
-def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int = 2,
+def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
          builder=None):
     """Iterate the map on the analytic family H(lam), re-centering it each step.
 
-    builder(lam) gives H(lam); without one it is H0 minus lam, and with one
-    H0 is not read (pass None).  Step n carries R^n(H(lam)) at the DEGREE + 1
-    Chebyshev points of e_{n-1} -/+ rho^n / 8: rg_step applied to builder
-    (step 1) or to the previous step's Hamiltonians interpolated there.  e_n
+    H0 = H(0) gives e_0; builder(lam) gives H(lam), shifted(H0, lam) by
+    default.  Step n carries R^n(H(lam)) at the DEGREE + 1 Chebyshev points
+    of e_{n-1} -/+ rho^n / 8: rg_step applied to builder (step 1) or to the
+    previous step's Hamiltonians interpolated there.  e_n
     is the root of the vacuum interpolant, and the record holds the family
     interpolated at it.  FlowStalledError, with the points, when the interval
     holds no root or several, when a next step's points would leave it (root
@@ -492,16 +465,13 @@ def flow(H0: NormalFormHamiltonian | None, rho: float, n_steps: int, s_max: int 
     the slope at the root exceeds rho^(n+1) / 24 (E_TOL on the last step).
     """
     if builder is None:
-        if H0 is None:
-            raise ValueError("flow needs H0 or a builder")
-
         def builder(lam):
             return shifted(H0, lam)
 
     # Chebyshev points on [-1, 1], increasing; lam = e_{n-1} + rho^n / 8 * x
     x = -np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))
     vander = np.vander(x)
-    e_prev = float(np.real(builder(0.0).terms[(0, 0)].values[0]))
+    e_prev = float(np.real(H0.terms[(0, 0)].values[0]))
     traj = FlowTrajectory()
     family = root = None
     for n in range(1, n_steps + 1):

@@ -1,5 +1,6 @@
 """Coupling kernels, anisotropic norms, operator assembly, basic bound."""
 
+import warnings
 from itertools import product as iproduct
 
 import numpy as np
@@ -336,12 +337,18 @@ class TestAssembly:
         assert dev <= 1e-14 * np.max(np.abs(expected))
 
     def test_field_energies_above_the_grid_warn(self):
-        # n_max * k_max > 1: the top shell reads the kernel clamped at r = 1
+        # a (1,1) kernel is read between its annihilation and its creation,
+        # at n_max - 1 photons at most: up to 1.2 on 2 modes to 0.8 at
+        # n_max = 3, where the kernel is clamped at r = 1, but only up to 0.6
+        # at n_max = 2, although that basis reaches field energy 1.2
         grid = build_mode_grid(2, 0.8, "uniform")
-        basis = build_fock_basis(grid, 2)
         w = from_profile(1, 1, grid.nodes, lambda r, k1, k2: 1.0 + r)
-        with pytest.warns(UserWarning, match="clamped"):
-            assemble_term(w, basis)
+        with pytest.warns(UserWarning, match="up to 1.2 exceed .* clamped"):
+            assemble_term(w, build_fock_basis(grid, 3))
+        assert build_fock_basis(grid, 2).hf_diagonal().max() == pytest.approx(1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assemble_term(w, build_fock_basis(grid, 2))
 
     def test_kernel_grid_mismatch_raises(self):
         grid = build_mode_grid(2, 0.4, "uniform")

@@ -1,5 +1,6 @@
 """Scaling transformation, Wick ordering, one renormalization step, the flow."""
 
+import warnings
 from collections import Counter
 from itertools import product
 from math import comb, factorial
@@ -11,13 +12,12 @@ from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
 from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
                                NormalFormHamiltonian, assemble_term, coupling_norm_mu,
                                coupling_norm_mu1, from_profile, interaction_norm, slot_masses,
-                               split, symmetrized, term_norm)
+                               shifted, split, symmetrized, term_norm)
 from specrg import rgflow
 from specrg.calibration import _random_polydisc_hamiltonian
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
-from specrg.rgflow import (DomainError, FlowStalledError, PolydiscParams, flow,
-                           normal_order_product, parameter_flow, polydisc_coordinates,
-                           polydisc_membership, rg_step, scale_coupling)
+from specrg.rgflow import (DomainError, FlowStalledError, flow, normal_order_product,
+                           polydisc_coordinates, recursion_constant, rg_step, scale_coupling)
 
 RHO = 0.5
 
@@ -589,7 +589,7 @@ class TestRgStep:
                 return NormalFormHamiltonian(ground_sector_hamiltonian(spec, grid, lam).terms,
                                              grid, M_max)
 
-            trajs[M_max] = flow(None, RHO, 2, builder=builder)
+            trajs[M_max] = flow(builder(0.0), RHO, 2, builder=builder)
         assert np.isfinite(trajs[4].budget)
         assert abs(trajs[4].e_final - trajs[2].e_final) <= trajs[4].budget
 
@@ -603,6 +603,16 @@ class TestRgStep:
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
         with pytest.raises(DomainError, match=r"rho k = 0\.09375 \(k = 0\.1875, rho = 0\.5\)"):
             rg_step(ground_sector_hamiltonian(spec, grid, 0.0), RHO)
+
+    def test_step_on_modes_to_one_reads_no_clamped_kernel(self):
+        # k_max = 1: measured_q's n_max = 2 basis reaches field energy 1.41,
+        # but W is read there only at one-photon energies, up to 0.71
+        grid = build_mode_grid(8, 1.0, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, info = rg_step(ground_sector_hamiltonian(spec, grid, 0.0), RHO)
+        assert info.q < 1.0
 
     def test_interaction_contracts_on_model(self, model_flows):
         from specrg._calibration import C_RG
@@ -618,55 +628,58 @@ class TestRgStep:
 
 
 class TestPolydisc:
-    def test_field_hamiltonian_is_member(self):
-        grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.0, grid)
-        p = PolydiscParams(alpha=0.01, beta=0.01, gamma=0.01, rho=0.25)
-        member, margins = polydisc_membership(H, p)
-        assert member and all(m >= 0 for m in margins)
+    """recursion_constant: the recursion read backwards, the smallest c one step needs."""
 
-    def test_scalar_violation_flags_first_margin(self):
-        grid = build_mode_grid(4, 0.5, "geometric")
-        H = _scalar_hamiltonian(0.02, grid)
-        p = PolydiscParams(alpha=0.01, beta=0.01, gamma=0.01, rho=0.25)
-        member, margins = polydisc_membership(H, p)
-        assert not member and margins[0] < 0
-
-    def test_flow_formula_with_zero_gamma(self):
-        p = PolydiscParams(alpha=0.004, beta=0.002, gamma=0.0, rho=0.25, c=2.0)
-        q = parameter_flow(p)
-        assert q.alpha == pytest.approx(p.alpha / p.rho)
-        assert q.beta == pytest.approx(p.beta)
-        assert q.gamma == 0.0
+    @staticmethod
+    def _forward(before, c, rho):
+        """The image of before under the recursion with constant c."""
+        E, beta, gamma = before
+        quad = c * gamma ** 2 / (2 * rho)
+        return abs(E) / rho + quad, beta + quad, c * rho ** MU * gamma
 
     def test_flow_formula_from_pure_interaction(self):
         g, c, rho = 1e-3, 2.0, 0.25
-        p = PolydiscParams(alpha=0.0, beta=0.0, gamma=g, rho=rho, c=c)
-        q = parameter_flow(p)
-        assert q.alpha == pytest.approx(c * g ** 2 / (2 * rho))
-        assert q.beta == pytest.approx(c * g ** 2 / (2 * rho))
-        assert q.gamma == pytest.approx(c * rho ** MU * g)
+        quad = g ** 2 / (2 * rho)
+        after = (c * quad, c * quad, c * rho ** MU * g)
+        assert recursion_constant((0.0, 0.0, g), after, rho) == pytest.approx(c, rel=1e-14)
 
     def test_five_fold_gamma_iteration(self):
+        # every step of the recursion at constant c needs c, also once E and
+        # beta have grown and |E|/rho nearly cancels in the E ratio
         g, c, rho = 1e-3, 1.5, 0.25
-        p = PolydiscParams(alpha=0.0, beta=0.0, gamma=g, rho=rho, c=c)
+        p = (0.0, 0.0, g)
         for _ in range(5):
-            p = parameter_flow(p)
-        assert p.gamma / g == pytest.approx((c * rho ** MU) ** 5)
+            q = self._forward(p, c, rho)
+            assert recursion_constant(p, q, rho) == pytest.approx(c, rel=1e-9)
+            p = q
+
+    @pytest.mark.parametrize("term", ["E", "beta", "gamma"])
+    def test_each_term_dominates_in_turn(self, term):
+        # the step needs c = 1 in two coordinates and c = 3 in the third; E is
+        # complex and only its modulus counts
+        rho, E, beta, gamma = 0.5, 1e-4 + 1e-4j, 2e-3, 1e-2
+        need = {"E": 1.0, "beta": 1.0, "gamma": 1.0, term: 3.0}
+        quad = gamma ** 2 / (2 * rho)
+        after = (-1j * (abs(E) / rho + need["E"] * quad), beta + need["beta"] * quad,
+                 need["gamma"] * rho ** MU * gamma)
+        assert recursion_constant((E, beta, gamma), after, rho) == pytest.approx(3.0, rel=1e-12)
+
+    def test_flow_formula_with_zero_gamma(self):
+        # at gamma = 0 the recursion is E -> E/rho and fixes no c
+        for gamma in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="gamma > 0"):
+                recursion_constant((4e-3, 2e-3, gamma), (8e-3, 2e-3, 0.0), 0.25)
 
     @pytest.mark.parametrize("radius", ["alpha", "beta", "gamma"])
     def test_nan_radius_rejected(self, radius):
-        # min() lets a NaN through, so each radius is checked on its own
-        radii = {"alpha": 0.01, "beta": 0.01, "gamma": 0.01, radius: float("nan")}
-        with pytest.raises(ValueError, match="nonnegative"):
-            PolydiscParams(**radii, rho=0.25)
-        with pytest.raises(ValueError, match="nonnegative"):
-            PolydiscParams(**{**radii, radius: -1e-3}, rho=0.25)
-
-    def test_hypothesis_violation_warns(self):
-        p = PolydiscParams(alpha=0.2, beta=0.0, gamma=0.0, rho=0.25)
-        with pytest.warns(UserWarning, match="hypothesis"):
-            parameter_flow(p)
+        # max() passes or drops a NaN by its position, so a NaN in any of
+        # (E, beta, gamma), before or after the step, raises
+        i = ["alpha", "beta", "gamma"].index(radius)
+        for side in (0, 1):
+            coords = [[1e-4, 2e-3, 1e-2], [3e-4, 2.1e-3, 8e-3]]
+            coords[side][i] = float("nan")
+            with pytest.raises(ValueError):
+                recursion_constant(tuple(coords[0]), tuple(coords[1]), 0.5)
 
 
 class TestFlow:
@@ -713,12 +726,23 @@ class TestFlow:
             assert np.array_equal(w.values, before[key][0])
             assert np.array_equal(w.dr_values, before[key][1])
 
-    def test_builder_needs_no_H0(self):
-        builder = self._scalar_builder(lambda lam: 3.3e-4 - lam)
-        traj = flow(None, RHO, 2, builder=builder)
-        assert traj.to_csv() == flow(builder(0.0), RHO, 2, builder=builder).to_csv()
-        with pytest.raises(ValueError, match="H0 or a builder"):
-            flow(None, RHO, 2)
+    def test_H0_gives_e0_and_builder_the_points(self):
+        # H0 sits 1e-3 above the builder's H(0), so step 1 centres on its
+        # vacuum value and the builder is called at those points alone
+        energy = self._scalar_builder(lambda lam: 3.3e-4 - lam)
+        lams = []
+
+        def builder(lam):
+            lams.append(lam)
+            return energy(lam)
+
+        H0 = energy(-1e-3)
+        traj = flow(H0, RHO, 2, builder=builder)
+        assert lams == pytest.approx(self._points(1.33e-3, 1))
+        assert traj.e_final.real == pytest.approx(3.3e-4, abs=1e-12)
+        # without a builder the family is shifted(H0, lam)
+        default = flow(H0, RHO, 2, builder=lambda lam: shifted(H0, lam))
+        assert flow(H0, RHO, 2).to_csv() == default.to_csv()
 
     @staticmethod
     def _points(center, n):
@@ -778,15 +802,19 @@ class TestFlow:
             return model(lam)
 
         monkeypatch.setattr(rgflow, "rg_step", counted)
-        flow(None, RHO, 3, s_max=0, builder=builder)
-        # builder reads e_0 and gives step 1 its points; every step applies
-        # rg_step once per point
-        assert calls == {"rg_step": 3 * (rgflow.DEGREE + 1), "builder": rgflow.DEGREE + 2}
+        flow(model(0.0), RHO, 3, s_max=0, builder=builder)
+        # H0 gives e_0 and builder step 1's points; every step applies rg_step
+        # once per point
+        assert calls == {"rg_step": 3 * (rgflow.DEGREE + 1), "builder": rgflow.DEGREE + 1}
 
     def test_ten_step_flow_matches_dense_ground_energy(self):
         grid = build_mode_grid(4, 0.5, "geometric")
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
-        traj = flow(None, RHO, 10, builder=lambda lam: ground_sector_hamiltonian(spec, grid, lam))
+
+        def builder(lam):
+            return ground_sector_hamiltonian(spec, grid, lam)
+
+        traj = flow(builder(0.0), RHO, 10, builder=builder)
         model = build_model(spec, build_fock_basis(grid, 2))
         e0 = float(np.min(np.linalg.eigvalsh(model.H)))
         assert len(traj.records) == 10

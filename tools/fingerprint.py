@@ -248,6 +248,16 @@ def acceptance_flows() -> None:
         _emit(f"6-step flow g={g} e_final={traj.e_final.real!r}", traj.to_csv(), traj.budget)
 
 
+def k_max_one_step() -> None:
+    from specrg import fock, models, rgflow
+    # measured_q's n_max = 2 basis on modes to k_max = 1 reaches field energy
+    # 1.41, but the kernels are read there only at one-photon energies
+    grid = fock.build_mode_grid(8, 1.0, "geometric")
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    _, info = rgflow.rg_step(models.ground_sector_hamiltonian(spec, grid, 0.0), 0.5)
+    _emit("8-mode model step to k_max=1 StepInfo", info)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -255,7 +265,8 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
-                    dense_models, dense_reads, dense_feshbach, acceptance_flows):
+                    dense_models, dense_reads, dense_feshbach, acceptance_flows,
+                    k_max_one_step):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             section()
