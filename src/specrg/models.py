@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rgflow
 from .fock import FockBasis, ModeGrid, dense, field_hamiltonian, ladder_walk
-from .normalform import NormalFormHamiltonian, from_profile, slot_masses
+from .normalform import R_GRID, CouplingFunction, NormalFormHamiltonian, slot_masses
 
 
 def _gaussian_cutoff(kappa):
@@ -180,68 +181,37 @@ def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
 
 def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
                               lam: float) -> NormalFormHamiltonian:
-    """Normal-form kernels of the model decimated onto its lowest particle level j = 0.
+    """Normal-form kernels of the model decimated onto its lowest particle level 0.
 
-    Eliminating the other levels at second order in g (a Schur complement on
-    the particle index with the free resolvent R_l(x) = (eps_l - lam + x)^-1)
-    leaves, to O(g^3 max|Gamma_ll|) + O(g^4),
+    To O(g^3 max|Gamma_ll|) + O(g^4) the Schur complement on the particle
+    index is H = eps_0 - lam + r + g Gamma_00 Phi - :Phi G(H_f) Phi:, with
 
-      w00(r)        = eps_j - lam + r
-                      - g^2 sum_l |G_jl|^2 sum_a mass_a f(k_a)^2 R_l(r + k_a)
-      w11(r; b; a)  = -g^2 sum_l |G_jl|^2 f(k_b) f(k_a) [R_l(r) + R_l(r+k_a+k_b)]
-      w20(r; a, b)  = -g^2 sum_l |G_jl|^2 f(k_a) f(k_b)
-                        (R_l(r+k_a) + R_l(r+k_b)) / 2        (w02 identical)
+      G(x) = g^2 sum_{l >= 1} |Gamma_0l|^2 / (eps_l - lam + x)
 
-    plus first-order terms g Gamma_jj f(k) in the (1,0)/(0,1) slots when the
-    kept level couples to itself.  The field energies of the kept sector
-    must fit in I = [0,1]; a kernel read above 1 is clamped, and
-    assemble_term warns about it when the caller assembles.
+    and Phi's (1,0) and (0,1) kernels f = form_factor(spec, k), constant in r.
+    rgflow.normal_order_product orders it with every pull-through shift and drops
+    nothing.  Kernels zero by structure (Gamma_00 = 0, level 0 uncoupled) are left out.
     """
-    eps = spec.particle_levels
+    eps, g, nodes = spec.particle_levels, spec.g, grid.nodes
     if spec.n_levels > 1 and lam >= eps[1]:
         raise ValueError("spectral parameter lam must sit below every decimated level")
-    nodes = grid.nodes
-    masses = slot_masses(grid)
-    g = spec.g
-    gj = np.abs(spec.gamma[0]) ** 2
-    coupled = [l for l in range(1, spec.n_levels) if gj[l] != 0.0]
-    fvec = form_factor(spec, nodes).real  # cutoff real, f real
+    f = np.broadcast_to(form_factor(spec, nodes).real, (len(R_GRID), len(nodes)))
+    weight = g * g * np.abs(spec.gamma[0]) ** 2
+    coupled = [l for l in range(1, spec.n_levels) if weight[l] != 0.0]
+    tables = {(0, 0): eps[0] - lam + R_GRID}
+    if coupled:
+        def G(x):
+            return sum(weight[l] / (eps[l] - lam + x) for l in coupled)
 
-    def fofk(k):
-        return spec.cutoff(k) / np.sqrt(k)
-
-    def w00(r):
-        val = eps[0] - lam + r
-        for l in coupled:
-            val -= g * g * gj[l] * np.sum(masses * fvec ** 2
-                                          / (eps[l] - lam + r[..., np.newaxis] + nodes), axis=-1)
-        return val
-
-    def w11(r, kb, ka):
-        tot = 0.0
-        for l in coupled:
-            tot += gj[l] * (1.0 / (eps[l] - lam + r)
-                            + 1.0 / (eps[l] - lam + r + ka + kb))
-        return -g * g * fofk(kb) * fofk(ka) * tot
-
-    def wpair(r, ka, kb):
-        tot = 0.0
-        for l in coupled:
-            tot += gj[l] * 0.5 * (1.0 / (eps[l] - lam + r + ka)
-                                  + 1.0 / (eps[l] - lam + r + kb))
-        return -g * g * fofk(ka) * fofk(kb) * tot
-
-    terms = {
-        (0, 0): from_profile(0, 0, nodes, w00),
-        (1, 1): from_profile(1, 1, nodes, w11),
-        (2, 0): from_profile(2, 0, nodes, wpair),
-        (0, 2): from_profile(0, 2, nodes, wpair),
-    }
+        phi = {(1, 0): CouplingFunction(1, 0, nodes, f), (0, 1): CouplingFunction(0, 1, nodes, f)}
+        # G decreases on x >= 0, so G(0) is its sup there
+        vgv, _ = rgflow.normal_order_product(phi, phi, G, slot_masses(grid), 2, float(G(0.0)))
+        tables.update({key: tables.get(key, 0.0) - w.values for key, w in vgv.items()})
     diag = spec.gamma[0, 0]
     if abs(diag) > 0:
-        terms[(1, 0)] = from_profile(1, 0, nodes, lambda r, k: g * diag * fofk(k))
-        terms[(0, 1)] = from_profile(0, 1, nodes, lambda r, k: g * np.conj(diag) * fofk(k))
-    return NormalFormHamiltonian(terms, grid)
+        tables.update({(1, 0): g * diag * f, (0, 1): g * np.conj(diag) * f})
+    return NormalFormHamiltonian({(m, n): CouplingFunction(m, n, nodes, vals)
+                                  for (m, n), vals in tables.items()}, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            ground_sector_hamiltonian, infrared_exponent,
                            mass_renormalization, pauli_fierz_transform,
                            pf_coupling, pf_gauge_function)
-from specrg.normalform import assemble_operator, slot_masses
+from specrg.normalform import R_GRID, assemble_operator, slot_masses
 
 
 def _two_level(g, kappa=1.0):
@@ -163,19 +163,96 @@ class TestComplexDilation:
             complex_dilate(spec, basis, 1j)
 
 
+# levels, Gamma (None: the default unit off-diagonal matrix) and lam of the
+# builder checks; "diagonal-coupling" has Gamma_00 != 0, "van-hove" couples
+# level 0 only to itself
+SECTOR_MODELS = {
+    "two-level": ([0.0, 1.0], None, 0.0),
+    "two-level-below": ([0.0, 1.0], None, -2.5e-4),
+    "diagonal-coupling": ([0.0, 0.8, 1.5], [[0.3, 1.0, 0.5], [1.0, -0.2, 0.7], [0.5, 0.7, 0.1]],
+                          1.3e-3),
+    "van-hove": ([0.0], [[1.0]], 0.0),
+}
+
+
+def _sector_spec(name, g):
+    levels, gamma, _ = SECTOR_MODELS[name]
+    return ModelSpec(particle_levels=np.array(levels), g=g, kappa=1.0,
+                     gamma=None if gamma is None else np.array(gamma, dtype=complex))
+
+
+def _closed_form_schur(spec, grid, lam):
+    """The second-order Schur kernels written out, R_l(x) = 1/(eps_l - lam + x):
+
+      w00(r)       = eps_0 - lam + r - g^2 sum_l |G_0l|^2 sum_a mass_a f_a^2 R_l(r + k_a)
+      w11(r; b; a) = -g^2 sum_l |G_0l|^2 f_b f_a [R_l(r) + R_l(r + k_a + k_b)]
+      w20(r; a, b) = -g^2 sum_l |G_0l|^2 f_a f_b [R_l(r + k_a) + R_l(r + k_b)] / 2 = w02
+
+    over the levels l >= 1 with G_0l != 0, which exist iff w11, w20 and w02
+    do, and g Gamma_00 f in (1,0)/(0,1) iff Gamma_00 != 0; f = chi(k)/sqrt(k).
+    """
+    eps, g, k = spec.particle_levels, spec.g, grid.nodes
+    f = spec.cutoff(k) / np.sqrt(k)
+    weight = np.abs(spec.gamma[0]) ** 2
+    coupled = [l for l in range(1, spec.n_levels) if weight[l] != 0.0]
+    r = R_GRID[:, np.newaxis, np.newaxis]
+    kb, ka = k[:, np.newaxis], k
+
+    def res(l, x):
+        return 1.0 / (eps[l] - lam + x)
+
+    ref = {(0, 0): eps[0] - lam + R_GRID}
+    for l in coupled:
+        ref[(0, 0)] = ref[(0, 0)] - g * g * weight[l] * np.sum(
+            slot_masses(grid) * f ** 2 * res(l, R_GRID[:, np.newaxis] + k), axis=-1)
+        ref[(1, 1)] = ref.get((1, 1), 0.0) - g * g * weight[l] * np.outer(f, f) * (
+            res(l, r) + res(l, r + ka + kb))
+        ref[(2, 0)] = ref.get((2, 0), 0.0) - g * g * weight[l] * np.outer(f, f) * 0.5 * (
+            res(l, r + ka) + res(l, r + kb))
+    if coupled:
+        ref[(0, 2)] = ref[(2, 0)]
+    if abs(spec.gamma[0, 0]) > 0:
+        ref[(1, 0)] = ref[(0, 1)] = g * spec.gamma[0, 0].real * f * np.ones((len(R_GRID), 1))
+    return ref
+
+
+def _kernel_zero_residual(spec, k_max):
+    """min |eig| of the assembled sector operator at the dense ground energy e0,
+    on 8 geometric modes; n_max k_max = 1 keeps every field energy the kernels
+    are read at in I."""
+    grid = build_mode_grid(8, k_max, "geometric")
+    basis = build_fock_basis(grid, round(1.0 / k_max))
+    e0 = float(np.min(np.linalg.eigvalsh(build_model(spec, basis).H)))
+    F = assemble_operator(ground_sector_hamiltonian(spec, grid, lam=e0), basis)
+    return np.min(np.abs(np.linalg.eigvals(F.mat)))
+
+
 class TestGroundSectorHamiltonian:
+    @pytest.mark.parametrize("k_max", [0.5, 1.0])
+    @pytest.mark.parametrize("name", list(SECTOR_MODELS))
+    def test_kernels_match_closed_form_schur(self, name, k_max):
+        spec, lam = _sector_spec(name, 4e-3), SECTOR_MODELS[name][2]
+        grid = build_mode_grid(8, k_max, "geometric")
+        H = ground_sector_hamiltonian(spec, grid, lam)
+        ref = _closed_form_schur(spec, grid, lam)
+        assert H.terms.keys() == ref.keys()
+        for key, vals in ref.items():
+            err = np.max(np.abs(H.terms[key].values - vals))
+            assert err <= 1e-15 * np.max(np.abs(vals)), key
+
     def test_kernel_zero_locates_exact_ground_energy(self):
-        spec = _two_level(5e-3)
-        grid = build_mode_grid(8, 0.5, "geometric")
-        basis = build_fock_basis(grid, 2)
-        model = build_model(spec, basis)
-        e0 = float(np.min(np.linalg.eigvalsh(model.H)))
-        H = ground_sector_hamiltonian(spec, grid, lam=e0)
-        F = assemble_operator(H, basis)
-        vals = np.linalg.eigvals(F.mat)
         # the decimated operator at the true energy must be singular up to
         # the fourth-order error of the construction
-        assert np.min(np.abs(vals)) < 10.0 * spec.g ** 4
+        spec = _two_level(5e-3)
+        assert _kernel_zero_residual(spec, 0.5) < 10.0 * spec.g ** 4
+
+    @pytest.mark.parametrize("k_max", [0.5, 1.0])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(particle_levels=np.array([0.0, 1.0, 1.5]), g=5e-3, kappa=1.0),
+        _sector_spec("diagonal-coupling", 5e-3),
+    ], ids=["three-level", "diagonal-coupling"])
+    def test_kernel_zero_locates_exact_ground_energy_of_more_levels(self, spec, k_max):
+        assert _kernel_zero_residual(spec, k_max) < 10.0 * spec.g ** 4
 
     def test_initial_polydisc_membership(self):
         from specrg._calibration import C_INIT

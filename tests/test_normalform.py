@@ -17,7 +17,6 @@ from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
                                hamiltonian_norm, interaction_norm,
                                shifted, slot_masses, split, symmetrized,
                                t_slope_deviation)
-from specrg import models
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
 
@@ -110,27 +109,6 @@ class TestFromProfile:
             w = from_profile(m, n, self.NODES, func)
             assert np.array_equal(w.values, _per_point(m, n, R_GRID, self.NODES, func))
             assert w.values.flags.writeable
-
-    @pytest.mark.parametrize("levels,gamma,lam", [
-        ([0.0, 1.0], None, 0.0),
-        ([0.0, 1.0], None, -2.5e-4),
-        ([0.0, 0.8, 1.5], [[0.3, 1.0, 0.5], [1.0, -0.2, 0.7], [0.5, 0.7, 0.1]], 1.3e-3),
-    ])
-    def test_model_kernels_match_point_by_point(self, levels, gamma, lam, monkeypatch):
-        profiles = {}
-
-        def keeping(m, n, nodes, func):
-            profiles[(m, n)] = func
-            return from_profile(m, n, nodes, func)
-
-        monkeypatch.setattr(models, "from_profile", keeping)
-        spec = ModelSpec(particle_levels=np.array(levels), g=4e-3, kappa=1.0,
-                         gamma=None if gamma is None else np.array(gamma, dtype=complex))
-        H = ground_sector_hamiltonian(spec, build_mode_grid(4, 0.5, "geometric"), lam)
-        assert ((1, 0) in H.terms) == (gamma is not None)
-        assert profiles.keys() == H.terms.keys()
-        for key, w in H.terms.items():
-            assert np.array_equal(w.values, _per_point(w.m, w.n, R_GRID, w.nodes, profiles[key]))
 
     def test_profile_is_called_once_per_kernel(self):
         calls = []

@@ -597,12 +597,13 @@ class TestRgStep:
         def no_work(*args, **kwargs):
             raise AssertionError("rg_step did work on nodes it must refuse")
 
-        monkeypatch.setattr(rgflow, "measured_q", no_work)
-        monkeypatch.setattr(rgflow, "normal_order_product", no_work)
         grid = build_mode_grid(4, 0.5, "uniform")
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, 0.0)  # the builder's own product runs here
+        monkeypatch.setattr(rgflow, "measured_q", no_work)
+        monkeypatch.setattr(rgflow, "normal_order_product", no_work)
         with pytest.raises(DomainError, match=r"rho k = 0\.09375 \(k = 0\.1875, rho = 0\.5\)"):
-            rg_step(ground_sector_hamiltonian(spec, grid, 0.0), RHO)
+            rg_step(H, RHO)
 
     def test_step_on_modes_to_one_reads_no_clamped_kernel(self):
         # k_max = 1: measured_q's n_max = 2 basis reaches field energy 1.41,

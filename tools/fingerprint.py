@@ -258,6 +258,18 @@ def k_max_one_step() -> None:
     _emit("8-mode model step to k_max=1 StepInfo", info)
 
 
+def sector_builder() -> None:
+    from specrg import fock, models
+    # three levels, and Gamma_00 != 0 gives the builder its first-order kernels too
+    gamma = np.array([[0.3, 1.0, 0.5], [1.0, -0.2, 0.7], [0.5, 0.7, 0.1]], dtype=complex)
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 0.8, 1.5]), g=4e-3, kappa=1.0,
+                            gamma=gamma)
+    for k_max in (0.5, 1.0):
+        H = models.ground_sector_hamiltonian(spec, fock.build_mode_grid(8, k_max, "geometric"),
+                                             1.3e-3)
+        _hamiltonian(f"ground_sector_hamiltonian 3 levels Gamma_00 != 0 k_max={k_max}", H)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -266,7 +278,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     dense_models, dense_reads, dense_feshbach, acceptance_flows,
-                    k_max_one_step):
+                    k_max_one_step, sector_builder):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             section()
