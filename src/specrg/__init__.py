@@ -19,8 +19,8 @@ from .normalform import (R_GRID, CouplingFunction, NormalFormHamiltonian,
 from .feshbach import (FeshbachResult, NotInvertibleError, ProjectionPair,
                        feshbach_map, identity_defect, isospectral_check,
                        reconstruct_inverse, spectral_projection)
-from .rgflow import (DomainError, FlowStalledError, FlowTrajectory, StepInfo, flow,
-                     normal_order_product, polydisc_coordinates, recursion_constant,
+from .rgflow import (DomainError, FlowStalledError, FlowTrajectory, StepInfo, decimate,
+                     flow, normal_order_product, polydisc_coordinates, recursion_constant,
                      rg_step, scale_coupling)
 from .models import (CoupledModel, ModelSpec, build_model, complex_dilate,
                      dilated_grid, fiber_hamiltonian, field_operator, form_factor,

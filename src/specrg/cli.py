@@ -114,6 +114,8 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     basis = fock.build_fock_basis(grid, n_max)
     rho = _value(cfg, "rho", 0.5)
     n_trials = _value(cfg, "n_trials", 10)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, not {n_trials}")
     report = {"checks": []}
     ok = True
 

@@ -41,14 +41,13 @@ MU = 0.5
 
 
 def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Kernel table averaged over swaps of its first two creation and annihilation slots."""
+    """Kernel table averaged over every permutation of its creation and its annihilation slots."""
     vals = values
-    if m >= 2:
-        vals = vals + np.swapaxes(vals, 1, 2)
-        vals *= 0.5
-    if n >= 2:
-        vals = vals + np.swapaxes(vals, 1 + m, 2 + m)
-        vals *= 0.5
+    for first, count in ((1, m), (1 + m, n)):
+        for k in range(first + 1, first + count):  # slot k joins those before by (i k)
+            vals = sum((np.swapaxes(vals, i, k) for i in range(first, k)), vals)
+        if count > 1:
+            vals /= factorial(count)
     return vals
 
 

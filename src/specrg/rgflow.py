@@ -282,17 +282,6 @@ class StepInfo:
         return self.neumann_remainder + self.dropped_norm
 
 
-def _h0_function(w00: CouplingFunction):
-    """E + T as a callable with linear extension above r = 1."""
-    slope_top = (w00.values[-1] - w00.values[-2]) / (R_GRID[-1] - R_GRID[-2])
-
-    def h0(r):
-        r = np.asarray(r, dtype=float)
-        return w00.at_r(r) + np.maximum(r - 1.0, 0.0) * slope_top
-
-    return h0
-
-
 def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
     """Neumann ratio ||G(H_f) W||, with W the interaction of H and G the step's
     resolvent, on an n_max = 2 basis of H's grid."""
@@ -305,32 +294,34 @@ def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
     return float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
 
 
-def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
-    """One decimation-and-rescale step; returns (H', StepInfo).
-
-    The s = 2 Neumann product is tabulated only on the R_GRID points up to
-    the first one above rho: its kernels enter only F, which lives on
-    Ran chi_rho(H_f), and scale_coupling reads F at rho * R_GRID, whose
-    interpolation reaches at most that point.  The rows above are zero and
-    never read.
-
-    Raises DomainError when H's nodes are not closed under k -> rho k (see
-    _slot_index), when the scalar part fails the invertibility surrogate
-    ||(E+T)^-1|| <= 2/rho on the decimated region, when the measured Neumann
-    ratio is not below 1 (a NaN ratio included), or when a decimated or
-    rescaled kernel is not finite; the last names the (m, n) term and
-    carries q, inv_bound and dropped_norm as margins.
-    """
+def _check_step(rho: float, s_max: int) -> None:
     if not (0.0 < rho <= 0.5):
         raise ValueError("rho must lie in (0, 1/2]")
     if s_max < 0 or s_max > 2:
         raise ValueError("Neumann order s_max must be 0, 1 or 2")
-    _slot_index(H.nodes, rho)  # refuse nodes the rescaling cannot read, before any work
+
+
+def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
+    """Feshbach-Schur decimation of H at scale rho; returns (F, StepInfo).
+
+    F = E + T + chi [sum_{s <= s_max} (-1)^s W (G W)^s] chi, G = chibar^2 / (E + T)
+    with E + T continued linearly above r = 1, truncated to M_max; each order
+    dropped is charged its term_norm.  F lives on Ran chi_rho(H_f), so the
+    s = 2 product is tabulated only up to the first R_GRID row above rho (all
+    that scale_coupling's read at rho * R_GRID reaches) and is zero above.
+
+    DomainError when ||(E+T)^-1|| on the decimated region exceeds 2/rho, when
+    the measured Neumann ratio is not below 1 (NaN included), or when a kernel
+    of F is not finite; the last carries q, inv_bound and dropped_norm.
+    """
+    _check_step(rho, s_max)
     _, W = split(H)
     w00 = H.terms[(0, 0)]
-    masses = H.masses
+    slope_top = (w00.values[-1] - w00.values[-2]) / (R_GRID[-1] - R_GRID[-2])
 
-    h0 = _h0_function(w00)
+    def h0(r):
+        return w00.at_r(r) + np.maximum(r - 1.0, 0.0) * slope_top
+
     # rho <= 1/2, so this region and the one above rho both hold r = 1
     min_h0 = float(np.min(np.abs(h0(R_GRID[R_GRID >= 0.75 * rho]))))
     inv_bound = 1.0 / min_h0 if min_h0 > 0 else np.inf
@@ -340,63 +331,69 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
             f"||(E+T)^-1|| ~ {inv_bound:.3e} > 2/rho = {2.0 / rho:.3e}",
             margins={"inv_bound": inv_bound, "allowed": 2.0 / rho})
 
-    def G(r):
-        r = np.asarray(r, dtype=float)
+    def G(r):  # r is a float array
         out = np.zeros(r.shape, dtype=complex)
         mask = r > rho
-        if np.any(mask):
-            out[mask] = 1.0 / h0(r[mask])
+        out[mask] = 1.0 / h0(r[mask])
         return out
 
     q = measured_q(H, W, G)
     if not q < 1.0:
         raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} is not below 1",
                           margins={"q": q})
-
     sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > rho]))))
 
-    gamma = interaction_norm(H)
     dropped = 0.0
-    neumann_terms = []  # list of (sign, term dict)
-    if W:
-        neumann_terms.append((1.0, W))
-        if s_max >= 1:
-            n1_full, d1 = normal_order_product(W, W, G, masses, max_order=4, sup_G=sup_G)
-            dropped += d1
-            neumann_terms.append((-1.0, n1_full))
-            if s_max >= 2:
-                rows = int(np.searchsorted(R_GRID, rho, side="right")) + 1
-                n2, d2 = normal_order_product(n1_full, W, G, masses, max_order=H.M_max,
-                                              sup_G=sup_G, rows=rows)
-                dropped += d2
-                neumann_terms.append((1.0, n2))
-    remainder = gamma * q ** (s_max + 1) / (1.0 - q)
+    series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
+    for s in range(1, s_max + 1 if W else 1):
+        max_order, rows = ((4, None) if s == 1 else
+                           (H.M_max, int(np.searchsorted(R_GRID, rho, side="right")) + 1))
+        term, d = normal_order_product(series[-1], W, G, H.masses, max_order=max_order,
+                                       sup_G=sup_G, rows=rows)
+        dropped += d
+        series.append(term)
 
-    # assemble the decimated kernels (F), order by order; orders above M_max
-    # (only the s <= 1 terms have any) are dropped and their norms logged
     f_arrays: dict = {(0, 0): w00.values}
-    for sign, terms in neumann_terms:
+    for s, terms in enumerate(series):
         for (mo, no), w in terms.items():
             if mo + no > H.M_max:
                 dropped += term_norm(w)
             else:
-                f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + sign * w.values
-
-    new_terms = {}
+                f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + (-1.0) ** s * w.values
+    remainder = interaction_norm(H) * q ** (s_max + 1) / (1.0 - q)
+    info = StepInfo(q, float(remainder), float(dropped), inv_bound)
+    F = {}
     for (mo, no), arr in f_arrays.items():
-        try:  # rho, the shapes and the nodes are valid: a ValueError is a table not finite
-            # an overflow surfaces only as the DomainError below, not as a warning
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                scaled = scale_coupling(CouplingFunction(mo, no, H.nodes, arr), rho)
-        except ValueError as exc:
-            stage = "rescaled" if np.all(np.isfinite(arr)) else "decimated"
-            raise DomainError(f"the {stage} ({mo},{no}) kernel is not finite", margins={
-                "q": q, "inv_bound": inv_bound, "dropped_norm": float(dropped)}) from exc
-        new_terms[(mo, no)] = _apply_field_support_mask(scaled)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"the decimated ({mo},{no}) kernel is not finite",
+                              margins=_margins(info))
+        F[(mo, no)] = CouplingFunction(mo, no, H.nodes, arr)
+    return NormalFormHamiltonian(F, H.grid, H.M_max), info
 
-    Hp = NormalFormHamiltonian(new_terms, H.grid, H.M_max)
-    return Hp, StepInfo(q=q, neumann_remainder=float(remainder),
-                        dropped_norm=float(dropped), inv_bound=inv_bound)
+
+def _margins(info: StepInfo) -> dict:
+    return {"q": info.q, "inv_bound": info.inv_bound, "dropped_norm": info.dropped_norm}
+
+
+def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
+    """One step of the renormalization map, decimate then rescale; returns (H', StepInfo).
+
+    DomainError before any work on nodes not closed under k -> rho k (_slot_index),
+    decimate's, and on a rescaled kernel that is not finite, with decimate's margins.
+    """
+    _check_step(rho, s_max)
+    _slot_index(H.nodes, rho)
+    F, info = decimate(H, rho, s_max)
+    new_terms = {}
+    for (mo, no), w in F.terms.items():
+        try:  # F is finite, so a ValueError is an overflow: raised below, not warned of
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                scaled = scale_coupling(w, rho)
+        except ValueError as exc:
+            raise DomainError(f"the rescaled ({mo},{no}) kernel is not finite",
+                              margins=_margins(info)) from exc
+        new_terms[(mo, no)] = _apply_field_support_mask(scaled)
+    return NormalFormHamiltonian(new_terms, H.grid, H.M_max), info
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +454,15 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
     H0 = H(0) gives e_0; builder(lam) gives H(lam), shifted(H0, lam) by
     default.  Step n carries R^n(H(lam)) at the DEGREE + 1 Chebyshev points
     of e_{n-1} -/+ rho^n / 8: rg_step applied to builder (step 1) or to the
-    previous step's Hamiltonians interpolated there.  e_n
-    is the root of the vacuum interpolant, and the record holds the family
-    interpolated at it.  FlowStalledError, with the points, when the interval
-    holds no root or several, when a next step's points would leave it (root
-    outside the middle 1 - rho), or when the degree-DEGREE coefficient over
-    the slope at the root exceeds rho^(n+1) / 24 (E_TOL on the last step).
+    previous step's Hamiltonians interpolated there.  e_n is the root of the
+    vacuum interpolant, and the record holds the family interpolated at it.
+    FlowStalledError, with the points, when the interval holds no root or
+    several, when a next step's points would leave it (root outside the middle
+    1 - rho), or when the degree-DEGREE coefficient over the slope at the root
+    exceeds rho^(n+1) / 24 (E_TOL on the last step).  ValueError unless n_steps >= 1.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, not {n_steps}")
     if builder is None:
         def builder(lam):
             return shifted(H0, lam)

@@ -72,6 +72,15 @@ class TestVerify:
         assert failed[0]["margin"] == -0.015625  # to the nearest node 0.03125
         assert main(["flow", "--config", cfg, "--out", str(tmp_path / "flow")]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("n_trials", [0, -2])
+    def test_no_trials_exit_with_domain_code(self, tmp_path, capsys, n_trials):
+        # zero trials would pass two checks on no evidence, with margin Infinity
+        out = tmp_path / "out"
+        cfg = _cfg(tmp_path, {**BASE_CONFIG, "n_trials": n_trials})
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert f"n_trials must be at least 1, not {n_trials}" in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
+
 
 class TestUsageErrors:
     def test_corrupted_json(self, tmp_path):
@@ -174,6 +183,17 @@ class TestFlowCommand:
         assert main(["flow", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert "rho k = 0.046875 (k = 0.09375, rho = 0.5) lies between two nodes" in err
+        assert not (out / "flow.csv").exists()
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_no_steps_exit_with_domain_code(self, tmp_path, capsys, n_steps):
+        # refused, not run as zero steps that report the seed with budget 0 and
+        # never read the invalid rho and s_max
+        payload = {**BASE_CONFIG, "n_steps": n_steps, "rho": 3.0, "s_max": 7}
+        out = tmp_path / "out"
+        cfg = _cfg(tmp_path, payload)
+        assert main(["flow", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert f"n_steps must be at least 1, not {n_steps}" in capsys.readouterr().err
         assert not (out / "flow.csv").exists()
 
 

@@ -2,17 +2,19 @@
 
 import warnings
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+from specrg.feshbach import feshbach_map, spectral_projection
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
-from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
-                               NormalFormHamiltonian, assemble_term, coupling_norm_mu,
-                               coupling_norm_mu1, from_profile, interaction_norm, slot_masses,
-                               shifted, split, symmetrized, term_norm)
+from specrg.normalform import (FOUR_PI, MU, R_GRID, CouplingFunction,
+                               NormalFormHamiltonian, assemble_operator, assemble_term,
+                               coupling_norm_mu, coupling_norm_mu1, from_profile,
+                               interaction_norm, slot_masses, shifted, split, symmetrized,
+                               term_norm)
 from specrg import rgflow
 from specrg.calibration import _random_polydisc_hamiltonian
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
@@ -395,6 +397,38 @@ class TestWickOrdering:
             assert calls and max(calls.values()) == 1
 
     @staticmethod
+    def _fully_symmetric(vals, m, n):
+        """vals averaged over every permutation of its creation and of its annihilation slots."""
+        axes = [(0,) + tuple(1 + i for i in pc) + tuple(1 + m + j for j in pa)
+                for pc in permutations(range(m)) for pa in permutations(range(n))]
+        return sum(np.transpose(vals, ax) for ax in axes) / len(axes)
+
+    def test_products_of_higher_orders_are_fully_symmetric(self):
+        # the factor C(n1,p) C(m2,p) p! counts every choice of contracted
+        # slots as the same one, which holds for kernels symmetric in all of
+        # their creation slots and all of their annihilation slots
+        W, masses = self._random_W(7)
+        nodes, rng = W[(1, 0)].nodes, np.random.default_rng(8)
+        for (m, n) in [(3, 0), (3, 1), (1, 3), (4, 0), (0, 4)]:
+            shape = (len(R_GRID),) + (3,) * (m + n)
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            W[(m, n)] = CouplingFunction(m, n, nodes, self._fully_symmetric(vals, m, n))
+        G = lambda r: 1.0 / (np.asarray(r) + 2.0)
+        out, _ = normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
+        assert {(3, 1), (1, 3), (4, 0), (0, 4)} <= out.keys()
+        sym = {}
+        for (m, n), w in out.items():
+            sym[(m, n)] = CouplingFunction(m, n, nodes, self._fully_symmetric(w.values, m, n))
+            assert np.max(np.abs(w.values - sym[(m, n)].values)) <= 1e-14 * np.max(
+                np.abs(w.values)), (m, n)
+        # out and sym are one operator, so their products with W agree
+        got, _ = normal_order_product(out, W, G, masses, max_order=4, sup_G=0.5)
+        want, _ = normal_order_product(sym, W, G, masses, max_order=4, sup_G=0.5)
+        for key, w in want.items():
+            assert np.max(np.abs(got[key].values - w.values)) <= 1e-13 * np.max(
+                np.abs(w.values)), key
+
+    @staticmethod
     def _tuple_loop_product(A_terms, B_terms, G, masses, max_order):
         """Kept kernels of (sum A) G (sum B), one slot tuple (i2, j1) at a time."""
         out = {}
@@ -511,29 +545,21 @@ class TestRgStep:
 
     def test_first_order_step_truncates_and_charges_dropped_orders(self):
         # at s_max = 1 the step keeps W - W G W up to M_max; the product's
-        # kernels above M_max are charged at their Banach weight
+        # kernels above M_max are charged at their Banach weight, which is the
+        # M_max = 4 decimation's own charge plus the norms of the order-3 and
+        # order-4 kernels it keeps
         grid = build_mode_grid(4, 0.5, "geometric")
         spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
         H = ground_sector_hamiltonian(spec, grid, 0.0)
         Hp, info = rg_step(H, RHO, s_max=1)
         assert all(m + n <= H.M_max for (m, n) in Hp.terms)
 
-        h0 = rgflow._h0_function(H.terms[(0, 0)])
-
-        def G(r):
-            r = np.asarray(r, dtype=float)
-            out = np.zeros(r.shape, dtype=complex)
-            out[r > RHO] = 1.0 / h0(r[r > RHO])
-            return out
-
-        _, W = split(H)
-        sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > RHO]))))
-        product_terms, expected = normal_order_product(W, W, G, H.masses, max_order=4,
-                                                       sup_G=sup_G)
-        above = [key for key in product_terms if sum(key) > H.M_max]
+        F4, info4 = rgflow.decimate(NormalFormHamiltonian(H.terms, grid, 4), RHO, s_max=1)
+        above = [key for key in F4.terms if sum(key) > H.M_max]
         assert above and all(sum(key) in (3, 4) for key in above)
-        for (m, n) in above:
-            expected += XI ** (-(m + n)) * coupling_norm_mu1(product_terms[(m, n)], MU)
+        expected = info4.dropped_norm
+        for key in above:
+            expected += term_norm(F4.terms[key])
         assert info.dropped_norm > 0.0
         assert info.dropped_norm == pytest.approx(expected, rel=1e-13)
         assert rg_step(H, RHO, s_max=0)[1].dropped_norm == 0.0
@@ -626,6 +652,51 @@ class TestRgStep:
         gamma1 = interaction_norm(Hp)
         assert gamma1 <= C_RG * RHO ** 0.5 * gamma0 * (1.0 + 1e-9)
         assert info.q < 1.0
+
+
+class TestWholeStep:
+    """decimate's F against the dense feshbach_map of the same H at rho = 1/2, on
+    the chi states whose Fock truncation is exact to Neumann order 2 (at most
+    n_max - 4 photons)."""
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        return build_fock_basis(build_mode_grid(4, 1.0, "geometric"), 8)
+
+    @staticmethod
+    def _defects(H, basis):
+        """(vacuum defect, block defect, StepInfo) of decimate(H) against dense."""
+        F, info = rgflow.decimate(H, RHO)
+        hf = basis.hf_diagonal()
+        # E + T continued linearly above r = 1, as decimate continues it
+        w00 = H.terms[(0, 0)]
+        slope_top = (w00.values[-1] - w00.values[-2]) / (R_GRID[-1] - R_GRID[-2])
+        tau = np.diag(w00.at_r(hf) + np.maximum(hf - 1.0, 0.0) * slope_top)
+        # the kernels are read at field energies up to n_max k_max = 8
+        with pytest.warns(UserWarning, match="clamped"):
+            Hd = tau + sum(assemble_term(w, basis) for w in split(H)[1].values())
+            Fk = np.asarray(assemble_operator(F, basis))
+        dense = feshbach_map(Hd, tau, spectral_projection(basis, RHO))
+        keep = np.flatnonzero((hf <= RHO) & (basis.states.sum(axis=1) <= basis.n_max - 4))
+        assert keep[0] == 0 and not basis.states[0].any()  # the vacuum comes first
+        D = (dense.F - Fk)[np.ix_(keep, keep)]
+        return abs(D[0, 0]), float(np.linalg.norm(D, 2)), info
+
+    @pytest.mark.parametrize("which", ["model 5e-3", "model 2e-2", "random 0", "random 1"])
+    def test_decimation_matches_dense_feshbach_map(self, basis, which):
+        kind, value = which.split()
+        if kind == "model":
+            spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=float(value), kappa=1.0)
+            H = ground_sector_hamiltonian(spec, basis.grid, 0.0)
+        else:
+            H = _random_polydisc_hamiltonian(np.random.default_rng(int(value)), basis.grid, RHO,
+                                             RHO / 16.0)
+        vacuum, block, info = self._defects(H, basis)
+        assert vacuum <= info.neumann_remainder
+        assert block <= info.budget
+        # the block defect is the dropped orders': keeping orders up to 4 shrinks it
+        _, block4, _ = self._defects(NormalFormHamiltonian(H.terms, H.grid, 4), basis)
+        assert 10.0 * block4 <= block
 
 
 class TestPolydisc:

@@ -270,6 +270,21 @@ def sector_builder() -> None:
         _hamiltonian(f"ground_sector_hamiltonian 3 levels Gamma_00 != 0 k_max={k_max}", H)
 
 
+def decimations() -> None:
+    from specrg import calibration, fock, models, rgflow
+    # the decimated Hamiltonian F before its rescaling
+    grid = fock.build_mode_grid(4, 0.5, "geometric")
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    H = models.ground_sector_hamiltonian(spec, grid, 0.0)
+    for s_max in (0, 1, 2):
+        F, info = rgflow.decimate(H, 0.5, s_max=s_max)
+        _hamiltonian(f"model decimate s_max={s_max}", F, info)
+    H0 = calibration._random_polydisc_hamiltonian(
+        np.random.default_rng(3), fock.build_mode_grid(8, 0.5, "geometric"), 0.5, 0.5 / 16.0)
+    F, info = rgflow.decimate(H0, 0.5)
+    _hamiltonian("random decimate s_max=2", F, info)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -278,7 +293,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     dense_models, dense_reads, dense_feshbach, acceptance_flows,
-                    k_max_one_step, sector_builder):
+                    k_max_one_step, sector_builder, decimations):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             section()
