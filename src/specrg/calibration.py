@@ -37,7 +37,7 @@ def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
     # W's norm, summed in interaction_norm's order, is scaled to gamma_target
     scale = gamma_target / sum(term_norm(w) for w in raw.values())
     terms = {key: CouplingFunction(w.m, w.n, nodes, scale * w.values) for key, w in raw.items()}
-    return NormalFormHamiltonian({(0, 0): CouplingFunction(0, 0, nodes, w00.astype(complex)),
+    return NormalFormHamiltonian({(0, 0): CouplingFunction(0, 0, nodes, w00),
                                   **terms}, grid)
 
 

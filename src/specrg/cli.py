@@ -168,7 +168,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     record("basic_bound", margin >= 0.0, margin)
 
     # scaling fixed point
-    hf_kernel = normalform.CouplingFunction(0, 0, grid.nodes, normalform.R_GRID.astype(complex))
+    hf_kernel = normalform.CouplingFunction(0, 0, grid.nodes, normalform.R_GRID)
     scaled = rgflow.scale_coupling(hf_kernel, rho)
     fp_dev = float(np.max(np.abs(scaled.values - hf_kernel.values)))
     record("scaling_fixed_point", fp_dev < 1e-12, 1e-12 - fp_dev)

@@ -178,9 +178,9 @@ class OperatorMatrix:
 
 
 def dense(H) -> np.ndarray:
-    """H as every dense solver reads it: float64 when its imaginary part is
-    exactly zero, complex128 otherwise, so LAPACK runs in real arithmetic
-    wherever it can."""
+    """H as every dense solver and every kernel table reads it: float64 when
+    its imaginary part is exactly zero, complex128 otherwise, so LAPACK and
+    the Wick products run in real arithmetic wherever they can."""
     mat = np.asarray(H)
     if np.iscomplexobj(mat) and np.any(mat.imag):
         return mat.astype(complex, copy=False)

@@ -24,7 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .fock import FockBasis, ModeGrid, OperatorMatrix, ladder_walk
+from .fock import FockBasis, ModeGrid, OperatorMatrix, dense, ladder_walk
 
 FOUR_PI = 4.0 * np.pi
 
@@ -57,7 +57,10 @@ class CouplingFunction:
     values has shape (len(R_GRID),) + (len(nodes),) * (m + n), the first m
     momentum axes being creation slots and the last n annihilation slots.
     dr_values holds the r-derivative on the same grid; when omitted it is
-    produced by central differences the first time it is read.  norm_mu1,
+    produced by central differences the first time it is read.  Both tables
+    take fock.dense's dtype rule: float64 when the imaginary part is exactly
+    zero, complex128 otherwise, so real kernels run in real arithmetic and
+    everything computed from them follows their dtype.  norm_mu1,
     the (MU, 1) norm, is likewise computed the first time it is read: both
     caches rely on kernels never being changed in place.
     """
@@ -65,14 +68,14 @@ class CouplingFunction:
     def __init__(self, m: int, n: int, nodes, values, dr_values=None):
         self.m, self.n = m, n
         self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.ascontiguousarray(values, dtype=complex)
+        self.values = np.ascontiguousarray(dense(values))
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         expected = (len(R_GRID),) + (len(self.nodes),) * self.order
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
         if dr_values is not None:
-            dr_values = np.asarray(dr_values, dtype=complex)
+            dr_values = dense(dr_values)
             if dr_values.shape != expected:
                 raise ValueError("dr_values shape mismatch")
         self._dr_values = dr_values
@@ -104,8 +107,9 @@ class CouplingFunction:
         the R_GRID points j/32 and clamped into I = [0, 1].  With
         t = 32 clip(r, 0, 1) and j = floor(t), the value is
         v_j + (t - j)(v_j+1 - v_j), the next point capped at 32 so that r = 1
-        reads v_32.  Real and imaginary parts each equal np.interp on R_GRID
-        bit for bit.  A non-finite r raises ValueError.
+        reads v_32.  A real table, and each of the real and imaginary parts of
+        a complex one, equals np.interp on R_GRID bit for bit.  A non-finite r
+        raises ValueError.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.isfinite(r).all():
@@ -113,13 +117,15 @@ class CouplingFunction:
         top = len(R_GRID) - 1
         t = np.minimum(np.maximum(r, 0.0), 1.0) * top
         j = t.astype(np.intp)
-        parts = self.values.view(float).reshape(self.values.shape + (2,))  # (re, im) last
+        vals = self.values
+        cplx = np.iscomplexobj(vals)
+        parts = vals.view(float).reshape(vals.shape + (2,)) if cplx else vals  # (re, im) last
         lo = parts.take(j, axis=0)
         out = parts.take(np.minimum(j + 1, top), axis=0)
         out -= lo
         out *= (t - j)[(Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)]
         out += lo
-        return out.view(complex)[..., 0]
+        return out.view(complex)[..., 0] if cplx else out
 
 
 def from_profile(m, n, nodes, func) -> CouplingFunction:
@@ -130,8 +136,7 @@ def from_profile(m, n, nodes, func) -> CouplingFunction:
     """
     nodes = np.asarray(nodes, dtype=float)
     shape = (len(R_GRID),) + (len(nodes),) * (m + n)
-    vals = np.asarray(func(*np.ix_(R_GRID, *[nodes] * (m + n))), dtype=complex)
-    vals = np.array(np.broadcast_to(vals, shape))
+    vals = np.array(np.broadcast_to(func(*np.ix_(R_GRID, *[nodes] * (m + n))), shape))
     return CouplingFunction(m, n, nodes, vals)
 
 
@@ -275,7 +280,7 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     for s in range(w.order):
         factor = factor * root_mass[slots[:, s]]
     kern = kern_at_hf[(mid,) + tuple(slots.T)]
-    out = np.zeros((D, D), dtype=complex)
+    out = np.zeros((D, D), dtype=kern.dtype)
     np.add.at(out, (top, cols), amp_a * amp_c * factor * kern)
     return out
 

@@ -233,9 +233,12 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTa
         B = B.take(invJ, axis=1) if len(uJ) < NJ else B
         block = np.einsum("raibq,rabq,rbqak->riabk", A, Gq.reshape(rows, NI, NJ, Q), B)
         block *= Cf
-        if (mo, no) not in out_arrays:
-            out_arrays[(mo, no)] = np.zeros((rows,) + (M,) * order, dtype=complex)
-        out_arrays[(mo, no)] += block.reshape((rows,) + (M,) * order)
+        block = block.reshape((rows,) + (M,) * order)
+        acc = out_arrays.get((mo, no))
+        if acc is not None and np.can_cast(block.dtype, acc.dtype):
+            acc += block
+        else:  # the first block, or a complex block meeting a real accumulator
+            out_arrays[(mo, no)] = block if acc is None else acc + block
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
@@ -260,7 +263,7 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     for (mo, no), arr in out_arrays.items():
         vals = symmetrized(arr, mo, no)
         if rows < len(R_GRID):
-            above = np.zeros((len(R_GRID) - rows,) + vals.shape[1:], dtype=complex)
+            above = np.zeros((len(R_GRID) - rows,) + vals.shape[1:], dtype=vals.dtype)
             vals = np.concatenate((vals, above))
         terms[(mo, no)] = CouplingFunction(mo, no, ref.nodes, vals)
     return terms, float(np.sum(budget))
@@ -288,10 +291,8 @@ def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
     if not W:
         return 0.0
     basis = fock.build_fock_basis(H.grid, 2)
-    Wmat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for w in W.values():
-        Wmat += normalform.assemble_term(w, basis)
-    return float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
+    Wmat = sum(normalform.assemble_term(w, basis) for w in W.values())
+    return float(np.linalg.norm(fock.dense(G(basis.hf_diagonal())[:, np.newaxis] * Wmat), 2))
 
 
 def _check_step(rho: float, s_max: int) -> None:
@@ -331,8 +332,8 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
             f"||(E+T)^-1|| ~ {inv_bound:.3e} > 2/rho = {2.0 / rho:.3e}",
             margins={"inv_bound": inv_bound, "allowed": 2.0 / rho})
 
-    def G(r):  # r is a float array
-        out = np.zeros(r.shape, dtype=complex)
+    def G(r):  # r is a float array; G has w00's dtype
+        out = np.zeros(r.shape, dtype=w00.values.dtype)
         mask = r > rho
         out[mask] = 1.0 / h0(r[mask])
         return out

@@ -44,24 +44,46 @@ class TestCouplingFunction:
         nodes = np.array([0.3, 0.6])
         w = from_profile(1, 0, nodes, lambda r, k: np.cos(r) * k)
         assert np.array_equal(w.at_r(R_GRID), w.values)
-        # the r rule, on a complex table of any order, is np.interp on R_GRID
-        # of the real and imaginary parts column by column, clamped outside I
+        # the r rule, on a real or a complex table of any order, is np.interp on
+        # R_GRID column by column (of the real and imaginary parts of a complex
+        # one), clamped outside I, and keeps the table's dtype
         rng = np.random.default_rng(3)
-        for shape in ((len(R_GRID),), (len(R_GRID), 3, 3)):
-            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            half = (len(shape) - 1) // 2
-            w = CouplingFunction(half, half, np.array([0.2, 0.4, 0.8]), vals)
+        for order, dtype in iproduct(range(4), (float, complex)):
+            shape = (len(R_GRID),) + (3,) * order
+            vals = rng.standard_normal(shape)
+            if dtype is complex:
+                vals = vals + 1j * rng.standard_normal(shape)
+            w = CouplingFunction(order - order // 2, order // 2, np.array([0.2, 0.4, 0.8]), vals)
+            assert w.values.dtype == dtype
             table = vals.copy()
             for x in (np.concatenate([R_GRID, [-0.5, 1.5], rng.uniform(-0.2, 1.2, 9)]),
                       rng.uniform(-0.2, 1.2, (2, 5)), np.float64(0.37)):
                 x1 = np.atleast_1d(x)  # a scalar reads as one point
-                expected = np.empty(x1.shape + shape[1:], dtype=complex)
+                expected = np.empty(x1.shape + shape[1:], dtype=dtype)
                 for idx in np.ndindex(shape[1:]):
                     col = vals[(slice(None),) + idx]
-                    expected[(Ellipsis,) + idx] = (np.interp(x1, R_GRID, col.real)
-                                                   + 1j * np.interp(x1, R_GRID, col.imag))
-                assert np.array_equal(w.at_r(x), expected)
+                    expected[(Ellipsis,) + idx] = np.interp(x1, R_GRID, col.real)
+                    if dtype is complex:
+                        expected[(Ellipsis,) + idx] += 1j * np.interp(x1, R_GRID, col.imag)
+                got = w.at_r(x)
+                assert got.dtype == dtype
+                assert np.array_equal(got, expected)
                 assert np.array_equal(w.values, table)  # a scalar x too leaves the table as it was
+
+    def test_tables_are_real_exactly_when_their_imaginary_part_is_zero(self):
+        nodes = np.array([0.2, 0.4, 0.8])
+        re = np.random.default_rng(1).standard_normal((len(R_GRID), 3))
+        zero_im = re.astype(complex)
+        zero_im.imag[::2] = -0.0
+        w = CouplingFunction(1, 0, nodes, zero_im, dr_values=zero_im)
+        assert w.values.dtype == w.dr_values.dtype == np.float64
+        assert np.array_equal(w.values, re) and np.array_equal(w.dr_values, re)
+        assert from_profile(1, 0, nodes, lambda r, k: (r + k).astype(complex)).values.dtype == float
+        one_im = zero_im.copy()
+        one_im[5, 1] += 1e-300j
+        w = CouplingFunction(1, 0, nodes, one_im)
+        assert w.values.dtype == w.dr_values.dtype == np.complex128
+        assert np.array_equal(w.values, one_im)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_at_r_refuses_non_finite_r(self, bad):
@@ -240,6 +262,16 @@ class TestSplit:
         for key, (values, dr_values) in before.items():
             assert np.array_equal(H.terms[key].values, values)
             assert np.array_equal(H.terms[key].dr_values, dr_values)
+
+    def test_real_shift_keeps_and_complex_shift_leaves_real_arithmetic(self):
+        grid = build_mode_grid(6, 0.5, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=2e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, lam=1e-4)
+        assert {w.values.dtype for w in H.terms.values()} == {np.dtype(float)}
+        for c, dtype in ((0.003, float), (0.003 + 0j, float), (0.003 - 1e-30j, complex)):
+            w00 = shifted(H, c).terms[(0, 0)]
+            assert w00.values.dtype == dtype and w00.dr_values.dtype == np.float64
+            assert np.array_equal(w00.values.real, H.terms[(0, 0)].values - 0.003)
 
     def test_interaction_norm_matches_w_part(self):
         from specrg.models import ModelSpec, ground_sector_hamiltonian

@@ -641,6 +641,36 @@ class TestRgStep:
             _, info = rg_step(ground_sector_hamiltonian(spec, grid, 0.0), RHO)
         assert info.q < 1.0
 
+    def test_real_hamiltonian_steps_in_real_arithmetic(self):
+        # at real lambda every table of F and of the step's output is float64;
+        # the calibration's random kernels are complex and stay so
+        grid = build_mode_grid(8, 1.0, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, 1e-6)
+        R = _random_polydisc_hamiltonian(np.random.default_rng(0), grid, RHO, RHO / 16.0)
+        for Hin, dtype in ((H, np.float64), (R, np.complex128)):
+            F, _ = rgflow.decimate(Hin, RHO)
+            Hp, _ = rg_step(Hin, RHO)
+            for K in (Hin, F, Hp):
+                assert {(w.values.dtype, w.dr_values.dtype) for w in K.terms.values()} == {
+                    (np.dtype(dtype), np.dtype(dtype))}
+
+    def test_real_and_complex_arithmetic_take_one_path(self):
+        # an imaginary shift far below rounding makes every table complex; the
+        # real parts must be the real step's kernels, so the two are one code path
+        grid = build_mode_grid(8, 1.0, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        H = ground_sector_hamiltonian(spec, grid, 0.0)
+        (Hp, info), (Hc, info_c) = rg_step(H, RHO), rg_step(shifted(H, 1e-30j), RHO)
+        assert list(Hc.terms) == list(Hp.terms)
+        for key, w in Hp.terms.items():
+            wc = Hc.terms[key]
+            assert wc.values.dtype == np.complex128
+            for got, want in ((wc.values, w.values), (wc.dr_values, w.dr_values)):
+                assert np.max(np.abs(got.real - want)) <= 1e-15 * np.max(np.abs(want))
+        for name in ("q", "neumann_remainder", "dropped_norm", "inv_bound"):
+            assert getattr(info_c, name) == pytest.approx(getattr(info, name), rel=1e-15, abs=0)
+
     def test_interaction_contracts_on_model(self, model_flows):
         from specrg._calibration import C_RG
         from specrg.models import ground_sector_hamiltonian

@@ -9,7 +9,10 @@ diffing the two outputs:
     diff before.txt after.txt
 
 --src names the directory that holds the ``specrg`` package to import
-(default: ``src`` next to this script).  BLAS runs on one thread, so that
+(default: ``src`` next to this script).  Arrays, StepInfo and polydisc
+coordinates are hashed by value and shape, as complex128 with signed zeros
+made positive: a table stored as float64 on one tree and as complex128 on the
+other hashes alike when its numbers agree.  BLAS runs on one thread, so that
 sums come out in one order.  The whole run takes about ten seconds on a
 2-vCPU machine.  Each section also prints one line for the warnings it
 raised.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -64,8 +68,9 @@ def _digest(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
-            h.update(f"{part.dtype}{part.shape}".encode())
-            h.update(np.ascontiguousarray(part).tobytes())
+            values = part.astype(complex) + 0j  # adding +0 turns -0.0 into +0.0
+            h.update(f"{values.shape}".encode())
+            h.update(values.tobytes())
         elif isinstance(part, bytes):
             h.update(part)
         else:
@@ -82,8 +87,8 @@ def _hamiltonian(label: str, H, info=None) -> None:
     for key, w in H.terms.items():
         _emit(f"{label} kernel {key}", w.values, w.dr_values)
     if info is not None:
-        _emit(f"{label} StepInfo", info)
-    _emit(f"{label} polydisc_coordinates", rgflow.polydisc_coordinates(H))
+        _emit(f"{label} StepInfo", np.array(dataclasses.astuple(info)))
+    _emit(f"{label} polydisc_coordinates", np.array(rgflow.polydisc_coordinates(H)))
     _emit(f"{label} norms", normalform.hamiltonian_norm(H), normalform.interaction_norm(H))
 
 
@@ -255,7 +260,7 @@ def k_max_one_step() -> None:
     grid = fock.build_mode_grid(8, 1.0, "geometric")
     spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
     _, info = rgflow.rg_step(models.ground_sector_hamiltonian(spec, grid, 0.0), 0.5)
-    _emit("8-mode model step to k_max=1 StepInfo", info)
+    _emit("8-mode model step to k_max=1 StepInfo", np.array(dataclasses.astuple(info)))
 
 
 def sector_builder() -> None:
