@@ -81,7 +81,7 @@ class CouplingFunction:
         self._dr_values = dr_values
         self._norm_mu1 = None
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("kernel values must be finite")
+            raise ValueError(f"the ({m},{n}) kernel is not finite")
 
     @property
     def dr_values(self) -> np.ndarray:
@@ -108,8 +108,9 @@ class CouplingFunction:
         t = 32 clip(r, 0, 1) and j = floor(t), the value is
         v_j + (t - j)(v_j+1 - v_j), the next point capped at 32 so that r = 1
         reads v_32.  A real table, and each of the real and imaginary parts of
-        a complex one, equals np.interp on R_GRID bit for bit.  A non-finite r
-        raises ValueError.
+        a complex one, equals np.interp on R_GRID bit for bit.  An order-0
+        kernel, a function of H_f alone (w00 = E + T), continues above r = 1
+        with its last cell's slope 32 (v_32 - v_31).  A non-finite r raises ValueError.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.isfinite(r).all():
@@ -123,8 +124,11 @@ class CouplingFunction:
         lo = parts.take(j, axis=0)
         out = parts.take(np.minimum(j + 1, top), axis=0)
         out -= lo
-        out *= (t - j)[(Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)]
+        expand = (Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)
+        out *= (t - j)[expand]
         out += lo
+        if not self.order and r.max(initial=0.0) > 1.0:
+            out += np.maximum(r - 1.0, 0.0)[expand] * ((parts[-1] - parts[-2]) * top)
         return out.view(complex)[..., 0] if cplx else out
 
 
@@ -259,8 +263,8 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     the kernel is read at the field energy of the intermediate state, and the
     walk continues through every ordered tuple I of m creations.  The moves
     and the hard-cutoff truncation come from fock.ladder_walk; contributions
-    to one matrix entry are summed in (J, I) lexicographic order.  A read
-    above the end of R_GRID takes its last value, and a warning says so.
+    to one matrix entry are summed in (J, I) lexicographic order.  An
+    interaction kernel read above r = 1 is clamped (at_r), with a warning.
     """
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
@@ -272,7 +276,7 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
     cols, J, mid, amp_a = cols[src], J[src], mid[src], amp_a[src]
     read_max = hf[mid].max(initial=0.0)
-    if read_max > R_GRID[-1]:
+    if w.order and read_max > R_GRID[-1]:
         warnings.warn(f"field energies up to {read_max:.6g} exceed the kernel grid end "
                       f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
     slots = np.column_stack([I, J])

@@ -193,7 +193,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTa
     q); one einsum contracts q for all slot tuples at once.  Only the first
     rows points of R_GRID are computed, and out_arrays holds just those rows.
 
-    Reads at r + shift > 1 are clamped to r = 1, like every off-grid read.
+    Reads at r + shift > 1 clamp interaction kernels to r = 1 (at_r's rule).
     On the two-level model (4 and 8 modes) and the calibration sweep's random
     kernels, no entry kept by the field-support mask depends on one from the
     second step on: a 1e3 offset on every clamped read leaves them bit-equal.
@@ -284,6 +284,10 @@ class StepInfo:
     def budget(self) -> float:
         return self.neumann_remainder + self.dropped_norm
 
+    @property
+    def margins(self) -> dict:
+        return {"q": self.q, "inv_bound": self.inv_bound, "dropped_norm": self.dropped_norm}
+
 
 def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
     """Neumann ratio ||G(H_f) W||, with W the interaction of H and G the step's
@@ -306,25 +310,20 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     """Feshbach-Schur decimation of H at scale rho; returns (F, StepInfo).
 
     F = E + T + chi [sum_{s <= s_max} (-1)^s W (G W)^s] chi, G = chibar^2 / (E + T)
-    with E + T continued linearly above r = 1, truncated to M_max; each order
-    dropped is charged its term_norm.  F lives on Ran chi_rho(H_f), so the
-    s = 2 product is tabulated only up to the first R_GRID row above rho (all
-    that scale_coupling's read at rho * R_GRID reaches) and is zero above.
+    with E + T = w00 read by at_r, truncated to M_max; each order dropped is
+    charged its term_norm.  F lives on Ran chi_rho(H_f), so the s = 2 product
+    is tabulated only up to the first R_GRID row above rho (all that
+    scale_coupling's read at rho * R_GRID reaches) and is zero above.
 
     DomainError when ||(E+T)^-1|| on the decimated region exceeds 2/rho, when
     the measured Neumann ratio is not below 1 (NaN included), or when a kernel
-    of F is not finite; the last carries q, inv_bound and dropped_norm.
+    of a product or of F is not finite, naming both, with StepInfo.margins.
     """
     _check_step(rho, s_max)
     _, W = split(H)
     w00 = H.terms[(0, 0)]
-    slope_top = (w00.values[-1] - w00.values[-2]) / (R_GRID[-1] - R_GRID[-2])
-
-    def h0(r):
-        return w00.at_r(r) + np.maximum(r - 1.0, 0.0) * slope_top
-
     # rho <= 1/2, so this region and the one above rho both hold r = 1
-    min_h0 = float(np.min(np.abs(h0(R_GRID[R_GRID >= 0.75 * rho]))))
+    min_h0 = float(np.min(np.abs(w00.at_r(R_GRID[R_GRID >= 0.75 * rho]))))
     inv_bound = 1.0 / min_h0 if min_h0 > 0 else np.inf
     if inv_bound > 2.0 / rho * (1.0 + 1e-9):
         raise DomainError(
@@ -335,7 +334,7 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     def G(r):  # r is a float array; G has w00's dtype
         out = np.zeros(r.shape, dtype=w00.values.dtype)
         mask = r > rho
-        out[mask] = 1.0 / h0(r[mask])
+        out[mask] = 1.0 / w00.at_r(r[mask])
         return out
 
     q = measured_q(H, W, G)
@@ -343,37 +342,31 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
         raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} is not below 1",
                           margins={"q": q})
     sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > rho]))))
+    info = StepInfo(q, float(interaction_norm(H) * q ** (s_max + 1) / (1.0 - q)), 0.0, inv_bound)
 
-    dropped = 0.0
     series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
-    for s in range(1, s_max + 1 if W else 1):
-        max_order, rows = ((4, None) if s == 1 else
-                           (H.M_max, int(np.searchsorted(R_GRID, rho, side="right")) + 1))
-        term, d = normal_order_product(series[-1], W, G, H.masses, max_order=max_order,
-                                       sup_G=sup_G, rows=rows)
-        dropped += d
-        series.append(term)
-
     f_arrays: dict = {(0, 0): w00.values}
-    for s, terms in enumerate(series):
-        for (mo, no), w in terms.items():
-            if mo + no > H.M_max:
-                dropped += term_norm(w)
-            else:
-                f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + (-1.0) ** s * w.values
-    remainder = interaction_norm(H) * q ** (s_max + 1) / (1.0 - q)
-    info = StepInfo(q, float(remainder), float(dropped), inv_bound)
-    F = {}
-    for (mo, no), arr in f_arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"the decimated ({mo},{no}) kernel is not finite",
-                              margins=_margins(info))
-        F[(mo, no)] = CouplingFunction(mo, no, H.nodes, arr)
+    try:  # an overflow leaves a kernel that is not finite, which raises ValueError
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(1, s_max + 1 if W else 1):
+                stage = f"the s = {s} Neumann product"
+                max_order, rows = ((4, None) if s == 1 else
+                                   (H.M_max, int(np.searchsorted(R_GRID, rho, side="right")) + 1))
+                term, d = normal_order_product(series[-1], W, G, H.masses,
+                                               max_order=max_order, sup_G=sup_G, rows=rows)
+                info.dropped_norm += d
+                series.append(term)
+            stage = "the decimated Hamiltonian"
+            for s, terms in enumerate(series):
+                for (mo, no), w in terms.items():
+                    if mo + no > H.M_max:
+                        info.dropped_norm += term_norm(w)
+                    else:
+                        f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + (-1.0) ** s * w.values
+            F = {key: CouplingFunction(*key, H.nodes, arr) for key, arr in f_arrays.items()}
+    except ValueError as exc:
+        raise DomainError(f"{stage}: {exc}", info.margins) from exc
     return NormalFormHamiltonian(F, H.grid, H.M_max), info
-
-
-def _margins(info: StepInfo) -> dict:
-    return {"q": info.q, "inv_bound": info.inv_bound, "dropped_norm": info.dropped_norm}
 
 
 def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
@@ -392,7 +385,7 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
                 scaled = scale_coupling(w, rho)
         except ValueError as exc:
             raise DomainError(f"the rescaled ({mo},{no}) kernel is not finite",
-                              margins=_margins(info)) from exc
+                              margins=info.margins) from exc
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
     return NormalFormHamiltonian(new_terms, H.grid, H.M_max), info
 
@@ -471,7 +464,7 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
     # Chebyshev points on [-1, 1], increasing; lam = e_{n-1} + rho^n / 8 * x
     x = -np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))
     vander = np.vander(x)
-    e_prev = float(np.real(H0.terms[(0, 0)].values[0]))
+    e_prev = split(H0)[0].real
     traj = FlowTrajectory()
     family = root = None
     for n in range(1, n_steps + 1):
@@ -484,7 +477,7 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
             inputs = (_combine(family, w) for w in _lagrange(x, root + rho * x))
         steps = [rg_step(H, rho, s_max=s_max) for H in inputs]
         family = [H for H, _ in steps]
-        vacuum = [float(np.real(H.terms[(0, 0)].values[0])) for H in family]
+        vacuum = [split(H)[0].real for H in family]
         coef = np.linalg.solve(vander, vacuum)
         roots = np.roots(coef)
         inside = roots.real[(roots.imag == 0) & (np.abs(roots.real) <= 1.0)]

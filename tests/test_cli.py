@@ -89,6 +89,15 @@ class TestUsageErrors:
         assert main(["verify", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("payload", [[1], 3.0, "flow", None])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, payload):
+        # valid JSON, but not a mapping of config keys
+        out = tmp_path / "o"
+        assert main(["flow", "--config", _cfg(tmp_path, payload),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "specrg: config error: config must be a JSON object\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -194,6 +203,16 @@ class TestFlowCommand:
         cfg = _cfg(tmp_path, payload)
         assert main(["flow", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
         assert f"n_steps must be at least 1, not {n_steps}" in capsys.readouterr().err
+        assert not (out / "flow.csv").exists()
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_rho_above_one_half_exits_with_domain_code(self, tmp_path, capsys, n_steps):
+        # rg_step refuses rho = 0.6 before its first product
+        payload = {**BASE_CONFIG, "n_steps": n_steps, "rho": 0.6}
+        out = tmp_path / "out"
+        assert main(["flow", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("specrg: precondition violated: "
+                                           "rho must lie in (0, 1/2]\n")
         assert not (out / "flow.csv").exists()
 
 

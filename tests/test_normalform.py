@@ -46,7 +46,8 @@ class TestCouplingFunction:
         assert np.array_equal(w.at_r(R_GRID), w.values)
         # the r rule, on a real or a complex table of any order, is np.interp on
         # R_GRID column by column (of the real and imaginary parts of a complex
-        # one), clamped outside I, and keeps the table's dtype
+        # one), clamped outside I except that an order-0 kernel continues with
+        # the slope of its last cell above r = 1, and keeps the table's dtype
         rng = np.random.default_rng(3)
         for order, dtype in iproduct(range(4), (float, complex)):
             shape = (len(R_GRID),) + (3,) * order
@@ -65,6 +66,8 @@ class TestCouplingFunction:
                     expected[(Ellipsis,) + idx] = np.interp(x1, R_GRID, col.real)
                     if dtype is complex:
                         expected[(Ellipsis,) + idx] += 1j * np.interp(x1, R_GRID, col.imag)
+                if order == 0:
+                    expected += np.maximum(x1 - 1.0, 0.0) * (vals[-1] - vals[-2]) * 32.0
                 got = w.at_r(x)
                 assert got.dtype == dtype
                 assert np.array_equal(got, expected)
@@ -359,6 +362,19 @@ class TestAssembly:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assemble_term(w, build_fock_basis(grid, 2))
+
+    def test_free_part_continues_above_the_grid_without_warning(self):
+        # w00 = E + T is a function of H_f alone: it is read at the basis
+        # states' field energies, up to 1.8 here, on its continuation, silently
+        grid = build_mode_grid(2, 0.8, "uniform")
+        basis = build_fock_basis(grid, 3)
+        w00 = CouplingFunction(0, 0, grid.nodes, 0.3 + R_GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = assemble_term(w00, basis)
+        hf = basis.hf_diagonal()
+        assert hf.max() == pytest.approx(1.8)
+        assert np.allclose(mat, np.diag(0.3 + hf), rtol=0, atol=1e-15)
 
     def test_kernel_grid_mismatch_raises(self):
         grid = build_mode_grid(2, 0.4, "uniform")

@@ -44,6 +44,17 @@ class TestExactSpectrum:
         with pytest.raises(SolverError):
             exact_spectrum(np.zeros((6000, 6000)))
 
+    def test_non_hermitian_matrix_gets_its_complex_spectrum(self, resonance_instance):
+        # the dilated model is not Hermitian: its full spectrum comes sorted
+        # and complex, and holds the resonance that inverse iteration locates
+        _, _, _, D = resonance_instance
+        vals = exact_spectrum(D.H)
+        assert vals.dtype == np.complex128 and len(vals) == D.H.shape[0]
+        assert np.array_equal(vals, np.sort_complex(vals))
+        z, _ = resonance_eigenvalue(D, 1.0)
+        assert z.imag < 0.0
+        assert np.min(np.abs(vals - z)) <= 1e-12
+
     def test_coupled_ground_below_particle_level(self):
         spec = _two_level(5e-3, kappa=1.0)
         basis = build_fock_basis(build_mode_grid(6, 0.5, "geometric"), 2)

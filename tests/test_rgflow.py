@@ -604,6 +604,52 @@ class TestRgStep:
         assert err.value.margins.keys() == {"q", "inv_bound", "dropped_norm"}
         assert err.value.margins["q"] < 1.0
 
+    @staticmethod
+    def _hidden_orders(offset, kernels):
+        """H = offset + H_f + W on 4 geometric modes to k_max = 1 at M_max = 4,
+        W of constant kernels {(m, n): value}.  measured_q's n_max = 2 basis
+        cannot see kernels of order 3 or 4, so q stays small at any size of theirs."""
+        grid = build_mode_grid(4, 1.0, "geometric")
+        terms = {(0, 0): CouplingFunction(0, 0, grid.nodes, offset + R_GRID)}
+        for (m, n), value in kernels.items():
+            table = np.full((len(R_GRID),) + (len(grid.nodes),) * (m + n), value)
+            terms[(m, n)] = CouplingFunction(m, n, grid.nodes, table)
+        return NormalFormHamiltonian(terms, grid, 4)
+
+    @pytest.mark.parametrize("case", ["product", "sum"])
+    def test_overflow_in_decimation_raises_domain_error(self, case):
+        # product: the s = 1 product contracts the (0,4) kernel against the
+        # (4,0) one, 1e400 summed into every kernel of order <= 4 it keeps.
+        # sum: every kernel of W G W is finite, but the (0,4)-(1,0)
+        # contraction adds ~6e306 to W's (0,3) kernel of 1.79e308
+        if case == "product":
+            H = self._hidden_orders(0.0, {(0, 1): 1e-3, (4, 0): 1e200, (0, 4): 1e200})
+            s_max, message = 2, "the s = 1 Neumann product: the (2,2) kernel is not finite"
+        else:
+            H = self._hidden_orders(0.5, {(1, 0): 0.05, (0, 4): -1.7e308, (0, 3): 1.79e308})
+            s_max, message = 1, "the decimated Hamiltonian: the (0,3) kernel is not finite"
+        for step in (rgflow.decimate, rg_step):
+            with pytest.raises(DomainError) as err:  # and no RuntimeWarning on the way
+                step(H, RHO, s_max)
+            assert str(err.value) == message
+            assert err.value.margins.keys() == {"q", "inv_bound", "dropped_norm"}
+            assert err.value.margins["q"] < 0.05
+
+    @pytest.mark.parametrize("step", ["rg_step", "decimate"])
+    @pytest.mark.parametrize("rho, s_max", [(0.0, 2), (0.6, 2), (RHO, -1), (RHO, 3)])
+    def test_step_parameters_are_refused_before_any_product(self, monkeypatch, step, rho,
+                                                            s_max):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the step did work with parameters it must refuse")
+
+        H = TestFlow._model_builder()(0.0)
+        monkeypatch.setattr(rgflow, "measured_q", no_work)
+        monkeypatch.setattr(rgflow, "normal_order_product", no_work)
+        message = r"rho must lie in \(0, 1/2\]" if s_max == 2 else "s_max must be 0, 1 or 2"
+        with pytest.raises(ValueError, match=message) as err:
+            getattr(rgflow, step)(H, rho, s_max)
+        assert type(err.value) is ValueError
+
     def test_fourth_order_flow_matches_second_order(self):
         # keeping orders up to 4 on the 4-mode model moves e_final by less
         # than the M_max = 4 flow's own budget
@@ -698,13 +744,10 @@ class TestWholeStep:
         """(vacuum defect, block defect, StepInfo) of decimate(H) against dense."""
         F, info = rgflow.decimate(H, RHO)
         hf = basis.hf_diagonal()
-        # E + T continued linearly above r = 1, as decimate continues it
-        w00 = H.terms[(0, 0)]
-        slope_top = (w00.values[-1] - w00.values[-2]) / (R_GRID[-1] - R_GRID[-2])
-        tau = np.diag(w00.at_r(hf) + np.maximum(hf - 1.0, 0.0) * slope_top)
-        # the kernels are read at field energies up to n_max k_max = 8
+        # the interaction kernels are read at field energies up to n_max k_max = 8
         with pytest.warns(UserWarning, match="clamped"):
-            Hd = tau + sum(assemble_term(w, basis) for w in split(H)[1].values())
+            tau = assemble_term(H.terms[(0, 0)], basis)
+            Hd = np.asarray(assemble_operator(H, basis))
             Fk = np.asarray(assemble_operator(F, basis))
         dense = feshbach_map(Hd, tau, spectral_projection(basis, RHO))
         keep = np.flatnonzero((hf <= RHO) & (basis.states.sum(axis=1) <= basis.n_max - 4))
