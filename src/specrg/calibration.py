@@ -17,8 +17,7 @@ import numpy as np
 
 from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
-from .normalform import (MU, R_GRID, CouplingFunction, NormalFormHamiltonian, shifted,
-                         symmetrized, term_norm)
+from .normalform import MU, R_GRID, CouplingFunction, NormalFormHamiltonian, shifted, term_norm
 from .rgflow import polydisc_coordinates, recursion_constant, rg_step
 
 
@@ -32,8 +31,8 @@ def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
         a0 = rng.standard_normal() + 1j * rng.standard_normal()
         a1 = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
         r = R_GRID.reshape((-1,) + (1,) * (m + n))
-        vals = np.ones((len(R_GRID),) + (len(nodes),) * (m + n), dtype=complex) * (a0 + a1 * r)
-        raw[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
+        vals = np.broadcast_to(a0 + a1 * r, (len(R_GRID),) + (len(nodes),) * (m + n))
+        raw[(m, n)] = CouplingFunction(m, n, nodes, vals)
     # W's norm, summed in interaction_norm's order, is scaled to gamma_target
     scale = gamma_target / sum(term_norm(w) for w in raw.values())
     terms = {key: CouplingFunction(w.m, w.n, nodes, scale * w.values) for key, w in raw.items()}

@@ -131,7 +131,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     a = [fock.ladder_matrix(basis, i, "annihilate") for i in range(basis.n_modes)]
     for i, ai in enumerate(a):
         for j, aj in enumerate(a):
-            cj = aj.conj().T
+            cj = aj.T
             comm = ai @ cj - cj @ ai - (1.0 if i == j else 0.0) * np.eye(basis.dim)
             if np.any(safe):
                 dev = max(dev, float(np.max(np.abs(comm[:, safe]))))

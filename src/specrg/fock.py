@@ -155,7 +155,7 @@ def build_fock_basis(grid: ModeGrid, n_max: int) -> FockBasis:
 
 @dataclass
 class OperatorMatrix:
-    """Dense complex matrix tagged with the FockBasis it acts on.
+    """Dense matrix, read through dense(), tagged with the FockBasis it acts on.
 
     Dense operators are plain ndarrays everywhere in the package.  This tag
     stays only as the return type of normalform.assemble_operator, because
@@ -167,7 +167,7 @@ class OperatorMatrix:
     basis: FockBasis
 
     def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
+        self.mat = dense(self.mat)
         if self.mat.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(
                 f"matrix shape {self.mat.shape} does not match basis dimension {self.basis.dim}"
@@ -190,8 +190,8 @@ def dense(H) -> np.ndarray:
 def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
     """Creation or annihilation operator for one mode, hard truncation.
 
-    The annihilation matrix has entries sqrt(n_mode) connecting |n> to
-    |n - e_mode>; creation is its conjugate transpose, so creating out of the
+    The annihilation matrix, float64, has entries sqrt(n_mode) connecting |n>
+    to |n - e_mode>; creation is its transpose, so creating out of the
     truncated sector gives zero.
     """
     if not (0 <= mode < basis.n_modes):
@@ -200,10 +200,10 @@ def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
 
     D = basis.dim
-    a = np.zeros((D, D), dtype=complex)
+    a = np.zeros((D, D))
     cols = np.flatnonzero(basis.lower[mode] >= 0)
     a[basis.lower[mode, cols], cols] = np.sqrt(basis.states[cols, mode])
-    return a.conj().T if kind == "create" else a
+    return a.T if kind == "create" else a
 
 
 def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
@@ -251,11 +251,11 @@ def pull_through_check(basis: FockBasis, f, mode: int) -> float:
     occupation <= n_max - 1 so the truncation cannot contribute.
     """
     a = ladder_matrix(basis, mode, "annihilate")
-    adag = a.conj().T
+    adag = a.T
     hf = basis.hf_diagonal()
     om = basis.grid.nodes[mode]
-    fhf = np.broadcast_to(np.asarray(f(hf), dtype=complex), hf.shape)
-    fshift = np.broadcast_to(np.asarray(f(hf + om), dtype=complex), hf.shape)
+    fhf = np.broadcast_to(f(hf), hf.shape)
+    fshift = np.broadcast_to(f(hf + om), hf.shape)
 
     lhs_a = a * fhf[np.newaxis, :]          # a f(H_f)
     rhs_a = fshift[:, np.newaxis] * a       # f(H_f + omega) a

@@ -157,7 +157,7 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Coupled
     if abs(np.imag(theta)) >= np.pi / 4:
         raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
     fvals = form_factor(spec, basis.grid.nodes, theta)
-    H = (np.kron(np.diag(spec.particle_levels).astype(complex), np.eye(basis.dim))
+    H = (np.kron(np.diag(spec.particle_levels), np.eye(basis.dim))
          + np.exp(-theta) * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
          + spec.g * np.kron(spec.gamma, field_operator(spec, basis, fvals=fvals)))
     return CoupledModel(spec=spec, basis=basis, H=H, theta=theta)
@@ -188,14 +188,14 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
 
       G(x) = g^2 sum_{l >= 1} |Gamma_0l|^2 / (eps_l - lam + x)
 
-    and Phi's (1,0) and (0,1) kernels f = form_factor(spec, k), constant in r.
+    and Phi's (1,0) and (0,1) kernels f = form_factor(spec, k), uncast and constant in r.
     rgflow.normal_order_product orders it with every pull-through shift and drops
     nothing.  Kernels zero by structure (Gamma_00 = 0, level 0 uncoupled) are left out.
     """
     eps, g, nodes = spec.particle_levels, spec.g, grid.nodes
     if spec.n_levels > 1 and lam >= eps[1]:
         raise ValueError("spectral parameter lam must sit below every decimated level")
-    f = np.broadcast_to(form_factor(spec, nodes).real, (len(R_GRID), len(nodes)))
+    f = np.broadcast_to(form_factor(spec, nodes), (len(R_GRID), len(nodes)))
     weight = g * g * np.abs(spec.gamma[0]) ** 2
     coupled = [l for l in range(1, spec.n_levels) if weight[l] != 0.0]
     tables = {(0, 0): eps[0] - lam + R_GRID}

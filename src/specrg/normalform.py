@@ -58,9 +58,9 @@ class CouplingFunction:
     momentum axes being creation slots and the last n annihilation slots.
     dr_values holds the r-derivative on the same grid; when omitted it is
     produced by central differences the first time it is read.  Both tables
-    take fock.dense's dtype rule: float64 when the imaginary part is exactly
-    zero, complex128 otherwise, so real kernels run in real arithmetic and
-    everything computed from them follows their dtype.  norm_mu1,
+    are stored through fock.dense, the one place a kernel's dtype is chosen
+    (float64 when exactly real, else complex128); every reader runs the same
+    lines on either and returns their dtype.  norm_mu1,
     the (MU, 1) norm, is likewise computed the first time it is read: both
     caches rely on kernels never being changed in place.
     """
@@ -107,10 +107,10 @@ class CouplingFunction:
         the R_GRID points j/32 and clamped into I = [0, 1].  With
         t = 32 clip(r, 0, 1) and j = floor(t), the value is
         v_j + (t - j)(v_j+1 - v_j), the next point capped at 32 so that r = 1
-        reads v_32.  A real table, and each of the real and imaginary parts of
-        a complex one, equals np.interp on R_GRID bit for bit.  An order-0
-        kernel, a function of H_f alone (w00 = E + T), continues above r = 1
-        with its last cell's slope 32 (v_32 - v_31).  A non-finite r raises ValueError.
+        reads v_32.  Real and complex tables run the same lines and equal
+        np.interp on R_GRID bit for bit (part by part, up to signed zeros).
+        An order-0 kernel, a function of H_f alone (w00 = E + T), continues
+        above r = 1 with its last cell's slope 32 (v_32 - v_31).  A non-finite r raises ValueError.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.isfinite(r).all():
@@ -119,17 +119,15 @@ class CouplingFunction:
         t = np.minimum(np.maximum(r, 0.0), 1.0) * top
         j = t.astype(np.intp)
         vals = self.values
-        cplx = np.iscomplexobj(vals)
-        parts = vals.view(float).reshape(vals.shape + (2,)) if cplx else vals  # (re, im) last
-        lo = parts.take(j, axis=0)
-        out = parts.take(np.minimum(j + 1, top), axis=0)
+        lo = vals.take(j, axis=0)
+        out = vals.take(np.minimum(j + 1, top), axis=0)
         out -= lo
-        expand = (Ellipsis,) + (np.newaxis,) * (parts.ndim - 1)
+        expand = (Ellipsis,) + (np.newaxis,) * (vals.ndim - 1)
         out *= (t - j)[expand]
         out += lo
         if not self.order and r.max(initial=0.0) > 1.0:
-            out += np.maximum(r - 1.0, 0.0)[expand] * ((parts[-1] - parts[-2]) * top)
-        return out.view(complex)[..., 0] if cplx else out
+            out += np.maximum(r - 1.0, 0.0)[expand] * ((vals[-1] - vals[-2]) * top)
+        return out
 
 
 def from_profile(m, n, nodes, func) -> CouplingFunction:
@@ -290,12 +288,9 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
 
 
 def assemble_operator(H: NormalFormHamiltonian, basis: FockBasis) -> OperatorMatrix:
-    """Dense matrix of the full normal-form Hamiltonian."""
-    D = basis.dim
-    total = np.zeros((D, D), dtype=complex)
-    for w in H.terms.values():
-        total += assemble_term(w, basis)
-    return OperatorMatrix(total, basis)
+    """Dense matrix of the full normal-form Hamiltonian: the sum of its terms,
+    in its kernels' dtype."""
+    return OperatorMatrix(sum(assemble_term(w, basis) for w in H.terms.values()), basis)
 
 
 def basic_bound_margin(w: CouplingFunction, rho: float, mu: float, basis: FockBasis):

@@ -235,10 +235,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTa
         block *= Cf
         block = block.reshape((rows,) + (M,) * order)
         acc = out_arrays.get((mo, no))
-        if acc is not None and np.can_cast(block.dtype, acc.dtype):
-            acc += block
-        else:  # the first block, or a complex block meeting a real accumulator
-            out_arrays[(mo, no)] = block if acc is None else acc + block
+        out_arrays[(mo, no)] = block if acc is None else acc + block
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
@@ -296,7 +293,7 @@ def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
         return 0.0
     basis = fock.build_fock_basis(H.grid, 2)
     Wmat = sum(normalform.assemble_term(w, basis) for w in W.values())
-    return float(np.linalg.norm(fock.dense(G(basis.hf_diagonal())[:, np.newaxis] * Wmat), 2))
+    return float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
 
 
 def _check_step(rho: float, s_max: int) -> None:
@@ -315,15 +312,20 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     is tabulated only up to the first R_GRID row above rho (all that
     scale_coupling's read at rho * R_GRID reaches) and is zero above.
 
-    DomainError when ||(E+T)^-1|| on the decimated region exceeds 2/rho, when
-    the measured Neumann ratio is not below 1 (NaN included), or when a kernel
-    of a product or of F is not finite, naming both, with StepInfo.margins.
+    DomainError when ||(E+T)^-1|| on the decimated region and above r = 1 exceeds
+    2/rho, when the measured Neumann ratio is not below 1 (NaN included), or when
+    a kernel of a product or of F is not finite, naming both, with StepInfo.margins.
     """
     _check_step(rho, s_max)
     _, W = split(H)
     w00 = H.terms[(0, 0)]
     # rho <= 1/2, so this region and the one above rho both hold r = 1
     min_h0 = float(np.min(np.abs(w00.at_r(R_GRID[R_GRID >= 0.75 * rho]))))
+    # G also reads at_r's continuation above r = 1, the ray v_32 + slope t (t >= 0); where
+    # it passes nearer to 0 than v_32, its distance to 0 enters the bound
+    v, slope = w00.values[-1], (w00.values[-1] - w00.values[-2]) * (len(R_GRID) - 1)
+    if np.real(np.conj(slope) * v) < 0:
+        min_h0 = min(min_h0, abs(np.imag(np.conj(slope) * v)) / abs(slope))
     inv_bound = 1.0 / min_h0 if min_h0 > 0 else np.inf
     if inv_bound > 2.0 / rho * (1.0 + 1e-9):
         raise DomainError(

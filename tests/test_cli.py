@@ -362,3 +362,24 @@ class TestImports:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("payload, code", [
+        (BASE_CONFIG, EXIT_OK), ({**BASE_CONFIG, "n_step": 2}, EXIT_USAGE)],
+        ids=["spectrum", "unknown-key"])
+    def test_module_run_exits_with_the_code_of_main(self, tmp_path, payload, code):
+        # python -m specrg.cli runs run(), which passes main's code to sys.exit
+        src = str(Path(specrg.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-m", "specrg.cli", "spectrum",
+                               "--config", _cfg(tmp_path, payload), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == EXIT_OK:
+            assert proc.stderr == "" and (out / "spectrum.csv").is_file()
+        else:
+            assert proc.stderr.count("\n") == 1 and "'n_step'" in proc.stderr
+            assert not out.exists()

@@ -84,12 +84,23 @@ class TestDenseRule:
         assert out.dtype == np.complex128 and np.array_equal(out, mat)
 
     def test_real_and_tagged_input(self):
+        # OperatorMatrix reads its matrix through dense, so a real one is float64
         assert dense(np.eye(3, dtype=int)).dtype == np.float64
         basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 1)
-        tagged = OperatorMatrix(fock.field_hamiltonian(basis), basis)
-        assert tagged.mat.dtype == np.complex128
-        assert dense(tagged).dtype == np.float64
+        tagged = OperatorMatrix(fock.field_hamiltonian(basis).astype(complex), basis)
+        assert tagged.mat.dtype == dense(tagged).dtype == np.float64
+        assert np.array_equal(tagged.mat, dense(tagged))
         assert np.array_equal(dense(tagged), fock.field_hamiltonian(basis))
+
+    def test_assembled_operator_takes_its_kernels_dtype(self, oracle_inputs):
+        # an imaginary shift far below rounding makes w00 complex, and with it the sum
+        basis = oracle_inputs["fes_basis"]
+        spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+        H = models.ground_sector_hamiltonian(spec, basis.grid, 0.0)
+        real = normalform.assemble_operator(H, basis).mat
+        cplx = normalform.assemble_operator(normalform.shifted(H, 1e-30j), basis).mat
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.array_equal(cplx.real, real)
 
     def test_model_operators(self, oracle_inputs):
         spec, basis = oracle_inputs["spec"], oracle_inputs["res_basis"]

@@ -208,3 +208,30 @@ class TestAssembledOperatorInput:
         assert np.isrealobj(spectrum)  # the assembled kernels are Hermitian
         lam = float(spectrum[0])
         assert isospectral_check(Hop, pair, lam) == isospectral_check(Hop.mat, pair, lam)
+
+
+class TestRefusals:
+    """Each refusal of the module's constructors and map, with its message, on a
+    6-state basis (2 uniform modes to 0.4, n_max = 2, field energies up to 0.6)."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda b: ProjectionPair(np.eye(2)), "chi must be a 1-d array"),
+        (lambda b: ProjectionPair([0.5, 1.5]), r"chi must take values in \[0, 1\]"),
+        (lambda b: ProjectionPair([-0.1, 1.0]), r"chi must take values in \[0, 1\]"),
+        (lambda b: spectral_projection(b, 0.0), "rho must be positive"),
+        (lambda b: spectral_projection(b, -0.3), "rho must be positive"),
+        (lambda b: spectral_projection(b, 0.3, smooth=True, taper=0.0),
+         r"taper width must lie in \(0, rho\]"),
+        (lambda b: spectral_projection(b, 0.3, smooth=True, taper=0.4),
+         r"taper width must lie in \(0, rho\]"),
+        (lambda b: feshbach_map(np.eye(b.dim), None, ProjectionPair(np.ones(b.dim + 1))),
+         "projection pair dimension mismatch"),
+        (lambda b: feshbach_map(np.eye(b.dim), np.ones((b.dim, b.dim)),
+                                spectral_projection(b, 0.3)),
+         "tau must be diagonal in the working basis")],
+        ids=["chi-2d", "chi-above-1", "chi-below-0", "rho-0", "rho-negative", "taper-0",
+             "taper-above-rho", "pair-dimension", "tau-not-diagonal"])
+    def test_refusal(self, call, message):
+        basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 2)
+        with pytest.raises(ValueError, match=message):
+            call(basis)

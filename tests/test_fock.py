@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrg.fock import (FockBasis, OperatorMatrix, build_fock_basis,
-                         build_mode_grid, field_hamiltonian, ladder_matrix,
+from specrg.fock import (FockBasis, ModeGrid, OperatorMatrix, build_fock_basis,
+                         build_mode_grid, field_hamiltonian, ladder_matrix, ladder_walk,
                          pull_through_check)
 
 
@@ -198,3 +198,27 @@ class TestPullThrough:
         f = lambda x: x ** 2 - 0.7 * x + 0.1
         for mode in range(n_modes):
             assert pull_through_check(basis, f, mode) < 1e-12
+
+
+class TestRefusals:
+    """Each refusal of ModeGrid, build_fock_basis and ladder_walk, with its message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ModeGrid(np.ones((2, 2)), np.ones((2, 2))),
+         "nodes and weights must be 1-d arrays of equal length"),
+        (lambda: ModeGrid([0.1, 0.2], [1.0]),
+         "nodes and weights must be 1-d arrays of equal length"),
+        (lambda: ModeGrid([0.0, 0.2], [1.0, 1.0]),
+         r"all nodes must be positive \(no zero mode is stored\)"),
+        (lambda: ModeGrid([0.2, 0.1], [1.0, 1.0]), "nodes must be strictly increasing"),
+        (lambda: ModeGrid([0.1, 0.2], [1.0, 0.0]), "all weights must be positive"),
+        (lambda: build_fock_basis(build_mode_grid(2, 0.4, "uniform"), -1),
+         "n_max must be >= 0, got -1"),
+        (lambda: ladder_walk(build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 1), [0], 1,
+                             "destroy"),
+         "kind must be 'create' or 'annihilate', got 'destroy'")],
+        ids=["grid-2d", "grid-lengths", "node-zero", "nodes-decreasing", "weight-zero",
+             "n_max-negative", "walk-kind"])
+    def test_refusal(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

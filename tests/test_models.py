@@ -354,3 +354,41 @@ class TestFormFactor:
         basis = build_fock_basis(build_mode_grid(3, 0.5, "uniform"), 2)
         phi = field_operator(spec, basis)
         assert np.max(np.abs(phi - phi.conj().T)) < 1e-13
+
+
+class TestRefusals:
+    """Each refusal of ModelSpec and the mass fit, and the fiber's |P| warning,
+    with its message."""
+
+    @staticmethod
+    def _spec(**kwargs):
+        return ModelSpec(**{"particle_levels": np.array([0.0, 1.0]), "g": 1e-3, "kappa": 1.0,
+                            **kwargs})
+
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda s, b: s(particle_levels=np.array([])), ValueError,
+         "particle_levels must be a nonempty 1-d array"),
+        (lambda s, b: s(particle_levels=np.zeros((2, 1))), ValueError,
+         "particle_levels must be a nonempty 1-d array"),
+        (lambda s, b: s(g=-1e-3), ValueError, "g must be nonnegative"),
+        (lambda s, b: s(kappa=0.0), ValueError, "kappa must be positive"),
+        (lambda s, b: s(mass=0.0), ValueError, "mass must be positive"),
+        (lambda s, b: s(gamma=np.zeros((3, 3))), ValueError, "gamma must be L x L"),
+        (lambda s, b: s(phi_profile=lambda x: 2.0 * x), ValueError,
+         r"phi_profile must have phi'\(0\) = 1, measured 2\.000000"),
+        (lambda s, b: mass_renormalization(s(), b, [-0.1, 0.0, 0.1]), ValueError,
+         "p_grid needs at least 4 points for the cubic fit"),
+        # at mass 0.05 the one-photon branch (P - k)^2 / 2m + k crosses below
+        # P^2 / 2m inside |P| <= 0.2, so E(P) has kinks that no cubic fits
+        (lambda s, b: mass_renormalization(s(particle_levels=np.array([0.0]), g=0.0, mass=0.05),
+                                           b, np.linspace(-0.2, 0.2, 7)), ValueError,
+         r"fiber energy fit is ill conditioned \(residual 9\.52\de-03\)"),
+        (lambda s, b: fiber_hamiltonian(s(), b, 1.0 / 3.0), UserWarning,
+         r"\|P\| = 0\.333333\d* outside the controlled range \|P\| < 1/3")],
+        ids=["levels-empty", "levels-2d", "g-negative", "kappa-0", "mass-0", "gamma-shape",
+             "phi-slope", "p_grid-short", "fit-ill-conditioned", "fiber-P"])
+    def test_refusal(self, call, kind, message):
+        basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 1)
+        check = pytest.warns if issubclass(kind, Warning) else pytest.raises
+        with check(kind, match=message):
+            call(self._spec, basis)

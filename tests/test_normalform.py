@@ -26,6 +26,14 @@ def _unit_grid(nodes):
     return ModeGrid(nodes, FOUR_PI * np.ones(len(nodes)))
 
 
+def _field_kernel(grid):
+    return from_profile(0, 0, grid.nodes, lambda r: r)
+
+
+def _const_kernel(m, n, grid):
+    return from_profile(m, n, grid.nodes, lambda r, *ks: 0.1)
+
+
 class TestCouplingFunction:
     def test_shape_validation(self):
         r = R_GRID
@@ -407,3 +415,27 @@ class TestBasicBound:
         w = from_profile(0, 0, grid.nodes, lambda r: r)
         with pytest.raises(ValueError):
             basic_bound_margin(w, 0.5, 0.5, basis)
+
+
+class TestRefusals:
+    """Each refusal of the kernel and Hamiltonian constructors and of the basic
+    bound, with its message, on 2 uniform modes to 0.4."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, b: CouplingFunction(0, 0, g.nodes, R_GRID, dr_values=np.zeros(3)),
+         "dr_values shape mismatch"),
+        (lambda g, b: NormalFormHamiltonian(
+            {(0, 0): _field_kernel(g), (1, 0): _const_kernel(0, 1, g)}, g),
+         r"term key \(1, 0\) disagrees with kernel \(0, 1\)"),
+        (lambda g, b: NormalFormHamiltonian(
+            {(0, 0): _field_kernel(g), (2, 1): _const_kernel(2, 1, g)}, g),
+         r"term \(2,1\) exceeds M_max=2"),
+        (lambda g, b: basic_bound_margin(_const_kernel(1, 0, g), 0.0, MU, b),
+         r"rho must lie in \(0, 1\]"),
+        (lambda g, b: basic_bound_margin(_const_kernel(1, 0, g), 1.5, MU, b),
+         r"rho must lie in \(0, 1\]")],
+        ids=["dr_values-shape", "term-key", "above-M_max", "rho-0", "rho-above-1"])
+    def test_refusal(self, call, message):
+        grid = build_mode_grid(2, 0.4, "uniform")
+        with pytest.raises(ValueError, match=message):
+            call(grid, build_fock_basis(grid, 1))

@@ -44,6 +44,11 @@ class TestExactSpectrum:
         with pytest.raises(SolverError):
             exact_spectrum(np.zeros((6000, 6000)))
 
+    def test_eigensolver_failure_raises_solver_error(self):
+        # a NaN fails the Hermitian test, and eigvals refuses it with LinAlgError
+        with pytest.raises(SolverError, match="Array must not contain infs or NaNs"):
+            exact_spectrum(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
     def test_non_hermitian_matrix_gets_its_complex_spectrum(self, resonance_instance):
         # the dilated model is not Hermitian: its full spectrum comes sorted
         # and complex, and holds the resonance that inverse iteration locates

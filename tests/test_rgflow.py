@@ -543,6 +543,37 @@ class TestRgStep:
         with pytest.raises(DomainError):
             rg_step(H, RHO)
 
+    @staticmethod
+    def _continued_hamiltonian(im):
+        """w00 = r + i im except v_32 = 0.3 + i im, with (1,0) and (0,1) kernels 1e-3,
+        on 4 geometric modes to 0.5.  at_r continues w00 above r = 1 along
+        v_32 + 32 (v_32 - v_31) t, whose real part falls through 0 at r ~ 1.014."""
+        grid = build_mode_grid(4, 0.5, "geometric")
+        w00 = R_GRID + 1j * im
+        w00[-1] = 0.3 + 1j * im
+        f = np.full((len(R_GRID), 4), 1e-3)
+        return NormalFormHamiltonian({(0, 0): CouplingFunction(0, 0, grid.nodes, w00),
+                                      (1, 0): CouplingFunction(1, 0, grid.nodes, f),
+                                      (0, 1): CouplingFunction(0, 1, grid.nodes, f)}, grid)
+
+    @pytest.mark.parametrize("step", [rgflow.decimate, rg_step], ids=["decimate", "rg_step"])
+    def test_continuation_through_zero_raises_domain_error(self, step):
+        # |w00| >= 0.3 on the decimated region's R_GRID points, yet G reads its
+        # continuation up to r ~ 1.7
+        H = self._continued_hamiltonian(0.0)
+        assert np.all(np.abs(H.terms[(0, 0)].values[R_GRID >= 0.75 * RHO]) >= 0.3)
+        assert np.array_equal(np.sign(H.terms[(0, 0)].at_r([1.01, 1.015])), [1.0, -1.0])
+        with pytest.raises(DomainError, match="nearly singular") as err:
+            step(H, RHO)
+        assert err.value.margins["inv_bound"] == np.inf
+
+    def test_continuation_distance_enters_the_inverse_bound(self):
+        # Im w00 = 1/2 keeps the continuation 1/2 away from 0, nearer than any grid read
+        H = self._continued_hamiltonian(0.5)
+        assert np.min(np.abs(H.terms[(0, 0)].values[R_GRID >= 0.75 * RHO])) > 0.55
+        _, info = rgflow.decimate(H, RHO)
+        assert info.inv_bound == 2.0
+
     def test_first_order_step_truncates_and_charges_dropped_orders(self):
         # at s_max = 1 the step keeps W - W G W up to M_max; the product's
         # kernels above M_max are charged at their Banach weight, which is the

@@ -12,10 +12,12 @@ diffing the two outputs:
 (default: ``src`` next to this script).  Arrays, StepInfo and polydisc
 coordinates are hashed by value and shape, as complex128 with signed zeros
 made positive: a table stored as float64 on one tree and as complex128 on the
-other hashes alike when its numbers agree.  BLAS runs on one thread, so that
-sums come out in one order.  The whole run takes about ten seconds on a
-2-vCPU machine.  Each section also prints one line for the warnings it
-raised.
+other hashes alike when its numbers agree.  Each section therefore also
+prints one line that hashes the dtypes of the arrays it hashed, in order,
+labelled with how many were float64 and complex128, so that a table or a
+matrix changing dtype shows there; and one line for the warnings it raised.
+BLAS runs on one thread, so that sums come out in one order.  The whole run
+takes about ten seconds on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import os
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -63,11 +66,15 @@ FLOW_UNIFORM = {**FLOW_GROUND, "grid": {**FLOW_GROUND["grid"], "scheme": "unifor
 DENSE_BASES = ((8, 0.5, "geometric", 2), (24, 2.0, "uniform", 2), (12, 0.25, "geometric", 3))
 THETAS = (0.0, 0.2j, 0.1 + 0.15j)
 
+# the dtype of every array hashed in the running section, in order
+_DTYPES: list = []
+
 
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
+            _DTYPES.append(part.dtype.name)
             values = part.astype(complex) + 0j  # adding +0 turns -0.0 into +0.0
             h.update(f"{values.shape}".encode())
             h.update(values.tobytes())
@@ -301,11 +308,15 @@ def main() -> None:
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     dense_models, dense_reads, dense_feshbach, acceptance_flows,
                     k_max_one_step, sector_builder, decimations):
+        _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             section()
         _emit(f"{section.__name__} warnings ({len(caught)})",
               [(w.category.__name__, str(w.message)) for w in caught])
+        count = Counter(_DTYPES)
+        _emit(f"{section.__name__} dtypes ({count['float64']} float64, "
+              f"{count['complex128']} complex128)", " ".join(_DTYPES))
 
 
 if __name__ == "__main__":
