@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -54,15 +55,13 @@ def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
 class CouplingFunction:
     """Discretized kernel w_{m,n}(r; k_1..k_{m+n}).
 
-    values has shape (len(R_GRID),) + (len(nodes),) * (m + n), the first m
-    momentum axes being creation slots and the last n annihilation slots.
-    dr_values holds the r-derivative on the same grid; when omitted it is
-    produced by central differences the first time it is read.  Both tables
-    are stored through fock.dense, the one place a kernel's dtype is chosen
-    (float64 when exactly real, else complex128); every reader runs the same
-    lines on either and returns their dtype.  norm_mu1,
-    the (MU, 1) norm, is likewise computed the first time it is read: both
-    caches rely on kernels never being changed in place.
+    values has shape (len(R_GRID),) + slot_shape(), here one axis per slot, the
+    m creation slots first.  dr_values holds the r-derivative on the same grid,
+    by central differences the first time it is read unless given.  Both go
+    through fock.dense, the one place a kernel's dtype is chosen (float64 when
+    exactly real, else complex128), and every reader keeps it.  norm_mu1 and
+    packed, the kernel on multisets, are likewise built the first time they are
+    read: the caches rely on kernels never being changed in place.
     """
 
     def __init__(self, m: int, n: int, nodes, values, dr_values=None):
@@ -71,7 +70,7 @@ class CouplingFunction:
         self.values = np.ascontiguousarray(dense(values))
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        expected = (len(R_GRID),) + (len(self.nodes),) * self.order
+        expected = (len(R_GRID),) + self.slot_shape()
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
         if dr_values is not None:
@@ -79,9 +78,25 @@ class CouplingFunction:
             if dr_values.shape != expected:
                 raise ValueError("dr_values shape mismatch")
         self._dr_values = dr_values
-        self._norm_mu1 = None
+        self._norm_mu1 = self._packed = None
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"the ({m},{n}) kernel is not finite")
+
+    @property
+    def packed(self) -> "MultisetKernel":
+        """The kernel on multisets, its table read at the sorted slot tuples; built once."""
+        if self._packed is None:
+            cre, ann = (multisets(len(self.nodes), k)[2] for k in (self.m, self.n))
+            flat = self.values.reshape(len(R_GRID), -1, len(self.nodes) ** self.n)
+            self._packed = MultisetKernel(self.m, self.n, self.nodes, flat[:, cre][:, :, ann])
+        return self._packed
+
+    def slot_shape(self) -> tuple:
+        return (len(self.nodes),) * self.order
+
+    def slot_nodes(self) -> list:
+        """The node of each slot, broadcast against the table's slot axes."""
+        return list(np.ix_(*[self.nodes] * self.order))
 
     @property
     def dr_values(self) -> np.ndarray:
@@ -130,6 +145,58 @@ class CouplingFunction:
         return out
 
 
+@lru_cache(maxsize=None)
+def multisets(n_nodes: int, length: int):
+    """(tuples, index, flat) of the sorted length-tuples of n_nodes slot indices: tuples
+    one per row in lexicographic order, index[t] the row of sorted(t) for every ordered
+    tuple t, and flat each row's position among the ordered tuples (C order)."""
+    powers = n_nodes ** np.arange(length - 1, -1, -1)
+    ordered = np.arange(n_nodes ** length)[:, np.newaxis] // powers % n_nodes
+    ranked = np.sort(ordered, axis=1)
+    is_sorted = (ranked == ordered).all(axis=1)
+    index = (np.cumsum(is_sorted) - 1)[ranked @ powers]
+    return ordered[is_sorted], index.reshape((n_nodes,) * length), np.flatnonzero(is_sorted)
+
+
+class MultisetKernel(CouplingFunction):
+    """A kernel on multisets: values[r, C, D] over the rows C, D of multisets(N, m) and
+    multisets(N, n), standing for the symmetric kernel that reads it at sorted(I),
+    sorted(J).  at_r, dr_values and norm_mu1 act on this table; the norm weighs each
+    multiset once, so it is the full kernel's up to rounding in the slot weights."""
+
+    packed = property(lambda self: self)
+
+    def slot_shape(self) -> tuple:
+        return tuple(len(multisets(len(self.nodes), k)[0]) for k in (self.m, self.n))
+
+    def slot_nodes(self) -> list:
+        cre, ann = (multisets(len(self.nodes), k)[0].T for k in (self.m, self.n))
+        return [self.nodes[c][:, np.newaxis] for c in cre] + [self.nodes[a] for a in ann]
+
+    def expanded(self) -> np.ndarray:
+        """The full table, gathered from the multisets, so exactly symmetric."""
+        N = len(self.nodes)
+        cre, ann = (multisets(N, k)[1].reshape(-1) for k in (self.m, self.n))
+        return self.values[:, cre[:, np.newaxis], ann].reshape((len(R_GRID),) + (N,) * self.order)
+
+
+class ProductKernel(CouplingFunction):
+    """A product kernel held on multisets (packed), whose norm is the packed one;
+    its full table is gathered from them the first time values is read."""
+
+    def __init__(self, packed: MultisetKernel):
+        self.m, self.n, self.nodes, self._packed = packed.m, packed.n, packed.nodes, packed
+        self._dr_values = None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._packed.expanded()
+
+    @property
+    def norm_mu1(self) -> float:
+        return self._packed.norm_mu1
+
+
 def from_profile(m, n, nodes, func) -> CouplingFunction:
     """Tabulate func(r, k_1, .., k_{m+n}) on R_GRID and the nodes.
 
@@ -146,7 +213,7 @@ def _norm_weight(w: CouplingFunction, mu: float):
     """Slot weight (min_j k_j)^-mu prod_i k_i^1/2 of the anisotropic norm (1 for m + n = 0)."""
     if w.order == 0:
         return 1.0
-    slots = np.ix_(*[w.nodes] * w.order)
+    slots = w.slot_nodes()
     root_prod, kmin = 1.0, slots[0]
     for k in slots:
         root_prod = root_prod * np.sqrt(k)

@@ -33,10 +33,10 @@ class ResolutionError(ValueError):
 
 def exact_spectrum(H, k: int | None = None):
     """Sorted eigenvalues: k lowest if max|H - H*| < 1e-10, full set otherwise."""
+    if np.shape(H)[0] > DEFAULT_DIM_CAP:  # before any copy of a matrix it refuses
+        raise SolverError(f"dimension {np.shape(H)[0]} exceeds the dense cap {DEFAULT_DIM_CAP}")
     mat = dense(H)
     herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
-    if mat.shape[0] > DEFAULT_DIM_CAP:
-        raise SolverError(f"dimension {mat.shape[0]} exceeds the dense cap {DEFAULT_DIM_CAP}")
     try:
         if herm:
             vals = np.linalg.eigvalsh(mat)

@@ -21,6 +21,8 @@ vacuum expectation stays pinned near the running zero e_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
@@ -28,9 +30,9 @@ import numpy as np
 # fock and normalform functions are looked up through their modules at call
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
-from .normalform import (MU, R_GRID, XI, CouplingFunction, NormalFormHamiltonian,
-                         interaction_norm, shifted, split, symmetrized,
-                         t_slope_deviation, term_norm)
+from .normalform import (MU, R_GRID, XI, CouplingFunction, MultisetKernel,
+                         NormalFormHamiltonian, ProductKernel, interaction_norm, multisets,
+                         shifted, split, t_slope_deviation, term_norm)
 
 
 class DomainError(ValueError):
@@ -139,74 +141,70 @@ def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
 # generalized Wick ordering of products
 # ---------------------------------------------------------------------------
 
-def _slot_tuples(M: int, length: int) -> np.ndarray:
-    """Every length-tuple of M slot indices, one per column, in itertools.product order."""
-    return np.indices((M,) * length).reshape(length, M ** length)
+def _rows(n_nodes: int, columns: list, shape) -> np.ndarray:
+    """Row in multisets(n_nodes, len(columns)) of the sorted tuple of the slot-index columns."""
+    return np.broadcast_to(multisets(n_nodes, len(columns))[1][tuple(columns)], shape)
 
 
-class _SlotTables:
-    """Slot-tuple tables on one node set, each built once per product call.
-
-    sums(L): for every length-L tuple in _slot_tuples order, its node-energy
-    sum (left to right, like np.sum), the distinct sums and the inverse
-    index, and its mass product; pair_sums(LI, LJ): the distinct values of
-    sI + sJ over all (I, J) and the inverse index.
-    """
-
-    def __init__(self, nodes: np.ndarray, masses: np.ndarray):
-        self.nodes, self.masses, self._sums, self._pairs = nodes, masses, {}, {}
-
-    def sums(self, length: int):
-        if length not in self._sums:
-            tuples = _slot_tuples(len(self.nodes), length)
-            s = self.nodes[tuples].sum(axis=0)
-            self._sums[length] = (s, *np.unique(s, return_inverse=True),
-                                  self.masses[tuples].prod(axis=0))
-        return self._sums[length]
-
-    def pair_sums(self, len_I: int, len_J: int):
-        if (len_I, len_J) not in self._pairs:
-            T = self.sums(len_I)[0][:, np.newaxis] + self.sums(len_J)[0]
-            self._pairs[(len_I, len_J)] = np.unique(T.ravel(), return_inverse=True)
-        return self._pairs[(len_I, len_J)]
+@lru_cache(maxsize=None)
+def _merge(n_nodes: int, len_a: int, len_b: int) -> np.ndarray:
+    """Row of sorted(X + Y) for every row X of multisets(n_nodes, len_a) and Y of
+    multisets(n_nodes, len_b): shape (P_a, P_b)."""
+    X, Y = multisets(n_nodes, len_a)[0], multisets(n_nodes, len_b)[0]
+    return _rows(n_nodes, [x[:, np.newaxis] for x in X.T] + list(Y.T), (len(X), len(Y)))
 
 
-def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTables,
+@lru_cache(maxsize=None)
+def _splits(n_nodes: int, length: int, first: int) -> np.ndarray:
+    """i P + j for every row C of multisets(n_nodes, length) (axis 0) and choice S of
+    `first` of its positions (axis 1): i is the row of C[S], j that of the rest, and
+    P = len(multisets(n_nodes, length - first))."""
+    C, P = multisets(n_nodes, length)[0], len(multisets(n_nodes, length - first)[0])
+    return np.stack([_rows(n_nodes, list(C[:, list(S)].T), len(C)) * P + _rows(
+        n_nodes, [C[:, k] for k in range(length) if k not in S], len(C))
+        for S in combinations(range(length), first)], axis=1)
+
+
+@lru_cache(maxsize=256)  # per node set, so bounded
+def _sums(nodes: tuple, masses: tuple, length: int):
+    """For every row of multisets(N, length): its node-energy sum, the distinct sums and
+    the inverse index, and its weight in a sum over ordered tuples, the mass product
+    times the number length!/prod(c_i!) of ordered tuples it stands for."""
+    tuples, index, _ = multisets(len(nodes), length)
+    s = np.array(nodes)[tuples].sum(axis=1)
+    # each row counts the ordered tuples whose sorted form it is, itself among them
+    weight = np.array(masses)[tuples].prod(axis=1) * np.bincount(index.ravel())
+    return (s, *np.unique(s, return_inverse=True), weight)
+
+
+@lru_cache(maxsize=256)  # per node set, so bounded
+def _pair_sums(nodes: tuple, masses: tuple, len_I: int, len_J: int):
+    """The distinct values of sI + sJ over all (I, J), and the inverse index."""
+    T = _sums(nodes, masses, len_I)[0][:, np.newaxis] + _sums(nodes, masses, len_J)[0]
+    return np.unique(T.ravel(), return_inverse=True)
+
+
+def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple,
                   max_order: int, out_arrays: dict, budget: list, sup_G: float, rows: int):
-    """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays.
+    """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays, on multisets.
 
-    For each number p of contractions (annihilators of A against creators of
-    B, equal mode index), the new kernel at field energy r (the value between
-    the merged creation and annihilation blocks) is
+    With p contractions (annihilators of A against creators of B, equal mode
+    index) the kernel at field energy r between the merged blocks is
 
       C(n1,p) C(m2,p) p! * sum_q prod(mass_q)
-        wA(r + O(I2'); I1, J1', q) G(r + O(J1') + O(I2') + O(q))
-        wB(r + O(J1'); q, I2', J2)
+        wA(r + O(I2'); I1, J1', q) G(r + O(J1') + O(I2') + O(q)) wB(r + O(J1'); q, I2', J2)
 
-    where O(.) sums the node energies of the listed slots, I1/J1' are the
-    (uncontracted) slots of A, I2'/J2 those of B.  The argument shifts are
-    the pull-through bookkeeping.  Per p, A is read once per distinct shift
-    O(I2') and B once per distinct O(J1') (ordered tuples of one multiset
-    share a sum), then gathered to every tuple; G is evaluated once per
-    distinct pair (O(I2') + O(J1'), O(q)) at (r + (O(I2') + O(J1'))) + O(q),
-    the association every tuple's argument has, and gathered to (r, I2', J1',
-    q); one einsum contracts q for all slot tuples at once.  Only the first
-    rows points of R_GRID are computed, and out_arrays holds just those rows.
-
-    Reads at r + shift > 1 clamp interaction kernels to r = 1 (at_r's rule).
-    On the two-level model (4 and 8 modes) and the calibration sweep's random
-    kernels, no entry kept by the field-support mask depends on one from the
-    second step on: a 1e3 offset on every clamped read leaves them bit-equal.
-    In a first step, whose input kernels carry no mask, setting the clamped
-    reads to 0 moves kept entries by at most 1.4e-12 relative (model, g <=
-    5e-3) and 1.3e-8 (random kernels), and leaves the flow's e_final as is.
-    A dropped order is charged a bound built from the kernels' cached norms,
-    which are computed only then.
+    with O(.) the node-energy sum of the listed slots, I1/J1' the open slots of
+    A and I2'/J2 those of B.  Each part is a sorted tuple: A is read at the
+    multiset J1' + q and B at q + I2' (_merge), q runs over sorted tuples
+    weighted by p!/prod(c_i!), and the kernel at sorted (C, D) is the mean over
+    the position splits of C into (I1, I2') and of D into (J1', J2) (_splits).
+    README "Conventions" describes the reads and G's table.  Only the first rows
+    points of R_GRID are computed.  A dropped order is charged a bound built
+    from the kernels' cached norms, which are computed only then.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
-    nodes = wA.nodes
-    M = len(nodes)
-    r = R_GRID[:rows]
+    nodes, N, r = wA.nodes, len(wA.nodes), R_GRID[:rows]
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
@@ -214,26 +212,31 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, tables: _SlotTa
         Cf = comb(n1, p) * comb(m2, p) * factorial(p)
         if order > max_order:
             # dropped: log a norm-product bound instead of the kernel
-            budget.append(Cf * float(np.sum(tables.masses / nodes)) ** p * sup_G
+            budget.append(Cf * float(np.sum(np.array(node_set[1]) / nodes)) ** p * sup_G
                           * wA.norm_mu1 * wB.norm_mu1 * nodes[0] ** (-MU) * XI ** (-order))
             continue
 
-        sI, uI, invI, _ = tables.sums(m2 - p)
-        sJ, uJ, invJ, _ = tables.sums(n1 - p)
-        omega_q, u_omega, inv_omega, mass_q = tables.sums(p)
-        uT, invT = tables.pair_sums(m2 - p, n1 - p)
+        sI, uI, invI, _ = _sums(*node_set, m2 - p)
+        sJ, uJ, invJ, _ = _sums(*node_set, n1 - p)
+        omega_q, u_omega, inv_omega, weight_q = _sums(*node_set, p)
+        uT, invT = _pair_sums(*node_set, m2 - p, n1 - p)
         NI, NJ, Q = len(sI), len(sJ), len(omega_q)
-        A = wA.at_r(r[:, np.newaxis] + uI).reshape(rows, len(uI), M ** m1, NJ, Q)
-        B = wB.at_r(r[:, np.newaxis] + uJ).reshape(rows, len(uJ), Q, NI, M ** n2)
+        # one gather gives each tuple its factor at its shift's read and merged multiset
+        A = wA.packed.at_r(r[:, np.newaxis] + uI).transpose(0, 1, 3, 2)[
+            :, invI[:, np.newaxis, np.newaxis], _merge(N, n1 - p, p)]
+        B = wB.packed.at_r(r[:, np.newaxis] + uJ)[
+            :, invJ[:, np.newaxis, np.newaxis], _merge(N, p, m2 - p)]
         Gu = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega)
         Gq = Gu[:, invT[:, np.newaxis], inv_omega]
-        Gq *= mass_q
-        # 0- and 1-tuples have distinct sums, already in tuple order
-        A = A.take(invI, axis=1) if len(uI) < NI else A
-        B = B.take(invJ, axis=1) if len(uJ) < NJ else B
-        block = np.einsum("raibq,rabq,rbqak->riabk", A, Gq.reshape(rows, NI, NJ, Q), B)
+        Gq *= weight_q
+        block = np.einsum("rabqi,rabq,rbqak->riabk", A, Gq.reshape(rows, NI, NJ, Q), B)
         block *= Cf
-        block = block.reshape((rows,) + (M,) * order)
+        block = block.reshape(rows, A.shape[4] * NI, NJ * B.shape[4])
+        # the mean over the position splits of each side; one split is the identity
+        for axis, splits in ((1, _splits(N, mo, m1)), (2, _splits(N, no, n1 - p))):
+            if splits.shape[1] > 1:
+                parts = [block.take(split, axis=axis) for split in splits.T]
+                block = sum(parts[1:], parts[0]) / len(parts)
         acc = out_arrays.get((mo, no))
         out_arrays[(mo, no)] = block if acc is None else acc + block
 
@@ -242,27 +245,25 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
                          max_order: int, sup_G: float, rows: int | None = None):
     """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm).
 
-    Each kernel pair evaluates G once per distinct shift pair and reads each
-    kernel once per distinct pull-through shift (see _pair_product); the slot
-    tables those need are built once per call.  The kernels are computed and
-    symmetrized on the first rows points of R_GRID, all of them when rows is
-    None, and padded with zeros above.
+    The engine reads one representative per multiset (CouplingFunction.packed),
+    so every kernel of A and B must be symmetric in its creation and in its
+    annihilation slots (normalform.symmetrized makes a table so).  The kernels
+    are computed on the first rows points of R_GRID (all when rows is None)
+    and are zero above.  Each is a ProductKernel, symmetric by construction:
+    a product reads it on multisets and its norm is taken there, and its full
+    table is gathered from them the first time its values are read.
     """
     ref = next(iter(A_terms.values()))
-    tables = _SlotTables(ref.nodes, masses)
+    node_set = (tuple(ref.nodes), tuple(masses))  # the key of the cached sums
     rows = len(R_GRID) if rows is None else rows
     out_arrays: dict = {}
     budget: list = []
     for wA in A_terms.values():
         for wB in B_terms.values():
-            _pair_product(wA, wB, G, tables, max_order, out_arrays, budget, sup_G, rows)
-    terms = {}
-    for (mo, no), arr in out_arrays.items():
-        vals = symmetrized(arr, mo, no)
-        if rows < len(R_GRID):
-            above = np.zeros((len(R_GRID) - rows,) + vals.shape[1:], dtype=vals.dtype)
-            vals = np.concatenate((vals, above))
-        terms[(mo, no)] = CouplingFunction(mo, no, ref.nodes, vals)
+            _pair_product(wA, wB, G, node_set, max_order, out_arrays, budget, sup_G, rows)
+    pad = [(0, len(R_GRID) - rows), (0, 0), (0, 0)]
+    terms = {key: ProductKernel(MultisetKernel(*key, ref.nodes, np.pad(vals, pad)))
+             for key, vals in out_arrays.items()}
     return terms, float(np.sum(budget))
 
 
@@ -307,8 +308,10 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     """Feshbach-Schur decimation of H at scale rho; returns (F, StepInfo).
 
     F = E + T + chi [sum_{s <= s_max} (-1)^s W (G W)^s] chi, G = chibar^2 / (E + T)
-    with E + T = w00 read by at_r, truncated to M_max; each order dropped is
-    charged its term_norm.  F lives on Ran chi_rho(H_f), so the s = 2 product
+    with E + T = w00 read by at_r, truncated to M_max.  The Neumann terms stay on
+    multisets, where a dropped order is charged its term_norm and the s = 1 terms
+    feed the s = 2 product; only F's kernels are gathered to full tables, which are
+    symmetric by construction.  F lives on Ran chi_rho(H_f), so the s = 2 product
     is tabulated only up to the first R_GRID row above rho (all that
     scale_coupling's read at rho * R_GRID reaches) and is zero above.
 
@@ -413,10 +416,10 @@ class FlowTrajectory:
     budget: float = 0.0
 
     def to_csv(self) -> str:
-        lines = ["step,e_re,e_im,E_abs,beta,gamma,budget"]
+        lines = ["step,e_re,e_im,beta,gamma,budget"]
         for r in self.records:
             lines.append(f"{r.step},{r.e.real:.16e},{r.e.imag:.16e},"
-                         f"{abs(r.E):.16e},{r.beta:.16e},{r.gamma:.16e},{r.budget:.16e}")
+                         f"{r.beta:.16e},{r.gamma:.16e},{r.budget:.16e}")
         return "\n".join(lines) + "\n"
 
 

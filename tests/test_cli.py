@@ -169,8 +169,8 @@ class TestFlowCommand:
         out = tmp_path / "out"
         assert main(["flow", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = (out / "flow.csv").read_text().strip().split("\n")
-        assert lines[0] == "step,e_re,e_im,E_abs,beta,gamma,budget"
-        gammas = [float(l.split(",")[5]) for l in lines[1:]]
+        assert lines[0] == "step,e_re,e_im,beta,gamma,budget"
+        gammas = [float(l.split(",")[4]) for l in lines[1:]]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
         summary = json.loads((out / "flow_summary.json").read_text())
         assert summary["e_final_re"] < 0.0

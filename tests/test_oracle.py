@@ -1,5 +1,7 @@
 """Dense reference computations and their internal consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,17 @@ class TestExactSpectrum:
         assert np.allclose(vals, [1.0, 2.0])
 
     def test_dimension_cap(self):
-        with pytest.raises(SolverError):
-            exact_spectrum(np.zeros((6000, 6000)))
+        # the cap is checked before the Hermitian test, so a refused matrix
+        # costs no copy of its own size
+        big = np.zeros((6000, 6000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverError, match="dimension 6000 exceeds the dense cap"):
+                exact_spectrum(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes
 
     def test_eigensolver_failure_raises_solver_error(self):
         # a NaN fails the Hermitian test, and eigvals refuses it with LinAlgError

@@ -2,7 +2,7 @@
 
 import warnings
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from specrg.feshbach import feshbach_map, spectral_projection
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
-from specrg.normalform import (FOUR_PI, MU, R_GRID, CouplingFunction,
+from specrg.normalform import (FOUR_PI, MU, R_GRID, CouplingFunction, MultisetKernel,
                                NormalFormHamiltonian, assemble_operator, assemble_term,
                                coupling_norm_mu, coupling_norm_mu1, from_profile,
                                interaction_norm, slot_masses, shifted, split, symmetrized,
@@ -316,14 +316,14 @@ class TestWickOrdering:
         self._check_matrix_algebra(keys, keys, seed=3)
 
     @staticmethod
-    def _random_W(seed):
+    def _random_W(seed, real=False):
         """Random symmetric kernels of every shape up to order 2 on 3 modes."""
         nodes = np.array([0.1, 0.2, 0.35])
         rng = np.random.default_rng(seed)
         W = {}
         for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
             shape = (len(R_GRID),) + (3,) * (m + n)
-            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            vals = rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
             W[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
         return W, np.array([0.01, 0.02, 0.03])
 
@@ -353,9 +353,8 @@ class TestWickOrdering:
         assert sum(r.size for r in calls) < per_tuple
 
     def test_one_read_per_distinct_shift(self, monkeypatch):
-        # ordered slot tuples of one multiset share their energy sum, so each
-        # kernel is read once per distinct pull-through shift: the 9 ordered
-        # pairs of 3 nodes give 6 shifts
+        # each kernel is read once per distinct pull-through shift, in
+        # increasing order: the 6 multisets of 2 of 3 nodes have 6 sums
         W, masses = self._random_W(4)
         shifts = []
         at_r = CouplingFunction.at_r
@@ -430,7 +429,77 @@ class TestWickOrdering:
 
     @staticmethod
     def _tuple_loop_product(A_terms, B_terms, G, masses, max_order):
-        """Kept kernels of (sum A) G (sum B), one slot tuple (i2, j1) at a time."""
+        """Kept kernels of (sum A) G (sum B) on multisets, one sorted tuple at a time.
+
+        Each sorted (i2, j1) gets its block over I1 and J2, the contracted q
+        running over sorted tuples weighted by p!/prod(c_i!); each sorted output
+        (C, D) averages the blocks of its position splits, the creation ones
+        first; every ordered tuple then reads its sorted form.
+        """
+        out = {}
+        for wA in A_terms.values():
+            for wB in B_terms.values():
+                (m1, n1), (m2, n2), nodes, r = (wA.m, wA.n), (wB.m, wB.n), wA.nodes, R_GRID
+                M, R = len(nodes), len(r)
+                multisets = {L: list(combinations_with_replacement(range(M), L))
+                             for L in range(5)}
+                for p in range(min(n1, m2) + 1):
+                    mo, no = m1 + m2 - p, n1 + n2 - p
+                    if mo + no > max_order:
+                        continue
+                    Cf = comb(n1, p) * comb(m2, p) * factorial(p)
+                    qs = multisets[p]
+                    omega = np.array([np.sum(nodes[list(q)]) for q in qs], dtype=float)
+                    weight = np.array([np.prod(masses[list(q)]) * (factorial(p) // np.prod(
+                        [factorial(c) for c in Counter(q).values()])) for q in qs])
+                    block = {}
+                    for i2 in multisets[m2 - p]:
+                        sI = float(np.sum(nodes[list(i2)]))
+                        A_full = wA.at_r(r + sI)
+                        for j1 in multisets[n1 - p]:
+                            sJ = float(np.sum(nodes[list(j1)]))
+                            B_full = wB.at_r(r + sJ)
+                            A = np.stack([A_full[(slice(None),) * (1 + m1) + tuple(sorted(j1 + q))]
+                                          for q in qs], axis=-1).reshape(R, M ** m1, len(qs))
+                            B = np.stack([B_full[(slice(None),) + tuple(sorted(q + i2))]
+                                          for q in qs], axis=1).reshape(R, len(qs), M ** n2)
+                            Gq = G(r[:, np.newaxis] + (sI + sJ) + omega) * weight
+                            blk = np.einsum("riq,rq,rqj->rij", A, Gq, B) * Cf
+                            block[i2, j1] = blk.reshape((R,) + (M,) * (m1 + n2))
+
+                    def split_mean(parts):
+                        total = parts[0]
+                        for part in parts[1:]:
+                            total = total + part
+                        return total / len(parts) if len(parts) > 1 else total
+
+                    def value(C, D):
+                        def at(S, T):
+                            rest_S = [k for k in range(mo) if k not in S]
+                            rest_T = [k for k in range(no) if k not in T]
+                            i1, i2 = tuple(C[k] for k in S), tuple(C[k] for k in rest_S)
+                            j1, j2 = tuple(D[k] for k in T), tuple(D[k] for k in rest_T)
+                            return block[i2, j1][(slice(None),) + i1 + j2]
+
+                        cre = list(combinations(range(mo), m1))
+                        return split_mean([split_mean([at(S, T) for S in cre])
+                                           for T in combinations(range(no), n1 - p)])
+
+                    arr = np.zeros((R,) + (M,) * (mo + no), dtype=complex)
+                    for C in multisets[mo]:
+                        for D in multisets[no]:
+                            v = value(C, D)
+                            for I in set(permutations(C)):
+                                for J in set(permutations(D)):
+                                    arr[(slice(None),) + I + J] = v
+                    acc = out.get((mo, no))
+                    out[(mo, no)] = arr if acc is None else acc + arr
+        return out
+
+    @staticmethod
+    def _ordered_tuple_product(A_terms, B_terms, G, masses, max_order):
+        """Kept kernels of (sum A) G (sum B) by the ordered-tuple formula: every
+        ordered slot tuple (i2, j1) and q, then symmetrized."""
         out = {}
         for wA in A_terms.values():
             for wB in B_terms.values():
@@ -458,18 +527,92 @@ class TestWickOrdering:
                                 Cf * block).reshape((R,) + (M,) * (m1 + n2))
         return {key: symmetrized(arr, *key) for key, arr in out.items()}
 
+    @staticmethod
+    def _G(r):
+        return np.where(np.asarray(r) > 0.25, 1.0 / (np.asarray(r) + 2.0), 0.0)
+
     def test_batched_product_equals_tuple_loop(self):
         # the batched contraction keeps the loop's float operations, so the
         # kernels agree bit for bit, also where shifted reads clamp at r = 1
         W, masses = self._random_W(6)
-        G = lambda r: np.where(np.asarray(r) > 0.25, 1.0 / (np.asarray(r) + 2.0), 0.0)
-        n1, _ = normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
-        n2, _ = normal_order_product(n1, W, G, masses, max_order=2, sup_G=0.5)
+        n1, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
+        n2, _ = normal_order_product(n1, W, self._G, masses, max_order=2, sup_G=0.5)
         for got, (A, B, max_order) in ((n1, (W, W, 4)), (n2, (n1, W, 2))):
-            ref = self._tuple_loop_product(A, B, G, masses, max_order)
+            ref = self._tuple_loop_product(A, B, self._G, masses, max_order)
             assert got.keys() == ref.keys()
             for key, arr in ref.items():
                 assert np.array_equal(got[key].values, arr), key
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_multisets_match_the_ordered_tuple_formula(self, real):
+        # W W and (W W) W on 3 modes, whose 2-multisets have distinct sums out
+        # of tuple order, against every ordered tuple summed and symmetrized
+        W, masses = self._random_W(9, real=real)
+        n1, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
+        n2, _ = normal_order_product(n1, W, self._G, masses, max_order=2, sup_G=0.5)
+        ref1 = self._ordered_tuple_product(W, W, self._G, masses, 4)
+        ordered = {key: CouplingFunction(*key, W[(1, 0)].nodes, arr) for key, arr in ref1.items()}
+        ref2 = self._ordered_tuple_product(ordered, W, self._G, masses, 2)
+        for got, ref in ((n1, ref1), (n2, ref2)):
+            assert got.keys() == ref.keys()
+            for key, arr in ref.items():
+                assert got[key].values.dtype == (float if real else complex), key
+                scale = np.max(np.abs(arr))
+                assert np.max(np.abs(got[key].values - arr)) <= 1e-15 * scale, key
+
+    @staticmethod
+    def _assert_slot_symmetric(w):
+        """Every permutation of w's creation and of its annihilation slots leaves
+        its values and r-derivatives bit for bit as they are."""
+        for pc in permutations(range(w.m)):
+            for pa in permutations(range(w.n)):
+                axes = (0,) + tuple(1 + i for i in pc) + tuple(1 + w.m + j for j in pa)
+                for table in (w.values, w.dr_values):
+                    assert np.transpose(table, axes).tobytes() == table.tobytes(), (w.m, w.n)
+
+    def test_returned_kernels_are_exactly_symmetric(self):
+        W, masses = self._random_W(10)
+        n1, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
+        n2, _ = normal_order_product(n1, W, self._G, masses, max_order=2, sup_G=0.5)
+        assert {(4, 0), (2, 2), (0, 4)} <= n1.keys()
+        for w in [*n1.values(), *n2.values()]:
+            self._assert_slot_symmetric(w)
+        for H in (TestRgStep._hidden_orders(0.5, {(1, 0): 0.05, (2, 1): 1e-3, (0, 3): 2e-3}),
+                  _random_hamiltonian(RHO)):
+            Hp, _ = rg_step(H, RHO)
+            assert max(key[0] + key[1] for key in Hp.terms) == H.M_max
+            for w in Hp.terms.values():
+                self._assert_slot_symmetric(w)
+
+    def test_second_order_step_expands_no_table_above_order_two(self, monkeypatch):
+        # an M_max = 2 step keeps the s = 1 orders 3 and 4 on multisets: their
+        # norms and the s = 2 product read them there, and no full table of
+        # theirs is built or gathered
+        orders = {"full": [], "packed": [], "expanded": []}
+        init, packed_init, expanded = (CouplingFunction.__init__, MultisetKernel.__init__,
+                                       MultisetKernel.expanded)
+
+        def record_full(self, m, n, *args, **kwargs):
+            orders["full"].append(m + n)
+            init(self, m, n, *args, **kwargs)
+
+        def record_packed(self, m, n, *args):
+            orders["packed"].append(m + n)
+            packed_init(self, m, n, *args)
+
+        def record_expanded(self):
+            orders["expanded"].append(self.order)
+            return expanded(self)
+
+        monkeypatch.setattr(CouplingFunction, "__init__", record_full)
+        monkeypatch.setattr(MultisetKernel, "__init__", record_packed)
+        monkeypatch.setattr(MultisetKernel, "expanded", record_expanded)
+        for H in (TestFlow._model_builder(8)(0.0), _random_hamiltonian(RHO)):
+            for seen in orders.values():
+                seen.clear()
+            rg_step(H, RHO)
+            assert max(orders["packed"]) == 4
+            assert max(orders["full"]) == 2 and max(orders["expanded"]) == 2
 
 
 class TestRgStep:
@@ -885,7 +1028,7 @@ class TestFlow:
         H = _scalar_hamiltonian(0.0, grid)
         traj = flow(H, RHO, 2)
         lines = traj.to_csv().strip().split("\n")
-        assert lines[0] == "step,e_re,e_im,E_abs,beta,gamma,budget"
+        assert lines[0] == "step,e_re,e_im,beta,gamma,budget"
         assert len(lines) == 3
 
     def _scalar_builder(self, energy):

@@ -17,7 +17,7 @@ prints one line that hashes the dtypes of the arrays it hashed, in order,
 labelled with how many were float64 and complex128, so that a table or a
 matrix changing dtype shows there; and one line for the warnings it raised.
 BLAS runs on one thread, so that sums come out in one order.  The whole run
-takes about ten seconds on a 2-vCPU machine.
+takes about five seconds on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -284,6 +284,19 @@ def sector_builder() -> None:
         _hamiltonian(f"ground_sector_hamiltonian 3 levels Gamma_00 != 0 k_max={k_max}", H)
 
 
+def fourth_order_steps() -> None:
+    from specrg import fock, models, normalform, rgflow
+    # M_max = 4: the s = 1 orders 3 and 4 are kept, and the second step's input
+    # carries kernels of every order up to 4
+    grid = fock.build_mode_grid(8, 1.0, "geometric")
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    H = normalform.NormalFormHamiltonian(
+        models.ground_sector_hamiltonian(spec, grid, 0.0).terms, grid, 4)
+    for step in (1, 2):
+        H, info = rgflow.rg_step(H, 0.5)
+        _hamiltonian(f"8-mode model step {step} to k_max=1 M_max=4", H, info)
+
+
 def decimations() -> None:
     from specrg import calibration, fock, models, rgflow
     # the decimated Hamiltonian F before its rescaling
@@ -307,7 +320,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     dense_models, dense_reads, dense_feshbach, acceptance_flows,
-                    k_max_one_step, sector_builder, decimations):
+                    k_max_one_step, sector_builder, decimations, fourth_order_steps):
         _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
