@@ -204,18 +204,11 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     null_f = np.zeros((len(H), null_f_block.shape[1]), dtype=null_f_block.dtype)
     null_f[sup, :] = null_f_block
 
-    transport_h_to_f = 0.0
-    for i in range(null_h.shape[1]):
-        psi = null_h[:, i]
-        phi = pair.chi * psi
-        transport_h_to_f = max(transport_h_to_f,
-                               float(np.linalg.norm(res.F @ phi)) / hnorm)
-    transport_f_to_h = 0.0
-    for i in range(null_f.shape[1]):
-        phi = null_f[:, i]
-        psi = res.Q @ phi
-        transport_f_to_h = max(transport_f_to_h,
-                               float(np.linalg.norm(H @ psi)) / hnorm)
+    # the largest residual of a null vector carried to the other side, 0 for none
+    transport_h_to_f = max([0.0] + [float(np.linalg.norm(res.F @ (pair.chi * psi))) / hnorm
+                                    for psi in null_h.T])
+    transport_f_to_h = max([0.0] + [float(np.linalg.norm(H @ (res.Q @ phi))) / hnorm
+                                    for phi in null_f.T])
 
     d1, d2 = identity_defect(H, res)
     return {

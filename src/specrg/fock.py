@@ -257,14 +257,10 @@ def pull_through_check(basis: FockBasis, f, mode: int) -> float:
     fhf = np.broadcast_to(f(hf), hf.shape)
     fshift = np.broadcast_to(f(hf + om), hf.shape)
 
-    lhs_a = a * fhf[np.newaxis, :]          # a f(H_f)
-    rhs_a = fshift[:, np.newaxis] * a       # f(H_f + omega) a
-    lhs_c = fhf[:, np.newaxis] * adag       # f(H_f) a*
-    rhs_c = adag * fshift[np.newaxis, :]    # a* f(H_f + omega)
-
     cols = basis.safe_mask()
     if not np.any(cols):
         return 0.0
-    dev_a = np.max(np.abs((lhs_a - rhs_a)[:, cols]))
-    dev_c = np.max(np.abs((lhs_c - rhs_c)[:, cols]))
+    # a f(H_f) - f(H_f + omega) a, and f(H_f) a* - a* f(H_f + omega)
+    dev_a = np.max(np.abs((a * fhf[np.newaxis, :] - fshift[:, np.newaxis] * a)[:, cols]))
+    dev_c = np.max(np.abs((fhf[:, np.newaxis] * adag - adag * fshift[np.newaxis, :])[:, cols]))
     return float(max(dev_a, dev_c))

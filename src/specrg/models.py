@@ -270,24 +270,17 @@ def pauli_fierz_transform(spec: ModelSpec, x_grid) -> dict:
     """
     k_grid = np.geomspace(1e-6, min(1.0, spec.kappa), 48)
     x_grid = np.asarray(x_grid, dtype=float)
-    exps = []
-    C = 0.0
-    rows = []
-    for x in x_grid:
-        vals = pf_coupling(spec, float(x), k_grid)
-        exps.append(infrared_exponent(k_grid, vals * np.asarray(spec.cutoff(k_grid))))
-        envelope = np.minimum(1.0, np.sqrt(k_grid) * np.hypot(1.0, x))
-        C = max(C, float(np.max(np.abs(vals) / envelope)))
-        rows.append(np.abs(vals))
-    f_untransformed = np.abs(form_factor(spec, k_grid))
-    exp_raw = infrared_exponent(k_grid, f_untransformed)
+    vals = [pf_coupling(spec, float(x), k_grid) for x in x_grid]
+    envelopes = [np.minimum(1.0, np.sqrt(k_grid) * np.hypot(1.0, x)) for x in x_grid]
     return {
         "x_grid": x_grid,
         "k_grid": k_grid,
-        "coupling_magnitudes": np.asarray(rows),
-        "bound_constant": C,
-        "exponents": np.asarray(exps),
-        "untransformed_exponent": exp_raw,
+        "coupling_magnitudes": np.asarray([np.abs(v) for v in vals]),
+        "bound_constant": max([0.0] + [float(np.max(np.abs(v) / e))
+                                       for v, e in zip(vals, envelopes)]),
+        "exponents": np.asarray([infrared_exponent(k_grid, v * np.asarray(spec.cutoff(k_grid)))
+                                 for v in vals]),
+        "untransformed_exponent": infrared_exponent(k_grid, np.abs(form_factor(spec, k_grid))),
     }
 
 
@@ -311,11 +304,8 @@ def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:
         raise ValueError("p_grid needs at least 4 points for the cubic fit")
     if np.max(np.abs(p_grid)) >= 1.0 / 3.0:
         raise ValueError("p_grid must stay inside |P| < 1/3")
-    energies = []
-    for P in p_grid:
-        H = fiber_hamiltonian(spec, basis, float(P))
-        energies.append(float(np.linalg.eigvalsh(H)[0]))
-    energies = np.asarray(energies)
+    energies = np.array([np.linalg.eigvalsh(fiber_hamiltonian(spec, basis, float(P)))[0]
+                         for P in p_grid], dtype=float)
     design = np.stack([np.ones_like(p_grid), p_grid ** 2, p_grid ** 3], axis=1)
     coef, res, _, _ = np.linalg.lstsq(design, energies, rcond=None)
     fit = design @ coef

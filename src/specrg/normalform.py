@@ -279,10 +279,7 @@ class NormalFormHamiltonian:
 
 def hamiltonian_norm(H: NormalFormHamiltonian) -> float:
     """Banach norm sum_{m,n} xi^-(m+n) ||w_{m,n}||_{mu,1}."""
-    total = 0.0
-    for w in H.terms.values():
-        total += term_norm(w)
-    return total
+    return sum((term_norm(w) for w in H.terms.values()), 0.0)
 
 
 def shifted(H: NormalFormHamiltonian, c) -> NormalFormHamiltonian:
@@ -309,11 +306,7 @@ def t_slope_deviation(H: NormalFormHamiltonian) -> float:
 
 def interaction_norm(H: NormalFormHamiltonian) -> float:
     """||W||_{mu,xi}: the Banach norm of the m+n >= 1 part."""
-    total = 0.0
-    for w in H.terms.values():
-        if w.order >= 1:
-            total += term_norm(w)
-    return total
+    return sum((term_norm(w) for w in H.terms.values() if w.order >= 1), 0.0)
 
 
 def slot_masses(grid: ModeGrid) -> np.ndarray:

@@ -38,15 +38,10 @@ def exact_spectrum(H, k: int | None = None):
     mat = dense(H)
     herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
     try:
-        if herm:
-            vals = np.linalg.eigvalsh(mat)
-        else:
-            vals = np.sort_complex(np.linalg.eigvals(mat))
+        vals = np.linalg.eigvalsh(mat) if herm else np.sort_complex(np.linalg.eigvals(mat))
     except np.linalg.LinAlgError as exc:
         raise SolverError(str(exc)) from exc
-    if k is not None:
-        vals = vals[:k]
-    return vals
+    return vals if k is None else vals[:k]
 
 
 # An isolated eigenvalue near the seed converges in a handful of steps; a seed
@@ -54,11 +49,48 @@ def exact_spectrum(H, k: int | None = None):
 INVERSE_ITERATION_CAP = 50
 
 
-def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float):
+def _parity(D: CoupledModel) -> np.ndarray:
+    """Photon-number parity of each state of D, particle index outer."""
+    return np.tile(D.basis.states.sum(1) % 2, D.spec.n_levels)
+
+
+def _default_radius(spec: ModelSpec) -> float:
+    return 0.5 * spec.level_gap if np.isfinite(spec.level_gap) else 0.5
+
+
+def _block_solver(mat: np.ndarray, shift: complex, radius: float, parity=None):
+    """x -> (mat - shift)^-1 x by one Feshbach-Schur elimination.
+
+    Phi is odd in the photon number, so each parity class of H_theta - shift
+    is diagonal.  The larger class E is eliminated but for its states within
+    radius of shift; the kept states K (the range of a Feshbach projection)
+    carry S = (mat - shift)_KK - mat_KE (d_E - shift)^-1 mat_EK, the only
+    matrix inverted: LinAlgError when S, so mat - shift, is singular.  Without
+    a parity E is empty.  ValueError: the block to eliminate is not diagonal.
+    """
+    d = np.diagonal(mat) - shift
+    elim = np.zeros(len(d), dtype=bool) if parity is None else (
+        (parity == np.argmax(np.bincount(parity))) & (np.abs(d) > radius))
+    E, K = np.flatnonzero(elim), np.flatnonzero(~elim)
+    block = mat[np.ix_(E, E)]
+    if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block)):
+        raise ValueError("the parity class to eliminate is not diagonal")
+    left, right = mat[np.ix_(K, E)] / d[E], mat[np.ix_(E, K)]
+    s_inv = np.linalg.inv(mat[np.ix_(K, K)] - shift * np.eye(len(K)) - left @ right)
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        y = np.empty(len(d), dtype=complex)
+        y[K] = s_inv @ (x[K] - left @ x[E])
+        y[E] = (x[E] - right @ y[K]) / d[E]
+        return y
+    return solve
+
+
+def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float, parity=None):
     """The eigenvalue of mat nearest seed, by inverse iteration with shift seed.
 
-    (mat - seed)^-1 is formed once; a fixed pseudo-random start vector is
-    mapped through it and normalized until the Rayleigh quotient
+    A fixed pseudo-random start vector is mapped through (mat - seed)^-1
+    (`_block_solver` with parity) and normalized until the Rayleigh quotient
     lam = x* mat x has residual ||mat x - lam x|| <= 4 eps max(1, ||mat||_F),
     about ten times the rounding floor of that residual.
     An exactly singular shift is returned as it is, being an eigenvalue.
@@ -67,15 +99,14 @@ def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float):
     INVERSE_ITERATION_CAP steps, as when two eigenvalues are (nearly) equally
     close to seed.
     """
-    n = mat.shape[0]
     try:
-        inv = np.linalg.inv(mat - seed * np.eye(n))
+        solve = _block_solver(mat, seed, radius, parity)
     except np.linalg.LinAlgError:
         return complex(seed)
     tol = 4.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(mat)))
-    x = np.random.default_rng(0).standard_normal(n).astype(complex)
+    x = np.random.default_rng(0).standard_normal(mat.shape[0]).astype(complex)
     for _ in range(INVERSE_ITERATION_CAP):
-        x = inv @ x
+        x = solve(x)
         x /= np.linalg.norm(x)
         ax = mat @ x
         lam = complex(np.vdot(x, ax))
@@ -103,13 +134,12 @@ def _resonance_at_angles(D: CoupledModel, seed: complex, radius: float | None,
     """
     if min(np.imag(D.theta), *thetas) <= 0:
         raise ValueError("resonance location needs Im theta > 0")
-    spec = D.spec
-    if radius is None:
-        radius = 0.5 * spec.level_gap if np.isfinite(spec.level_gap) else 0.5
-    z = _nearest_eigenvalue(D.H, seed, radius)
+    spec, parity = D.spec, _parity(D)
+    radius = _default_radius(spec) if radius is None else radius
+    z = _nearest_eigenvalue(D.H, seed, radius, parity)
     zs = [z if t == np.imag(D.theta) else
           _nearest_eigenvalue(complex_dilate(spec, D.basis, np.real(D.theta) + 1j * t).H,
-                              z, radius)
+                              z, radius, parity)
           for t in thetas]
     for v in (z, *zs):
         if np.imag(v) > 1e-10 * max(1.0, abs(v)):
@@ -125,9 +155,9 @@ def resonance_eigenvalue(D: CoupledModel, seed: complex, radius: float | None = 
     """Nearest complex eigenvalue of the dilated model, with theta-stability.
 
     z is the eigenvalue of D nearest seed (within radius, default half the
-    level gap), located by shifted inverse iteration, not a full eigensolve
-    (`_nearest_eigenvalue` gives the stop and the NotFoundError/SolverError
-    cases).  Stability is the maximum pairwise displacement of the eigenvalue
+    level gap), located by shifted inverse iteration on the Feshbach-Schur
+    complement of D's kept states (`_block_solver`; `_nearest_eigenvalue`
+    gives the stop and the NotFoundError/SolverError cases).  Stability is the maximum pairwise displacement of the eigenvalue
     nearest z across the Im theta of STABILITY_THETAS (the continuum branches
     rotate with theta, the discrete resonance must not); at D's own angle
     that is z.
@@ -139,8 +169,7 @@ def resonance_eigenvalue(D: CoupledModel, seed: complex, radius: float | None = 
 
 def resonance_multiplicity(D: CoupledModel, center: complex, radius: float) -> int:
     """Algebraic multiplicity inside a disc: eigenvalue count with repetition."""
-    vals = np.linalg.eigvals(D.H)
-    return int(np.sum(np.abs(vals - center) < radius))
+    return int(np.sum(np.abs(np.linalg.eigvals(D.H) - center) < radius))
 
 
 @dataclass
@@ -153,10 +182,11 @@ class PoleFit:
     residual: float
 
 
-def _resolvent(H: np.ndarray, psi: np.ndarray, phi: np.ndarray, zs) -> np.ndarray:
-    """<psi, (H - z)^-1 phi> at each z of zs, one linear solve per point."""
-    eye = np.eye(H.shape[0])
-    return np.array([np.vdot(psi, np.linalg.solve(H - z * eye, phi)) for z in zs],
+def _resolvent(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, zs) -> np.ndarray:
+    """<psi, (H_theta - z)^-1 phi> at each z of zs, by `_block_solver` with D's
+    parity and the default radius."""
+    radius, parity = _default_radius(D.spec), _parity(D)
+    return np.array([np.vdot(psi, _block_solver(D.H, z, radius, parity)(phi)) for z in zs],
                     dtype=complex)
 
 
@@ -170,7 +200,7 @@ def resolvent_element(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, z_grid)
     eigs = np.linalg.eigvals(D.H)
     flags = np.array([np.min(np.abs(eigs - z)) < 1e-9 for z in zs], dtype=bool)
     values = np.full(len(zs), np.nan + 0j)
-    values[~flags] = _resolvent(D.H, psi, phi, zs[~flags])
+    values[~flags] = _resolvent(D, psi, phi, zs[~flags])
     return values, flags
 
 
@@ -190,12 +220,11 @@ def fit_pole(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, seed: complex) -
     radii = 0.3 * gap * 0.5 ** np.arange(6)
     angles = np.exp(1j * (np.pi / 7 + np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])))
     zs = (pole + np.outer(radii, angles)).ravel()
-    fs = _resolvent(D.H, psi, phi, zs)
+    fs = _resolvent(D, psi, phi, zs)
     design = np.stack([1.0 / (pole - zs), np.ones_like(zs), zs - pole], axis=1)
     coef, *_ = np.linalg.lstsq(design, fs, rcond=None)
-    fitvals = design @ coef
     scale = np.max(np.abs(fs))
-    residual = float(np.max(np.abs(fitvals - fs)) / scale) if scale > 0 else 0.0
+    residual = float(np.max(np.abs(design @ coef - fs)) / scale) if scale > 0 else 0.0
     return PoleFit(pole=pole, residue=complex(coef[0]), background=complex(coef[1]),
                    samples_z=zs, samples_f=fs, residual=residual)
 
@@ -211,7 +240,7 @@ def combes_deviation(D: CoupledModel, covariant: CoupledModel, psi: np.ndarray,
     vectors are fixed by the rotation.  Agreement of the two code paths is the
     discrete form of the analytic-continuation argument for matrix elements.
     """
-    a, b = (_resolvent(H, psi, phi, z_grid) for H in (D.H, covariant.H))
+    a, b = (_resolvent(M, psi, phi, z_grid) for M in (D, covariant))
     return float(max((abs(x - y) / max(abs(y), 1.0) for x, y in zip(a, b)), default=0.0))
 
 
@@ -234,9 +263,8 @@ def perturbation_oracle(spec: ModelSpec, grid) -> dict:
     gamma2 = np.abs(spec.gamma) ** 2
 
     f2 = np.abs(form_factor(spec, nodes)) ** 2
-    shift = 0.0
-    for l in range(1, spec.n_levels):
-        shift += g2 * gamma2[0, l] * float(np.sum(masses * f2 / (eps[0] - eps[l] - nodes)))
+    shift = sum((g2 * gamma2[0, l] * float(np.sum(masses * f2 / (eps[0] - eps[l] - nodes)))
+                 for l in range(1, spec.n_levels)), 0.0)
 
     spacing = float(np.max(np.diff(np.concatenate(([0.0], nodes)))))
 

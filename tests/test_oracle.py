@@ -26,6 +26,13 @@ def _resonance_setup(g=2e-3):
     return spec, grid, basis
 
 
+def _dense_oracle_dilation(g, im_theta):
+    """The dense-oracle workload's 650-state dilation, with its photon parity."""
+    basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 2)
+    D = complex_dilate(_two_level(g), basis, 1j * im_theta)
+    return D, oracle._parity(D)
+
+
 class TestExactSpectrum:
     def test_diagonal_matrix(self):
         vals = exact_spectrum(np.diag([3.0, 1.0, 2.0]).astype(complex))
@@ -145,12 +152,45 @@ class TestNearestEigenvalue:
             assert abs(z - vals[j]) <= 1e-12 * hnorm
 
     def test_matches_eigvals_on_dense_oracle_dilation(self):
-        spec = _two_level(1.5e-3)
-        basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 2)
-        H = complex_dilate(spec, basis, 0.2j).H
+        H = _dense_oracle_dilation(1.5e-3, 0.2)[0].H
         assert H.shape == (650, 650)
         z = oracle._nearest_eigenvalue(H, 1.0, 0.5)
         assert abs(z - _nearest_root(H, 1.0)) <= 1e-12 * np.linalg.norm(H, 2)
+
+    @pytest.mark.parametrize("im_theta", oracle.STABILITY_THETAS)
+    def test_parity_block_solve_matches_eigvals_on_dense_oracle_dilation(self, im_theta):
+        D, parity = _dense_oracle_dilation(1.5e-3, im_theta)
+        vals = np.linalg.eigvals(D.H)
+        hnorm = np.linalg.norm(D.H, 2)
+        z = vals[np.argmin(np.abs(vals - 1.0))]
+        # at seed 1.0 the pivot of level 1 (x) vacuum is exactly 0: it must be kept
+        assert np.count_nonzero(np.diagonal(D.H) == 1.0) == 1
+        for seed in (1.0, z):
+            got = oracle._nearest_eigenvalue(D.H, seed, 0.5, parity)
+            assert abs(got - z) <= 1e-12 * hnorm
+
+    def test_parity_block_solve_returns_seed_at_uncoupled_exact_pivot(self):
+        D, parity = _dense_oracle_dilation(0.0, 0.2)
+        assert oracle._nearest_eigenvalue(D.H, 1.0, 0.5, parity) == 1.0
+
+    def test_parity_with_coupled_eliminated_block_raises(self, monkeypatch):
+        # one class for every state: the block to eliminate holds Phi
+        spec, grid, basis = _resonance_setup(2e-3)
+        H = complex_dilate(spec, basis, 0.2j).H
+        monkeypatch.setattr(np.linalg, "inv", lambda *a: pytest.fail("fell back to inv"))
+        with pytest.raises(ValueError, match="not diagonal"):
+            oracle._nearest_eigenvalue(H, 1.0, 0.5, np.zeros(H.shape[0], dtype=int))
+
+    def test_resonance_eigenvalue_inverts_only_the_kept_block(self, monkeypatch):
+        D, _ = _dense_oracle_dilation(1.5e-3, 0.2)
+        shapes = []
+        for name in ("inv", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *r, fn=fn: shapes.append(np.shape(a)) or fn(a, *r))
+        resonance_eigenvalue(D, 1.0)
+        assert len(shapes) == len(oracle.STABILITY_THETAS)
+        assert all(max(s) <= 200 for s in shapes)
 
     def test_outside_radius_raises_not_found(self):
         mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -224,6 +264,22 @@ class TestPoleFitting:
         values, flags = resolvent_element(D, psi, phi, fit.samples_z)
         assert not flags.any()
         assert values.tobytes() == fit.samples_f.tobytes()
+
+    def test_resolvent_matches_plain_solve(self, resonance_instance):
+        # criterion 8's vectors, on its pole-fit samples and continuation grid
+        spec, grid, basis, D = resonance_instance
+        psi = np.zeros(2 * basis.dim, dtype=complex)
+        psi[0] = 1.0
+        phi = np.zeros(2 * basis.dim, dtype=complex)
+        phi[basis.dim] = 1.0
+        D_real = complex_dilate(spec, basis, 0.1 + 0j)
+        z_grid = np.array([0.5 + 0.3j, -0.2 + 0.1j, 1.3 + 0.4j, 0.9 + 0.6j])
+        for model, zs in ((D, fit_pole(D, phi, phi, 1.0).samples_z), (D_real, z_grid)):
+            for vec in (psi, phi):
+                got = oracle._resolvent(model, vec, phi, zs)
+                eye = np.eye(model.H.shape[0])
+                want = [np.vdot(vec, np.linalg.solve(model.H - z * eye, phi)) for z in zs]
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_combes_identity_at_real_angle(self):
         spec = _two_level(5e-3)

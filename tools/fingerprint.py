@@ -214,6 +214,11 @@ def dense_reads() -> None:
         shifts = oracle.perturbation_oracle(res_spec, fock.build_mode_grid(n_modes, 2.0, "uniform"))
         _emit(f"perturbation_oracle {n_modes} uniform modes", shifts["ground_shift"],
               shifts["widths"])
+    # dense-oracle's resonance: z and stability on its 650-state dilation at theta = 0.2i
+    res_basis = fock.build_fock_basis(fock.build_mode_grid(24, 2.0, "uniform"), 2)
+    spec_15 = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=1.5e-3, kappa=2.0)
+    _emit(f"resonance_eigenvalue g=1.5e-3 ({2 * res_basis.dim} states)",
+          *oracle.resonance_eigenvalue(models.complex_dilate(spec_15, res_basis, 0.2j), 1.0))
     # reads between the R_GRID points, clamped below 0, and above 1 clamped
     # (the interaction kernel) or continued (w00)
     r = np.linspace(-0.2, 1.2, 57)
