@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis, dense
+from .fock import FockBasis, blocks, dense
 
 RANK_THRESHOLD_FACTOR = 1e-8  # singular values below this times ||H|| count as null
 INDETERMINATE_BAND = 10.0     # rank decisions within this factor are reported, not guessed
@@ -154,13 +154,25 @@ def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
     return FeshbachResult(F=F, Q=Q, Qsharp=Qs, Hchibar_inv=R, pair=pair, tau=tau)
 
 
+def _norm2(A: np.ndarray) -> float:
+    """||A||_2 by an SVD of the rows and columns of A that hold a nonzero entry:
+    zero rows and columns carry no singular value, and a zero A has norm 0."""
+    nonzero = A != 0
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    return float(np.linalg.norm(A[np.ix_(rows, cols)], 2)) if len(rows) else 0.0
+
+
 def identity_defect(H, res: FeshbachResult) -> tuple[float, float]:
-    """Norms of H Q - chi F and Q# H - F chi, the exactness certificates."""
+    """Norms of H Q - chi F and Q# H - F chi, the exactness certificates.
+
+    Each 2-norm is taken on the defect's nonzero rows and columns only: with
+    a sharp pair whose chibar support is small they are few, and a defect
+    with no zero row or column gets the SVD of the whole matrix.
+    """
     H = dense(H)
     chi = res.pair.chi
-    d1 = np.linalg.norm(H @ res.Q - chi[:, np.newaxis] * res.F, 2)
-    d2 = np.linalg.norm(res.Qsharp @ H - res.F * chi[np.newaxis, :], 2)
-    return float(d1), float(d2)
+    return (_norm2(H @ res.Q - chi[:, np.newaxis] * res.F),
+            _norm2(res.Qsharp @ H - res.F * chi[np.newaxis, :]))
 
 
 def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
@@ -170,13 +182,24 @@ def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
     return res.Q @ Finv @ res.Qsharp + cb[:, np.newaxis] * res.Hchibar_inv * cb[np.newaxis, :]
 
 
-def _null_dimension(s: np.ndarray, vh: np.ndarray, threshold: float):
-    """(rank-deficiency count, indeterminate flag, null vectors) from the
-    singular values s and right singular vectors vh of a matrix."""
-    null = s < threshold
-    borderline = (~null) & (s < INDETERMINATE_BAND * threshold)
-    vectors = vh.conj().T[:, null]
-    return int(np.sum(null)), bool(np.any(borderline)), vectors
+def _block_svds(mat: np.ndarray, index: np.ndarray) -> list:
+    """(indices, singular values, right singular vectors as rows) of each
+    connected block of mat (`fock.blocks`), the indices mapped through index."""
+    return [(index[b], *np.linalg.svd(mat[np.ix_(b, b)])[1:]) for b in blocks(mat)]
+
+
+def _null_dimension(svds: list, dim: int, threshold: float):
+    """(rank-deficiency count, indeterminate flag, null vectors) from the block
+    SVDs of a matrix; each null vector is embedded in the dim index space."""
+    borderline, vectors = False, [np.zeros((dim, 0))]
+    for index, s, vh in svds:
+        null = s < threshold
+        borderline |= bool(np.any(~null & (s < INDETERMINATE_BAND * threshold)))
+        v = np.zeros((dim, int(np.sum(null))), dtype=vh.dtype)
+        v[index] = vh[null].conj().T
+        vectors.append(v)
+    null_vectors = np.hstack(vectors)
+    return null_vectors.shape[1], borderline, null_vectors
 
 
 def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
@@ -186,23 +209,25 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     thresholding at 1e-8 ||H||), eigenvector transport both ways, and
     invertibility flags.  Borderline singular values within a factor 10 of
     the threshold mark the verdict indeterminate instead of failing.
+    Each SVD runs on one connected block (`fock.blocks`) of H - lambda or of
+    F's chi block, so ||H||_2 is the largest singular value over the blocks,
+    and the right singular vectors are embedded back into the full index
+    space; an irreducible matrix is one block, the SVD of the whole matrix.
     """
     H = np.asarray(H)
     H = dense(H - lam * np.eye(len(H)))
     res = feshbach_map(H, None, pair)
-    _, s, vh = np.linalg.svd(H)
-    hnorm = max(s[0], 1.0)  # the largest singular value is ||H||_2
+    svds_h = _block_svds(H, np.arange(len(H)))
+    hnorm = max([1.0] + [s[0] for _, s, _ in svds_h])
     thr = RANK_THRESHOLD_FACTOR * hnorm
 
-    dim_h, ind_h, null_h = _null_dimension(s, vh, thr)
+    dim_h, ind_h, null_h = _null_dimension(svds_h, len(H), thr)
     # F is block diagonal with respect to supp(chi); its action outside the
     # decimation sector is just tau and carries no spectral information about
     # the chi sector, so the null count is taken on the supp(chi) block.
-    sup = pair.chi > 0.0
-    _, s_f, vh_f = np.linalg.svd(res.F[np.ix_(sup, sup)])
-    dim_f, ind_f, null_f_block = _null_dimension(s_f, vh_f, thr)
-    null_f = np.zeros((len(H), null_f_block.shape[1]), dtype=null_f_block.dtype)
-    null_f[sup, :] = null_f_block
+    sup = np.flatnonzero(pair.chi > 0.0)
+    dim_f, ind_f, null_f = _null_dimension(_block_svds(res.F[np.ix_(sup, sup)], sup),
+                                           len(H), thr)
 
     # the largest residual of a null vector carried to the other side, 0 for none
     transport_h_to_f = max([0.0] + [float(np.linalg.norm(res.F @ (pair.chi * psi))) / hnorm

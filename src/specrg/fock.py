@@ -187,6 +187,31 @@ def dense(H) -> np.ndarray:
     return np.ascontiguousarray(mat.real, dtype=float)
 
 
+def blocks(mat) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern of the square matrix mat.
+
+    Rows i and j are joined when mat[i, j] or mat[j, i] is nonzero, so mat is
+    block diagonal on the returned index sets.  Each set is sorted, and the
+    sets come in order of their first index; an irreducible mat is the one
+    set arange(n).  A breadth-first search reads each row of the adjacency once.
+    """
+    nonzero = np.asarray(mat) != 0
+    adjacent = nonzero | nonzero.T
+    unseen = np.ones(len(adjacent), dtype=bool)
+    found = []
+    for start in range(len(adjacent)):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        members = frontier = np.array([start])
+        while len(frontier):
+            frontier = np.flatnonzero(adjacent[frontier].any(axis=0) & unseen)
+            unseen[frontier] = False
+            members = np.concatenate((members, frontier))
+        found.append(np.sort(members))
+    return found
+
+
 def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
     """Creation or annihilation operator for one mode, hard truncation.
 

@@ -288,24 +288,45 @@ def pauli_fierz_transform(spec: ModelSpec, x_grid) -> dict:
 # fiber Hamiltonians and mass renormalization
 # ---------------------------------------------------------------------------
 
+def _fiber_parts(spec: ModelSpec, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """B = H_f + g Phi and K = B^2/2m + H_f, so that H(P) = K - (P/m) B + P^2/2m."""
+    hf = field_hamiltonian(basis)
+    B = dense(hf + spec.g * field_operator(spec, basis))
+    return B, B @ B / (2.0 * spec.mass) + hf
+
+
 def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> np.ndarray:
-    """H(P) = (P - P_f - g Phi)^2 / 2m + H_f, momenta scalarized along P, so P_f = H_f."""
+    """H(P) = (P - P_f - g Phi)^2 / 2m + H_f, momenta scalarized along P, so P_f = H_f.
+
+    Expanded in P it is K - (P/m) B + P^2/2m with B = H_f + g Phi and
+    K = B^2/2m + H_f (`_fiber_parts`), the one formula the mass fit uses.
+    """
     if abs(P) >= 1.0 / 3.0:
         warnings.warn(f"|P| = {abs(P)} outside the controlled range |P| < 1/3")
-    hf = field_hamiltonian(basis)
-    A = dense(P * np.eye(basis.dim) - hf - spec.g * field_operator(spec, basis))
-    return A @ A / (2.0 * spec.mass) + hf
+    B, K = _fiber_parts(spec, basis)
+    return K - (P / spec.mass) * B + (P * P / (2.0 * spec.mass)) * np.eye(basis.dim)
+
+
+def _fiber_ground_energies(spec: ModelSpec, basis: FockBasis, p_grid: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of H(P) at each P of p_grid: B and K are formed once,
+    and each P costs one eigvalsh of K - (P/m) B, plus P^2/2m."""
+    B, K = _fiber_parts(spec, basis)
+    return np.array([np.linalg.eigvalsh(K - (P / spec.mass) * B)[0] + P * P / (2.0 * spec.mass)
+                     for P in p_grid], dtype=float)
 
 
 def mass_renormalization(spec: ModelSpec, basis: FockBasis, p_grid) -> dict:
-    """Fit E(P) = a + b P^2 + c P^3 over ground energies; m_ren = 1/(2b)."""
+    """Fit E(P) = a + b P^2 + c P^3 over ground energies; m_ren = 1/(2b).
+
+    The fiber ground energies come from `_fiber_ground_energies`: the P-free
+    parts of H(P) are formed once per fit, so no P costs a matrix product.
+    """
     p_grid = np.asarray(p_grid, dtype=float)
     if len(p_grid) < 4:
         raise ValueError("p_grid needs at least 4 points for the cubic fit")
     if np.max(np.abs(p_grid)) >= 1.0 / 3.0:
         raise ValueError("p_grid must stay inside |P| < 1/3")
-    energies = np.array([np.linalg.eigvalsh(fiber_hamiltonian(spec, basis, float(P)))[0]
-                         for P in p_grid], dtype=float)
+    energies = _fiber_ground_energies(spec, basis, p_grid)
     design = np.stack([np.ones_like(p_grid), p_grid ** 2, p_grid ** 3], axis=1)
     coef, res, _, _ = np.linalg.lstsq(design, energies, rcond=None)
     fit = design @ coef

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, dense
+from .fock import DEFAULT_DIM_CAP, blocks, dense
 from .models import CoupledModel, ModelSpec, complex_dilate, form_factor
 from .normalform import slot_masses
 
@@ -32,15 +32,22 @@ class ResolutionError(ValueError):
 
 
 def exact_spectrum(H, k: int | None = None):
-    """Sorted eigenvalues: k lowest if max|H - H*| < 1e-10, full set otherwise."""
+    """Sorted eigenvalues: k lowest if max|H - H*| < 1e-10, full set otherwise.
+
+    eigvalsh (Hermitian) or eigvals runs on each connected block of H
+    (`fock.blocks`) and the merged values are sorted; an irreducible H is one
+    block, the same call on the same matrix.  SolverError above DEFAULT_DIM_CAP.
+    """
     if np.shape(H)[0] > DEFAULT_DIM_CAP:  # before any copy of a matrix it refuses
         raise SolverError(f"dimension {np.shape(H)[0]} exceeds the dense cap {DEFAULT_DIM_CAP}")
     mat = dense(H)
     herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
+    solve = np.linalg.eigvalsh if herm else np.linalg.eigvals
     try:
-        vals = np.linalg.eigvalsh(mat) if herm else np.sort_complex(np.linalg.eigvals(mat))
+        vals = np.concatenate([solve(mat[np.ix_(b, b)]) for b in blocks(mat)] or [solve(mat)])
     except np.linalg.LinAlgError as exc:
         raise SolverError(str(exc)) from exc
+    vals = np.sort(vals) if herm else np.sort_complex(vals)
     return vals if k is None else vals[:k]
 
 
@@ -168,8 +175,11 @@ def resonance_eigenvalue(D: CoupledModel, seed: complex, radius: float | None = 
 
 
 def resonance_multiplicity(D: CoupledModel, center: complex, radius: float) -> int:
-    """Algebraic multiplicity inside a disc: eigenvalue count with repetition."""
-    return int(np.sum(np.abs(np.linalg.eigvals(D.H) - center) < radius))
+    """Algebraic multiplicity inside a disc: eigenvalue count with repetition.
+
+    The eigenvalues are `exact_spectrum`'s, so DEFAULT_DIM_CAP applies.
+    """
+    return int(np.sum(np.abs(exact_spectrum(D.H) - center) < radius))
 
 
 @dataclass
@@ -195,9 +205,10 @@ def resolvent_element(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, z_grid)
 
     Grid points closer than 1e-9 to an eigenvalue are skipped: their
     value is nan and their flag True.  fit_pole fits the pole form near one.
+    The eigenvalues are `exact_spectrum`'s, so DEFAULT_DIM_CAP applies.
     """
     zs = np.asarray(z_grid, dtype=complex)
-    eigs = np.linalg.eigvals(D.H)
+    eigs = exact_spectrum(D.H)
     flags = np.array([np.min(np.abs(eigs - z)) < 1e-9 for z in zs], dtype=bool)
     values = np.full(len(zs), np.nan + 0j)
     values[~flags] = _resolvent(D, psi, phi, zs[~flags])
@@ -211,9 +222,10 @@ def fit_pole(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, seed: complex) -
     geometrically, at 6 radii halving from 0.3 times the distance to the
     nearest other eigenvalue; the linear system solves for (p, a, b) and the
     residual is the maximum relative misfit.  The residue certifies a genuine
-    first-order pole when it is finite and nonzero.
+    first-order pole when it is finite and nonzero.  The pole and the distance
+    come from `exact_spectrum`, so DEFAULT_DIM_CAP applies.
     """
-    eigs = np.linalg.eigvals(D.H)
+    eigs = exact_spectrum(D.H)
     pole = complex(eigs[np.argmin(np.abs(eigs - seed))])
     others = eigs[np.abs(eigs - pole) > 1e-12]
     gap = float(np.min(np.abs(others - pole))) if len(others) else 1.0

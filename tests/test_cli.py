@@ -239,8 +239,8 @@ class TestSolverFailures:
 
     def test_mass_fit_failure_exits_with_domain_code(self, tmp_path, monkeypatch, capsys):
         # E(P) = -P^2 gives a negative quadratic coefficient, so no mass
-        monkeypatch.setattr(specrg.models, "fiber_hamiltonian",
-                            lambda spec, basis, P: -P ** 2 * np.eye(basis.dim))
+        monkeypatch.setattr(specrg.models, "_fiber_ground_energies",
+                            lambda spec, basis, p_grid: -p_grid ** 2)
         cfg = _cfg(tmp_path, MASS_CONFIG)
         assert main(["mass", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
         err = capsys.readouterr().err

@@ -187,3 +187,60 @@ class TestRealMatchesComplexReference:
             assert np.max(np.abs(models.fiber_hamiltonian(spec, basis, float(P)) - Hc)) <= 1e-15
             tol = 1e-13 * max(1.0, np.linalg.norm(Hc, 2))
             assert abs(energy - np.linalg.eigvalsh(Hc)[0]) <= tol
+
+
+@pytest.fixture(scope="module")
+def full_oracle_inputs():
+    """dense-oracle's objects at full size: the 650-state model (24 uniform modes
+    to k = 2, n_max = 2) and the 455-state ground-sector operator (12 geometric
+    modes to 1/3, n_max = 3) with its tau and sharp pair at rho."""
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=1.5e-3, kappa=2.0)
+    res_basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 2)
+    fes_basis = build_fock_basis(build_mode_grid(12, 1.0 / 3.0, "geometric"), 3)
+    spec_f = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+    H = models.ground_sector_hamiltonian(spec_f, fes_basis.grid, 0.0)
+    return {"model": models.build_model(spec, res_basis).H,
+            "dilation": models.complex_dilate(spec, res_basis, 0.2j).H,
+            "Hop": normalform.assemble_operator(H, fes_basis),
+            "tau": OperatorMatrix(normalform.assemble_term(H.terms[(0, 0)], fes_basis),
+                                  fes_basis),
+            "pair": feshbach.spectral_projection(fes_basis, RHO)}
+
+
+class TestBlockSolves:
+    def test_no_dense_solve_spans_two_blocks(self, monkeypatch, full_oracle_inputs):
+        # every svd, eigvalsh, eigvals and 2-norm runs on one connected block of
+        # its input or on a smaller matrix: none on the 650- or 455-state whole
+        shapes = []
+        for name in ("svd", "eigvalsh", "eigvals"):
+            def spy(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        norm = np.linalg.norm
+
+        def norm_spy(x, ord=None, **kwargs):
+            if ord == 2:
+                shapes.append(np.shape(x))
+            return norm(x, ord, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", norm_spy)
+
+        inputs = full_oracle_inputs
+        Hop, pair = inputs["Hop"], inputs["pair"]
+        largest = {name: max(len(b) for b in fock.blocks(dense(inputs[name])))
+                   for name in ("model", "dilation", "Hop")}
+        assert largest == {"model": 325, "dilation": 325, "Hop": 376}
+
+        def run(name, call):
+            shapes[:] = []
+            out = call()
+            assert shapes and max(max(s) for s in shapes) <= largest[name], shapes
+            return out
+
+        for name in ("model", "dilation", "Hop"):
+            run(name, lambda: oracle.exact_spectrum(inputs[name]))
+        run("Hop", lambda: feshbach.identity_defect(
+            Hop, feshbach.feshbach_map(Hop, inputs["tau"], pair)))
+        lam = float(run("Hop", lambda: oracle.exact_spectrum(Hop, 1))[0])
+        rep = run("Hop", lambda: feshbach.isospectral_check(Hop, pair, lam))
+        assert rep["dim_null_H"] == rep["dim_null_F"] == 1

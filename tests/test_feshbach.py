@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from specrg import fock
 from specrg.fock import OperatorMatrix, build_fock_basis, build_mode_grid
-from specrg.feshbach import (NotInvertibleError, ProjectionPair, feshbach_map,
+from specrg.feshbach import (INDETERMINATE_BAND, RANK_THRESHOLD_FACTOR, FeshbachResult,
+                             NotInvertibleError, ProjectionPair, feshbach_map,
                              identity_defect, isospectral_check,
                              reconstruct_inverse, spectral_projection)
 from specrg.models import ModelSpec, ground_sector_hamiltonian
@@ -83,6 +85,30 @@ class TestFeshbachMap:
         assert rep_off["dim_null_H"] == rep_off["dim_null_F"] == 0
 
 
+class TestIdentityDefectNorm:
+    """identity_defect's 2-norms skip zero rows and columns; a defect is set up as
+    H Q - chi F = Q# H - F chi = A through H = 1, Q = Q# = A and F = 0."""
+
+    @staticmethod
+    def _defects(A):
+        n = len(A)
+        res = FeshbachResult(F=np.zeros((n, n)), Q=A, Qsharp=A, Hchibar_inv=np.zeros((n, n)),
+                             pair=ProjectionPair(np.ones(n)), tau=np.zeros(n))
+        return identity_defect(np.eye(n), res)
+
+    def test_zero_rows_and_columns_carry_no_singular_value(self):
+        rng = np.random.default_rng(31)
+        A = np.zeros((30, 30), dtype=complex)
+        rows, cols = [1, 4, 5, 17, 29], [0, 2, 3, 9, 11, 12, 20]
+        A[np.ix_(rows, cols)] = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        want = np.linalg.norm(A, 2)
+        for got in self._defects(A):
+            assert abs(got - want) <= 1e-15 * want
+
+    def test_zero_defect_has_norm_zero(self):
+        assert self._defects(np.zeros((6, 6))) == (0.0, 0.0)
+
+
 class TestChibarBlockThreshold:
     """The chibar block is singular below 1e-13 max(1, ||H||_2); ||H||_F >= ||H||_2
     screens it first, so ||H||_2 is computed only for a block that fails the screen."""
@@ -139,6 +165,37 @@ class TestReconstructInverse:
         assert err < 1e-10
 
 
+def _whole_matrix_check(H, pair, lam):
+    """isospectral_check with one SVD of the whole H - lambda and of F's whole
+    chi block, and 2-norms of the whole defect matrices."""
+    H = H - lam * np.eye(len(H))
+    res = feshbach_map(H, None, pair)
+    _, s, vh = np.linalg.svd(H)
+    hnorm = max(s[0], 1.0)
+    thr = RANK_THRESHOLD_FACTOR * hnorm
+    sup = pair.chi > 0.0
+    _, s_f, vh_f = np.linalg.svd(res.F[np.ix_(sup, sup)])
+    null_h = vh.conj().T[:, s < thr]
+    null_f = np.zeros((len(H), np.sum(s_f < thr)), dtype=vh_f.dtype)
+    null_f[sup] = vh_f.conj().T[:, s_f < thr]
+    chi = pair.chi
+    d1 = np.linalg.norm(H @ res.Q - chi[:, np.newaxis] * res.F, 2)
+    d2 = np.linalg.norm(res.Qsharp @ H - res.F * chi[np.newaxis, :], 2)
+    dim_h, dim_f = int(np.sum(s < thr)), int(np.sum(s_f < thr))
+    borderline = [(v >= thr) & (v < INDETERMINATE_BAND * thr) for v in (s, s_f)]
+    return {
+        "lambda": [float(np.real(lam)), float(np.imag(lam))],
+        "dim_null_H": dim_h, "dim_null_F": dim_f, "null_dims_equal": dim_h == dim_f,
+        "indeterminate": bool(np.any(borderline[0]) or np.any(borderline[1])),
+        "H_invertible": dim_h == 0, "F_invertible": dim_f == 0,
+        "transport_residual_chi": max([0.0] + [float(np.linalg.norm(res.F @ (chi * psi))) / hnorm
+                                               for psi in null_h.T]),
+        "transport_residual_Q": max([0.0] + [float(np.linalg.norm(H @ (res.Q @ phi))) / hnorm
+                                             for phi in null_f.T]),
+        "identity_defect_HQ": float(d1) / hnorm, "identity_defect_QsH": float(d2) / hnorm,
+    }
+
+
 class TestIsospectralCheck:
     def test_diagonal_null_transport(self):
         H = np.diag([0.3, 1.0, 2.0]).astype(complex)
@@ -170,6 +227,52 @@ class TestIsospectralCheck:
         assert rep["dim_null_F"] == 2
         assert rep["transport_residual_chi"] < 1e-8
         assert rep["transport_residual_Q"] < 1e-8
+
+    def test_permuted_two_block_double_eigenvalue(self):
+        # lambda = 0.4 is an eigenvalue of each block: the two null vectors come
+        # from different SVDs and must land on their blocks' indices
+        rng = np.random.default_rng(19)
+        mat = np.zeros((11, 11))
+        for block, diag in ((slice(0, 5), [0.4, 1.2, 1.7, 2.3, 2.9]),
+                            (slice(5, 11), [0.4, 0.9, 1.3, 2.1, 2.6, 3.4])):
+            Q, _ = np.linalg.qr(rng.standard_normal((len(diag), len(diag))))
+            mat[block, block] = Q @ np.diag(diag) @ Q.T
+        perm = rng.permutation(11)
+        H = mat[np.ix_(perm, perm)]
+        assert len(fock.blocks(H)) == 2
+        pair = ProjectionPair((np.diag(H) < 1.5).astype(float))
+        assert 0 < pair.chi.sum() < 11
+        rep = isospectral_check(H, pair, 0.4)
+        assert rep["dim_null_H"] == rep["dim_null_F"] == 2
+        assert rep["transport_residual_chi"] < 1e-8
+        assert rep["transport_residual_Q"] < 1e-8
+        # the defects are scaled by ||H - lambda||_2, the larger block's norm
+        want = _whole_matrix_check(H, pair, 0.4)
+        for key in ("identity_defect_HQ", "identity_defect_QsH"):
+            assert abs(rep[key] - want[key]) <= 1e-12 * want[key]
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smooth"])
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+    def test_irreducible_matrix_matches_whole_matrix_check(self, hermitian, smooth):
+        # a dense H - lambda and F chi block are one block each: the same SVDs.  A
+        # smooth chi in (0, 1) leaves the defects no zero row or column, so the
+        # whole report is bit-identical; a sharp pair zeroes the defects' chibar
+        # columns, and their 2-norms then agree to rounding
+        rng = np.random.default_rng(29)
+        A = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        H = A + A.conj().T if hermitian else A
+        chi = rng.uniform(0.1, 0.9, 24) if smooth else (rng.random(24) > 0.5).astype(float)
+        pair = ProjectionPair(chi)
+        lam = 0.3 + 0.1j
+        got, want = isospectral_check(H, pair, lam), _whole_matrix_check(H, pair, lam)
+        defects = ("identity_defect_HQ", "identity_defect_QsH")
+        if smooth:
+            assert got == want
+        else:
+            assert {k: v for k, v in got.items() if k not in defects} == \
+                {k: v for k, v in want.items() if k not in defects}
+            for key in defects:
+                assert abs(got[key] - want[key]) <= 1e-12 * want[key]
 
     def test_smooth_sharp_taper_convergence(self):
         rng = np.random.default_rng(17)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrg.fock import (FockBasis, ModeGrid, OperatorMatrix, build_fock_basis,
+from specrg.fock import (FockBasis, ModeGrid, OperatorMatrix, blocks, build_fock_basis,
                          build_mode_grid, field_hamiltonian, ladder_matrix, ladder_walk,
                          pull_through_check)
 
@@ -77,6 +77,48 @@ class TestFockBasis:
         basis = build_fock_basis(grid, 2)
         for i, s in enumerate(basis.states):
             assert basis.state_index(s) == i
+
+
+class TestBlocks:
+    """Connected components of a matrix's nonzero pattern, read both ways."""
+
+    def test_permuted_block_diagonal(self):
+        rng = np.random.default_rng(5)
+        sizes = [3, 5, 1, 4]
+        n = sum(sizes)
+        B = np.zeros((n, n))
+        start = 0
+        for size in sizes:
+            B[start:start + size, start:start + size] = rng.uniform(0.5, 1.5, (size, size))
+            start += size
+        perm = rng.permutation(n)
+        M = np.empty_like(B)
+        M[np.ix_(perm, perm)] = B  # state i of B is state perm[i] of M
+        edges = np.cumsum([0] + sizes)
+        want = sorted((sorted(perm[a:b].tolist()) for a, b in zip(edges[:-1], edges[1:])),
+                      key=lambda block: block[0])
+        assert [b.tolist() for b in blocks(M)] == want
+
+    def test_one_way_entry_joins_its_rows(self):
+        M = np.diag([1.0, 2.0, 3.0])
+        M[0, 2] = 0.5
+        got = blocks(M)
+        assert [b.tolist() for b in got] == [[0, 2], [1]]
+
+    def test_zero_row_and_column_are_their_own_block(self):
+        M = np.random.default_rng(1).standard_normal((4, 4)) + 5.0
+        M[2, :] = M[:, 2] = 0.0
+        assert [b.tolist() for b in blocks(M)] == [[0, 1, 3], [2]]
+
+    @pytest.mark.parametrize("kind", ["dense", "chain"])
+    def test_irreducible_matrix_is_one_block(self, kind):
+        n = 200
+        if kind == "dense":
+            M = np.random.default_rng(2).standard_normal((n, n)) + 1j
+        else:
+            M = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+        got = blocks(M)
+        assert len(got) == 1 and np.array_equal(got[0], np.arange(n))
 
 
 class TestLadderOperators:

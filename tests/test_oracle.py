@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specrg import oracle
+from specrg import fock, oracle
 from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid)
 from specrg.oracle import (NotFoundError, ResolutionError, SolverError,
@@ -77,6 +77,33 @@ class TestExactSpectrum:
         z, _ = resonance_eigenvalue(D, 1.0)
         assert z.imag < 0.0
         assert np.min(np.abs(vals - z)) <= 1e-12
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+    def test_permuted_reducible_matrix_matches_whole_solve(self, hermitian):
+        # three blocks of sizes 6, 1 and 9, scattered by a permutation
+        rng = np.random.default_rng(11)
+        H = np.zeros((16, 16), dtype=complex)
+        for block in (slice(0, 6), slice(6, 7), slice(7, 16)):
+            size = block.stop - block.start
+            A = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            H[block, block] = A + A.conj().T if hermitian else A
+        perm = rng.permutation(16)
+        H = H[np.ix_(perm, perm)]
+        assert len(fock.blocks(H)) == 3
+        want = np.linalg.eigvalsh(H) if hermitian else np.sort_complex(np.linalg.eigvals(H))
+        tol = 1e-13 * max(1.0, np.linalg.norm(H, 2))
+        for k in (None, 5):
+            got = exact_spectrum(H, k)
+            assert got.dtype == want.dtype and len(got) == len(want[:k])
+            assert np.max(np.abs(got - want[:k])) <= tol
+
+    @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
+    def test_irreducible_matrix_is_one_whole_solve(self, hermitian):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        H = A + A.conj().T if hermitian else A
+        want = np.linalg.eigvalsh(H) if hermitian else np.sort_complex(np.linalg.eigvals(H))
+        assert exact_spectrum(H).tobytes() == want.tobytes()
 
     def test_coupled_ground_below_particle_level(self):
         spec = _two_level(5e-3, kappa=1.0)
