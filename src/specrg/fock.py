@@ -103,7 +103,8 @@ class FockBasis:
     lower[m, i] is the index of state i with one quantum fewer in mode m, or
     -1 when mode m is empty.  The amplitude of that move is
     sqrt(states[i, m]).  Creation is the inverse map, so creating out of the
-    top shell sum(n) = n_max has no target and gives zero.
+    top shell sum(n) = n_max has no target and gives zero.  walks keeps
+    normalform.assemble_term's ladder walks, one per (m, n), once walked.
     """
 
     grid: ModeGrid
@@ -111,6 +112,7 @@ class FockBasis:
     states: np.ndarray = field(repr=False)
     index: dict = field(repr=False)
     lower: np.ndarray = field(repr=False)
+    walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:

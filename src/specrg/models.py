@@ -152,14 +152,20 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Coupled
     H_theta = H_p (x) 1 + e^{-theta} 1 (x) H_f + g Gamma (x) Phi(f_theta), particle
     index outer: f continues to f_theta(k) = e^{-3 theta/2} f(e^{-theta} k)
     (form_factor at theta), the scaling action on a creation operator over the
-    d^3k measure.  The finite matter system is dilation-invariant.
+    d^3k measure.  The finite matter system is dilation-invariant.  Block (l, l') is
+    g Gamma_ll' Phi(f_theta), plus eps_l + e^{-theta} H_f on its diagonal if l = l'.
     """
     if abs(np.imag(theta)) >= np.pi / 4:
         raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
-    fvals = form_factor(spec, basis.grid.nodes, theta)
-    H = (np.kron(np.diag(spec.particle_levels), np.eye(basis.dim))
-         + np.exp(-theta) * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
-         + spec.g * np.kron(spec.gamma, field_operator(spec, basis, fvals=fvals)))
+    phi = field_operator(spec, basis, fvals=form_factor(spec, basis.grid.nodes, theta))
+    hf, D, diag = np.exp(-theta) * basis.hf_diagonal(), basis.dim, np.arange(basis.dim)
+    H = np.empty((spec.n_levels * D, spec.n_levels * D), dtype=complex)
+    for (l, lp), gamma in np.ndenumerate(spec.gamma):
+        block = H[l * D:(l + 1) * D, lp * D:(lp + 1) * D]
+        np.multiply(gamma, phi, out=block)
+        block *= spec.g
+        if l == lp:
+            block[diag, diag] = (spec.particle_levels[l] + hf) + block[diag, diag]
     return CoupledModel(spec=spec, basis=basis, H=H, theta=theta)
 
 

@@ -94,14 +94,18 @@ class CouplingFunction:
     def slot_shape(self) -> tuple:
         return (len(self.nodes),) * self.order
 
-    def slot_nodes(self) -> list:
+    @staticmethod
+    def slot_nodes(nodes: np.ndarray, m: int, n: int) -> list:
         """The node of each slot, broadcast against the table's slot axes."""
-        return list(np.ix_(*[self.nodes] * self.order))
+        return list(np.ix_(*[nodes] * (m + n)))
 
     @property
     def dr_values(self) -> np.ndarray:
+        """np.gradient(values, R_GRID, axis=0) bit for bit: its differences on R_GRID = j/32."""
         if self._dr_values is None:
-            self._dr_values = np.gradient(self.values, R_GRID, axis=0)
+            v, h = self.values, R_GRID[1]
+            self._dr_values = np.concatenate([(v[1:2] - v[:1]) / h, (v[2:] - v[:-2]) / (2.0 * h),
+                                              (v[-1:] - v[-2:-1]) / h])
         return self._dr_values
 
     @property
@@ -169,9 +173,10 @@ class MultisetKernel(CouplingFunction):
     def slot_shape(self) -> tuple:
         return tuple(len(multisets(len(self.nodes), k)[0]) for k in (self.m, self.n))
 
-    def slot_nodes(self) -> list:
-        cre, ann = (multisets(len(self.nodes), k)[0].T for k in (self.m, self.n))
-        return [self.nodes[c][:, np.newaxis] for c in cre] + [self.nodes[a] for a in ann]
+    @staticmethod
+    def slot_nodes(nodes: np.ndarray, m: int, n: int) -> list:
+        cre, ann = (multisets(len(nodes), k)[0].T for k in (m, n))
+        return [nodes[c][:, np.newaxis] for c in cre] + [nodes[a] for a in ann]
 
     def expanded(self) -> np.ndarray:
         """The full table, gathered from the multisets, so exactly symmetric."""
@@ -210,14 +215,17 @@ def from_profile(m, n, nodes, func) -> CouplingFunction:
 
 
 def _norm_weight(w: CouplingFunction, mu: float):
-    """Slot weight (min_j k_j)^-mu prod_i k_i^1/2 of the anisotropic norm (1 for m + n = 0)."""
-    if w.order == 0:
-        return 1.0
-    slots = w.slot_nodes()
+    """Slot weight (min_j k_j)^-mu prod_i k_i^1/2 of the anisotropic norm (1 for m + n = 0),
+    one shared array per node set, layout (full or multiset), (m, n) and mu."""
+    return 1.0 if w.order == 0 else _slot_weight(w.slot_nodes, tuple(w.nodes), w.m, w.n, mu)
+
+
+@lru_cache(maxsize=256)  # per node set, so bounded
+def _slot_weight(slot_nodes, nodes: tuple, m: int, n: int, mu: float) -> np.ndarray:
+    slots = slot_nodes(np.array(nodes), m, n)
     root_prod, kmin = 1.0, slots[0]
     for k in slots:
-        root_prod = root_prod * np.sqrt(k)
-        kmin = np.minimum(kmin, k)
+        root_prod, kmin = root_prod * np.sqrt(k), np.minimum(kmin, k)
     return kmin ** (-mu) * root_prod
 
 
@@ -320,30 +328,30 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     Every column is walked through every ordered tuple J of n annihilations,
     the kernel is read at the field energy of the intermediate state, and the
     walk continues through every ordered tuple I of m creations.  The moves
-    and the hard-cutoff truncation come from fock.ladder_walk; contributions
-    to one matrix entry are summed in (J, I) lexicographic order.  An
-    interaction kernel read above r = 1 is clamped (at_r), with a warning.
+    and the hard-cutoff truncation come from fock.ladder_walk, walked once per
+    (m, n) and kept on the basis (FockBasis.walks) with the slot masses'
+    square roots; contributions to one matrix entry are summed in (J, I)
+    lexicographic order.  An interaction kernel read above r = 1 is clamped
+    (at_r), with a warning.
     """
     if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
-    D = basis.dim
-    root_mass = np.sqrt(slot_masses(basis.grid))
+    walk = basis.walks.get((w.m, w.n))
+    if walk is None:
+        cols, J, mid, amp_a = ladder_walk(basis, np.arange(basis.dim), w.n, "annihilate")
+        src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
+        slots = np.column_stack([I, J[src]])
+        coef = amp_a[src] * amp_c * np.prod(np.sqrt(slot_masses(basis.grid))[slots], axis=1)
+        walk = basis.walks[(w.m, w.n)] = (top, cols[src], mid[src], tuple(slots.T), coef)
+    top, cols, mid, slots, coef = walk
     hf = basis.hf_diagonal()
-    kern_at_hf = w.at_r(hf)  # (D,) + slots
-    cols, J, mid, amp_a = ladder_walk(basis, np.arange(D), w.n, "annihilate")
-    src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
-    cols, J, mid, amp_a = cols[src], J[src], mid[src], amp_a[src]
     read_max = hf[mid].max(initial=0.0)
     if w.order and read_max > R_GRID[-1]:
         warnings.warn(f"field energies up to {read_max:.6g} exceed the kernel grid end "
                       f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
-    slots = np.column_stack([I, J])
-    factor = np.ones(len(top))
-    for s in range(w.order):
-        factor = factor * root_mass[slots[:, s]]
-    kern = kern_at_hf[(mid,) + tuple(slots.T)]
-    out = np.zeros((D, D), dtype=kern.dtype)
-    np.add.at(out, (top, cols), amp_a * amp_c * factor * kern)
+    kern = w.at_r(hf)[(mid,) + slots]
+    out = np.zeros((basis.dim, basis.dim), dtype=kern.dtype)
+    np.add.at(out, (top, cols), coef * kern)
     return out
 
 

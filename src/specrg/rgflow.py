@@ -115,8 +115,9 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
     vals = w.at_r(rho * R_GRID)
     if w.order:
         s = _slot_index(w.nodes, rho)
-        padded = np.pad(vals, [(0, 0)] + [(0, 1)] * w.order)  # index -1 reads the zero column
-        vals = padded[(slice(None),) + np.ix_(*[s] * w.order)]
+        vals = vals[(slice(None),) + np.ix_(*[np.maximum(s, 0)] * w.order)]
+        for axis in range(1, w.order + 1):  # index -1 reads 0
+            vals[(slice(None),) * axis + (s < 0,)] = 0.0
     return CouplingFunction(w.m, w.n, w.nodes, rho ** (1.5 * w.order - 1.0) * vals)
 
 
@@ -177,6 +178,11 @@ def _sums(nodes: tuple, masses: tuple, length: int):
     return (s, *np.unique(s, return_inverse=True), weight)
 
 
+@lru_cache(maxsize=256)  # per node set, so bounded: a dropped order's sum_i mass_i / k_i
+def _mass_over_k(nodes: tuple, masses: tuple) -> float:
+    return float(np.sum(np.array(masses) / np.array(nodes)))
+
+
 @lru_cache(maxsize=256)  # per node set, so bounded
 def _pair_sums(nodes: tuple, masses: tuple, len_I: int, len_J: int):
     """The distinct values of sI + sJ over all (I, J), and the inverse index."""
@@ -212,7 +218,7 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
         Cf = comb(n1, p) * comb(m2, p) * factorial(p)
         if order > max_order:
             # dropped: log a norm-product bound instead of the kernel
-            budget.append(Cf * float(np.sum(np.array(node_set[1]) / nodes)) ** p * sup_G
+            budget.append(Cf * _mass_over_k(*node_set) ** p * sup_G
                           * wA.norm_mu1 * wB.norm_mu1 * nodes[0] ** (-MU) * XI ** (-order))
             continue
 
@@ -261,8 +267,11 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     for wA in A_terms.values():
         for wB in B_terms.values():
             _pair_product(wA, wB, G, node_set, max_order, out_arrays, budget, sup_G, rows)
-    pad = [(0, len(R_GRID) - rows), (0, 0), (0, 0)]
-    terms = {key: ProductKernel(MultisetKernel(*key, ref.nodes, np.pad(vals, pad)))
+    if rows < len(R_GRID):  # the rows above are zero
+        for key, vals in out_arrays.items():
+            out_arrays[key] = np.zeros((len(R_GRID),) + vals.shape[1:], dtype=vals.dtype)
+            out_arrays[key][:rows] = vals
+    terms = {key: ProductKernel(MultisetKernel(*key, ref.nodes, vals))
              for key, vals in out_arrays.items()}
     return terms, float(np.sum(budget))
 
@@ -287,12 +296,17 @@ class StepInfo:
         return {"q": self.q, "inv_bound": self.inv_bound, "dropped_norm": self.dropped_norm}
 
 
+@lru_cache(maxsize=16)  # one basis per grid (nodes, weights), holding its walks
+def _q_basis(nodes: tuple, weights: tuple) -> fock.FockBasis:
+    return fock.build_fock_basis(fock.ModeGrid(np.array(nodes), np.array(weights)), 2)
+
+
 def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
     """Neumann ratio ||G(H_f) W||, with W the interaction of H and G the step's
-    resolvent, on an n_max = 2 basis of H's grid."""
+    resolvent, on an n_max = 2 basis of H's grid, built once per grid (_q_basis)."""
     if not W:
         return 0.0
-    basis = fock.build_fock_basis(H.grid, 2)
+    basis = _q_basis(tuple(H.nodes), tuple(H.grid.weights))
     Wmat = sum(normalform.assemble_term(w, basis) for w in W.values())
     return float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
 

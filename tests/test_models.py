@@ -1,5 +1,7 @@
 """Matter-field models, dilation, change of coupling, fiber Hamiltonians."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,34 @@ class TestComplexDilation:
         along_re, along_im = derivative(h), derivative(1j * h)
         assert np.max(np.abs(along_re)) > 0.1
         assert np.max(np.abs(along_re - along_im)) < 1e-7
+
+    @pytest.mark.parametrize("theta", [0.0, 0.2j, 0.1 + 0.15j])
+    @pytest.mark.parametrize("levels, gamma", [
+        ([0.0, 1.0], None),
+        ([0.0, 0.8, 1.5], [[0.3, 1.0 - 0.5j, 0.5j], [1.0 + 0.5j, -0.2, 0.7], [-0.5j, 0.7, 0.1]])])
+    def test_blocks_equal_the_kronecker_formula(self, levels, gamma, theta):
+        spec = ModelSpec(particle_levels=np.array(levels), g=5e-3, kappa=1.0,
+                         gamma=None if gamma is None else np.array(gamma))
+        basis = build_fock_basis(build_mode_grid(8, 0.5, "geometric"), 2)
+        phi = field_operator(spec, basis, fvals=form_factor(spec, basis.grid.nodes, theta))
+        kron = (np.kron(np.diag(spec.particle_levels), np.eye(basis.dim))
+                + np.exp(-theta) * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
+                + spec.g * np.kron(spec.gamma, phi))
+        H = complex_dilate(spec, basis, theta).H
+        assert H.dtype == kron.dtype and np.array_equal(H, kron)
+
+    def test_dilation_holds_no_copy_of_its_own_size(self):
+        # the dense oracle's 650-state dilation: H and Phi(f_theta), a quarter of
+        # H on two levels, and no (L D)^2 intermediate
+        spec = _two_level(1.5e-3, kappa=2.0)
+        basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 2)
+        tracemalloc.start()
+        try:
+            H = complex_dilate(spec, basis, 0.2j).H
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * H.nbytes
 
     def test_angle_range_enforced(self):
         spec = _two_level(0.0)

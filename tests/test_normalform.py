@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrg.fock import (ModeGrid, build_fock_basis, build_mode_grid, field_hamiltonian,
-                        ladder_matrix)
-from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
+                        ladder_matrix, ladder_walk)
+from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction, MultisetKernel,
                                NormalFormHamiltonian, assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, from_profile,
                                hamiltonian_norm, interaction_norm,
-                               shifted, slot_masses, split, symmetrized,
+                               multisets, shifted, slot_masses, split, symmetrized,
                                t_slope_deviation)
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
@@ -391,6 +391,96 @@ class TestAssembly:
         w = from_profile(1, 0, other.nodes, lambda r, k: 1.0)
         with pytest.raises(ValueError, match="nodes"):
             assemble_term(w, basis)
+
+
+def _random_kernel(rng, m, n, nodes, packed=False, real=False):
+    """A random kernel on nodes, full or on multisets, float64 or complex128."""
+    slots = ((len(multisets(len(nodes), m)[0]), len(multisets(len(nodes), n)[0])) if packed
+             else (len(nodes),) * (m + n))
+    vals = rng.standard_normal((len(R_GRID),) + slots)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    return (MultisetKernel if packed else CouplingFunction)(m, n, nodes, vals)
+
+
+def _fresh_norm_mu1(w, mu):
+    """||w||_{mu,1} with the slot weight written out per layout, nothing cached."""
+    if w.order == 0:
+        weight = 1.0
+    else:
+        if isinstance(w, MultisetKernel):
+            cre, ann = (multisets(len(w.nodes), k)[0].T for k in (w.m, w.n))
+            slots = [w.nodes[c][:, np.newaxis] for c in cre] + [w.nodes[a] for a in ann]
+        else:
+            slots = list(np.ix_(*[w.nodes] * w.order))
+        root_prod, kmin = 1.0, slots[0]
+        for k in slots:
+            root_prod, kmin = root_prod * np.sqrt(k), np.minimum(kmin, k)
+        weight = kmin ** (-mu) * root_prod
+    return (float(np.max(weight * np.abs(w.values)))
+            + float(np.max(weight * np.abs(np.gradient(w.values, R_GRID, axis=0)))))
+
+
+class TestBuiltOnce:
+    """What is built once and kept gives what a fresh build gives, whatever was
+    built before it on another key."""
+
+    KEYS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (0, 0), (2, 1), (1, 2)]
+
+    @staticmethod
+    def _walked(w, basis):
+        """assemble_term's sum written out on walks taken afresh, nothing kept."""
+        cols, J, mid, amp_a = ladder_walk(basis, np.arange(basis.dim), w.n, "annihilate")
+        src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
+        cols, J, mid, amp_a = cols[src], J[src], mid[src], amp_a[src]
+        root_mass, slots = np.sqrt(slot_masses(basis.grid)), np.column_stack([I, J])
+        factor = np.ones(len(top))
+        for s in range(w.order):
+            factor = factor * root_mass[slots[:, s]]
+        kern = w.at_r(basis.hf_diagonal())[(mid,) + tuple(slots.T)]
+        out = np.zeros((basis.dim, basis.dim), dtype=kern.dtype)
+        np.add.at(out, (top, cols), amp_a * amp_c * factor * kern)
+        return out
+
+    def test_assemble_term_on_a_used_basis_equals_a_fresh_walk(self):
+        # two bases of one grid, n_max 2 and 3, each already holding the walks of
+        # the (m, n) before, and a fresh basis; k_max n_max = 0.75 keeps every
+        # read inside [0, 1]
+        rng = np.random.default_rng(29)
+        grid = build_mode_grid(4, 0.25, "geometric")
+        used = {n_max: build_fock_basis(grid, n_max) for n_max in (2, 3)}
+        for m, n in self.KEYS:
+            w = _random_kernel(rng, m, n, grid.nodes)
+            for n_max, basis in used.items():
+                fresh = build_fock_basis(grid, n_max)
+                expected = self._walked(w, fresh)
+                assert np.array_equal(assemble_term(w, basis), expected)
+                assert np.array_equal(assemble_term(w, fresh), expected)
+        assert set(used[2].walks) == set(self.KEYS)
+
+    def test_norms_of_full_and_packed_kernels_equal_an_uncached_computation(self):
+        # one node set, both layouts, two mu, then a second node set
+        rng = np.random.default_rng(30)
+        for nodes in (build_mode_grid(4, 0.5, "geometric").nodes,
+                      build_mode_grid(4, 0.5, "uniform").nodes):
+            for m, n in self.KEYS:
+                full = CouplingFunction(m, n, nodes,
+                                        symmetrized(_random_kernel(rng, m, n, nodes).values, m, n))
+                for w in (full, full.packed):
+                    assert w.norm_mu1 == _fresh_norm_mu1(w, MU)
+                    assert coupling_norm_mu1(w, 0.25) == _fresh_norm_mu1(w, 0.25)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_dr_values_equal_np_gradient_bit_for_bit(self, packed, real):
+        assert np.all(np.diff(R_GRID) == 1.0 / 32.0)
+        rng = np.random.default_rng(31)
+        nodes = build_mode_grid(3, 0.5, "geometric").nodes
+        for m, n in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (3, 1)]:
+            w = _random_kernel(rng, m, n, nodes, packed=packed, real=real)
+            expected = np.gradient(w.values, R_GRID, axis=0)
+            assert w.dr_values.dtype == expected.dtype
+            assert w.dr_values.tobytes() == expected.tobytes()
 
 
 class TestBasicBound:

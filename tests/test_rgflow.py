@@ -648,6 +648,21 @@ class TestRgStep:
         assert rgflow.measured_q(H, {(1, 0): w10}, G) == pytest.approx(expected, rel=1e-12)
         assert rgflow.measured_q(H, {}, G) == 0.0
 
+    def test_measured_q_alternating_grids_equals_a_fresh_basis(self):
+        # two grids with equal nodes and different weights, so equal bases but
+        # different slot masses: the basis kept for one must not serve the other
+        one = build_mode_grid(4, 0.5, "geometric")
+        grids = [one, ModeGrid(one.nodes, 2.0 * one.weights), one]
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        G = lambda r: 1.0 / (0.1 + np.asarray(r)) + 0.2j
+        for grid in grids + grids:
+            _, W = split(ground_sector_hamiltonian(spec, grid, 0.0))
+            H = NormalFormHamiltonian({(0, 0): _field_kernel(grid.nodes), **W}, grid)
+            basis = build_fock_basis(grid, 2)
+            Wmat = sum(assemble_term(w, basis) for w in W.values())
+            fresh = float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
+            assert rgflow.measured_q(H, W, G) == fresh
+
     def test_one_split_per_step(self, monkeypatch):
         calls = Counter()
 

@@ -317,6 +317,35 @@ def decimations() -> None:
     _hamiltonian("random decimate s_max=2", F, info)
 
 
+def cache_keys() -> None:
+    from specrg import calibration, fock, normalform, rgflow
+    # calls interleaved on keys that must not share what a step builds once:
+    # two grids with equal nodes and different weights (measured_q's basis, the
+    # contraction sums), two bases of one grid (assemble_term's walks), and full
+    # and packed kernels on two node sets (the norms' slot weights)
+    one = fock.build_mode_grid(4, 0.5, "geometric")
+    grids = (one, fock.ModeGrid(one.nodes, 2.0 * one.weights))
+    steps = [calibration._random_polydisc_hamiltonian(np.random.default_rng(3), grid, 0.5,
+                                                      0.5 / 16.0) for grid in grids]
+    for rep in (1, 2):
+        for i, H in enumerate(steps):
+            _hamiltonian(f"weights x{i + 1} step pass {rep}", *rgflow.rg_step(H, 0.5))
+    rng = np.random.default_rng(29)
+    small = fock.build_mode_grid(4, 0.25, "geometric")
+    bases = [fock.build_fock_basis(small, n_max) for n_max in (2, 3)]
+    for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (0, 0), (2, 1), (1, 2)):
+        shape = (len(normalform.R_GRID),) + (4,) * (m + n)
+        w = normalform.CouplingFunction(m, n, small.nodes, normalform.symmetrized(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), m, n))
+        for basis in bases:
+            _emit(f"assemble_term ({m},{n}) n_max={basis.n_max}", normalform.assemble_term(w, basis))
+        for nodes in (small.nodes, fock.build_mode_grid(4, 0.25, "uniform").nodes):
+            v = normalform.CouplingFunction(m, n, nodes, w.values)
+            for label, u in (("full", v), ("packed", v.packed)):
+                _emit(f"({m},{n}) {label} norms and dr_values", u.dr_values, u.norm_mu1,
+                      normalform.coupling_norm_mu1(u, 0.25), normalform.coupling_norm_mu(u, 0.25))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -325,7 +354,8 @@ def main() -> None:
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     dense_models, dense_reads, dense_feshbach, acceptance_flows,
-                    k_max_one_step, sector_builder, decimations, fourth_order_steps):
+                    k_max_one_step, sector_builder, decimations, fourth_order_steps,
+                    cache_keys):
         _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
