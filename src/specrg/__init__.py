@@ -25,11 +25,10 @@ from .rgflow import (DomainError, FlowStalledError, FlowTrajectory, StepInfo, de
 from .models import (CoupledModel, ModelSpec, build_model, complex_dilate,
                      dilated_grid, fiber_hamiltonian, field_operator, form_factor,
                      ground_sector_hamiltonian, infrared_exponent,
-                     mass_renormalization, pauli_fierz_transform, pf_coupling,
-                     pf_gauge_function)
+                     mass_renormalization, pauli_fierz_transform, pf_coupling)
 from .oracle import (NotFoundError, PoleFit, ResolutionError, SolverError,
                      combes_deviation, exact_spectrum, fit_pole,
-                     perturbation_oracle, resolvent_element,
-                     resonance_eigenvalue, resonance_multiplicity)
+                     perturbation_oracle, resonance_eigenvalue,
+                     resonance_multiplicity)
 
 __version__ = "0.1.0"

@@ -88,7 +88,6 @@ class FeshbachResult:
     Qsharp: np.ndarray
     Hchibar_inv: np.ndarray
     pair: ProjectionPair
-    tau: np.ndarray  # the diagonal of the undecimated part
 
 
 class NotInvertibleError(np.linalg.LinAlgError):
@@ -151,7 +150,7 @@ def feshbach_map(H, tau_part, pair: ProjectionPair) -> FeshbachResult:
     Q[sup] -= cb[:, np.newaxis] * RcbWchi
     Qs[:, sup] -= (chiWcb @ R_sup) * cb[np.newaxis, :]
 
-    return FeshbachResult(F=F, Q=Q, Qsharp=Qs, Hchibar_inv=R, pair=pair, tau=tau)
+    return FeshbachResult(F=F, Q=Q, Qsharp=Qs, Hchibar_inv=R, pair=pair)
 
 
 def _norm2(A: np.ndarray) -> float:

@@ -28,19 +28,14 @@ from .fock import FockBasis, ModeGrid, dense, field_hamiltonian, ladder_walk
 from .normalform import R_GRID, CouplingFunction, NormalFormHamiltonian, slot_masses
 
 
-def _gaussian_cutoff(kappa):
-    return lambda k: np.exp(-(np.asarray(k) / kappa) ** 2)
-
-
 @dataclass
 class ModelSpec:
-    """Particle levels, coupling strength, form factor, and profile choices.
+    """Particle levels, coupling strength, form-factor scale, mass and level coupling.
 
     particle_levels must be strictly increasing.  gamma defaults to the full
-    off-diagonal Hermitian matrix with unit entries; cutoff defaults to a
-    Gaussian on scale kappa (analytic under k -> e^{-theta} k, as dilation
-    needs); phi_profile defaults to the identity, the standard choice with
-    phi'(0) = 1.
+    off-diagonal Hermitian matrix with unit entries.  The form factor is the
+    Gaussian chi(k) = exp(-(k/kappa)^2) (`cutoff`), analytic under
+    k -> e^{-theta} k as dilation needs, and chi(0) = 1.
     """
 
     particle_levels: np.ndarray
@@ -48,8 +43,6 @@ class ModelSpec:
     kappa: float
     mass: float = 1.0
     gamma: np.ndarray | None = None
-    cutoff: object = None
-    phi_profile: object = None
 
     def __post_init__(self):
         self.particle_levels = np.asarray(self.particle_levels, dtype=float)
@@ -72,19 +65,8 @@ class ModelSpec:
                 raise ValueError("gamma must be L x L")
             if np.max(np.abs(self.gamma - self.gamma.conj().T)) > 1e-12:
                 raise ValueError("gamma must be Hermitian")
-        if self.cutoff is None:
-            self.cutoff = _gaussian_cutoff(self.kappa)
-        if abs(complex(self.cutoff(0.0)) - 1.0) > 1e-9:
-            raise ValueError("form factor must satisfy chi(0) = 1")
-        if self.phi_profile is None:
-            self.phi_profile = lambda s: s
-        dphi0 = _phi_prime(self.phi_profile, 0.0)
-        if abs(dphi0 - 1.0) > 1e-6:
-            raise ValueError(f"phi_profile must have phi'(0) = 1, measured {dphi0:.6f}")
-        if L > 1:
-            gap = float(np.min(np.diff(self.particle_levels)))
-            if self.g > 0.1 * gap:
-                warnings.warn(f"g = {self.g} is not small against the level gap {gap}")
+        if self.g > 0.1 * self.level_gap:
+            warnings.warn(f"g = {self.g} is not small against the level gap {self.level_gap}")
 
     @property
     def n_levels(self) -> int:
@@ -95,6 +77,10 @@ class ModelSpec:
         if self.n_levels < 2:
             return np.inf
         return float(np.min(np.diff(self.particle_levels)))
+
+    def cutoff(self, k):
+        """The form factor chi(k) = exp(-(k/kappa)^2)."""
+        return np.exp(-(np.asarray(k) / self.kappa) ** 2)
 
 
 def form_factor(spec: ModelSpec, k, theta=0.0):
@@ -212,7 +198,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
         phi = {(1, 0): CouplingFunction(1, 0, nodes, f), (0, 1): CouplingFunction(0, 1, nodes, f)}
         # G decreases on x >= 0, so G(0) is its sup there
         vgv, _ = rgflow.normal_order_product(phi, phi, G, slot_masses(grid), 2, float(G(0.0)))
-        tables.update({key: tables.get(key, 0.0) - w.values for key, w in vgv.items()})
+        tables.update({key: tables.get(key, 0.0) - w.expanded() for key, w in vgv.items()})
     diag = spec.gamma[0, 0]
     if abs(diag) > 0:
         tables.update({(1, 0): g * diag * f, (0, 1): g * np.conj(diag) * f})
@@ -224,31 +210,15 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
 # generalized Pauli-Fierz transform (scalarized)
 # ---------------------------------------------------------------------------
 
-def _phi_prime(phi, s):
-    return (phi(s + 1e-5) - phi(s - 1e-5)) / 2e-5
-
-
-def pf_gauge_function(spec: ModelSpec, x: float, k):
-    """f_x(k) = e^{-ikx} phi(sqrt(k) x) / sqrt(k), the transform generator."""
-    k = np.asarray(k, dtype=float)
-    phi = spec.phi_profile
-    return np.exp(-1j * k * x) * phi(np.sqrt(k) * x) / np.sqrt(k)
-
-
 def pf_coupling(spec: ModelSpec, x: float, k):
-    """Transformed coupling phi_x(k) = e^{-ikx} - d/dx f_x(k).
+    """Transformed coupling phi_x(k) = e^{-ikx} - d/dx f_x(k) = i k x e^{-ikx}.
 
-    With the gradient evaluated analytically in x,
-    phi_x(k) = e^{-ikx} [ 1 - phi'(sqrt(k) x) + i k phi(sqrt(k) x)/sqrt(k) ].
-    For phi(s) = s this is i k x e^{-ikx}: one full power of k better than the
-    raw infrared behaviour 1/sqrt(k) of the coupling function.
+    The gauge function is f_x(k) = e^{-ikx} phi(sqrt(k) x) / sqrt(k) with the
+    standard profile phi(s) = s, so f_x(k) = x e^{-ikx}.  phi_x vanishes like k
+    at k -> 0, where the untransformed coupling function grows like 1/sqrt(k).
     """
     k = np.asarray(k, dtype=float)
-    phi = spec.phi_profile
-    s = np.sqrt(k) * x
-    phivals = phi(s)
-    dphivals = _phi_prime(phi, s)
-    return np.exp(-1j * k * x) * (1.0 - dphivals + 1j * k * phivals / np.sqrt(k))
+    return 1j * k * x * np.exp(-1j * k * x)
 
 
 def infrared_exponent(ks, vals) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -185,23 +185,6 @@ class MultisetKernel(CouplingFunction):
         return self.values[:, cre[:, np.newaxis], ann].reshape((len(R_GRID),) + (N,) * self.order)
 
 
-class ProductKernel(CouplingFunction):
-    """A product kernel held on multisets (packed), whose norm is the packed one;
-    its full table is gathered from them the first time values is read."""
-
-    def __init__(self, packed: MultisetKernel):
-        self.m, self.n, self.nodes, self._packed = packed.m, packed.n, packed.nodes, packed
-        self._dr_values = None
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self._packed.expanded()
-
-    @property
-    def norm_mu1(self) -> float:
-        return self._packed.norm_mu1
-
-
 def from_profile(m, n, nodes, func) -> CouplingFunction:
     """Tabulate func(r, k_1, .., k_{m+n}) on R_GRID and the nodes.
 
@@ -334,7 +317,7 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     lexicographic order.  An interaction kernel read above r = 1 is clamped
     (at_r), with a warning.
     """
-    if len(w.nodes) != basis.n_modes or not np.allclose(w.nodes, basis.grid.nodes):
+    if not np.array_equal(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
     walk = basis.walks.get((w.m, w.n))
     if walk is None:

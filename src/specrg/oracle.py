@@ -200,21 +200,6 @@ def _resolvent(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, zs) -> np.ndar
                     dtype=complex)
 
 
-def resolvent_element(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, z_grid):
-    """(values, flags): F(z) = <psi, (H_theta - z)^-1 phi> over the grid.
-
-    Grid points closer than 1e-9 to an eigenvalue are skipped: their
-    value is nan and their flag True.  fit_pole fits the pole form near one.
-    The eigenvalues are `exact_spectrum`'s, so DEFAULT_DIM_CAP applies.
-    """
-    zs = np.asarray(z_grid, dtype=complex)
-    eigs = exact_spectrum(D.H)
-    flags = np.array([np.min(np.abs(eigs - z)) < 1e-9 for z in zs], dtype=bool)
-    values = np.full(len(zs), np.nan + 0j)
-    values[~flags] = _resolvent(D, psi, phi, zs[~flags])
-    return values, flags
-
-
 def fit_pole(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, seed: complex) -> PoleFit:
     """Fit F(z) = p/(pole - z) + a + b (z - pole) near the resonance at seed.
 

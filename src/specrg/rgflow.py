@@ -31,7 +31,7 @@ import numpy as np
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
 from .normalform import (MU, R_GRID, XI, CouplingFunction, MultisetKernel,
-                         NormalFormHamiltonian, ProductKernel, interaction_norm, multisets,
+                         NormalFormHamiltonian, interaction_norm, multisets,
                          shifted, split, t_slope_deviation, term_norm)
 
 
@@ -255,9 +255,9 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     so every kernel of A and B must be symmetric in its creation and in its
     annihilation slots (normalform.symmetrized makes a table so).  The kernels
     are computed on the first rows points of R_GRID (all when rows is None)
-    and are zero above.  Each is a ProductKernel, symmetric by construction:
-    a product reads it on multisets and its norm is taken there, and its full
-    table is gathered from them the first time its values are read.
+    and are zero above.  Each is a MultisetKernel, symmetric by construction:
+    a product reads it as it is and its norm is taken there, and expanded()
+    gathers its full table.
     """
     ref = next(iter(A_terms.values()))
     node_set = (tuple(ref.nodes), tuple(masses))  # the key of the cached sums
@@ -271,8 +271,7 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
         for key, vals in out_arrays.items():
             out_arrays[key] = np.zeros((len(R_GRID),) + vals.shape[1:], dtype=vals.dtype)
             out_arrays[key][:rows] = vals
-    terms = {key: ProductKernel(MultisetKernel(*key, ref.nodes, vals))
-             for key, vals in out_arrays.items()}
+    terms = {key: MultisetKernel(*key, ref.nodes, vals) for key, vals in out_arrays.items()}
     return terms, float(np.sum(budget))
 
 
@@ -324,10 +323,11 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     F = E + T + chi [sum_{s <= s_max} (-1)^s W (G W)^s] chi, G = chibar^2 / (E + T)
     with E + T = w00 read by at_r, truncated to M_max.  The Neumann terms stay on
     multisets, where a dropped order is charged its term_norm and the s = 1 terms
-    feed the s = 2 product; only F's kernels are gathered to full tables, which are
-    symmetric by construction.  F lives on Ran chi_rho(H_f), so the s = 2 product
-    is tabulated only up to the first R_GRID row above rho (all that
-    scale_coupling's read at rho * R_GRID reaches) and is zero above.
+    feed the s = 2 product; F is summed there too, and each kept order is gathered
+    to its full table once, so it is symmetric by construction.  F lives on
+    Ran chi_rho(H_f), so the s = 2 product is tabulated only up to the first
+    R_GRID row above rho (all that scale_coupling's read at rho * R_GRID
+    reaches) and is zero above.
 
     DomainError when ||(E+T)^-1|| on the decimated region and above r = 1 exceeds
     2/rho, when the measured Neumann ratio is not below 1 (NaN included), or when
@@ -364,7 +364,7 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     info = StepInfo(q, float(interaction_norm(H) * q ** (s_max + 1) / (1.0 - q)), 0.0, inv_bound)
 
     series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
-    f_arrays: dict = {(0, 0): w00.values}
+    f_arrays: dict = {(0, 0): w00.packed.values}
     try:  # an overflow leaves a kernel that is not finite, which raises ValueError
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, s_max + 1 if W else 1):
@@ -377,12 +377,13 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
                 series.append(term)
             stage = "the decimated Hamiltonian"
             for s, terms in enumerate(series):
-                for (mo, no), w in terms.items():
-                    if mo + no > H.M_max:
+                for key, w in terms.items():
+                    if w.order > H.M_max:
                         info.dropped_norm += term_norm(w)
                     else:
-                        f_arrays[(mo, no)] = f_arrays.get((mo, no), 0) + (-1.0) ** s * w.values
-            F = {key: CouplingFunction(*key, H.nodes, arr) for key, arr in f_arrays.items()}
+                        f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * w.packed.values
+            F = {key: CouplingFunction(*key, H.nodes, MultisetKernel(*key, H.nodes, v).expanded())
+                 for key, v in f_arrays.items()}
     except ValueError as exc:
         raise DomainError(f"{stage}: {exc}", info.margins) from exc
     return NormalFormHamiltonian(F, H.grid, H.M_max), info

@@ -93,7 +93,7 @@ class TestIdentityDefectNorm:
     def _defects(A):
         n = len(A)
         res = FeshbachResult(F=np.zeros((n, n)), Q=A, Qsharp=A, Hchibar_inv=np.zeros((n, n)),
-                             pair=ProjectionPair(np.ones(n)), tau=np.zeros(n))
+                             pair=ProjectionPair(np.ones(n)))
         return identity_defect(np.eye(n), res)
 
     def test_zero_rows_and_columns_carry_no_singular_value(self):
@@ -303,7 +303,7 @@ class TestAssembledOperatorInput:
         pair = spectral_projection(basis, 0.5)
         tagged = feshbach_map(Hop, OperatorMatrix(tau, basis), pair)
         plain = feshbach_map(Hop.mat, tau, pair)
-        for field in ("F", "Q", "Qsharp", "Hchibar_inv", "tau"):
+        for field in ("F", "Q", "Qsharp", "Hchibar_inv"):
             assert np.array_equal(getattr(tagged, field), getattr(plain, field))
         assert identity_defect(Hop, tagged) == identity_defect(Hop.mat, plain)
         spectrum = exact_spectrum(Hop)

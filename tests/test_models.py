@@ -10,7 +10,7 @@ from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            fiber_hamiltonian, form_factor, field_operator,
                            ground_sector_hamiltonian, infrared_exponent,
                            mass_renormalization, pauli_fierz_transform,
-                           pf_coupling, pf_gauge_function)
+                           pf_coupling)
 from specrg.normalform import R_GRID, assemble_operator, slot_masses
 
 
@@ -28,10 +28,11 @@ class TestModelSpec:
             ModelSpec(particle_levels=np.array([0.0, 1.0]), g=0.0, kappa=1.0,
                       gamma=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_cutoff_normalization_checked(self):
-        with pytest.raises(ValueError, match="chi"):
-            ModelSpec(particle_levels=np.array([0.0]), g=0.0, kappa=1.0,
-                      cutoff=lambda k: 0.5 * np.exp(-np.asarray(k) ** 2))
+    @pytest.mark.parametrize("field", ["cutoff", "phi_profile"])
+    def test_form_factor_and_profile_are_not_settable(self, field):
+        # the form factor is exp(-(k/kappa)^2) and the Pauli-Fierz profile phi(s) = s
+        with pytest.raises(TypeError):
+            ModelSpec(particle_levels=np.array([0.0]), g=0.0, kappa=1.0, **{field: np.tanh})
 
     def test_large_coupling_warns(self):
         with pytest.warns(UserWarning, match="not small"):
@@ -305,11 +306,6 @@ class TestGroundSectorHamiltonian:
 
 
 class TestPauliFierz:
-    def test_gauge_function_vanishes_at_origin_for_identity_profile(self):
-        spec = _two_level(1e-3)
-        k = np.geomspace(1e-6, 1.0, 20)
-        assert np.max(np.abs(pf_gauge_function(spec, 0.0, k))) == 0.0
-
     def test_transformed_coupling_vanishes_at_origin(self):
         spec = _two_level(1e-3)
         k = np.geomspace(1e-6, 1.0, 20)
@@ -321,13 +317,13 @@ class TestPauliFierz:
         assert np.all(rep["exponents"] >= 0.5)
         assert rep["untransformed_exponent"] == pytest.approx(-0.5, abs=1e-6)
 
-    def test_bounded_profile_gives_finite_constant(self):
-        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=1e-3, kappa=1.0,
-                         phi_profile=np.tanh)
-        rep = pauli_fierz_transform(spec, np.linspace(-3.0, 3.0, 13))
-        assert np.isfinite(rep["bound_constant"])
-        envelope_ok = rep["bound_constant"] > 0.0
-        assert envelope_ok
+    def test_transformed_coupling_is_its_closed_form(self):
+        # phi(s) = s gives phi_x(k) = i k x e^{-ikx}, evaluated as written
+        spec = _two_level(1e-3)
+        k = np.geomspace(1e-6, 1.0, 32)
+        for x in (-1.5, 0.5, 2):
+            want = 1j * k * x * np.exp(-1j * k * x)
+            assert pf_coupling(spec, x, k).tobytes() == want.tobytes(), x
 
     def test_infrared_exponent_fit(self):
         k = np.geomspace(1e-5, 1e-1, 12)
@@ -404,8 +400,6 @@ class TestRefusals:
         (lambda s, b: s(kappa=0.0), ValueError, "kappa must be positive"),
         (lambda s, b: s(mass=0.0), ValueError, "mass must be positive"),
         (lambda s, b: s(gamma=np.zeros((3, 3))), ValueError, "gamma must be L x L"),
-        (lambda s, b: s(phi_profile=lambda x: 2.0 * x), ValueError,
-         r"phi_profile must have phi'\(0\) = 1, measured 2\.000000"),
         (lambda s, b: mass_renormalization(s(), b, [-0.1, 0.0, 0.1]), ValueError,
          "p_grid needs at least 4 points for the cubic fit"),
         # at mass 0.05 the one-photon branch (P - k)^2 / 2m + k crosses below
@@ -416,7 +410,7 @@ class TestRefusals:
         (lambda s, b: fiber_hamiltonian(s(), b, 1.0 / 3.0), UserWarning,
          r"\|P\| = 0\.333333\d* outside the controlled range \|P\| < 1/3")],
         ids=["levels-empty", "levels-2d", "g-negative", "kappa-0", "mass-0", "gamma-shape",
-             "phi-slope", "p_grid-short", "fit-ill-conditioned", "fiber-P"])
+             "p_grid-short", "fit-ill-conditioned", "fiber-P"])
     def test_refusal(self, call, kind, message):
         basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 1)
         check = pytest.warns if issubclass(kind, Warning) else pytest.raises

@@ -392,6 +392,15 @@ class TestAssembly:
         with pytest.raises(ValueError, match="nodes"):
             assemble_term(w, basis)
 
+    @pytest.mark.parametrize("nodes", [lambda k: np.nextafter(k, 1.0), lambda k: k[:1]],
+                             ids=["one-ulp-off", "fewer-nodes"])
+    def test_kernel_nodes_must_equal_the_grid_exactly(self, nodes):
+        # as NormalFormHamiltonian requires: no tolerance on the nodes
+        basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 1)
+        w = from_profile(1, 0, nodes(basis.grid.nodes), lambda r, k: 1.0)
+        with pytest.raises(ValueError, match="nodes"):
+            assemble_term(w, basis)
+
 
 def _random_kernel(rng, m, n, nodes, packed=False, real=False):
     """A random kernel on nodes, full or on multisets, float64 or complex128."""

@@ -10,8 +10,7 @@ from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid)
 from specrg.oracle import (NotFoundError, ResolutionError, SolverError,
                            combes_deviation, exact_spectrum, fit_pole,
-                           perturbation_oracle,
-                           resolvent_element, resonance_eigenvalue,
+                           perturbation_oracle, resonance_eigenvalue,
                            resonance_multiplicity)
 
 
@@ -269,27 +268,15 @@ class TestPoleFitting:
         assert abs(fit.residue) > 0.5
         assert fit.residual < 1e-3
 
-    def test_resolvent_element_skips_near_eigenvalues(self):
-        spec, grid, basis = _resonance_setup(0.0)
-        D = complex_dilate(spec, basis, 0.2j)
-        phi = np.zeros(2 * basis.dim, dtype=complex)
-        phi[basis.dim] = 1.0
-        z_grid = [1.0, 0.5 + 0.5j]
-        values, flags = resolvent_element(D, phi, phi, z_grid)
-        assert flags[0] and not flags[1]
-        assert np.isnan(values[0].real)
-        assert values[1] == pytest.approx(1.0 / (1.0 - (0.5 + 0.5j)))
-
     def test_pole_fit_samples_are_resolvent_elements(self, resonance_instance):
-        # both paths evaluate <psi, (H_theta - z)^-1 phi> through one solver
+        # the samples are <psi, (H_theta - z)^-1 phi> by the one solver, _resolvent
         _, _, basis, D = resonance_instance
         psi = np.zeros(2 * basis.dim, dtype=complex)
         psi[0] = 1.0
         phi = np.zeros(2 * basis.dim, dtype=complex)
         phi[basis.dim] = 1.0
         fit = fit_pole(D, psi, phi, 1.0)
-        values, flags = resolvent_element(D, psi, phi, fit.samples_z)
-        assert not flags.any()
+        values = oracle._resolvent(D, psi, phi, fit.samples_z)
         assert values.tobytes() == fit.samples_f.tobytes()
 
     def test_resolvent_matches_plain_solve(self, resonance_instance):

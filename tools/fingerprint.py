@@ -254,6 +254,19 @@ def dense_feshbach() -> None:
     _emit("mass_renormalization 455 states", fit["m_ren"], fit["energies"])
 
 
+def pauli_fierz() -> None:
+    from specrg import models
+    # every number of the transform report, and the transformed coupling it is
+    # read from, past the 16 digits that cli pf prints
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    x_grid = np.linspace(-3.0, 3.0, 13)
+    rep = models.pauli_fierz_transform(spec, x_grid)
+    for key, value in rep.items():
+        _emit(f"pauli_fierz_transform {key}", value)
+    _emit("pf_coupling on x_grid x k_grid",
+          np.array([models.pf_coupling(spec, float(x), rep["k_grid"]) for x in x_grid]))
+
+
 def acceptance_flows() -> None:
     from specrg import fock, models, rgflow
     grid = fock.build_mode_grid(8, 0.5, "geometric")
@@ -353,7 +366,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
-                    dense_models, dense_reads, dense_feshbach, acceptance_flows,
+                    dense_models, dense_reads, dense_feshbach, pauli_fierz, acceptance_flows,
                     k_max_one_step, sector_builder, decimations, fourth_order_steps,
                     cache_keys):
         _DTYPES.clear()
