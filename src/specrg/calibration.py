@@ -17,7 +17,8 @@ import numpy as np
 
 from .fock import build_mode_grid
 from .models import ModelSpec, ground_sector_hamiltonian
-from .normalform import MU, R_GRID, CouplingFunction, NormalFormHamiltonian, shifted, term_norm
+from .normalform import (MU, R_GRID, CouplingFunction, NormalFormHamiltonian, from_profile,
+                         shifted, term_norm)
 from .rgflow import polydisc_coordinates, recursion_constant, rg_step
 
 
@@ -30,9 +31,7 @@ def _random_polydisc_hamiltonian(rng, grid, rho, gamma_target):
     for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
         a0 = rng.standard_normal() + 1j * rng.standard_normal()
         a1 = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        r = R_GRID.reshape((-1,) + (1,) * (m + n))
-        vals = np.broadcast_to(a0 + a1 * r, (len(R_GRID),) + (len(nodes),) * (m + n))
-        raw[(m, n)] = CouplingFunction(m, n, nodes, vals)
+        raw[(m, n)] = from_profile(m, n, nodes, lambda r, *ks: a0 + a1 * r)
     # W's norm, summed in interaction_norm's order, is scaled to gamma_target
     scale = gamma_target / sum(term_norm(w) for w in raw.values())
     terms = {key: CouplingFunction(w.m, w.n, nodes, scale * w.values) for key, w in raw.items()}

@@ -188,10 +188,10 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
 
 
 def _random_kernel(rng, nodes, m, n):
-    """Symmetric Gaussian kernel (the critical infrared power k^(MU - 1/2) is 1)."""
-    shape = (len(normalform.R_GRID),) + (len(nodes),) * (m + n)
+    """Gaussian kernel on multisets (the critical infrared power k^(MU - 1/2) is 1)."""
+    shape = (len(normalform.R_GRID),) + normalform.slot_shape(len(nodes), m, n)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return normalform.CouplingFunction(m, n, nodes, normalform.symmetrized(vals, m, n))
+    return normalform.CouplingFunction(m, n, nodes, vals)
 
 
 def cmd_flow(cfg: dict, out: Path, seed: int) -> int:

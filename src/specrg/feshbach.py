@@ -51,13 +51,11 @@ class ProjectionPair:
         self.chibar = np.sqrt(np.clip(1.0 - self.chi ** 2, 0.0, None))
 
 
-def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
-                        taper: float | None = None) -> ProjectionPair:
+def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False) -> ProjectionPair:
     """Field-energy cutoff at scale rho, sharp indicator or cosine taper.
 
-    The smooth variant interpolates chi from 1 to 0 on [rho - taper, rho]
-    (default taper rho/4, i.e. the window [3 rho / 4, rho]) with a cosine
-    profile; ProjectionPair derives chibar from chi.
+    The smooth variant interpolates chi from 1 to 0 on the window [3 rho / 4, rho]
+    with a cosine profile; ProjectionPair derives chibar from chi.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -67,9 +65,7 @@ def spectral_projection(basis: FockBasis, rho: float, smooth: bool = False,
     if not smooth:
         chi = (hf <= rho).astype(float)
     else:
-        width = rho / 4.0 if taper is None else float(taper)
-        if not (0.0 < width <= rho):
-            raise ValueError("taper width must lie in (0, rho]")
+        width = rho / 4.0
         lo = rho - width
         chi = np.ones_like(hf)
         ramp = (hf > lo) & (hf < rho)

@@ -198,7 +198,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
         phi = {(1, 0): CouplingFunction(1, 0, nodes, f), (0, 1): CouplingFunction(0, 1, nodes, f)}
         # G decreases on x >= 0, so G(0) is its sup there
         vgv, _ = rgflow.normal_order_product(phi, phi, G, slot_masses(grid), 2, float(G(0.0)))
-        tables.update({key: tables.get(key, 0.0) - w.expanded() for key, w in vgv.items()})
+        tables.update({key: tables.get(key, 0.0) - w.values for key, w in vgv.items()})
     diag = spec.gamma[0, 0]
     if abs(diag) > 0:
         tables.update({(1, 0): g * diag * f, (0, 1): g * np.conj(diag) * f})
@@ -210,7 +210,7 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
 # generalized Pauli-Fierz transform (scalarized)
 # ---------------------------------------------------------------------------
 
-def pf_coupling(spec: ModelSpec, x: float, k):
+def pf_coupling(x: float, k):
     """Transformed coupling phi_x(k) = e^{-ikx} - d/dx f_x(k) = i k x e^{-ikx}.
 
     The gauge function is f_x(k) = e^{-ikx} phi(sqrt(k) x) / sqrt(k) with the
@@ -246,7 +246,7 @@ def pauli_fierz_transform(spec: ModelSpec, x_grid) -> dict:
     """
     k_grid = np.geomspace(1e-6, min(1.0, spec.kappa), 48)
     x_grid = np.asarray(x_grid, dtype=float)
-    vals = [pf_coupling(spec, float(x), k_grid) for x in x_grid]
+    vals = [pf_coupling(float(x), k_grid) for x in x_grid]
     envelopes = [np.minimum(1.0, np.sqrt(k_grid) * np.hypot(1.0, x)) for x in x_grid]
     return {
         "x_grid": x_grid,

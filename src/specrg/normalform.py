@@ -41,27 +41,19 @@ XI = 0.5
 MU = 0.5
 
 
-def symmetrized(values: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Kernel table averaged over every permutation of its creation and its annihilation slots."""
-    vals = values
-    for first, count in ((1, m), (1 + m, n)):
-        for k in range(first + 1, first + count):  # slot k joins those before by (i k)
-            vals = sum((np.swapaxes(vals, i, k) for i in range(first, k)), vals)
-        if count > 1:
-            vals /= factorial(count)
-    return vals
-
-
 class CouplingFunction:
-    """Discretized kernel w_{m,n}(r; k_1..k_{m+n}).
+    """Discretized kernel w_{m,n}(r; k_1..k_{m+n}), symmetric in its creation and in
+    its annihilation momenta, so stored once per multiset of each.
 
-    values has shape (len(R_GRID),) + slot_shape(), here one axis per slot, the
-    m creation slots first.  dr_values holds the r-derivative on the same grid,
-    by central differences the first time it is read unless given.  Both go
-    through fock.dense, the one place a kernel's dtype is chosen (float64 when
-    exactly real, else complex128), and every reader keeps it.  norm_mu1 and
-    packed, the kernel on multisets, are likewise built the first time they are
-    read: the caches rely on kernels never being changed in place.
+    values has shape (len(R_GRID),) + slot_shape(N, m, n): one axis for each side that
+    has slots, indexed by the rows of multisets(N, m) (creation) and multisets(N, n)
+    (annihilation); the kernel at ordered tuples I, J is the table at sorted(I),
+    sorted(J), and expanded() gathers that full table.  dr_values holds the
+    r-derivative on the same grid, by central differences the first time it is read
+    unless given.  Both go through fock.dense, the one place a kernel's dtype is chosen
+    (float64 when exactly real, else complex128), and every reader keeps it.  norm_mu1
+    is likewise computed the first time it is read: the caches rely on kernels never
+    being changed in place.
     """
 
     def __init__(self, m: int, n: int, nodes, values, dr_values=None):
@@ -70,7 +62,7 @@ class CouplingFunction:
         self.values = np.ascontiguousarray(dense(values))
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        expected = (len(R_GRID),) + self.slot_shape()
+        expected = (len(R_GRID),) + slot_shape(len(self.nodes), m, n)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
         if dr_values is not None:
@@ -78,26 +70,16 @@ class CouplingFunction:
             if dr_values.shape != expected:
                 raise ValueError("dr_values shape mismatch")
         self._dr_values = dr_values
-        self._norm_mu1 = self._packed = None
+        self._norm_mu1 = None
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"the ({m},{n}) kernel is not finite")
 
-    @property
-    def packed(self) -> "MultisetKernel":
-        """The kernel on multisets, its table read at the sorted slot tuples; built once."""
-        if self._packed is None:
-            cre, ann = (multisets(len(self.nodes), k)[2] for k in (self.m, self.n))
-            flat = self.values.reshape(len(R_GRID), -1, len(self.nodes) ** self.n)
-            self._packed = MultisetKernel(self.m, self.n, self.nodes, flat[:, cre][:, :, ann])
-        return self._packed
-
-    def slot_shape(self) -> tuple:
-        return (len(self.nodes),) * self.order
-
-    @staticmethod
-    def slot_nodes(nodes: np.ndarray, m: int, n: int) -> list:
-        """The node of each slot, broadcast against the table's slot axes."""
-        return list(np.ix_(*[nodes] * (m + n)))
+    def expanded(self, table=None) -> np.ndarray:
+        """The full table of values (or of table, dr_values or an at_r read say) on every
+        ordered tuple, one axis per slot, gathered from the multisets, so exactly symmetric."""
+        N, table = len(self.nodes), self.values if table is None else table
+        rows = [multisets(N, k)[1].reshape(-1) for k in (self.m, self.n) if k]
+        return table[(slice(None),) + np.ix_(*rows)].reshape(table.shape[:1] + (N,) * self.order)
 
     @property
     def dr_values(self) -> np.ndarray:
@@ -162,50 +144,41 @@ def multisets(n_nodes: int, length: int):
     return ordered[is_sorted], index.reshape((n_nodes,) * length), np.flatnonzero(is_sorted)
 
 
-class MultisetKernel(CouplingFunction):
-    """A kernel on multisets: values[r, C, D] over the rows C, D of multisets(N, m) and
-    multisets(N, n), standing for the symmetric kernel that reads it at sorted(I),
-    sorted(J).  at_r, dr_values and norm_mu1 act on this table; the norm weighs each
-    multiset once, so it is the full kernel's up to rounding in the slot weights."""
+def slot_shape(n_nodes: int, m: int, n: int) -> tuple:
+    """The slot axes of an (m, n) kernel's table: the multiset count of each side with slots."""
+    return tuple(len(multisets(n_nodes, k)[0]) for k in (m, n) if k)
 
-    packed = property(lambda self: self)
 
-    def slot_shape(self) -> tuple:
-        return tuple(len(multisets(len(self.nodes), k)[0]) for k in (self.m, self.n))
-
-    @staticmethod
-    def slot_nodes(nodes: np.ndarray, m: int, n: int) -> list:
-        cre, ann = (multisets(len(nodes), k)[0].T for k in (m, n))
-        return [nodes[c][:, np.newaxis] for c in cre] + [nodes[a] for a in ann]
-
-    def expanded(self) -> np.ndarray:
-        """The full table, gathered from the multisets, so exactly symmetric."""
-        N = len(self.nodes)
-        cre, ann = (multisets(N, k)[1].reshape(-1) for k in (self.m, self.n))
-        return self.values[:, cre[:, np.newaxis], ann].reshape((len(R_GRID),) + (N,) * self.order)
+def slot_mesh(nodes: np.ndarray, m: int, n: int) -> list:
+    """The open mesh of an (m, n) table, as np.ix_(R_GRID, nodes, .., nodes) is of a full
+    one: R_GRID, then the node of each of the m + n slots, broadcast against its axes."""
+    r, *rows = np.ix_(R_GRID, *[np.arange(P) for P in slot_shape(len(nodes), m, n)])
+    cre, ann = (multisets(len(nodes), k)[0].T for k in (m, n))
+    return [r] + [nodes[c][rows[0]] for c in cre] + [nodes[a][rows[-1]] for a in ann]
 
 
 def from_profile(m, n, nodes, func) -> CouplingFunction:
-    """Tabulate func(r, k_1, .., k_{m+n}) on R_GRID and the nodes.
+    """Tabulate func(r, k_1, .., k_{m+n}) on R_GRID and the multisets of the nodes.
 
-    func is called once, on the open mesh np.ix_(R_GRID, nodes, .., nodes);
-    a result that does not broadcast to the table shape raises ValueError.
+    func is called once, on the open mesh slot_mesh(nodes, m, n), so it must be
+    symmetric in k_1..k_m and in k_{m+1}..k_{m+n}; a result that does not broadcast
+    to the table shape raises ValueError.
     """
     nodes = np.asarray(nodes, dtype=float)
-    shape = (len(R_GRID),) + (len(nodes),) * (m + n)
-    vals = np.array(np.broadcast_to(func(*np.ix_(R_GRID, *[nodes] * (m + n))), shape))
+    shape = (len(R_GRID),) + slot_shape(len(nodes), m, n)
+    vals = np.array(np.broadcast_to(func(*slot_mesh(nodes, m, n)), shape))
     return CouplingFunction(m, n, nodes, vals)
 
 
 def _norm_weight(w: CouplingFunction, mu: float):
     """Slot weight (min_j k_j)^-mu prod_i k_i^1/2 of the anisotropic norm (1 for m + n = 0),
-    one shared array per node set, layout (full or multiset), (m, n) and mu."""
-    return 1.0 if w.order == 0 else _slot_weight(w.slot_nodes, tuple(w.nodes), w.m, w.n, mu)
+    one shared array per node set, (m, n) and mu."""
+    return 1.0 if w.order == 0 else _slot_weight(tuple(w.nodes), w.m, w.n, mu)
 
 
 @lru_cache(maxsize=256)  # per node set, so bounded
-def _slot_weight(slot_nodes, nodes: tuple, m: int, n: int, mu: float) -> np.ndarray:
-    slots = slot_nodes(np.array(nodes), m, n)
+def _slot_weight(nodes: tuple, m: int, n: int, mu: float) -> np.ndarray:
+    _, *slots = slot_mesh(np.array(nodes), m, n)
     root_prod, kmin = 1.0, slots[0]
     for k in slots:
         root_prod, kmin = root_prod * np.sqrt(k), np.minimum(kmin, k)
@@ -312,10 +285,10 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     the kernel is read at the field energy of the intermediate state, and the
     walk continues through every ordered tuple I of m creations.  The moves
     and the hard-cutoff truncation come from fock.ladder_walk, walked once per
-    (m, n) and kept on the basis (FockBasis.walks) with the slot masses'
-    square roots; contributions to one matrix entry are summed in (J, I)
-    lexicographic order.  An interaction kernel read above r = 1 is clamped
-    (at_r), with a warning.
+    (m, n) and kept on the basis (FockBasis.walks) with the multiset rows of
+    I and J and the slot masses' square roots; contributions to one matrix
+    entry are summed in (J, I) lexicographic order.  An interaction kernel read
+    above r = 1 is clamped (at_r), with a warning.
     """
     if not np.array_equal(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
@@ -325,14 +298,16 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
         src, I, top, amp_c = ladder_walk(basis, mid, w.m, "create")
         slots = np.column_stack([I, J[src]])
         coef = amp_a[src] * amp_c * np.prod(np.sqrt(slot_masses(basis.grid))[slots], axis=1)
-        walk = basis.walks[(w.m, w.n)] = (top, cols[src], mid[src], tuple(slots.T), coef)
-    top, cols, mid, slots, coef = walk
+        rows = tuple(multisets(basis.n_modes, k)[1][tuple(t.T)]
+                     for k, t in ((w.m, I), (w.n, J[src])) if k)
+        walk = basis.walks[(w.m, w.n)] = (top, cols[src], mid[src], rows, coef)
+    top, cols, mid, rows, coef = walk
     hf = basis.hf_diagonal()
     read_max = hf[mid].max(initial=0.0)
     if w.order and read_max > R_GRID[-1]:
         warnings.warn(f"field energies up to {read_max:.6g} exceed the kernel grid end "
                       f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
-    kern = w.at_r(hf)[(mid,) + slots]
+    kern = w.at_r(hf)[(mid,) + rows]
     out = np.zeros((basis.dim, basis.dim), dtype=kern.dtype)
     np.add.at(out, (top, cols), coef * kern)
     return out

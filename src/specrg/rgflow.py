@@ -30,9 +30,9 @@ import numpy as np
 # fock and normalform functions are looked up through their modules at call
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
-from .normalform import (MU, R_GRID, XI, CouplingFunction, MultisetKernel,
-                         NormalFormHamiltonian, interaction_norm, multisets,
-                         shifted, split, t_slope_deviation, term_norm)
+from .normalform import (MU, R_GRID, XI, CouplingFunction, NormalFormHamiltonian,
+                         interaction_norm, multisets, shifted, split, t_slope_deviation,
+                         term_norm)
 
 
 class DomainError(ValueError):
@@ -114,10 +114,13 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
         raise ValueError("rho must lie in (0, 1)")
     vals = w.at_r(rho * R_GRID)
     if w.order:
+        # s increases, so it maps a sorted tuple to a sorted tuple: a row to a row
         s = _slot_index(w.nodes, rho)
-        vals = vals[(slice(None),) + np.ix_(*[np.maximum(s, 0)] * w.order)]
-        for axis in range(1, w.order + 1):  # index -1 reads 0
-            vals[(slice(None),) * axis + (s < 0,)] = 0.0
+        sides = [multisets(len(s), k) for k in (w.m, w.n) if k]
+        vals = vals[(slice(None),) + np.ix_(*[index[tuple(np.maximum(s, 0)[C.T])]
+                                              for C, index, _ in sides])]
+        for axis, (C, _, _) in enumerate(sides, 1):  # index -1 reads 0
+            vals[(slice(None),) * axis + ((s[C] < 0).any(axis=1),)] = 0.0
     return CouplingFunction(w.m, w.n, w.nodes, rho ** (1.5 * w.order - 1.0) * vals)
 
 
@@ -130,7 +133,7 @@ def _apply_field_support_mask(w: CouplingFunction) -> CouplingFunction:
     """
     if w.order == 0:
         return w
-    r, *ks = np.ix_(R_GRID, *[w.nodes] * w.order)
+    r, *ks = normalform.slot_mesh(w.nodes, w.m, w.n)
     omega_cre, omega_ann = sum(ks[:w.m], 0.0), sum(ks[w.m:], 0.0)
     mask = (r + omega_cre <= 1.0 + 1e-12) & (r + omega_ann <= 1.0 + 1e-12)
     # the indicator is flat away from its edge, so the almost-everywhere
@@ -227,11 +230,12 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
         omega_q, u_omega, inv_omega, weight_q = _sums(*node_set, p)
         uT, invT = _pair_sums(*node_set, m2 - p, n1 - p)
         NI, NJ, Q = len(sI), len(sJ), len(omega_q)
-        # one gather gives each tuple its factor at its shift's read and merged multiset
-        A = wA.packed.at_r(r[:, np.newaxis] + uI).transpose(0, 1, 3, 2)[
-            :, invI[:, np.newaxis, np.newaxis], _merge(N, n1 - p, p)]
-        B = wB.packed.at_r(r[:, np.newaxis] + uJ)[
-            :, invJ[:, np.newaxis, np.newaxis], _merge(N, p, m2 - p)]
+        # each factor is read at the distinct shifts, as (rows, shifts, P_m, P_n); one
+        # gather gives each tuple its factor at its shift's read and merged multiset
+        A = wA.at_r(r[:, np.newaxis] + uI).reshape(rows, len(uI), -1, len(multisets(N, n1)[0]))
+        A = A.transpose(0, 1, 3, 2)[:, invI[:, np.newaxis, np.newaxis], _merge(N, n1 - p, p)]
+        B = wB.at_r(r[:, np.newaxis] + uJ).reshape(rows, len(uJ), -1, len(multisets(N, n2)[0]))
+        B = B[:, invJ[:, np.newaxis, np.newaxis], _merge(N, p, m2 - p)]
         Gu = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega)
         Gq = Gu[:, invT[:, np.newaxis], inv_omega]
         Gq *= weight_q
@@ -251,13 +255,9 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
                          max_order: int, sup_G: float, rows: int | None = None):
     """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm).
 
-    The engine reads one representative per multiset (CouplingFunction.packed),
-    so every kernel of A and B must be symmetric in its creation and in its
-    annihilation slots (normalform.symmetrized makes a table so).  The kernels
-    are computed on the first rows points of R_GRID (all when rows is None)
-    and are zero above.  Each is a MultisetKernel, symmetric by construction:
-    a product reads it as it is and its norm is taken there, and expanded()
-    gathers its full table.
+    Every kernel, of A, B and the result, is a CouplingFunction on multisets.  The
+    result's kernels are computed on the first rows points of R_GRID (all when rows
+    is None) and are zero above.
     """
     ref = next(iter(A_terms.values()))
     node_set = (tuple(ref.nodes), tuple(masses))  # the key of the cached sums
@@ -271,7 +271,9 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
         for key, vals in out_arrays.items():
             out_arrays[key] = np.zeros((len(R_GRID),) + vals.shape[1:], dtype=vals.dtype)
             out_arrays[key][:rows] = vals
-    terms = {key: MultisetKernel(*key, ref.nodes, vals) for key, vals in out_arrays.items()}
+    terms = {key: CouplingFunction(*key, ref.nodes, vals.reshape(
+        (len(R_GRID),) + normalform.slot_shape(len(ref.nodes), *key)))
+        for key, vals in out_arrays.items()}
     return terms, float(np.sum(budget))
 
 
@@ -321,10 +323,8 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     """Feshbach-Schur decimation of H at scale rho; returns (F, StepInfo).
 
     F = E + T + chi [sum_{s <= s_max} (-1)^s W (G W)^s] chi, G = chibar^2 / (E + T)
-    with E + T = w00 read by at_r, truncated to M_max.  The Neumann terms stay on
-    multisets, where a dropped order is charged its term_norm and the s = 1 terms
-    feed the s = 2 product; F is summed there too, and each kept order is gathered
-    to its full table once, so it is symmetric by construction.  F lives on
+    with E + T = w00 read by at_r, truncated to M_max: a dropped order is charged
+    its term_norm, and the s = 1 terms feed the s = 2 product.  F lives on
     Ran chi_rho(H_f), so the s = 2 product is tabulated only up to the first
     R_GRID row above rho (all that scale_coupling's read at rho * R_GRID
     reaches) and is zero above.
@@ -364,7 +364,7 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     info = StepInfo(q, float(interaction_norm(H) * q ** (s_max + 1) / (1.0 - q)), 0.0, inv_bound)
 
     series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
-    f_arrays: dict = {(0, 0): w00.packed.values}
+    f_arrays: dict = {(0, 0): w00.values}
     try:  # an overflow leaves a kernel that is not finite, which raises ValueError
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, s_max + 1 if W else 1):
@@ -381,9 +381,8 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
                     if w.order > H.M_max:
                         info.dropped_norm += term_norm(w)
                     else:
-                        f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * w.packed.values
-            F = {key: CouplingFunction(*key, H.nodes, MultisetKernel(*key, H.nodes, v).expanded())
-                 for key, v in f_arrays.items()}
+                        f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * w.values
+            F = {key: CouplingFunction(*key, H.nodes, v) for key, v in f_arrays.items()}
     except ValueError as exc:
         raise DomainError(f"{stage}: {exc}", info.margins) from exc
     return NormalFormHamiltonian(F, H.grid, H.M_max), info

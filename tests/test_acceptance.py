@@ -292,7 +292,7 @@ def test_criterion_09_mass_renormalization():
 def test_criterion_10_pauli_fierz():
     spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=1e-3, kappa=1.0)
     k = np.geomspace(1e-6, 1.0, 32)
-    vanish = float(np.max(np.abs(pf_coupling(spec, 0.0, k))))
+    vanish = float(np.max(np.abs(pf_coupling(0.0, k))))
     rep = pauli_fierz_transform(spec, np.linspace(-2.0, 2.0, 9))
     min_exp = float(np.min(rep["exponents"]))
     raw = rep["untransformed_exponent"]

@@ -274,22 +274,6 @@ class TestIsospectralCheck:
             for key in defects:
                 assert abs(got[key] - want[key]) <= 1e-12 * want[key]
 
-    def test_smooth_sharp_taper_convergence(self):
-        rng = np.random.default_rng(17)
-        basis = build_fock_basis(build_mode_grid(3, 1.0, "uniform"), 2)
-        D = basis.dim
-        hf = np.diag(basis.hf_diagonal())
-        V = rng.standard_normal((D, D)) * 0.05
-        mat = hf + (V + V.T) / 2.0
-        rho = 0.9
-        sharp = feshbach_map(mat, None, spectral_projection(basis, rho)).F
-        diffs = []
-        for taper in (rho / 2.0, rho / 8.0, rho / 32.0):
-            pair = spectral_projection(basis, rho, smooth=True, taper=taper)
-            smooth = feshbach_map(mat, None, pair).F
-            diffs.append(np.linalg.norm(smooth - sharp, 2))
-        assert diffs[0] > diffs[1] > diffs[2]
-
 
 class TestAssembledOperatorInput:
     def test_tagged_and_plain_matrix_give_equal_results(self):
@@ -323,17 +307,13 @@ class TestRefusals:
         (lambda b: ProjectionPair([-0.1, 1.0]), r"chi must take values in \[0, 1\]"),
         (lambda b: spectral_projection(b, 0.0), "rho must be positive"),
         (lambda b: spectral_projection(b, -0.3), "rho must be positive"),
-        (lambda b: spectral_projection(b, 0.3, smooth=True, taper=0.0),
-         r"taper width must lie in \(0, rho\]"),
-        (lambda b: spectral_projection(b, 0.3, smooth=True, taper=0.4),
-         r"taper width must lie in \(0, rho\]"),
         (lambda b: feshbach_map(np.eye(b.dim), None, ProjectionPair(np.ones(b.dim + 1))),
          "projection pair dimension mismatch"),
         (lambda b: feshbach_map(np.eye(b.dim), np.ones((b.dim, b.dim)),
                                 spectral_projection(b, 0.3)),
          "tau must be diagonal in the working basis")],
-        ids=["chi-2d", "chi-above-1", "chi-below-0", "rho-0", "rho-negative", "taper-0",
-             "taper-above-rho", "pair-dimension", "tau-not-diagonal"])
+        ids=["chi-2d", "chi-above-1", "chi-below-0", "rho-0", "rho-negative", "pair-dimension",
+             "tau-not-diagonal"])
     def test_refusal(self, call, message):
         basis = build_fock_basis(build_mode_grid(2, 0.4, "uniform"), 2)
         with pytest.raises(ValueError, match=message):

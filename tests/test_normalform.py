@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from specrg.fock import (ModeGrid, build_fock_basis, build_mode_grid, field_hamiltonian,
                         ladder_matrix, ladder_walk)
-from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction, MultisetKernel,
+from specrg.normalform import (FOUR_PI, MU, R_GRID, XI, CouplingFunction,
                                NormalFormHamiltonian, assemble_operator, assemble_term,
                                basic_bound_margin, coupling_norm_mu,
                                coupling_norm_mu1, from_profile,
                                hamiltonian_norm, interaction_norm,
-                               multisets, shifted, slot_masses, split, symmetrized,
+                               multisets, shifted, slot_masses, slot_shape, split,
                                t_slope_deviation)
 from specrg.models import ModelSpec, ground_sector_hamiltonian
 from specrg.rgflow import scale_coupling
@@ -58,11 +58,12 @@ class TestCouplingFunction:
         # the slope of its last cell above r = 1, and keeps the table's dtype
         rng = np.random.default_rng(3)
         for order, dtype in iproduct(range(4), (float, complex)):
-            shape = (len(R_GRID),) + (3,) * order
+            m, n = order - order // 2, order // 2
+            shape = (len(R_GRID),) + slot_shape(3, m, n)
             vals = rng.standard_normal(shape)
             if dtype is complex:
                 vals = vals + 1j * rng.standard_normal(shape)
-            w = CouplingFunction(order - order // 2, order // 2, np.array([0.2, 0.4, 0.8]), vals)
+            w = CouplingFunction(m, n, np.array([0.2, 0.4, 0.8]), vals)
             assert w.values.dtype == dtype
             table = vals.copy()
             for x in (np.concatenate([R_GRID, [-0.5, 1.5], rng.uniform(-0.2, 1.2, 9)]),
@@ -105,25 +106,31 @@ class TestCouplingFunction:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
-    def test_symmetrize_is_idempotent_and_symmetric(self, seed):
+    def test_expanded_reads_the_table_at_the_sorted_tuples(self, seed):
+        # a (2, 2) kernel on 3 nodes: 6 multisets a side, 81 ordered tuples
         rng = np.random.default_rng(seed)
         nodes = np.array([0.2, 0.4, 0.8])
-        shape = (len(R_GRID), 3, 3)
+        shape = (len(R_GRID), 6, 6)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w = CouplingFunction(2, 0, nodes, vals)
-        sym = CouplingFunction(2, 0, nodes, symmetrized(w.values, 2, 0))
-        assert np.array_equal(sym.values, np.swapaxes(sym.values, 1, 2))
-        assert np.allclose(symmetrized(sym.values, 2, 0), sym.values)
+        w = CouplingFunction(2, 2, nodes, vals)
+        full = w.expanded()
+        assert full.shape == (len(R_GRID), 3, 3, 3, 3)
+        for I, J in iproduct(iproduct(range(3), repeat=2), repeat=2):
+            row = [multisets(3, 2)[0].tolist().index(sorted(t)) for t in (I, J)]
+            assert np.array_equal(full[(slice(None),) + I + J], w.values[:, row[0], row[1]])
+        assert np.array_equal(w.expanded(w.dr_values), np.gradient(full, R_GRID, axis=0))
 
 
 def _per_point(m, n, r_grid, nodes, func):
-    """The table tabulated one point per call, each argument a length-1 array."""
-    vals = np.empty((len(r_grid),) + (len(nodes),) * (m + n), dtype=complex)
-    for idx in iproduct(range(len(nodes)), repeat=m + n):
+    """The table tabulated one point per call at the sorted slot tuples (the rows of
+    multisets), each argument a length-1 array."""
+    cre, ann = (multisets(len(nodes), k)[0] for k in (m, n))
+    vals = np.empty((len(r_grid), len(cre), len(ann)), dtype=complex)
+    for (c, C), (d, D) in iproduct(enumerate(cre), enumerate(ann)):
         for i, r in enumerate(r_grid):
-            args = [np.array([r])] + [np.array([nodes[j]]) for j in idx]
-            vals[(i,) + idx] = np.asarray(func(*args), dtype=complex).ravel()[0]
-    return vals
+            args = [np.array([r])] + [np.array([nodes[j]]) for j in (*C, *D)]
+            vals[i, c, d] = np.asarray(func(*args), dtype=complex).ravel()[0]
+    return vals.reshape((len(r_grid),) + slot_shape(len(nodes), m, n))
 
 
 def _mixed_profile(r, *ks):
@@ -338,13 +345,13 @@ class TestAssembly:
         rng = np.random.default_rng(10 * m + n)
         grid = build_mode_grid(3, 0.4, "geometric")
         basis = build_fock_basis(grid, m + n)
-        shape = (len(R_GRID),) + (3,) * (m + n)
+        shape = (len(R_GRID),) + slot_shape(3, m, n)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w = CouplingFunction(m, n, grid.nodes, vals)
         create = [ladder_matrix(basis, k, "create") for k in range(3)]
         annihilate = [ladder_matrix(basis, k, "annihilate") for k in range(3)]
         root_mass = np.sqrt(slot_masses(basis.grid))
-        kern = w.at_r(basis.hf_diagonal())
+        kern = w.expanded(w.at_r(basis.hf_diagonal()))  # on every ordered (I, J)
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for I in iproduct(range(3), repeat=m):
             for J in iproduct(range(3), repeat=n):
@@ -402,30 +409,26 @@ class TestAssembly:
             assemble_term(w, basis)
 
 
-def _random_kernel(rng, m, n, nodes, packed=False, real=False):
-    """A random kernel on nodes, full or on multisets, float64 or complex128."""
-    slots = ((len(multisets(len(nodes), m)[0]), len(multisets(len(nodes), n)[0])) if packed
-             else (len(nodes),) * (m + n))
-    vals = rng.standard_normal((len(R_GRID),) + slots)
+def _random_kernel(rng, m, n, nodes, real=False):
+    """A random kernel on nodes, float64 or complex128."""
+    vals = rng.standard_normal((len(R_GRID),) + slot_shape(len(nodes), m, n))
     if not real:
         vals = vals + 1j * rng.standard_normal(vals.shape)
-    return (MultisetKernel if packed else CouplingFunction)(m, n, nodes, vals)
+    return CouplingFunction(m, n, nodes, vals)
 
 
 def _fresh_norm_mu1(w, mu):
-    """||w||_{mu,1} with the slot weight written out per layout, nothing cached."""
-    if w.order == 0:
-        weight = 1.0
-    else:
-        if isinstance(w, MultisetKernel):
-            cre, ann = (multisets(len(w.nodes), k)[0].T for k in (w.m, w.n))
-            slots = [w.nodes[c][:, np.newaxis] for c in cre] + [w.nodes[a] for a in ann]
-        else:
-            slots = list(np.ix_(*[w.nodes] * w.order))
-        root_prod, kmin = 1.0, slots[0]
+    """||w||_{mu,1} with the slot weight written out on the rows of multisets, the
+    creation rows along the first slot axis, nothing cached."""
+    cre, ann = (multisets(len(w.nodes), k)[0] for k in (w.m, w.n))
+    weight = np.ones((len(cre), len(ann)))
+    for (c, C), (d, D) in iproduct(enumerate(cre), enumerate(ann)):
+        slots = w.nodes[[*C, *D]]
+        root_prod = 1.0
         for k in slots:
-            root_prod, kmin = root_prod * np.sqrt(k), np.minimum(kmin, k)
-        weight = kmin ** (-mu) * root_prod
+            root_prod = root_prod * np.sqrt(k)
+        weight[c, d] = slots.min(initial=1.0) ** (-mu) * root_prod
+    weight = weight.reshape(slot_shape(len(w.nodes), w.m, w.n))
     return (float(np.max(weight * np.abs(w.values)))
             + float(np.max(weight * np.abs(np.gradient(w.values, R_GRID, axis=0)))))
 
@@ -446,7 +449,7 @@ class TestBuiltOnce:
         factor = np.ones(len(top))
         for s in range(w.order):
             factor = factor * root_mass[slots[:, s]]
-        kern = w.at_r(basis.hf_diagonal())[(mid,) + tuple(slots.T)]
+        kern = w.expanded(w.at_r(basis.hf_diagonal()))[(mid,) + tuple(slots.T)]
         out = np.zeros((basis.dim, basis.dim), dtype=kern.dtype)
         np.add.at(out, (top, cols), amp_a * amp_c * factor * kern)
         return out
@@ -467,26 +470,32 @@ class TestBuiltOnce:
                 assert np.array_equal(assemble_term(w, fresh), expected)
         assert set(used[2].walks) == set(self.KEYS)
 
-    def test_norms_of_full_and_packed_kernels_equal_an_uncached_computation(self):
-        # one node set, both layouts, two mu, then a second node set
+    def test_norms_equal_an_uncached_computation(self):
+        # one node set, two mu, then a second node set; the norm on the full table
+        # differs only by the rounding of the weights' products in slot order
         rng = np.random.default_rng(30)
         for nodes in (build_mode_grid(4, 0.5, "geometric").nodes,
                       build_mode_grid(4, 0.5, "uniform").nodes):
             for m, n in self.KEYS:
-                full = CouplingFunction(m, n, nodes,
-                                        symmetrized(_random_kernel(rng, m, n, nodes).values, m, n))
-                for w in (full, full.packed):
-                    assert w.norm_mu1 == _fresh_norm_mu1(w, MU)
-                    assert coupling_norm_mu1(w, 0.25) == _fresh_norm_mu1(w, 0.25)
+                w = _random_kernel(rng, m, n, nodes)
+                assert w.norm_mu1 == _fresh_norm_mu1(w, MU)
+                assert coupling_norm_mu1(w, 0.25) == _fresh_norm_mu1(w, 0.25)
+                if w.order:
+                    root_prod, kmin = 1.0, nodes.max()
+                    for k in np.ix_(*[nodes] * w.order):
+                        root_prod, kmin = root_prod * np.sqrt(k), np.minimum(kmin, k)
+                    weight = kmin ** (-MU) * root_prod
+                    full = (np.max(weight * np.abs(w.expanded()))
+                            + np.max(weight * np.abs(w.expanded(w.dr_values))))
+                    assert w.norm_mu1 == pytest.approx(full, rel=1e-15)
 
     @pytest.mark.parametrize("real", [True, False])
-    @pytest.mark.parametrize("packed", [False, True])
-    def test_dr_values_equal_np_gradient_bit_for_bit(self, packed, real):
+    def test_dr_values_equal_np_gradient_bit_for_bit(self, real):
         assert np.all(np.diff(R_GRID) == 1.0 / 32.0)
         rng = np.random.default_rng(31)
         nodes = build_mode_grid(3, 0.5, "geometric").nodes
         for m, n in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (2, 2), (3, 1)]:
-            w = _random_kernel(rng, m, n, nodes, packed=packed, real=real)
+            w = _random_kernel(rng, m, n, nodes, real=real)
             expected = np.gradient(w.values, R_GRID, axis=0)
             assert w.dr_values.dtype == expected.dtype
             assert w.dr_values.tobytes() == expected.tobytes()

@@ -269,15 +269,19 @@ class TestPoleFitting:
         assert fit.residual < 1e-3
 
     def test_pole_fit_samples_are_resolvent_elements(self, resonance_instance):
-        # the samples are <psi, (H_theta - z)^-1 phi> by the one solver, _resolvent
+        # the samples are <psi, (H_theta - z)^-1 phi>, against a plain dense solve; phi
+        # is the level-1 vacuum and psi adds a level-0 one-photon state, in phi's
+        # photon-parity block, so that no element is zero by structure
         _, _, basis, D = resonance_instance
-        psi = np.zeros(2 * basis.dim, dtype=complex)
-        psi[0] = 1.0
         phi = np.zeros(2 * basis.dim, dtype=complex)
         phi[basis.dim] = 1.0
+        psi = phi.copy()
+        psi[1] = 0.5
         fit = fit_pole(D, psi, phi, 1.0)
-        values = oracle._resolvent(D, psi, phi, fit.samples_z)
-        assert values.tobytes() == fit.samples_f.tobytes()
+        eye = np.eye(D.H.shape[0])
+        want = np.array([np.vdot(psi, np.linalg.solve(D.H - z * eye, phi)) for z in fit.samples_z])
+        assert np.min(np.abs(want)) > 0
+        assert np.all(np.abs(fit.samples_f - want) <= 1e-12 * np.abs(want))
 
     def test_resolvent_matches_plain_solve(self, resonance_instance):
         # criterion 8's vectors, on its pole-fit samples and continuation grid

@@ -10,11 +10,10 @@ import pytest
 
 from specrg.feshbach import feshbach_map, spectral_projection
 from specrg.fock import ModeGrid, build_fock_basis, build_mode_grid
-from specrg.normalform import (FOUR_PI, MU, R_GRID, CouplingFunction, MultisetKernel,
-                               NormalFormHamiltonian, assemble_operator, assemble_term,
-                               coupling_norm_mu, coupling_norm_mu1, from_profile,
-                               interaction_norm, slot_masses, shifted, split, symmetrized,
-                               term_norm)
+from specrg.normalform import (FOUR_PI, MU, R_GRID, CouplingFunction, NormalFormHamiltonian,
+                               assemble_operator, assemble_term, coupling_norm_mu,
+                               coupling_norm_mu1, from_profile, interaction_norm, multisets,
+                               slot_masses, slot_shape, shifted, split, term_norm)
 from specrg import rgflow
 from specrg.calibration import _random_polydisc_hamiltonian
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
@@ -56,6 +55,29 @@ def _random_hamiltonian(rho):
     """A random polydisc Hamiltonian on 4 modes closed under rho, as the calibration draws it."""
     return _random_polydisc_hamiltonian(np.random.default_rng(3), _closed_grid(rho), rho,
                                         rho / 16.0)
+
+
+def _random_kernel(rng, m, n, nodes, real=False):
+    """A random kernel on nodes, drawn on its multisets."""
+    shape = (len(R_GRID),) + slot_shape(len(nodes), m, n)
+    return CouplingFunction(m, n, nodes, rng.standard_normal(shape)
+                            + (0 if real else 1j) * rng.standard_normal(shape))
+
+
+def _fully_symmetric(vals, m, n):
+    """A full table averaged over every permutation of its creation and of its
+    annihilation slots."""
+    axes = [(0,) + tuple(1 + i for i in pc) + tuple(1 + m + j for j in pa)
+            for pc in permutations(range(m)) for pa in permutations(range(n))]
+    return sum(np.transpose(vals, ax) for ax in axes) / len(axes)
+
+
+def _on_multisets(m, n, nodes, full):
+    """The kernel that reads the symmetric full table full at the sorted tuples."""
+    N = len(nodes)
+    cre, ann = (multisets(N, k)[2] for k in (m, n))
+    vals = full.reshape(len(R_GRID), N ** m, N ** n)[:, cre][:, :, ann]
+    return CouplingFunction(m, n, nodes, vals.reshape((len(R_GRID),) + slot_shape(N, m, n)))
 
 
 def _scalar_hamiltonian(E, grid):
@@ -136,13 +158,13 @@ class TestScaling:
                     assert ratio <= bound * (1.0 + 1e-12)
                     pref = rho ** (1.5 * (m + n) - 1.0)
                     exact = from_profile(m, n, closed, lambda r, *ks, _p=prof:
-                                         pref * _p(rho * r, *(rho * k for k in ks))).values
+                                         pref * _p(rho * r, *(rho * k for k in ks))).expanded()
+                    got = scaled.expanded()
                     inside = np.ix_(range(len(R_GRID)), *[has_source] * (m + n))
-                    assert np.all(np.abs(scaled.values - exact)[inside]
-                                  <= 1e-13 * np.abs(exact[inside]))
-                    outside = np.ones(scaled.values.shape, dtype=bool)
+                    assert np.all(np.abs(got - exact)[inside] <= 1e-13 * np.abs(exact[inside]))
+                    outside = np.ones(got.shape, dtype=bool)
                     outside[inside] = False
-                    assert np.all(scaled.values[outside] == 0.0)
+                    assert np.all(got[outside] == 0.0)
 
     def test_one_node_kernel_rescales_to_zero(self):
         # rho k_0 lies below the only node, so every slot reads 0
@@ -170,14 +192,11 @@ class TestScaling:
         on_node = np.flatnonzero(np.isin(RHO * nodes, nodes))
         assert len(on_node) == len(nodes) - 1
         source = np.searchsorted(nodes, RHO * nodes[on_node])
-        rng = np.random.default_rng(8)
-        shape = (len(R_GRID),) + (len(nodes),) * 4
-        w = CouplingFunction(2, 2, nodes, rng.standard_normal(shape)
-                             + 1j * rng.standard_normal(shape))
+        w = _random_kernel(np.random.default_rng(8), 2, 2, nodes)
         scaled = scale_coupling(w, RHO)
         cols = np.ix_(range(len(R_GRID)), *[on_node] * 4)
-        node_vals = w.at_r(RHO * R_GRID)[np.ix_(range(len(R_GRID)), *[source] * 4)]
-        assert np.array_equal(scaled.values[cols], RHO ** 5.0 * node_vals)
+        node_vals = w.expanded(w.at_r(RHO * R_GRID))[np.ix_(range(len(R_GRID)), *[source] * 4)]
+        assert np.array_equal(scaled.expanded()[cols], RHO ** 5.0 * node_vals)
 
     def test_every_shell_is_decimated_once_and_none_invented(self):
         # each rescaling at rho = 1/2 moves every slot one node down and reads
@@ -185,7 +204,7 @@ class TestScaling:
         nodes = build_mode_grid(5, 0.5, "geometric").nodes
         rng = np.random.default_rng(9)
         for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 2)]:
-            shape = (len(R_GRID),) + (len(nodes),) * (m + n)
+            shape = (len(R_GRID),) + slot_shape(len(nodes), m, n)
             w = CouplingFunction(m, n, nodes, rng.standard_normal(shape) + 1.0)
             for step in range(len(nodes)):
                 assert np.any(w.values != 0.0), step
@@ -203,20 +222,69 @@ class TestFieldSupportMask:
     def test_keeps_entries_whose_field_energies_fit(self, m, n):
         # r + k crosses 1 on R_GRID, and 0.25 + 0.75 and 0.5 + 0.5 hit it exactly
         nodes = np.array([0.1, 0.5, 0.75])
-        shape = (len(R_GRID),) + (len(nodes),) * (m + n)
+        shape = (len(R_GRID),) + slot_shape(len(nodes), m, n)
         rng = np.random.default_rng(10 * m + n)
         vals, dr = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                     for _ in range(2))
-        out = rgflow._apply_field_support_mask(
-            CouplingFunction(m, n, nodes, vals, dr_values=dr))
+        w = CouplingFunction(m, n, nodes, vals, dr_values=dr)
+        out = rgflow._apply_field_support_mask(w)
+        vals, dr = w.expanded(), w.expanded(dr)
+        out_vals, out_dr = out.expanded(), out.expanded(out.dr_values)
         kept = 0
-        for idx in np.ndindex(*shape):
+        for idx in np.ndindex(*vals.shape):
             r, ks = R_GRID[idx[0]], [nodes[i] for i in idx[1:]]
             keep = r + sum(ks[:m]) <= 1.0 + 1e-12 and r + sum(ks[m:]) <= 1.0 + 1e-12
-            assert out.values[idx] == (vals[idx] if keep else 0.0)
-            assert out.dr_values[idx] == (dr[idx] if keep else 0.0)
+            assert out_vals[idx] == (vals[idx] if keep else 0.0)
+            assert out_dr[idx] == (dr[idx] if keep else 0.0)
             kept += keep
         assert 0 < kept < vals.size
+
+
+class TestFullTableRules:
+    """The rescaling and the field-support mask on multisets against the rules they
+    replace, which act on every ordered tuple of a full table, kept here as written."""
+
+    KEYS = [(m, n) for m in range(5) for n in range(5 - m)]
+
+    @staticmethod
+    def _scale_full(w, rho):
+        vals = w.expanded(w.at_r(rho * R_GRID))
+        if w.order:
+            s = rgflow._slot_index(w.nodes, rho)
+            vals = vals[(slice(None),) + np.ix_(*[np.maximum(s, 0)] * w.order)]
+            for axis in range(1, w.order + 1):  # index -1 reads 0
+                vals[(slice(None),) * axis + (s < 0,)] = 0.0
+        return rho ** (1.5 * w.order - 1.0) * vals
+
+    @staticmethod
+    def _mask_full(w):
+        r, *ks = np.ix_(R_GRID, *[w.nodes] * w.order)
+        omega_cre, omega_ann = sum(ks[:w.m], 0.0), sum(ks[w.m:], 0.0)
+        return (r + omega_cre <= 1.0 + 1e-12) & (r + omega_ann <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("m, n", KEYS)
+    def test_scale_coupling_equals_the_full_table_rule(self, m, n):
+        # 5 geometric nodes are closed under k -> k/2 and k -> k/4; the lowest
+        # one or two slots read 0
+        rng = np.random.default_rng(40 + 5 * m + n)
+        w = _random_kernel(rng, m, n, build_mode_grid(5, 0.5, "geometric").nodes)
+        for rho in (0.5, 0.25):
+            assert np.array_equal(scale_coupling(w, rho).expanded(), self._scale_full(w, rho))
+
+    @pytest.mark.parametrize("m, n", KEYS)
+    def test_field_support_mask_equals_the_full_table_rule(self, m, n):
+        # node sums of up to 4 slots reach 1 exactly (0.25 + 0.75, 4 x 0.25) and
+        # cross it between the points of R_GRID
+        rng = np.random.default_rng(70 + 5 * m + n)
+        nodes = np.array([0.1, 0.25, 0.4, 0.75])
+        w = _random_kernel(rng, m, n, nodes)
+        out = rgflow._apply_field_support_mask(w)
+        mask = self._mask_full(w) if w.order else True
+        assert np.array_equal(out.expanded(), w.expanded() * mask)
+        assert np.array_equal(out.expanded(out.dr_values), w.expanded(w.dr_values) * mask)
+        if w.order:
+            assert 0 < np.count_nonzero(np.broadcast_to(mask, out.expanded().shape)) < \
+                out.expanded().size
 
 
 class TestWickOrdering:
@@ -229,11 +297,6 @@ class TestWickOrdering:
         masses = np.array([0.011, 0.017])
         rng = np.random.default_rng(seed)
         return nodes, masses, rng
-
-    @staticmethod
-    def _expanded(terms):
-        """The products' full tables, as kernels read slot by slot."""
-        return {key: CouplingFunction(*key, w.nodes, w.expanded()) for key, w in terms.items()}
 
     def test_single_contraction_closed_form(self):
         # (0,1) kernel times (1,0) kernel: the p=1 contraction produces the
@@ -249,7 +312,7 @@ class TestWickOrdering:
         expected = np.zeros(33, dtype=complex)
         for q, k in enumerate(nodes):
             expected += masses[q] * vA[:, q] * G(R_GRID + k) * vB[:, q]
-        assert np.allclose(out[(0, 0)].expanded(), expected, atol=1e-13)
+        assert np.allclose(out[(0, 0)].values, expected, atol=1e-13)
 
     def test_shifts_on_non_uniform_r_grid(self):
         # kernels linear in r interpolate exactly between grid points, so the
@@ -281,12 +344,7 @@ class TestWickOrdering:
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
 
         def rand_terms(keys):
-            terms = {}
-            for (m, n) in keys:
-                shape = (33,) + (2,) * (m + n)
-                vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                terms[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
-            return terms
+            return {(m, n): _random_kernel(rng, m, n, nodes) for (m, n) in keys}
 
         A = rand_terms(A_keys)
         B = rand_terms(B_keys)
@@ -301,7 +359,7 @@ class TestWickOrdering:
 
         hf = basis.hf_diagonal()
         direct = assemble(A) @ np.diag(G(hf)) @ assemble(B)
-        reordered = assemble(self._expanded(out))
+        reordered = assemble(out)
         # restrict to states whose occupation cannot feel the hard cutoff
         # through the intermediate state either
         totals = basis.states.sum(axis=1)
@@ -322,14 +380,11 @@ class TestWickOrdering:
 
     @staticmethod
     def _random_W(seed, real=False):
-        """Random symmetric kernels of every shape up to order 2 on 3 modes."""
+        """Random kernels of every shape up to order 2 on 3 modes."""
         nodes = np.array([0.1, 0.2, 0.35])
         rng = np.random.default_rng(seed)
-        W = {}
-        for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]:
-            shape = (len(R_GRID),) + (3,) * (m + n)
-            vals = rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
-            W[(m, n)] = CouplingFunction(m, n, nodes, symmetrized(vals, m, n))
+        W = {(m, n): _random_kernel(rng, m, n, nodes, real)
+             for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]}
         return W, np.array([0.01, 0.02, 0.03])
 
     def test_one_G_table_per_pair_and_contraction_order(self):
@@ -400,37 +455,20 @@ class TestWickOrdering:
             rg_step(H, RHO)
             assert calls and max(calls.values()) == 1
 
-    @staticmethod
-    def _fully_symmetric(vals, m, n):
-        """vals averaged over every permutation of its creation and of its annihilation slots."""
-        axes = [(0,) + tuple(1 + i for i in pc) + tuple(1 + m + j for j in pa)
-                for pc in permutations(range(m)) for pa in permutations(range(n))]
-        return sum(np.transpose(vals, ax) for ax in axes) / len(axes)
-
-    def test_products_of_higher_orders_are_fully_symmetric(self):
-        # the factor C(n1,p) C(m2,p) p! counts every choice of contracted
-        # slots as the same one, which holds for kernels symmetric in all of
-        # their creation slots and all of their annihilation slots
+    def test_products_of_higher_orders_match_the_ordered_tuple_formula(self):
+        # the factor C(n1,p) C(m2,p) p! counts every choice of contracted slots
+        # as the same one, which holds for kernels symmetric in all of their
+        # creation slots and all of their annihilation slots, as kernels on
+        # multisets are; factors of orders 3 and 4, against every ordered tuple
         W, masses = self._random_W(7)
         nodes, rng = W[(1, 0)].nodes, np.random.default_rng(8)
         for (m, n) in [(3, 0), (3, 1), (1, 3), (4, 0), (0, 4)]:
-            shape = (len(R_GRID),) + (3,) * (m + n)
-            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            W[(m, n)] = CouplingFunction(m, n, nodes, self._fully_symmetric(vals, m, n))
-        G = lambda r: 1.0 / (np.asarray(r) + 2.0)
-        out, _ = normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
-        assert {(3, 1), (1, 3), (4, 0), (0, 4)} <= out.keys()
-        sym = {}
-        for (m, n), w in self._expanded(out).items():
-            sym[(m, n)] = CouplingFunction(m, n, nodes, self._fully_symmetric(w.values, m, n))
-            assert np.max(np.abs(w.values - sym[(m, n)].values)) <= 1e-14 * np.max(
-                np.abs(w.values)), (m, n)
-        # out and sym are one operator, so their products with W agree
-        got, _ = normal_order_product(out, W, G, masses, max_order=4, sup_G=0.5)
-        want, _ = normal_order_product(sym, W, G, masses, max_order=4, sup_G=0.5)
-        for key, w in want.items():
-            assert np.max(np.abs(got[key].expanded() - w.expanded())) <= 1e-13 * np.max(
-                np.abs(w.expanded())), key
+            W[(m, n)] = _random_kernel(rng, m, n, nodes)
+        out, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
+        ref = self._ordered_tuple_product(W, W, self._G, masses, 4)
+        assert {(3, 1), (1, 3), (4, 0), (0, 4)} <= out.keys() == ref.keys()
+        for key, arr in ref.items():
+            assert np.max(np.abs(out[key].expanded() - arr)) <= 1e-14 * np.max(np.abs(arr)), key
 
     @staticmethod
     def _tuple_loop_product(A_terms, B_terms, G, masses, max_order):
@@ -460,10 +498,10 @@ class TestWickOrdering:
                     block = {}
                     for i2 in multisets[m2 - p]:
                         sI = float(np.sum(nodes[list(i2)]))
-                        A_full = wA.at_r(r + sI)
+                        A_full = wA.expanded(wA.at_r(r + sI))
                         for j1 in multisets[n1 - p]:
                             sJ = float(np.sum(nodes[list(j1)]))
-                            B_full = wB.at_r(r + sJ)
+                            B_full = wB.expanded(wB.at_r(r + sJ))
                             A = np.stack([A_full[(slice(None),) * (1 + m1) + tuple(sorted(j1 + q))]
                                           for q in qs], axis=-1).reshape(R, M ** m1, len(qs))
                             B = np.stack([B_full[(slice(None),) + tuple(sorted(q + i2))]
@@ -503,8 +541,9 @@ class TestWickOrdering:
 
     @staticmethod
     def _ordered_tuple_product(A_terms, B_terms, G, masses, max_order):
-        """Kept kernels of (sum A) G (sum B) by the ordered-tuple formula: every
-        ordered slot tuple (i2, j1) and q, then symmetrized."""
+        """Kept kernels of (sum A) G (sum B) by the ordered-tuple formula on the
+        factors' full tables: every ordered slot tuple (i2, j1) and q, then
+        symmetrized."""
         out = {}
         for wA in A_terms.values():
             for wB in B_terms.values():
@@ -523,14 +562,14 @@ class TestWickOrdering:
                         sI = float(np.sum(nodes[list(i2)]))
                         for j1 in product(range(M), repeat=n1 - p):
                             sJ = float(np.sum(nodes[list(j1)]))
-                            A = wA.at_r(r + sI)[(slice(None),) * (1 + m1) + j1]
-                            B = wB.at_r(r + sJ)[(slice(None),) * (1 + p) + i2]
+                            A = wA.expanded(wA.at_r(r + sI))[(slice(None),) * (1 + m1) + j1]
+                            B = wB.expanded(wB.at_r(r + sJ))[(slice(None),) * (1 + p) + i2]
                             Gq = G(r[:, np.newaxis] + (sI + sJ) + omega) * mass
                             block = np.einsum("riq,rq,rqj->rij", A.reshape(R, M ** m1, len(qs)),
                                               Gq, B.reshape(R, len(qs), M ** n2))
                             arr[(slice(None),) * (1 + m1) + i2 + j1] += (
                                 Cf * block).reshape((R,) + (M,) * (m1 + n2))
-        return {key: symmetrized(arr, *key) for key, arr in out.items()}
+        return {key: _fully_symmetric(arr, *key) for key, arr in out.items()}
 
     @staticmethod
     def _G(r):
@@ -542,7 +581,7 @@ class TestWickOrdering:
         W, masses = self._random_W(6)
         n1, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
         n2, _ = normal_order_product(n1, W, self._G, masses, max_order=2, sup_G=0.5)
-        for got, (A, B, max_order) in ((n1, (W, W, 4)), (n2, (self._expanded(n1), W, 2))):
+        for got, (A, B, max_order) in ((n1, (W, W, 4)), (n2, (n1, W, 2))):
             ref = self._tuple_loop_product(A, B, self._G, masses, max_order)
             assert got.keys() == ref.keys()
             for key, arr in ref.items():
@@ -556,7 +595,7 @@ class TestWickOrdering:
         n1, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
         n2, _ = normal_order_product(n1, W, self._G, masses, max_order=2, sup_G=0.5)
         ref1 = self._ordered_tuple_product(W, W, self._G, masses, 4)
-        ordered = {key: CouplingFunction(*key, W[(1, 0)].nodes, arr) for key, arr in ref1.items()}
+        ordered = {key: _on_multisets(*key, W[(1, 0)].nodes, arr) for key, arr in ref1.items()}
         ref2 = self._ordered_tuple_product(ordered, W, self._G, masses, 2)
         for got, ref in ((n1, ref1), (n2, ref2)):
             assert got.keys() == ref.keys()
@@ -566,59 +605,36 @@ class TestWickOrdering:
                 scale = np.max(np.abs(arr))
                 assert np.max(np.abs(full - arr)) <= 1e-15 * scale, key
 
-    @staticmethod
-    def _assert_slot_symmetric(w):
-        """Every permutation of w's creation and of its annihilation slots leaves
-        its values and r-derivatives bit for bit as they are."""
-        for pc in permutations(range(w.m)):
-            for pa in permutations(range(w.n)):
-                axes = (0,) + tuple(1 + i for i in pc) + tuple(1 + w.m + j for j in pa)
-                for table in (w.values, w.dr_values):
-                    assert np.transpose(table, axes).tobytes() == table.tobytes(), (w.m, w.n)
+    def test_step_keeps_every_kernel_on_multisets(self, monkeypatch):
+        # a step reads, multiplies, sums, rescales and masks kernels on multisets:
+        # no full table is gathered, the s = 1 product makes orders 3 and 4 there
+        # at M_max = 2 too, and every kernel's slot axes are its multiset counts,
+        # (33, 36) for a (2,0) kernel on 8 nodes and (33, 36, 36) for a (2,2) one
+        orders = []
+        init = CouplingFunction.__init__
 
-    def test_returned_kernels_are_exactly_symmetric(self):
-        W, masses = self._random_W(10)
-        n1, _ = normal_order_product(W, W, self._G, masses, max_order=4, sup_G=0.5)
-        n2, _ = normal_order_product(n1, W, self._G, masses, max_order=2, sup_G=0.5)
-        assert {(4, 0), (2, 2), (0, 4)} <= n1.keys()
-        for w in [*self._expanded(n1).values(), *self._expanded(n2).values()]:
-            self._assert_slot_symmetric(w)
-        for H in (TestRgStep._hidden_orders(0.5, {(1, 0): 0.05, (2, 1): 1e-3, (0, 3): 2e-3}),
-                  _random_hamiltonian(RHO)):
-            Hp, _ = rg_step(H, RHO)
-            assert max(key[0] + key[1] for key in Hp.terms) == H.M_max
-            for w in Hp.terms.values():
-                self._assert_slot_symmetric(w)
-
-    def test_second_order_step_expands_no_table_above_order_two(self, monkeypatch):
-        # an M_max = 2 step keeps the s = 1 orders 3 and 4 on multisets: their
-        # norms and the s = 2 product read them there, and no full table of
-        # theirs is built or gathered
-        orders = {"full": [], "packed": [], "expanded": []}
-        init, packed_init, expanded = (CouplingFunction.__init__, MultisetKernel.__init__,
-                                       MultisetKernel.expanded)
-
-        def record_full(self, m, n, *args, **kwargs):
-            orders["full"].append(m + n)
+        def recorded(self, m, n, *args, **kwargs):
+            orders.append(m + n)
             init(self, m, n, *args, **kwargs)
 
-        def record_packed(self, m, n, *args):
-            orders["packed"].append(m + n)
-            packed_init(self, m, n, *args)
+        def gathered(self, table=None):
+            raise AssertionError("a step gathered a full table")
 
-        def record_expanded(self):
-            orders["expanded"].append(self.order)
-            return expanded(self)
-
-        monkeypatch.setattr(CouplingFunction, "__init__", record_full)
-        monkeypatch.setattr(MultisetKernel, "__init__", record_packed)
-        monkeypatch.setattr(MultisetKernel, "expanded", record_expanded)
-        for H in (TestFlow._model_builder(8)(0.0), _random_hamiltonian(RHO)):
-            for seen in orders.values():
-                seen.clear()
-            rg_step(H, RHO)
-            assert max(orders["packed"]) == 4
-            assert max(orders["full"]) == 2 and max(orders["expanded"]) == 2
+        monkeypatch.setattr(CouplingFunction, "__init__", recorded)
+        monkeypatch.setattr(CouplingFunction, "expanded", gathered)
+        model = TestFlow._model_builder(8)(0.0)
+        at_order_4 = NormalFormHamiltonian(model.terms, model.grid, 4)
+        for H in (model, _random_hamiltonian(RHO), at_order_4):
+            orders.clear()
+            Hp, _ = rg_step(H, RHO)
+            assert max(orders) == 4
+            N = len(H.nodes)
+            for (m, n), w in Hp.terms.items():
+                assert w.values.shape == w.dr_values.shape == (
+                    (len(R_GRID),) + tuple(comb(N + k - 1, k) for k in (m, n) if k)), (m, n)
+            if H.M_max == 4:
+                assert Hp.terms[(2, 0)].values.shape == (33, 36)
+                assert Hp.terms[(2, 2)].values.shape == (33, 36, 36)
 
 
 class TestRgStep:
@@ -807,7 +823,7 @@ class TestRgStep:
         grid = build_mode_grid(4, 1.0, "geometric")
         terms = {(0, 0): CouplingFunction(0, 0, grid.nodes, offset + R_GRID)}
         for (m, n), value in kernels.items():
-            table = np.full((len(R_GRID),) + (len(grid.nodes),) * (m + n), value)
+            table = np.full((len(R_GRID),) + slot_shape(len(grid.nodes), m, n), value)
             terms[(m, n)] = CouplingFunction(m, n, grid.nodes, table)
         return NormalFormHamiltonian(terms, grid, 4)
 

@@ -91,8 +91,8 @@ def _emit(label: str, *parts) -> None:
 
 def _hamiltonian(label: str, H, info=None) -> None:
     from specrg import normalform, rgflow
-    for key, w in H.terms.items():
-        _emit(f"{label} kernel {key}", w.values, w.dr_values)
+    for key, w in H.terms.items():  # each kernel's full table, on every ordered tuple
+        _emit(f"{label} kernel {key}", w.expanded(), w.expanded(w.dr_values))
     if info is not None:
         _emit(f"{label} StepInfo", np.array(dataclasses.astuple(info)))
     _emit(f"{label} polydisc_coordinates", np.array(rgflow.polydisc_coordinates(H)))
@@ -264,7 +264,7 @@ def pauli_fierz() -> None:
     for key, value in rep.items():
         _emit(f"pauli_fierz_transform {key}", value)
     _emit("pf_coupling on x_grid x k_grid",
-          np.array([models.pf_coupling(spec, float(x), rep["k_grid"]) for x in x_grid]))
+          np.array([models.pf_coupling(float(x), rep["k_grid"]) for x in x_grid]))
 
 
 def acceptance_flows() -> None:
@@ -334,8 +334,8 @@ def cache_keys() -> None:
     from specrg import calibration, fock, normalform, rgflow
     # calls interleaved on keys that must not share what a step builds once:
     # two grids with equal nodes and different weights (measured_q's basis, the
-    # contraction sums), two bases of one grid (assemble_term's walks), and full
-    # and packed kernels on two node sets (the norms' slot weights)
+    # contraction sums), two bases of one grid (assemble_term's walks), and
+    # kernels on two node sets (the norms' slot weights)
     one = fock.build_mode_grid(4, 0.5, "geometric")
     grids = (one, fock.ModeGrid(one.nodes, 2.0 * one.weights))
     steps = [calibration._random_polydisc_hamiltonian(np.random.default_rng(3), grid, 0.5,
@@ -347,16 +347,20 @@ def cache_keys() -> None:
     small = fock.build_mode_grid(4, 0.25, "geometric")
     bases = [fock.build_fock_basis(small, n_max) for n_max in (2, 3)]
     for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (0, 0), (2, 1), (1, 2)):
+        # a draw on every ordered tuple keeps the random stream of the kernels that
+        # follow; the kernel is the draw at the sorted tuples (C order)
         shape = (len(normalform.R_GRID),) + (4,) * (m + n)
-        w = normalform.CouplingFunction(m, n, small.nodes, normalform.symmetrized(
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), m, n))
+        draw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).reshape(
+            len(normalform.R_GRID), 4 ** m, 4 ** n)
+        cre, ann = (normalform.multisets(4, k)[2] for k in (m, n))
+        w = normalform.CouplingFunction(m, n, small.nodes, draw[:, cre][:, :, ann].reshape(
+            (len(normalform.R_GRID),) + normalform.slot_shape(4, m, n)))
         for basis in bases:
             _emit(f"assemble_term ({m},{n}) n_max={basis.n_max}", normalform.assemble_term(w, basis))
         for nodes in (small.nodes, fock.build_mode_grid(4, 0.25, "uniform").nodes):
-            v = normalform.CouplingFunction(m, n, nodes, w.values)
-            for label, u in (("full", v), ("packed", v.packed)):
-                _emit(f"({m},{n}) {label} norms and dr_values", u.dr_values, u.norm_mu1,
-                      normalform.coupling_norm_mu1(u, 0.25), normalform.coupling_norm_mu(u, 0.25))
+            u = normalform.CouplingFunction(m, n, nodes, w.values)
+            _emit(f"({m},{n}) full norms and dr_values", u.expanded(u.dr_values), u.norm_mu1,
+                  normalform.coupling_norm_mu1(u, 0.25), normalform.coupling_norm_mu(u, 0.25))
 
 
 def main() -> None:
