@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis, blocks, dense
+from .fock import FockBasis, blocks, dense, hermitian
 
 RANK_THRESHOLD_FACTOR = 1e-8  # singular values below this times ||H|| count as null
 INDETERMINATE_BAND = 10.0     # rank decisions within this factor are reported, not guessed
@@ -160,14 +160,17 @@ def _norm2(A: np.ndarray) -> float:
 def identity_defect(H, res: FeshbachResult) -> tuple[float, float]:
     """Norms of H Q - chi F and Q# H - F chi, the exactness certificates.
 
-    Each 2-norm is taken on the defect's nonzero rows and columns only: with
-    a sharp pair whose chibar support is small they are few, and a defect
-    with no zero row or column gets the SVD of the whole matrix.
+    The rows where Q differs from diag(chi), and the columns where Q# does, are
+    read off Q and Q# (supp chibar for a computed map, but nothing is assumed),
+    and H Q = H chi + H[:, rows] (Q - chi)[rows], Q# H = chi H + (Q# - chi)[:, cols] H[cols].
+    Each 2-norm is taken on the defect's nonzero rows and columns only.
     """
     H = dense(H)
     chi = res.pair.chi
-    return (_norm2(H @ res.Q - chi[:, np.newaxis] * res.F),
-            _norm2(res.Qsharp @ H - res.F * chi[np.newaxis, :]))
+    dq, dqs = res.Q - np.diag(chi), res.Qsharp - np.diag(chi)
+    rows, cols = np.flatnonzero(dq.any(axis=1)), np.flatnonzero(dqs.any(axis=0))
+    return (_norm2(H * chi + H[:, rows] @ dq[rows] - chi[:, np.newaxis] * res.F),
+            _norm2(chi[:, np.newaxis] * H + dqs[:, cols] @ H[cols] - res.F * chi))
 
 
 def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
@@ -177,24 +180,20 @@ def reconstruct_inverse(res: FeshbachResult) -> np.ndarray:
     return res.Q @ Finv @ res.Qsharp + cb[:, np.newaxis] * res.Hchibar_inv * cb[np.newaxis, :]
 
 
-def _block_svds(mat: np.ndarray, index: np.ndarray) -> list:
-    """(indices, singular values, right singular vectors as rows) of each
-    connected block of mat (`fock.blocks`), the indices mapped through index."""
-    return [(index[b], *np.linalg.svd(mat[np.ix_(b, b)])[1:]) for b in blocks(mat)]
-
-
-def _null_dimension(svds: list, dim: int, threshold: float):
-    """(rank-deficiency count, indeterminate flag, null vectors) from the block
-    SVDs of a matrix; each null vector is embedded in the dim index space."""
-    borderline, vectors = False, [np.zeros((dim, 0))]
-    for index, s, vh in svds:
-        null = s < threshold
-        borderline |= bool(np.any(~null & (s < INDETERMINATE_BAND * threshold)))
-        v = np.zeros((dim, int(np.sum(null))), dtype=vh.dtype)
-        v[index] = vh[null].conj().T
-        vectors.append(v)
-    null_vectors = np.hstack(vectors)
-    return null_vectors.shape[1], borderline, null_vectors
+def _block_singular(mat: np.ndarray, index: np.ndarray, dim: int):
+    """Singular values of mat, and its right singular vectors as the matching
+    columns of a dim-row matrix (mat's rows at index): one eigh per connected
+    block (`fock.blocks`) of a Hermitian mat (`fock.hermitian`), |eigenvalues|
+    and eigenvectors, and one SVD per block of any other."""
+    herm, s, vecs = hermitian(mat), np.empty(len(mat)), np.zeros((dim, len(mat)), mat.dtype)
+    for b in blocks(mat):
+        if herm:
+            e, v = np.linalg.eigh(mat[np.ix_(b, b)])
+            s[b], vecs[np.ix_(index[b], b)] = np.abs(e), v
+        else:
+            _, s[b], vh = np.linalg.svd(mat[np.ix_(b, b)])
+            vecs[np.ix_(index[b], b)] = vh.conj().T
+    return s, vecs
 
 
 def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
@@ -204,31 +203,30 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
     thresholding at 1e-8 ||H||), eigenvector transport both ways, and
     invertibility flags.  Borderline singular values within a factor 10 of
     the threshold mark the verdict indeterminate instead of failing.
-    Each SVD runs on one connected block (`fock.blocks`) of H - lambda or of
-    F's chi block, so ||H||_2 is the largest singular value over the blocks,
-    and the right singular vectors are embedded back into the full index
-    space; an irreducible matrix is one block, the SVD of the whole matrix.
+    The singular data of H - lambda and of F's chi block come block by block
+    (`_block_singular`: eigh when the matrix is Hermitian, as at real lambda,
+    an SVD otherwise); ||H||_2 is the largest singular value of H - lambda.
     """
-    H = np.asarray(H)
-    H = dense(H - lam * np.eye(len(H)))
+    H = np.asarray(H).astype(np.result_type(np.asarray(H).dtype, lam, np.float64))
+    H[np.diag_indices_from(H)] -= lam  # on a copy of H, with no dense identity
+    H = dense(H)
     res = feshbach_map(H, None, pair)
-    svds_h = _block_svds(H, np.arange(len(H)))
-    hnorm = max([1.0] + [s[0] for _, s, _ in svds_h])
+    s_h, vecs_h = _block_singular(H, np.arange(len(H)), len(H))
+    hnorm = float(np.max(s_h, initial=1.0))
     thr = RANK_THRESHOLD_FACTOR * hnorm
-
-    dim_h, ind_h, null_h = _null_dimension(svds_h, len(H), thr)
     # F is block diagonal with respect to supp(chi); its action outside the
     # decimation sector is just tau and carries no spectral information about
     # the chi sector, so the null count is taken on the supp(chi) block.
     sup = np.flatnonzero(pair.chi > 0.0)
-    dim_f, ind_f, null_f = _null_dimension(_block_svds(res.F[np.ix_(sup, sup)], sup),
-                                           len(H), thr)
+    s_f, vecs_f = _block_singular(res.F[np.ix_(sup, sup)], sup, len(H))
+    null_h, null_f = vecs_h[:, s_h < thr], vecs_f[:, s_f < thr]
+    dim_h, dim_f = null_h.shape[1], null_f.shape[1]
+    indeterminate = any(np.any((s >= thr) & (s < INDETERMINATE_BAND * thr)) for s in (s_h, s_f))
 
     # the largest residual of a null vector carried to the other side, 0 for none
-    transport_h_to_f = max([0.0] + [float(np.linalg.norm(res.F @ (pair.chi * psi))) / hnorm
-                                    for psi in null_h.T])
-    transport_f_to_h = max([0.0] + [float(np.linalg.norm(H @ (res.Q @ phi))) / hnorm
-                                    for phi in null_f.T])
+    transport_h_to_f, transport_f_to_h = (
+        float(max(np.linalg.norm(images, axis=0), default=0.0)) / hnorm
+        for images in (res.F @ (pair.chi[:, np.newaxis] * null_h), H @ (res.Q @ null_f)))
 
     d1, d2 = identity_defect(H, res)
     return {
@@ -236,7 +234,7 @@ def isospectral_check(H, pair: ProjectionPair, lam: complex) -> dict:
         "dim_null_H": dim_h,
         "dim_null_F": dim_f,
         "null_dims_equal": dim_h == dim_f,
-        "indeterminate": ind_h or ind_f,
+        "indeterminate": indeterminate,
         "H_invertible": dim_h == 0,
         "F_invertible": dim_f == 0,
         "transport_residual_chi": transport_h_to_f,

@@ -189,6 +189,12 @@ def dense(H) -> np.ndarray:
     return np.ascontiguousarray(mat.real, dtype=float)
 
 
+def hermitian(mat: np.ndarray) -> bool:
+    """The dense route's one rule for eigh: max|mat - mat*| < 1e-10 max(1, max|mat|)."""
+    scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)))
+    return bool(np.max(np.abs(mat - mat.conj().T), initial=0.0) < 1e-10 * scale)
+
+
 def blocks(mat) -> list[np.ndarray]:
     """Connected components of the nonzero pattern of the square matrix mat.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, blocks, dense
+from .fock import DEFAULT_DIM_CAP, blocks, dense, hermitian
 from .models import CoupledModel, ModelSpec, complex_dilate, form_factor
 from .normalform import slot_masses
 
@@ -32,16 +32,18 @@ class ResolutionError(ValueError):
 
 
 def exact_spectrum(H, k: int | None = None):
-    """Sorted eigenvalues: k lowest if max|H - H*| < 1e-10, full set otherwise.
+    """Sorted eigenvalues, or the k >= 1 lowest (ValueError for k < 1).
 
-    eigvalsh (Hermitian) or eigvals runs on each connected block of H
-    (`fock.blocks`) and the merged values are sorted; an irreducible H is one
-    block, the same call on the same matrix.  SolverError above DEFAULT_DIM_CAP.
+    eigvalsh (Hermitian by `fock.hermitian`) or eigvals runs on each connected
+    block of H (`fock.blocks`) and the merged values are sorted; an irreducible
+    H is one block, the same call on the same matrix.  SolverError above DEFAULT_DIM_CAP.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, not {k}")
     if np.shape(H)[0] > DEFAULT_DIM_CAP:  # before any copy of a matrix it refuses
         raise SolverError(f"dimension {np.shape(H)[0]} exceeds the dense cap {DEFAULT_DIM_CAP}")
     mat = dense(H)
-    herm = bool(np.max(np.abs(mat - mat.conj().T)) < 1e-10) if mat.size else True
+    herm = hermitian(mat)
     solve = np.linalg.eigvalsh if herm else np.linalg.eigvals
     try:
         vals = np.concatenate([solve(mat[np.ix_(b, b)]) for b in blocks(mat)] or [solve(mat)])

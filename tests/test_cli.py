@@ -161,6 +161,14 @@ class TestSpectrum:
         expected = np.sort(np.concatenate([hf, hf + 1.0]))
         assert np.allclose(np.sort(vals), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_exits_with_domain_code(self, tmp_path, capsys, k):
+        cfg = _cfg(tmp_path, {**BASE_CONFIG, "k": k})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert f"k must be at least 1, not {k}" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+
 
 class TestFlowCommand:
     def test_short_flow_runs_and_reports(self, tmp_path):

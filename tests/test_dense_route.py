@@ -209,12 +209,13 @@ def full_oracle_inputs():
 
 class TestBlockSolves:
     def test_no_dense_solve_spans_two_blocks(self, monkeypatch, full_oracle_inputs):
-        # every svd, eigvalsh, eigvals and 2-norm runs on one connected block of
-        # its input or on a smaller matrix: none on the 650- or 455-state whole
-        shapes = []
-        for name in ("svd", "eigvalsh", "eigvals"):
-            def spy(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+        # every svd, eigh, eigvalsh, eigvals and 2-norm runs on one connected block
+        # of its input or on a smaller matrix: none on the 650- or 455-state whole
+        shapes, calls = [], []
+        for name in ("svd", "eigh", "eigvalsh", "eigvals"):
+            def spy(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 shapes.append(np.shape(a))
+                calls.append((_name, len(a)))
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
         norm = np.linalg.norm
@@ -242,5 +243,10 @@ class TestBlockSolves:
         run("Hop", lambda: feshbach.identity_defect(
             Hop, feshbach.feshbach_map(Hop, inputs["tau"], pair)))
         lam = float(run("Hop", lambda: oracle.exact_spectrum(Hop, 1))[0])
+        calls[:] = []
         rep = run("Hop", lambda: feshbach.isospectral_check(Hop, pair, lam))
         assert rep["dim_null_H"] == rep["dim_null_F"] == 1
+        # at real lambda H - lambda and F's chi block are Hermitian: one eigh per
+        # block, and one SVD, of the 4-state chibar block that feshbach_map inverts
+        assert [n for name, n in calls if name == "eigh"] == [79, 376, 79, 372]
+        assert [n for name, n in calls if name == "svd"] == [4]

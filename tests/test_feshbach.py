@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specrg import fock
+from specrg import feshbach, fock
 from specrg.fock import OperatorMatrix, build_fock_basis, build_mode_grid
 from specrg.feshbach import (INDETERMINATE_BAND, RANK_THRESHOLD_FACTOR, FeshbachResult,
                              NotInvertibleError, ProjectionPair, feshbach_map,
@@ -109,6 +109,105 @@ class TestIdentityDefectNorm:
         assert self._defects(np.zeros((6, 6))) == (0.0, 0.0)
 
 
+def _sharp_or_smooth_pair(rng, n, smooth):
+    return ProjectionPair(rng.uniform(0.1, 0.9, n) if smooth else
+                          (rng.random(n) > 0.5).astype(float))
+
+
+class TestStructuredDefect:
+    """identity_defect forms H Q and Q# H through the rows of Q and the columns of
+    Q# that differ from chi; the plain products must give the same defects."""
+
+    @pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smooth"])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_matches_plain_products(self, seed, smooth):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        H = A + A.conj().T if seed % 2 else A
+        pair = _sharp_or_smooth_pair(rng, 40, smooth)
+        res = feshbach_map(H, None, pair)
+        chi = pair.chi
+        want = (np.linalg.norm(H @ res.Q - chi[:, np.newaxis] * res.F, 2),
+                np.linalg.norm(res.Qsharp @ H - res.F * chi[np.newaxis, :], 2))
+        hnorm = np.linalg.norm(H, 2)
+        for got, plain in zip(identity_defect(H, res), want):
+            assert abs(got - plain) <= 1e-14 * hnorm
+
+    @pytest.mark.parametrize("side", ["Q", "Qsharp"])
+    def test_corruption_outside_chibar_support_shows(self, side):
+        # a row of Q (column of Q#) where chibar = 0 equals chi; adding c at one of
+        # its entries moves H Q by c H[:, i] e_j^T (Q# H by c e_j H[i, :])
+        rng = np.random.default_rng(37)
+        A = rng.standard_normal((30, 30))
+        H = A + A.T
+        pair = _sharp_or_smooth_pair(rng, 30, smooth=False)
+        res = feshbach_map(H, None, pair)
+        i, j = np.flatnonzero(pair.chibar == 0.0)[0], np.flatnonzero(pair.chibar > 0.0)[0]
+        c = 1e-6
+        if side == "Q":
+            res.Q[i, j] += c
+            size, defect = c * np.linalg.norm(H[:, i]), identity_defect(H, res)[0]
+        else:
+            res.Qsharp[j, i] += c
+            size, defect = c * np.linalg.norm(H[i]), identity_defect(H, res)[1]
+        assert defect >= (1.0 - 1e-6) * size
+
+
+class TestEighRoute:
+    """A Hermitian matrix takes one eigh per block; the SVD route, forced by
+    making the predicate false, must give the same null structure."""
+
+    @staticmethod
+    def _compare_routes(monkeypatch, mat):
+        assert fock.hermitian(mat)
+        index = np.arange(len(mat))
+        by_eigh = feshbach._block_singular(mat, index, len(mat))
+        monkeypatch.setattr(feshbach, "hermitian", lambda m: False)
+        by_svd = feshbach._block_singular(mat, index, len(mat))
+        monkeypatch.undo()
+        hnorms = [max(1.0, s.max()) for s, _ in (by_eigh, by_svd)]
+        assert abs(hnorms[0] - hnorms[1]) <= 1e-13 * hnorms[1]
+        thr = RANK_THRESHOLD_FACTOR * hnorms[1]
+        (dim_e, ind_e, null_e), (dim_s, ind_s, null_s) = (
+            (int(np.sum(s < thr)), bool(np.any((s >= thr) & (s < INDETERMINATE_BAND * thr))),
+             vecs[:, s < thr]) for s, vecs in (by_eigh, by_svd))
+        assert (dim_e, ind_e) == (dim_s, ind_s)
+        assert np.max(np.abs(null_e @ null_e.conj().T - null_s @ null_s.conj().T),
+                      initial=0.0) <= 1e-10
+        return dim_s, ind_s
+
+    def test_engineered_double_eigenvalue(self, monkeypatch):
+        Q, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((6, 6)))
+        mat = Q @ np.diag([0.0, 0.0, 0.7, 1.5, -2.1, 2.8]) @ Q.T
+        assert self._compare_routes(monkeypatch, mat) == (2, False)
+
+    def test_permuted_two_block_double_eigenvalue(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        mat = np.zeros((11, 11))
+        for block, diag in ((slice(0, 5), [0.0, 0.8, 1.3, -1.9, 2.5]),
+                            (slice(5, 11), [0.0, 0.5, -0.9, 1.7, 2.2, 3.0])):
+            Q, _ = np.linalg.qr(rng.standard_normal((len(diag), len(diag))))
+            mat[block, block] = Q @ np.diag(diag) @ Q.T
+        perm = rng.permutation(11)
+        mat = mat[np.ix_(perm, perm)]
+        assert len(fock.blocks(mat)) == 2
+        assert self._compare_routes(monkeypatch, mat) == (2, False)
+
+    @pytest.mark.parametrize("factor, indeterminate", [(9.9, True), (10.1, False)])
+    def test_borderline_singular_value(self, monkeypatch, factor, indeterminate):
+        # ||mat||_2 = 3, so the threshold is 3e-8; one eigenvalue sits near -10x it.
+        # It shares no block with the null vector, which a gap of 3e-7 would
+        # otherwise leave resolved only to ~1e-9
+        rng = np.random.default_rng(23)
+        mat = np.zeros((8, 8))
+        near = -factor * RANK_THRESHOLD_FACTOR * 3.0
+        for block, diag in ((slice(0, 4), [3.0, -2.0, 1.1, 0.0]),
+                            (slice(4, 8), [0.5, -0.7, 1.9, near])):
+            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            mat[block, block] = Q @ np.diag(diag) @ Q.T
+        assert self._compare_routes(monkeypatch, mat) == (1, indeterminate)
+
+
 class TestChibarBlockThreshold:
     """The chibar block is singular below 1e-13 max(1, ||H||_2); ||H||_F >= ||H||_2
     screens it first, so ||H||_2 is computed only for a block that fails the screen."""
@@ -165,22 +264,39 @@ class TestReconstructInverse:
         assert err < 1e-10
 
 
+def _singular_data(A):
+    """Singular values and right singular vectors as columns, by the documented
+    rule: one eigh when max|A - A*| < 1e-10 max(1, max|A|) (|eigenvalues| and
+    eigenvectors), one SVD otherwise."""
+    if np.max(np.abs(A - A.conj().T)) < 1e-10 * max(1.0, np.max(np.abs(A))):
+        e, v = np.linalg.eigh(A)
+        return np.abs(e), v
+    _, s, vh = np.linalg.svd(A)
+    return s, vh.conj().T
+
+
 def _whole_matrix_check(H, pair, lam):
-    """isospectral_check with one SVD of the whole H - lambda and of F's whole
-    chi block, and 2-norms of the whole defect matrices."""
+    """isospectral_check with the singular data of the whole H - lambda and of
+    F's whole chi block (`_singular_data`), and 2-norms of the whole defect
+    matrices, formed by the row formula H Q = H chi + H[:, rows] (Q - chi)[rows]
+    and the column formula Q# H = chi H + (Q# - chi)[:, cols] H[cols]."""
     H = H - lam * np.eye(len(H))
     res = feshbach_map(H, None, pair)
-    _, s, vh = np.linalg.svd(H)
-    hnorm = max(s[0], 1.0)
+    s, v = _singular_data(H)
+    hnorm = max(s.max(), 1.0)
     thr = RANK_THRESHOLD_FACTOR * hnorm
     sup = pair.chi > 0.0
-    _, s_f, vh_f = np.linalg.svd(res.F[np.ix_(sup, sup)])
-    null_h = vh.conj().T[:, s < thr]
-    null_f = np.zeros((len(H), np.sum(s_f < thr)), dtype=vh_f.dtype)
-    null_f[sup] = vh_f.conj().T[:, s_f < thr]
+    s_f, v_f = _singular_data(res.F[np.ix_(sup, sup)])
+    null_h = v[:, s < thr]
+    null_f = np.zeros((len(H), np.sum(s_f < thr)), dtype=v_f.dtype)
+    null_f[sup] = v_f[:, s_f < thr]
     chi = pair.chi
-    d1 = np.linalg.norm(H @ res.Q - chi[:, np.newaxis] * res.F, 2)
-    d2 = np.linalg.norm(res.Qsharp @ H - res.F * chi[np.newaxis, :], 2)
+    dq, dqs = res.Q - np.diag(chi), res.Qsharp - np.diag(chi)
+    rows, cols = np.flatnonzero(dq.any(axis=1)), np.flatnonzero(dqs.any(axis=0))
+    d1 = np.linalg.norm(H * chi[np.newaxis, :] + H[:, rows] @ dq[rows]
+                        - chi[:, np.newaxis] * res.F, 2)
+    d2 = np.linalg.norm(chi[:, np.newaxis] * H + dqs[:, cols] @ H[cols]
+                        - res.F * chi[np.newaxis, :], 2)
     dim_h, dim_f = int(np.sum(s < thr)), int(np.sum(s_f < thr))
     borderline = [(v >= thr) & (v < INDETERMINATE_BAND * thr) for v in (s, s_f)]
     return {
@@ -254,7 +370,8 @@ class TestIsospectralCheck:
     @pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smooth"])
     @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "non-hermitian"])
     def test_irreducible_matrix_matches_whole_matrix_check(self, hermitian, smooth):
-        # a dense H - lambda and F chi block are one block each: the same SVDs.  A
+        # a dense H - lambda and F chi block are one block each: the same solver
+        # calls (an SVD each, since lambda is complex).  A
         # smooth chi in (0, 1) leaves the defects no zero row or column, so the
         # whole report is bit-identical; a sharp pair zeroes the defects' chibar
         # columns, and their 2-norms then agree to rounding
@@ -290,6 +407,7 @@ class TestAssembledOperatorInput:
         for field in ("F", "Q", "Qsharp", "Hchibar_inv"):
             assert np.array_equal(getattr(tagged, field), getattr(plain, field))
         assert identity_defect(Hop, tagged) == identity_defect(Hop.mat, plain)
+        assert fock.hermitian(tagged.F[np.ix_(pair.chi > 0, pair.chi > 0)])  # takes eigh
         spectrum = exact_spectrum(Hop)
         assert np.array_equal(spectrum, exact_spectrum(Hop.mat))
         assert np.isrealobj(spectrum)  # the assembled kernels are Hermitian

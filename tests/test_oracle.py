@@ -48,6 +48,23 @@ class TestExactSpectrum:
         vals = exact_spectrum(np.diag([3.0, 1.0, 2.0]).astype(complex), k=2)
         assert np.allclose(vals, [1.0, 2.0])
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_k_below_one_raises(self, k):
+        with pytest.raises(ValueError, match=f"k must be at least 1, not {k}"):
+            exact_spectrum(np.diag([3.0, 1.0, 2.0]), k=k)
+
+    def test_hermitian_rule_scales_with_the_entries(self):
+        # the rounding asymmetry of V diag V^T grows with its entries: at norm 1e8
+        # it exceeds an absolute 1e-10, yet the matrix is Hermitian and gets eigvalsh
+        rng = np.random.default_rng(3)
+        V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        diag = np.linspace(-1e8, 1e8, 20)
+        mat = V @ np.diag(diag) @ V.T
+        assert np.max(np.abs(mat - mat.T)) > 1e-10
+        vals = exact_spectrum(mat)
+        assert vals.dtype == np.float64
+        assert np.max(np.abs(vals - diag)) <= 1e-14 * 1e8 * 20
+
     def test_dimension_cap(self):
         # the cap is checked before the Hermitian test, so a refused matrix
         # costs no copy of its own size
