@@ -26,8 +26,8 @@ from .models import (CoupledModel, ModelSpec, build_model, complex_dilate,
                      dilated_grid, fiber_hamiltonian, field_operator, form_factor,
                      ground_sector_hamiltonian, infrared_exponent,
                      mass_renormalization, pauli_fierz_transform, pf_coupling)
-from .oracle import (NotFoundError, PoleFit, ResolutionError, SolverError,
-                     combes_deviation, exact_spectrum, fit_pole,
+from .oracle import (NotFoundError, PoleFit, ResolutionError, SchurChain, SolverError,
+                     combes_deviation, exact_spectrum, fit_pole, ground_energy,
                      perturbation_oracle, resonance_eigenvalue,
                      resonance_multiplicity)
 

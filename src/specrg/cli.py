@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,14 @@ def _grid_from_config(cfg: dict) -> fock.ModeGrid:
                                 _value(cfg, "grid.scheme", "geometric"))
 
 
+def _basis_from_config(cfg: dict, n_max: int) -> fock.FockBasis:
+    """The Fock basis of the config (n_max its default), refused (ValueError) before
+    it is enumerated when it has more than fock.DEFAULT_DIM_CAP states."""
+    grid, n_max = _grid_from_config(cfg), _value(cfg, "n_max", n_max)
+    fock.check_dense(sum(comb(grid.n_modes + j - 1, j) for j in range(n_max + 1)))
+    return fock.build_fock_basis(grid, n_max)
+
+
 def _spec_from_config(cfg: dict) -> models.ModelSpec:
     return models.ModelSpec(
         particle_levels=_value(cfg, "model.particle_levels", [0.0, 1.0]),
@@ -109,9 +118,8 @@ def _spec_from_config(cfg: dict) -> models.ModelSpec:
 
 def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
-    n_max = _value(cfg, "n_max", 2)
-    grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, n_max)
+    basis = _basis_from_config(cfg, 2)
+    grid = basis.grid
     rho = _value(cfg, "rho", 0.5)
     n_trials = _value(cfg, "n_trials", 10)
     if n_trials < 1:
@@ -214,8 +222,7 @@ def cmd_flow(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
-    grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, _value(cfg, "n_max", 2))
+    basis = _basis_from_config(cfg, 2)
     model = models.build_model(spec, basis)
     vals = oracle.exact_spectrum(model.H, _value(cfg, "k", None))
     lines = ["index,eig_re,eig_im"]
@@ -227,8 +234,7 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
     spec = _spec_from_config(cfg)
-    grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, _value(cfg, "n_max", 1))
+    basis = _basis_from_config(cfg, 1)
     thetas = _value(cfg, "im_thetas", oracle.STABILITY_THETAS)
     level = _value(cfg, "level", 1)
     if not 0 <= level < spec.n_levels:
@@ -236,9 +242,9 @@ def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
     seed_energy = float(spec.particle_levels[level])
     if not thetas:
         raise ValueError("im_thetas must list at least one angle")
-    # one dilation and one located eigenvalue per angle give every row
-    D = models.complex_dilate(spec, basis, 1j * float(thetas[0]))
-    _, zs, stab = oracle._resonance_at_angles(D, seed_energy, None, thetas)
+    # one located eigenvalue per angle, each by a Schur chain, gives every row
+    _, zs, stab = oracle._resonance_at_angles(spec, basis, 1j * float(thetas[0]), seed_energy,
+                                              None, thetas)
     lines = ["im_theta,z_re,z_im,stability"]
     for t, z in zip(thetas, zs):
         lines.append(f"{_fmt(t)},{_fmt(z.real)},{_fmt(z.imag)},{_fmt(stab)}")
@@ -247,8 +253,7 @@ def cmd_resonance(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_mass(cfg: dict, out: Path, seed: int) -> int:
-    grid = _grid_from_config(cfg)
-    basis = fock.build_fock_basis(grid, _value(cfg, "n_max", 2))
+    basis = _basis_from_config(cfg, 2)
     g_values = _value(cfg, "g_values", [0.0, 1e-3, 2e-3, 5e-3])
     p_grid = np.asarray(_value(cfg, "p_grid", [0.0, 0.08, 0.16, 0.24, 0.32]), dtype=float)
     levels = _value(cfg, "model.particle_levels", [0.0])

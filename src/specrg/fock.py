@@ -15,13 +15,20 @@ sum(n) <= n_max - 1 where the truncation is invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import comb
 
 import numpy as np
 
-# Dense dimension cap.  Dense eigensolvers stay the oracle below this size.
+# Dense dimension cap: no dense operator, matrix solve or Schur complement of
+# more states than this is allocated (check_dense).
 DEFAULT_DIM_CAP = 5000
+
+
+def check_dense(dim: int) -> None:
+    """Refuse, before anything is allocated, a dense array of dim > DEFAULT_DIM_CAP states."""
+    if dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"dense dimension {dim} exceeds the dense cap {DEFAULT_DIM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -133,19 +140,28 @@ class FockBasis:
         """States with total occupation <= n_max - 1 (truncation-blind)."""
         return self.states.sum(axis=1) <= self.n_max - 1
 
+    @cached_property
+    def shells(self) -> tuple:
+        """(off, lower, modes, amp, upper, camp), worked out on first use: states
+        off[N]:off[N+1] make up shell N (states come by total occupation).  Row i
+        of (lower, modes, amp) lists the annihilations out of state i, occupied
+        modes first (n_max columns; -1, 0 for the rest); row i < off[n_max] of
+        (upper, camp) lists its creations, one per mode.  Entries are the state
+        reached and sqrt(n) in the state with the photon."""
+        off = np.searchsorted(self.states.sum(axis=1), np.arange(self.n_max + 2))
+        modes = np.argsort(self.states == 0, axis=1, kind="stable")[:, :self.n_max].copy()
+        rows = np.arange(self.dim)[:, None]
+        _, _, upper, camp = ladder_walk(self, np.arange(off[-2]), 1, "create")
+        return (off, self.lower[modes, rows], modes, np.sqrt(self.states[rows, modes]),
+                upper.reshape(-1, self.n_modes), camp.reshape(-1, self.n_modes))
+
 
 def build_fock_basis(grid: ModeGrid, n_max: int) -> FockBasis:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     M = grid.n_modes
-    D = sum(comb(M + j - 1, j) for j in range(n_max + 1))
-    if D > DEFAULT_DIM_CAP:
-        raise ValueError(
-            f"basis dimension D={D} exceeds the dense cap {DEFAULT_DIM_CAP} "
-            f"(n_modes={M}, n_max={n_max})"
-        )
     states = _enumerate_states(M, n_max)
-    assert states.shape[0] == D
+    D = states.shape[0]
     index = {tuple(int(x) for x in s): i for i, s in enumerate(states)}
     lower = np.full((M, D), -1, dtype=np.int64)
     for i, mode in zip(*np.nonzero(states)):
@@ -233,6 +249,7 @@ def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
 
     D = basis.dim
+    check_dense(D)
     a = np.zeros((D, D))
     cols = np.flatnonzero(basis.lower[mode] >= 0)
     a[basis.lower[mode, cols], cols] = np.sqrt(basis.states[cols, mode])
@@ -272,6 +289,7 @@ def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
 
 def field_hamiltonian(basis: FockBasis) -> np.ndarray:
     """Diagonal free-field Hamiltonian sum_i n_i omega(k_i), real."""
+    check_dense(basis.dim)
     return np.diag(basis.hf_diagonal())
 
 

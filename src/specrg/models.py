@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rgflow
-from .fock import FockBasis, ModeGrid, dense, field_hamiltonian, ladder_walk
+from .fock import FockBasis, ModeGrid, check_dense, dense, field_hamiltonian, ladder_walk
 from .normalform import R_GRID, CouplingFunction, NormalFormHamiltonian, slot_masses
 
 
@@ -85,7 +85,10 @@ class ModelSpec:
 
 def form_factor(spec: ModelSpec, k, theta=0.0):
     """Coupling function f(k) = chi(k)/sqrt(k), continued in the dilation angle to
-    f_theta(k) = e^{-3 theta/2} chi(e^{-theta} k) / sqrt(e^{-theta} k)."""
+    f_theta(k) = e^{-3 theta/2} chi(e^{-theta} k) / sqrt(e^{-theta} k), for |Im theta| < pi/4
+    (ValueError otherwise), where the cutoff chi still decays."""
+    if abs(np.imag(theta)) >= np.pi / 4:
+        raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
     scaled_k = np.exp(-theta) * np.asarray(k, dtype=float)
     chi = np.asarray(spec.cutoff(scaled_k), dtype=complex)
     return np.exp(-1.5 * theta) * chi / np.sqrt(scaled_k)
@@ -98,6 +101,7 @@ def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     both with coefficient sqrt(mass_a) f(k_a): Phi is Hermitian for real f and
     analytic in f, so Phi(f_theta) continues it in the dilation angle.
     """
+    check_dense(basis.dim)
     mass = slot_masses(basis.grid)
     if fvals is None:
         fvals = form_factor(spec, basis.grid.nodes)
@@ -141,8 +145,7 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Coupled
     d^3k measure.  The finite matter system is dilation-invariant.  Block (l, l') is
     g Gamma_ll' Phi(f_theta), plus eps_l + e^{-theta} H_f on its diagonal if l = l'.
     """
-    if abs(np.imag(theta)) >= np.pi / 4:
-        raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
+    check_dense(spec.n_levels * basis.dim)
     phi = field_operator(spec, basis, fvals=form_factor(spec, basis.grid.nodes, theta))
     hf, D, diag = np.exp(-theta) * basis.hf_diagonal(), basis.dim, np.arange(basis.dim)
     H = np.empty((spec.n_levels * D, spec.n_levels * D), dtype=complex)

@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .fock import FockBasis, ModeGrid, OperatorMatrix, dense, ladder_walk
+from .fock import FockBasis, ModeGrid, OperatorMatrix, check_dense, dense, ladder_walk
 
 FOUR_PI = 4.0 * np.pi
 
@@ -292,6 +292,7 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     """
     if not np.array_equal(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
+    check_dense(basis.dim)
     walk = basis.walks.get((w.m, w.n))
     if walk is None:
         cols, J, mid, amp_a = ladder_walk(basis, np.arange(basis.dim), w.n, "annihilate")

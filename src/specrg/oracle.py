@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DEFAULT_DIM_CAP, blocks, dense, hermitian
-from .models import CoupledModel, ModelSpec, complex_dilate, form_factor
+from .fock import DEFAULT_DIM_CAP, FockBasis, blocks, check_dense, dense, hermitian
+from .models import CoupledModel, ModelSpec, form_factor
 from .normalform import slot_masses
 
 
@@ -58,50 +58,93 @@ def exact_spectrum(H, k: int | None = None):
 INVERSE_ITERATION_CAP = 50
 
 
-def _parity(D: CoupledModel) -> np.ndarray:
-    """Photon-number parity of each state of D, particle index outer."""
-    return np.tile(D.basis.states.sum(1) % 2, D.spec.n_levels)
-
-
-def _default_radius(spec: ModelSpec) -> float:
-    return 0.5 * spec.level_gap if np.isfinite(spec.level_gap) else 0.5
-
-
-def _block_solver(mat: np.ndarray, shift: complex, radius: float, parity=None):
-    """x -> (mat - shift)^-1 x by one Feshbach-Schur elimination.
-
-    Phi is odd in the photon number, so each parity class of H_theta - shift
-    is diagonal.  The larger class E is eliminated but for its states within
-    radius of shift; the kept states K (the range of a Feshbach projection)
-    carry S = (mat - shift)_KK - mat_KE (d_E - shift)^-1 mat_EK, the only
-    matrix inverted: LinAlgError when S, so mat - shift, is singular.  Without
-    a parity E is empty.  ValueError: the block to eliminate is not diagonal.
+class SchurChain:
+    """H_theta of (spec, basis, theta) as levels x states arrays (as ordered in
+    complex_dilate), for exact Feshbach elimination over the photon number N: Phi
+    moves N by +-1, the rest is diag.  g Gamma (x) Phi gathers w = sqrt(mass_a)
+    f_theta(k_a) sqrt(n_a) at lower (up from N - 1) and v at upper (down from N + 1)
+    of basis.shells; no dense Phi, LD x LD matrix or top-shell coupling is formed.
+    ValueError: a dense complement (L x a shell below the top) over DEFAULT_DIM_CAP,
+    or |Im theta| >= pi/4 (form_factor).
     """
-    d = np.diagonal(mat) - shift
-    elim = np.zeros(len(d), dtype=bool) if parity is None else (
-        (parity == np.argmax(np.bincount(parity))) & (np.abs(d) > radius))
-    E, K = np.flatnonzero(elim), np.flatnonzero(~elim)
-    block = mat[np.ix_(E, E)]
-    if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block)):
-        raise ValueError("the parity class to eliminate is not diagonal")
-    left, right = mat[np.ix_(K, E)] / d[E], mat[np.ix_(E, K)]
-    s_inv = np.linalg.inv(mat[np.ix_(K, K)] - shift * np.eye(len(K)) - left @ right)
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        y = np.empty(len(d), dtype=complex)
-        y[K] = s_inv @ (x[K] - left @ x[E])
-        y[E] = (x[E] - right @ y[K]) / d[E]
-        return y
-    return solve
+    def __init__(self, spec: ModelSpec, basis: FockBasis, theta: complex = 0.0):
+        self.off, self.lower, modes, amp, self.upper, camp = basis.shells
+        check_dense(spec.n_levels * max(np.diff(self.off)[:-1], default=0))
+        coef = dense(np.sqrt(slot_masses(basis.grid)) * form_factor(spec, basis.grid.nodes, theta))
+        self.top, self.G = basis.n_max, dense(spec.g * spec.gamma)
+        self.w, self.v = coef[modes] * amp, coef * camp
+        self.diag = dense(spec.particle_levels[:, None] + np.exp(-theta) * basis.hf_diagonal())
+        # ||H_theta||_F: an entry of w stands for two entries of H per (l, l')
+        self.frobenius = float(np.sqrt(np.vdot(self.diag, self.diag).real + 2.0
+                                       * np.vdot(self.G, self.G).real * np.vdot(self.w, self.w).real))
+
+    def hop(self, X: np.ndarray, rows: slice, up: bool) -> np.ndarray:
+        """Rows of g Gamma (x) Phi X, from shell N - 1 (up) or N + 1 into shell N."""
+        idx, amp = (self.lower[rows], self.w[rows]) if up else (self.upper[rows], self.v[rows])
+        return np.einsum("lm,mij,ij->li", self.G, X[:, idx], amp)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """H_theta x, from the blocks."""
+        X = x.reshape(len(self.G), -1)
+        out = self.diag * X + self.hop(X, slice(None), True)
+        out[:, :self.off[-2]] += self.hop(X, slice(self.off[-2]), False)
+        return out.ravel()
+
+    def complements(self, sigma: complex) -> tuple[dict, dict]:
+        """Schur complements S[N] of H_theta - sigma, S[0] the L x L Feshbach map onto
+        N = 0, and inverses R[N] of those eliminated: the diagonal top shell (levels x
+        states; its moves scattered in pairs), then shells n_max - 1, ..., 1 densely.
+        LinAlgError when an eliminated one is singular."""
+        off, G, L = self.off, self.G, len(self.G)
+        S, R = {self.top: self.diag[:, off[-2]:] - sigma}, {}
+        for N in range(self.top, 0, -1):
+            shell, d = slice(off[N - 1], off[N]), off[N] - off[N - 1]
+            if N == self.top:
+                if not np.all(S[N]):
+                    raise np.linalg.LinAlgError("a top-shell pivot of H - sigma is 0")
+                R[N], w = 1.0 / S[N], self.w[off[N]:]
+                rows = (self.lower[off[N]:] - off[N - 1]) % d  # padding, at w = 0, to any row
+                P = np.zeros((L, d, d), np.result_type(w, R[N]))
+                np.add.at(P, (slice(None), rows[:, :, None], rows[:, None, :]),
+                          w[:, :, None] * w[:, None, :] * R[N][:, :, None, None])
+                K = np.einsum("al,lb,lij->aibj", G, G, P)
+            else:
+                R[N], a = np.linalg.inv(S[N]), np.zeros((d, off[N + 1] - off[N]), self.v.dtype)
+                a[np.arange(d)[:, None], self.upper[shell] - off[N]] = self.v[shell]
+                R4 = R[N].reshape(L, a.shape[1], L, a.shape[1])  # K = (G (x) a) R (G (x) a^T)
+                K = np.einsum("lm,ij,mjnk,nr,sk->lirs", G, a, R4, G, a, optimize=True)
+            S[N - 1] = np.diag((self.diag[:, shell] - sigma).ravel()) - K.reshape(L * d, -1)
+        S[0] = S[0] if self.top else np.diag(S[0].ravel())
+        return S, R
+
+    def solver(self, sigma: complex):
+        """x -> (H_theta - sigma)^-1 x: the elimination down to N = 0, then
+        back-substitution.  LinAlgError when a complement, S[0] included, is singular."""
+        S, R = self.complements(sigma)
+        R[0], shell = np.linalg.inv(S[0]), list(map(slice, self.off, self.off[1:]))
+
+        def inverse(N, Z):
+            return Z * R[N] if N and N == self.top else (R[N] @ Z.ravel()).reshape(Z.shape)
+
+        def solve(x: np.ndarray) -> np.ndarray:
+            X = x.reshape(len(self.G), -1).astype(complex)
+            for N in range(self.top, -1, -1):
+                Z = X[:, shell[N]] - (self.hop(X, shell[N], False) if N < self.top else 0)
+                X[:, shell[N]] = inverse(N, Z)
+            for N in range(1, self.top + 1):
+                X[:, shell[N]] -= inverse(N, self.hop(X, shell[N], True))
+            return X.ravel()
+        return solve
 
 
-def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float, parity=None):
-    """The eigenvalue of mat nearest seed, by inverse iteration with shift seed.
+def _nearest_eigenvalue(chain: SchurChain, seed: complex, radius: float):
+    """The eigenvalue of chain's H nearest seed, by shifted inverse iteration.
 
-    A fixed pseudo-random start vector is mapped through (mat - seed)^-1
-    (`_block_solver` with parity) and normalized until the Rayleigh quotient
-    lam = x* mat x has residual ||mat x - lam x|| <= 4 eps max(1, ||mat||_F),
-    about ten times the rounding floor of that residual.
+    A fixed pseudo-random start vector is mapped through chain.solver(seed)
+    and normalized until the Rayleigh quotient lam = x* H x (chain.apply) has
+    residual ||H x - lam x|| <= 4 eps max(1, chain.frobenius), about ten times
+    the rounding floor of that residual.
     An exactly singular shift is returned as it is, being an eigenvalue.
     NotFoundError: the estimate lies farther than radius from seed.
     SolverError: the estimate lies inside radius but has not converged after
@@ -109,15 +152,15 @@ def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float, parity=No
     close to seed.
     """
     try:
-        solve = _block_solver(mat, seed, radius, parity)
+        solve = chain.solver(seed)
     except np.linalg.LinAlgError:
         return complex(seed)
-    tol = 4.0 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(mat)))
-    x = np.random.default_rng(0).standard_normal(mat.shape[0]).astype(complex)
+    tol = 4.0 * np.finfo(float).eps * max(1.0, chain.frobenius)
+    x = np.random.default_rng(0).standard_normal(chain.diag.size).astype(complex)
     for _ in range(INVERSE_ITERATION_CAP):
         x = solve(x)
         x /= np.linalg.norm(x)
-        ax = mat @ x
+        ax = chain.apply(x)
         lam = complex(np.vdot(x, ax))
         converged = np.linalg.norm(ax - lam * x) <= tol
         if converged:
@@ -133,27 +176,60 @@ def _nearest_eigenvalue(mat: np.ndarray, seed: complex, radius: float, parity=No
     return lam
 
 
-def _resonance_at_angles(D: CoupledModel, seed: complex, radius: float | None,
-                         thetas) -> tuple[complex, list, float]:
-    """z at D's angle, the resonance at each Im theta of thetas, and their spread.
+def _resonance_at_angles(spec: ModelSpec, basis: FockBasis, theta: complex, seed: complex,
+                         radius: float | None, thetas) -> tuple[complex, list, float]:
+    """z at angle theta, the resonance at each Im theta of thetas, and their spread.
 
-    z is the eigenvalue of D nearest seed; at each other angle the dilation is
-    re-built and the eigenvalue nearest z is located (at D's own angle it is z).
-    The spread is the maximum pairwise distance of the located values.
+    z is the eigenvalue of H_theta nearest seed (within radius, default half the
+    level gap); at each other angle a new SchurChain locates the eigenvalue nearest
+    z (at theta itself it is z).  The spread is the maximum pairwise distance.
     """
-    if min(np.imag(D.theta), *thetas) <= 0:
+    if min(np.imag(theta), *thetas) <= 0:
         raise ValueError("resonance location needs Im theta > 0")
-    spec, parity = D.spec, _parity(D)
-    radius = _default_radius(spec) if radius is None else radius
-    z = _nearest_eigenvalue(D.H, seed, radius, parity)
-    zs = [z if t == np.imag(D.theta) else
-          _nearest_eigenvalue(complex_dilate(spec, D.basis, np.real(D.theta) + 1j * t).H,
-                              z, radius, parity)
+    if radius is None:
+        radius = 0.5 * spec.level_gap if np.isfinite(spec.level_gap) else 0.5
+    z = _nearest_eigenvalue(SchurChain(spec, basis, theta), seed, radius)
+    zs = [z if t == np.imag(theta) else
+          _nearest_eigenvalue(SchurChain(spec, basis, np.real(theta) + 1j * t), z, radius)
           for t in thetas]
     for v in (z, *zs):
         if np.imag(v) > 1e-10 * max(1.0, abs(v)):
             raise SolverError(f"resonance with positive imaginary part {v}")
     return z, zs, float(max(abs(a - b) for a in zs for b in zs))
+
+
+def ground_energy(spec: ModelSpec, basis: FockBasis) -> float:
+    """Lowest eigenvalue of the model (theta = 0): the root of lambda_min(S[0](sigma))
+    of its SchurChain, by regula falsi with the Illinois halving on [a Gershgorin
+    lower bound, eps_0].  At every sigma each eliminated complement must pass a
+    Cholesky test, or SolverError names sigma; then, by Haynsworth's inertia
+    additivity, the root is the lowest eigenvalue of H, not just an eigenvalue.
+    """
+    chain = SchurChain(spec, basis)
+    rows = np.abs(chain.w).sum(axis=1)  # sum |Phi| along each row
+    rows[:chain.off[-2]] += np.abs(chain.v).sum(axis=1)
+    lo = np.min(chain.diag - np.abs(chain.G).sum(1)[:, None] * rows)
+
+    def lowest(sigma):
+        try:
+            S, _ = chain.complements(sigma)
+            if chain.top and not np.all(S[chain.top] > 0):
+                raise np.linalg.LinAlgError
+            for N in range(1, chain.top):
+                np.linalg.cholesky(S[N])
+            return float(np.linalg.eigvalsh(S[0])[0])
+        except np.linalg.LinAlgError:
+            raise SolverError("an eliminated complement is not positive definite at "
+                              f"sigma = {sigma!r}") from None
+    (lo, f_lo), (hi, f_hi) = ((x, lowest(x)) for x in (float(lo), float(spec.particle_levels[0])))
+    side, sigma = 0, hi if f_lo > 0 else lo
+    # stop at a root or when the secant point, rounded, leaves the open bracket
+    while f_lo > 0 > f_hi and lo < (sigma := (lo * f_hi - hi * f_lo) / (f_hi - f_lo)) < hi:
+        if (f := lowest(sigma)) > 0:
+            lo, f_lo, f_hi, side = sigma, f, f_hi / 2 if side > 0 else f_hi, 1
+        else:
+            hi, f_hi, f_lo, side = sigma, f, f_lo / 2 if side < 0 else f_lo, -1
+    return min(max(sigma, lo), hi)
 
 
 # Im theta of the dilations across which a resonance must stay put
@@ -164,15 +240,16 @@ def resonance_eigenvalue(D: CoupledModel, seed: complex, radius: float | None = 
     """Nearest complex eigenvalue of the dilated model, with theta-stability.
 
     z is the eigenvalue of D nearest seed (within radius, default half the
-    level gap), located by shifted inverse iteration on the Feshbach-Schur
-    complement of D's kept states (`_block_solver`; `_nearest_eigenvalue`
-    gives the stop and the NotFoundError/SolverError cases).  Stability is the maximum pairwise displacement of the eigenvalue
-    nearest z across the Im theta of STABILITY_THETAS (the continuum branches
-    rotate with theta, the discrete resonance must not); at D's own angle
-    that is z.
+    level gap), located by shifted inverse iteration through a SchurChain
+    solve (`_nearest_eigenvalue` gives the stop and the NotFoundError/SolverError
+    cases).  Only D.spec, D.basis and D.theta are read, never D.H.  Stability
+    is the maximum pairwise displacement of the eigenvalue nearest z across
+    the Im theta of STABILITY_THETAS (the continuum branches rotate with
+    theta, the discrete resonance must not); at D's own angle that is z.
     SolverError also when a located value has Im > 0 beyond solver noise.
     """
-    z, _, stability = _resonance_at_angles(D, seed, radius, STABILITY_THETAS)
+    z, _, stability = _resonance_at_angles(D.spec, D.basis, D.theta, seed, radius,
+                                           STABILITY_THETAS)
     return z, stability
 
 
@@ -195,11 +272,10 @@ class PoleFit:
 
 
 def _resolvent(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, zs) -> np.ndarray:
-    """<psi, (H_theta - z)^-1 phi> at each z of zs, by `_block_solver` with D's
-    parity and the default radius."""
-    radius, parity = _default_radius(D.spec), _parity(D)
-    return np.array([np.vdot(psi, _block_solver(D.H, z, radius, parity)(phi)) for z in zs],
-                    dtype=complex)
+    """<psi, (H_theta - z)^-1 phi> at each z of zs, by the SchurChain solve of D's
+    spec, basis and theta."""
+    chain = SchurChain(D.spec, D.basis, D.theta)
+    return np.array([np.vdot(psi, chain.solver(z)(phi)) for z in zs], dtype=complex)
 
 
 def fit_pole(D: CoupledModel, psi: np.ndarray, phi: np.ndarray, seed: complex) -> PoleFit:

@@ -48,6 +48,15 @@ def model_flows():
     return {g: _flow_instance(g) for g in FLOW_G_VALUES}
 
 
+@pytest.fixture(scope="session")
+def large_basis():
+    """(basis, seconds): 128 uniform modes to k = 1 at n_max = 2, 8,385 Fock
+    states (16,770 with two levels), and the time its enumeration took."""
+    t0 = time.perf_counter()
+    basis = build_fock_basis(build_mode_grid(128, 1.0, "uniform"), 2)
+    return basis, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
 def resonance_instance():
     """(spec, grid, basis, D): the criterion-7 model dilated at theta = 0.2i."""

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,15 +294,15 @@ class TestResonanceCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        dilate = counted("dilate", specrg.models.complex_dilate)
-        monkeypatch.setattr(specrg.models, "complex_dilate", dilate)
-        monkeypatch.setattr(specrg.oracle, "complex_dilate", dilate)
+        # the angles are solved by Schur chains: no dense dilation is built
+        monkeypatch.setattr(specrg.models, "complex_dilate",
+                            counted("dilate", specrg.models.complex_dilate))
         monkeypatch.setattr(specrg.oracle, "_nearest_eigenvalue",
                             counted("locate", specrg.oracle._nearest_eigenvalue))
         cfg = _cfg(tmp_path, RESONANCE_CONFIG)
         out = tmp_path / "out"
         assert main(["resonance", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert calls == {"dilate": 3, "locate": 3}
+        assert calls == {"dilate": 0, "locate": 3}
         rows = (out / "resonance.csv").read_text().strip().split("\n")[1:]
         assert [r.split(",")[0] for r in rows] == [f"{t:.16e}" for t in (0.15, 0.2, 0.25)]
         assert len({r.split(",")[3] for r in rows}) == 1
@@ -318,6 +319,31 @@ class TestResonanceCommand:
         cfg = _cfg(tmp_path, {**RESONANCE_CONFIG, "im_thetas": thetas})
         assert main(["resonance", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("thetas", [[0.2, 0.8], [np.pi / 4]])
+    def test_angle_outside_the_dilation_domain_exits_with_domain_code(self, tmp_path, capsys,
+                                                                       thetas):
+        # past Im theta = pi/4 the dilated cutoff exp(-(e^{-theta} k / kappa)^2) grows
+        cfg = _cfg(tmp_path, {**RESONANCE_CONFIG, "im_thetas": thetas})
+        out = tmp_path / "o"
+        assert main(["resonance", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert "|Im theta| < pi/4" in capsys.readouterr().err
+        assert not (out / "resonance.csv").exists()
+
+
+class TestBasisSize:
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "resonance", "mass"])
+    def test_basis_over_the_cap_is_refused_before_it_is_enumerated(self, tmp_path, capsys,
+                                                                   command):
+        # 200 modes to n_max 4 is ~7e7 states; counting them is all that may happen
+        payload = {**BASE_CONFIG, "grid": {"n_modes": 200, "k_max": 0.5}, "n_max": 4}
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert main([command, "--config", _cfg(tmp_path, payload), "--out", str(out)]) \
+            == EXIT_DOMAIN
+        assert time.perf_counter() - t0 < 1.0
+        assert "exceeds the dense cap 5000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,5 +1,8 @@
 """The dense route's dtype rule: fock.dense reads an exactly real matrix as
-float64 and any other as complex128, and every dense solver reads through it."""
+float64 and any other as complex128, and every dense solver reads through it;
+and its size rule: nothing dense over fock.DEFAULT_DIM_CAP states is allocated."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,8 +127,8 @@ class TestSolverDtypes:
 
         oracle.resonance_eigenvalue(models.complex_dilate(spec, basis, 0.2j), 1.0)
         dilation, calls[:] = list(calls), []
-        assert {name for name, _ in dilation} == {"inv"}
-        assert all(dt == np.complex128 for _, dt in dilation)
+        # at n_max = 1 the Schur chain's one dense complement is S_0: one inv per angle
+        assert dilation == [("inv", np.complex128)] * len(oracle.STABILITY_THETAS)
 
         oracle.exact_spectrum(models.build_model(spec, basis).H, 1)
         res = feshbach.feshbach_map(Hop, oracle_inputs["tau"], pair)
@@ -250,3 +253,38 @@ class TestBlockSolves:
         # block, and one SVD, of the 4-state chibar block that feshbach_map inverts
         assert [n for name, n in calls if name == "eigh"] == [79, 376, 79, 372]
         assert [n for name, n in calls if name == "svd"] == [4]
+
+
+class TestSizeGuard:
+    """Every dense allocator refuses a basis over DEFAULT_DIM_CAP before it
+    allocates: a traced peak under 64 MB, against 562 MB for one D x D float64
+    array at D = 8,385, shows that no D x D array was made."""
+
+    CALLS = {
+        "field_operator": lambda spec, b: models.field_operator(spec, b),
+        "complex_dilate": lambda spec, b: models.complex_dilate(spec, b, 0.2j),
+        "build_model": lambda spec, b: models.build_model(spec, b),
+        "field_hamiltonian": lambda spec, b: fock.field_hamiltonian(b),
+        "ladder_matrix": lambda spec, b: fock.ladder_matrix(b, 0, "create"),
+        "assemble_term": lambda spec, b: normalform.assemble_term(
+            normalform.CouplingFunction(0, 0, b.grid.nodes, normalform.R_GRID), b),
+        "assemble_operator": lambda spec, b: normalform.assemble_operator(
+            normalform.NormalFormHamiltonian(
+                {(0, 0): normalform.CouplingFunction(0, 0, b.grid.nodes, normalform.R_GRID)},
+                b.grid), b),
+        "_fiber_parts": lambda spec, b: models._fiber_parts(spec, b),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_refuses_before_allocating(self, name, large_basis):
+        basis = large_basis[0]
+        spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+        dim = 2 * basis.dim if name in ("complex_dilate", "build_model") else basis.dim
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"dense dimension {dim} exceeds the dense cap"):
+                self.CALLS[name](spec, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 8385 and peak < 64 * 2 ** 20

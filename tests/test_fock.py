@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrg.fock import (FockBasis, ModeGrid, OperatorMatrix, blocks, build_fock_basis,
+from specrg.fock import (DEFAULT_DIM_CAP, FockBasis, ModeGrid, OperatorMatrix, blocks,
+                         build_fock_basis,
                          build_mode_grid, field_hamiltonian, ladder_matrix, ladder_walk,
                          pull_through_check)
 
@@ -68,9 +69,11 @@ class TestFockBasis:
         assert {tuple(s) for s in basis.states} == brute
 
     def test_dimension_cap_enforced(self):
-        grid = build_mode_grid(30, 1.0, "uniform")
-        with pytest.raises(ValueError, match="cap"):
-            build_fock_basis(grid, 4)
+        # a basis over the cap is enumerated; a dense operator on it is refused
+        basis = build_fock_basis(build_mode_grid(99, 1.0, "uniform"), 2)
+        assert basis.dim == 5050 > DEFAULT_DIM_CAP
+        with pytest.raises(ValueError, match="dense dimension 5050 exceeds the dense cap 5000"):
+            ladder_matrix(basis, 0, "annihilate")
 
     def test_state_index_inverts_enumeration(self):
         grid = build_mode_grid(3, 1.0, "geometric")

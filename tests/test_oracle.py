@@ -1,5 +1,6 @@
 """Dense reference computations and their internal consistency."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from specrg import fock, oracle
 from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid)
-from specrg.oracle import (NotFoundError, ResolutionError, SolverError,
-                           combes_deviation, exact_spectrum, fit_pole,
+from specrg.oracle import (NotFoundError, ResolutionError, SchurChain, SolverError,
+                           combes_deviation, exact_spectrum, fit_pole, ground_energy,
                            perturbation_oracle, resonance_eigenvalue,
                            resonance_multiplicity)
 
@@ -26,10 +27,53 @@ def _resonance_setup(g=2e-3):
 
 
 def _dense_oracle_dilation(g, im_theta):
-    """The dense-oracle workload's 650-state dilation, with its photon parity."""
+    """The dense-oracle workload's 650-state dilation."""
     basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 2)
-    D = complex_dilate(_two_level(g), basis, 1j * im_theta)
-    return D, oracle._parity(D)
+    return complex_dilate(_two_level(g), basis, 1j * im_theta)
+
+
+def _chain(D):
+    return SchurChain(D.spec, D.basis, D.theta)
+
+
+class _Dense:
+    """A dense matrix with the interface _nearest_eigenvalue reads of a SchurChain."""
+
+    def __init__(self, mat):
+        self.mat, self.diag, self.frobenius = mat, np.diagonal(mat), float(np.linalg.norm(mat))
+
+    def apply(self, x):
+        return self.mat @ x
+
+    def solver(self, sigma):
+        return np.linalg.inv(self.mat - sigma * np.eye(len(self.mat))).__matmul__
+
+
+# complex Hermitian, with Gamma_00 != 0: the two directions of a coupling read
+# Gamma_ll' and Gamma_l'l = conj(Gamma_ll')
+GAMMA3 = np.array([[0.3, 1.0, 0.5j], [1.0, -0.2, 0.7 - 0.2j], [-0.5j, 0.7 + 0.2j, 0.1]])
+
+
+def _three_level(g=4e-3):
+    return ModelSpec(particle_levels=np.array([0.0, 0.8, 1.5]), g=g, kappa=1.0, gamma=GAMMA3)
+
+
+def _chain_case(case):
+    if case == "two-level":
+        return (_two_level(5e-3, kappa=1.0),
+                build_fock_basis(build_mode_grid(8, 0.5, "geometric"), 2))
+    return _three_level(4e-2), build_fock_basis(build_mode_grid(6, 1.0, "geometric"), 3)
+
+
+def _scattered(chain):
+    """The chain's blocks written into one dense matrix, particle index outer."""
+    L, D = chain.diag.shape
+    up, down = np.zeros((D, D), dtype=complex), np.zeros((D, D), dtype=complex)
+    np.add.at(up, (np.arange(D)[:, None], chain.lower), chain.w)
+    np.add.at(down, (np.arange(chain.off[-2])[:, None], chain.upper), chain.v)
+    # the two tables hold the same coupling, one move at a time
+    assert np.array_equal(down, up.T)
+    return np.diag(chain.diag.ravel()) + np.kron(chain.G, up + down)
 
 
 class TestExactSpectrum:
@@ -191,63 +235,58 @@ class TestNearestEigenvalue:
             # a seed a tenth of the way to the next eigenvalue singles out vals[j]
             gap = np.min(np.abs(np.delete(vals, j) - vals[j]))
             seed = vals[j] + 0.1 * gap * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            z = oracle._nearest_eigenvalue(mat, seed, radius=gap)
+            z = oracle._nearest_eigenvalue(_Dense(mat), seed, radius=gap)
             assert abs(z - vals[j]) <= 1e-12 * hnorm
 
     def test_matches_eigvals_on_dense_oracle_dilation(self):
-        H = _dense_oracle_dilation(1.5e-3, 0.2)[0].H
+        H = _dense_oracle_dilation(1.5e-3, 0.2).H
         assert H.shape == (650, 650)
-        z = oracle._nearest_eigenvalue(H, 1.0, 0.5)
+        z = oracle._nearest_eigenvalue(_Dense(H), 1.0, 0.5)
         assert abs(z - _nearest_root(H, 1.0)) <= 1e-12 * np.linalg.norm(H, 2)
 
     @pytest.mark.parametrize("im_theta", oracle.STABILITY_THETAS)
-    def test_parity_block_solve_matches_eigvals_on_dense_oracle_dilation(self, im_theta):
-        D, parity = _dense_oracle_dilation(1.5e-3, im_theta)
+    def test_chain_matches_eigvals_on_dense_oracle_dilation(self, im_theta):
+        D = _dense_oracle_dilation(1.5e-3, im_theta)
         vals = np.linalg.eigvals(D.H)
         hnorm = np.linalg.norm(D.H, 2)
         z = vals[np.argmin(np.abs(vals - 1.0))]
-        # at seed 1.0 the pivot of level 1 (x) vacuum is exactly 0: it must be kept
+        # at seed 1.0 the pivot of level 1 (x) vacuum, in the kept shell N = 0, is exactly 0
         assert np.count_nonzero(np.diagonal(D.H) == 1.0) == 1
         for seed in (1.0, z):
-            got = oracle._nearest_eigenvalue(D.H, seed, 0.5, parity)
+            got = oracle._nearest_eigenvalue(_chain(D), seed, 0.5)
             assert abs(got - z) <= 1e-12 * hnorm
 
-    def test_parity_block_solve_returns_seed_at_uncoupled_exact_pivot(self):
-        D, parity = _dense_oracle_dilation(0.0, 0.2)
-        assert oracle._nearest_eigenvalue(D.H, 1.0, 0.5, parity) == 1.0
+    def test_chain_returns_seed_at_uncoupled_exact_pivot(self):
+        # at g = 0 the Feshbach map onto N = 0 is diag(eps - seed): singular at seed 1
+        D = _dense_oracle_dilation(0.0, 0.2)
+        assert oracle._nearest_eigenvalue(_chain(D), 1.0, 0.5) == 1.0
+        assert resonance_eigenvalue(D, 1.0) == (1.0, 0.0)
 
-    def test_parity_with_coupled_eliminated_block_raises(self, monkeypatch):
-        # one class for every state: the block to eliminate holds Phi
-        spec, grid, basis = _resonance_setup(2e-3)
-        H = complex_dilate(spec, basis, 0.2j).H
-        monkeypatch.setattr(np.linalg, "inv", lambda *a: pytest.fail("fell back to inv"))
-        with pytest.raises(ValueError, match="not diagonal"):
-            oracle._nearest_eigenvalue(H, 1.0, 0.5, np.zeros(H.shape[0], dtype=int))
-
-    def test_resonance_eigenvalue_inverts_only_the_kept_block(self, monkeypatch):
-        D, _ = _dense_oracle_dilation(1.5e-3, 0.2)
+    def test_resonance_eigenvalue_solves_nothing_larger_than_a_complement(self, monkeypatch):
+        # the dense complements of the 650 states are S_1 (2 levels x 24 one-photon
+        # states) and S_0 (2 levels x vacuum); the 600-state top shell is diagonal
+        D = _dense_oracle_dilation(1.5e-3, 0.2)
         shapes = []
         for name in ("inv", "solve"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, *r, fn=fn: shapes.append(np.shape(a)) or fn(a, *r))
         resonance_eigenvalue(D, 1.0)
-        assert len(shapes) == len(oracle.STABILITY_THETAS)
-        assert all(max(s) <= 200 for s in shapes)
+        assert shapes == [(48, 48), (2, 2)] * len(oracle.STABILITY_THETAS)
 
     def test_outside_radius_raises_not_found(self):
         mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
         with pytest.raises(NotFoundError):
-            oracle._nearest_eigenvalue(mat, 5.0, radius=1.0)
+            oracle._nearest_eigenvalue(_Dense(mat), 5.0, radius=1.0)
 
     def test_equidistant_tie_raises_solver_error(self):
         mat = np.diag([1.0, -1.0]).astype(complex)
         with pytest.raises(SolverError, match="did not converge"):
-            oracle._nearest_eigenvalue(mat, 0.0, radius=5.0)
+            oracle._nearest_eigenvalue(_Dense(mat), 0.0, radius=5.0)
 
     def test_exactly_singular_shift_returns_seed(self):
         mat = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 3.0]], dtype=complex)
-        assert oracle._nearest_eigenvalue(mat, 1.0, radius=0.1) == 1.0
+        assert oracle._nearest_eigenvalue(_Dense(mat), 1.0, radius=0.1) == 1.0
 
     def test_resonance_eigenvalue_runs_no_full_eigensolve(self, monkeypatch):
         spec, grid, basis = _resonance_setup(2e-3)
@@ -261,6 +300,101 @@ class TestNearestEigenvalue:
         monkeypatch.undo()
         assert abs(z - _nearest_root(D.H, 1.0)) <= 1e-13
         assert z.imag < 0.0 and stab < 1e-6 * spec.level_gap
+
+
+class TestSchurChain:
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.2j, 0.1 + 0.15j])
+    @pytest.mark.parametrize("case", ["two-level", "three-level"])
+    def test_blocks_are_the_dilation(self, case, theta):
+        spec, basis = _chain_case(case)
+        H = complex_dilate(spec, basis, theta).H
+        chain = SchurChain(spec, basis, theta)
+        assert np.max(np.abs(_scattered(chain) - H)) <= 1e-15 * np.max(np.abs(H))
+        # H x and ||H||_F from the blocks, and the solve, against the dense matrix
+        x = np.random.default_rng(4).standard_normal(len(H)) + 0.5j
+        hnorm = np.linalg.norm(H, 2)
+        assert np.max(np.abs(chain.apply(x) - H @ x)) <= 1e-14 * hnorm * np.linalg.norm(x)
+        assert chain.frobenius == pytest.approx(np.linalg.norm(H), rel=1e-14)
+        sigma = 0.3 + 0.05j
+        want = np.linalg.solve(H - sigma * np.eye(len(H)), x)
+        assert np.max(np.abs(chain.solver(sigma)(x) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_top_shell_coupling_is_never_dense(self, large_basis):
+        # at 16,770 states a dense a_1 would be 128 x 8,256 complex (16.9 MB); the
+        # peak, ~8.8 MB, is hf_diagonal's float copy of the occupation table
+        basis, _ = large_basis
+        spec = _two_level(5e-3, kappa=1.0)
+        basis.shells
+        tracemalloc.start()
+        try:
+            solve = SchurChain(spec, basis, 0.2j).solver(1.0 - 1e-3j)
+            x = solve(np.ones(2 * basis.dim, dtype=complex))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20 and np.all(np.isfinite(x))
+
+    def test_refuses_a_complement_over_the_cap(self, monkeypatch):
+        # the 650-state dilation's largest dense complement is S_1, 2 x 24 states
+        D = _dense_oracle_dilation(1.5e-3, 0.2)
+        monkeypatch.setattr(fock, "DEFAULT_DIM_CAP", 48)
+        SchurChain(D.spec, D.basis, D.theta)
+        monkeypatch.setattr(fock, "DEFAULT_DIM_CAP", 47)
+        with pytest.raises(ValueError, match="dense dimension 48 exceeds the dense cap 47"):
+            SchurChain(D.spec, D.basis, D.theta)
+
+
+class TestGroundEnergy:
+    def test_matches_exact_spectrum_on_three_levels(self):
+        spec = _three_level()
+        basis = build_fock_basis(build_mode_grid(8, 1.0, "geometric"), 3)
+        want = exact_spectrum(build_model(spec, basis).H, 1)[0]
+        assert abs(ground_energy(spec, basis) - want) <= 1e-14 * abs(want)
+
+    def test_matches_exact_spectrum_at_4290_states_20x_faster(self):
+        spec = _two_level(5e-3, kappa=1.0)
+        basis = build_fock_basis(build_mode_grid(64, 1.0, "uniform"), 2)
+        t0 = time.perf_counter()
+        e0 = ground_energy(spec, basis)
+        t1 = time.perf_counter()
+        want = exact_spectrum(build_model(spec, basis).H, 1)[0]
+        t2 = time.perf_counter()
+        assert 2 * basis.dim == 4290
+        assert abs(e0 - want) <= 1e-14 * abs(want)
+        assert t2 - t1 >= 20 * (t1 - t0)
+
+    def test_16770_states_within_two_seconds(self, large_basis):
+        # over the dense cap: no LD x LD matrix (2.2 GB in float64) is made, and the
+        # root lies below the n_max = 1 value (Rayleigh-Ritz) and near second order
+        basis, seconds = large_basis
+        spec = _two_level(5e-3, kappa=1.0)
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            e0 = ground_energy(spec, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        e1 = ground_energy(spec, build_fock_basis(basis.grid, 1))
+        shift = perturbation_oracle(spec, basis.grid)["ground_shift"]
+        assert seconds + time.perf_counter() - t0 <= 2.0
+        assert 2 * basis.dim == 16770 and peak < 64 * 2 ** 20
+        assert e0 < e1 < 0.0
+        assert abs(e0 - shift) <= 1e-3 * abs(shift)
+
+    def test_indefinite_complement_raises(self):
+        # at g = 1 the eliminated shells N >= 1 reach below eps_0 = 0
+        with pytest.warns(UserWarning, match="not small against the level gap"):
+            spec = _two_level(1.0, kappa=1.0)
+        basis = build_fock_basis(build_mode_grid(4, 1.0, "geometric"), 2)
+        with pytest.raises(SolverError,
+                           match=r"complement is not positive definite at sigma = 0\.0"):
+            ground_energy(spec, basis)
+
+    def test_uncoupled_model_returns_the_lowest_level(self):
+        basis = build_fock_basis(build_mode_grid(4, 1.0, "geometric"), 2)
+        assert ground_energy(_two_level(0.0), basis) == 0.0
+        assert ground_energy(_two_level(5e-3), build_fock_basis(basis.grid, 0)) == 0.0
 
 
 class TestPoleFitting:

@@ -230,6 +230,22 @@ def dense_reads() -> None:
     _emit("at_r model w00", H.terms[(0, 0)].at_r(r))
 
 
+def ground_energies() -> None:
+    from specrg import fock, models, oracle
+    # the Schur chain's root, by repr: two levels on 4,290 states, and three levels
+    # with Gamma_00 != 0 and three shells eliminated down to N = 0
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    basis = fock.build_fock_basis(fock.build_mode_grid(64, 1.0, "uniform"), 2)
+    _emit(f"ground_energy 64 uniform modes n_max=2 ({2 * basis.dim} states)",
+          oracle.ground_energy(spec, basis))
+    gamma = np.array([[0.3, 1.0, 0.5], [1.0, -0.2, 0.7], [0.5, 0.7, 0.1]], dtype=complex)
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 0.8, 1.5]), g=4e-3, kappa=1.0,
+                            gamma=gamma)
+    basis = fock.build_fock_basis(fock.build_mode_grid(8, 1.0, "geometric"), 3)
+    _emit(f"ground_energy 3 levels 8 modes n_max=3 ({3 * basis.dim} states)",
+          oracle.ground_energy(spec, basis))
+
+
 def dense_feshbach() -> None:
     from specrg import feshbach, fock, models, normalform, oracle
     # dense-oracle's Feshbach and mass calls on its 455-state basis
@@ -370,9 +386,9 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
-                    dense_models, dense_reads, dense_feshbach, pauli_fierz, acceptance_flows,
-                    k_max_one_step, sector_builder, decimations, fourth_order_steps,
-                    cache_keys):
+                    dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
+                    acceptance_flows, k_max_one_step, sector_builder, decimations,
+                    fourth_order_steps, cache_keys):
         _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
