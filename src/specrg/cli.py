@@ -136,7 +136,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int) -> int:
     # CCR on the safe subspace
     dev = 0.0
     safe = basis.safe_mask()
-    a = [fock.ladder_matrix(basis, i, "annihilate") for i in range(basis.n_modes)]
+    a = [fock.ladder_matrix(basis, i) for i in range(basis.n_modes)]
     for i, ai in enumerate(a):
         for j, aj in enumerate(a):
             cj = aj.T

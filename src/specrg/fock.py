@@ -15,8 +15,8 @@ sum(n) <= n_max - 1 where the truncation is invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations_with_replacement
+from functools import cached_property, reduce
+from math import comb
 
 import numpy as np
 
@@ -85,39 +85,21 @@ def build_mode_grid(n_modes: int, k_max: float, scheme: str = "uniform") -> Mode
     return ModeGrid(nodes, weights)
 
 
-def _enumerate_states(n_modes: int, n_max: int) -> np.ndarray:
-    """All occupation vectors with total <= n_max, vacuum first.
-
-    Enumeration is by total occupation, then lexicographic, which is
-    deterministic and complete.
-    """
-    states = []
-    for total in range(n_max + 1):
-        # multisets of modes of size `total`
-        for combo in combinations_with_replacement(range(n_modes), total):
-            occ = [0] * n_modes
-            for m in combo:
-                occ[m] += 1
-            states.append(occ)
-    return np.array(states, dtype=np.int64).reshape(len(states), n_modes)
-
-
 @dataclass
 class FockBasis:
     """Enumerated occupation basis with total-quantum cutoff.
 
-    lower holds the ladder rule for every operator built on the basis:
-    lower[m, i] is the index of state i with one quantum fewer in mode m, or
-    -1 when mode m is empty.  The amplitude of that move is
-    sqrt(states[i, m]).  Creation is the inverse map, so creating out of the
-    top shell sum(n) = n_max has no target and gives zero.  walks keeps
+    Every operator built on the basis reads its moves off two inverse tables:
+    upper[i, m] (lower[i, m]) is state i with one quantum more (fewer) in mode m,
+    or -1 out of the top shell sum(n) = n_max (from an empty mode).  A move's
+    amplitude is sqrt(n_m) in the state holding the quantum.  walks keeps
     normalform.assemble_term's ladder walks, one per (m, n), once walked.
     """
 
     grid: ModeGrid
     n_max: int
     states: np.ndarray = field(repr=False)
-    index: dict = field(repr=False)
+    upper: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
     walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -129,12 +111,23 @@ class FockBasis:
     def n_modes(self) -> int:
         return self.grid.n_modes
 
+    @cached_property
+    def _hf(self) -> np.ndarray:
+        hf = self.states @ self.grid.nodes
+        hf.flags.writeable = False
+        return hf
+
     def hf_diagonal(self) -> np.ndarray:
-        """Field energy sum_i n_i omega(k_i) of each basis state."""
-        return self.states @ self.grid.nodes
+        """Field energy sum_i n_i omega(k_i) of each basis state, kept (read-only)."""
+        return self._hf
 
     def state_index(self, occupation) -> int:
-        return self.index[tuple(int(x) for x in occupation)]
+        """Index of a state, walked up from the vacuum; KeyError outside the basis."""
+        occ = np.asarray(occupation, dtype=np.int64)
+        if occ.shape != (self.n_modes,) or np.any(occ < 0) or occ.sum() > self.n_max:
+            raise KeyError(occ.tolist())
+        return int(reduce(lambda i, m: self.upper[i, m],
+                          np.repeat(np.arange(self.n_modes), occ), 0))
 
     def safe_mask(self) -> np.ndarray:
         """States with total occupation <= n_max - 1 (truncation-blind)."""
@@ -151,24 +144,37 @@ class FockBasis:
         off = np.searchsorted(self.states.sum(axis=1), np.arange(self.n_max + 2))
         modes = np.argsort(self.states == 0, axis=1, kind="stable")[:, :self.n_max].copy()
         rows = np.arange(self.dim)[:, None]
-        _, _, upper, camp = ladder_walk(self, np.arange(off[-2]), 1, "create")
-        return (off, self.lower[modes, rows], modes, np.sqrt(self.states[rows, modes]),
-                upper.reshape(-1, self.n_modes), camp.reshape(-1, self.n_modes))
+        return (off, self.lower[rows, modes], modes, np.sqrt(self.states[rows, modes]),
+                self.upper[:off[-2]], np.sqrt(self.states[:off[-2]] + 1))
 
 
 def build_fock_basis(grid: ModeGrid, n_max: int) -> FockBasis:
+    """All occupation vectors with total <= n_max, in the order of
+    itertools.combinations_with_replacement, shell by shell from the vacuum: shell
+    N + 1 takes each state of shell N with one quantum added in its highest occupied
+    mode h or above.  One added below h, in mode m, lands on the parent's move by m
+    with h added back, read off upper."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     M = grid.n_modes
-    states = _enumerate_states(M, n_max)
-    D = states.shape[0]
-    index = {tuple(int(x) for x in s): i for i, s in enumerate(states)}
-    lower = np.full((M, D), -1, dtype=np.int64)
-    for i, mode in zip(*np.nonzero(states)):
-        occ = states[i].copy()
-        occ[mode] -= 1
-        lower[mode, i] = index[tuple(int(x) for x in occ)]
-    return FockBasis(grid=grid, n_max=n_max, states=states, index=index, lower=lower)
+    D, modes = comb(M + n_max, n_max), np.arange(M)
+    states = np.zeros((D, M), dtype=np.int64)
+    upper, lower = np.full((D, M), -1, dtype=np.int64), np.full((D, M), -1, dtype=np.int64)
+    high = np.zeros(D, dtype=np.int64)  # the highest occupied mode, 0 at the vacuum
+    lo, hi = 0, 1  # shell N is states lo:hi
+    for _ in range(n_max):
+        above = modes >= high[lo:hi, None]
+        i, m = np.nonzero(above)
+        i, child = i + lo, np.arange(hi, hi + len(i))
+        upper[i, m], lower[child, m], high[child] = child, i, m
+        states[child] = states[i]
+        states[child, m] += 1
+        i, m = np.nonzero(~above)
+        i, h = i + lo, high[i + lo]
+        upper[i, m] = upper[upper[lower[i, h], m], h]
+        lower[upper[i, m], m] = i
+        lo, hi = hi, child[-1] + 1
+    return FockBasis(grid=grid, n_max=n_max, states=states, upper=upper, lower=lower)
 
 
 @dataclass
@@ -236,29 +242,22 @@ def blocks(mat) -> list[np.ndarray]:
     return found
 
 
-def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
-    """Creation or annihilation operator for one mode, hard truncation.
-
-    The annihilation matrix, float64, has entries sqrt(n_mode) connecting |n>
-    to |n - e_mode>; creation is its transpose, so creating out of the
-    truncated sector gives zero.
-    """
+def ladder_matrix(basis: FockBasis, mode: int) -> np.ndarray:
+    """Annihilation operator of one mode, float64, hard truncation: entries
+    sqrt(n_mode) connecting |n> to |n - e_mode>.  Creation is its transpose, so
+    creating out of the truncated sector gives zero."""
     if not (0 <= mode < basis.n_modes):
         raise ValueError(f"mode {mode} out of range [0, {basis.n_modes - 1}]")
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-
-    D = basis.dim
-    check_dense(D)
-    a = np.zeros((D, D))
-    cols = np.flatnonzero(basis.lower[mode] >= 0)
-    a[basis.lower[mode, cols], cols] = np.sqrt(basis.states[cols, mode])
-    return a.T if kind == "create" else a
+    check_dense(basis.dim)
+    a = np.zeros((basis.dim, basis.dim))
+    cols = np.flatnonzero(basis.lower[:, mode] >= 0)
+    a[basis.lower[cols, mode], cols] = np.sqrt(basis.states[cols, mode])
+    return a
 
 
 def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
     """Apply every ordered tuple of depth ladder operators of one kind to the
-    basis states start, all of them at once.
+    basis states start, all at once, through basis.upper or basis.lower.
 
     Returns flat arrays (src, modes, end, amp) with one entry per sequence of
     moves that stays in the basis: its position in start, the modes in the
@@ -268,17 +267,13 @@ def ladder_walk(basis: FockBasis, start, depth: int, kind: str):
     """
     if kind not in ("create", "annihilate"):
         raise ValueError(f"kind must be 'create' or 'annihilate', got {kind!r}")
-    table = basis.lower
-    if kind == "create":
-        mode, state = np.nonzero(basis.lower >= 0)
-        table = np.full_like(basis.lower, -1)
-        table[mode, basis.lower[mode, state]] = state
+    table = basis.upper if kind == "create" else basis.lower
     cur = np.asarray(start, dtype=np.int64)
     src = np.arange(len(cur))
     modes = np.empty((len(cur), 0), dtype=np.int64)
     amp = np.ones(len(cur))
     for _ in range(depth):
-        nxt = table[:, cur].T
+        nxt = table[cur]
         k, mode = np.nonzero(nxt >= 0)
         end = nxt[k, mode]
         occ = basis.states[end if kind == "create" else cur[k], mode]
@@ -297,21 +292,17 @@ def pull_through_check(basis: FockBasis, f, mode: int) -> float:
     """Max deviation of a(k) f(H_f) = f(H_f + omega(k)) a(k) on the safe subspace.
 
     Both the annihilation identity and its creation mirror
-    f(H_f) a*(k) = a*(k) f(H_f + omega(k)) are evaluated; the larger sup-norm
-    deviation is returned.  Columns are restricted to states with total
-    occupation <= n_max - 1 so the truncation cannot contribute.
+    f(H_f) a*(k) = a*(k) f(H_f + omega(k)), the transpose, are evaluated; the
+    larger sup-norm deviation is returned.  Columns of the first and rows of the
+    transpose are restricted to states with total occupation <= n_max - 1 so the
+    truncation cannot contribute.
     """
-    a = ladder_matrix(basis, mode, "annihilate")
-    adag = a.T
+    a = ladder_matrix(basis, mode)
     hf = basis.hf_diagonal()
-    om = basis.grid.nodes[mode]
     fhf = np.broadcast_to(f(hf), hf.shape)
-    fshift = np.broadcast_to(f(hf + om), hf.shape)
-
-    cols = basis.safe_mask()
-    if not np.any(cols):
+    fshift = np.broadcast_to(f(hf + basis.grid.nodes[mode]), hf.shape)
+    safe = basis.safe_mask()
+    if not np.any(safe):
         return 0.0
-    # a f(H_f) - f(H_f + omega) a, and f(H_f) a* - a* f(H_f + omega)
-    dev_a = np.max(np.abs((a * fhf[np.newaxis, :] - fshift[:, np.newaxis] * a)[:, cols]))
-    dev_c = np.max(np.abs((fhf[:, np.newaxis] * adag - adag * fshift[np.newaxis, :])[:, cols]))
-    return float(max(dev_a, dev_c))
+    dev = np.abs(a * fhf[np.newaxis, :] - fshift[:, np.newaxis] * a)
+    return float(max(np.max(dev[:, safe]), np.max(dev[safe])))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rgflow
-from .fock import FockBasis, ModeGrid, check_dense, dense, field_hamiltonian, ladder_walk
+from .fock import FockBasis, ModeGrid, check_dense, dense, field_hamiltonian
 from .normalform import R_GRID, CouplingFunction, NormalFormHamiltonian, slot_masses
 
 
@@ -97,20 +97,19 @@ def form_factor(spec: ModelSpec, k, theta=0.0):
 def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     """Phi(f) = sum_a sqrt(mass_a) f(k_a) (a_a + a*_a) on the truncated basis.
 
-    Each move i -> i - e_a of fock.ladder_walk gives one entry of a_a and one of a*_a,
-    both with coefficient sqrt(mass_a) f(k_a): Phi is Hermitian for real f and
-    analytic in f, so Phi(f_theta) continues it in the dilation angle.
+    Each move i -> lower[i, a] of the basis gives one entry of a_a, and the
+    transpose those of a*_a, with coefficient sqrt(mass_a) f(k_a): Phi is Hermitian
+    for real f and analytic in f, so Phi(f_theta) continues it in the dilation angle.
     """
     check_dense(basis.dim)
     mass = slot_masses(basis.grid)
     if fvals is None:
         fvals = form_factor(spec, basis.grid.nodes)
     coef = np.sqrt(mass) * np.asarray(fvals, dtype=complex)
-    upper, modes, lower, amp = ladder_walk(basis, np.arange(basis.dim), 1, "annihilate")
-    mode = modes[:, 0]
+    i, mode = np.nonzero(basis.lower >= 0)
     phi = np.zeros((basis.dim, basis.dim), dtype=complex)
-    phi[upper, lower] += coef[mode] * amp
-    phi[lower, upper] += coef[mode] * amp
+    phi[basis.lower[i, mode], i] = phi[i, basis.lower[i, mode]] = (
+        coef[mode] * np.sqrt(basis.states[i, mode]))
     return phi
 
 
@@ -142,19 +141,16 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Coupled
     H_theta = H_p (x) 1 + e^{-theta} 1 (x) H_f + g Gamma (x) Phi(f_theta), particle
     index outer: f continues to f_theta(k) = e^{-3 theta/2} f(e^{-theta} k)
     (form_factor at theta), the scaling action on a creation operator over the
-    d^3k measure.  The finite matter system is dilation-invariant.  Block (l, l') is
-    g Gamma_ll' Phi(f_theta), plus eps_l + e^{-theta} H_f on its diagonal if l = l'.
+    d^3k measure.  The finite matter system is dilation-invariant.  H_theta is
+    np.kron(Gamma, Phi(f_theta)) times g, plus eps_l + e^{-theta} H_f on its diagonal.
     """
     check_dense(spec.n_levels * basis.dim)
-    phi = field_operator(spec, basis, fvals=form_factor(spec, basis.grid.nodes, theta))
-    hf, D, diag = np.exp(-theta) * basis.hf_diagonal(), basis.dim, np.arange(basis.dim)
-    H = np.empty((spec.n_levels * D, spec.n_levels * D), dtype=complex)
-    for (l, lp), gamma in np.ndenumerate(spec.gamma):
-        block = H[l * D:(l + 1) * D, lp * D:(lp + 1) * D]
-        np.multiply(gamma, phi, out=block)
-        block *= spec.g
-        if l == lp:
-            block[diag, diag] = (spec.particle_levels[l] + hf) + block[diag, diag]
+    H = np.kron(spec.gamma, field_operator(spec, basis,
+                                           fvals=form_factor(spec, basis.grid.nodes, theta)))
+    H *= spec.g
+    diag = np.arange(len(H))
+    H[diag, diag] = (spec.particle_levels[:, None]
+                     + np.exp(-theta) * basis.hf_diagonal()).ravel() + H[diag, diag]
     return CoupledModel(spec=spec, basis=basis, H=H, theta=theta)
 
 

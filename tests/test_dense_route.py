@@ -265,7 +265,7 @@ class TestSizeGuard:
         "complex_dilate": lambda spec, b: models.complex_dilate(spec, b, 0.2j),
         "build_model": lambda spec, b: models.build_model(spec, b),
         "field_hamiltonian": lambda spec, b: fock.field_hamiltonian(b),
-        "ladder_matrix": lambda spec, b: fock.ladder_matrix(b, 0, "create"),
+        "ladder_matrix": lambda spec, b: fock.ladder_matrix(b, 0),
         "assemble_term": lambda spec, b: normalform.assemble_term(
             normalform.CouplingFunction(0, 0, b.grid.nodes, normalform.R_GRID), b),
         "assemble_operator": lambda spec, b: normalform.assemble_operator(

@@ -1,5 +1,7 @@
 """Mode grids, truncated Fock bases, ladder operators, pull-through."""
 
+import time
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from math import comb
 
@@ -73,13 +75,80 @@ class TestFockBasis:
         basis = build_fock_basis(build_mode_grid(99, 1.0, "uniform"), 2)
         assert basis.dim == 5050 > DEFAULT_DIM_CAP
         with pytest.raises(ValueError, match="dense dimension 5050 exceeds the dense cap 5000"):
-            ladder_matrix(basis, 0, "annihilate")
+            ladder_matrix(basis, 0)
 
     def test_state_index_inverts_enumeration(self):
         grid = build_mode_grid(3, 1.0, "geometric")
         basis = build_fock_basis(grid, 2)
         for i, s in enumerate(basis.states):
             assert basis.state_index(s) == i
+
+    @pytest.mark.parametrize("occupation", [[3, 0, 0], [1, 1, 1], [0, 0, 4]])
+    def test_state_index_refuses_above_n_max(self, occupation):
+        basis = build_fock_basis(build_mode_grid(3, 1.0, "geometric"), 2)
+        with pytest.raises(KeyError):
+            basis.state_index(occupation)
+
+    def test_8385_states_build_fast(self):
+        # 128 uniform modes at n_max = 2: the shells come out of the creation
+        # table in numpy, with no per-state Python (about 0.5 s state by state)
+        grid = build_mode_grid(128, 1.0, "uniform")
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            basis = build_fock_basis(grid, 2)
+            seconds.append(time.perf_counter() - t0)
+        assert basis.dim == 8385 and min(seconds) <= 0.15
+
+
+LADDER_CASES = [(1, 0), (1, 3), (2, 2), (3, 3), (5, 4), (12, 3), (24, 2)]
+
+
+class TestLadderTables:
+    """The shell-by-shell build against an independent enumeration, and its tables."""
+
+    @pytest.mark.parametrize("n_modes, n_max", LADDER_CASES)
+    def test_states_match_combinations_with_replacement(self, n_modes, n_max):
+        reference = []
+        for total in range(n_max + 1):
+            for combo in combinations_with_replacement(range(n_modes), total):
+                reference.append(np.bincount(combo, minlength=n_modes))
+        basis = build_fock_basis(build_mode_grid(n_modes, 1.0, "uniform"), n_max)
+        assert basis.states.dtype == np.int64
+        assert np.array_equal(basis.states, np.array(reference, dtype=np.int64))
+
+    @pytest.mark.parametrize("n_modes, n_max", LADDER_CASES)
+    def test_upper_and_lower_are_inverse(self, n_modes, n_max):
+        basis = build_fock_basis(build_mode_grid(n_modes, 1.0, "uniform"), n_max)
+        eye = np.eye(n_modes, dtype=np.int64)
+        for table, inverse, step in ((basis.upper, basis.lower, 1), (basis.lower, basis.upper, -1)):
+            i, m = np.nonzero(table >= 0)
+            assert np.array_equal(basis.states[table[i, m]], basis.states[i] + step * eye[m])
+            assert np.array_equal(inverse[table[i, m], m], i)
+        # a move is missing exactly out of the top shell and from an empty mode
+        total = basis.states.sum(axis=1)
+        assert np.array_equal(basis.upper < 0, np.broadcast_to(
+            (total == n_max)[:, None], basis.upper.shape))
+        assert np.array_equal(basis.lower < 0, basis.states == 0)
+
+    @pytest.mark.parametrize("n_modes, n_max", LADDER_CASES)
+    def test_amplitude_is_root_of_the_occupied_state(self, n_modes, n_max):
+        basis = build_fock_basis(build_mode_grid(n_modes, 1.0, "uniform"), n_max)
+        everything = np.arange(basis.dim)
+        src, modes, end, amp = ladder_walk(basis, everything, 1, "create")
+        assert np.array_equal(amp, np.sqrt(basis.states[end, modes[:, 0]]))
+        src, modes, end, amp = ladder_walk(basis, everything, 1, "annihilate")
+        assert np.array_equal(amp, np.sqrt(basis.states[src, modes[:, 0]]))
+        off, lower, occupied, lamp, upper, camp = basis.shells
+        rows = np.arange(basis.dim)[:, None]
+        assert np.array_equal(lamp, np.sqrt(basis.states[rows, occupied]))
+        assert np.array_equal(camp, np.sqrt(basis.states[upper, np.arange(n_modes)]))
+        if basis.dim <= 500:
+            for mode in range(n_modes):
+                a = ladder_matrix(basis, mode)
+                i = np.flatnonzero(basis.lower[:, mode] >= 0)
+                assert np.array_equal(a[basis.lower[i, mode], i], np.sqrt(basis.states[i, mode]))
+                assert np.count_nonzero(a) == len(i)
 
 
 class TestBlocks:
@@ -128,7 +197,7 @@ class TestLadderOperators:
     def test_annihilate_vacuum_is_zero(self):
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
-        a = ladder_matrix(basis, 0, "annihilate")
+        a = ladder_matrix(basis, 0)
         vac = np.zeros(basis.dim)
         vac[0] = 1.0
         assert np.linalg.norm(a @ vac) == 0.0
@@ -136,7 +205,7 @@ class TestLadderOperators:
     def test_create_on_single_quantum(self):
         grid = build_mode_grid(1, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
-        c = ladder_matrix(basis, 0, "create")
+        c = ladder_matrix(basis, 0).T
         one = np.zeros(3)
         one[basis.state_index([1])] = 1.0
         out = c @ one
@@ -147,7 +216,7 @@ class TestLadderOperators:
     def test_create_out_of_truncated_sector_vanishes(self):
         grid = build_mode_grid(1, 1.0, "uniform")
         basis = build_fock_basis(grid, 1)
-        c = ladder_matrix(basis, 0, "create")
+        c = ladder_matrix(basis, 0).T
         top = np.zeros(2)
         top[basis.state_index([1])] = 1.0
         assert np.linalg.norm(c @ top) == 0.0
@@ -158,8 +227,8 @@ class TestLadderOperators:
         safe = basis.safe_mask()
         for i in range(3):
             for j in range(3):
-                a = ladder_matrix(basis, i, "annihilate")
-                c = ladder_matrix(basis, j, "create")
+                a = ladder_matrix(basis, i)
+                c = ladder_matrix(basis, j).T
                 comm = a @ c - c @ a
                 expect = (1.0 if i == j else 0.0) * np.eye(basis.dim)
                 dev = np.max(np.abs((comm - expect)[:, safe]))
@@ -169,7 +238,7 @@ class TestLadderOperators:
         # 100 modes at n_max = 1: a mixed-radix key (n_max + 1)^n_modes would
         # overflow any fixed-width integer
         basis = build_fock_basis(build_mode_grid(100, 1.0, "uniform"), 1)
-        a = ladder_matrix(basis, 99, "annihilate")
+        a = ladder_matrix(basis, 99)
         assert a[0, basis.state_index([0] * 99 + [1])] == 1.0
         assert np.count_nonzero(a) == 1
 
@@ -177,7 +246,7 @@ class TestLadderOperators:
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 2)
         for mode in range(2):
-            a = ladder_matrix(basis, mode, "annihilate")
+            a = ladder_matrix(basis, mode)
             num = a.conj().T @ a
             assert np.diag(num).real == pytest.approx(basis.states[:, mode])
 
@@ -185,9 +254,7 @@ class TestLadderOperators:
         grid = build_mode_grid(2, 1.0, "uniform")
         basis = build_fock_basis(grid, 1)
         with pytest.raises(ValueError):
-            ladder_matrix(basis, 2, "create")
-        with pytest.raises(ValueError):
-            ladder_matrix(basis, 0, "destroy")
+            ladder_matrix(basis, 2)
 
 
 class TestFieldHamiltonian:

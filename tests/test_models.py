@@ -83,7 +83,7 @@ class TestBuildModel:
         coef = np.sqrt(slot_masses(basis.grid)) * fvals
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for a in range(basis.n_modes):
-            am = ladder_matrix(basis, a, "annihilate")
+            am = ladder_matrix(basis, a)
             expected += coef[a] * (am.conj().T + am)
         assert np.array_equal(field_operator(_two_level(1e-3), basis, fvals=fvals), expected)
 
@@ -103,8 +103,8 @@ class TestBuildModel:
         coef = np.sqrt(slot_masses(basis.grid)) * fvals
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)
         for a in range(basis.n_modes):
-            expected += coef[a] * ladder_matrix(basis, a, "create")
-            expected += coef[a] * ladder_matrix(basis, a, "annihilate")
+            expected += coef[a] * ladder_matrix(basis, a).T
+            expected += coef[a] * ladder_matrix(basis, a)
         phi = field_operator(spec, basis, fvals=None if theta is None else fvals)
         assert np.array_equal(phi, expected)
 

@@ -348,8 +348,8 @@ class TestAssembly:
         shape = (len(R_GRID),) + slot_shape(3, m, n)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w = CouplingFunction(m, n, grid.nodes, vals)
-        create = [ladder_matrix(basis, k, "create") for k in range(3)]
-        annihilate = [ladder_matrix(basis, k, "annihilate") for k in range(3)]
+        create = [ladder_matrix(basis, k).T for k in range(3)]
+        annihilate = [ladder_matrix(basis, k) for k in range(3)]
         root_mass = np.sqrt(slot_masses(basis.grid))
         kern = w.expanded(w.at_r(basis.hf_diagonal()))  # on every ordered (I, J)
         expected = np.zeros((basis.dim, basis.dim), dtype=complex)

@@ -321,7 +321,8 @@ class TestSchurChain:
 
     def test_top_shell_coupling_is_never_dense(self, large_basis):
         # at 16,770 states a dense a_1 would be 128 x 8,256 complex (16.9 MB); the
-        # peak, ~8.8 MB, is hf_diagonal's float copy of the occupation table
+        # peak, ~8.8 MB, is hf_diagonal's float copy of the occupation table, made
+        # once per basis
         basis, _ = large_basis
         spec = _two_level(5e-3, kappa=1.0)
         basis.shells
@@ -333,6 +334,22 @@ class TestSchurChain:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20 and np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.2j])
+    def test_second_chain_reuses_the_basis(self, large_basis, theta):
+        # the shells and field energies are kept on the basis, so a second chain
+        # allocates only its theta-dependent values (w and diag: 8,385 x 2 each,
+        # v: 129 x 128), not the 8.6 MB float copy of the occupation table
+        basis, _ = large_basis
+        spec = _two_level(5e-3, kappa=1.0)
+        SchurChain(spec, basis, theta)
+        tracemalloc.start()
+        try:
+            SchurChain(spec, basis, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_refuses_a_complement_over_the_cap(self, monkeypatch):
         # the 650-state dilation's largest dense complement is S_1, 2 x 24 states

@@ -184,6 +184,24 @@ def flow_without_builder() -> None:
     _emit("flow(H0, 0.5, 2)", traj.to_csv(), traj.e_final, traj.budget)
 
 
+def bases() -> None:
+    from specrg import fock
+    # what every operator reads off a basis's ladder tables: the states, the
+    # walks that assemble_term and field_operator take, the Schur chain's shells
+    # and the ladder matrices
+    for n_modes, k_max, scheme, n_max in DENSE_BASES:
+        basis = fock.build_fock_basis(fock.build_mode_grid(n_modes, k_max, scheme), n_max)
+        label = f"{n_modes} modes n_max={n_max} ({basis.dim} states)"
+        _emit(f"states {label}", basis.states, basis.hf_diagonal())
+        for kind in ("annihilate", "create"):
+            for depth in (1, 2):
+                _emit(f"ladder_walk {kind} depth {depth} {label}",
+                      *fock.ladder_walk(basis, np.arange(basis.dim), depth, kind))
+        _emit(f"shells {label}", *basis.shells)
+        _emit(f"ladder_matrix {label}",
+              *[fock.ladder_matrix(basis, mode) for mode in range(basis.n_modes)])
+
+
 def dense_models() -> None:
     from specrg import fock, models
     for n_modes, k_max, scheme, n_max in DENSE_BASES:
@@ -386,7 +404,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
-                    dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
+                    bases, dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
                     acceptance_flows, k_max_one_step, sector_builder, decimations,
                     fourth_order_steps, cache_keys):
         _DTYPES.clear()
