@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rgflow
-from .fock import FockBasis, ModeGrid, check_dense, dense, field_hamiltonian
+from .fock import FockBasis, ModeGrid, check_dense
 from .normalform import R_GRID, CouplingFunction, NormalFormHamiltonian, slot_masses
 
 
@@ -100,14 +100,15 @@ def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
     Each move i -> lower[i, a] of the basis gives one entry of a_a, and the
     transpose those of a*_a, with coefficient sqrt(mass_a) f(k_a): Phi is Hermitian
     for real f and analytic in f, so Phi(f_theta) continues it in the dilation angle.
+    Phi has f's dtype, complex for the form factor's.
     """
     check_dense(basis.dim)
     mass = slot_masses(basis.grid)
     if fvals is None:
         fvals = form_factor(spec, basis.grid.nodes)
-    coef = np.sqrt(mass) * np.asarray(fvals, dtype=complex)
+    coef = np.sqrt(mass) * np.asarray(fvals)
     i, mode = np.nonzero(basis.lower >= 0)
-    phi = np.zeros((basis.dim, basis.dim), dtype=complex)
+    phi = np.zeros((basis.dim, basis.dim), dtype=coef.dtype)
     phi[basis.lower[i, mode], i] = phi[i, basis.lower[i, mode]] = (
         coef[mode] * np.sqrt(basis.states[i, mode]))
     return phi
@@ -264,10 +265,15 @@ def pauli_fierz_transform(spec: ModelSpec, x_grid) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fiber_parts(spec: ModelSpec, basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """B = H_f + g Phi and K = B^2/2m + H_f, so that H(P) = K - (P/m) B + P^2/2m."""
-    hf = field_hamiltonian(basis)
-    B = dense(hf + spec.g * field_operator(spec, basis))
-    return B, B @ B / (2.0 * spec.mass) + hf
+    """B = H_f + g Phi and K = B^2/2m + H_f, so that H(P) = K - (P/m) B + P^2/2m, formed
+    in place in float64: Phi from the form factor's real part, H_f on the diagonals."""
+    B = field_operator(spec, basis, form_factor(spec, basis.grid.nodes).real)
+    B *= spec.g
+    B[np.diag_indices(basis.dim)] += basis.hf_diagonal()
+    K = B @ B
+    K /= 2.0 * spec.mass
+    K[np.diag_indices(basis.dim)] += basis.hf_diagonal()
+    return B, K
 
 
 def fiber_hamiltonian(spec: ModelSpec, basis: FockBasis, P: float) -> np.ndarray:

@@ -45,15 +45,16 @@ class CouplingFunction:
     """Discretized kernel w_{m,n}(r; k_1..k_{m+n}), symmetric in its creation and in
     its annihilation momenta, so stored once per multiset of each.
 
-    values has shape (len(R_GRID),) + slot_shape(N, m, n): one axis for each side that
-    has slots, indexed by the rows of multisets(N, m) (creation) and multisets(N, n)
-    (annihilation); the kernel at ordered tuples I, J is the table at sorted(I),
-    sorted(J), and expanded() gathers that full table.  dr_values holds the
-    r-derivative on the same grid, by central differences the first time it is read
-    unless given.  Both go through fock.dense, the one place a kernel's dtype is chosen
-    (float64 when exactly real, else complex128), and every reader keeps it.  norm_mu1
-    is likewise computed the first time it is read: the caches rely on kernels never
-    being changed in place.
+    values has shape family + (len(R_GRID),) + slot_shape(N, m, n): family is () for
+    one kernel and (F,) for F members of a family H(lam), whose norms are one per
+    member; then one axis for each side that has slots, indexed by the rows of
+    multisets(N, m) (creation) and multisets(N, n) (annihilation); the kernel at ordered
+    tuples I, J is the table at sorted(I), sorted(J), and expanded() gathers that full
+    table.  dr_values holds the r-derivative on the same grid, by central differences
+    the first time it is read unless given.  Both go through fock.dense, the one place a
+    kernel's dtype is chosen (float64 when exactly real, else complex128), and every
+    reader keeps it.  norm_mu1 is likewise computed the first time it is read: the
+    caches rely on kernels never being changed in place.
     """
 
     def __init__(self, m: int, n: int, nodes, values, dr_values=None):
@@ -63,11 +64,12 @@ class CouplingFunction:
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         expected = (len(R_GRID),) + slot_shape(len(self.nodes), m, n)
-        if self.values.shape != expected:
+        self.family = self.values.shape[:self.values.ndim - len(expected)]
+        if len(self.family) > 1 or self.values.shape[len(self.family):] != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
         if dr_values is not None:
             dr_values = dense(dr_values)
-            if dr_values.shape != expected:
+            if dr_values.shape != self.values.shape:
                 raise ValueError("dr_values shape mismatch")
         self._dr_values = dr_values
         self._norm_mu1 = None
@@ -83,11 +85,12 @@ class CouplingFunction:
 
     @property
     def dr_values(self) -> np.ndarray:
-        """np.gradient(values, R_GRID, axis=0) bit for bit: its differences on R_GRID = j/32."""
+        """np.gradient(values, R_GRID) along r bit for bit: its differences on R_GRID = j/32."""
         if self._dr_values is None:
-            v, h = self.values, R_GRID[1]
+            axis, h = len(self.family), R_GRID[1]
+            v = self.values.swapaxes(0, axis)  # r first
             self._dr_values = np.concatenate([(v[1:2] - v[:1]) / h, (v[2:] - v[:-2]) / (2.0 * h),
-                                              (v[-1:] - v[-2:-1]) / h])
+                                              (v[-1:] - v[-2:-1]) / h]).swapaxes(0, axis)
         return self._dr_values
 
     @property
@@ -102,7 +105,7 @@ class CouplingFunction:
         return self.m + self.n
 
     def at_r(self, r):
-        """Kernel sampled at field energies r, shape r + slots.
+        """Kernel sampled at field energies r, shape family + r + slots.
 
         This is the rule by which every kernel is read in r: linear between
         the R_GRID points j/32 and clamped into I = [0, 1].  With
@@ -119,15 +122,15 @@ class CouplingFunction:
         top = len(R_GRID) - 1
         t = np.minimum(np.maximum(r, 0.0), 1.0) * top
         j = t.astype(np.intp)
-        vals = self.values
-        lo = vals.take(j, axis=0)
-        out = vals.take(np.minimum(j + 1, top), axis=0)
+        vals, axis = self.values, len(self.family)
+        lo = vals.take(j, axis=axis)
+        out = vals.take(np.minimum(j + 1, top), axis=axis)
         out -= lo
-        expand = (Ellipsis,) + (np.newaxis,) * (vals.ndim - 1)
-        out *= (t - j)[expand]
+        out *= (t - j)[(Ellipsis,) + (np.newaxis,) * (vals.ndim - 1 - axis)]
         out += lo
         if not self.order and r.max(initial=0.0) > 1.0:
-            out += np.maximum(r - 1.0, 0.0)[expand] * ((vals[-1] - vals[-2]) * top)
+            slope = (vals[..., -1] - vals[..., -2]) * top
+            out += np.multiply.outer(slope, np.maximum(r - 1.0, 0.0))
         return out
 
 
@@ -185,18 +188,23 @@ def _slot_weight(nodes: tuple, m: int, n: int, mu: float) -> np.ndarray:
     return kmin ** (-mu) * root_prod
 
 
+def _weighted_sup(w: CouplingFunction, mu: float, table: np.ndarray):
+    """sup of the slot weight times |table| (w's shape): a float, one per member for a family."""
+    top = (_norm_weight(w, mu) * np.abs(table)).reshape(w.family + (-1,)).max(axis=-1)
+    return top if w.family else float(top)
+
+
 def coupling_norm_mu(w: CouplingFunction, mu: float) -> float:
     """Anisotropic sup norm max_j sup |k_j|^-mu prod_i |k_i|^1/2 w.
 
     For m + n = 0 the empty momentum product degenerates to sup_r |w|.
     """
-    return float(np.max(_norm_weight(w, mu) * np.abs(w.values)))
+    return _weighted_sup(w, mu, w.values)
 
 
 def coupling_norm_mu1(w: CouplingFunction, mu: float) -> float:
     """||w||_mu + ||dw/dr||_mu."""
-    weight = _norm_weight(w, mu)
-    return float(np.max(weight * np.abs(w.values))) + float(np.max(weight * np.abs(w.dr_values)))
+    return _weighted_sup(w, mu, w.values) + _weighted_sup(w, mu, w.dr_values)
 
 
 def term_norm(w: CouplingFunction) -> float:
@@ -255,12 +263,14 @@ def shifted(H: NormalFormHamiltonian, c) -> NormalFormHamiltonian:
 
 
 def split(H: NormalFormHamiltonian):
-    """Decompose H into (E, W): the scalar part w00(0) and the interaction terms.
+    """Decompose H into (E, W): the scalar part w00(0) (a list for a family) and the
+    interaction terms.
 
     The field part T = w00 - E is not formed; t_slope_deviation reads its
     slope off w00.
     """
-    return complex(H.terms[(0, 0)].values[0]), {k: w for k, w in H.terms.items() if k != (0, 0)}
+    return (H.terms[(0, 0)].values[..., 0].astype(complex).tolist(),
+            {k: w for k, w in H.terms.items() if k != (0, 0)})
 
 
 def t_slope_deviation(H: NormalFormHamiltonian) -> float:
@@ -288,7 +298,7 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     (m, n) and kept on the basis (FockBasis.walks) with the multiset rows of
     I and J and the slot masses' square roots; contributions to one matrix
     entry are summed in (J, I) lexicographic order.  An interaction kernel read
-    above r = 1 is clamped (at_r), with a warning.
+    above r = 1 is clamped (at_r), with a warning.  A family's kernel gives a stack.
     """
     if not np.array_equal(w.nodes, basis.grid.nodes):
         raise ValueError("kernel nodes do not match the basis grid")
@@ -308,9 +318,9 @@ def assemble_term(w: CouplingFunction, basis: FockBasis) -> np.ndarray:
     if w.order and read_max > R_GRID[-1]:
         warnings.warn(f"field energies up to {read_max:.6g} exceed the kernel grid end "
                       f"{R_GRID[-1]:.6g}; the kernel is clamped there", stacklevel=2)
-    kern = w.at_r(hf)[(mid,) + rows]
-    out = np.zeros((basis.dim, basis.dim), dtype=kern.dtype)
-    np.add.at(out, (top, cols), coef * kern)
+    kern = w.at_r(hf)[(Ellipsis, mid) + rows]
+    out = np.zeros(w.family + (basis.dim, basis.dim), dtype=kern.dtype)
+    np.add.at(out, (Ellipsis, top, cols), coef * kern)
     return out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -117,10 +117,10 @@ def scale_coupling(w: CouplingFunction, rho: float) -> CouplingFunction:
         # s increases, so it maps a sorted tuple to a sorted tuple: a row to a row
         s = _slot_index(w.nodes, rho)
         sides = [multisets(len(s), k) for k in (w.m, w.n) if k]
-        vals = vals[(slice(None),) + np.ix_(*[index[tuple(np.maximum(s, 0)[C.T])]
-                                              for C, index, _ in sides])]
-        for axis, (C, _, _) in enumerate(sides, 1):  # index -1 reads 0
-            vals[(slice(None),) * axis + ((s[C] < 0).any(axis=1),)] = 0.0
+        vals = vals[(Ellipsis,) + np.ix_(*[index[tuple(np.maximum(s, 0)[C.T])]
+                                           for C, index, _ in sides])]
+        for k, (C, _, _) in enumerate(sides):  # index -1 reads 0; the slot axes come last
+            vals[(Ellipsis, (s[C] < 0).any(axis=1)) + (slice(None),) * (len(sides) - 1 - k)] = 0.0
     return CouplingFunction(w.m, w.n, w.nodes, rho ** (1.5 * w.order - 1.0) * vals)
 
 
@@ -210,17 +210,19 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
     the position splits of C into (I1, I2') and of D into (J1', J2) (_splits).
     README "Conventions" describes the reads and G's table.  Only the first rows
     points of R_GRID are computed.  A dropped order is charged a bound built
-    from the kernels' cached norms, which are computed only then.
+    from the kernels' cached norms, which are computed only then.  A family's
+    member axis folds into the row axis: each step below runs once for all members.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
     nodes, N, r = wA.nodes, len(wA.nodes), R_GRID[:rows]
+    rows *= prod(wA.family)
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
         order = mo + no
         Cf = comb(n1, p) * comb(m2, p) * factorial(p)
         if order > max_order:
-            # dropped: log a norm-product bound instead of the kernel
+            # dropped: log a norm-product bound instead of the kernel (one per member)
             budget.append(Cf * _mass_over_k(*node_set) ** p * sup_G
                           * wA.norm_mu1 * wB.norm_mu1 * nodes[0] ** (-MU) * XI ** (-order))
             continue
@@ -230,18 +232,22 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
         omega_q, u_omega, inv_omega, weight_q = _sums(*node_set, p)
         uT, invT = _pair_sums(*node_set, m2 - p, n1 - p)
         NI, NJ, Q = len(sI), len(sJ), len(omega_q)
+        Gq = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega).reshape(
+            rows, len(uT), len(u_omega))[:, invT[:, np.newaxis], inv_omega].reshape(rows, NI, NJ, Q)
+        Gq *= weight_q
         # each factor is read at the distinct shifts, as (rows, shifts, P_m, P_n); one
         # gather gives each tuple its factor at its shift's read and merged multiset
         A = wA.at_r(r[:, np.newaxis] + uI).reshape(rows, len(uI), -1, len(multisets(N, n1)[0]))
-        A = A.transpose(0, 1, 3, 2)[:, invI[:, np.newaxis, np.newaxis], _merge(N, n1 - p, p)]
+        A = A.transpose(0, 2, 1, 3)[:, :, invI[:, np.newaxis, np.newaxis], _merge(N, n1 - p, p)]
+        A = A.astype(np.result_type(A, Gq), copy=False)
+        A *= Gq[:, np.newaxis]  # A G in A's table: two tables at a time, not three
+        del Gq
         B = wB.at_r(r[:, np.newaxis] + uJ).reshape(rows, len(uJ), -1, len(multisets(N, n2)[0]))
         B = B[:, invJ[:, np.newaxis, np.newaxis], _merge(N, p, m2 - p)]
-        Gu = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega)
-        Gq = Gu[:, invT[:, np.newaxis], inv_omega]
-        Gq *= weight_q
-        block = np.einsum("rabqi,rabq,rbqak->riabk", A, Gq.reshape(rows, NI, NJ, Q), B)
+        block = np.einsum("riabq,rbqak->riabk", A, B)
         block *= Cf
-        block = block.reshape(rows, A.shape[4] * NI, NJ * B.shape[4])
+        block = block.reshape(rows, A.shape[1] * NI, NJ * B.shape[4])
+        del A, B  # the largest tables, freed before the split means and the next order
         # the mean over the position splits of each side; one split is the identity
         for axis, splits in ((1, _splits(N, mo, m1)), (2, _splits(N, no, n1 - p))):
             if splits.shape[1] > 1:
@@ -257,7 +263,7 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
 
     Every kernel, of A, B and the result, is a CouplingFunction on multisets.  The
     result's kernels are computed on the first rows points of R_GRID (all when rows
-    is None) and are zero above.
+    is None) and are zero above.  A family's G(r) and dropped norms are per member.
     """
     ref = next(iter(A_terms.values()))
     node_set = (tuple(ref.nodes), tuple(masses))  # the key of the cached sums
@@ -267,14 +273,16 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     for wA in A_terms.values():
         for wB in B_terms.values():
             _pair_product(wA, wB, G, node_set, max_order, out_arrays, budget, sup_G, rows)
-    if rows < len(R_GRID):  # the rows above are zero
-        for key, vals in out_arrays.items():
-            out_arrays[key] = np.zeros((len(R_GRID),) + vals.shape[1:], dtype=vals.dtype)
-            out_arrays[key][:rows] = vals
-    terms = {key: CouplingFunction(*key, ref.nodes, vals.reshape(
-        (len(R_GRID),) + normalform.slot_shape(len(ref.nodes), *key)))
-        for key, vals in out_arrays.items()}
-    return terms, float(np.sum(budget))
+    terms = {}
+    for key, vals in out_arrays.items():
+        vals = vals.reshape(ref.family + (rows, -1))
+        if rows < len(R_GRID):  # the rows above are zero
+            vals = np.concatenate([vals, np.zeros(ref.family + (len(R_GRID) - rows, vals.shape[-1]),
+                                                  vals.dtype)], axis=-2)
+        terms[key] = CouplingFunction(*key, ref.nodes, vals.reshape(
+            ref.family + (len(R_GRID),) + normalform.slot_shape(len(ref.nodes), *key)))
+    # each member's charges in order, summed as np.sum sums one member's list
+    return terms, np.stack(budget, axis=-1).sum(axis=-1) if budget else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +311,13 @@ def _q_basis(nodes: tuple, weights: tuple) -> fock.FockBasis:
 
 
 def measured_q(H: NormalFormHamiltonian, W: dict, G) -> float:
-    """Neumann ratio ||G(H_f) W||, with W the interaction of H and G the step's
-    resolvent, on an n_max = 2 basis of H's grid, built once per grid (_q_basis)."""
+    """Neumann ratio ||G(H_f) W|| (per member), with W the interaction of H and G the
+    step's resolvent, on an n_max = 2 basis of H's grid, built once per grid (_q_basis)."""
     if not W:
         return 0.0
     basis = _q_basis(tuple(H.nodes), tuple(H.grid.weights))
     Wmat = sum(normalform.assemble_term(w, basis) for w in W.values())
-    return float(np.linalg.norm(G(basis.hf_diagonal())[:, np.newaxis] * Wmat, 2))
+    return np.linalg.norm(G(basis.hf_diagonal())[..., np.newaxis] * Wmat, 2, axis=(-2, -1))
 
 
 def _check_step(rho: float, s_max: int) -> None:
@@ -319,8 +327,38 @@ def _check_step(rho: float, s_max: int) -> None:
         raise ValueError("Neumann order s_max must be 0, 1 or 2")
 
 
+def _stack(family: list) -> NormalFormHamiltonian:
+    """The Hamiltonians of family (one grid) as one family, each table stacked on a member axis."""
+    H = family[0]
+    return NormalFormHamiltonian({key: CouplingFunction(
+        *key, H.nodes, np.stack([Hi.terms[key].values for Hi in family]),
+        np.stack([Hi.terms[key].dr_values for Hi in family])) for key in H.terms}, H.grid, H.M_max)
+
+
+def _member(H: NormalFormHamiltonian, i) -> NormalFormHamiltonian:
+    """Member i of the family H."""
+    return NormalFormHamiltonian({key: CouplingFunction(*key, w.nodes, w.values[i], w.dr_values[i])
+                                  for key, w in H.terms.items()}, H.grid, H.M_max)
+
+
+def _per_member(step, H: NormalFormHamiltonian, rho: float, s_max: int):
+    """step(H, rho, s_max) -> (H', list of StepInfos), returning one StepInfo for a single
+    H.  A family stops at the first check any member fails; its members are then stepped
+    one by one, so the DomainError is the lowest failing member's, at its first failing
+    check, as a loop over them raises it."""
+    family = H.terms[(0, 0)].family
+    try:
+        out, infos = step(H, rho, s_max)
+    except DomainError:
+        for i in range(family[0] if family else 0):
+            step(_member(H, i), rho, s_max)
+        raise
+    return out, infos if family else infos[0]
+
+
 def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
-    """Feshbach-Schur decimation of H at scale rho; returns (F, StepInfo).
+    """Feshbach-Schur decimation of H at scale rho; returns (F, StepInfo), for a family
+    the members' F and StepInfos (_per_member).
 
     F = E + T + chi [sum_{s <= s_max} (-1)^s W (G W)^s] chi, G = chibar^2 / (E + T)
     with E + T = w00 read by at_r, truncated to M_max: a dropped order is charged
@@ -333,38 +371,44 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     2/rho, when the measured Neumann ratio is not below 1 (NaN included), or when
     a kernel of a product or of F is not finite, naming both, with StepInfo.margins.
     """
+    return _per_member(_decimate, H, rho, s_max)
+
+
+def _decimate(H: NormalFormHamiltonian, rho: float, s_max: int):
+    """decimate, with the list of StepInfos (one for a single H)."""
     _check_step(rho, s_max)
     _, W = split(H)
     w00 = H.terms[(0, 0)]
     # rho <= 1/2, so this region and the one above rho both hold r = 1
-    min_h0 = float(np.min(np.abs(w00.at_r(R_GRID[R_GRID >= 0.75 * rho]))))
+    min_h0 = np.atleast_1d(np.min(np.abs(w00.at_r(R_GRID[R_GRID >= 0.75 * rho])), axis=-1))
     # G also reads at_r's continuation above r = 1, the ray v_32 + slope t (t >= 0); where
     # it passes nearer to 0 than v_32, its distance to 0 enters the bound
-    v, slope = w00.values[-1], (w00.values[-1] - w00.values[-2]) * (len(R_GRID) - 1)
-    if np.real(np.conj(slope) * v) < 0:
-        min_h0 = min(min_h0, abs(np.imag(np.conj(slope) * v)) / abs(slope))
-    inv_bound = 1.0 / min_h0 if min_h0 > 0 else np.inf
-    if inv_bound > 2.0 / rho * (1.0 + 1e-9):
+    v, slope = np.atleast_1d(w00.values[..., -1],
+                             (w00.values[..., -1] - w00.values[..., -2]) * (len(R_GRID) - 1))
+    for i in np.flatnonzero(np.real(np.conj(slope) * v) < 0):
+        min_h0[i] = min(min_h0[i], abs(np.imag(np.conj(slope[i]) * v[i])) / abs(slope[i]))
+    inv_bound = np.divide(1.0, min_h0, out=np.full(len(min_h0), np.inf), where=min_h0 > 0)
+    if inv_bound.max() > 2.0 / rho * (1.0 + 1e-9):  # a family's max: see _per_member
         raise DomainError(
             f"scalar part nearly singular on the decimated region: "
-            f"||(E+T)^-1|| ~ {inv_bound:.3e} > 2/rho = {2.0 / rho:.3e}",
-            margins={"inv_bound": inv_bound, "allowed": 2.0 / rho})
+            f"||(E+T)^-1|| ~ {inv_bound.max():.3e} > 2/rho = {2.0 / rho:.3e}",
+            margins={"inv_bound": float(inv_bound.max()), "allowed": 2.0 / rho})
 
-    def G(r):  # r is a float array; G has w00's dtype
-        out = np.zeros(r.shape, dtype=w00.values.dtype)
-        mask = r > rho
-        out[mask] = 1.0 / w00.at_r(r[mask])
+    def G(r):  # r is a float array; G has w00's dtype and member axis
+        out = np.zeros(w00.family + r.shape, dtype=w00.values.dtype)
+        above = (r > rho).ravel().nonzero()[0]  # flat: a boolean index after the members is slow
+        out.reshape(w00.family + (-1,))[..., above] = 1.0 / w00.at_r(r.ravel()[above])
         return out
 
-    q = measured_q(H, W, G)
-    if not q < 1.0:
-        raise DomainError(f"Neumann ratio ||G W|| = {q:.3f} is not below 1",
-                          margins={"q": q})
-    sup_G = float(np.max(np.abs(G(R_GRID[R_GRID > rho]))))
-    info = StepInfo(q, float(interaction_norm(H) * q ** (s_max + 1) / (1.0 - q)), 0.0, inv_bound)
+    q = measured_q(H, W, G) + np.zeros(len(min_h0))  # measured_q is 0.0 when W is
+    if not q.max() < 1.0:  # NaN included, which max passes on
+        raise DomainError(f"Neumann ratio ||G W|| = {q.max():.3f} is not below 1",
+                          margins={"q": float(q.max())})
+    sup_G = np.max(np.abs(G(R_GRID[R_GRID > rho])), axis=-1)
 
     series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
     f_arrays: dict = {(0, 0): w00.values}
+    dropped = np.zeros(len(q))
     try:  # an overflow leaves a kernel that is not finite, which raises ValueError
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, s_max + 1 if W else 1):
@@ -373,30 +417,42 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
                                    (H.M_max, int(np.searchsorted(R_GRID, rho, side="right")) + 1))
                 term, d = normal_order_product(series[-1], W, G, H.masses,
                                                max_order=max_order, sup_G=sup_G, rows=rows)
-                info.dropped_norm += d
+                dropped += d
                 series.append(term)
             stage = "the decimated Hamiltonian"
             for s, terms in enumerate(series):
                 for key, w in terms.items():
                     if w.order > H.M_max:
-                        info.dropped_norm += term_norm(w)
+                        dropped += term_norm(w)
                     else:
                         f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * w.values
             F = {key: CouplingFunction(*key, H.nodes, v) for key, v in f_arrays.items()}
+            norms = np.broadcast_to(interaction_norm(H), q.shape).tolist()
     except ValueError as exc:
-        raise DomainError(f"{stage}: {exc}", info.margins) from exc
-    return NormalFormHamiltonian(F, H.grid, H.M_max), info
+        raise DomainError(f"{stage}: {exc}", StepInfo(q[0], 0.0, dropped[0], inv_bound[0]).margins
+                          ) from exc
+    return NormalFormHamiltonian(F, H.grid, H.M_max), [
+        StepInfo(qi, float(gamma * qi ** (s_max + 1) / (1.0 - qi)), d, bound)
+        for qi, gamma, d, bound in zip(q.tolist(), norms, dropped.tolist(), inv_bound.tolist())]
 
 
 def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     """One step of the renormalization map, decimate then rescale; returns (H', StepInfo).
 
+    H may be a family (CouplingFunction): each read, product and rescaling runs once for
+    all its members, and their StepInfos come as a list.  A single H runs the same lines.
     DomainError before any work on nodes not closed under k -> rho k (_slot_index),
-    decimate's, and on a rescaled kernel that is not finite, with decimate's margins.
+    decimate's, and on a rescaled kernel that is not finite, with decimate's margins;
+    for a family, the lowest failing member's at its first failing check (_per_member).
     """
+    return _per_member(_rg_step, H, rho, s_max)
+
+
+def _rg_step(H: NormalFormHamiltonian, rho: float, s_max: int):
+    """rg_step, with the list of StepInfos (one for a single H)."""
     _check_step(rho, s_max)
     _slot_index(H.nodes, rho)
-    F, info = decimate(H, rho, s_max)
+    F, infos = _decimate(H, rho, s_max)
     new_terms = {}
     for (mo, no), w in F.terms.items():
         try:  # F is finite, so a ValueError is an overflow: raised below, not warned of
@@ -404,9 +460,9 @@ def rg_step(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
                 scaled = scale_coupling(w, rho)
         except ValueError as exc:
             raise DomainError(f"the rescaled ({mo},{no}) kernel is not finite",
-                              margins=info.margins) from exc
+                              margins=infos[0].margins) from exc
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)
-    return NormalFormHamiltonian(new_terms, H.grid, H.M_max), info
+    return NormalFormHamiltonian(new_terms, H.grid, H.M_max), infos
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +505,15 @@ def _lagrange(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.vander(x).T, np.vander(t, len(x)).T).T
 
 
-def _combine(family: list, weights: np.ndarray) -> NormalFormHamiltonian:
-    """sum_j weights[j] family[j]; kernel values and r-derivatives are both linear."""
-    terms = {}
-    for key, w in family[0].terms.items():
-        ws = [H.terms[key] for H in family]
-        terms[key] = CouplingFunction(w.m, w.n, w.nodes,
-                                      np.tensordot(weights, [u.values for u in ws], 1),
-                                      np.tensordot(weights, [u.dr_values for u in ws], 1))
-    return NormalFormHamiltonian(terms, family[0].grid, family[0].M_max)
+def _combine(family: NormalFormHamiltonian, weights: np.ndarray) -> NormalFormHamiltonian:
+    """sum_j weights[..., j] member j: one H for a weight vector, a family for a matrix of
+    one row per member; kernel values and r-derivatives are both linear (a gemv a row)."""
+    def lin(t):
+        return np.matmul(weights[..., np.newaxis, :], t.reshape(len(t), -1)).reshape(
+            weights.shape[:-1] + t.shape[1:])
+    return NormalFormHamiltonian({key: CouplingFunction(*key, w.nodes, lin(w.values),
+                                                        lin(w.dr_values))
+                                  for key, w in family.terms.items()}, family.grid, family.M_max)
 
 
 def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
@@ -466,9 +522,11 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
 
     H0 = H(0) gives e_0; builder(lam) gives H(lam), shifted(H0, lam) by
     default.  Step n carries R^n(H(lam)) at the DEGREE + 1 Chebyshev points
-    of e_{n-1} -/+ rho^n / 8: rg_step applied to builder (step 1) or to the
-    previous step's Hamiltonians interpolated there.  e_n is the root of the
-    vacuum interpolant, and the record holds the family interpolated at it.
+    of e_{n-1} -/+ rho^n / 8 as one family: one rg_step on the builder's
+    Hamiltonians stacked (step 1) or on the previous family interpolated there.
+    Each point keeps its StepInfo, and a DomainError is the lowest failing
+    point's.  e_n is the root of the vacuum interpolant, and the record holds
+    the family, and the budgets, interpolated at it.
     FlowStalledError, with the points, when the interval holds no root or
     several, when a next step's points would leave it (root outside the middle
     1 - rho), or when the degree-DEGREE coefficient over the slope at the root
@@ -489,14 +547,10 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
     for n in range(1, n_steps + 1):
         half = rho ** n / 8.0
         lams = e_prev + half * x
-        if family is None:
-            inputs = (builder(lam) for lam in lams)
-        else:
-            # the points sit at root + rho x in the previous step's coordinate
-            inputs = (_combine(family, w) for w in _lagrange(x, root + rho * x))
-        steps = [rg_step(H, rho, s_max=s_max) for H in inputs]
-        family = [H for H, _ in steps]
-        vacuum = [split(H)[0].real for H in family]
+        # the points sit at root + rho x in the previous step's coordinate
+        family, infos = rg_step(_stack([builder(lam) for lam in lams]) if family is None
+                                else _combine(family, _lagrange(x, root + rho * x)), rho, s_max)
+        vacuum = np.real(split(family)[0])
         coef = np.linalg.solve(vander, vacuum)
         roots = np.roots(coef)
         inside = roots.real[(roots.imag == 0) & (np.abs(roots.real) <= 1.0)]
@@ -518,7 +572,7 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
                 f"{abs(coef[0] / slope):.3e} > {tol:.3e}", nodes=lams)
         at_root = _lagrange(x, np.array([root]))[0]
         E, beta, gamma = polydisc_coordinates(_combine(family, at_root))
-        traj.budget += float(at_root @ [info.budget for _, info in steps])
+        traj.budget += float(at_root @ [info.budget for info in infos])
         traj.records.append(FlowRecord(step=n, e=complex(e_n), E=E, beta=beta, gamma=gamma,
                                        budget=traj.budget))
         e_prev = e_n

@@ -11,6 +11,7 @@ from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            ground_sector_hamiltonian, infrared_exponent,
                            mass_renormalization, pauli_fierz_transform,
                            pf_coupling)
+from specrg import models
 from specrg.normalform import R_GRID, assemble_operator, slot_masses
 
 
@@ -351,6 +352,23 @@ class TestFiberAndMass:
         assert fit["m_ren"] > 1.0
         e_zero = np.min(np.linalg.eigvalsh(fiber_hamiltonian(coupled, basis, 0.0)))
         assert e_zero > 0.0
+
+    def test_fiber_parts_are_real_and_small(self):
+        # dense-oracle's 455-state mass basis: B = H_f + g Phi is written in float64,
+        # equal to the complex Phi's real part, with no complex or dense H_f copy
+        basis = build_fock_basis(build_mode_grid(12, 1.0 / 3.0, "geometric"), 3)
+        spec = ModelSpec(particle_levels=np.array([0.0]), g=0.05, kappa=1.0)
+        tracemalloc.start()
+        try:
+            B, K = models._fiber_parts(spec, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 455 and B.dtype == K.dtype == float
+        assert peak <= 4.5e6
+        hf = field_hamiltonian(basis)
+        assert np.array_equal(B, (hf + spec.g * field_operator(spec, basis)).real)
+        assert np.array_equal(K, B @ B / (2.0 * spec.mass) + hf)
 
     def test_mass_unrenormalized_at_zero_coupling(self):
         basis = self._basis()

@@ -1160,8 +1160,8 @@ class TestFlow:
         monkeypatch.setattr(rgflow, "rg_step", counted)
         flow(model(0.0), RHO, 3, s_max=0, builder=builder)
         # H0 gives e_0 and builder step 1's points; every step applies rg_step
-        # once per point
-        assert calls == {"rg_step": 3 * (rgflow.DEGREE + 1), "builder": rgflow.DEGREE + 1}
+        # once, to the family of its DEGREE + 1 points
+        assert calls == {"rg_step": 3, "builder": rgflow.DEGREE + 1}
 
     def test_ten_step_flow_matches_dense_ground_energy(self):
         grid = build_mode_grid(4, 0.5, "geometric")
@@ -1205,3 +1205,101 @@ class TestFlow:
         _, beta, gamma = polydisc_coordinates(H)
         rec = traj.records[-1]
         assert (rec.beta, rec.gamma, rec.budget) == pytest.approx((beta, gamma, budget), rel=1e-3)
+
+
+class TestFamily:
+    """rg_step on a family, its kernels stacked on a leading member axis, against a
+    loop of rg_step over the members."""
+
+    @staticmethod
+    def _per_member_equal(family, s_max=2):
+        """The stacked step equals the per-member steps bit for bit, each member's kernels,
+        r-derivatives and StepInfo fields."""
+        got, infos = rg_step(family, RHO, s_max)
+        n = len(family.terms[(0, 0)].values)
+        assert len(infos) == n
+        for i in range(n):
+            ref, ref_info = rg_step(rgflow._member(family, i), RHO, s_max)
+            assert infos[i] == ref_info
+            assert got.terms.keys() == ref.terms.keys()
+            for key, w in ref.terms.items():
+                mine = rgflow._member(got, i).terms[key]
+                assert mine.values.dtype == w.values.dtype, key
+                assert mine.values.tobytes() == w.values.tobytes(), (i, key)
+                assert mine.dr_values.tobytes() == w.dr_values.tobytes(), (i, key)
+        return got
+
+    @pytest.mark.parametrize("s_max", [0, 1, 2])
+    def test_model_family_at_the_flow_points(self, s_max):
+        # the builder's Hamiltonians at the step-1 Chebyshev points, then the
+        # step-2 family interpolated from their images, as flow makes them
+        builder = TestFlow._model_builder(g=5e-3)
+        x = -np.cos(np.pi * (np.arange(rgflow.DEGREE + 1) + 0.5) / (rgflow.DEGREE + 1))
+        e0 = split(builder(0.0))[0].real
+        family = rgflow._stack([builder(lam) for lam in e0 + RHO / 8.0 * x])
+        out = self._per_member_equal(family, s_max)
+        coef = np.linalg.solve(np.vander(x), np.real(split(out)[0]))
+        root = [r.real for r in np.roots(coef) if r.imag == 0 and abs(r) <= 1][0]
+        self._per_member_equal(rgflow._combine(out, rgflow._lagrange(x, root + RHO * x)), s_max)
+
+    def test_complex_random_family(self):
+        # calibration's random polydisc kernels, complex and with odd orders
+        grid = build_mode_grid(8, 0.5, "geometric")
+        rng = np.random.default_rng(11)
+        family = rgflow._stack([_random_polydisc_hamiltonian(rng, grid, RHO, RHO / 16.0)
+                                for _ in range(3)])
+        assert family.terms[(1, 0)].values.dtype == complex
+        self._per_member_equal(family)
+
+    @pytest.mark.parametrize("s_max, expected", [
+        (0, (1.171864690924337e-05, 4.1120125413687825e-08, 0.0, 2.66667870149776)),
+        (1, (1.171864690924337e-05, 4.818722305868125e-13, 7.827396829875156e-06,
+             2.66667870149776)),
+        (2, (1.171864690924337e-05, 5.6468905256163585e-18, 8.099287899600627e-06,
+             2.66667870149776))])
+    def test_family_of_one_is_the_single_step(self, s_max, expected):
+        # a single H is the family of one: stacked by hand it steps alike, and its
+        # StepInfo is the one the step computed member by member before families
+        H = TestFlow._model_builder(g=5e-3)(0.0)
+        single, info = rg_step(H, RHO, s_max)
+        assert (info.q, info.neumann_remainder, info.dropped_norm, info.inv_bound) == (
+            pytest.approx(expected, rel=1e-12))
+        self._per_member_equal(rgflow._stack([H]), s_max)
+        stacked, infos = rg_step(rgflow._stack([H]), RHO, s_max)
+        assert infos == [info]
+        for key, w in single.terms.items():
+            assert stacked.terms[key].values[0].tobytes() == w.values.tobytes()
+
+    @staticmethod
+    def _member_hamiltonian(kind):
+        """4 geometric modes to k_max = 1 at M_max = 4, one key set for every kind:
+        ok passes; q fails the Neumann ratio; inv the inverse bound (E + r vanishes on
+        the decimated region); inf overflows in the s = 1 product; rescale passes the
+        decimation and overflows in its 1/rho expansion."""
+        offset, small, big = {"inv": (-0.6, 1e-3, 1e-3), "q": (0.0, 5.0, 1e-3),
+                              "inf": (0.0, 1e-3, 1e200), "rescale": (1.5e308, 1e-3, 1e-3),
+                              "ok": (0.0, 1e-3, 1e-3)}[kind]
+        return TestRgStep._hidden_orders(offset, {(1, 0): small, (0, 1): small,
+                                                  (4, 0): big, (0, 4): big})
+
+    @pytest.mark.parametrize("kinds", [("ok", "q", "inf", "inv"), ("ok", "inf", "ok", "inv"),
+                                       ("ok", "ok", "q", "inf"), ("inv", "q"),
+                                       ("ok", "rescale", "inf", "q"), ("q", "ok")])
+    def test_the_lowest_failing_member_raises(self, kinds):
+        # the error a loop over the members meets first, with its message and
+        # margins, and no warning or crash from another member's numbers
+        members = [self._member_hamiltonian(kind) for kind in kinds]
+        first = next(i for i, kind in enumerate(kinds) if kind != "ok")
+        for i, H in enumerate(members):
+            if i < first:
+                rg_step(H, RHO)
+        with pytest.raises(DomainError) as ref:
+            rg_step(members[first], RHO)
+        for step in (rgflow.decimate, rg_step) if kinds[first] != "rescale" else (rg_step,):
+            with pytest.raises(DomainError) as err:
+                step(rgflow._stack(members), RHO)
+            assert str(err.value) == str(ref.value)
+            assert err.value.margins == ref.value.margins
+        messages = {"q": "Neumann ratio", "inv": "nearly singular", "inf": "the s = 1 Neumann",
+                    "rescale": "the rescaled (0,0)"}
+        assert messages[kinds[first]] in str(ref.value)

@@ -397,6 +397,33 @@ def cache_keys() -> None:
                   normalform.coupling_norm_mu1(u, 0.25), normalform.coupling_norm_mu(u, 0.25))
 
 
+def family() -> None:
+    from specrg import fock, models, rgflow
+    # FLOW_GROUND's families, each member hashed as its own Hamiltonian: step 1 on the
+    # builder's Hamiltonians at the Chebyshev points of e_0 -/+ rho / 8, stacked, and
+    # step 2 on its images interpolated at the points around the vacuum root
+    cfg, rho = FLOW_GROUND, FLOW_GROUND["rho"]
+    grid = fock.build_mode_grid(**cfg["grid"])
+    spec = models.ModelSpec(particle_levels=np.array(cfg["model"]["particle_levels"]),
+                            g=cfg["model"]["g"], kappa=cfg["model"]["kappa"])
+    x = -np.cos(np.pi * (np.arange(rgflow.DEGREE + 1) + 0.5) / (rgflow.DEGREE + 1))
+    e0 = models.ground_sector_hamiltonian(spec, grid, 0.0).terms[(0, 0)].values[0]
+    family = rgflow._stack([models.ground_sector_hamiltonian(spec, grid, lam)
+                            for lam in e0 + rho / 8.0 * x])
+    family, infos = rgflow.rg_step(family, rho)
+    for i, info in enumerate(infos):
+        _hamiltonian(f"family step 1 member {i}", rgflow._member(family, i), info)
+    vacuum = [E.real for E in rgflow.split(family)[0]]
+    root = next(r.real for r in np.roots(np.linalg.solve(np.vander(x), vacuum))
+                if r.imag == 0 and abs(r.real) <= 1.0)
+    family = rgflow._combine(family, rgflow._lagrange(x, root + rho * x))
+    for i in range(len(x)):
+        _hamiltonian(f"family step 2 input member {i}", rgflow._member(family, i))
+    family, infos = rgflow.rg_step(family, rho)
+    for i, info in enumerate(infos):
+        _hamiltonian(f"family step 2 member {i}", rgflow._member(family, i), info)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -406,7 +433,7 @@ def main() -> None:
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     bases, dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
                     acceptance_flows, k_max_one_step, sector_builder, decimations,
-                    fourth_order_steps, cache_keys):
+                    fourth_order_steps, cache_keys, family):
         _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
