@@ -11,7 +11,7 @@ computations), cli (batch driver).
 from .fock import (DEFAULT_DIM_CAP, FockBasis, ModeGrid, OperatorMatrix,
                    build_fock_basis, build_mode_grid, field_hamiltonian,
                    ladder_matrix, pull_through_check)
-from .normalform import (R_GRID, CouplingFunction, NormalFormHamiltonian,
+from .normalform import (R_GRID, CouplingFunction, NormalFormHamiltonian, NotFiniteError,
                          assemble_operator, assemble_term, basic_bound_margin,
                          coupling_norm_mu, coupling_norm_mu1, from_profile,
                          hamiltonian_norm, interaction_norm, slot_masses, split,

@@ -41,6 +41,10 @@ XI = 0.5
 MU = 0.5
 
 
+class NotFiniteError(ValueError):
+    """A kernel table holds a value that is not finite, as an overflow leaves it."""
+
+
 class CouplingFunction:
     """Discretized kernel w_{m,n}(r; k_1..k_{m+n}), symmetric in its creation and in
     its annihilation momenta, so stored once per multiset of each.
@@ -74,7 +78,7 @@ class CouplingFunction:
         self._dr_values = dr_values
         self._norm_mu1 = None
         if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"the ({m},{n}) kernel is not finite")
+            raise NotFiniteError(f"the ({m},{n}) kernel is not finite")
 
     def expanded(self, table=None) -> np.ndarray:
         """The full table of values (or of table, dr_values or an at_r read say) on every
@@ -119,19 +123,31 @@ class CouplingFunction:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.isfinite(r).all():
             raise ValueError("field energies r must be finite")
-        top = len(R_GRID) - 1
-        t = np.minimum(np.maximum(r, 0.0), 1.0) * top
-        j = t.astype(np.intp)
+        return self.read(r, read_cells(r))
+
+    def read(self, r: np.ndarray, cells) -> np.ndarray:
+        """at_r(r) on the cells read_cells(r) gave, so that a caller can keep them (a read
+        plan), with no check of r."""
+        j, j1, frac = cells
         vals, axis = self.values, len(self.family)
         lo = vals.take(j, axis=axis)
-        out = vals.take(np.minimum(j + 1, top), axis=axis)
+        out = vals.take(j1, axis=axis)
         out -= lo
-        out *= (t - j)[(Ellipsis,) + (np.newaxis,) * (vals.ndim - 1 - axis)]
+        out *= frac[(Ellipsis,) + (np.newaxis,) * (vals.ndim - 1 - axis)]
         out += lo
         if not self.order and r.max(initial=0.0) > 1.0:
-            slope = (vals[..., -1] - vals[..., -2]) * top
+            slope = (vals[..., -1] - vals[..., -2]) * (len(R_GRID) - 1)
             out += np.multiply.outer(slope, np.maximum(r - 1.0, 0.0))
         return out
+
+
+def read_cells(r: np.ndarray):
+    """at_r's cells of the field energies r: with t = 32 clip(r, 0, 1), the point j = floor(t),
+    the next one j + 1 capped at 32, and the weight t - j."""
+    top = len(R_GRID) - 1
+    t = np.minimum(np.maximum(r, 0.0), 1.0) * top
+    j = t.astype(np.intp)
+    return j, np.minimum(j + 1, top), t - j
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import numpy as np
 
@@ -31,8 +31,8 @@ import numpy as np
 # time, so that wrapping them there (as perfbench's tracer does) sees the calls
 from . import fock, normalform
 from .normalform import (MU, R_GRID, XI, CouplingFunction, NormalFormHamiltonian,
-                         interaction_norm, multisets, shifted, split, t_slope_deviation,
-                         term_norm)
+                         NotFiniteError, interaction_norm, multisets, shifted, split,
+                         t_slope_deviation, term_norm)
 
 
 class DomainError(ValueError):
@@ -151,22 +151,14 @@ def _rows(n_nodes: int, columns: list, shape) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _merge(n_nodes: int, len_a: int, len_b: int) -> np.ndarray:
-    """Row of sorted(X + Y) for every row X of multisets(n_nodes, len_a) and Y of
-    multisets(n_nodes, len_b): shape (P_a, P_b)."""
-    X, Y = multisets(n_nodes, len_a)[0], multisets(n_nodes, len_b)[0]
-    return _rows(n_nodes, [x[:, np.newaxis] for x in X.T] + list(Y.T), (len(X), len(Y)))
-
-
-@lru_cache(maxsize=None)
 def _splits(n_nodes: int, length: int, first: int) -> np.ndarray:
-    """i P + j for every row C of multisets(n_nodes, length) (axis 0) and choice S of
-    `first` of its positions (axis 1): i is the row of C[S], j that of the rest, and
+    """i P + j for every choice S of `first` positions (axis 0) and row C of
+    multisets(n_nodes, length) (axis 1): i is the row of C[S], j that of the rest, and
     P = len(multisets(n_nodes, length - first))."""
     C, P = multisets(n_nodes, length)[0], len(multisets(n_nodes, length - first)[0])
     return np.stack([_rows(n_nodes, list(C[:, list(S)].T), len(C)) * P + _rows(
         n_nodes, [C[:, k] for k in range(length) if k not in S], len(C))
-        for S in combinations(range(length), first)], axis=1)
+        for S in combinations(range(length), first)])
 
 
 @lru_cache(maxsize=256)  # per node set, so bounded
@@ -193,6 +185,47 @@ def _pair_sums(nodes: tuple, masses: tuple, len_I: int, len_J: int):
     return np.unique(T.ravel(), return_inverse=True)
 
 
+@lru_cache(maxsize=256)  # per node set, so bounded
+def _read_plan(nodes: tuple, masses: tuple, length: int, rows: int):
+    """The field energies R_GRID[:rows] + each distinct node-energy sum of `length` slots,
+    (rows, sums), and at_r's cells there."""
+    r = R_GRID[:rows, np.newaxis] + _sums(nodes, masses, length)[1]
+    return r, normalform.read_cells(r)
+
+
+@lru_cache(maxsize=256)  # per node set, so bounded
+def _gather(nodes: tuple, masses: tuple, first: int, second: int, length: int) -> np.ndarray:
+    """The flat index, into a read flattened (shift, multiset), of the shift of every row of
+    multisets(N, length) (axis 0) and the multiset sorted(X + Y) of every row X of
+    multisets(N, first) (axis 1) and Y of multisets(N, second) (axis 2)."""
+    N, inv = len(nodes), _sums(nodes, masses, length)[2]
+    X, Y = multisets(N, first)[0], multisets(N, second)[0]
+    merged = _rows(N, [x[:, np.newaxis] for x in X.T] + list(Y.T), (len(X), len(Y)))
+    return inv[:, np.newaxis, np.newaxis] * len(multisets(N, first + second)[0]) + merged
+
+
+def _read(w: CouplingFunction, node_set: tuple, length: int, rows: int, axes=(0, 1, 2, 3)):
+    """w at R_GRID[:rows] + each distinct sum of `length` slots, on the read plan's cells, as
+    (members * rows, shifts, P_m, P_n) (P = 1 for a side without slots) in the order axes."""
+    r, cells = _read_plan(*node_set, length, rows)
+    return np.ascontiguousarray(w.read(r, cells).reshape([-1, r.shape[1]] + [
+        len(multisets(len(w.nodes), k)[0]) for k in (w.m, w.n)]).transpose(axes))
+
+
+def _split_mean(block: np.ndarray, axis: int, splits: np.ndarray) -> np.ndarray:
+    """The mean of block's takes along axis at the rows of splits, added in place in row
+    order.  A complex sum is scaled on its float view by 1/S, which is how numpy rounds a
+    complex divided by a real S (up to the sign of a zero); a real sum is divided by S."""
+    mean = block.take(splits[0], axis=axis)
+    for split in splits[1:]:
+        mean += block.take(split, axis=axis)
+    if mean.dtype.kind == "c":
+        np.multiply(mean.view(float), 1.0 / len(splits), out=mean.view(float))
+    else:
+        mean /= len(splits)
+    return mean
+
+
 def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple,
                   max_order: int, out_arrays: dict, budget: list, sup_G: float, rows: int):
     """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays, on multisets.
@@ -205,17 +238,20 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
 
     with O(.) the node-energy sum of the listed slots, I1/J1' the open slots of
     A and I2'/J2 those of B.  Each part is a sorted tuple: A is read at the
-    multiset J1' + q and B at q + I2' (_merge), q runs over sorted tuples
-    weighted by p!/prod(c_i!), and the kernel at sorted (C, D) is the mean over
-    the position splits of C into (I1, I2') and of D into (J1', J2) (_splits).
-    README "Conventions" describes the reads and G's table.  Only the first rows
+    multiset J1' + q and B at q + I2', q runs over sorted tuples weighted by
+    p!/prod(c_i!), and the kernel at sorted (C, D) is the mean over the position
+    splits of C into (I1, I2') and of D into (J1', J2) (_splits, _split_mean).
+    Each factor is read at its distinct shifts on cached cells (_read_plan), by
+    at_r's rule bit for bit, and one take of a cached flat index (_gather) gives
+    every tuple its read: A with the tuple axes outermost in memory, as a fancy
+    index leaves them, which fixes einsum's order of summation over q, and B in
+    C order.  README "Conventions" describes G's table.  Only the first rows
     points of R_GRID are computed.  A dropped order is charged a bound built
     from the kernels' cached norms, which are computed only then.  A family's
     member axis folds into the row axis: each step below runs once for all members.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
     nodes, N, r = wA.nodes, len(wA.nodes), R_GRID[:rows]
-    rows *= prod(wA.family)
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
@@ -227,34 +263,33 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
                           * wA.norm_mu1 * wB.norm_mu1 * nodes[0] ** (-MU) * XI ** (-order))
             continue
 
-        sI, uI, invI, _ = _sums(*node_set, m2 - p)
-        sJ, uJ, invJ, _ = _sums(*node_set, n1 - p)
         omega_q, u_omega, inv_omega, weight_q = _sums(*node_set, p)
         uT, invT = _pair_sums(*node_set, m2 - p, n1 - p)
-        NI, NJ, Q = len(sI), len(sJ), len(omega_q)
+        NI, NJ, Q = len(_sums(*node_set, m2 - p)[0]), len(_sums(*node_set, n1 - p)[0]), len(omega_q)
         Gq = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega).reshape(
-            rows, len(uT), len(u_omega))[:, invT[:, np.newaxis], inv_omega].reshape(rows, NI, NJ, Q)
+            -1, len(uT), len(u_omega))[:, invT[:, np.newaxis], inv_omega].reshape(-1, NI, NJ, Q)
         Gq *= weight_q
-        # each factor is read at the distinct shifts, as (rows, shifts, P_m, P_n); one
-        # gather gives each tuple its factor at its shift's read and merged multiset
-        A = wA.at_r(r[:, np.newaxis] + uI).reshape(rows, len(uI), -1, len(multisets(N, n1)[0]))
-        A = A.transpose(0, 2, 1, 3)[:, :, invI[:, np.newaxis, np.newaxis], _merge(N, n1 - p, p)]
+        # A as (rows, i, I2', J1', q), (I2', J1', q) outermost in memory; B in C order
+        A = _read(wA, node_set, m2 - p, rows, (1, 3, 0, 2))  # (shifts, P_n1, rows, i)
+        A = A.reshape(-1, A[0, 0].size).take(_gather(*node_set, n1 - p, p, m2 - p), axis=0).reshape(
+            NI, NJ, Q, *A.shape[2:]).transpose(3, 4, 0, 1, 2)
         A = A.astype(np.result_type(A, Gq), copy=False)
         A *= Gq[:, np.newaxis]  # A G in A's table: two tables at a time, not three
         del Gq
-        B = wB.at_r(r[:, np.newaxis] + uJ).reshape(rows, len(uJ), -1, len(multisets(N, n2)[0]))
-        B = B[:, invJ[:, np.newaxis, np.newaxis], _merge(N, p, m2 - p)]
-        block = np.einsum("riabq,rbqak->riabk", A, B)
-        block *= Cf
-        block = block.reshape(rows, A.shape[1] * NI, NJ * B.shape[4])
+        B = _read(wB, node_set, n1 - p, rows)  # (rows, shifts, P_m2, k)
+        B = B.reshape(len(B), -1, B.shape[3]).take(_gather(*node_set, p, m2 - p, n1 - p), axis=1)
+        block = np.einsum("riabq,rbqak->riabk", A, B, order="C")
+        if Cf != 1:
+            block *= Cf
+        block = block.reshape(-1, A.shape[1] * NI, NJ * B.shape[4])
         del A, B  # the largest tables, freed before the split means and the next order
         # the mean over the position splits of each side; one split is the identity
         for axis, splits in ((1, _splits(N, mo, m1)), (2, _splits(N, no, n1 - p))):
-            if splits.shape[1] > 1:
-                parts = [block.take(split, axis=axis) for split in splits.T]
-                block = sum(parts[1:], parts[0]) / len(parts)
-        acc = out_arrays.get((mo, no))
-        out_arrays[(mo, no)] = block if acc is None else acc + block
+            if len(splits) > 1:
+                block = _split_mean(block, axis, splits)
+        acc = out_arrays.get((mo, no))  # summed in place, unless a real sum meets a complex block
+        out_arrays[(mo, no)] = block if acc is None else np.add(
+            acc, block, out=acc if acc.dtype == np.result_type(acc, block) else None)
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
@@ -409,7 +444,7 @@ def _decimate(H: NormalFormHamiltonian, rho: float, s_max: int):
     series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
     f_arrays: dict = {(0, 0): w00.values}
     dropped = np.zeros(len(q))
-    try:  # an overflow leaves a kernel that is not finite, which raises ValueError
+    try:  # an overflow leaves a kernel that is not finite, which raises NotFiniteError
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, s_max + 1 if W else 1):
                 stage = f"the s = {s} Neumann product"
@@ -428,7 +463,7 @@ def _decimate(H: NormalFormHamiltonian, rho: float, s_max: int):
                         f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * w.values
             F = {key: CouplingFunction(*key, H.nodes, v) for key, v in f_arrays.items()}
             norms = np.broadcast_to(interaction_norm(H), q.shape).tolist()
-    except ValueError as exc:
+    except NotFiniteError as exc:
         raise DomainError(f"{stage}: {exc}", StepInfo(q[0], 0.0, dropped[0], inv_bound[0]).margins
                           ) from exc
     return NormalFormHamiltonian(F, H.grid, H.M_max), [
@@ -455,10 +490,10 @@ def _rg_step(H: NormalFormHamiltonian, rho: float, s_max: int):
     F, infos = _decimate(H, rho, s_max)
     new_terms = {}
     for (mo, no), w in F.terms.items():
-        try:  # F is finite, so a ValueError is an overflow: raised below, not warned of
+        try:  # F is finite, so this is an overflow: raised below, not warned of
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 scaled = scale_coupling(w, rho)
-        except ValueError as exc:
+        except NotFiniteError as exc:
             raise DomainError(f"the rescaled ({mo},{no}) kernel is not finite",
                               margins=infos[0].margins) from exc
         new_terms[(mo, no)] = _apply_field_support_mask(scaled)

@@ -414,22 +414,37 @@ class TestWickOrdering:
 
     def test_one_read_per_distinct_shift(self, monkeypatch):
         # each kernel is read once per distinct pull-through shift, in
-        # increasing order: the 6 multisets of 2 of 3 nodes have 6 sums
+        # increasing order: the 6 multisets of 2 of 3 nodes have 6 sums.  A
+        # factor is read on its read plan's cells, at field energies (rows, shifts)
         W, masses = self._random_W(4)
         shifts = []
-        at_r = CouplingFunction.at_r
+        read = CouplingFunction.read
 
-        def recorded(w, r):
-            r = np.asarray(r)
+        def recorded(w, r, cells):
             if r.ndim == 2:
                 shifts.append(r[0] - R_GRID[0])
-            return at_r(w, r)
+            return read(w, r, cells)
 
-        monkeypatch.setattr(CouplingFunction, "at_r", recorded)
+        monkeypatch.setattr(CouplingFunction, "read", recorded)
         G = lambda r: 1.0 / (np.asarray(r) + 2.0)
         normal_order_product(W, W, G, masses, max_order=4, sup_G=0.5)
         assert all(np.all(np.diff(s) > 0) for s in shifts)
         assert max(len(s) for s in shifts) == 6
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("S", [2, 3, 4, 6])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_split_mean_is_the_sum_divided_by_S(self, real, S, axis):
+        # the mean over S position splits, added in place and, when complex, scaled
+        # by 1/S on its float view, is the sum of the parts divided by S bit for bit
+        rng = np.random.default_rng(S)
+        block = rng.standard_normal((4, 9, 9)) + (0 if real else 1j) * rng.standard_normal(
+            (4, 9, 9))
+        splits = rng.integers(0, 9, (S, 7))
+        parts = [block.take(split, axis=axis) for split in splits]
+        expected = sum(parts[1:], parts[0]) / len(parts)
+        got = rgflow._split_mean(block, axis, splits)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_one_norm_per_kernel(self, monkeypatch):
         # a kernel's (MU, 1) norm is cached on it, and a product computes one
@@ -845,6 +860,19 @@ class TestRgStep:
             assert str(err.value) == message
             assert err.value.margins.keys() == {"q", "inv_bound", "dropped_norm"}
             assert err.value.margins["q"] < 0.05
+
+    @pytest.mark.parametrize("step", ["rg_step", "decimate"])
+    def test_other_value_errors_in_a_product_are_not_domain_errors(self, monkeypatch, step):
+        # only a kernel that is not finite, as an overflow leaves it, makes a
+        # DomainError; any other ValueError in a product leaves the step as raised
+        def broken(*args):
+            raise ValueError("cannot reshape array of size 26136 into shape (33,8,120)")
+
+        H = TestFlow._model_builder()(0.0)
+        monkeypatch.setattr(rgflow, "_pair_product", broken)
+        with pytest.raises(ValueError, match="cannot reshape array") as err:
+            getattr(rgflow, step)(H, RHO)
+        assert type(err.value) is ValueError
 
     @pytest.mark.parametrize("step", ["rg_step", "decimate"])
     @pytest.mark.parametrize("rho, s_max", [(0.0, 2), (0.6, 2), (RHO, -1), (RHO, 3)])

@@ -349,6 +349,17 @@ def fourth_order_steps() -> None:
         _hamiltonian(f"8-mode model step {step} to k_max=1 M_max=4", H, info)
 
 
+def complex_fourth_order_step() -> None:
+    from specrg import calibration, fock, normalform, rgflow
+    # the calibration's complex random kernels stepped at M_max = 4: the step keeps
+    # the (3,0), (2,1), (1,2) and (0,3) kernels, complex means over 3 position splits
+    grid = fock.build_mode_grid(8, 0.5, "geometric")
+    H0 = calibration._random_polydisc_hamiltonian(np.random.default_rng(3), grid, 0.5,
+                                                  0.5 / 16.0)
+    H, info = rgflow.rg_step(normalform.NormalFormHamiltonian(H0.terms, grid, 4), 0.5)
+    _hamiltonian("random step M_max=4", H, info)
+
+
 def decimations() -> None:
     from specrg import calibration, fock, models, rgflow
     # the decimated Hamiltonian F before its rescaling
@@ -433,7 +444,7 @@ def main() -> None:
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     bases, dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
                     acceptance_flows, k_max_one_step, sector_builder, decimations,
-                    fourth_order_steps, cache_keys, family):
+                    fourth_order_steps, complex_fourth_order_step, cache_keys, family):
         _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
