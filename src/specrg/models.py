@@ -172,7 +172,7 @@ def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:
 # ---------------------------------------------------------------------------
 
 def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
-                              lam: float) -> NormalFormHamiltonian:
+                              lam: float | np.ndarray) -> NormalFormHamiltonian:
     """Normal-form kernels of the model decimated onto its lowest particle level 0.
 
     To O(g^3 max|Gamma_ll|) + O(g^4) the Schur complement on the particle
@@ -183,21 +183,24 @@ def ground_sector_hamiltonian(spec: ModelSpec, grid: ModeGrid,
     and Phi's (1,0) and (0,1) kernels f = form_factor(spec, k), uncast and constant in r.
     rgflow.normal_order_product orders it with every pull-through shift and drops
     nothing.  Kernels zero by structure (Gamma_00 = 0, level 0 uncoupled) are left out.
+    An array lam gives the family H(lam) on a member axis, as rgflow.rg_step takes it, from
+    one Phi G Phi product; each member is the build at its lam bit for bit.
     """
-    eps, g, nodes = spec.particle_levels, spec.g, grid.nodes
-    if spec.n_levels > 1 and lam >= eps[1]:
+    eps, g, nodes, lam = spec.particle_levels, spec.g, grid.nodes, np.asarray(lam)
+    if spec.n_levels > 1 and np.any(lam >= eps[1]):
         raise ValueError("spectral parameter lam must sit below every decimated level")
-    f = np.broadcast_to(form_factor(spec, nodes), (len(R_GRID), len(nodes)))
+    f = np.broadcast_to(form_factor(spec, nodes), lam.shape + (len(R_GRID), len(nodes)))
     weight = g * g * np.abs(spec.gamma[0]) ** 2
     coupled = [l for l in range(1, spec.n_levels) if weight[l] != 0.0]
-    tables = {(0, 0): eps[0] - lam + R_GRID}
+    tables = {(0, 0): eps[0] - lam[..., np.newaxis] + R_GRID}
     if coupled:
-        def G(x):
-            return sum(weight[l] / (eps[l] - lam + x) for l in coupled)
+        def G(x):  # lam's member axis, then x's
+            lam_x = lam.reshape(lam.shape + (1,) * np.ndim(x))
+            return sum(weight[l] / (eps[l] - lam_x + x) for l in coupled)
 
         phi = {(1, 0): CouplingFunction(1, 0, nodes, f), (0, 1): CouplingFunction(0, 1, nodes, f)}
         # G decreases on x >= 0, so G(0) is its sup there
-        vgv, _ = rgflow.normal_order_product(phi, phi, G, slot_masses(grid), 2, float(G(0.0)))
+        vgv, _ = rgflow.normal_order_product(phi, phi, G, slot_masses(grid), 2, G(0.0))
         tables.update({key: tables.get(key, 0.0) - w.values for key, w in vgv.items()})
     diag = spec.gamma[0, 0]
     if abs(diag) > 0:

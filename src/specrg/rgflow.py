@@ -21,7 +21,7 @@ vacuum expectation stays pinned near the running zero e_n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial
 
@@ -212,6 +212,25 @@ def _read(w: CouplingFunction, node_set: tuple, length: int, rows: int, axes=(0,
         len(multisets(len(w.nodes), k)[0]) for k in (w.m, w.n)]).transpose(axes))
 
 
+def _live_nodes(W: dict, N: int) -> np.ndarray:
+    """The nodes on which some kernel of W, of some member, is nonzero, increasing."""
+    live = np.zeros(N, dtype=bool)
+    for w in W.values():
+        nonzero = w.values.any(axis=tuple(range(len(w.family) + 1)))  # over members and r
+        for side, k in enumerate(k for k in (w.m, w.n) if k):
+            rows = nonzero.any(axis=1 - side) if nonzero.ndim == 2 else nonzero
+            live[multisets(N, k)[0][rows]] = True
+    return np.flatnonzero(live)
+
+
+@lru_cache(maxsize=256)  # per node count and live set, so bounded
+def _live_cut(N: int, live: tuple, m: int, n: int) -> tuple:
+    """The index of an (m, n) table on N nodes at the rows of multisets(len(live), .) of live."""
+    live = np.array(live, dtype=np.intp)
+    return (Ellipsis,) + np.ix_(*[multisets(N, k)[1][tuple(live[multisets(len(live), k)[0]].T)]
+                                  for k in (m, n) if k])
+
+
 def _split_mean(block: np.ndarray, axis: int, splits: np.ndarray) -> np.ndarray:
     """The mean of block's takes along axis at the rows of splits, added in place in row
     order.  A complex sum is scaled on its float view by 1/S, which is how numpy rounds a
@@ -226,8 +245,8 @@ def _split_mean(block: np.ndarray, axis: int, splits: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple,
-                  max_order: int, out_arrays: dict, budget: list, sup_G: float, rows: int):
+def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple, max_order: int,
+                  out_arrays: dict, budget: list, sup_G: float, rows: int, charge: tuple):
     """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays, on multisets.
 
     With p contractions (annihilators of A against creators of B, equal mode
@@ -247,11 +266,11 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
     index leaves them, which fixes einsum's order of summation over q, and B in
     C order.  README "Conventions" describes G's table.  Only the first rows
     points of R_GRID are computed.  A dropped order is charged a bound built
-    from the kernels' cached norms, which are computed only then.  A family's
-    member axis folds into the row axis: each step below runs once for all members.
+    from the kernels' cached norms, which are computed only then, and from charge.
+    A family's member axis folds into the row axis: each step below runs once for all members.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
-    nodes, N, r = wA.nodes, len(wA.nodes), R_GRID[:rows]
+    N, r = len(wA.nodes), R_GRID[:rows]
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
@@ -259,8 +278,8 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
         Cf = comb(n1, p) * comb(m2, p) * factorial(p)
         if order > max_order:
             # dropped: log a norm-product bound instead of the kernel (one per member)
-            budget.append(Cf * _mass_over_k(*node_set) ** p * sup_G
-                          * wA.norm_mu1 * wB.norm_mu1 * nodes[0] ** (-MU) * XI ** (-order))
+            budget.append(Cf * charge[0] ** p * sup_G
+                          * wA.norm_mu1 * wB.norm_mu1 * charge[1] ** (-MU) * XI ** (-order))
             continue
 
         omega_q, u_omega, inv_omega, weight_q = _sums(*node_set, p)
@@ -293,21 +312,23 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
 
 
 def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
-                         max_order: int, sup_G: float, rows: int | None = None):
+                         max_order: int, sup_G: float, rows: int | None = None, _charge=None):
     """Normal ordering of (sum A) G(H_f) (sum B); returns (terms, dropped norm).
 
     Every kernel, of A, B and the result, is a CouplingFunction on multisets.  The
     result's kernels are computed on the first rows points of R_GRID (all when rows
     is None) and are zero above.  A family's G(r) and dropped norms are per member.
+    A dropped order's charge reads (sum_i mass_i / k_i, lowest node) of the kernels' nodes.
     """
     ref = next(iter(A_terms.values()))
     node_set = (tuple(ref.nodes), tuple(masses))  # the key of the cached sums
+    charge = _charge or (_mass_over_k(*node_set), ref.nodes[0])  # _decimate's: the whole grid's
     rows = len(R_GRID) if rows is None else rows
     out_arrays: dict = {}
     budget: list = []
     for wA in A_terms.values():
         for wB in B_terms.values():
-            _pair_product(wA, wB, G, node_set, max_order, out_arrays, budget, sup_G, rows)
+            _pair_product(wA, wB, G, node_set, max_order, out_arrays, budget, sup_G, rows, charge)
     terms = {}
     for key, vals in out_arrays.items():
         vals = vals.reshape(ref.family + (rows, -1))
@@ -400,7 +421,8 @@ def decimate(H: NormalFormHamiltonian, rho: float, s_max: int = 2):
     its term_norm, and the s = 1 terms feed the s = 2 product.  F lives on
     Ran chi_rho(H_f), so the s = 2 product is tabulated only up to the first
     R_GRID row above rho (all that scale_coupling's read at rho * R_GRID
-    reaches) and is zero above.
+    reaches) and is zero above.  The products run on W's live nodes (_live_nodes), none
+    when no node is live, and every number is the whole grid's (README "Conventions").
 
     DomainError when ||(E+T)^-1|| on the decimated region and above r = 1 exceeds
     2/rho, when the measured Neumann ratio is not below 1 (NaN included), or when
@@ -441,26 +463,39 @@ def _decimate(H: NormalFormHamiltonian, rho: float, s_max: int):
                           margins={"q": float(q.max())})
     sup_G = np.max(np.abs(G(R_GRID[R_GRID > rho])), axis=-1)
 
-    series = [W]  # the terms W (G W)^s, of sign (-1)^s; all are 0 when W is
+    # the products run on the live nodes: their kernels are 0 at a tuple that holds a dead
+    # node, and so is every term of their sums over one
+    N, live = len(H.nodes), _live_nodes(W, len(H.nodes))
+    cut = partial(_live_cut, N, tuple(live.tolist())) if len(live) < N else None
+    Wl = W if cut is None else {key: CouplingFunction(
+        *key, H.nodes[live], w.values[cut(*key)], w.dr_values[cut(*key)]) for key, w in W.items()}
+
+    series = [Wl]  # the terms W (G W)^s, of sign (-1)^s; no product runs when W is 0
     f_arrays: dict = {(0, 0): w00.values}
     dropped = np.zeros(len(q))
     try:  # an overflow leaves a kernel that is not finite, which raises NotFiniteError
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(1, s_max + 1 if W else 1):
+            for s in range(1, s_max + 1 if len(live) else 1):
                 stage = f"the s = {s} Neumann product"
                 max_order, rows = ((4, None) if s == 1 else
                                    (H.M_max, int(np.searchsorted(R_GRID, rho, side="right")) + 1))
-                term, d = normal_order_product(series[-1], W, G, H.masses,
-                                               max_order=max_order, sup_G=sup_G, rows=rows)
+                term, d = normal_order_product(
+                    series[-1], Wl, G, H.masses[live], max_order=max_order, sup_G=sup_G,
+                    rows=rows, _charge=(_mass_over_k(tuple(H.nodes), tuple(H.masses)), H.nodes[0]))
                 dropped += d
                 series.append(term)
             stage = "the decimated Hamiltonian"
-            for s, terms in enumerate(series):
+            for s, terms in enumerate([W] + series[1:]):
                 for key, w in terms.items():
                     if w.order > H.M_max:
                         dropped += term_norm(w)
                     else:
-                        f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * w.values
+                        vals = w.values
+                        if s and cut:  # a product's kernel, embedded: 0 off the live rows
+                            vals = np.zeros(w.family + (len(R_GRID),) + normalform.slot_shape(
+                                N, *key), w.values.dtype)
+                            vals[cut(*key)] = w.values
+                        f_arrays[key] = f_arrays.get(key, 0) + (-1.0) ** s * vals
             F = {key: CouplingFunction(*key, H.nodes, v) for key, v in f_arrays.items()}
             norms = np.broadcast_to(interaction_norm(H), q.shape).tolist()
     except NotFiniteError as exc:
@@ -555,10 +590,10 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
          builder=None):
     """Iterate the map on the analytic family H(lam), re-centering it each step.
 
-    H0 = H(0) gives e_0; builder(lam) gives H(lam), shifted(H0, lam) by
-    default.  Step n carries R^n(H(lam)) at the DEGREE + 1 Chebyshev points
-    of e_{n-1} -/+ rho^n / 8 as one family: one rg_step on the builder's
-    Hamiltonians stacked (step 1) or on the previous family interpolated there.
+    H0 = H(0) gives e_0; builder(lams), called once, gives the family H(lam) at an array
+    of points (shifted(H0, lam) stacked by default).  Step n carries R^n(H(lam)) at the
+    DEGREE + 1 Chebyshev points of e_{n-1} -/+ rho^n / 8 as one family: one rg_step on
+    the builder's family (step 1) or on the previous family interpolated there.
     Each point keeps its StepInfo, and a DomainError is the lowest failing
     point's.  e_n is the root of the vacuum interpolant, and the record holds
     the family, and the budgets, interpolated at it.
@@ -570,8 +605,8 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, not {n_steps}")
     if builder is None:
-        def builder(lam):
-            return shifted(H0, lam)
+        def builder(lams):
+            return _stack([shifted(H0, lam) for lam in lams])
 
     # Chebyshev points on [-1, 1], increasing; lam = e_{n-1} + rho^n / 8 * x
     x = -np.cos(np.pi * (np.arange(DEGREE + 1) + 0.5) / (DEGREE + 1))
@@ -583,7 +618,7 @@ def flow(H0: NormalFormHamiltonian, rho: float, n_steps: int, s_max: int = 2,
         half = rho ** n / 8.0
         lams = e_prev + half * x
         # the points sit at root + rho x in the previous step's coordinate
-        family, infos = rg_step(_stack([builder(lam) for lam in lams]) if family is None
+        family, infos = rg_step(builder(lams) if family is None
                                 else _combine(family, _lagrange(x, root + rho * x)), rho, s_max)
         vacuum = np.real(split(family)[0])
         coef = np.linalg.solve(vander, vacuum)

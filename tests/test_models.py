@@ -299,11 +299,31 @@ class TestGroundSectorHamiltonian:
             assert t_slope_deviation(H) <= C_INIT * g * g * rho ** (mu - 1.0)
             assert interaction_norm(H) <= C_INIT * g * rho ** mu
 
+    @pytest.mark.parametrize("name", ["two-level", "diagonal-coupling", "van-hove"])
+    def test_array_lam_builds_the_stacked_family(self, name):
+        # one build at an array lam is the scalar builds stacked on a member axis, bit for
+        # bit: values and r-derivatives, on 2 and 3 levels and with Gamma_00 != 0
+        spec, lam = _sector_spec(name, 4e-3), SECTOR_MODELS[name][2]
+        grid = build_mode_grid(8, 1.0, "geometric")
+        lams = lam + np.array([-2e-3, -5e-4, 5e-4, 2e-3])
+        family = ground_sector_hamiltonian(spec, grid, lams)
+        singles = [ground_sector_hamiltonian(spec, grid, float(x)) for x in lams]
+        assert family.terms.keys() == singles[0].terms.keys()
+        for key, w in family.terms.items():
+            assert w.family == (len(lams),), key
+            for member, single in enumerate(singles):
+                ref = single.terms[key]
+                assert w.values.dtype == ref.values.dtype, key
+                assert w.values[member].tobytes() == ref.values.tobytes(), (key, member)
+                assert w.dr_values[member].tobytes() == ref.dr_values.tobytes(), (key, member)
+
     def test_spectral_parameter_above_other_levels_rejected(self):
         spec = _two_level(1e-3)
         grid = build_mode_grid(4, 0.5, "geometric")
         with pytest.raises(ValueError):
             ground_sector_hamiltonian(spec, grid, lam=1.5)
+        with pytest.raises(ValueError):  # one member above is enough
+            ground_sector_hamiltonian(spec, grid, lam=np.array([0.0, 1.5]))
 
 
 class TestPauliFierz:

@@ -14,10 +14,10 @@ from specrg.normalform import (FOUR_PI, MU, R_GRID, CouplingFunction, NormalForm
                                assemble_operator, assemble_term, coupling_norm_mu,
                                coupling_norm_mu1, from_profile, interaction_norm, multisets,
                                slot_masses, slot_shape, shifted, split, term_norm)
-from specrg import rgflow
+from specrg import oracle, rgflow
 from specrg.calibration import _random_polydisc_hamiltonian
 from specrg.models import ModelSpec, build_model, ground_sector_hamiltonian
-from specrg.rgflow import (DomainError, FlowStalledError, flow, normal_order_product,
+from specrg.rgflow import (DomainError, FlowStalledError, decimate, flow, normal_order_product,
                            polydisc_coordinates, recursion_constant, rg_step, scale_coupling)
 
 RHO = 0.5
@@ -81,7 +81,8 @@ def _on_multisets(m, n, nodes, full):
 
 
 def _scalar_hamiltonian(E, grid):
-    w00 = from_profile(0, 0, grid.nodes, lambda r: E + r)
+    """E + H_f, or the family of them for an array E."""
+    w00 = CouplingFunction(0, 0, grid.nodes, np.add.outer(E, R_GRID))
     return NormalFormHamiltonian({(0, 0): w00}, grid)
 
 
@@ -1097,10 +1098,10 @@ class TestFlow:
         assert len(lines) == 3
 
     def _scalar_builder(self, energy):
-        """Builder of scalar Hamiltonians E(lam) + H_f, whose vacuum component
-        after n steps is E(lam) / rho^n."""
+        """Builder of the scalar Hamiltonians E(lam) + H_f at an array lam, whose vacuum
+        components after n steps are E(lam) / rho^n."""
         grid = build_mode_grid(4, 0.5, "geometric")
-        return lambda lam: _scalar_hamiltonian(energy(lam), grid)
+        return lambda lam: _scalar_hamiltonian(np.broadcast_to(energy(lam), np.shape(lam)), grid)
 
     def test_flow_leaves_H0_unchanged(self):
         H0 = TestFlow._model_builder()(0.0)
@@ -1116,16 +1117,18 @@ class TestFlow:
         energy = self._scalar_builder(lambda lam: 3.3e-4 - lam)
         lams = []
 
-        def builder(lam):
-            lams.append(lam)
-            return energy(lam)
+        def builder(points):
+            lams.append(points)
+            return energy(points)
 
         H0 = energy(-1e-3)
         traj = flow(H0, RHO, 2, builder=builder)
-        assert lams == pytest.approx(self._points(1.33e-3, 1))
+        assert len(lams) == 1
+        assert lams[0] == pytest.approx(self._points(1.33e-3, 1))
         assert traj.e_final.real == pytest.approx(3.3e-4, abs=1e-12)
-        # without a builder the family is shifted(H0, lam)
-        default = flow(H0, RHO, 2, builder=lambda lam: shifted(H0, lam))
+        # without a builder the family is shifted(H0, lam) at the points
+        default = flow(H0, RHO, 2, builder=lambda points: rgflow._stack(
+            [shifted(H0, lam) for lam in points]))
         assert flow(H0, RHO, 2).to_csv() == default.to_csv()
 
     @staticmethod
@@ -1143,7 +1146,7 @@ class TestFlow:
     def test_rising_interior_stalls(self):
         # E rises on |lam| < 1/32, which holds the two inner points, so the
         # cubic through the four points crosses zero three times
-        builder = self._scalar_builder(lambda lam: 3.0 * lam if abs(lam) < 1 / 32 else -lam)
+        builder = self._scalar_builder(lambda lam: np.where(np.abs(lam) < 1 / 32, 3.0 * lam, -lam))
         with pytest.raises(FlowStalledError, match="has 3 roots on the step-1 interval") as info:
             flow(builder(0.0), RHO, 1, builder=builder)
         assert info.value.nodes == pytest.approx(self._points(0.0, 1))
@@ -1187,9 +1190,9 @@ class TestFlow:
 
         monkeypatch.setattr(rgflow, "rg_step", counted)
         flow(model(0.0), RHO, 3, s_max=0, builder=builder)
-        # H0 gives e_0 and builder step 1's points; every step applies rg_step
-        # once, to the family of its DEGREE + 1 points
-        assert calls == {"rg_step": 3, "builder": rgflow.DEGREE + 1}
+        # H0 gives e_0 and one builder call the family at step 1's DEGREE + 1
+        # points; every step applies rg_step once, to the family of its points
+        assert calls == {"rg_step": 3, "builder": 1}
 
     def test_ten_step_flow_matches_dense_ground_energy(self):
         grid = build_mode_grid(4, 0.5, "geometric")
@@ -1331,3 +1334,113 @@ class TestFamily:
         messages = {"q": "Neumann ratio", "inv": "nearly singular", "inf": "the s = 1 Neumann",
                     "rescale": "the rescaled (0,0)"}
         assert messages[kinds[first]] in str(ref.value)
+
+
+class TestLiveNodes:
+    """A step runs its Wick products on the live nodes, those where some kernel of the
+    interaction is nonzero: after n steps at rho = 1/2 the rescaling has left the n lowest
+    geometric nodes dead.  Every number is the whole grid's."""
+
+    @staticmethod
+    def _model(M_max=2, n_modes=8, k_max=1.0, g=5e-3):
+        """The builder of the two-level model on geometric modes, its kernels kept to M_max."""
+        grid = build_mode_grid(n_modes, k_max, "geometric")
+        spec = ModelSpec(particle_levels=np.array([0.0, 1.0]), g=g, kappa=1.0)
+        return spec, grid, lambda lam: NormalFormHamiltonian(
+            ground_sector_hamiltonian(spec, grid, lam).terms, grid, M_max)
+
+    @staticmethod
+    def _whole_grid_decimate(H):
+        """decimate's F and StepInfo at s_max = 2, both products run on the whole grid."""
+        w00, (_, W) = H.terms[(0, 0)], split(H)
+
+        def G(r):
+            out = np.zeros(r.shape, dtype=w00.values.dtype)
+            out[r > RHO] = 1.0 / w00.at_r(r[r > RHO])
+            return out
+
+        series, dropped = [W], np.zeros(1)
+        sup_G, cut = np.max(np.abs(G(R_GRID[R_GRID > RHO]))), np.searchsorted(R_GRID, RHO, "right")
+        for max_order, rows in ((4, None), (H.M_max, int(cut) + 1)):
+            term, d = normal_order_product(series[-1], W, G, H.masses, max_order=max_order,
+                                           sup_G=sup_G, rows=rows)
+            dropped += d
+            series.append(term)
+        F = {(0, 0): w00.values}
+        for s, terms in enumerate(series):
+            for key, w in terms.items():
+                if w.order > H.M_max:
+                    dropped += term_norm(w)
+                else:
+                    F[key] = F.get(key, 0) + (-1.0) ** s * w.values
+        q = float(rgflow.measured_q(H, W, G))
+        min_h0 = np.min(np.abs(w00.at_r(R_GRID[R_GRID >= 0.75 * RHO])))
+        return F, rgflow.StepInfo(q, float(interaction_norm(H) * q ** 3 / (1.0 - q)),
+                                  float(dropped[0]), float(1.0 / min_h0))
+
+    @pytest.mark.parametrize("M_max", [2, 4])
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_live_products_equal_the_whole_grid(self, M_max, step):
+        H = self._model(M_max)[2](0.0)
+        for _ in range(step - 1):
+            H, _ = rg_step(H, RHO)
+        assert len(rgflow._live_nodes(split(H)[1], 8)) == 9 - step
+        F, info = decimate(H, RHO)
+        ref, ref_info = self._whole_grid_decimate(H)
+        assert info == ref_info
+        assert F.terms.keys() == ref.keys()
+        for key, vals in ref.items():
+            w, whole = F.terms[key], CouplingFunction(*key, H.nodes, vals)
+            assert w.values.dtype == whole.values.dtype, key
+            # bit for bit, up to the sign of a zero (adding +0.0 makes every zero +0.0)
+            for got, want in ((w.values, whole.values), (w.dr_values, whole.dr_values)):
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), key
+
+    def test_products_see_the_live_nodes(self, monkeypatch):
+        seen = []
+
+        def spy(A_terms, B_terms, *args, **kwargs):
+            seen.append({len(w.nodes) for w in (*A_terms.values(), *B_terms.values())})
+            return normal_order_product(A_terms, B_terms, *args, **kwargs)
+
+        H = self._model()[2](0.0)
+        monkeypatch.setattr(rgflow, "normal_order_product", spy)
+        for n in range(1, 6):  # step n's products see 9 - n nodes, the first step all 8
+            seen.clear()
+            H, _ = rg_step(H, RHO)
+            assert seen == [{9 - n}] * 2, n
+        seen.clear()
+        rg_step(_random_polydisc_hamiltonian(np.random.default_rng(3), H.grid, RHO, RHO / 16.0),
+                RHO)
+        assert seen == [{8}] * 2
+
+    def test_no_product_once_every_node_is_dead(self, monkeypatch):
+        # on 4 geometric modes to k_max = 1/2 no node is live after 4 steps: from step 5
+        # on W is 0, and a step runs no Wick product
+        per_step = []
+
+        def step(H, rho, s_max=2):
+            per_step.append(0)
+            return rg_step(H, rho, s_max)
+
+        def product(*args, **kwargs):
+            if per_step:  # the builder's own product runs before any step
+                per_step[-1] += 1
+            return normal_order_product(*args, **kwargs)
+
+        builder = self._model(n_modes=4, k_max=0.5, g=3e-3)[2]
+        monkeypatch.setattr(rgflow, "rg_step", step)
+        monkeypatch.setattr(rgflow, "normal_order_product", product)
+        traj = flow(builder(0.0), RHO, 10, builder=builder)
+        assert per_step == [2] * 4 + [0] * 6
+        assert [r.gamma for r in traj.records[4:]] == [0.0] * 6
+        assert len({r.budget for r in traj.records[4:]}) == 1
+
+    def test_order_four_flow_on_eight_modes_meets_dense(self):
+        # 8 steps at M_max = 4 on 8 modes to k_max = 1: within the bar of the dense ground
+        # energy, and the window error of the M_max = 2 flow (4.86e-7 relative)
+        spec, grid, builder = self._model(4)
+        traj = flow(builder(0.0), RHO, 8, builder=builder)
+        e0 = oracle.ground_energy(spec, build_fock_basis(grid, 3))
+        assert abs(traj.e_final.real - e0) <= traj.budget
+        assert abs(traj.e_final.real - e0) <= 1e-6 * abs(e0)

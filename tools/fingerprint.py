@@ -17,7 +17,7 @@ prints one line that hashes the dtypes of the arrays it hashed, in order,
 labelled with how many were float64 and complex128, so that a table or a
 matrix changing dtype shows there; and one line for the warnings it raised.
 BLAS runs on one thread, so that sums come out in one order.  The whole run
-takes about five seconds on a 2-vCPU machine.
+takes about four seconds on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -435,6 +435,28 @@ def family() -> None:
         _hamiltonian(f"family step 2 member {i}", rgflow._member(family, i), info)
 
 
+def live_nodes() -> None:
+    from specrg import fock, models, normalform, rgflow
+    # a step reads 0 below the lowest node, so after n steps at rho = 1/2 the n lowest
+    # geometric nodes are dead: steps 2 to 4 at M_max = 4 run on 1 to 3 dead nodes
+    grid = fock.build_mode_grid(8, 1.0, "geometric")
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=5e-3, kappa=1.0)
+    H = normalform.NormalFormHamiltonian(
+        models.ground_sector_hamiltonian(spec, grid, 0.0).terms, grid, 4)
+    for step in (1, 2, 3, 4):
+        H, info = rgflow.rg_step(H, 0.5)
+        _hamiltonian(f"8-mode model step {step} to k_max=1 M_max=4, {step - 1} dead", H, info)
+    # on 4 modes no node is live from step 5 on, and W is 0
+    grid = fock.build_mode_grid(4, 0.5, "geometric")
+    spec = models.ModelSpec(particle_levels=np.array([0.0, 1.0]), g=3e-3, kappa=1.0)
+
+    def builder(lam):
+        return models.ground_sector_hamiltonian(spec, grid, lam)
+
+    traj = rgflow.flow(builder(0.0), 0.5, 10, builder=builder)
+    _emit(f"10-step 4-mode flow e_final={traj.e_final.real!r}", traj.to_csv(), traj.budget)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -444,7 +466,8 @@ def main() -> None:
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     bases, dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
                     acceptance_flows, k_max_one_step, sector_builder, decimations,
-                    fourth_order_steps, complex_fourth_order_step, cache_keys, family):
+                    fourth_order_steps, complex_fourth_order_step, cache_keys, family,
+                    live_nodes):
         _DTYPES.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
