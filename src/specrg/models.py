@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rgflow
-from .fock import FockBasis, ModeGrid, check_dense
+from .fock import FockBasis, ModeGrid, check_dense, dense
 from .normalform import R_GRID, CouplingFunction, NormalFormHamiltonian, slot_masses
 
 
@@ -83,12 +84,16 @@ class ModelSpec:
         return np.exp(-(np.asarray(k) / self.kappa) ** 2)
 
 
+def _check_angle(theta) -> None:
+    if abs(np.imag(theta)) >= np.pi / 4:
+        raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
+
+
 def form_factor(spec: ModelSpec, k, theta=0.0):
     """Coupling function f(k) = chi(k)/sqrt(k), continued in the dilation angle to
     f_theta(k) = e^{-3 theta/2} chi(e^{-theta} k) / sqrt(e^{-theta} k), for |Im theta| < pi/4
     (ValueError otherwise), where the cutoff chi still decays."""
-    if abs(np.imag(theta)) >= np.pi / 4:
-        raise ValueError("dilation angle must satisfy |Im theta| < pi/4")
+    _check_angle(theta)
     scaled_k = np.exp(-theta) * np.asarray(k, dtype=float)
     chi = np.asarray(spec.cutoff(scaled_k), dtype=complex)
     return np.exp(-1.5 * theta) * chi / np.sqrt(scaled_k)
@@ -116,15 +121,28 @@ def field_operator(spec: ModelSpec, basis: FockBasis, fvals=None) -> np.ndarray:
 
 @dataclass
 class CoupledModel:
-    """Assembled matter-field model: H acts on C^L tensor Fock (L*D square).
+    """Matter-field model at dilation angle theta: H acts on C^L tensor Fock (L*D square).
 
-    theta is the dilation angle; H is non-Hermitian for Im theta != 0.
+    H is assembled on its first read (readers of spec, basis and theta alone never pay
+    for it), non-Hermitian for Im theta != 0, and float64 for a real theta and a real Gamma.
     """
 
     spec: ModelSpec
     basis: FockBasis
-    H: np.ndarray
     theta: complex = 0.0
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """H_theta = np.kron(Gamma, Phi(f_theta)) times g, plus eps_l + e^{-theta} H_f on its
+        diagonal, particle index outer; Gamma and f_theta pass through fock.dense."""
+        spec, basis = self.spec, self.basis
+        H = np.kron(dense(spec.gamma), field_operator(
+            spec, basis, fvals=dense(form_factor(spec, basis.grid.nodes, self.theta))))
+        H *= spec.g
+        diag = dense(spec.particle_levels[:, None] + np.exp(-self.theta) * basis.hf_diagonal())
+        H = H.astype(np.result_type(H, diag), copy=False)
+        H.reshape(-1)[::len(H) + 1] += diag.ravel()
+        return H
 
 
 def build_model(spec: ModelSpec, basis: FockBasis) -> CoupledModel:
@@ -142,17 +160,13 @@ def complex_dilate(spec: ModelSpec, basis: FockBasis, theta: complex) -> Coupled
     H_theta = H_p (x) 1 + e^{-theta} 1 (x) H_f + g Gamma (x) Phi(f_theta), particle
     index outer: f continues to f_theta(k) = e^{-3 theta/2} f(e^{-theta} k)
     (form_factor at theta), the scaling action on a creation operator over the
-    d^3k measure.  The finite matter system is dilation-invariant.  H_theta is
-    np.kron(Gamma, Phi(f_theta)) times g, plus eps_l + e^{-theta} H_f on its diagonal.
+    d^3k measure.  The finite matter system is dilation-invariant.  CoupledModel.H
+    assembles H_theta when it is first read; the dense cap and the angle's range
+    (form_factor's) are checked here, before that.
     """
     check_dense(spec.n_levels * basis.dim)
-    H = np.kron(spec.gamma, field_operator(spec, basis,
-                                           fvals=form_factor(spec, basis.grid.nodes, theta)))
-    H *= spec.g
-    diag = np.arange(len(H))
-    H[diag, diag] = (spec.particle_levels[:, None]
-                     + np.exp(-theta) * basis.hf_diagonal()).ravel() + H[diag, diag]
-    return CoupledModel(spec=spec, basis=basis, H=H, theta=theta)
+    _check_angle(theta)
+    return CoupledModel(spec=spec, basis=basis, theta=theta)
 
 
 def dilated_grid(grid: ModeGrid, theta: float) -> ModeGrid:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial
 
 import numpy as np
@@ -154,13 +155,21 @@ def read_cells(r: np.ndarray):
 def multisets(n_nodes: int, length: int):
     """(tuples, index, flat) of the sorted length-tuples of n_nodes slot indices: tuples
     one per row in lexicographic order, index[t] the row of sorted(t) for every ordered
-    tuple t, and flat each row's position among the ordered tuples (C order)."""
+    tuple t, and flat each row's position among the ordered tuples (C order).  index grows
+    from the one of length - 1: t's row is that of sorted(t[1:]) with t[0] inserted, so no
+    table of every ordered tuple is sorted."""
     powers = n_nodes ** np.arange(length - 1, -1, -1)
-    ordered = np.arange(n_nodes ** length)[:, np.newaxis] // powers % n_nodes
-    ranked = np.sort(ordered, axis=1)
-    is_sorted = (ranked == ordered).all(axis=1)
-    index = (np.cumsum(is_sorted) - 1)[ranked @ powers]
-    return ordered[is_sorted], index.reshape((n_nodes,) * length), np.flatnonzero(is_sorted)
+    rows = list(combinations_with_replacement(range(n_nodes), length))
+    tuples = np.array(rows, dtype=np.intp).reshape(len(rows), length)
+    flat = tuples @ powers
+    if not length:
+        return tuples, np.zeros((), np.intp), flat
+    shorter, index, _ = multisets(n_nodes, length - 1)
+    # the row of sorted(S + (v,)) for every row S of the shorter multisets and node v
+    grown = np.sort(np.concatenate([np.repeat(shorter, n_nodes, axis=0), np.tile(
+        np.arange(n_nodes), len(shorter))[:, np.newaxis]], axis=1), axis=1)
+    insert = np.searchsorted(flat, grown @ powers).reshape(len(shorter), n_nodes)
+    return tuples, insert[index, np.arange(n_nodes).reshape((n_nodes,) + (1,) * (length - 1))], flat
 
 
 def slot_shape(n_nodes: int, m: int, n: int) -> tuple:

@@ -179,13 +179,6 @@ def _mass_over_k(nodes: tuple, masses: tuple) -> float:
 
 
 @lru_cache(maxsize=256)  # per node set, so bounded
-def _pair_sums(nodes: tuple, masses: tuple, len_I: int, len_J: int):
-    """The distinct values of sI + sJ over all (I, J), and the inverse index."""
-    T = _sums(nodes, masses, len_I)[0][:, np.newaxis] + _sums(nodes, masses, len_J)[0]
-    return np.unique(T.ravel(), return_inverse=True)
-
-
-@lru_cache(maxsize=256)  # per node set, so bounded
 def _read_plan(nodes: tuple, masses: tuple, length: int, rows: int):
     """The field energies R_GRID[:rows] + each distinct node-energy sum of `length` slots,
     (rows, sums), and at_r's cells there."""
@@ -202,6 +195,18 @@ def _gather(nodes: tuple, masses: tuple, first: int, second: int, length: int) -
     X, Y = multisets(N, first)[0], multisets(N, second)[0]
     merged = _rows(N, [x[:, np.newaxis] for x in X.T] + list(Y.T), (len(X), len(Y)))
     return inv[:, np.newaxis, np.newaxis] * len(multisets(N, first + second)[0]) + merged
+
+
+@lru_cache(maxsize=256)  # per node set, so bounded
+def _merged(nodes: tuple, masses: tuple, len_I: int, len_J: int, p: int) -> np.ndarray:
+    """The index, into the distinct node-energy sums of L = len_I + len_J + p slots, of the
+    multiset I + J + q of every row I of multisets(N, len_I) (axis 0), J of multisets(N, len_J)
+    (axis 1) and q of multisets(N, p) (axis 2)."""
+    N = len(nodes)
+    I, J, q = (multisets(N, k)[0] for k in (len_I, len_J, p))
+    rows = _rows(N, [i[:, np.newaxis, np.newaxis] for i in I.T] + [j[:, np.newaxis] for j in J.T]
+                 + list(q.T), (len(I), len(J), len(q)))
+    return _sums(nodes, masses, len_I + len_J + p)[2][rows]
 
 
 def _read(w: CouplingFunction, node_set: tuple, length: int, rows: int, axes=(0, 1, 2, 3)):
@@ -245,15 +250,16 @@ def _split_mean(block: np.ndarray, axis: int, splits: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple, max_order: int,
-                  out_arrays: dict, budget: list, sup_G: float, rows: int, charge: tuple):
+def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G_table, node_set: tuple,
+                  max_order: int, out_arrays: dict, budget: list, sup_G: float, rows: int,
+                  charge: tuple):
     """Accumulate the normal ordering of W[wA] G(H_f) W[wB] into out_arrays, on multisets.
 
     With p contractions (annihilators of A against creators of B, equal mode
     index) the kernel at field energy r between the merged blocks is
 
       C(n1,p) C(m2,p) p! * sum_q prod(mass_q)
-        wA(r + O(I2'); I1, J1', q) G(r + O(J1') + O(I2') + O(q)) wB(r + O(J1'); q, I2', J2)
+        wA(r + O(I2'); I1, J1', q) G(r + O(I2' + J1' + q)) wB(r + O(J1'); q, I2', J2)
 
     with O(.) the node-energy sum of the listed slots, I1/J1' the open slots of
     A and I2'/J2 those of B.  Each part is a sorted tuple: A is read at the
@@ -264,13 +270,15 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
     at_r's rule bit for bit, and one take of a cached flat index (_gather) gives
     every tuple its read: A with the tuple axes outermost in memory, as a fancy
     index leaves them, which fixes einsum's order of summation over q, and B in
-    C order.  README "Conventions" describes G's table.  Only the first rows
-    points of R_GRID are computed.  A dropped order is charged a bound built
+    C order.  G_table(L) is G at R_GRID[:rows] plus each distinct node-energy sum of
+    L slots, and one take of a cached index (_merged) gives every tuple its G at the
+    merged multiset I2' + J1' + q (README "Conventions").  Only the first rows points of
+    R_GRID are computed.  A dropped order is charged a bound built
     from the kernels' cached norms, which are computed only then, and from charge.
     A family's member axis folds into the row axis: each step below runs once for all members.
     """
     m1, n1, m2, n2 = wA.m, wA.n, wB.m, wB.n
-    N, r = len(wA.nodes), R_GRID[:rows]
+    N = len(wA.nodes)
 
     for p in range(0, min(n1, m2) + 1):
         mo, no = m1 + m2 - p, n1 + n2 - p
@@ -282,13 +290,11 @@ def _pair_product(wA: CouplingFunction, wB: CouplingFunction, G, node_set: tuple
                           * wA.norm_mu1 * wB.norm_mu1 * charge[1] ** (-MU) * XI ** (-order))
             continue
 
-        omega_q, u_omega, inv_omega, weight_q = _sums(*node_set, p)
-        uT, invT = _pair_sums(*node_set, m2 - p, n1 - p)
-        NI, NJ, Q = len(_sums(*node_set, m2 - p)[0]), len(_sums(*node_set, n1 - p)[0]), len(omega_q)
-        Gq = G((r[:, np.newaxis, np.newaxis] + uT[:, np.newaxis]) + u_omega).reshape(
-            -1, len(uT), len(u_omega))[:, invT[:, np.newaxis], inv_omega].reshape(-1, NI, NJ, Q)
-        Gq *= weight_q
-        # A as (rows, i, I2', J1', q), (I2', J1', q) outermost in memory; B in C order
+        # G and A as (rows, [i,] I2', J1', q), (I2', J1', q) outermost in memory; B in C order
+        Gq = G_table(n1 + m2 - p).take(_merged(*node_set, m2 - p, n1 - p, p), axis=0).transpose(
+            3, 0, 1, 2)
+        NI, NJ, Q = Gq.shape[1:]
+        Gq *= _sums(*node_set, p)[3]
         A = _read(wA, node_set, m2 - p, rows, (1, 3, 0, 2))  # (shifts, P_n1, rows, i)
         A = A.reshape(-1, A[0, 0].size).take(_gather(*node_set, n1 - p, p, m2 - p), axis=0).reshape(
             NI, NJ, Q, *A.shape[2:]).transpose(3, 4, 0, 1, 2)
@@ -324,11 +330,18 @@ def normal_order_product(A_terms: dict, B_terms: dict, G, masses: np.ndarray,
     node_set = (tuple(ref.nodes), tuple(masses))  # the key of the cached sums
     charge = _charge or (_mass_over_k(*node_set), ref.nodes[0])  # _decimate's: the whole grid's
     rows = len(R_GRID) if rows is None else rows
+
+    @lru_cache(maxsize=None)  # G is evaluated here only: once per merged length L
+    def G_table(L):  # (distinct sums of L slots, members * rows)
+        r = R_GRID[:rows, np.newaxis] + _sums(*node_set, L)[1]
+        return np.ascontiguousarray(G(r).reshape(-1, r.shape[1]).T)
+
     out_arrays: dict = {}
     budget: list = []
     for wA in A_terms.values():
         for wB in B_terms.values():
-            _pair_product(wA, wB, G, node_set, max_order, out_arrays, budget, sup_G, rows, charge)
+            _pair_product(wA, wB, G_table, node_set, max_order, out_arrays, budget, sup_G, rows,
+                          charge)
     terms = {}
     for key, vals in out_arrays.items():
         vals = vals.reshape(ref.family + (rows, -1))

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specrg.fock import build_fock_basis, build_mode_grid, field_hamiltonian, ladder_matrix
+from specrg.fock import (build_fock_basis, build_mode_grid, dense, field_hamiltonian,
+                         ladder_matrix)
 from specrg.models import (ModelSpec, build_model, complex_dilate, dilated_grid,
                            fiber_hamiltonian, form_factor, field_operator,
                            ground_sector_hamiltonian, infrared_exponent,
                            mass_renormalization, pauli_fierz_transform,
                            pf_coupling)
-from specrg import models
+from specrg import models, oracle
 from specrg.normalform import R_GRID, assemble_operator, slot_masses
 
 
@@ -172,8 +173,9 @@ class TestComplexDilation:
         kron = (np.kron(np.diag(spec.particle_levels), np.eye(basis.dim))
                 + np.exp(-theta) * np.kron(np.eye(spec.n_levels), field_hamiltonian(basis))
                 + spec.g * np.kron(spec.gamma, phi))
+        # a real angle and a real Gamma give a float64 H (fock.dense's rule)
         H = complex_dilate(spec, basis, theta).H
-        assert H.dtype == kron.dtype and np.array_equal(H, kron)
+        assert H.dtype == dense(kron).dtype and np.array_equal(H, kron)
 
     def test_dilation_holds_no_copy_of_its_own_size(self):
         # the dense oracle's 650-state dilation: H and Phi(f_theta), a quarter of
@@ -187,6 +189,21 @@ class TestComplexDilation:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * H.nbytes
+
+    def test_H_is_assembled_on_its_first_read_only(self, monkeypatch):
+        # complex_dilate assembles nothing, and resonance_eigenvalue, which reads spec,
+        # basis and theta, never makes H assemble; the first read builds it once
+        spec = _two_level(2e-3, kappa=2.0)
+        basis = build_fock_basis(build_mode_grid(24, 2.0, "uniform"), 1)
+        calls = []
+        field_op = models.field_operator
+        monkeypatch.setattr(models, "field_operator",
+                            lambda *args, **kwargs: calls.append(1) or field_op(*args, **kwargs))
+        D = complex_dilate(spec, basis, 0.2j)
+        z, _ = oracle.resonance_eigenvalue(D, 1.0)
+        assert not calls and z.imag < 0.0
+        assert D.H is D.H and len(calls) == 1 and D.H.dtype == np.complex128
+        assert build_model(spec, basis).H.dtype == np.float64
 
     def test_angle_range_enforced(self):
         spec = _two_level(0.0)

@@ -121,6 +121,23 @@ class TestCouplingFunction:
         assert np.array_equal(w.expanded(w.dr_values), np.gradient(full, R_GRID, axis=0))
 
 
+@pytest.mark.parametrize("n_nodes, length", [(1, 0), (1, 3), (3, 0), (3, 1), (3, 4), (4, 3),
+                                             (5, 2), (2, 6)])
+def test_multisets_match_their_definition(n_nodes, length):
+    # the sorted tuples in lexicographic order, the row of sorted(t) for every ordered
+    # tuple t, and each row's position among the ordered tuples in C order
+    tuples, index, flat = multisets(n_nodes, length)
+    expected = sorted({tuple(sorted(t)) for t in iproduct(range(n_nodes), repeat=length)})
+    assert tuples.shape == (len(expected), length)
+    assert tuples.tolist() == [list(t) for t in expected]
+    assert index.shape == (n_nodes,) * length
+    ordered = list(iproduct(range(n_nodes), repeat=length))
+    for t in ordered:
+        assert index[t] == expected.index(tuple(sorted(t)))
+    assert flat.tolist() == [ordered.index(t) for t in expected]
+    assert tuples.dtype == index.dtype == flat.dtype == np.intp
+
+
 def _per_point(m, n, r_grid, nodes, func):
     """The table tabulated one point per call at the sorted slot tuples (the rows of
     multisets), each argument a length-1 array."""

@@ -388,10 +388,10 @@ class TestWickOrdering:
              for (m, n) in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]}
         return W, np.array([0.01, 0.02, 0.03])
 
-    def test_one_G_table_per_pair_and_contraction_order(self):
-        # G is tabulated once per kept (kernel pair, p) on all slot tuples;
-        # one call per (i2, j1) tuple would make 9 for the p = 0 term of
-        # (1,1)(1,1) on 3 modes alone
+    def test_one_G_table_per_merged_length(self):
+        # G is tabulated once per merged length L = |I2'| + |J1'| + |q| among the kept
+        # (kernel pair, p) blocks, at r plus each distinct node sum of L slots; a table per
+        # block, as (r, distinct O(I2') + O(J1'), distinct O(q)), would take more points
         W, masses = self._random_W(4)
         calls = []
 
@@ -404,14 +404,39 @@ class TestWickOrdering:
         kept = [(m2 - p, n1 - p, p) for (m1, n1) in W for (m2, n2) in W
                 for p in range(min(n1, m2) + 1) if m1 + n1 + m2 + n2 - 2 * p <= max_order]
         assert dropped > 0.0  # order-4 terms are dropped, and make no G call
-        assert 0 < len(calls) <= len(kept)
-        # each table is (r, distinct O(I2') + O(J1'), distinct O(q)), so its
-        # values increase along both slot axes, and repeats are not evaluated
-        assert all(r.ndim == 3 and len(r) == len(R_GRID) for r in calls)
-        assert all(np.all(np.diff(r[0], axis=0) > 0) and np.all(np.diff(r[0], axis=1) > 0)
-                   for r in calls)
-        per_tuple = sum(len(R_GRID) * 3 ** sum(lengths) for lengths in kept)
-        assert sum(r.size for r in calls) < per_tuple
+        nodes = W[(1, 0)].nodes
+
+        def distinct(*lengths):  # the distinct sums of one multiset of each length
+            return sorted({sum(sum(nodes[list(t)]) for t in ts) for ts in product(
+                *[combinations_with_replacement(range(len(nodes)), L) for L in lengths])})
+
+        lengths = sorted({sum(block) for block in kept})
+        assert len(calls) == len(lengths) == 4  # L = 0, 1, 2, 3
+        for r, L in zip(sorted(calls, key=lambda r: r.shape[1]), lengths):
+            # (rows, distinct sums of L slots), increasing along the sums
+            assert r.shape == (len(R_GRID), len(distinct(L)))
+            assert np.all(np.diff(r, axis=1) > 0)
+            assert np.allclose(r[0], distinct(L), rtol=0, atol=1e-15)
+        per_block = sum(len(R_GRID) * len(distinct(I, J)) * len(distinct(p)) for I, J, p in kept)
+        assert sum(r.size for r in calls) < per_block
+
+    @pytest.mark.parametrize("n_nodes", [3, 4])
+    def test_merged_index_is_the_multiset_of_I_J_and_q(self, n_nodes):
+        # _merged maps every (I, J, q) to the distinct sum of its merged multiset
+        # sorted(I + J + q), the row combinations_with_replacement lists it at
+        nodes = np.array([0.1, 0.2, 0.35, 0.6][:n_nodes])
+        node_set = (tuple(nodes), (0.01,) * n_nodes)
+        for len_I, len_J, p in product(range(3), repeat=3):
+            merged = rgflow._merged(*node_set, len_I, len_J, p)
+            multisets_L = list(combinations_with_replacement(range(n_nodes), len_I + len_J + p))
+            _, sums, inverse, _ = rgflow._sums(*node_set, len_I + len_J + p)
+            I, J, Q = (list(combinations_with_replacement(range(n_nodes), k))
+                       for k in (len_I, len_J, p))
+            assert merged.shape == (len(I), len(J), len(Q))
+            for (a, i), (b, j), (c, q) in product(enumerate(I), enumerate(J), enumerate(Q)):
+                row = multisets_L.index(tuple(sorted(i + j + q)))
+                assert merged[a, b, c] == inverse[row]
+                assert sums[merged[a, b, c]] == np.sum(nodes[sorted(i + j + q)])
 
     def test_one_read_per_distinct_shift(self, monkeypatch):
         # each kernel is read once per distinct pull-through shift, in
@@ -508,7 +533,6 @@ class TestWickOrdering:
                         continue
                     Cf = comb(n1, p) * comb(m2, p) * factorial(p)
                     qs = multisets[p]
-                    omega = np.array([np.sum(nodes[list(q)]) for q in qs], dtype=float)
                     weight = np.array([np.prod(masses[list(q)]) * (factorial(p) // np.prod(
                         [factorial(c) for c in Counter(q).values()])) for q in qs])
                     block = {}
@@ -522,7 +546,8 @@ class TestWickOrdering:
                                           for q in qs], axis=-1).reshape(R, M ** m1, len(qs))
                             B = np.stack([B_full[(slice(None),) + tuple(sorted(q + i2))]
                                           for q in qs], axis=1).reshape(R, len(qs), M ** n2)
-                            Gq = G(r[:, np.newaxis] + (sI + sJ) + omega) * weight
+                            merged = [np.sum(nodes[sorted(i2 + j1 + q)]) for q in qs]
+                            Gq = G(r[:, np.newaxis] + np.array(merged)) * weight
                             blk = np.einsum("riq,rq,rqj->rij", A, Gq, B) * Cf
                             block[i2, j1] = blk.reshape((R,) + (M,) * (m1 + n2))
 

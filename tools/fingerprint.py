@@ -18,6 +18,15 @@ labelled with how many were float64 and complex128, so that a table or a
 matrix changing dtype shows there; and one line for the warnings it raised.
 BLAS runs on one thread, so that sums come out in one order.  The whole run
 takes about four seconds on a 2-vCPU machine.
+
+When lines differ, --dump DIR also writes the parts each line hashed to DIR, one
+.npz per line in print order, and --compare reads two such dumps and prints, for
+every label whose hash differs, max|delta| / max|v| of each part (v from the first
+dump), or "differs" for a part that is not a number:
+
+    python tools/fingerprint.py --src /path/to/parent/src --dump before
+    python tools/fingerprint.py --dump after
+    python tools/fingerprint.py --compare before after
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -69,6 +79,10 @@ THETAS = (0.0, 0.2j, 0.1 + 0.15j)
 # the dtype of every array hashed in the running section, in order
 _DTYPES: list = []
 
+# --dump's directory (None: no dump), and the number of the next line written there
+_DUMP_DIR: Path | None = None
+_DUMPED = itertools.count()
+
 
 def _digest(*parts) -> str:
     h = hashlib.sha256()
@@ -86,7 +100,65 @@ def _digest(*parts) -> str:
 
 
 def _emit(label: str, *parts) -> None:
-    print(f"{_digest(*parts)}  {label}", flush=True)
+    digest = _digest(*parts)
+    print(f"{digest}  {label}", flush=True)
+    if _DUMP_DIR is not None:
+        _dump(label, digest, parts)
+
+
+def _dump(label: str, digest: str, parts) -> None:
+    """Write one line's parts to _DUMP_DIR: arrays and numbers as arrays, bytes and
+    anything else (compared only for equality) as the bytes or the repr it hashed."""
+    arrays, kinds = {}, []
+    for i, part in enumerate(parts):
+        if isinstance(part, (np.ndarray, int, float, complex, np.number)):
+            kinds.append("number")
+            arrays[f"part{i}"] = np.asarray(part)
+        else:
+            kinds.append("bytes")
+            arrays[f"part{i}"] = np.frombuffer(
+                part if isinstance(part, bytes) else repr(part).encode(), dtype=np.uint8)
+    np.savez(_DUMP_DIR / f"{next(_DUMPED):04d}.npz", label=label, digest=digest,
+             kinds=" ".join(kinds), **arrays)
+
+
+def _load(directory: str) -> dict:
+    """A dump's lines by (label, how many lines of that label came before it)."""
+    lines, seen = {}, Counter()
+    for path in sorted(Path(directory).glob("*.npz")):
+        with np.load(path) as f:
+            label, kinds = str(f["label"]), str(f["kinds"]).split()
+            lines[label, seen[label]] = (str(f["digest"]), kinds,
+                                         [f[f"part{i}"] for i in range(len(kinds))])
+        seen[label] += 1
+    return lines
+
+
+def _delta(before: np.ndarray, after: np.ndarray, kind: str) -> str:
+    """max|after - before| / max|before| of one part (equal entries, infinities among
+    them, count 0), or why no such number exists."""
+    if np.array_equal(before, after):
+        return "equal"
+    if kind != "number":
+        return "differs"
+    if before.shape != after.shape:
+        return f"shape {before.shape} -> {after.shape}"
+    delta = np.where(before == after, 0.0, np.abs(after - before))
+    scale = np.max(np.abs(before), initial=0.0)
+    return f"{np.max(delta, initial=0.0) / scale:.3e}" if scale else f"|delta| {np.max(delta):.3e}"
+
+
+def compare(before_dir: str, after_dir: str) -> None:
+    """Print each part's _delta for every label whose hash differs between two dumps, and
+    each label that only one of them holds."""
+    before, after = _load(before_dir), _load(after_dir)
+    for key in sorted(before.keys() - after.keys()) + sorted(after.keys() - before.keys()):
+        print(f"only in {before_dir if key in before else after_dir}: {key[0]}")
+    for key, (digest, kinds, parts) in before.items():
+        if key in after and after[key][0] != digest:
+            print(f"{key[0]}: " + ", ".join(
+                f"part {i} {_delta(b, a, kind)}"
+                for i, (b, a, kind) in enumerate(zip(parts, after[key][2], kinds))))
 
 
 def _hamiltonian(label: str, H, info=None) -> None:
@@ -461,7 +533,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the specrg package")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write the parts of every line to DIR, one .npz per line")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two --dump directories instead of fingerprinting")
     args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.dump:
+        global _DUMP_DIR
+        _DUMP_DIR = Path(args.dump)
+        _DUMP_DIR.mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, args.src)
     for section in (cli_outputs, rg_steps, calibration_sweeps, flow_without_builder,
                     bases, dense_models, dense_reads, ground_energies, dense_feshbach, pauli_fierz,
